@@ -106,9 +106,14 @@ check-obs-e2e:
 # allocs/tick — the pinned budget the optimized pipeline holds with
 # double-digit headroom (the recorded number is 0). Throughput is not
 # gated (CI machines vary); the allocation floor is machine-independent.
+# The second step runs the TCP RTI lockstep microbenchmark (one sender,
+# 1 and 4 receivers, 405 LUs per step) for 20 steps each, reporting
+# ns/LU and allocs/LU, so a transport change that breaks the loopback
+# round trip or its fan-out fails here.
 bench-smoke:
 	$(GO) run ./cmd/adfbench -hotpath -duration 120 -seed 1 -scales 5k \
 		-alloc-budget 2 -hotpath-out /dev/null
+	$(GO) test -run '^$$' -bench BenchmarkRTILockstep -benchtime 20x ./internal/hla
 
 # bench-regress re-measures the CI-sized scale points of the committed
 # BENCH_hotpath.json and BENCH_obs.json baselines under their own

@@ -1,6 +1,7 @@
 package hla
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -15,16 +16,21 @@ import (
 // safe for concurrent use: one goroutine drives the federate, exactly
 // like an HLA federate process.
 type Client struct {
-	conn   net.Conn
+	conn net.Conn
+	// r and bw buffer the connection: callback frames are read in
+	// socket-sized chunks, and each request frame leaves in one write.
+	r  *bufio.Reader
+	bw *bufio.Writer
+
 	amb    Ambassador
 	handle FederateHandle
 	name   string
 	joined bool
 	closed bool
 
-	// readTimeout and writeTimeout bound each frame read and write.
-	// Zero means no deadline: a time advance legitimately blocks until
-	// the rest of the federation catches up. Set via SetIOTimeouts.
+	// readTimeout bounds each socket read and writeTimeout each request
+	// flush. Zero means no deadline: a time advance legitimately blocks
+	// until the rest of the federation catches up. Set via SetIOTimeouts.
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 }
@@ -35,7 +41,16 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hla: dial: %w", err)
 	}
-	return &Client{conn: conn}, nil
+	return newClient(conn), nil
+}
+
+// newClient wraps an established connection.
+func newClient(conn net.Conn) *Client {
+	return &Client{
+		conn: conn,
+		r:    bufio.NewReaderSize(conn, ioBufferSize),
+		bw:   bufio.NewWriterSize(conn, ioBufferSize),
+	}
 }
 
 // Close tears down the connection. A joined federate should Resign first.
@@ -50,9 +65,11 @@ func (c *Client) Close() error {
 // Handle returns the federate handle assigned at join.
 func (c *Client) Handle() FederateHandle { return c.handle }
 
-// SetIOTimeouts bounds each frame read and write on the connection.
-// Zero (the default) means no deadline. Like the rest of Client, not
-// safe for concurrent use.
+// SetIOTimeouts bounds the connection's I/O: read bounds each socket
+// read while awaiting a reply or callback, write bounds the single flush
+// that sends each request. Reads are buffered, so one socket read can
+// carry many frames. Zero (the default) means no deadline. Like the rest
+// of Client, not safe for concurrent use.
 func (c *Client) SetIOTimeouts(read, write time.Duration) {
 	c.readTimeout = read
 	c.writeTimeout = write
@@ -70,7 +87,11 @@ func (c *Client) request(e *wire.Encoder, op obs.RPCOp, terminal byte, start int
 		tc = obs.NewTraceContext(start)
 	}
 	_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
-	if err := wire.WriteFrameTC(c.conn, e.Bytes(), tc); err != nil {
+	err := wire.WriteFrameTC(c.bw, e.Bytes(), tc)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
 		obs.RTIError(obs.SideClient, classifyErr(err))
 		return nil, err
 	}
@@ -127,7 +148,7 @@ func (c *Client) Join(federation, name string, lookahead float64, amb Ambassador
 func (c *Client) await(terminal byte) ([]byte, error) {
 	for {
 		_ = c.conn.SetReadDeadline(ioDeadline(c.readTimeout))
-		payload, rtc, err := wire.ReadFrameTC(c.conn)
+		payload, rtc, err := wire.ReadFrameTC(c.r)
 		if err != nil {
 			obs.RTIError(obs.SideClient, classifyErr(err))
 			return nil, fmt.Errorf("hla: connection lost: %w", err)

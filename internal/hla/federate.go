@@ -311,16 +311,31 @@ func (f *Federate) advance(t float64, nextEvent bool) error {
 	f.fed.evaluateGrants()
 	f.fed.mu.Unlock()
 
+	fl, _ := f.amb.(flusher)
 	for {
-		cb, ok := f.st.mailbox.pop()
+		cb, ok := f.st.mailbox.tryPop()
 		if !ok {
-			return fmt.Errorf("%w: %s", ErrResigned, f.st.name)
+			// About to block: release what the ambassador buffered, so
+			// the federate sees every callback delivered so far.
+			if fl != nil {
+				fl.flush()
+			}
+			if cb, ok = f.st.mailbox.pop(); !ok {
+				return fmt.Errorf("%w: %s", ErrResigned, f.st.name)
+			}
 		}
 		cb.deliver(f.amb)
 		if cb.kind == cbGrant {
 			return nil
 		}
 	}
+}
+
+// flusher is implemented by ambassadors that buffer callbacks (the TCP
+// transport's remote ambassador). advance flushes them before it blocks
+// on an empty mailbox, so no delivered callback waits behind the grant.
+type flusher interface {
+	flush()
 }
 
 // Tick delivers any pending callbacks without blocking and reports

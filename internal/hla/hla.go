@@ -186,6 +186,23 @@ func (m *mailbox) push(c callback) {
 	m.cond.Signal()
 }
 
+// pushGrant appends a time advance's TSO deliveries and its grant as one
+// batch: the federate's goroutine never finds the mailbox empty part-way
+// through, so a transport that flushes when the mailbox runs dry sends
+// the whole advance at once.
+func (m *mailbox) pushGrant(msgs []tsoMessage, grant callback) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		return
+	}
+	for _, msg := range msgs {
+		m.items = append(m.items, msg.cb)
+	}
+	m.items = append(m.items, grant)
+	m.cond.Signal()
+}
+
 // pop blocks until an item is available or the mailbox closes.
 func (m *mailbox) pop() (callback, bool) {
 	m.mu.Lock()
@@ -587,11 +604,10 @@ func (fed *Federation) evaluateGrants() {
 			if f.constrained && lbtsFor(bounds, h) <= grantTime {
 				continue
 			}
-			fed.deliverTSO(f, grantTime)
 			f.time = grantTime
 			f.hasTAR = false
 			f.nextEvent = false
-			f.mailbox.push(callback{kind: cbGrant, time: f.time})
+			fed.deliverGrant(f)
 			progressed = true
 		}
 		if !progressed {
@@ -614,9 +630,10 @@ func (f *federateState) nextTSOTime() (float64, bool) {
 	return earliest, true
 }
 
-// deliverTSO moves queued messages with timestamps <= horizon to the
-// federate's mailbox in timestamp order. Callers must hold fed.mu.
-func (fed *Federation) deliverTSO(f *federateState, horizon float64) {
+// deliverGrant moves queued messages with timestamps up to the
+// federate's (just granted) time to its mailbox in timestamp order,
+// followed by the grant. Callers must hold fed.mu.
+func (fed *Federation) deliverGrant(f *federateState) {
 	sort.Slice(f.tsoQueue, func(i, j int) bool {
 		if f.tsoQueue[i].time != f.tsoQueue[j].time {
 			return f.tsoQueue[i].time < f.tsoQueue[j].time
@@ -624,14 +641,10 @@ func (fed *Federation) deliverTSO(f *federateState, horizon float64) {
 		return f.tsoQueue[i].seq < f.tsoQueue[j].seq
 	})
 	n := 0
-	for _, m := range f.tsoQueue {
-		if m.time <= horizon {
-			f.mailbox.push(m.cb)
-			n++
-			continue
-		}
-		break
+	for n < len(f.tsoQueue) && f.tsoQueue[n].time <= f.time {
+		n++
 	}
+	f.mailbox.pushGrant(f.tsoQueue[:n], callback{kind: cbGrant, time: f.time})
 	f.tsoQueue = f.tsoQueue[n:]
 }
 

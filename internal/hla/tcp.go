@@ -1,6 +1,7 @@
 package hla
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -10,6 +11,11 @@ import (
 	"github.com/mobilegrid/adf/internal/obs"
 	"github.com/mobilegrid/adf/internal/wire"
 )
+
+// ioBufferSize is the read and write buffer of each end of a federate
+// connection: large enough that a time advance's whole TSO batch of LU
+// callbacks leaves the server in a few writes.
+const ioBufferSize = 64 << 10
 
 // ioDeadline converts a configured I/O timeout into an absolute
 // deadline. A non-positive timeout yields the zero time.Time — an
@@ -131,9 +137,10 @@ type Server struct {
 	rti *RTI
 	ln  net.Listener
 
-	// readTimeout and writeTimeout bound each frame read and write on
-	// federate connections. Zero means no deadline (block forever, the
-	// HLA default). Set via SetIOTimeouts before Serve.
+	// readTimeout bounds each socket read and writeTimeout each socket
+	// write (a flush) on federate connections. Zero means no deadline
+	// (block forever, the HLA default). Set via SetIOTimeouts before
+	// Serve.
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 
@@ -155,7 +162,12 @@ func NewServer(rti *RTI, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hla: listen: %w", err)
 	}
-	return &Server{rti: rti, ln: ln, conns: make(map[net.Conn]bool)}, nil
+	return newServer(rti, ln), nil
+}
+
+// newServer serves rti on an open listener.
+func newServer(rti *RTI, ln net.Listener) *Server {
+	return &Server{rti: rti, ln: ln, conns: make(map[net.Conn]bool)}
 }
 
 // Addr returns the listening address.
@@ -164,9 +176,13 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // RTI returns the RTI this server exposes.
 func (s *Server) RTI() *RTI { return s.rti }
 
-// SetIOTimeouts bounds each frame read and write on federate
-// connections. Zero (the default) means no deadline. Call before Serve:
-// the values are read by the handler goroutines without locking.
+// SetIOTimeouts bounds the socket I/O on federate connections: read
+// bounds each socket read of requests, write each flush of buffered
+// replies and callbacks (and any write that spills a full buffer).
+// Frames are buffered at both ends, so a deadline covers one socket
+// operation, which may carry many frames. Zero (the default) means no
+// deadline. Call before Serve: the values are read by the handler
+// goroutines without locking.
 func (s *Server) SetIOTimeouts(read, write time.Duration) {
 	s.readTimeout = read
 	s.writeTimeout = write
@@ -249,12 +265,19 @@ func (s *Server) Shutdown() error {
 	return err
 }
 
-// connWriter serialises frame writes from the request handler and the
-// RTI callback path.
+// connWriter buffers the frames the request handler and the RTI
+// callback path write to one connection. Frames reach the socket when
+// the buffer fills or on flush, and the handler flushes whenever it is
+// about to block — before reading the next request, before waiting on
+// an empty mailbox in a time advance, and on exit — so a federate never
+// waits on a frame the server holds.
 type connWriter struct {
 	mu      sync.Mutex
 	conn    net.Conn
-	timeout time.Duration // write deadline per frame; zero blocks
+	timeout time.Duration // write deadline per socket write; zero blocks
+
+	//adf:guardedby mu
+	bw *bufio.Writer
 
 	//adf:guardedby mu
 	err error
@@ -272,8 +295,11 @@ func (w *connWriter) writeFrameTC(payload []byte, tc wire.TraceContext) {
 	if w.err != nil {
 		return
 	}
-	_ = w.conn.SetWriteDeadline(ioDeadline(w.timeout))
-	w.err = wire.WriteFrameTC(w.conn, payload, tc)
+	if w.bw.Available() < len(payload)+wire.MaxHeaderSize {
+		// The frame may not fit: this write can reach the socket.
+		_ = w.conn.SetWriteDeadline(ioDeadline(w.timeout))
+	}
+	w.err = wire.WriteFrameTC(w.bw, payload, tc)
 	if w.err != nil {
 		// Only the sticky transition is counted; later writes short-circuit.
 		obs.RTIError(obs.SideServer, classifyErr(w.err))
@@ -283,12 +309,32 @@ func (w *connWriter) writeFrameTC(payload []byte, tc wire.TraceContext) {
 	obs.WireBytesOut.Add(uint64(len(payload)))
 }
 
+// flush writes the buffered frames to the socket.
+func (w *connWriter) flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil || w.bw.Buffered() == 0 {
+		return
+	}
+	_ = w.conn.SetWriteDeadline(ioDeadline(w.timeout))
+	if w.err = w.bw.Flush(); w.err != nil {
+		obs.RTIError(obs.SideServer, classifyErr(w.err))
+	}
+}
+
 // remoteAmbassador relays ambassador callbacks to the remote client.
 type remoteAmbassador struct {
 	w *connWriter
 }
 
-var _ Ambassador = (*remoteAmbassador)(nil)
+var (
+	_ Ambassador = (*remoteAmbassador)(nil)
+	_ flusher    = (*remoteAmbassador)(nil)
+)
+
+// flush implements flusher: a federate blocking in a time advance first
+// sends the callbacks delivered so far.
+func (a *remoteAmbassador) flush() { a.w.flush() }
 
 func (a *remoteAmbassador) DiscoverObjectInstance(obj ObjectHandle, class, name string) {
 	var e wire.Encoder
@@ -414,7 +460,9 @@ func writeError(w *connWriter, err error) {
 // RTI service requests until the connection drops or the client resigns.
 func (s *Server) handle(conn net.Conn) {
 	defer s.dropConn(conn)
-	w := &connWriter{conn: conn, timeout: s.writeTimeout}
+	r := bufio.NewReaderSize(conn, ioBufferSize)
+	w := &connWriter{conn: conn, timeout: s.writeTimeout, bw: bufio.NewWriterSize(conn, ioBufferSize)}
+	defer w.flush()
 
 	var fed *Federate
 	defer func() {
@@ -425,10 +473,12 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	for {
+		// Never hold a reply while waiting for the next request.
+		w.flush()
 		// Refresh the read deadline each request; zero-timeout servers
 		// get an explicit unbounded wait.
 		_ = conn.SetReadDeadline(ioDeadline(s.readTimeout))
-		payload, rtc, err := wire.ReadFrameTC(conn)
+		payload, rtc, err := wire.ReadFrameTC(r)
 		if err != nil {
 			obs.RTIError(obs.SideServer, classifyErr(err))
 			return

@@ -18,6 +18,10 @@ import (
 //     deadline (time.Time{}) is an explicit "block forever" and
 //     satisfies the rule: the point is that the policy is visible and
 //     configurable at the I/O site, not implicit.
+//   - a bufio.Reader or bufio.Writer built over a conn (held in a local
+//     or a struct field) carries the conn's I/O: reads, writes and
+//     Flush through the wrapper need the wrapped conn's deadline, while
+//     the bufio constructors themselves do no I/O and are not checked.
 //   - a blocking channel send inside a loop (an accept or handler loop
 //     pumping work to another goroutine) must be a select case, so a
 //     stuck receiver cannot wedge the loop: bare `ch <- v` inside any
@@ -39,6 +43,14 @@ connection variable. Writes need SetWriteDeadline or SetDeadline.
 Passing a zero time.Time is an explicit unbounded wait and satisfies
 the rule — the deadline policy must be visible, not necessarily finite.
 
+Buffered wrappers: r := bufio.NewReader(conn) or a struct field set to
+bufio.NewWriterSize(conn, n) is not I/O itself, but every read, write or
+Flush through the wrapper — a method call (w.bw.Flush()) or a *Read* /
+*Write* helper taking it (wire.ReadFrame(c.r)) — is I/O on the wrapped
+conn and needs that conn's deadline. A field wrapper built from a local
+conn that the same function stores into a conn field resolves to that
+field, so c.conn.SetReadDeadline dominates reads through c.r.
+
 Sends: a bare channel send (ch <- v) inside a for or range body is
 flagged unless it is a select communication clause: accept/handler
 loops must stay responsive to shutdown even when a receiver stalls.
@@ -52,13 +64,14 @@ func runNetCtx(p *ModulePass) {
 		if !p.Net(pkg.Path) {
 			continue
 		}
+		wrappers := connWrappers(pkg)
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
 				if !ok || fn.Body == nil {
 					continue
 				}
-				checkConnDeadlines(p, pkg, fn)
+				checkConnDeadlines(p, pkg, fn, wrappers)
 				checkLoopSends(p, pkg, fn)
 			}
 		}
@@ -83,7 +96,7 @@ type deadlineCall struct {
 
 // checkConnDeadlines flags conn I/O without a textually preceding
 // deadline call on the same connection variable.
-func checkConnDeadlines(p *ModulePass, pkg *Package, fn *ast.FuncDecl) {
+func checkConnDeadlines(p *ModulePass, pkg *Package, fn *ast.FuncDecl, wrappers map[*types.Var]connWrapper) {
 	var ios []connIO
 	var deadlines []deadlineCall
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -92,6 +105,16 @@ func checkConnDeadlines(p *ModulePass, pkg *Package, fn *ast.FuncDecl) {
 			return true
 		}
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
+			// A method of a buffered wrapper: I/O on the conn it wraps
+			// unless the method only inspects the buffer.
+			if v := connVarOf(pkg, sel.X); v != nil {
+				if w, ok := wrappers[v]; ok {
+					if !bufioNoIO[sel.Sel.Name] {
+						ios = append(ios, connIO{pos: call.Pos(), conn: w.conn, write: w.write, what: v.Name() + "." + sel.Sel.Name})
+					}
+					return true
+				}
+			}
 			if isNetConnType(pkg.Info.TypeOf(sel.X)) {
 				switch sel.Sel.Name {
 				case "SetDeadline":
@@ -120,7 +143,7 @@ func checkConnDeadlines(p *ModulePass, pkg *Package, fn *ast.FuncDecl) {
 		// Helper call taking a net.Conn argument: ReadFrame(conn),
 		// WriteFrame(conn, payload). Classified by the callee's name.
 		callee := staticCallee(pkg, call)
-		if callee == nil {
+		if callee == nil || isBufioWrapperCtor(callee) {
 			return true
 		}
 		isRead := strings.Contains(callee.Name(), "Read")
@@ -128,11 +151,18 @@ func checkConnDeadlines(p *ModulePass, pkg *Package, fn *ast.FuncDecl) {
 		if !isRead && !isWrite {
 			return true
 		}
+		// Through a buffered wrapper argument the direction is the
+		// wrapper's: a bufio.Reader only reads its conn.
 		for _, arg := range call.Args {
+			v := connVarOf(pkg, arg)
+			if w, ok := wrappers[v]; ok {
+				ios = append(ios, connIO{pos: call.Pos(), conn: w.conn, write: w.write, what: callee.Name()})
+				break
+			}
 			if !isNetConnType(pkg.Info.TypeOf(arg)) {
 				continue
 			}
-			if v := connVarOf(pkg, arg); v != nil {
+			if v != nil {
 				ios = append(ios, connIO{pos: call.Pos(), conn: v, write: isWrite, what: callee.Name()})
 			}
 			break
@@ -159,6 +189,102 @@ func checkConnDeadlines(p *ModulePass, pkg *Package, fn *ast.FuncDecl) {
 		}
 		p.Reportf(io.pos, "%s %s on a net.Conn without a dominating deadline in %s: call %s (or SetDeadline) on the connection first — a zero time.Time makes an unbounded wait explicit — or //adf:allow netctx with a reason", io.what, kind, funcDisplayName(fn), set)
 	}
+}
+
+// connWrapper is a bufio.Reader or bufio.Writer built over a conn.
+type connWrapper struct {
+	conn  *types.Var // the wrapped conn: a local, a parameter or a field
+	write bool       // a bufio.Writer: its I/O writes the conn
+}
+
+// bufioNoIO names the bufio.Reader/Writer methods that only inspect or
+// reset the buffer; every other method may reach the wrapped conn.
+var bufioNoIO = map[string]bool{
+	"Available": true, "AvailableBuffer": true, "Buffered": true,
+	"Reset": true, "Size": true, "UnreadByte": true, "UnreadRune": true,
+}
+
+// isBufioWrapperCtor reports whether fn is one of bufio's
+// NewReader/NewReaderSize/NewWriter/NewWriterSize constructors.
+func isBufioWrapperCtor(fn *types.Func) bool {
+	if fn.Pkg() == nil || fn.Pkg().Path() != "bufio" {
+		return false
+	}
+	switch fn.Name() {
+	case "NewReader", "NewReaderSize", "NewWriter", "NewWriterSize":
+		return true
+	}
+	return false
+}
+
+// connWrappers finds every buffered wrapper pkg builds over a conn and
+// the variable it is stored in: a local (r := bufio.NewReader(conn)), a
+// field assignment (c.r = ...) or a keyed composite-literal field
+// (&T{r: ...}). A field wrapper over a local conn resolves to the conn
+// field the same local is stored into, since that field is what other
+// methods set deadlines on.
+func connWrappers(pkg *Package) map[*types.Var]connWrapper {
+	wrappers := make(map[*types.Var]connWrapper)
+	stored := make(map[*types.Var]*types.Var) // local conn -> conn field holding it
+	wrapped := func(e ast.Expr) (connWrapper, bool) {
+		call, ok := ast.Unparen(e).(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 || !isNetConnType(pkg.Info.TypeOf(call.Args[0])) {
+			return connWrapper{}, false
+		}
+		fn := staticCallee(pkg, call)
+		if fn == nil || !isBufioWrapperCtor(fn) {
+			return connWrapper{}, false
+		}
+		conn := connVarOf(pkg, call.Args[0])
+		return connWrapper{conn: conn, write: strings.HasPrefix(fn.Name(), "NewWriter")}, conn != nil
+	}
+	bind := func(dst *types.Var, val ast.Expr) {
+		if dst == nil {
+			return
+		}
+		if w, ok := wrapped(val); ok {
+			wrappers[dst] = w
+			return
+		}
+		if id, ok := ast.Unparen(val).(*ast.Ident); ok && dst.IsField() && isNetConnType(dst.Type()) {
+			if src, ok := pkg.Info.Uses[id].(*types.Var); ok && !src.IsField() {
+				stored[src] = dst
+			}
+		}
+	}
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Lhs) == len(n.Rhs) {
+					for i, lhs := range n.Lhs {
+						bind(connVarOf(pkg, lhs), n.Rhs[i])
+					}
+				}
+			case *ast.ValueSpec:
+				if len(n.Names) == len(n.Values) {
+					for i, name := range n.Names {
+						v, _ := pkg.Info.Defs[name].(*types.Var)
+						bind(v, n.Values[i])
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok {
+					if v, ok := pkg.Info.Uses[key].(*types.Var); ok && v.IsField() {
+						bind(v, n.Value)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for v, w := range wrappers {
+		if field, ok := stored[w.conn]; ok && v.IsField() {
+			w.conn = field
+			wrappers[v] = w
+		}
+	}
+	return wrappers
 }
 
 // connVarOf resolves a connection expression to its variable: the

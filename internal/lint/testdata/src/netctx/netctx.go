@@ -1,12 +1,15 @@
 // Package netctx exercises deadline and shutdown discipline on network
 // code: reads and writes with and without dominating deadline calls —
 // direct conn methods and name-classified helpers (ReadFrame) — plus
-// blocking channel sends inside handler loops. The fixture is loaded
+// blocking channel sends inside handler loops, and I/O through bufio
+// wrappers built over a conn. The fixture is loaded
 // as a net package. Zero time.Time deadlines keep the fixture free of
 // wall-clock reads; an explicit zero is exactly what the rule asks for.
 package netctx
 
 import (
+	"bufio"
+	"io"
 	"net"
 	"time"
 )
@@ -116,4 +119,72 @@ func pumpSelect(conn net.Conn, out chan []byte, done chan struct{}) {
 // offer is a one-shot send outside any loop: clean.
 func offer(out chan int) {
 	out <- 1
+}
+
+// ReadFrameFrom reads one frame from any reader, such as a bufio.Reader
+// over a conn; its name classifies call sites as reads.
+func ReadFrameFrom(r io.Reader) ([]byte, error) {
+	buf := make([]byte, 64)
+	_, err := io.ReadFull(r, buf)
+	return buf, err
+}
+
+// bufConn keeps buffered wrappers over its conn field.
+type bufConn struct {
+	conn net.Conn
+	r    *bufio.Reader
+	bw   *bufio.Writer
+}
+
+// newBufConn builds the wrappers: the constructors do no I/O, so no
+// deadline is needed: clean.
+func newBufConn(conn net.Conn) *bufConn {
+	return &bufConn{conn: conn, r: bufio.NewReaderSize(conn, 4096), bw: bufio.NewWriter(conn)}
+}
+
+// next reads through the field wrapper after a read deadline on the
+// wrapped conn: clean.
+func (b *bufConn) next() ([]byte, error) {
+	_ = b.conn.SetReadDeadline(time.Time{})
+	return ReadFrameFrom(b.r)
+}
+
+// nextRaw reads through the field wrapper with no deadline: flagged.
+func (b *bufConn) nextRaw() ([]byte, error) {
+	return ReadFrameFrom(b.r)
+}
+
+// flush sets the write deadline before flushing the wrapper: clean.
+// Buffered only inspects the buffer and needs no deadline.
+func (b *bufConn) flush() error {
+	if b.bw.Buffered() == 0 {
+		return nil
+	}
+	_ = b.conn.SetWriteDeadline(time.Time{})
+	return b.bw.Flush()
+}
+
+// flushRaw flushes the wrapper with no deadline: flagged.
+func (b *bufConn) flushRaw() error {
+	return b.bw.Flush()
+}
+
+// flushLate sets only a read deadline before the flush — the kinds do
+// not match: flagged.
+func (b *bufConn) flushLate() error {
+	_ = b.conn.SetReadDeadline(time.Time{})
+	return b.bw.Flush()
+}
+
+// peek reads through a local wrapper with no deadline: flagged.
+func peek(conn net.Conn) (byte, error) {
+	r := bufio.NewReader(conn)
+	return r.ReadByte()
+}
+
+// peekBounded sets the read deadline on the wrapped conn first: clean.
+func peekBounded(conn net.Conn) (byte, error) {
+	r := bufio.NewReader(conn)
+	_ = conn.SetReadDeadline(time.Time{})
+	return r.ReadByte()
 }

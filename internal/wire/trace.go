@@ -21,6 +21,10 @@ const (
 	tcVersion = 1
 	// tcSize is the fixed encoded size of a TraceContext.
 	tcSize = 40
+
+	// MaxHeaderSize is the largest frame header WriteFrameTC emits: the
+	// length word, the extension version byte and the trace context.
+	MaxHeaderSize = 4 + 1 + tcSize
 )
 
 // TraceContext is the compact causal-identity header carried by traced
