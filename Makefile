@@ -14,6 +14,8 @@ vet:
 	# explicitly so a toolchain default change can never silently drop the
 	# one analyzer the engine's mutex-bearing types depend on.
 	$(GO) vet -copylocks ./...
+	# The tree stays gofmt-clean, lint fixtures included.
+	test -z "$$(gofmt -l .)"
 
 # adflint is the project's own static-analysis pass (internal/lint):
 # the determinism, maporder, hotpath (call-graph aware), exhaustive,
@@ -109,11 +111,14 @@ check-obs-e2e:
 # The second step runs the TCP RTI lockstep microbenchmark (one sender,
 # 1 and 4 receivers, 405 LUs per step) for 20 steps each, reporting
 # ns/LU and allocs/LU, so a transport change that breaks the loopback
-# round trip or its fan-out fails here.
+# round trip or its fan-out fails here. The last step runs the error
+# summary microbenchmark once (2M samples, 60% exact zeros: record, then
+# publish P50/P90/P99/Max), reporting ns/op and B/op.
 bench-smoke:
 	$(GO) run ./cmd/adfbench -hotpath -duration 120 -seed 1 -scales 5k \
 		-alloc-budget 2 -hotpath-out /dev/null
 	$(GO) test -run '^$$' -bench BenchmarkRTILockstep -benchtime 20x ./internal/hla
+	$(GO) test -run '^$$' -bench BenchmarkSummaryPercentiles -benchtime 1x ./internal/metrics
 
 # bench-regress re-measures the CI-sized scale points of the committed
 # BENCH_hotpath.json and BENCH_obs.json baselines under their own

@@ -274,6 +274,11 @@ type Run struct {
 	// quantile reporting.
 	ErrNoLE   *metrics.Summary
 	ErrWithLE *metrics.Summary
+	// QuantNoLE and QuantWithLE are the published quantiles of ErrNoLE
+	// and ErrWithLE, computed once when the run completes. Readers use
+	// these, never the summaries, so a memoized Run is read-only data.
+	QuantNoLE   metrics.Quantiles
+	QuantWithLE metrics.Quantiles
 	// Per region kind ("road" / "building") error accumulators.
 	RMSENoLEByKind   map[string]*estimate.RMSEAccumulator
 	RMSEWithLEByKind map[string]*estimate.RMSEAccumulator
@@ -373,11 +378,15 @@ func (c Config) runFilter(mk filterFactory) (*Run, error) {
 	if adf, ok := f.(*core.ADF); ok {
 		run.FinalClusters = adf.ClusterCount()
 	}
-	// Pre-sort the quantile summaries so a memoized Run shared across
-	// callers can be read concurrently without further mutation.
-	_ = run.ErrNoLE.Max()
-	_ = run.ErrWithLE.Max()
+	run.publishQuantiles()
 	return run, nil
+}
+
+// publishQuantiles computes the run's published error quantiles. It is
+// the last write to the run's summaries.
+func (r *Run) publishQuantiles() {
+	r.QuantNoLE = r.ErrNoLE.Quantiles()
+	r.QuantWithLE = r.ErrWithLE.Quantiles()
 }
 
 // runFilterSharded is runFilter on the region-sharded pipeline. The
@@ -400,8 +409,7 @@ func (c Config) runFilterSharded(mk filterFactory) (*Run, error) {
 			run.FinalClusters += adf.ClusterCount()
 		}
 	}
-	_ = run.ErrNoLE.Max()
-	_ = run.ErrWithLE.Max()
+	run.publishQuantiles()
 	return run, nil
 }
 
@@ -626,8 +634,8 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 }
 
 // maxSummarySamples caps each error summary's exact sample count; a
-// larger budget records a systematic subsample instead (8.4M samples ≈
-// 64 MiB per summary).
+// larger budget records a systematic subsample instead (8.4M samples,
+// at most 64 MiB per summary; exact zeros are counted, not stored).
 const maxSummarySamples = 1 << 23
 
 // Results bundles the paired runs every figure draws from: the ideal

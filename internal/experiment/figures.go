@@ -450,18 +450,18 @@ func (r *Results) Percentiles() PercentilesResult {
 	var out PercentilesResult
 	for _, run := range r.ADF {
 		for _, withLE := range []bool{false, true} {
-			s := run.ErrNoLE
+			q := run.QuantNoLE
 			if withLE {
-				s = run.ErrWithLE
+				q = run.QuantWithLE
 			}
 			out.Rows = append(out.Rows, PercentileRow{
 				Name:   run.Name,
 				Factor: run.Factor,
 				WithLE: withLE,
-				P50:    s.Quantile(0.5),
-				P90:    s.Quantile(0.9),
-				P99:    s.Quantile(0.99),
-				Max:    s.Max(),
+				P50:    q.P50,
+				P90:    q.P90,
+				P99:    q.P99,
+				Max:    q.Max,
 			})
 		}
 	}

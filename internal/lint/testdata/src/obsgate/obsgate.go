@@ -9,7 +9,7 @@ import "time"
 
 // Stand-ins for the obs package surface.
 
-func Enabled() bool  { return false }
+func Enabled() bool   { return false }
 func RPCClock() int64 { return 0 }
 
 func ObserveRPC(start, end int64) {}
@@ -18,8 +18,8 @@ func RecordSpan(start int64)      {}
 
 type eventLog struct{}
 
-func (eventLog) On() bool        { return false }
-func (eventLog) Now() int64      { return 0 }
+func (eventLog) On() bool         { return false }
+func (eventLog) Now() int64       { return 0 }
 func (eventLog) Emit(kind string) {}
 
 // Events mirrors obs.Events.

@@ -347,18 +347,33 @@ func (t *Table) String() string {
 }
 
 // Summary collects scalar samples for quantile reporting. Samples are
-// stored exactly by default; memory is linear in the number of samples,
-// which is fine at this simulator's usual scale (hundreds of thousands
-// per run). Million-node runs set a stride (SetStride) to record a
-// systematic subsample instead of exhausting memory. The zero value is
-// ready to use.
+// recorded exactly by default. Exact zeros, the bulk of a location-error
+// series (every delivered LU zeroes the broker's error), are only
+// counted, so memory is linear in the non-zero samples. Million-node
+// runs set a stride (SetStride) to record a systematic subsample instead
+// of exhausting memory. The zero value is ready to use.
+//
+// Quantile and Quantiles select in place and so reorder the stored
+// samples; they are not safe for concurrent use. N, Max and Mean only
+// read.
 type Summary struct {
+	// samples holds the recorded non-zero samples in no particular
+	// order; neg of them are negative. zeros counts recorded ±0s.
 	samples []float64
-	sorted  bool
+	neg     int
+	zeros   int
+	// sum is the running total of recorded samples, in offer order.
+	sum float64
 	// stride > 1 records every stride-th offered sample; skip counts
 	// down to the next recorded one.
 	stride int
 	skip   int
+}
+
+// Quantiles is a summary's published tail: the nearest-rank P50, P90
+// and P99 and the maximum.
+type Quantiles struct {
+	P50, P90, P99, Max float64
 }
 
 // Reserve pre-allocates capacity for n samples, so a run with a known
@@ -397,51 +412,145 @@ func (s *Summary) Add(v float64) {
 		}
 		s.skip = s.stride - 1
 	}
+	s.sum += v
+	switch {
+	case v == 0:
+		s.zeros++
+		return
+	case v < 0:
+		s.neg++
+	}
 	s.samples = append(s.samples, v)
-	s.sorted = false
 }
 
 // N returns the number of samples recorded.
-func (s *Summary) N() int { return len(s.samples) }
-
-func (s *Summary) ensureSorted() {
-	if !s.sorted {
-		sort.Float64s(s.samples)
-		s.sorted = true
-	}
-}
+func (s *Summary) N() int { return len(s.samples) + s.zeros }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest-rank over the
-// recorded samples, or 0 when empty.
+// recorded samples, or 0 when empty. The ranks below the counted zeros
+// are the negative samples and the ranks above them the positive ones,
+// so a rank outside the zeros is selected among the stored samples.
 func (s *Summary) Quantile(q float64) float64 {
-	if len(s.samples) == 0 || math.IsNaN(q) {
+	if s.N() == 0 || math.IsNaN(q) {
 		return 0
 	}
-	s.ensureSorted()
-	if q <= 0 {
-		return s.samples[0]
-	}
 	if q >= 1 {
-		return s.samples[len(s.samples)-1]
+		return s.Max()
 	}
-	idx := int(math.Ceil(q*float64(len(s.samples)))) - 1
-	if idx < 0 {
-		idx = 0
+	v, _ := s.at(s.rank(q), 0)
+	return v
+}
+
+// Quantiles returns the summary's P50, P90, P99 and maximum. The ranks
+// ascend, so each selection searches only the stored samples the
+// previous one left above its rank.
+func (s *Summary) Quantiles() Quantiles {
+	if s.N() == 0 {
+		return Quantiles{}
 	}
-	return s.samples[idx]
+	var q Quantiles
+	from := 0
+	q.P50, from = s.at(s.rank(0.5), from)
+	q.P90, from = s.at(s.rank(0.9), from)
+	q.P99, _ = s.at(s.rank(0.99), from)
+	q.Max = s.Max()
+	return q
+}
+
+// rank returns the nearest-rank index of the q-quantile (q < 1) of a
+// non-empty summary.
+func (s *Summary) rank(q float64) int {
+	if q <= 0 {
+		return 0
+	}
+	return max(int(math.Ceil(q*float64(s.N())))-1, 0)
+}
+
+// at returns the recorded sample of rank idx, selecting among the stored
+// samples from index from on, and the stored index a higher rank can
+// search from next. No stored sample before from may exceed one after
+// it, which every earlier selection leaves true.
+func (s *Summary) at(idx, from int) (float64, int) {
+	k := idx - s.zeros
+	switch {
+	case idx < s.neg:
+		k = idx
+	case idx < s.neg+s.zeros:
+		return 0, from
+	}
+	return selectKth(s.samples[from:], k-from), k
 }
 
 // Max returns the largest sample, or 0 when empty.
-func (s *Summary) Max() float64 { return s.Quantile(1) }
+func (s *Summary) Max() float64 {
+	if s.N() == 0 {
+		return 0
+	}
+	m := math.Inf(-1)
+	if s.zeros > 0 {
+		m = 0
+	}
+	for _, v := range s.samples {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
 
 // Mean returns the arithmetic mean, or 0 when empty.
 func (s *Summary) Mean() float64 {
-	if len(s.samples) == 0 {
+	if s.N() == 0 {
 		return 0
 	}
-	var sum float64
-	for _, v := range s.samples {
-		sum += v
+	return s.sum / float64(s.N())
+}
+
+// selectKth returns the k-th smallest element of a (0-based) by
+// quickselect with a three-way partition, so a run of equal values is
+// settled in one pass. It reorders a in place. a must hold no NaN.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)
+	for hi-lo > 1 {
+		p := medianOf3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// Partition a[lo:hi] into [lo,lt) < p, [lt,gt) equal to p and
+		// [gt,hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case p < v:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return a[k]
+		}
 	}
-	return sum / float64(len(s.samples))
+	return a[k]
+}
+
+// medianOf3 returns the median of three values.
+func medianOf3(a, b, c float64) float64 {
+	if b < a {
+		a, b = b, a
+	}
+	if c < b {
+		b = c
+		if b < a {
+			b = a
+		}
+	}
+	return b
 }

@@ -235,7 +235,7 @@ func TestSummaryQuantiles(t *testing.T) {
 	if s.Quantile(0.5) != 0 || s.Max() != 0 || s.Mean() != 0 || s.N() != 0 {
 		t.Fatal("empty summary not zero")
 	}
-	for i := 100; i >= 1; i-- { // insert descending to exercise sorting
+	for i := 100; i >= 1; i-- { // insert descending to exercise selection
 		s.Add(float64(i))
 	}
 	if s.N() != 100 {
@@ -256,7 +256,7 @@ func TestSummaryQuantiles(t *testing.T) {
 	if got := s.Mean(); got != 50.5 {
 		t.Errorf("mean = %v", got)
 	}
-	// Adding after a quantile query re-sorts correctly.
+	// Adding after a quantile query is seen by the next query.
 	s.Add(1000)
 	if got := s.Max(); got != 1000 {
 		t.Errorf("max after add = %v", got)
