@@ -62,16 +62,15 @@ race-core:
 	$(GO) test -race ./internal/engine/... ./internal/experiment/...
 
 # check runs tier-1 under the adfcheck runtime sanitizer: the full test
-# suite with every //adf:invariant guard armed, then the sequential-vs-
-# parallel state-digest comparison with the mobility pool enabled. Any
-# NaN, escaped position, drifted cluster statistic, DTH below the floor
-# or clock regression panics with file:line.
+# suite with every //adf:invariant guard armed, campus-partition runs
+# included (check-sharded gates the region partition). Any NaN, escaped
+# position, drifted cluster statistic, DTH below the floor or clock
+# regression panics with file:line.
 check:
 	$(GO) test -tags adfcheck ./...
-	$(GO) run -tags adfcheck ./cmd/adfbench -sanitize -duration 120 -mobility-workers 4
 
-# check-sharded is the region-sharded determinism gate: the sharded
-# pipeline runs the ADF scenario at 1 (the sequential sharded
+# check-sharded is the region-partition determinism gate: the pipeline's
+# region partition runs the ADF scenario at 1 (the sequential
 # reference), 4 and NumCPU shard workers in tick lockstep for 120 ticks
 # with every adfcheck invariant armed, and the per-tick state digests —
 # node positions, broker beliefs, shard membership, per-shard cluster

@@ -6,8 +6,8 @@
 // Usage:
 //
 //	adfbench [-ablation all|adf-vs-gdf|alpha|estimators|recluster|smoothing|semantics|outages|churn]
-//	         [-duration 600] [-seed 1] [-factor 1.0] [-workers 0] [-mobility-workers 0]
-//	         [-shard-workers 0] [-rng sequential|keyed] [-churn leave,rejoin]
+//	         [-duration 600] [-seed 1] [-factor 1.0] [-workers 0] [-shard-workers 0]
+//	         [-rng sequential|keyed] [-churn leave,rejoin]
 //	adfbench -json [-json-out BENCH_runner.json] [-duration 600] [-seed 1]
 //	adfbench -hotpath [-hotpath-out BENCH_hotpath.json] [-duration 300] [-seed 1]
 //	         [-scales 140,1k,5k,20k,50k] [-rng keyed] [-alloc-budget 2]
@@ -15,7 +15,6 @@
 //	         [-obs-budget 5]
 //	adfbench -regress [-regress-tol 0.25] [-obs-budget 5]
 //	         [-hotpath-out BENCH_hotpath.json] [-obs-out BENCH_obs.json]
-//	adfbench -sanitize [-duration 120] [-mobility-workers 4]   (requires -tags adfcheck)
 //	adfbench -shard-digest [-duration 120] [-rng keyed]        (requires -tags adfcheck)
 //	adfbench -trace out.json ...
 //	adfbench -cpuprofile cpu.out -memprofile mem.out ...
@@ -35,17 +34,12 @@
 // allocs/tick exceeds it; `make bench-smoke` uses this as CI's perf
 // regression gate.
 //
-// With -sanitize (a binary built with -tags adfcheck) a sequential and a
-// parallel pipeline run the same scenario in lockstep, every runtime
+// With -shard-digest (a binary built with -tags adfcheck) the pipeline's
+// region partition runs the same scenario once per worker count — 1 (the
+// sequential reference), 4 and NumCPU — in tick lockstep, every runtime
 // invariant of internal/sanitize armed, and the per-tick state digests
-// are compared for bit-identity; `make check` runs this as CI's
-// sanitizer gate.
-//
-// With -shard-digest (a binary built with -tags adfcheck) the
-// region-sharded pipeline runs the same scenario once per worker count —
-// 1 (the sequential sharded reference), 4 and NumCPU — in tick lockstep
-// and the per-tick state digests are compared for bit-identity; `make
-// check-sharded` runs this as CI's sharded determinism gate.
+// are compared for bit-identity; `make check-sharded` runs this as CI's
+// sharded determinism gate.
 //
 // With -obs-bench the observability layer itself is benchmarked: the
 // hot-path throughput is measured with obs disabled and enabled at each
@@ -155,8 +149,7 @@ func run(w io.Writer, args []string) (err error) {
 		seed        = fs.Int64("seed", 1, "run seed")
 		factor      = fs.Float64("factor", 1.0, "DTH factor the sweeps run at")
 		workers     = fs.Int("workers", 0, "worker pool size: 0 = one per CPU, 1 = sequential (never changes results)")
-		mobWorkers  = fs.Int("mobility-workers", 0, "mobility-advance goroutines per simulation; results are identical at any count")
-		shWorkers   = fs.Int("shard-workers", 0, "region-shard workers per simulation: 0 = classic pipeline, >= 1 = sharded (results identical at any count >= 1)")
+		shWorkers   = fs.Int("shard-workers", 0, "pipeline partition per simulation: 0 = campus-wide, >= 1 = one shard per region on that many workers (results identical at any count >= 1)")
 		rngMode     = fs.String("rng", "", `RNG stream class: "sequential" (default, the legacy bit-identical streams) or "keyed" (counter-based, order-independent); -hotpath with no -rng measures both`)
 		churnSpec   = fs.String("churn", "", `enable node churn as "leave,rejoin" per-tick probabilities (e.g. 0.02,0.3)`)
 		scales      = fs.String("scales", defaultHotpathScales, "comma-separated node counts -hotpath measures (k = thousand, m = million)")
@@ -171,8 +164,7 @@ func run(w io.Writer, args []string) (err error) {
 		regress     = fs.Bool("regress", false, "re-measure the committed BENCH_hotpath.json and BENCH_obs.json points and fail on regression (noise-aware; see -regress-tol)")
 		regressTol  = fs.Float64("regress-tol", 0.25, "fractional throughput band for -regress: fail below (1-tol) x baseline ticks/sec")
 		tracePath   = fs.String("trace", "", "enable observability and write a Chrome trace_event JSON of the run to this file at exit")
-		sanCompare  = fs.Bool("sanitize", false, "compare sequential vs parallel per-tick state digests under the adfcheck sanitizer (requires a -tags adfcheck build)")
-		shardDigest = fs.Bool("shard-digest", false, "compare the region-sharded pipeline's per-tick state digests at 1, 4 and NumCPU workers (requires a -tags adfcheck build)")
+		shardDigest = fs.Bool("shard-digest", false, "compare the region partition's per-tick state digests at 1, 4 and NumCPU workers (requires a -tags adfcheck build)")
 		force       = fs.Bool("force", false, "let -obs-bench write a baseline even at GOMAXPROCS=1")
 		cpuprofile  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile  = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -201,7 +193,6 @@ func run(w io.Writer, args []string) (err error) {
 	cfg.Seed = *seed
 	cfg.DTHFactors = []float64{*factor}
 	cfg.Workers = *workers
-	cfg.MobilityWorkers = *mobWorkers
 	cfg.ShardWorkers = *shWorkers
 	cfg.RNGMode = *rngMode
 	if *churnSpec != "" {
@@ -215,9 +206,6 @@ func run(w io.Writer, args []string) (err error) {
 		return err
 	}
 
-	if *sanCompare {
-		return runSanitize(w, cfg, *mobWorkers)
-	}
 	if *shardDigest {
 		return runShardDigest(w, cfg)
 	}
@@ -236,7 +224,6 @@ func run(w io.Writer, args []string) (err error) {
 		bcfg := experiment.DefaultConfig()
 		bcfg.Duration = *duration
 		bcfg.Seed = *seed
-		bcfg.MobilityWorkers = *mobWorkers
 		return runBench(w, bcfg, *jsonPath)
 	}
 

@@ -20,11 +20,8 @@ type RunMeta struct {
 	// BuildTags are the -tags the binary was built with (e.g. adfcheck),
 	// empty for a default build.
 	BuildTags string `json:"build_tags,omitempty"`
-	// MobilityWorkers is the per-simulation mobility-advance pool size the
-	// run was configured with (0 = automatic).
-	MobilityWorkers int `json:"mobility_workers"`
-	// ShardWorkers is the region-sharded pipeline's worker count the run
-	// was configured with (0 = classic unsharded pipeline).
+	// ShardWorkers is the pipeline partition the run was configured with
+	// (0 = campus partition, N >= 1 = region partition on N workers).
 	ShardWorkers int `json:"shard_workers,omitempty"`
 	// RNGMode is the random stream class the run was configured with
 	// ("sequential" or "keyed"); empty when the report spans both (the
@@ -39,15 +36,14 @@ type RunMeta struct {
 // runMeta captures the current environment and cfg's worker/RNG setup.
 func runMeta(cfg experiment.Config) RunMeta {
 	return RunMeta{
-		GoVersion:       runtime.Version(),
-		GOOS:            runtime.GOOS,
-		GOARCH:          runtime.GOARCH,
-		NumCPU:          runtime.NumCPU(),
-		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		BuildTags:       buildTags(),
-		MobilityWorkers: cfg.MobilityWorkers,
-		ShardWorkers:    cfg.ShardWorkers,
-		RNGMode:         cfg.RNGMode,
+		GoVersion:    runtime.Version(),
+		GOOS:         runtime.GOOS,
+		GOARCH:       runtime.GOARCH,
+		NumCPU:       runtime.NumCPU(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		BuildTags:    buildTags(),
+		ShardWorkers: cfg.ShardWorkers,
+		RNGMode:      cfg.RNGMode,
 	}
 }
 

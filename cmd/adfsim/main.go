@@ -4,8 +4,8 @@
 // Usage:
 //
 //	adfsim [-figure all|table1|4|5|6|7|8|9] [-duration 1800] [-seed 1]
-//	       [-estimator gap-aware] [-series] [-workers 0] [-mobility-workers 0]
-//	       [-shard-workers 0] [-rng sequential|keyed]
+//	       [-estimator gap-aware] [-series] [-workers 0] [-shard-workers 0]
+//	       [-rng sequential|keyed]
 //	       [-obs-addr :8080] [-obs-summary 10s] [-obs-events events.ndjson]
 //
 // With -series the per-second curves behind Figures 4, 5 and 7 are
@@ -50,8 +50,7 @@ func run(w io.Writer, args []string) error {
 		factors   = fs.String("factors", "0.75,1.0,1.25", "comma-separated DTH factors")
 		series    = fs.Bool("series", false, "also print the time series behind figures 4, 5 and 7")
 		workers   = fs.Int("workers", 0, "campaign worker pool size: 0 = one per CPU, 1 = sequential (never changes results)")
-		mobility  = fs.Int("mobility-workers", 0, "mobility-advance goroutines per simulation; results are identical at any count")
-		sharded   = fs.Int("shard-workers", 0, "region-shard workers per simulation: 0 = classic pipeline, >= 1 = region-sharded pipeline (results identical at any count >= 1; ADF clustering becomes region-scoped)")
+		sharded   = fs.Int("shard-workers", 0, "pipeline partition per simulation: 0 = campus-wide, >= 1 = one shard per region on that many workers (results identical at any count >= 1; ADF clustering becomes region-scoped)")
 		rngMode   = fs.String("rng", "", `RNG stream class: "sequential" (default, the legacy bit-identical streams) or "keyed" (counter-based draws keyed by node and tick, order-independent across worker counts)`)
 		obsAddr   = fs.String("obs-addr", "", "serve /metrics, /trace and /debug/pprof on this address while running (empty disables)")
 		obsSum    = fs.Duration("obs-summary", 0, "log a one-line progress summary at this interval (0 disables)")
@@ -98,7 +97,6 @@ func run(w io.Writer, args []string) error {
 	cfg.Seed = *seed
 	cfg.Estimator = *estimator
 	cfg.Workers = *workers
-	cfg.MobilityWorkers = *mobility
 	cfg.ShardWorkers = *sharded
 	cfg.RNGMode = *rngMode
 	parsed, err := parseFactors(*factors)

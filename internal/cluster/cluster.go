@@ -454,11 +454,6 @@ func (m *Manager) newCluster() *Cluster {
 	m.orderedDirty = true
 	obs.ClustersCreated.Inc()
 	obs.ClustersLive.Set(int64(len(m.clusters)))
-	if obs.Events.Verbose() {
-		//adf:allow hotpath — opt-in verbose event logging of cluster
-		// churn; the default path stops at the atomic load above.
-		obs.Events.Emit("cluster_created", obs.F("cluster", float64(c.id)))
-	}
 	return c
 }
 
@@ -469,11 +464,6 @@ func (m *Manager) retireCluster(c *Cluster) {
 	m.orderedDirty = true
 	obs.ClustersRetired.Inc()
 	obs.ClustersLive.Set(int64(len(m.clusters)))
-	if obs.Events.Verbose() {
-		//adf:allow hotpath — opt-in verbose event logging of cluster
-		// churn; the default path stops at the atomic load above.
-		obs.Events.Emit("cluster_retired", obs.F("cluster", float64(c.id)))
-	}
 	c.reset()
 	m.free = append(m.free, c) //adf:allow hotpath — pool push; capacity is bounded by the cluster-count peak
 }

@@ -111,10 +111,7 @@ type ADF struct {
 	featVals []cluster.Feature
 }
 
-var (
-	_ filter.Filter         = (*ADF)(nil)
-	_ filter.NodeStateMover = (*ADF)(nil)
-)
+var _ filter.Filter = (*ADF)(nil)
 
 // New returns an Adaptive Distance Filter with the given configuration.
 func New(cfg Config) (*ADF, error) {
@@ -282,36 +279,6 @@ func (a *ADF) Forget(node int) {
 	}
 	a.nodes.Delete(node)
 	a.clusters.Remove(cluster.NodeID(node))
-}
-
-// MoveNodeTo implements filter.NodeStateMover: it transfers one node's
-// classifier state and cluster membership from a to dst, the ADF
-// instance owned by the region shard the node migrated into, so the
-// destination continues from the learned pattern instead of re-filling
-// a fresh classification window. A node unknown to a is a successful
-// no-op (the destination births state on the node's next Offer). The
-// per-pattern population gauges are untouched — the node keeps its
-// pattern, only its owner changes. It reports false, moving nothing,
-// when dst is not an *ADF; the caller falls back to Forget + relearn.
-func (a *ADF) MoveNodeTo(dst filter.Filter, node int) bool {
-	d, ok := dst.(*ADF)
-	if !ok {
-		return false
-	}
-	if d == a {
-		return true
-	}
-	st, ok := a.nodes.Get(node)
-	if !ok {
-		return true
-	}
-	a.nodes.Delete(node)
-	a.clusters.Remove(cluster.NodeID(node))
-	d.nodes.Put(node, st)
-	if st.classifier.Ready() && st.pattern != PatternStop {
-		d.clusters.Assign(cluster.NodeID(node), st.classifier.Feature())
-	}
-	return true
 }
 
 // PatternOf returns the current mobility pattern of a node.

@@ -23,19 +23,17 @@ type ChurnSink interface {
 //
 // Draws come from the order-independent keyed PRF (sim.Keyed), keyed by
 // the node and the tick the schedule was made on, so the timeline is
-// identical however its partitions are laid out: one global partition
-// (Pipeline) and one partition per region shard (Sharded) produce the
-// same flips on the same ticks, and shard workers can process their own
-// partitions concurrently.
+// identical however its partitions are laid out: the campus partition's
+// single timeline and the region partition's one timeline per shard
+// produce the same flips on the same ticks, and shard workers can
+// process their own partitions concurrently.
 type KeyedChurn struct {
 	leave  float64
 	rejoin float64
 	keyed  *sim.Keyed
 
-	// absent[id] is the node's current state; next[id] is the tick of
-	// its pending flip (0 = none scheduled).
+	// absent[id] is the node's current state.
 	absent []bool
-	next   []uint64
 	parts  []churnPart
 }
 
@@ -75,7 +73,6 @@ func (c *KeyedChurn) InitParts(parts [][]int) {
 		}
 	}
 	c.absent = make([]bool, maxID+1)
-	c.next = make([]uint64, maxID+1)
 	c.parts = make([]churnPart, len(parts))
 	for p := range c.parts {
 		c.parts[p].buckets = make(map[uint64][]int32)
@@ -92,7 +89,6 @@ func (c *KeyedChurn) InitParts(parts [][]int) {
 
 // schedule files node id's next flip at tick at in partition part.
 func (c *KeyedChurn) schedule(part, id int, at uint64) {
-	c.next[id] = at
 	pt := &c.parts[part]
 	b, ok := pt.buckets[at]
 	if !ok && len(pt.free) > 0 {
@@ -124,8 +120,7 @@ func (c *KeyedChurn) AbsentCount() int {
 // from this tick on; a rejoining node takes part in this same tick —
 // both matching the sequential Churn's semantics. Draining is
 // idempotent: a second call for the same tick finds no bucket and
-// returns, which lets a prepass that needed the verdicts early run the
-// partitions before the shard stage would.
+// returns.
 //
 //adf:shardstage
 //adf:owns StreamChurnLeave StreamChurnRejoin — flip rescheduling draws, keyed by (node, flip tick); each partition is drained by exactly one shard worker per tick
@@ -138,7 +133,6 @@ func (c *KeyedChurn) ProcessPart(part int, tick uint64, sink ChurnSink) {
 	delete(pt.buckets, tick)
 	for _, id32 := range b {
 		id := int(id32)
-		c.next[id] = 0
 		if c.absent[id] {
 			c.absent[id] = false
 			pt.absent--
@@ -156,39 +150,4 @@ func (c *KeyedChurn) ProcessPart(part int, tick uint64, sink ChurnSink) {
 		sink.ChurnEvent(id, true)
 	}
 	pt.free = append(pt.free, b[:0])
-}
-
-// Move migrates node id's timeline state from partition from to
-// partition to (the shard handoff path): its share of the absent count
-// and its pending flip, if any, transfer so each partition keeps owning
-// exactly its nodes' events. Bucket order is preserved, keeping the
-// timeline deterministic after any handoff history.
-func (c *KeyedChurn) Move(id, from, to int) {
-	if from == to {
-		return
-	}
-	if c.absent[id] {
-		c.parts[from].absent--
-		c.parts[to].absent++
-	}
-	at := c.next[id]
-	if at == 0 {
-		return
-	}
-	src := &c.parts[from]
-	b := src.buckets[at]
-	for k, v := range b {
-		if int(v) == id {
-			b = append(b[:k], b[k+1:]...)
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(src.buckets, at)
-		src.free = append(src.free, b)
-	} else {
-		src.buckets[at] = b
-	}
-	dst := &c.parts[to]
-	dst.buckets[at] = append(dst.buckets[at], int32(id))
 }

@@ -155,50 +155,6 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestKeyedChurnMove checks the handoff path: after a node's timeline
-// state migrates between partitions, its pending flip fires exactly
-// once — in the new partition — and the per-partition absent counts
-// stay consistent.
-func TestKeyedChurnMove(t *testing.T) {
-	const nodes = 100
-	half := nodes / 2
-	ids := seqIDs(nodes)
-	c := NewKeyedChurn(0.2, 0.4, sim.NewKeyed(3))
-	c.InitParts([][]int{ids[:half], ids[half:]})
-	ref := NewKeyedChurn(0.2, 0.4, sim.NewKeyed(3))
-	ref.InitParts([][]int{ids})
-	var got, want recordSink
-	for tick := uint64(1); tick <= 300; tick++ {
-		got.reset()
-		want.reset()
-		c.ProcessPart(0, tick, &got)
-		c.ProcessPart(1, tick, &got)
-		ref.ProcessPart(0, tick, &want)
-		sort.Ints(got.left)
-		sort.Ints(got.rejoined)
-		sort.Ints(want.left)
-		sort.Ints(want.rejoined)
-		if !equalInts(got.left, want.left) || !equalInts(got.rejoined, want.rejoined) {
-			t.Fatalf("tick %d: moved-population events diverged from the un-partitioned reference", tick)
-		}
-		// Shuffle every node to the other partition each tick,
-		// exercising pending-event transfer in both directions.
-		for _, id := range ids {
-			from, to := 0, 1
-			if tick%2 == 0 {
-				from, to = 1, 0
-			}
-			if id >= half {
-				from, to = to, from
-			}
-			c.Move(id, from, to)
-		}
-		if sum := c.AbsentCount(); sum != ref.AbsentCount() {
-			t.Fatalf("tick %d: absent count %d after moves, reference %d", tick, sum, ref.AbsentCount())
-		}
-	}
-}
-
 // TestKeyedChurnNoLeaveIsInert ensures a zero leave probability
 // schedules nothing: no draws, no events, no absences.
 func TestKeyedChurnNoLeaveIsInert(t *testing.T) {

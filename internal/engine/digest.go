@@ -3,9 +3,9 @@ package engine
 import "github.com/mobilegrid/adf/internal/sanitize"
 
 // StateDigester is implemented by pipeline components that can fold
-// their internal state into a per-tick checksum. The engine asks the
-// filter for it when comparing sequential against parallel runs; the
-// brokers implement the same method directly.
+// their internal state into a per-tick checksum. The engine asks each
+// shard's filter for it when comparing runs at different worker counts;
+// the brokers implement the same method directly.
 type StateDigester interface {
 	// DigestState writes the component's state into d in a
 	// deterministic order.
@@ -14,13 +14,11 @@ type StateDigester interface {
 
 // StateDigest returns the FNV-1a checksum of the pipeline's full
 // simulation state: every node's identity and true position, both
-// brokers' believed location DBs and counters, the filter's internal
-// state when it exposes one (the ADF folds in its per-cluster
-// statistics), and the churn population. Two runs that are bit-for-bit
-// identical produce equal digests at every tick; a single flipped sign
-// bit in one coordinate diverges them. The determinism tests and
-// `adfbench -sanitize` compare sequential against MobilityWorkers>1
-// runs tick by tick through this digest.
+// brokers' DBs and counters, then per shard (in shard order) the
+// shard's name, membership and filter state when the filter exposes a
+// digest, and finally the churn population. Two runs are bit-for-bit
+// identical exactly when this digest matches tick for tick;
+// experiment.CompareShardDigests drives it across worker counts.
 func (p *Pipeline) StateDigest() uint64 {
 	d := sanitize.NewDigest()
 	for _, n := range p.Nodes {
@@ -31,8 +29,15 @@ func (p *Pipeline) StateDigest() uint64 {
 	}
 	p.NoLE.DigestState(&d)
 	p.WithLE.DigestState(&d)
-	if f, ok := p.Filter.(StateDigester); ok {
-		f.DigestState(&d)
+	for _, sh := range p.shards {
+		d.WriteString(sh.name)
+		d.WriteInt(len(sh.members))
+		for _, i := range sh.members {
+			d.WriteInt(p.Nodes[i].ID())
+		}
+		if f, ok := sh.filt.(StateDigester); ok {
+			f.DigestState(&d)
+		}
 	}
 	if p.Churn != nil {
 		d.WriteInt(p.Churn.AbsentCount())

@@ -4,22 +4,20 @@
 // metric sinks, plus the bounded worker pool (Group) the campaign layer
 // uses to run independent simulations concurrently.
 //
-// A Pipeline is single-threaded, like the discrete-event simulator that
-// drives it. Parallelism happens one level up, between whole simulations:
-// each owns a private Pipeline, sim.Simulator and sim.Streams, so running
+// There is one Pipeline with two partitions of the population: the
+// campus partition (one shard, campus-wide filtering, node order) and
+// the region partition (one shard per region on a worker pool). Either
+// way every effect is applied in a fixed order, and each simulation owns
+// a private Pipeline, sim.Simulator and sim.Streams, so running
 // simulations concurrently on a Group is bit-for-bit identical to running
 // them one after another.
 package engine
 
 import (
-	"fmt"
 	"sync"
 
-	"github.com/mobilegrid/adf/internal/broker"
 	"github.com/mobilegrid/adf/internal/campus"
 	"github.com/mobilegrid/adf/internal/dense"
-	"github.com/mobilegrid/adf/internal/filter"
-	"github.com/mobilegrid/adf/internal/gateway"
 	"github.com/mobilegrid/adf/internal/geo"
 	"github.com/mobilegrid/adf/internal/node"
 	"github.com/mobilegrid/adf/internal/obs"
@@ -187,175 +185,6 @@ func (c *Churn) Step(id int) (present, left bool) {
 // AbsentCount returns the number of currently departed nodes.
 func (c *Churn) AbsentCount() int { return c.absent.Len() }
 
-// Pipeline wires one simulation's stages together. All fields except
-// Churn and Observers are required; Validate checks the wiring.
-type Pipeline struct {
-	// Nodes is the mobile population, advanced in slice order every tick
-	// (the fixed order pins RNG consumption, keeping runs reproducible).
-	Nodes []*node.Node
-	// Net is the per-region wireless gateway network.
-	Net *gateway.Network
-	// Filter decides which LUs reach the brokers.
-	Filter filter.Filter
-	// NoLE and WithLE are the two broker variants run in lockstep on
-	// identical inputs, so their error curves are directly comparable.
-	NoLE, WithLE *broker.Broker
-	// Churn, when non-nil, lets nodes leave and rejoin the grid.
-	Churn *Churn
-	// ChurnK is the keyed-mode churn timeline (at most one of Churn and
-	// ChurnK may be set): flips are pre-scheduled geometric events, so a
-	// tick costs O(events due) instead of one draw per node.
-	ChurnK *KeyedChurn
-	// SamplePeriod is the sampling interval in virtual seconds.
-	SamplePeriod float64
-	// Observers receive the pipeline's events.
-	Observers Observers
-	// MobilityWorkers > 1 shards the mobility-advance stage over that many
-	// goroutines. Every node owns a private RNG stream, so advancing nodes
-	// concurrently consumes exactly the same random numbers as advancing
-	// them in slice order: results are bit-for-bit identical at any worker
-	// count. The later stages (churn, gateway, filter, brokers) share RNG
-	// streams and observer state and always run sequentially in node order.
-	MobilityWorkers int
-
-	// samples is the reused per-tick buffer the advance stage fills.
-	samples []Sample
-	// collectors caches each node's home-region gateway, resolved once on
-	// the first tick, replacing a map lookup per node per tick.
-	collectors []gateway.Collector
-	// pool is the lazily started mobility worker pool (nil when
-	// MobilityWorkers <= 1).
-	pool *advancePool
-	// san is the runtime sanitizer's bookkeeping. In the default build it
-	// is an empty struct and sanitizeTick is an inlined no-op; under
-	// -tags adfcheck it holds the campus bounding box and the previous
-	// tick time (see sanitize_on.go).
-	san sanitizerState
-	// obsv is the observability batch: plain per-tick tallies the stages
-	// bump and Tick flushes into the global registry while obs.Enabled
-	// (see obs.go).
-	obsv obsState
-	// tick counts processed sampling rounds; it keys the churn timeline.
-	tick uint64
-}
-
-// Validate reports wiring errors.
-func (p *Pipeline) Validate() error {
-	switch {
-	case len(p.Nodes) == 0:
-		return fmt.Errorf("engine: pipeline has no nodes")
-	case p.Net == nil:
-		return fmt.Errorf("engine: pipeline has no gateway network")
-	case p.Filter == nil:
-		return fmt.Errorf("engine: pipeline has no filter")
-	case p.NoLE == nil || p.WithLE == nil:
-		return fmt.Errorf("engine: pipeline needs both broker variants")
-	case p.SamplePeriod <= 0:
-		return fmt.Errorf("engine: non-positive sample period %v", p.SamplePeriod)
-	case p.MobilityWorkers < 0:
-		return fmt.Errorf("engine: negative MobilityWorkers %d", p.MobilityWorkers)
-	case p.Churn != nil && p.ChurnK != nil:
-		return fmt.Errorf("engine: both Churn and ChurnK set; pick one churn model")
-	}
-	return nil
-}
-
-// Run schedules the pipeline on s at every sample period (first tick at
-// one period, like the paper's 1 Hz sampling) and executes until the
-// horizon, surfacing the first stage or observer error. Any mobility
-// worker pool is released before Run returns.
-func (p *Pipeline) Run(s *sim.Simulator, horizon float64) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	defer p.Close()
-	if _, err := s.EveryErr(p.SamplePeriod, p.SamplePeriod, p.Tick); err != nil {
-		return err
-	}
-	return s.RunUntil(horizon)
-}
-
-// Close releases the mobility worker pool, if one was started. It is safe
-// to call repeatedly; a later Tick simply restarts the pool. Callers that
-// drive Tick directly with MobilityWorkers > 1 should Close when done.
-func (p *Pipeline) Close() {
-	if p.pool != nil {
-		p.pool.close()
-		p.pool = nil
-	}
-}
-
-// Tick processes one sampling round: the advance stage positions every
-// node (in parallel when MobilityWorkers > 1), then each node flows
-// through the sequential stages in slice order, then OnTick fires.
-// While observability is enabled each stage is timed into a trace span
-// and the tick's batched tallies flush into the global registry.
-func (p *Pipeline) Tick(now float64) error {
-	if p.collectors == nil {
-		if err := p.buildCollectors(); err != nil {
-			return err
-		}
-	}
-	p.obsv.on = obs.Enabled()
-	t0 := obs.StageStart()
-	p.stageAdvance(now)
-	t1 := obs.StageClock(t0)
-	p.sanitizeTick(now)
-	p.tick++
-	if p.ChurnK != nil {
-		p.ChurnK.ProcessPart(0, p.tick, p)
-	}
-	for i := range p.samples {
-		if err := p.tickNode(i, p.samples[i]); err != nil {
-			return err
-		}
-	}
-	t2 := obs.StageClock(t0)
-	err := p.Observers.OnTick(now)
-	t3 := obs.StageClock(t0)
-	obs.RecordTickSpans(p.obsv.tid, t0, t1, t2, t3)
-	if p.obsv.on {
-		p.obsFlush()
-	}
-	return err
-}
-
-// tickNode runs one node's sample through the sequential stage chain.
-//
-//adf:hotpath
-func (p *Pipeline) tickNode(i int, s Sample) error {
-	if !p.stageChurn(s) {
-		return nil
-	}
-	forwarded, connected := p.stageCollect(i, s)
-	transmitted := false
-	if connected {
-		var err error
-		if transmitted, err = p.stageFilter(i, s, forwarded); err != nil {
-			return err
-		}
-	}
-	return p.stageDeliver(s, transmitted)
-}
-
-// stageAdvance advances every node's mobility model one sample period and
-// records the resulting samples. Movement continues even while a node is
-// absent from the grid (people keep walking after closing their laptop).
-func (p *Pipeline) stageAdvance(now float64) {
-	if cap(p.samples) < len(p.Nodes) {
-		p.samples = make([]Sample, len(p.Nodes))
-	}
-	p.samples = p.samples[:len(p.Nodes)]
-	if p.MobilityWorkers > 1 && p.pool == nil {
-		p.pool = newAdvancePool(p.MobilityWorkers)
-	}
-	if p.pool != nil {
-		p.pool.advance(p.Nodes, p.samples, p.SamplePeriod, now)
-		return
-	}
-	advanceRange(p.Nodes, p.samples, p.SamplePeriod, now, 0, len(p.Nodes))
-}
-
 // advanceRange advances the nodes in [lo, hi) and writes their samples.
 // Each node's mobility draws only from its private RNG stream, so disjoint
 // ranges can advance concurrently with sequential-identical results.
@@ -425,128 +254,3 @@ func (p *advancePool) advance(nodes []*node.Node, samples []Sample, period, now 
 }
 
 func (p *advancePool) close() { close(p.work) }
-
-// stageChurn applies leave/rejoin and reports whether the node takes part
-// in this tick. A departing node is forgotten by the filter and both
-// brokers, exercising the full forget/re-learn path on return.
-//
-//adf:hotpath
-func (p *Pipeline) stageChurn(s Sample) bool {
-	if p.ChurnK != nil {
-		return !p.ChurnK.Absent(s.Node)
-	}
-	if p.Churn == nil {
-		return true
-	}
-	present, left := p.Churn.Step(s.Node)
-	if left {
-		p.obsv.local.ChurnLeft++
-		p.Filter.Forget(s.Node)
-		p.NoLE.Forget(s.Node)
-		p.WithLE.Forget(s.Node)
-	}
-	return present
-}
-
-// ChurnEvent implements ChurnSink: the keyed churn timeline reports
-// each flip here, mirroring the departure forgets and the tick tallies
-// the sequential stageChurn performs.
-func (p *Pipeline) ChurnEvent(id int, left bool) {
-	if left {
-		p.obsv.local.ChurnLeft++
-		p.Filter.Forget(id)
-		p.NoLE.Forget(id)
-		p.WithLE.Forget(id)
-		return
-	}
-	p.obsv.local.ChurnRejoined++
-}
-
-// buildCollectors resolves each node's home-region gateway once, so the
-// per-tick collect stage indexes a slice instead of hashing a region key.
-func (p *Pipeline) buildCollectors() error {
-	cs := make([]gateway.Collector, len(p.Nodes))
-	for i, n := range p.Nodes {
-		g, err := p.Net.Gateway(n.Region().ID)
-		if err != nil {
-			return err
-		}
-		cs[i] = g
-	}
-	p.collectors = cs
-	if p.ChurnK != nil {
-		ids := make([]int, len(p.Nodes))
-		for i, n := range p.Nodes {
-			ids[i] = n.ID()
-		}
-		p.ChurnK.InitParts([][]int{ids})
-	}
-	p.buildObs()
-	return nil
-}
-
-// stageCollect passes the sample through its region's gateway; connected
-// is false when the wireless hop dropped it.
-//
-//adf:hotpath
-func (p *Pipeline) stageCollect(i int, s Sample) (filter.LU, bool) {
-	return p.collectors[i].Collect(filter.LU{Node: s.Node, Time: s.Time, Pos: s.Pos})
-}
-
-// stageFilter notifies OnOffered, offers the forwarded LU to the
-// distance filter and mirrors the verdict into the observability batch,
-// returning the transmit decision.
-//
-//adf:hotpath
-func (p *Pipeline) stageFilter(i int, s Sample, forwarded filter.LU) (bool, error) {
-	if err := p.Observers.OnOffered(s); err != nil {
-		return false, err
-	}
-	d := p.Filter.Offer(forwarded)
-	p.obsv.local.Offered++
-	filter.Observe(d, &p.obsv.local, p.obsv.on)
-	r := &p.obsv.regions[p.obsv.regionSlot[i]]
-	r.offered++
-	if d.Transmit {
-		r.sent++
-	}
-	if p.obsv.on && obs.Events.Verbose() {
-		//adf:allow hotpath — opt-in per-LU event logging; the default
-		// path stops at the Verbose atomic load above.
-		obs.Events.Emit("lu",
-			obs.F("t", s.Time), obs.F("node", float64(s.Node)),
-			obs.F("sent", b2f(d.Transmit)), obs.F("dist", d.Distance), obs.F("dth", d.Threshold))
-	}
-	return d.Transmit, nil
-}
-
-// stageDeliver is the broker-delivery and error-measurement stage: each
-// broker variant takes the tick's outcome through one Step call — a
-// transmitted LU is stored, a filtered or dropped one refreshes the
-// belief — and the believed-vs-true distance is measured for nodes the
-// broker knows about. The broker cannot tell a filtered LU from a dropped
-// one; either way it refreshes its belief.
-//
-//adf:hotpath
-func (p *Pipeline) stageDeliver(s Sample, transmitted bool) error {
-	if transmitted {
-		p.obsv.local.BrokerReceived++
-		if err := p.Observers.OnTransmitted(s); err != nil {
-			return err
-		}
-	}
-	if e, ok := p.NoLE.Step(s.Node, s.Time, s.Pos, transmitted); ok {
-		if err := p.Observers.OnError(s, NoLE, e.Pos.Dist(s.Pos)); err != nil {
-			return err
-		}
-	}
-	if e, ok := p.WithLE.Step(s.Node, s.Time, s.Pos, transmitted); ok {
-		if e.Estimated {
-			p.obsv.local.BrokerEstimated++
-		}
-		if err := p.Observers.OnError(s, WithLE, e.Pos.Dist(s.Pos)); err != nil {
-			return err
-		}
-	}
-	return nil
-}

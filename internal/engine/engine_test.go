@@ -28,7 +28,7 @@ func (o *countingObserver) OnError(Sample, Variant, float64) error { o.errs++; r
 func (o *countingObserver) OnTick(float64) error                   { o.ticks++; return o.failTick }
 
 // newTestPipeline builds a one-per-group campus population (28 nodes)
-// behind an ideal filter.
+// behind an ideal filter, in the campus partition.
 func newTestPipeline(t *testing.T, dropProb float64, churn *Churn, obs ...Observer) *Pipeline {
 	t.Helper()
 	world := campus.New()
@@ -44,7 +44,7 @@ func newTestPipeline(t *testing.T, dropProb float64, churn *Churn, obs ...Observ
 	return &Pipeline{
 		Nodes:        nodes,
 		Net:          net,
-		Filter:       filter.NewIdealLU(),
+		NewFilter:    idealFactory,
 		NoLE:         broker.New(nil),
 		WithLE:       broker.New(nil),
 		Churn:        churn,
@@ -52,6 +52,8 @@ func newTestPipeline(t *testing.T, dropProb float64, churn *Churn, obs ...Observ
 		Observers:    obs,
 	}
 }
+
+func idealFactory() (filter.Filter, error) { return filter.NewIdealLU(), nil }
 
 func TestPipelineIdealNoDrop(t *testing.T) {
 	obs := &countingObserver{}
@@ -114,10 +116,15 @@ func TestPipelineValidate(t *testing.T) {
 	breakages := []func(*Pipeline){
 		func(p *Pipeline) { p.Nodes = nil },
 		func(p *Pipeline) { p.Net = nil },
-		func(p *Pipeline) { p.Filter = nil },
+		func(p *Pipeline) { p.NewFilter = nil },
 		func(p *Pipeline) { p.NoLE = nil },
 		func(p *Pipeline) { p.WithLE = nil },
 		func(p *Pipeline) { p.SamplePeriod = 0 },
+		func(p *Pipeline) { p.Workers = -1 },
+		func(p *Pipeline) {
+			p.Churn = NewChurn(0.1, 0.1, sim.NewRNG(1))
+			p.ChurnK = NewKeyedChurn(0.1, 0.1, sim.NewKeyed(1))
+		},
 	}
 	for i, breakit := range breakages {
 		q := newTestPipeline(t, 0, nil)

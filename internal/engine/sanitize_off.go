@@ -13,6 +13,3 @@ func (st *sanitizerState) checkTick(nodes []*node.Node, samples []Sample, now fl
 
 // sanitizeTick is a no-op in the default build.
 func (p *Pipeline) sanitizeTick(now float64) {}
-
-// sanitizeTick is a no-op in the default build.
-func (p *Sharded) sanitizeTick(now float64) {}

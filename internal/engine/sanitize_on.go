@@ -24,8 +24,6 @@ type sanitizerState struct {
 // and every node's sampled position is finite and inside the union of
 // the campus region bounds (the mobility models bounce or clamp inside
 // their region, so any escape is a model bug, not a modelling choice).
-// Shared by both pipeline shapes, so the sharded path is sanitized by
-// the exact same invariants as the classic one.
 func (st *sanitizerState) checkTick(nodes []*node.Node, samples []Sample, now float64) {
 	if !st.hasBounds {
 		bounds := nodes[0].Region().Bounds
@@ -53,12 +51,7 @@ func (st *sanitizerState) checkTick(nodes []*node.Node, samples []Sample, now fl
 	}
 }
 
-// sanitizeTick checks the classic pipeline's tick invariants.
+// sanitizeTick checks the pipeline's tick invariants.
 func (p *Pipeline) sanitizeTick(now float64) {
-	p.san.checkTick(p.Nodes, p.samples, now)
-}
-
-// sanitizeTick checks the sharded pipeline's tick invariants.
-func (p *Sharded) sanitizeTick(now float64) {
 	p.san.checkTick(p.Nodes, p.samples, now)
 }

@@ -94,12 +94,13 @@ func (c Config) RunUncached() (*Results, error) {
 }
 
 // fingerprint canonicalises every result-affecting field of the config.
-// Workers and MobilityWorkers are excluded: they change the execution
-// schedule, never the results, so sequential and parallel campaigns share
-// one cache entry.
+// Workers is excluded and ShardWorkers reduced to the partition it
+// selects (0 campus, 1 region): worker counts change the execution
+// schedule, never the results, so sequential and parallel campaigns
+// share one cache entry.
 func (c Config) fingerprint() (string, error) {
 	c.Workers = 0
-	c.MobilityWorkers = 0
+	c.ShardWorkers = min(c.ShardWorkers, 1)
 	b, err := json.Marshal(c)
 	if err != nil {
 		return "", err

@@ -98,8 +98,9 @@ func TestMemoizedMatchesUncached(t *testing.T) {
 }
 
 // TestWorkersExcludedFromFingerprint checks sequential and parallel
-// configurations share one cache entry: the pool size never changes
-// results, so it must not split the cache.
+// configurations share one cache entry: neither the campaign pool size
+// nor the region partition's shard worker count changes results, so
+// neither may split the cache.
 func TestWorkersExcludedFromFingerprint(t *testing.T) {
 	ResetCampaignCache()
 	defer ResetCampaignCache()
@@ -118,6 +119,26 @@ func TestWorkersExcludedFromFingerprint(t *testing.T) {
 	}
 	if first != second {
 		t.Errorf("Workers=1 and Workers=4 campaigns did not share a cache entry")
+	}
+
+	cfg.ShardWorkers = 1
+	regionOne, err := cfg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.ShardWorkers = 4
+	regionFour, err := cfg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if regionOne != regionFour {
+		t.Errorf("ShardWorkers=1 and ShardWorkers=4 campaigns did not share a cache entry")
+	}
+	if regionOne == first {
+		t.Errorf("campus and region partitions shared a cache entry")
+	}
+	if hits, misses := CampaignCacheStats(); hits != 2 || misses != 2 {
+		t.Errorf("cache hits/misses = %d/%d, want 2/2", hits, misses)
 	}
 }
 

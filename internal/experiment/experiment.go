@@ -69,18 +69,14 @@ type Config struct {
 	// 1 forces sequential execution. It never changes results — each run
 	// owns private random streams — only the execution schedule.
 	Workers int
-	// MobilityWorkers > 1 shards each simulation's mobility-advance stage
-	// over that many goroutines (engine.Pipeline.MobilityWorkers). Every
-	// node draws from a private RNG stream, so results are bit-for-bit
-	// identical at any worker count; only the execution schedule changes.
-	MobilityWorkers int
-	// ShardWorkers > 0 replaces the classic whole-tick pipeline with the
-	// region-sharded one (engine.Sharded): every stage past mobility
-	// advance runs shard-locally per campus region on that many workers,
-	// merged deterministically in ascending region-ID order. 1 is the
-	// sequential sharded reference; any count produces bit-identical
-	// results to it. 0 keeps engine.Pipeline. Note the ADF filter is
-	// instantiated per shard, so its clustering is region-scoped here
+	// ShardWorkers selects the engine.Pipeline partition. 0 is the
+	// campus partition: one filter instance sees every node, so the ADF
+	// clusters campus-wide as in the paper. N > 0 is the region
+	// partition on N workers: every stage past mobility advance runs
+	// shard-locally per campus region, merged deterministically in
+	// ascending region-ID order. Any N gives results bit-identical to
+	// N = 1, the sequential reference. The ADF filter is instantiated
+	// per region shard there, so its clustering is region-scoped
 	// (DESIGN.md "Sharded pipeline").
 	ShardWorkers int
 	// RNGMode selects the random stream class (DESIGN.md "RNG stream
@@ -225,9 +221,6 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("experiment: negative Workers %d", c.Workers)
 	}
-	if c.MobilityWorkers < 0 {
-		return fmt.Errorf("experiment: negative MobilityWorkers %d", c.MobilityWorkers)
-	}
 	if c.ShardWorkers < 0 {
 		return fmt.Errorf("experiment: negative ShardWorkers %d", c.ShardWorkers)
 	}
@@ -360,44 +353,14 @@ func PopulationMeanSpeed(specs []campus.NodeSpec) float64 {
 // movement, gateway drops and estimator behaviour from Config.Seed
 // through private streams, so runs with different filters see identical
 // inputs, are directly comparable, and can execute concurrently with
-// other runs without changing results.
+// other runs without changing results. The filter is instantiated once
+// per shard, so the ADF cluster summary is the sum over the shards'
+// filters (one filter in the campus partition).
 func (c Config) runFilter(mk filterFactory) (*Run, error) {
-	if c.ShardWorkers > 0 {
-		return c.runFilterSharded(mk)
-	}
-	pipeline, run, f, err := c.buildRun(mk)
+	p, run, err := c.buildPipeline(mk)
 	if err != nil {
 		return nil, err
 	}
-
-	simulations.Add(1)
-	if err := pipeline.Run(sim.New(), c.Duration); err != nil {
-		return nil, err
-	}
-
-	if adf, ok := f.(*core.ADF); ok {
-		run.FinalClusters = adf.ClusterCount()
-	}
-	run.publishQuantiles()
-	return run, nil
-}
-
-// publishQuantiles computes the run's published error quantiles. It is
-// the last write to the run's summaries.
-func (r *Run) publishQuantiles() {
-	r.QuantNoLE = r.ErrNoLE.Quantiles()
-	r.QuantWithLE = r.ErrWithLE.Quantiles()
-}
-
-// runFilterSharded is runFilter on the region-sharded pipeline. The
-// filter is instantiated once per shard, so the ADF cluster summary is
-// the sum over the per-region filters.
-func (c Config) runFilterSharded(mk filterFactory) (*Run, error) {
-	p, run, err := c.buildSharded(mk)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
 
 	simulations.Add(1)
 	if err := p.Run(sim.New(), c.Duration); err != nil {
@@ -413,8 +376,15 @@ func (c Config) runFilterSharded(mk filterFactory) (*Run, error) {
 	return run, nil
 }
 
-// simWorld bundles the simulation pieces both pipeline shapes share:
-// the campus population, the gateway network, the broker pair, churn
+// publishQuantiles computes the run's published error quantiles. It is
+// the last write to the run's summaries.
+func (r *Run) publishQuantiles() {
+	r.QuantNoLE = r.ErrNoLE.Quantiles()
+	r.QuantWithLE = r.ErrWithLE.Quantiles()
+}
+
+// simWorld bundles the simulation pieces the pipeline runs on: the
+// campus population, the gateway network, the broker pair, churn
 // and the Run record with its pre-sized metric sinks.
 type simWorld struct {
 	nodes  []*node.Node
@@ -429,46 +399,15 @@ type simWorld struct {
 	idSpan int
 }
 
-// buildRun wires one simulation: the filter under test, the campus
-// population, gateways, brokers, metric sinks and the staged pipeline.
-// Callers that need tick-level control (benchmarks, allocation tests)
-// drive the returned pipeline directly; runFilter executes it to the
-// horizon.
-func (c Config) buildRun(mk filterFactory) (*engine.Pipeline, *Run, filter.Filter, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, nil, err
-	}
-	f, name, factor, err := mk()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	w, err := c.buildWorld(name, factor)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if pa, ok := f.(filter.Preallocator); ok {
-		pa.Preallocate(w.idSpan)
-	}
-	pipeline := &engine.Pipeline{
-		Nodes:           w.nodes,
-		Net:             w.net,
-		Filter:          f,
-		NoLE:            w.noLE,
-		WithLE:          w.withLE,
-		Churn:           w.churn,
-		ChurnK:          w.churnK,
-		SamplePeriod:    c.SamplePeriod,
-		MobilityWorkers: c.MobilityWorkers,
-		Observers:       c.observers(w.run),
-	}
-	return pipeline, w.run, f, nil
-}
-
-// buildSharded wires one simulation behind the region-sharded pipeline.
-// The factory is probed once for the run's name and factor, then every
-// shard builds its own filter instance through NewFilter, so no filter
-// state is shared across regions.
-func (c Config) buildSharded(mk filterFactory) (*engine.Sharded, *Run, error) {
+// buildPipeline wires one simulation: the campus population, gateways,
+// brokers, metric sinks and the staged pipeline in the partition
+// ShardWorkers selects. The factory is probed once for the run's name
+// and factor, then every shard builds its own filter instance through
+// NewFilter, so no filter state is shared across shards. Callers that
+// need tick-level control (benchmarks, allocation tests, digest
+// comparisons) drive the returned pipeline directly; runFilter executes
+// it to the horizon.
+func (c Config) buildPipeline(mk filterFactory) (*engine.Pipeline, *Run, error) {
 	if err := c.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -480,7 +419,7 @@ func (c Config) buildSharded(mk filterFactory) (*engine.Sharded, *Run, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	p := &engine.Sharded{
+	p := &engine.Pipeline{
 		Nodes: w.nodes,
 		Net:   w.net,
 		NewFilter: func() (filter.Filter, error) {
@@ -513,8 +452,8 @@ func (c Config) observers(run *Run) engine.Observers {
 	}
 }
 
-// buildWorld constructs the pipeline-shape-independent simulation world
-// for one run.
+// buildWorld constructs the partition-independent simulation world for
+// one run.
 func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 	world := campus.New()
 	perGroup := c.PerGroup

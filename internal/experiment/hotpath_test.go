@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// TestZeroAllocTick proves the per-tick pipeline reaches a zero-allocation
-// steady state: after warming past the classifier window, the estimator
+// TestZeroAllocTick proves the per-tick pipeline, in the campus
+// partition, reaches a zero-allocation steady state: after warming past the classifier window, the estimator
 // creation for every node and several 10-second cluster rebuilds, driving
 // further ticks allocates nothing. The large Duration only sizes the
 // reserved metric series; the test drives the pipeline tick by tick.
 func TestZeroAllocTick(t *testing.T) {
 	c := DefaultConfig()
 	c.Duration = 4000
-	pipeline, _, _, err := c.buildRun(c.adfFactory(1.0))
+	pipeline, _, err := c.buildPipeline(c.adfFactory(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,62 +34,14 @@ func TestZeroAllocTick(t *testing.T) {
 	}
 }
 
-// TestMobilityWorkersDeterminism proves the parallel mobility-advance
-// stage is bit-for-bit identical to sequential execution: every metric a
-// run produces — traffic series, RMSE curves, energy — matches exactly
-// between MobilityWorkers=1 and MobilityWorkers=8 across seeds. Each node
-// draws movement from a private RNG stream, so advancement order cannot
-// change the numbers.
-func TestMobilityWorkersDeterminism(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		c := DefaultConfig()
-		c.Seed = seed
-		c.Duration = 150
-
-		seq := c
-		seq.MobilityWorkers = 1
-		par := c
-		par.MobilityWorkers = 8
-
-		a, err := seq.runFilter(seq.adfFactory(1.0))
-		if err != nil {
-			t.Fatalf("seed %d sequential: %v", seed, err)
-		}
-		b, err := par.runFilter(par.adfFactory(1.0))
-		if err != nil {
-			t.Fatalf("seed %d parallel: %v", seed, err)
-		}
-
-		if !slices.Equal(a.LUPerSecond.Series(), b.LUPerSecond.Series()) {
-			t.Errorf("seed %d: LU series differ between 1 and 8 mobility workers", seed)
-		}
-		if !slices.Equal(a.OfferedPerSecond.Series(), b.OfferedPerSecond.Series()) {
-			t.Errorf("seed %d: offered series differ", seed)
-		}
-		if !slices.Equal(a.RMSENoLE.Series(), b.RMSENoLE.Series()) {
-			t.Errorf("seed %d: no-LE RMSE series differ", seed)
-		}
-		if !slices.Equal(a.RMSEWithLE.Series(), b.RMSEWithLE.Series()) {
-			t.Errorf("seed %d: with-LE RMSE series differ", seed)
-		}
-		if at, bt := a.Energy.Total(), b.Energy.Total(); at != bt {
-			t.Errorf("seed %d: energy totals differ: %v vs %v", seed, at, bt)
-		}
-		if af, bf := a.FinalClusters, b.FinalClusters; af != bf {
-			t.Errorf("seed %d: final cluster counts differ: %d vs %d", seed, af, bf)
-		}
-	}
-}
-
-// TestZeroAllocTickSharded is TestZeroAllocTick for the region-sharded
-// pipeline: past warmup, a whole sharded tick — prepass, shard fan-out
-// over the worker pool, outcome replay, broker tally merge — allocates
-// nothing.
+// TestZeroAllocTickSharded is TestZeroAllocTick for the region
+// partition: past warmup, a whole tick — shard fan-out over the worker
+// pool, outcome replay, broker tally merge — allocates nothing.
 func TestZeroAllocTickSharded(t *testing.T) {
 	c := DefaultConfig()
 	c.Duration = 4000
 	c.ShardWorkers = 2
-	p, _, err := c.buildSharded(c.adfFactory(1.0))
+	p, _, err := c.buildPipeline(c.adfFactory(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +62,10 @@ func TestZeroAllocTickSharded(t *testing.T) {
 	}
 }
 
-// TestShardWorkersDeterminism proves the sharded pipeline's merge-order
+// TestShardWorkersDeterminism proves the region partition's merge-order
 // contract at the metrics level: every series a Run produces is
-// identical between ShardWorkers=1 (the sequential sharded reference)
-// and higher worker counts. Observer events are buffered per shard and
+// identical between ShardWorkers=1 (the sequential reference) and
+// higher worker counts. Observer events are buffered per shard and
 // replayed in ascending region order at merge, so worker scheduling
 // cannot reorder a single float addition.
 func TestShardWorkersDeterminism(t *testing.T) {
@@ -166,7 +118,7 @@ func benchmarkTick(b *testing.B, perGroup int) {
 	c.PerGroup = perGroup
 	const warmup = 200
 	c.Duration = float64(b.N + warmup + 1)
-	pipeline, _, _, err := c.buildRun(c.adfFactory(1.0))
+	pipeline, _, err := c.buildPipeline(c.adfFactory(1.0))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -129,7 +129,7 @@ func TestZeroAllocTickObsEnabled(t *testing.T) {
 
 	c := DefaultConfig()
 	c.Duration = 4000
-	pipeline, _, _, err := c.buildRun(c.adfFactory(1.0))
+	pipeline, _, err := c.buildPipeline(c.adfFactory(1.0))
 	if err != nil {
 		t.Fatal(err)
 	}

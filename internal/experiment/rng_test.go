@@ -36,7 +36,7 @@ func TestValidateRejectsBadRNGModeAndNegativeShardWorkers(t *testing.T) {
 
 // TestKeyedModeRunsBothPipelineShapes drives a short keyed-mode run —
 // with churn and gateway drops on, so every keyed draw site fires —
-// through the classic and the sharded pipeline.
+// through the campus and the region partition.
 func TestKeyedModeRunsBothPipelineShapes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 60

@@ -6,59 +6,9 @@ import (
 	"github.com/mobilegrid/adf/internal/engine"
 )
 
-// CompareTickDigests builds the campaign's ADF pipeline twice — once
-// sequential, once with workers mobility-advance goroutines — and drives
-// both in tick lockstep, comparing engine.Pipeline.StateDigest after
-// every tick. Equal digests mean the two runs agree bit for bit on every
-// node position, broker belief and cluster statistic; the first
-// divergence is reported with its tick. It returns the number of ticks
-// compared. Under -tags adfcheck the ticks additionally run every
-// sanitizer invariant, which is how `adfbench -sanitize` and the CI
-// `make check` job exercise the whole stack.
-func (c Config) CompareTickDigests(workers int) (int, error) {
-	if workers <= 1 {
-		return 0, fmt.Errorf("experiment: CompareTickDigests needs workers > 1, got %d", workers)
-	}
-	if err := c.Validate(); err != nil {
-		return 0, err
-	}
-	seqCfg, parCfg := c, c
-	seqCfg.MobilityWorkers = 1
-	parCfg.MobilityWorkers = workers
-
-	seq, _, _, err := seqCfg.buildRun(seqCfg.adfFactory(seqCfg.DTHFactors[0]))
-	if err != nil {
-		return 0, err
-	}
-	defer seq.Close()
-	par, _, _, err := parCfg.buildRun(parCfg.adfFactory(parCfg.DTHFactors[0]))
-	if err != nil {
-		return 0, err
-	}
-	defer par.Close()
-
-	ticks := 0
-	for t := c.SamplePeriod; t <= c.Duration; t += c.SamplePeriod {
-		if err := seq.Tick(t); err != nil {
-			return ticks, fmt.Errorf("experiment: sequential tick %v: %w", t, err)
-		}
-		if err := par.Tick(t); err != nil {
-			return ticks, fmt.Errorf("experiment: parallel tick %v: %w", t, err)
-		}
-		ticks++
-		ds, dp := seq.StateDigest(), par.StateDigest()
-		if ds != dp {
-			return ticks, fmt.Errorf(
-				"experiment: state digests diverge at tick %v: sequential %#016x, %d-worker %#016x",
-				t, ds, workers, dp)
-		}
-	}
-	return ticks, nil
-}
-
-// CompareShardDigests builds the campaign's ADF region-sharded pipeline
-// once per entry of workerCounts and drives all of them in tick
-// lockstep, comparing engine.Sharded.StateDigest — node positions,
+// CompareShardDigests builds the campaign's ADF pipeline in the region
+// partition once per entry of workerCounts and drives all of them in tick
+// lockstep, comparing engine.Pipeline.StateDigest — node positions,
 // broker beliefs, shard membership and per-shard cluster statistics —
 // after every tick. Workers=1 is the sequential sharded reference, so a
 // list like {1, 4, NumCPU} proves the shard merge is deterministic at
@@ -72,14 +22,14 @@ func (c Config) CompareShardDigests(workerCounts []int) (int, error) {
 		return 0, fmt.Errorf(
 			"experiment: CompareShardDigests needs at least two worker counts, got %v", workerCounts)
 	}
-	pipes := make([]*engine.Sharded, len(workerCounts))
+	pipes := make([]*engine.Pipeline, len(workerCounts))
 	for i, w := range workerCounts {
 		if w < 1 {
 			return 0, fmt.Errorf("experiment: shard worker count %d, want >= 1", w)
 		}
 		cfg := c
 		cfg.ShardWorkers = w
-		p, _, err := cfg.buildSharded(cfg.adfFactory(cfg.DTHFactors[0]))
+		p, _, err := cfg.buildPipeline(cfg.adfFactory(cfg.DTHFactors[0]))
 		if err != nil {
 			return 0, err
 		}

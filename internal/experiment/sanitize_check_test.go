@@ -25,18 +25,3 @@ func TestSanitizedCampaignRun(t *testing.T) {
 		t.Error("sanitized run transmitted no LUs")
 	}
 }
-
-// TestSequentialParallelDigestsMatchSanitized is the acceptance pairing
-// of the sanitizer with the digest comparison: sequential vs
-// MobilityWorkers>1, bit-identical per tick, all invariants armed.
-func TestSequentialParallelDigestsMatchSanitized(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Duration = 60
-	ticks, err := cfg.CompareTickDigests(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 60 {
-		t.Errorf("compared %d ticks, want 60", ticks)
-	}
-}

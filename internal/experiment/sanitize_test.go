@@ -2,37 +2,9 @@ package experiment
 
 import "testing"
 
-// TestCompareTickDigests pins the PR-2 determinism guarantee at the
-// digest level: a sequential and an 8-worker run must produce
-// bit-identical state digests on every tick. This runs in the default
-// build too; under -tags adfcheck the same ticks additionally execute
-// every sanitizer invariant.
-func TestCompareTickDigests(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Duration = 40
-	cfg.PerGroup = 1
-	cfg.Churn = &ChurnConfig{LeaveProb: 0.01, RejoinProb: 0.2}
-	ticks, err := cfg.CompareTickDigests(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ticks != 40 {
-		t.Errorf("compared %d ticks, want 40", ticks)
-	}
-}
-
-// TestCompareTickDigestsRejectsSequential: the comparison needs a
-// parallel side.
-func TestCompareTickDigestsRejectsSequential(t *testing.T) {
-	cfg := DefaultConfig()
-	if _, err := cfg.CompareTickDigests(1); err == nil {
-		t.Error("expected an error for workers <= 1")
-	}
-}
-
-// TestCompareShardDigests pins the sharded merge-order contract at the
-// digest level across worker counts, churn included so shard membership
-// changes mid-run. Under -tags adfcheck the same ticks additionally
+// TestCompareShardDigests pins the region partition's merge-order
+// contract at the digest level across worker counts, churn included so
+// every shard forgets and re-learns nodes mid-run. Under -tags adfcheck the same ticks additionally
 // execute every sanitizer invariant.
 func TestCompareShardDigests(t *testing.T) {
 	cfg := DefaultConfig()

@@ -46,22 +46,6 @@ type Filter interface {
 	Forget(node int)
 }
 
-// NodeStateMover is implemented by filters that can hand one node's
-// state to another instance of the same filter type. The sharded engine
-// keeps one filter per region shard; when a node migrates between
-// regions the merge step moves its state so the destination shard
-// continues from the learned anchor (and, for the ADF, the classifier
-// window and cluster membership) instead of re-learning from scratch.
-// Implementations report false — moving nothing — when dst is of a
-// different concrete type; the engine then falls back to Forget on the
-// source and the destination re-learns.
-type NodeStateMover interface {
-	// MoveNodeTo transfers node's per-node state into dst. Moving a node
-	// the filter has never seen, or into the same instance, is a
-	// successful no-op.
-	MoveNodeTo(dst Filter, node int) bool
-}
-
 // Preallocator is implemented by filters whose per-node state can be
 // sized up front. When the population size is known (experiment configs
 // state it), pre-sizing replaces the first-touch growth walk of the
@@ -99,10 +83,7 @@ type IdealLU struct {
 	lastSent dense.Map[geo.Point]
 }
 
-var (
-	_ Filter         = (*IdealLU)(nil)
-	_ NodeStateMover = (*IdealLU)(nil)
-)
+var _ Filter = (*IdealLU)(nil)
 
 // NewIdealLU returns the pass-through baseline filter.
 func NewIdealLU() *IdealLU {
@@ -127,22 +108,6 @@ func (f *IdealLU) Forget(node int) { f.lastSent.Delete(node) }
 
 // Preallocate implements Preallocator.
 func (f *IdealLU) Preallocate(n int) { f.lastSent.Grow(n) }
-
-// MoveNodeTo implements NodeStateMover.
-func (f *IdealLU) MoveNodeTo(dst Filter, node int) bool {
-	d, ok := dst.(*IdealLU)
-	if !ok {
-		return false
-	}
-	if d == f {
-		return true
-	}
-	if p, seen := f.lastSent.Get(node); seen {
-		d.lastSent.Put(node, p)
-		f.lastSent.Delete(node)
-	}
-	return true
-}
 
 // Semantics selects what "the MN's moving distance" is compared against
 // the DTH.
@@ -196,10 +161,7 @@ type GeneralDF struct {
 	anchor dense.Map[geo.Point]
 }
 
-var (
-	_ Filter         = (*GeneralDF)(nil)
-	_ NodeStateMover = (*GeneralDF)(nil)
-)
+var _ Filter = (*GeneralDF)(nil)
 
 // NewGeneralDF returns an anchored general distance filter with the given
 // DTH in metres. DTH must be positive.
@@ -250,19 +212,3 @@ func (f *GeneralDF) Forget(node int) { f.anchor.Delete(node) }
 
 // Preallocate implements Preallocator.
 func (f *GeneralDF) Preallocate(n int) { f.anchor.Grow(n) }
-
-// MoveNodeTo implements NodeStateMover.
-func (f *GeneralDF) MoveNodeTo(dst Filter, node int) bool {
-	d, ok := dst.(*GeneralDF)
-	if !ok {
-		return false
-	}
-	if d == f {
-		return true
-	}
-	if p, seen := f.anchor.Get(node); seen {
-		d.anchor.Put(node, p)
-		f.anchor.Delete(node)
-	}
-	return true
-}

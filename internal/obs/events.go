@@ -21,10 +21,9 @@ func F(k string, v float64) KV { return KV{K: k, V: v} }
 // S returns a string event field.
 func S(k, s string) KV { return KV{K: k, V: 0, S: s} }
 
-// EventLog writes discrete occurrences — cluster births and
-// retirements, reclustering passes, federate joins and resigns, and
-// (under Verbose) every LU verdict — as NDJSON, one self-contained JSON
-// object per line:
+// EventLog writes discrete occurrences — reclustering passes, federate
+// joins and resigns — as NDJSON, one self-contained JSON object per
+// line:
 //
 //	{"seq":12,"ms":345.678,"kind":"federate_join","federation":"mobilegrid","name":"sender"}
 //
@@ -33,7 +32,6 @@ func S(k, s string) KV { return KV{K: k, V: 0, S: s} }
 // emission does not allocate.
 type EventLog struct {
 	enabled atomic.Bool
-	verbose atomic.Bool
 
 	mu sync.Mutex
 
@@ -60,15 +58,6 @@ func (l *EventLog) SetOutput(w io.Writer) {
 // On reports whether the log has a writer; call sites with any cost in
 // building fields should check it before Emit.
 func (l *EventLog) On() bool { return l.enabled.Load() }
-
-// Verbose reports whether per-LU (hot path) events are requested.
-// Verbose event emission sits behind this second gate because a line
-// per node per tick is orders of magnitude more data than the
-// discrete-occurrence stream.
-func (l *EventLog) Verbose() bool { return l.verbose.Load() && l.enabled.Load() }
-
-// SetVerbose toggles per-LU event emission.
-func (l *EventLog) SetVerbose(v bool) { l.verbose.Store(v) }
 
 // Now returns the wall clock (absolute Unix nanoseconds) for
 // event-correlated timestamps when the log has a writer, 0 otherwise —

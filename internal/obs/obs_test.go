@@ -193,12 +193,13 @@ func TestSpansAndChromeTrace(t *testing.T) {
 		if start == 0 {
 			t.Fatal("StageStart returned 0 while enabled")
 		}
-		mid := StageEnd(tid, StageAdvance, start)
-		end := StageEnd(tid, StageNodes, mid)
-		RecordSpan(tid, StageTick, start, end)
+		t1 := StageClock(start)
+		t2 := StageClock(start)
+		t3 := StageClock(start)
+		RecordTickSpans(tid, start, t1, t2, t3, StageClock(start))
 	})
-	if SpanCount() < 3 {
-		t.Fatalf("span count = %d, want >= 3", SpanCount())
+	if SpanCount() < 5 {
+		t.Fatalf("span count = %d, want >= 5", SpanCount())
 	}
 
 	var buf bytes.Buffer
@@ -228,7 +229,7 @@ func TestSpansAndChromeTrace(t *testing.T) {
 		}
 		names[e.Name] = true
 	}
-	for _, want := range []string{"advance", "nodes", "tick"} {
+	for _, want := range []string{"advance", "nodes", "merge", "observers", "tick"} {
 		if !names[want] {
 			t.Errorf("trace missing %q span", want)
 		}
@@ -245,8 +246,8 @@ func TestStageDisabledRecordsNothing(t *testing.T) {
 	if start != 0 {
 		t.Fatalf("disabled StageStart = %d, want 0", start)
 	}
-	StageEnd(1, StageAdvance, start)
-	RecordSpan(1, StageTick, 0, 0)
+	RecordTickSpans(1, start, StageClock(start), 0, 0, 0)
+	RecordShardSpan(1, 0, nil, 0, 0)
 	if SpanCount() != before {
 		t.Error("disabled stage calls recorded spans")
 	}
@@ -307,22 +308,6 @@ func TestEventLogNDJSON(t *testing.T) {
 	}
 }
 
-func TestEventLogVerboseGating(t *testing.T) {
-	log := &EventLog{}
-	log.SetVerbose(true)
-	if log.Verbose() {
-		t.Error("verbose without a writer must report false")
-	}
-	log.SetOutput(&bytes.Buffer{})
-	if !log.Verbose() {
-		t.Error("verbose with a writer must report true")
-	}
-	log.SetVerbose(false)
-	if log.Verbose() {
-		t.Error("verbose off must report false")
-	}
-}
-
 func TestHTTPHandler(t *testing.T) {
 	withEnabled(t, func() {
 		LUSent.Add(1)
@@ -378,7 +363,7 @@ func TestDisabledPathAllocsNothing(t *testing.T) {
 		l.Offered++
 		l.Distance.Observe(1)
 		start := StageStart()
-		StageEnd(1, StageAdvance, start)
+		RecordTickSpans(1, start, StageClock(start), 0, 0, 0)
 		Events.Emit("never")
 	}); allocs != 0 {
 		t.Fatalf("disabled instrument path allocates %v/op, want 0", allocs)

@@ -13,23 +13,22 @@ import (
 type Stage int
 
 const (
-	// StageAdvance is the mobility-advance stage (parallel when
-	// MobilityWorkers > 1).
+	// StageAdvance is the mobility-advance stage (parallel when the
+	// pipeline runs on more than one worker).
 	StageAdvance Stage = iota
-	// StageNodes is the sequential per-node chain: churn, collect,
-	// filter, deliver.
+	// StageNodes is the per-node chain over every shard: churn,
+	// collect, filter, deliver.
 	StageNodes
 	// StageObservers is the OnTick fan-out to the metric sinks.
 	StageObservers
 	// StageTick is the whole sampling round.
 	StageTick
-	// StageShard is one region shard's stage chain in the sharded
-	// pipeline (churn-gated collect → filter → broker delivery over the
+	// StageShard is one region shard's stage chain in the region
+	// partition (churn-gated collect → filter → broker delivery over the
 	// shard's members).
 	StageShard
-	// StageMerge is the sharded pipeline's deterministic merge step:
-	// observer replay, tally folding and migration handoff in stable
-	// shard order.
+	// StageMerge is the pipeline's deterministic merge step: observer
+	// replay and tally folding in stable shard order.
 	StageMerge
 	// numStages sizes stage-indexed arrays.
 	numStages
@@ -58,8 +57,8 @@ type spanRecord struct {
 	durNS   int64
 }
 
-// spanRingCap bounds the trace ring: 1<<15 records ≈ 8k ticks of the
-// four pipeline stages, ~1 MiB, allocated on the first recording.
+// spanRingCap bounds the trace ring: 1<<15 records ≈ 6.5k ticks of the
+// five pipeline stages, ~1 MiB, allocated on the first recording.
 const spanRingCap = 1 << 15
 
 // spanRing is a fixed-capacity ring of completed spans. A mutex (not
@@ -95,19 +94,6 @@ func StageStart() int64 {
 	return nowNanos()
 }
 
-// StageEnd completes a span opened with StageStart and returns its end
-// timestamp, so consecutive stages chain without extra clock reads. A
-// zero start (observability was off at StageStart) records nothing.
-func StageEnd(tid uint32, s Stage, start int64) int64 {
-	if start == 0 || !on.Load() {
-		return 0
-	}
-	end := nowNanos()
-	spans.record(spanRecord{stage: s, tid: tid, shard: -1, startNS: start, durNS: end - start})
-	stageSeconds[s].observe(float64(end-start) / 1e9)
-	return end
-}
-
 // StageClock reads the wall clock for the next link of a span chain
 // opened with StageStart, or returns 0 when the chain's start token is
 // 0 (observability was off). Unlike StageEnd it records nothing and
@@ -122,24 +108,26 @@ func StageClock(start int64) int64 {
 }
 
 // RecordTickSpans publishes one tick's whole stage chain — advance,
-// nodes, observers and the enclosing tick span — under a single ring
-// lock acquisition, replacing three StageEnd calls and a RecordSpan
-// (four lock/unlock pairs and four atomic gate loads) on the engine's
-// per-tick path. Boundaries come from one StageStart and three
-// StageClock reads; a zero t0 means the chain was never opened.
-func RecordTickSpans(tid uint32, t0, t1, t2, t3 int64) {
-	if t0 == 0 || t1 < t0 || t2 < t1 || t3 < t2 || !on.Load() {
+// nodes, merge, observers and the enclosing tick span — under a single
+// ring lock acquisition, so the engine's per-tick path pays one
+// lock/unlock pair and one atomic gate load for all five spans.
+// Boundaries come from one StageStart and four StageClock reads; a zero
+// t0 means the chain was never opened.
+func RecordTickSpans(tid uint32, t0, t1, t2, t3, t4 int64) {
+	if t0 == 0 || t1 < t0 || t2 < t1 || t3 < t2 || t4 < t3 || !on.Load() {
 		return
 	}
 	stageSeconds[StageAdvance].observe(float64(t1-t0) / 1e9)
 	stageSeconds[StageNodes].observe(float64(t2-t1) / 1e9)
-	stageSeconds[StageObservers].observe(float64(t3-t2) / 1e9)
-	stageSeconds[StageTick].observe(float64(t3-t0) / 1e9)
-	recs := [4]spanRecord{
+	stageSeconds[StageMerge].observe(float64(t3-t2) / 1e9)
+	stageSeconds[StageObservers].observe(float64(t4-t3) / 1e9)
+	stageSeconds[StageTick].observe(float64(t4-t0) / 1e9)
+	recs := [5]spanRecord{
 		{stage: StageAdvance, tid: tid, shard: -1, startNS: t0, durNS: t1 - t0},
 		{stage: StageNodes, tid: tid, shard: -1, startNS: t1, durNS: t2 - t1},
-		{stage: StageObservers, tid: tid, shard: -1, startNS: t2, durNS: t3 - t2},
-		{stage: StageTick, tid: tid, shard: -1, startNS: t0, durNS: t3 - t0},
+		{stage: StageMerge, tid: tid, shard: -1, startNS: t2, durNS: t3 - t2},
+		{stage: StageObservers, tid: tid, shard: -1, startNS: t3, durNS: t4 - t3},
+		{stage: StageTick, tid: tid, shard: -1, startNS: t0, durNS: t4 - t0},
 	}
 	spans.mu.Lock()
 	if spans.records == nil {
@@ -154,16 +142,6 @@ func RecordTickSpans(tid uint32, t0, t1, t2, t3 int64) {
 		}
 	}
 	spans.mu.Unlock()
-}
-
-// RecordSpan records a span with explicit endpoints (used for the
-// whole-tick span, whose endpoints the stage chain already read).
-func RecordSpan(tid uint32, s Stage, start, end int64) {
-	if start == 0 || end < start || !on.Load() {
-		return
-	}
-	spans.record(spanRecord{stage: s, tid: tid, shard: -1, startNS: start, durNS: end - start})
-	stageSeconds[s].observe(float64(end-start) / 1e9)
 }
 
 // RecordShardSpan records one region shard's StageShard span with

@@ -18,7 +18,7 @@
 // The Digest type is tag-independent: it is the FNV-1a checksum of
 // simulation state (node positions, broker beliefs, cluster statistics)
 // that the engine exposes through Pipeline.StateDigest, used to assert
-// that sequential and MobilityWorkers>1 runs stay bit-for-bit identical
+// that runs at different shard worker counts stay bit-for-bit identical
 // tick by tick.
 package sanitize
 
