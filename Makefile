@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-sarif lint-fix-check lint-lock race race-core check check-sharded obs-check check-obs-e2e bench-smoke bench-regress ci bench-runner bench bench-obs profile
+.PHONY: build test vet lint lint-sarif race race-core check check-sharded obs-check check-obs-e2e bench-smoke bench-regress ci bench-runner bench bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -18,12 +18,11 @@ vet:
 	test -z "$$(gofmt -l .)"
 
 # adflint is the project's own static-analysis pass (internal/lint):
-# the determinism, maporder, hotpath (call-graph aware), exhaustive,
-# floatcmp, invariant, shardsafe, streamowner, adflock (guardedby,
-# lockorder, goroleak, netctx) and allowaudit rules. Two passes — bare
-# and with the adfcheck tag — so both halves of every sanitizer file
-# pair are analyzed. The shipped tree must lint clean; any violation
-# exits non-zero and fails ci.
+# every rule, allowaudit's stale/unknown/reason-less suppression audit
+# included (`go run ./cmd/adflint -list` prints the rules). Two passes —
+# bare and with the adfcheck tag — so both halves of every sanitizer
+# file pair are analyzed. The shipped tree must lint clean; any
+# violation exits non-zero and fails ci.
 lint:
 	$(GO) run ./cmd/adflint
 	$(GO) run ./cmd/adflint -tags adfcheck
@@ -34,23 +33,6 @@ lint:
 lint-sarif:
 	$(GO) run ./cmd/adflint -sarif adflint.sarif
 	$(GO) run ./cmd/adflint -tags adfcheck -sarif adflint-adfcheck.sarif
-
-# lint-fix-check asserts the suppression inventory is healthy: the
-# allowaudit rule alone, under both tag sets, must report zero stale or
-# reason-less //adf:allow comments. Run after deleting code near an
-# allow to confirm the suppression went with it.
-lint-fix-check:
-	$(GO) run ./cmd/adflint -rules allowaudit
-	$(GO) run ./cmd/adflint -rules allowaudit -tags adfcheck
-
-# lint-lock runs just the adflock concurrency rules — guarded-by
-# discipline, lock-order cycles, goroutine lifecycle, net deadlines —
-# under both tag sets. A fast pre-flight when touching the served layer
-# (internal/hla, internal/obs, cmd/rtiserver); `make lint` covers the
-# same rules as part of the full pass.
-lint-lock:
-	$(GO) run ./cmd/adflint -rules guardedby,lockorder,goroleak,netctx
-	$(GO) run ./cmd/adflint -rules guardedby,lockorder,goroleak,netctx -tags adfcheck
 
 # Run the whole module under the race detector.
 race:
@@ -130,7 +112,7 @@ bench-regress:
 # ci builds with -trimpath so artifacts are reproducible regardless of
 # the checkout location.
 ci: export GOFLAGS += -trimpath
-ci: build vet lint lint-lock test race obs-check check-obs-e2e check-sharded bench-smoke bench-regress
+ci: build vet lint test race obs-check check-obs-e2e check-sharded bench-smoke bench-regress
 
 # Benchmark the campaign runner (sequential vs parallel figure
 # regeneration) and write BENCH_runner.json.

@@ -1,16 +1,9 @@
 // Command adflint runs the repository's static-analysis pass (see
-// internal/lint): determinism, maporder, hotpath (call-graph aware),
-// exhaustive, floatcmp, invariant, the interprocedural shardsafe and
-// streamowner dataflow rules, the adflock concurrency rules
-// (guardedby, lockorder, goroleak, netctx), and the allowaudit
-// suppression audit. It walks the whole module, prints
-// one file:line:col diagnostic per violation and exits 1 when anything
-// is found, so `make ci` fails fast on a stray time.Now(), an
-// order-dependent map range, an allocation in (or reachable from) an
-// //adf:hotpath function, a non-exhaustive enum switch, a float
-// equality in simulation code, a sanitizer annotation drifted out of
-// sync, an unlocked access to a //adf:guardedby field, a lock-order
-// cycle, a leaked goroutine, or an unbounded network wait.
+// internal/lint). It walks the whole module, prints one file:line:col
+// diagnostic per violation and exits 1 when anything is found, so
+// `make ci` fails fast. `adflint -list` prints every rule with its
+// one-line summary; `adflint -explain <rule>` prints one rule's
+// semantics and annotation grammar.
 //
 // Usage:
 //

@@ -137,7 +137,7 @@ func scanFor(r interface{ Read([]byte) (int, error) }, marker string, timeout ti
 		err  error
 	}
 	ch := make(chan result, 1)
-	//adf:detached the scanner goroutine exits when the pipe closes with the process; the buffered send never blocks
+	// The scanner goroutine exits when the pipe closes with the process; the buffered send never blocks.
 	go func() {
 		sc := bufio.NewScanner(r)
 		for sc.Scan() {
@@ -160,7 +160,7 @@ func scanFor(r interface{ Read([]byte) (int, error) }, marker string, timeout ti
 // waitFor waits for a started process to exit within the timeout.
 func waitFor(cmd *exec.Cmd, timeout time.Duration) error {
 	done := make(chan error, 1)
-	//adf:detached Wait returns when the process exits; the buffered send never blocks
+	// Wait returns when the process exits; the buffered send never blocks.
 	go func() { done <- cmd.Wait() }()
 	select {
 	case err := <-done:

@@ -167,7 +167,7 @@ func run(args []string) error {
 	}
 
 	errc := make(chan error, 1)
-	//adf:detached accept loop runs until Shutdown closes the listener; the buffered errc send never blocks
+	//adf:allow goroleak — accept loop runs until Shutdown closes the listener; the buffered errc send never blocks
 	go func() { errc <- srv.Serve() }()
 
 	sig := make(chan os.Signal, 1)

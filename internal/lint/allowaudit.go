@@ -17,7 +17,10 @@ import (
 //     either way the comment now only misleads readers. Suppressions a
 //     rule consumed without emitting — a vouched-for call site pruning
 //     the hotpath or shardsafe walk — count as used.
-//  2. reason-less suppressions — an //adf:allow whose rule list has no
+//  2. unknown-rule suppressions — an //adf:allow whose first token is
+//     not a rule name (a misspelled or retired rule). It suppresses
+//     nothing, so without the audit it would be a dead comment.
+//  3. reason-less suppressions — an //adf:allow whose rule list has no
 //     trailing free text. The reason is the reviewable half of the
 //     contract; without it the suppression is indistinguishable from a
 //     silencing reflex.
@@ -34,7 +37,7 @@ import (
 // suppression filtering.
 var AllowAudit = &Analyzer{
 	Name: "allowaudit",
-	Doc:  "flag stale //adf:allow suppressions (no matching diagnostic on their lines) and suppressions without a reason",
+	Doc:  "flag stale //adf:allow suppressions (no matching diagnostic on their lines), suppressions naming no known rule, and suppressions without a reason",
 	Explain: `allowaudit audits the escape hatches themselves.
 
 Suppression grammar (own line above, or trailing on the line):
@@ -42,15 +45,15 @@ Suppression grammar (own line above, or trailing on the line):
 
 Flagged: an //adf:allow whose named rule produced no diagnostic (and
 consumed no walk-pruning exemption) in its covered span — a stale
-suppression hiding nothing — and any //adf:allow without a free-text
-reason after the rule list. A deliberately dormant suppression (one
-that only fires under another build-tag pass) is kept alive with
-//adf:allow allowaudit — reason.`,
+suppression hiding nothing — an //adf:allow that names no known rule,
+and any //adf:allow without a free-text reason after the rule list. A
+deliberately dormant suppression (one that only fires under another
+build-tag pass) is kept alive with //adf:allow allowaudit — reason.`,
 }
 
-// auditAllows reports the stale and reason-less entries of a run's allow
-// index. ran lists the analyzers that executed; rules outside it are
-// not judged for staleness.
+// auditAllows reports the stale, unknown-rule and reason-less entries of
+// a run's allow index. ran lists the analyzers that executed; rules
+// outside it are not judged for staleness.
 func auditAllows(fset *token.FileSet, allows *allowSet, ran map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	report := func(pos token.Pos, format string, args ...any) {
@@ -61,6 +64,10 @@ func auditAllows(fset *token.FileSet, allows *allowSet, ran map[string]bool) []D
 		})
 	}
 	for _, e := range allows.entries {
+		if len(e.rules) == 0 {
+			report(e.pos, "//adf:allow names no known rule: correct the rule name (adflint -list prints them) or delete the suppression")
+			continue
+		}
 		var stale []string
 		for _, r := range e.rules {
 			if r == AllowAudit.Name {

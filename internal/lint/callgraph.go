@@ -6,21 +6,20 @@ import (
 	"go/types"
 )
 
-// This file is the call-graph half of the hotpath rule. The
-// intraprocedural half (hotpath.go) checks the body of every
-// //adf:hotpath function; this half follows the function's *static*
-// module-local callees — transitively — and holds their bodies to the
-// same no-allocation standard, so delegating an append to a helper one
-// package over no longer hides it. Dynamic dispatch (interface methods,
-// func values) and calls out of the module are not followed: the rule
-// is a sound-for-static-calls approximation, not an escape analysis.
+// This file is the one call-graph walk shared by the hotpath and
+// shardsafe rules. From every root function a rule selects, the walk
+// follows the *static* module-local callees — transitively — and runs
+// the rule's per-body check on the root and on every callee it reaches,
+// so delegating a forbidden construct to a helper one package over does
+// not hide it. Dynamic dispatch (interface methods, func values) and
+// calls out of the module are not followed: the walk is a
+// sound-for-static-calls approximation, not an escape analysis.
 //
-// A callee that is itself //adf:hotpath is not re-walked — it is its
-// own root. Silencing works at either end: //adf:allow hotpath on the
-// call site declares the whole call a cold path and prunes the walk,
-// while //adf:allow hotpath on the offending construct inside the
-// callee silences just that construct (for helpers whose slow path is
-// genuinely cold, such as first-touch growth).
+// A callee that is itself a root is not re-walked — it is checked as its
+// own root. Silencing works at either end: //adf:allow <rule> on the call
+// site declares the whole call outside the checked context and prunes the
+// walk, while //adf:allow <rule> on the offending construct silences just
+// that construct.
 
 // funcDeclInfo ties a function declaration to the package holding it.
 type funcDeclInfo struct {
@@ -29,8 +28,7 @@ type funcDeclInfo struct {
 }
 
 // buildFuncIndex maps every declared function and method of the run to
-// its declaration, the shared ground for the call-graph walks (hotpath
-// and shardsafe).
+// its declaration, the shared ground for the call-graph analyses.
 func buildFuncIndex(p *ModulePass) map[*types.Func]funcDeclInfo {
 	index := make(map[*types.Func]funcDeclInfo)
 	for _, pkg := range p.Pkgs {
@@ -49,9 +47,35 @@ func buildFuncIndex(p *ModulePass) map[*types.Func]funcDeclInfo {
 	return index
 }
 
-func runHotPathModule(p *ModulePass) {
-	w := &hotWalker{
+// reportFunc records one finding.
+type reportFunc func(pos token.Pos, format string, args ...any)
+
+// bodyCheck inspects one function body the walk reached. chain names the
+// call path from the root ("Root -> helperA -> helperB"); a root's own
+// body is checked with chain equal to its name.
+type bodyCheck func(d funcDeclInfo, chain string, report reportFunc)
+
+// callWalker carries the state of one module walk: the declaration
+// index and the positions already reported (a helper shared by several
+// roots is reported once, for the first chain found).
+type callWalker struct {
+	p        *ModulePass
+	rule     string
+	isRoot   func(*ast.FuncDecl) bool
+	check    bodyCheck
+	index    map[*types.Func]funcDeclInfo
+	reported map[token.Pos]bool
+}
+
+// walkCallGraph runs check on every function isRoot selects and on every
+// static module-local callee reachable from it. An //adf:allow rule on a
+// call site prunes the walk there.
+func walkCallGraph(p *ModulePass, rule string, isRoot func(*ast.FuncDecl) bool, check bodyCheck) {
+	w := &callWalker{
 		p:        p,
+		rule:     rule,
+		isRoot:   isRoot,
+		check:    check,
 		index:    buildFuncIndex(p),
 		reported: make(map[token.Pos]bool),
 	}
@@ -59,46 +83,31 @@ func runHotPathModule(p *ModulePass) {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || !isHotPath(fn) {
+				if !ok || fn.Body == nil || !isRoot(fn) {
 					continue
 				}
 				visited := make(map[*types.Func]bool)
 				if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
 					visited[obj] = true
 				}
-				w.walkCalls(pkg, fn, fn.Name.Name, fn.Name.Name, visited)
+				d := funcDeclInfo{fn: fn, pkg: pkg}
+				w.check(d, fn.Name.Name, w.report)
+				w.walkCalls(d, fn.Name.Name, visited)
 			}
 		}
 	}
 }
 
-// hotWalker carries the state of one module walk: the declaration
-// index and the set of construct positions already reported (a helper
-// shared by several hot roots is reported once, for the first chain
-// found). Vouched-for call sites are pruned through the run's shared
-// allow index, which records the usage for the allowaudit pass.
-type hotWalker struct {
-	p        *ModulePass
-	index    map[*types.Func]funcDeclInfo
-	reported map[token.Pos]bool
-}
-
-// walkCalls scans fn's body for static calls to module-local functions
-// and checks each resolved callee that is not a hotpath root itself.
-// root is the //adf:hotpath entry point, chain the call path so far.
-func (w *hotWalker) walkCalls(pkg *Package, fn *ast.FuncDecl, root, chain string, visited map[*types.Func]bool) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			// A closure is itself a flagged (or explicitly allowed)
-			// construct; its body runs under whatever context invokes
-			// it, not necessarily this hot path.
-			return false
-		}
+// walkCalls scans d's body, closures included, for static calls to
+// module-local functions and checks each resolved callee that is not a
+// root itself. chain is the call path so far.
+func (w *callWalker) walkCalls(d funcDeclInfo, chain string, visited map[*types.Func]bool) {
+	ast.Inspect(d.fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		callee := staticCallee(pkg, call)
+		callee := staticCallee(d.pkg, call)
 		if callee == nil {
 			return true
 		}
@@ -106,74 +115,29 @@ func (w *hotWalker) walkCalls(pkg *Package, fn *ast.FuncDecl, root, chain string
 		if !ok {
 			return true
 		}
-		// //adf:allow hotpath on the call site vouches for the callee
-		// as a whole: the call is a declared cold path. Consulted before
-		// the visited short-circuit so the suppression registers as used
-		// even when another path reached the callee first.
-		if w.p.Allowed(call.Pos(), "hotpath") {
+		// Consulted before the visited short-circuit so the suppression
+		// registers as used even when another path reached the callee
+		// first.
+		if w.p.Allowed(call.Pos(), w.rule) {
 			return true
 		}
-		if isHotPath(decl.fn) || visited[callee] {
+		if w.isRoot(decl.fn) || visited[callee] {
 			return true
 		}
 		visited[callee] = true
 		sub := chain + " -> " + decl.fn.Name.Name
-		w.checkCallee(decl, root, sub)
-		w.walkCalls(decl.pkg, decl.fn, root, sub, visited)
+		w.check(decl, sub, w.report)
+		w.walkCalls(decl, sub, visited)
 		return true
 	})
 }
 
-// checkCallee flags allocating constructs in a transitively reached,
-// non-annotated callee body, naming the call chain from the root.
-func (w *hotWalker) checkCallee(d funcDeclInfo, root, chain string) {
-	report := func(pos token.Pos, what string) {
-		if w.reported[pos] {
-			return
-		}
-		w.reported[pos] = true
-		w.p.Reportf(pos, "%s in %s is reachable from //adf:hotpath function %s (%s): hoist it behind a cold path, or //adf:allow hotpath on the construct or the call site", what, d.fn.Name.Name, root, chain)
+func (w *callWalker) report(pos token.Pos, format string, args ...any) {
+	if w.reported[pos] {
+		return
 	}
-	ast.Inspect(d.fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			report(n.Pos(), "closure")
-			return false
-		case *ast.GoStmt:
-			report(n.Pos(), "go statement")
-		case *ast.DeferStmt:
-			report(n.Pos(), "defer")
-		case *ast.UnaryExpr:
-			if lit, ok := n.X.(*ast.CompositeLit); ok {
-				report(n.Pos(), "&"+litTypeName(d.pkg, lit)+"{...}")
-				return false
-			}
-		case *ast.CompositeLit:
-			t := d.pkg.Info.TypeOf(n)
-			if t == nil {
-				return true
-			}
-			switch t.Underlying().(type) {
-			case *types.Slice:
-				report(n.Pos(), "slice literal")
-			case *types.Map:
-				report(n.Pos(), "map literal")
-			}
-		case *ast.CallExpr:
-			ident, ok := n.Fun.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			if _, isBuiltin := d.pkg.Info.Uses[ident].(*types.Builtin); !isBuiltin {
-				return true
-			}
-			switch ident.Name {
-			case "append", "make", "new":
-				report(n.Pos(), ident.Name)
-			}
-		}
-		return true
-	})
+	w.reported[pos] = true
+	w.p.Reportf(pos, format, args...)
 }
 
 // staticCallee resolves the called function of a call expression to its
@@ -203,15 +167,4 @@ func staticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	return fn.Origin()
-}
-
-// litTypeName renders a composite literal's type for a diagnostic.
-func litTypeName(pkg *Package, lit *ast.CompositeLit) string {
-	if lit.Type != nil {
-		return types.ExprString(lit.Type)
-	}
-	if t := pkg.Info.TypeOf(lit); t != nil {
-		return t.String()
-	}
-	return "T"
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Determinism enforces the reproduction's bit-for-bit reproducibility
@@ -13,44 +12,24 @@ import (
 // time comes from sim.Simulator and randomness from injected *sim.RNG
 // streams. Inside the simulation packages it additionally forbids bare go
 // statements: concurrency there must go through the engine's worker pools
-// (engine.Group, the mobility advance pool), whose sharding is designed to
-// consume RNG streams identically to a sequential run.
+// (engine.Group), whose sharding is designed to consume RNG streams
+// identically to a sequential run.
 //
-// Functions annotated //adf:shardstage — the bodies the region-sharded
-// pipeline runs concurrently, one shard at a time per worker — are
-// additionally forbidden from writing package-level variables. A shard
-// stage's effects must land in shard-indexed state (the shard context,
-// per-shard tallies, preallocated disjoint slots) and be folded into
-// shared state only by the deterministic merge that runs in ascending
-// shard order; a direct global write both races and makes the result
-// depend on worker scheduling. Genuinely synchronized or
-// scheduling-independent writes carry //adf:allow determinism with a
-// reason.
-//
-// Shard stages are also forbidden from drawing on a sequential *sim.RNG
-// stream: a sequential stream hands out values in consumption order, so
-// the value a draw sees depends on which shard's draw ran first — a
-// nondeterminism the race detector cannot see when the stream object
-// itself is per-shard but the call site is reachable from several
-// shards. Only sim.Keyed draws, which are pure functions of
-// (stream, node, tick), are shard-safe; sequential draws that provably
-// run outside the concurrent phase carry //adf:allow determinism with a
-// reason.
+// The checks on the bodies the region-sharded pipeline runs concurrently
+// (package-level writes, sequential *sim.RNG draws) belong to the
+// shardsafe rule.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock reads, the global math/rand source, bare goroutines in simulation packages, and package-level writes or sequential *sim.RNG draws in //adf:shardstage functions",
+	Doc:  "forbid wall-clock reads, the global math/rand source, and bare goroutines in simulation packages",
 	Explain: `determinism keeps simulation runs bit-for-bit reproducible.
 
 Module-wide: no time.Now/Since/Until (wall-clock state) and no global
 math/rand draws — randomness comes from injected *sim.RNG streams.
 In the simulation packages additionally: no bare go statements
-(concurrency goes through the engine's pools).
+(concurrency goes through the engine's pools), except the workers of a
+queue the launching function claims with //adf:owns queue:<field>.
 
-Functions annotated //adf:shardstage (concurrent region-shard stage
-bodies) additionally may not write package-level variables unless the
-variable is declared //adf:shardlocal (disjoint per-shard slots), and
-may not draw on sequential RNG streams unless the field is claimed
-//adf:owns <field> (see streamowner).
+Shard-stage bodies (//adf:shardstage) are checked by shardsafe.
 
 Escape hatch: //adf:allow determinism — reason.`,
 	Run: runDeterminism,
@@ -74,11 +53,6 @@ var allowedRandFuncs = map[string]bool{
 }
 
 func runDeterminism(p *Pass) {
-	// shardlocal vars are exempt from the shard-stage write rule: the
-	// //adf:shardlocal directive declares them shard-indexed storage,
-	// and the shardsafe rule honors the same annotation.
-	shardlocal := make(map[*types.Var]bool)
-	collectShardLocalsPkg(p.Pkg, shardlocal)
 	// spec tracks the enclosing function's //adf:owns claims while
 	// walking its body: a goroutine draining a claimed worker queue is
 	// exempt from the bare-go rule because the streamowner rule proves
@@ -87,9 +61,6 @@ func runDeterminism(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Body != nil && isShardStage(fn) {
-				p.checkShardStage(fn, shardlocal)
-			}
 			if ok {
 				spec = parseOwns(fn)
 			} else {
@@ -169,92 +140,4 @@ func drainsOwnedQueue(spec *ownsSpec, g *ast.GoStmt) bool {
 		return true
 	})
 	return drains
-}
-
-// shardStageDirective marks a function the region-sharded pipeline runs
-// concurrently across shards; its writes must stay shard-indexed.
-const shardStageDirective = "//adf:shardstage"
-
-// isShardStage reports whether a function declaration carries the
-// //adf:shardstage directive.
-func isShardStage(fn *ast.FuncDecl) bool {
-	return hasDirective(fn.Doc, shardStageDirective)
-}
-
-// checkShardStage flags every direct write — assignment, compound
-// assignment or ++/-- — whose target is rooted in a package-level
-// variable, and every method call on a sequential *sim.RNG stream.
-// Writes through parameters and receivers (the shard context) are the
-// designed data path and stay silent; so do reads and sim.Keyed draws.
-func (p *Pass) checkShardStage(fn *ast.FuncDecl, shardlocal map[*types.Var]bool) {
-	name := fn.Name.Name
-	spec := parseOwns(fn)
-	report := func(n ast.Node, v *types.Var) {
-		p.Reportf(n.Pos(), "write to package-level %s in //adf:shardstage function %s is an unmerged cross-shard write: buffer it in the shard context and fold it in the deterministic merge (or //adf:allow determinism for synchronized, order-independent state)", v.Name(), name)
-	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				if v := p.pkgLevelVarRoot(lhs); v != nil && !shardlocal[v] {
-					report(lhs, v)
-				}
-			}
-		case *ast.IncDecStmt:
-			if v := p.pkgLevelVarRoot(n.X); v != nil && !shardlocal[v] {
-				report(n.X, v)
-			}
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			m, ok := p.Pkg.Info.Uses[sel.Sel].(*types.Func)
-			if !ok || m.Signature().Recv() == nil {
-				return true
-			}
-			if isSequentialRNG(m.Signature().Recv().Type()) {
-				// A draw on a receiver field the function claims with
-				// //adf:owns is exempt: the streamowner rule proves the
-				// claimant is the field's sole consumer, so consumption
-				// order is the owner's own deterministic order.
-				if spec != nil {
-					if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok &&
-						containsString(spec.fields, inner.Sel.Name) {
-						return true
-					}
-				}
-				p.Reportf(n.Pos(), "sim.RNG.%s draw in //adf:shardstage function %s consumes a sequential stream, so the value depends on shard scheduling: use a sim.Keyed draw keyed by (stream, node, tick) (or //adf:allow determinism if this call provably runs outside the concurrent phase)", sel.Sel.Name, name)
-			}
-		}
-		return true
-	})
-}
-
-// isSequentialRNG reports whether t is sim.RNG (or a pointer to it) —
-// the sequential stream type whose draws are consumption-ordered.
-func isSequentialRNG(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "RNG" && obj.Pkg() != nil &&
-		strings.HasSuffix(obj.Pkg().Path(), "internal/sim")
-}
-
-// pkgLevelVarRoot unwraps index, dereference, field-selection and
-// parenthesis layers around an assignment target and returns the
-// package-level variable at its root, or nil when the root is a local,
-// a parameter or anything else. rootVar (shardsafe.go) does the
-// unwrapping; this adds the package-scope filter.
-func (p *Pass) pkgLevelVarRoot(e ast.Expr) *types.Var {
-	v := rootVar(p.Pkg.Info, e)
-	if v == nil || !isPkgLevelVar(v) {
-		return nil
-	}
-	return v
 }

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // GoroLeak proves goroutine lifecycle in the concurrent packages (the
@@ -25,17 +24,13 @@ import (
 // rule already proves the pool protocol, and the queue's close is the
 // termination signal.
 //
-// Genuinely detached goroutines — an HTTP server pumping until the
-// process exits — are declared, not silenced:
-//
-//	//adf:detached <reason>
-//
-// on (or directly above) the go statement. The reason is mandatory and
-// the annotation is audited: one that covers no go statement is flagged
-// as stale.
+// A goroutine meant to live until process exit — an HTTP server pumping
+// until the listener closes — carries //adf:allow goroleak with the
+// reason, which the allowaudit rule holds to account like any other
+// suppression.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
-	Doc:  "every go statement in the concurrent packages needs a provable termination path (WaitGroup.Done, close-signalled channel, ctx.Done) or an audited //adf:detached <reason>",
+	Doc:  "every go statement in the concurrent packages needs a provable termination path (WaitGroup.Done, close-signalled channel, ctx.Done)",
 	Explain: `goroleak applies to the concurrent packages (internal/hla,
 internal/obs, internal/engine, internal/experiment, cmd/rtiserver).
 
@@ -47,42 +42,19 @@ function it statically calls — contains one of:
     <-ctx.Done()         a context cancellation receive
 Witnesses inside a nested go statement do not count for the outer one.
 
-Exemptions:
+Exemption:
     //adf:owns queue:<field>   on the launching function — the worker
                                pool protocol is proved by streamowner,
                                and closing the queue ends the workers
-    //adf:detached <reason>    on or above the go statement, for
-                               goroutines meant to live until process
-                               exit; the reason is mandatory, and an
-                               annotation covering no go statement is
-                               flagged as stale
 
-Escape hatch (discouraged — prefer //adf:detached, which documents
-intent): //adf:allow goroleak — reason.`,
+A goroutine meant to live until process exit carries
+//adf:allow goroleak — reason; allowaudit flags it when stale or when
+the reason is missing.`,
 	RunModule: runGoroLeak,
 }
 
-// detachedDirective declares a deliberately process-lifetime goroutine.
-const detachedDirective = "//adf:detached"
-
-// detachedEntry is one //adf:detached comment: its coverage span
-// (comment-group lines plus one, like //adf:allow), whether a reason
-// follows, and whether any go statement used it.
-type detachedEntry struct {
-	pos       token.Pos
-	file      string
-	startLine int
-	endLine   int
-	hasReason bool
-	used      bool
-}
-
 func runGoroLeak(p *ModulePass) {
-	index := buildFuncIndex(p)
-	closed := collectClosedChans(p)
-	detached := collectDetached(p)
-
-	w := &leakWalker{p: p, index: index, closed: closed}
+	w := &leakWalker{p: p, index: buildFuncIndex(p), closed: collectClosedChans(p)}
 	for _, pkg := range p.Pkgs {
 		if !p.Concurrent(pkg.Path) {
 			continue
@@ -99,29 +71,16 @@ func runGoroLeak(p *ModulePass) {
 					if !ok {
 						return true
 					}
-					if markDetached(p, detached, g.Pos()) {
-						return true
-					}
 					if spec != nil && drainsOwnedQueue(spec, g) {
 						return true
 					}
 					if w.terminates(pkg, g) {
 						return true
 					}
-					p.Reportf(g.Pos(), "goroutine launched in %s has no provable termination path (no reachable WaitGroup.Done, close-signalled channel receive, or ctx.Done select): tie its lifetime to a WaitGroup or shutdown channel, or declare it //adf:detached <reason>", funcDisplayName(fn))
+					p.Reportf(g.Pos(), "goroutine launched in %s has no provable termination path (no reachable WaitGroup.Done, close-signalled channel receive, or ctx.Done select): tie its lifetime to a WaitGroup or shutdown channel, or //adf:allow goroleak with the reason it may outlive its launcher", funcDisplayName(fn))
 					return true
 				})
 			}
-		}
-	}
-
-	// Audit the detached annotations: stale ones and missing reasons.
-	for _, e := range detached {
-		if !e.hasReason {
-			p.Reportf(e.pos, "//adf:detached without a reason: say why this goroutine may outlive its launcher")
-		}
-		if !e.used {
-			p.Reportf(e.pos, "stale //adf:detached: no go statement in its span — delete the annotation")
 		}
 	}
 }
@@ -272,46 +231,4 @@ func collectClosedChans(p *ModulePass) map[*types.Var]bool {
 		}
 	}
 	return out
-}
-
-// collectDetached indexes every //adf:detached comment with the same
-// span semantics as //adf:allow: the comment group's lines plus one.
-func collectDetached(p *ModulePass) []*detachedEntry {
-	var entries []*detachedEntry
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			for _, group := range f.Comments {
-				start := p.Fset.Position(group.Pos())
-				end := p.Fset.Position(group.End())
-				for _, c := range group.List {
-					rest, ok := strings.CutPrefix(c.Text, detachedDirective)
-					if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-						continue
-					}
-					entries = append(entries, &detachedEntry{
-						pos:       c.Pos(),
-						file:      start.Filename,
-						startLine: start.Line,
-						endLine:   end.Line + 1,
-						hasReason: hasReasonText(strings.Fields(rest)),
-					})
-				}
-			}
-		}
-	}
-	return entries
-}
-
-// markDetached reports whether a //adf:detached entry covers pos,
-// marking it used.
-func markDetached(p *ModulePass, entries []*detachedEntry, pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	ok := false
-	for _, e := range entries {
-		if e.file == position.Filename && e.startLine <= position.Line && position.Line <= e.endLine {
-			e.used = true
-			ok = true
-		}
-	}
-	return ok
 }

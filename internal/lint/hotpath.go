@@ -7,16 +7,14 @@ import (
 
 // HotPath checks functions annotated //adf:hotpath — the per-tick stage
 // and cluster-assignment entry points whose zero-allocation behaviour
-// TestZeroAllocTick asserts at runtime. Their bodies may not contain the
-// constructs that allocate or capture: append, make, new, &T{...} and
+// TestZeroAllocTick asserts at runtime — and every static module-local
+// callee reachable from them (callgraph.go). Those bodies may not contain
+// the constructs that allocate or capture: append, make, new, &T{...} and
 // slice/map composite literals, func literals (closures), go and defer
-// statements. Struct and array *value* literals are allowed — they live in
-// registers or on the stack. Genuine cold paths inside a hot function
-// (first-touch growth, pool refills) carry //adf:allow hotpath with a
-// reason.
-// The rule has a second, module-wide half (callgraph.go): static
-// module-local callees of a hotpath function are walked transitively
-// and held to the same standard.
+// statements. Struct and array *value* literals are allowed — they live
+// in registers or on the stack. Genuine cold paths (first-touch growth,
+// pool refills) carry //adf:allow hotpath with a reason, on the construct
+// or on the call site that leads to it.
 var HotPath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid allocating constructs in and reachable from //adf:hotpath functions",
@@ -28,70 +26,78 @@ Annotation grammar (function doc comment):
 
 Flagged inside the body and in every statically reachable module-local
 callee: append, make, new, &T{...}, slice/map literals, closures, go
-and defer statements. A callee that is itself //adf:hotpath is its own
-root. //adf:allow hotpath on a call site declares the call a cold path
-and prunes the walk; on a construct it silences just that construct.`,
-	Run:       runHotPath,
-	RunModule: runHotPathModule,
+and defer statements. Each finding names the call chain from the root.
+A callee that is itself //adf:hotpath is its own root. //adf:allow
+hotpath on a call site declares the call a cold path and prunes the
+walk; on a construct it silences just that construct.`,
+	RunModule: func(p *ModulePass) { walkCallGraph(p, "hotpath", isHotPath, checkAllocFree) },
 }
 
-func runHotPath(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil || !isHotPath(fn) {
-				continue
-			}
-			p.checkHotBody(fn)
-		}
+// hotpathDirective marks a function whose body (and static callees) the
+// hotpath analyzer checks for allocating constructs.
+const hotpathDirective = "//adf:hotpath"
+
+// isHotPath reports whether a function declaration carries the
+// //adf:hotpath directive.
+func isHotPath(fn *ast.FuncDecl) bool {
+	return hasDirective(fn.Doc, hotpathDirective)
+}
+
+// checkAllocFree flags the allocating constructs of one body on a hotpath
+// call chain, the root's own body included.
+func checkAllocFree(d funcDeclInfo, chain string, report reportFunc) {
+	flag := func(n ast.Node, what string) {
+		report(n.Pos(), "%s in %s is not allocation-free (//adf:hotpath chain %s): hoist it behind a cold path, or //adf:allow hotpath on the construct or the call site", what, d.fn.Name.Name, chain)
 	}
-}
-
-func (p *Pass) checkHotBody(fn *ast.FuncDecl) {
-	name := fn.Name.Name
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(d.fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			p.Reportf(n.Pos(), "closure in //adf:hotpath function %s: captured variables escape; hoist the func to a method or //adf:allow hotpath", name)
+			flag(n, "closure")
 			return false
 		case *ast.GoStmt:
-			p.Reportf(n.Pos(), "go statement in //adf:hotpath function %s spawns per-call: use a persistent worker pool", name)
+			flag(n, "go statement")
 		case *ast.DeferStmt:
-			p.Reportf(n.Pos(), "defer in //adf:hotpath function %s: run the epilogue inline on the hot path", name)
+			flag(n, "defer")
 		case *ast.UnaryExpr:
 			if lit, ok := n.X.(*ast.CompositeLit); ok {
-				p.Reportf(n.Pos(), "&%s{...} in //adf:hotpath function %s heap-allocates: reuse pooled storage or //adf:allow hotpath", litTypeString(p, lit), name)
+				flag(n, "&"+litTypeName(d.pkg, lit)+"{...}")
 				return false
 			}
 		case *ast.CompositeLit:
-			t := p.TypeOf(n)
+			t := d.pkg.Info.TypeOf(n)
 			if t == nil {
 				return true
 			}
 			switch t.Underlying().(type) {
 			case *types.Slice:
-				p.Reportf(n.Pos(), "slice literal in //adf:hotpath function %s allocates: reuse a preallocated buffer or //adf:allow hotpath", name)
+				flag(n, "slice literal")
 			case *types.Map:
-				p.Reportf(n.Pos(), "map literal in //adf:hotpath function %s allocates: reuse a preallocated map or //adf:allow hotpath", name)
+				flag(n, "map literal")
 			}
 		case *ast.CallExpr:
 			ident, ok := n.Fun.(*ast.Ident)
 			if !ok {
 				return true
 			}
-			if _, isBuiltin := p.Pkg.Info.Uses[ident].(*types.Builtin); !isBuiltin {
+			if _, isBuiltin := d.pkg.Info.Uses[ident].(*types.Builtin); !isBuiltin {
 				return true
 			}
 			switch ident.Name {
 			case "append", "make", "new":
-				p.Reportf(n.Pos(), "%s in //adf:hotpath function %s allocates: hoist the growth to a cold path or //adf:allow hotpath", ident.Name, name)
+				flag(n, ident.Name)
 			}
 		}
 		return true
 	})
 }
 
-// litTypeString renders a composite literal's type for the diagnostic.
-func litTypeString(p *Pass, lit *ast.CompositeLit) string {
-	return litTypeName(p.Pkg, lit)
+// litTypeName renders a composite literal's type for a diagnostic.
+func litTypeName(pkg *Package, lit *ast.CompositeLit) string {
+	if lit.Type != nil {
+		return types.ExprString(lit.Type)
+	}
+	if t := pkg.Info.TypeOf(lit); t != nil {
+		return t.String()
+	}
+	return "T"
 }

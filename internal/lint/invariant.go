@@ -2,17 +2,13 @@ package lint
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 )
 
 // Invariant keeps the runtime sanitizer (internal/sanitize, build tag
-// adfcheck) honest at the source level, in three parts:
+// adfcheck) honest at the source level, in two parts:
 //
 //  1. Every call to a sanitize.Check* function outside the sanitize
 //     package must be annotated //adf:invariant <name> — <why> on the
@@ -20,29 +16,23 @@ import (
 //     named and greppable.
 //  2. Every //adf:invariant annotation must actually cover such a call —
 //     a stale annotation left behind after a refactor is an error.
-//  3. Each package's adfcheck/!adfcheck file pair must declare the same
-//     method and exported function names, so sanitizer-only code cannot
-//     leak into (or silently vanish from) the default build. Unexported
-//     plain functions are exempt: the tagged half may keep private
-//     helpers, such as the panic formatter, that a no-op stub never
-//     needs.
 //
-// Parts 1 and 2 see only the files selected by the current tag set —
-// which is why make lint runs the module twice, bare and with
-// -tags adfcheck. Part 3 parses both halves of every pair regardless of
-// the tag set, so pairing drift is caught in either pass.
+// Both parts see only the files selected by the current tag set — which
+// is why make lint runs the module twice, bare and with -tags adfcheck.
+// Whether the adfcheck/!adfcheck file pairs declare the same names is
+// the compiler's job: a name one half lacks fails go build (or
+// go build -tags adfcheck) as soon as shared code calls it.
 var Invariant = &Analyzer{
 	Name: "invariant",
-	Doc:  "keep //adf:invariant annotations and adfcheck/!adfcheck file pairs in sync",
+	Doc:  "keep //adf:invariant annotations and sanitize.Check* calls in one-to-one correspondence",
 	Explain: `invariant keeps the adfcheck sanitizer honest.
 
 Annotation grammar (statement-level comment):
-    //adf:invariant <free-text description>
+    //adf:invariant <kebab-case-name> — <why>
 
 Every //adf:invariant must sit directly on a sanitize.Check* call and
-every sanitize.Check* call must carry one. Each adfcheck/!adfcheck
-file pair must declare the same exported and method names, so tagged
-builds cannot drift from default builds.
+every sanitize.Check* call must carry one. A malformed name is flagged.
+Files are selected by the current tag set, so run both tag passes.
 
 Escape hatch: //adf:allow invariant — reason.`,
 	Run: runInvariant,
@@ -58,13 +48,6 @@ var invariantNameRe = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
 // sanitizePkgSuffix identifies the sanitizer package by import path.
 const sanitizePkgSuffix = "internal/sanitize"
 
-func runInvariant(p *Pass) {
-	if !strings.HasSuffix(p.Pkg.Path, sanitizePkgSuffix) {
-		p.checkAnnotations()
-	}
-	p.checkStubPairs()
-}
-
 // invGroup is one //adf:invariant comment group and whether a
 // sanitize.Check call was found under it.
 type invGroup struct {
@@ -73,9 +56,12 @@ type invGroup struct {
 	used bool
 }
 
-// checkAnnotations enforces parts 1 and 2: Check calls and annotations
-// must cover each other exactly.
-func (p *Pass) checkAnnotations() {
+// runInvariant enforces both parts: Check calls and annotations must
+// cover each other exactly.
+func runInvariant(p *Pass) {
+	if strings.HasSuffix(p.Pkg.Path, sanitizePkgSuffix) {
+		return
+	}
 	// index: file → line → annotation group covering that line. Coverage
 	// is the group's lines plus the line after it, mirroring //adf:allow.
 	index := make(map[string]map[int]*invGroup)
@@ -133,137 +119,4 @@ func (p *Pass) checkAnnotations() {
 			p.Reportf(g.pos, "%s %s does not cover a sanitize.Check call: move it onto the check or delete it", invariantPrefix, g.name)
 		}
 	}
-}
-
-// pairDecl is one declaration relevant to stub pairing.
-type pairDecl struct {
-	key string
-	pos token.Pos
-}
-
-// checkStubPairs enforces part 3. It classifies every non-test file of
-// the package directory by evaluating its //go:build constraint with
-// and without the adfcheck tag, then diffs the declaration keys of the
-// tagged-only files against the untagged-only files.
-func (p *Pass) checkStubPairs() {
-	entries, err := os.ReadDir(p.Pkg.Dir)
-	if err != nil {
-		return
-	}
-	loaded := make(map[string]*ast.File, len(p.Pkg.Files))
-	for _, f := range p.Pkg.Files {
-		loaded[p.Fset.Position(f.Pos()).Filename] = f
-	}
-	// Files outside the current tag selection are parsed here but were
-	// never seen by Run's allow index, so honor their //adf:allow
-	// comments locally. (They are invisible to the allowaudit pass for
-	// the same reason; the other tag pass audits them.)
-	extraAllows := newAllowSet()
-	onDecls := make(map[string]pairDecl)
-	offDecls := make(map[string]pairDecl)
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		path := filepath.Join(p.Pkg.Dir, name)
-		f := loaded[path]
-		if f == nil {
-			parsed, err := parser.ParseFile(p.Fset, path, nil, parser.ParseComments)
-			if err != nil {
-				continue // the parse-error rule is go build's job
-			}
-			f = parsed
-			extraAllows.indexPackage(&Package{Fset: p.Fset, Files: []*ast.File{f}})
-		}
-		expr := fileConstraint(f)
-		if expr == nil {
-			continue
-		}
-		on := expr.Eval(func(tag string) bool { return tag == "adfcheck" })
-		off := expr.Eval(func(string) bool { return false })
-		switch {
-		case on && !off:
-			collectPairDecls(onDecls, f)
-		case off && !on:
-			collectPairDecls(offDecls, f)
-		}
-	}
-	report := func(d pairDecl, format string) {
-		pos := p.Fset.Position(d.pos)
-		if extraAllows.allowedAt(pos.Filename, pos.Line, "invariant") {
-			return
-		}
-		p.Reportf(d.pos, format, d.key)
-	}
-	for _, key := range sortedKeys(onDecls) {
-		if _, ok := offDecls[key]; !ok {
-			report(onDecls[key], "sanitizer declaration %s has no !adfcheck counterpart: add a no-op stub so default builds keep compiling")
-		}
-	}
-	for _, key := range sortedKeys(offDecls) {
-		if _, ok := onDecls[key]; !ok {
-			report(offDecls[key], "stub %s has no adfcheck counterpart: the sanitizer build would lack it")
-		}
-	}
-}
-
-// collectPairDecls records the pairing-relevant declarations of one
-// file: all methods (keyed Recv.Name) and exported plain functions.
-func collectPairDecls(into map[string]pairDecl, f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
-		}
-		var key string
-		switch {
-		case fn.Recv != nil && len(fn.Recv.List) == 1:
-			key = recvTypeName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-		case fn.Name.IsExported():
-			key = fn.Name.Name
-		default:
-			continue // unexported plain functions are private helpers
-		}
-		if _, ok := into[key]; !ok {
-			into[key] = pairDecl{key: key, pos: fn.Name.Pos()}
-		}
-	}
-}
-
-// recvTypeName extracts the receiver's base type name, stripping
-// pointers and type parameters.
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.IndexExpr:
-			e = t.X
-		case *ast.IndexListExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.Ident:
-			return t.Name
-		default:
-			return "?"
-		}
-	}
-}
-
-// sortedKeys returns the map's keys in sorted order for stable output.
-func sortedKeys(m map[string]pairDecl) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -1,42 +1,11 @@
 // Package lint is a small static-analysis framework, built only on the
 // standard library's go/ast, go/parser, go/types and go/token, that
 // enforces the repository's simulation invariants at compile time:
-//
-//   - determinism: simulation code may not read the wall clock
-//     (time.Now, time.Since, time.Until), draw from the global math/rand
-//     source, or — inside the simulation packages — spawn bare
-//     goroutines. Randomness comes from injected *sim.RNG streams and
-//     concurrency from the engine's worker pools, so parallel runs stay
-//     bit-for-bit identical to sequential ones. Functions annotated
-//     //adf:shardstage (the region-sharded pipeline's concurrent stage
-//     bodies) additionally may not write package-level variables: their
-//     effects must stay shard-indexed and be folded by the deterministic
-//     merge.
-//   - maporder: ranging over a Go map yields a random order; in the
-//     simulation packages any map iteration whose effects are order
-//     dependent is flagged unless the keys are collected and sorted
-//     first or the body is provably commutative.
-//   - hotpath: functions annotated //adf:hotpath (the per-tick stage and
-//     cluster-assignment entry points) may not contain allocating
-//     constructs — append, make, new, &T{...}, slice or map literals,
-//     closures, go or defer statements — keeping the zero-allocs-per-tick
-//     guarantee honest at the source level. The rule is call-graph
-//     aware: a module-local function statically reachable from a
-//     hotpath root is held to the same standard, so delegating the
-//     allocation to a helper does not hide it.
-//   - exhaustive: every switch over a project enum (a named integer or
-//     string type with two or more package-level constants) must either
-//     cover all constants or carry a default clause.
-//   - floatcmp: in the simulation packages, == and != on floating-point
-//     operands are forbidden unless one side is a compile-time
-//     constant (sentinel checks). Ordering ties are broken with two <
-//     comparisons; bit-identity checks go through geo.SameBits and
-//     tolerance checks through geo.NearEq.
-//   - invariant: //adf:invariant annotations must sit directly on a
-//     sanitize.Check* call and every such call must carry one, and
-//     each adfcheck/!adfcheck sanitizer file pair must declare the
-//     same exported and method names so tagged builds cannot drift
-//     from default builds.
+// determinism, shard isolation, the zero-allocation hot path, sanitizer
+// annotations, lock and goroutine discipline, and more. Each check has
+// exactly one owning rule. All() lists the rules; `adflint -list` prints
+// their one-line summaries and `adflint -explain <rule>` the semantics
+// and annotation grammar of one.
 //
 // False positives are silenced with an escape-hatch comment
 //
@@ -44,7 +13,8 @@
 //
 // placed on the offending line or on the line(s) immediately above it.
 // The trailing reason is free text; everything after the rule names is
-// ignored by the matcher, but please say why.
+// ignored by the matcher, but please say why. The allowaudit rule flags
+// a suppression that is stale, names no known rule, or gives no reason.
 package lint
 
 import (
@@ -60,8 +30,7 @@ import (
 type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
-	// Rule is the analyzer name (determinism, maporder, hotpath,
-	// exhaustive).
+	// Rule is the name of the analyzer that reported the finding.
 	Rule string
 	// Message describes the violation and how to fix or silence it.
 	Message string
@@ -85,8 +54,8 @@ type Analyzer struct {
 	// Nil for analyzers that only work module-wide.
 	Run func(*Pass)
 	// RunModule inspects the whole package set at once. Rules that need
-	// cross-package context — the call-graph half of hotpath — live
-	// here. Nil for purely intraprocedural analyzers.
+	// cross-package context — the call-graph walks of hotpath and
+	// shardsafe — live here. Nil for purely intraprocedural analyzers.
 	RunModule func(*ModulePass)
 }
 
@@ -416,7 +385,9 @@ const allowPrefix = "//adf:allow"
 // after, so both trailing comments and own-line comments above the
 // offending statement work), whether a free-text reason follows the
 // rule list, and — per rule — whether the suppression did anything this
-// run. The allowaudit pass reads the usage bits after filtering.
+// run. The allowaudit pass reads the usage bits after filtering. An
+// entry whose first token names no known rule has no rules and covers
+// no line; the audit reports it.
 type allowEntry struct {
 	pos       token.Pos
 	file      string
@@ -461,9 +432,6 @@ func (s *allowSet) indexPackage(pkg *Package) {
 					}
 					rules = append(rules, field)
 				}
-				if len(rules) == 0 {
-					continue
-				}
 				e := &allowEntry{
 					pos:       c.Pos(),
 					file:      start.Filename,
@@ -474,6 +442,11 @@ func (s *allowSet) indexPackage(pkg *Package) {
 					used:      make(map[string]bool),
 				}
 				s.entries = append(s.entries, e)
+				if len(rules) == 0 {
+					// A misspelled or retired rule name suppresses
+					// nothing; the audit reports the entry.
+					continue
+				}
 				file := s.lines[e.file]
 				if file == nil {
 					file = make(map[int][]*allowEntry)
@@ -533,16 +506,6 @@ func isRuleName(s string) bool {
 		}
 	}
 	return false
-}
-
-// hotpathDirective marks a function whose body the hotpath analyzer
-// checks for allocating constructs.
-const hotpathDirective = "//adf:hotpath"
-
-// isHotPath reports whether a function declaration carries the
-// //adf:hotpath directive.
-func isHotPath(fn *ast.FuncDecl) bool {
-	return hasDirective(fn.Doc, hotpathDirective)
 }
 
 // hasDirective reports whether a comment group carries the given //adf:

@@ -21,8 +21,6 @@ import (
 type Package struct {
 	// Path is the package's import path.
 	Path string
-	// Dir is the directory the sources were read from.
-	Dir string
 	// Fset is the file set shared by every package of one Loader.
 	Fset *token.FileSet
 	// Files are the parsed non-test sources, ordered by file name.
@@ -204,7 +202,6 @@ func (l *Loader) load(dir, importPath string) (*Package, error) {
 	}
 	pkg := &Package{
 		Path:  importPath,
-		Dir:   dir,
 		Fset:  l.Fset,
 		Files: files,
 		Types: tpkg,

@@ -4,13 +4,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
-// ShardSafe is the interprocedural half of the shard-ownership proof.
-// The determinism rule checks each //adf:shardstage body in isolation;
-// ShardSafe follows the stage's *static* module-local callees —
-// transitively — and proves every mutation the whole reachable region
-// performs resolves to shard-owned state:
+// ShardSafe owns every check on the bodies the region-sharded pipeline
+// runs concurrently. From every //adf:shardstage root it follows the
+// stage's *static* module-local callees — transitively, through the
+// shared call-graph walk (callgraph.go) — and proves every mutation and
+// every draw the whole reachable region performs is shard-owned:
 //
 //   - writes whose root is a local, a parameter or the receiver are the
 //     designed data path: shard stages receive exactly the shard
@@ -25,224 +26,183 @@ import (
 //     closure can outlive the stage or run under a scheduler the merge
 //     never ordered, so mutations must be passed explicitly;
 //   - go statements anywhere in the reachable region are flagged: a
-//     goroutine forked mid-stage escapes the deterministic merge.
+//     goroutine forked mid-stage escapes the deterministic merge;
+//   - method calls on a sequential *sim.RNG stream are flagged: such a
+//     stream hands out values in consumption order, so the value a draw
+//     sees depends on which shard drew first — a nondeterminism the race
+//     detector cannot see when the call site is reachable from several
+//     shards. sim.Keyed draws, pure functions of (stream, node, tick),
+//     are shard-safe. A draw on a receiver field that the function
+//     containing the draw claims with //adf:owns <field> is exempt: the
+//     streamowner rule proves the claimant is the field's sole consumer,
+//     so consumption order is the owner's own deterministic order.
 //
-// Dynamic dispatch (interface methods, func values) and calls out of
-// the module are not followed: like the hotpath walk, the rule is a
-// sound-for-static-calls approximation, not an escape analysis — the
+// Dynamic dispatch (interface methods, func values) is not followed: the
 // gateway/filter interfaces a stage calls through are proved at their
-// own //adf:shardstage implementations. Silencing works at either end:
-// //adf:allow shardsafe on the call site declares the callee runs
-// outside the concurrent phase and prunes the walk, while //adf:allow
-// shardsafe on the offending write silences just that write.
+// own //adf:shardstage implementations.
 var ShardSafe = &Analyzer{
 	Name: "shardsafe",
-	Doc:  "prove mutations reachable from //adf:shardstage stages resolve to shard-owned state (no package-level writes, captured-variable writes, or goroutines)",
+	Doc:  "prove code reachable from //adf:shardstage stages touches only shard-owned state (no package-level or captured-variable writes, goroutines, or unclaimed sequential *sim.RNG draws)",
 	Explain: `shardsafe proves shard isolation interprocedurally.
 
-Annotation grammar (function doc comments):
-    //adf:shardstage            this function runs concurrently, once
+Annotation grammar:
+    //adf:shardstage            on a function: it runs concurrently, once
                                 per region shard, during a pipeline tick
     //adf:shardlocal            on a package-level var: per-shard slots,
                                 indexed so shards never share an element
+    //adf:owns <field>          on a function: it is the sole consumer of
+                                the receiver's sequential *sim.RNG field
+                                (proved by streamowner)
 
 From every //adf:shardstage root, the static call graph is walked.
-Flagged anywhere reachable: writes to package-level variables not
-declared //adf:shardlocal, writes to variables captured from an
-enclosing non-stage scope, and go statements (shards must not spawn).
-A callee annotated //adf:shardstage is its own root; //adf:allow
-shardsafe on a call site prunes the walk.`,
+Flagged in the root and everywhere reachable: writes to package-level
+variables not declared //adf:shardlocal, writes to variables captured
+from an enclosing scope, go statements (shards must not spawn), and
+sequential *sim.RNG draws, unless the function containing the draw
+claims the drawn field with //adf:owns. A callee annotated
+//adf:shardstage is its own root; //adf:allow shardsafe on a call site
+prunes the walk, on a construct it silences just that construct.`,
 	RunModule: runShardSafe,
 }
+
+// shardStageDirective marks a function the region-sharded pipeline runs
+// concurrently across shards.
+const shardStageDirective = "//adf:shardstage"
 
 // shardLocalDirective marks a package-level variable as shard-indexed
 // storage: every shard touches only its own disjoint slot, so writes
 // rooted there cannot cross shards.
 const shardLocalDirective = "//adf:shardlocal"
 
+// isShardStage reports whether a function declaration carries the
+// //adf:shardstage directive.
+func isShardStage(fn *ast.FuncDecl) bool {
+	return hasDirective(fn.Doc, shardStageDirective)
+}
+
 func runShardSafe(p *ModulePass) {
-	w := &shardWalker{
-		p:          p,
-		index:      buildFuncIndex(p),
-		shardlocal: collectShardLocals(p),
-		reported:   make(map[token.Pos]bool),
-	}
-	for _, pkg := range p.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil || !isShardStage(fn) {
-					continue
-				}
-				visited := make(map[*types.Func]bool)
-				if obj, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
-					visited[obj] = true
-				}
-				d := funcDeclInfo{fn: fn, pkg: pkg}
-				w.checkFunc(d, fn.Name.Name, fn.Name.Name)
-				w.walkCalls(d, fn.Name.Name, fn.Name.Name, visited)
-			}
-		}
-	}
-}
-
-// shardWalker carries the state of one module walk: the declaration
-// index, the //adf:shardlocal variable set, and the write/goroutine
-// positions already reported (a helper shared by several stage roots is
-// reported once, for the first chain found).
-type shardWalker struct {
-	p          *ModulePass
-	index      map[*types.Func]funcDeclInfo
-	shardlocal map[*types.Var]bool
-	reported   map[token.Pos]bool
-}
-
-// walkCalls scans fn's body (closures included — they run within the
-// stage unless a flagged construct says otherwise) for static calls to
-// module-local functions and checks each resolved callee. A callee that
-// is itself //adf:shardstage is its own root and not re-walked.
-func (w *shardWalker) walkCalls(d funcDeclInfo, root, chain string, visited map[*types.Func]bool) {
-	ast.Inspect(d.fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := staticCallee(d.pkg, call)
-		if callee == nil {
-			return true
-		}
-		decl, ok := w.index[callee]
-		if !ok {
-			return true
-		}
-		// //adf:allow shardsafe on the call site declares the callee
-		// runs outside the concurrent phase (a prepass or merge helper)
-		// and prunes the walk. Consulted before the visited
-		// short-circuit so the suppression registers as used even when
-		// another path reached the callee first.
-		if w.p.Allowed(call.Pos(), "shardsafe") {
-			return true
-		}
-		if isShardStage(decl.fn) || visited[callee] {
-			return true
-		}
-		visited[callee] = true
-		sub := chain + " -> " + decl.fn.Name.Name
-		w.checkFunc(decl, root, sub)
-		w.walkCalls(decl, root, sub, visited)
-		return true
+	shardlocal := collectShardLocals(p)
+	walkCallGraph(p, "shardsafe", isShardStage, func(d funcDeclInfo, chain string, report reportFunc) {
+		checkShardBody(d, chain, shardlocal, report)
 	})
 }
 
-// checkFunc flags the shard-unsafe constructs of one reachable function
-// body, naming the call chain from the stage root.
-func (w *shardWalker) checkFunc(d funcDeclInfo, root, chain string) {
+// checkShardBody flags the shard-unsafe constructs of one body on a
+// shard-stage call chain, the root's own body included.
+func checkShardBody(d funcDeclInfo, chain string, shardlocal map[*types.Var]bool, report reportFunc) {
 	name := d.fn.Name.Name
+	spec := parseOwns(d.fn)
+	checkWrite := func(lhs ast.Expr) {
+		v := rootVar(d.pkg.Info, lhs)
+		if v == nil || !isPkgLevelVar(v) || shardlocal[v] {
+			return
+		}
+		report(lhs.Pos(), "write to package-level %s in %s can alias another shard (//adf:shardstage chain %s): keep mutations on the shard context, declare the variable //adf:shardlocal if every shard owns a disjoint slot, or //adf:allow shardsafe with a reason", v.Name(), name, chain)
+	}
 	ast.Inspect(d.fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			w.report(n.Pos(), "goroutine launched in %s, reachable from //adf:shardstage root %s (%s), escapes the deterministic merge: run the work inline in the stage, or //adf:allow shardsafe if it provably runs outside the concurrent phase", name, root, chain)
+			report(n.Pos(), "goroutine launched in %s escapes the deterministic merge (//adf:shardstage chain %s): run the work inline in the stage, or //adf:allow shardsafe if it provably runs outside the concurrent phase", name, chain)
 		case *ast.FuncLit:
-			w.checkCaptures(d, n, name, root, chain)
+			checkCaptures(d, n, chain, report)
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				w.checkWrite(d, lhs, name, root, chain)
+				checkWrite(lhs)
 			}
 		case *ast.IncDecStmt:
-			w.checkWrite(d, n.X, name, root, chain)
+			checkWrite(n.X)
+		case *ast.CallExpr:
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			m, ok := d.pkg.Info.Uses[sel.Sel].(*types.Func)
+			if !ok || m.Signature().Recv() == nil || !isSequentialRNG(m.Signature().Recv().Type()) {
+				return true
+			}
+			// A draw on a receiver field this function claims is the
+			// owner's own deterministic order (streamowner proves it).
+			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && spec != nil &&
+				containsString(spec.fields, inner.Sel.Name) {
+				return true
+			}
+			report(n.Pos(), "sim.RNG.%s draw in %s consumes a sequential stream, so the value depends on shard scheduling (//adf:shardstage chain %s): use a sim.Keyed draw keyed by (stream, node, tick), claim the field with //adf:owns <field> if this function is its sole consumer, or //adf:allow shardsafe if the call provably runs outside the concurrent phase", sel.Sel.Name, name, chain)
 		}
 		return true
 	})
-}
-
-// checkWrite flags a write whose root resolves to a package-level
-// variable not declared //adf:shardlocal.
-func (w *shardWalker) checkWrite(d funcDeclInfo, lhs ast.Expr, name, root, chain string) {
-	v := rootVar(d.pkg.Info, lhs)
-	if v == nil || !isPkgLevelVar(v) || w.shardlocal[v] {
-		return
-	}
-	w.report(lhs.Pos(), "write to package-level %s in %s can alias another shard (reachable from //adf:shardstage root %s via %s): keep mutations on the shard context, declare the variable //adf:shardlocal if every shard owns a disjoint slot, or //adf:allow shardsafe with a reason", v.Name(), name, root, chain)
 }
 
 // checkCaptures flags writes inside a closure whose target is a
 // variable declared outside the closure (and not package-level, which
-// checkWrite already covers): the mutation escapes into captured state
-// the merge cannot order.
-func (w *shardWalker) checkCaptures(d funcDeclInfo, lit *ast.FuncLit, name, root, chain string) {
-	captured := func(e ast.Expr) *types.Var {
+// the write check already covers): the mutation escapes into captured
+// state the merge cannot order.
+func checkCaptures(d funcDeclInfo, lit *ast.FuncLit, chain string, report reportFunc) {
+	check := func(e ast.Expr) {
 		v := rootVar(d.pkg.Info, e)
-		if v == nil || isPkgLevelVar(v) {
-			return nil
+		if v == nil || isPkgLevelVar(v) || (v.Pos() >= lit.Pos() && v.Pos() <= lit.End()) {
+			return // not captured: package-level, or declared inside this closure
 		}
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return nil // declared inside this closure (param or local)
-		}
-		return v
+		report(e.Pos(), "write to captured variable %s in a closure in %s escapes the shard stage (//adf:shardstage chain %s): pass the state as an explicit argument, or //adf:allow shardsafe with a reason", v.Name(), d.fn.Name.Name, chain)
 	}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if v := captured(lhs); v != nil {
-					w.report(lhs.Pos(), "write to captured variable %s in a closure in %s (reachable from //adf:shardstage root %s via %s) escapes the shard stage: pass the state as an explicit argument, or //adf:allow shardsafe with a reason", v.Name(), name, root, chain)
-				}
+				check(lhs)
 			}
 		case *ast.IncDecStmt:
-			if v := captured(n.X); v != nil {
-				w.report(n.X.Pos(), "write to captured variable %s in a closure in %s (reachable from //adf:shardstage root %s via %s) escapes the shard stage: pass the state as an explicit argument, or //adf:allow shardsafe with a reason", v.Name(), name, root, chain)
-			}
+			check(n.X)
 		}
 		return true
 	})
 }
 
-func (w *shardWalker) report(pos token.Pos, format string, args ...any) {
-	if w.reported[pos] {
-		return
+// isSequentialRNG reports whether t is sim.RNG (or a pointer to it) —
+// the sequential stream type whose draws are consumption-ordered.
+func isSequentialRNG(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
-	w.reported[pos] = true
-	w.p.Reportf(pos, format, args...)
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "RNG" && obj.Pkg() != nil &&
+		strings.HasSuffix(obj.Pkg().Path(), "internal/sim")
 }
 
 // collectShardLocals gathers every package-level variable of the run
-// whose declaration carries the //adf:shardlocal directive.
+// whose declaration (the var block or the individual spec, doc or
+// trailing comment) carries the //adf:shardlocal directive.
 func collectShardLocals(p *ModulePass) map[*types.Var]bool {
 	out := make(map[*types.Var]bool)
 	for _, pkg := range p.Pkgs {
-		collectShardLocalsPkg(pkg, out)
-	}
-	return out
-}
-
-// collectShardLocalsPkg adds one package's //adf:shardlocal variables
-// (declared on the var block or the individual spec, doc or trailing
-// comment) to the set. The determinism rule uses the per-package form:
-// its shard-stage write check honors the same annotation.
-func collectShardLocalsPkg(pkg *Package, out map[*types.Var]bool) {
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			declHas := hasDirective(gd.Doc, shardLocalDirective)
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.VAR {
 					continue
 				}
-				if !declHas && !hasDirective(vs.Doc, shardLocalDirective) && !hasDirective(vs.Comment, shardLocalDirective) {
-					continue
-				}
-				for _, name := range vs.Names {
-					if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
-						out[v] = true
+				declHas := hasDirective(gd.Doc, shardLocalDirective)
+				for _, spec := range gd.Specs {
+					vs, ok := spec.(*ast.ValueSpec)
+					if !ok {
+						continue
+					}
+					if !declHas && !hasDirective(vs.Doc, shardLocalDirective) && !hasDirective(vs.Comment, shardLocalDirective) {
+						continue
+					}
+					for _, name := range vs.Names {
+						if v, ok := pkg.Info.Defs[name].(*types.Var); ok {
+							out[v] = true
+						}
 					}
 				}
 			}
 		}
 	}
+	return out
 }
 
 // isPkgLevelVar reports whether v is declared at package scope.

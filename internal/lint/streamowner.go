@@ -46,10 +46,10 @@ import (
 //     function may receive from the same field, and no second function
 //     may claim it.
 //
-// The determinism rule consults the same claims: a sequential draw on a
-// claimed receiver field inside an //adf:shardstage function, or a
-// goroutine draining a claimed queue, is exempt there because the proof
-// obligation moved here. An unverifiable ownership pattern falls back
+// The shardsafe rule consults the same claims — a sequential draw on a
+// receiver field the drawing function claims is exempt there — and so
+// do the determinism and goroleak rules for a goroutine draining a
+// claimed queue: the proof obligation moved here. An unverifiable ownership pattern falls back
 // to //adf:allow streamowner with a reason.
 var StreamOwner = &Analyzer{
 	Name: "streamowner",
@@ -348,6 +348,27 @@ func funcDisplayName(fn *ast.FuncDecl) string {
 		return recvTypeName(fn.Recv.List[0].Type) + "." + fn.Name.Name
 	}
 	return fn.Name.Name
+}
+
+// recvTypeName extracts the receiver's base type name, stripping
+// pointers and type parameters.
+func recvTypeName(e ast.Expr) string {
+	for {
+		switch t := e.(type) {
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.IndexListExpr:
+			e = t.X
+		case *ast.ParenExpr:
+			e = t.X
+		case *ast.Ident:
+			return t.Name
+		default:
+			return "?"
+		}
+	}
 }
 
 // isKeyedRNG reports whether t is sim.Keyed (or a pointer to it) — the

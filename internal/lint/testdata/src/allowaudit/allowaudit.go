@@ -1,6 +1,6 @@
 // Allowaudit fixture: suppressions are standing claims, and the audit
-// flags the ones that rot — stale allows covering no diagnostic, and
-// reason-less allows that cannot be reviewed.
+// flags the ones that rot — stale allows, allows naming no known rule,
+// and reason-less allows that cannot be reviewed.
 package allowaudit
 
 import "time"
@@ -30,4 +30,11 @@ func Stale() int64 {
 func Dormant() int64 {
 	//adf:allow determinism allowaudit — fixture: fires only under -tags adfcheck
 	return 43
+}
+
+// Misspelled names a rule that does not exist: the allow suppresses
+// nothing, so the clock read is still flagged, and the audit reports
+// the allow instead of leaving a dead comment behind.
+func Misspelled() int64 {
+	return time.Now().UnixNano() //adf:allow determinsm — fixture: misspelled rule name
 }

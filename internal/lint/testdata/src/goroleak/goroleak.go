@@ -1,9 +1,9 @@
 // Package goroleak exercises the goroutine-lifecycle analyzer: the
 // three termination witnesses (WaitGroup.Done, close-signalled channel,
-// ctx.Done), the //adf:owns queue: and //adf:detached exemptions, and
-// the leaks — a bare forever-loop, a witness hidden in a nested
-// goroutine, and the detached-annotation audit. The fixture is loaded
-// as a concurrent package.
+// ctx.Done), the //adf:owns queue: exemption, the //adf:allow goroleak
+// opt-out for process-lifetime goroutines (audited by allowaudit), and
+// the leaks — a bare forever-loop and a witness hidden in a nested
+// goroutine. The fixture is loaded as a concurrent package.
 package goroleak
 
 import (
@@ -108,9 +108,9 @@ func (p *pool) nested() {
 	}()
 }
 
-// serve is deliberately process-lifetime: declared, not silenced.
+// serve is deliberately process-lifetime: the allow says why.
 func serve(requests chan int) {
-	//adf:detached fixture: serves until process exit
+	//adf:allow goroleak — fixture: serves until process exit
 	go func() {
 		for r := range requests {
 			_ = r
@@ -118,9 +118,9 @@ func serve(requests chan int) {
 	}()
 }
 
-// sloppy detaches without saying why: the annotation is flagged.
+// sloppy opts out without saying why: allowaudit flags the allow.
 func sloppy(requests chan int) {
-	//adf:detached
+	//adf:allow goroleak
 	go func() {
 		for r := range requests {
 			_ = r
@@ -128,8 +128,8 @@ func sloppy(requests chan int) {
 	}()
 }
 
-// stale carries a detached annotation covering no go statement: flagged.
+// stale carries an allow covering no go statement: allowaudit flags it.
 func stale() {
-	//adf:detached fixture: nothing underneath
+	//adf:allow goroleak — fixture: nothing underneath
 	_ = 0
 }

@@ -1,13 +1,13 @@
 // Package invariant exercises the invariant analyzer: sanitize.Check
-// calls must carry an //adf:invariant annotation, annotations must cover
-// a check, and adfcheck/!adfcheck file pairs must declare the same
-// names.
+// calls must carry an //adf:invariant annotation, and annotations must
+// cover a check and follow the //adf:invariant <kebab-case-name> — <why>
+// grammar.
 package invariant
 
 import "github.com/mobilegrid/adf/internal/sanitize"
 
-// Guard carries the sanitizer hooks of the fixture.
-type Guard struct{}
+// limit bounds the value the fixture's checks guard.
+const limit = 1e9
 
 // Tick drives one annotated and one unannotated check.
 func Tick(x float64) {

@@ -1,7 +1,7 @@
 // Shardsafe fixture: the interprocedural shard-ownership walk. The
-// //adf:shardstage roots here are clean in their own bodies — every
-// violation hides one or two static calls deep, where the
-// intraprocedural determinism rule cannot see it.
+// //adf:shardstage roots in this file are clean in their own bodies —
+// every violation hides one or two static calls deep (shardstage.go
+// covers the root bodies).
 package shardsafe
 
 // Package-level aggregates only the merge step may touch.

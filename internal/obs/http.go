@@ -45,7 +45,7 @@ func Serve(addr string) (net.Addr, func(), error) {
 	}
 	SetEnabled(true)
 	srv := &http.Server{Handler: Handler()}
-	//adf:detached debug endpoint serves until the returned close function stops the listener
+	//adf:allow goroleak — debug endpoint serves until the returned close function stops the listener
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr(), func() { _ = srv.Close() }, nil
 }
