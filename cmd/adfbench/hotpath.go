@@ -191,14 +191,13 @@ func runHotpath(w io.Writer, cfg experiment.Config, path, scales string, allocBu
 			if allocBudget > 0 && stats.SteadyAllocsPerTick > allocBudget {
 				over = append(over, fmt.Sprintf("%s @ %d nodes: %.2f", mode, stats.Nodes, stats.SteadyAllocsPerTick))
 			}
+			fmt.Fprintf(w, "%-10s %8d nodes: %9.1f ticks/sec, %6.2f allocs/tick, %5.2f steady allocs/tick",
+				mode, stats.Nodes, stats.TicksPerSec, stats.AllocsPerTick, stats.SteadyAllocsPerTick)
 			if s.Speedup > 0 {
-				fmt.Fprintf(w, "%-10s %8d nodes: %9.1f ticks/sec, %6.2f allocs/tick, %5.2f steady allocs/tick (%.2fx vs baseline %.1f)\n",
-					mode, stats.Nodes, stats.TicksPerSec, stats.AllocsPerTick, stats.SteadyAllocsPerTick,
-					s.Speedup, s.BaselineTicksPerSec)
-			} else {
-				fmt.Fprintf(w, "%-10s %8d nodes: %9.1f ticks/sec, %6.2f allocs/tick, %5.2f steady allocs/tick\n",
-					mode, stats.Nodes, stats.TicksPerSec, stats.AllocsPerTick, stats.SteadyAllocsPerTick)
+				fmt.Fprintf(w, " (%.2fx vs baseline %.1f)", s.Speedup, s.BaselineTicksPerSec)
 			}
+			fmt.Fprintf(w, "; build %.1f ms, ticks %.1f ms, finalize %.1f ms\n",
+				stats.BuildMS, stats.TickMS, stats.FinalizeMS)
 		}
 		if len(run.Scales) == 0 {
 			// Every requested scale was above the keyed-only cutoff:

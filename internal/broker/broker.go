@@ -30,15 +30,18 @@ type Entry struct {
 }
 
 type record struct {
+	// est is the node's Location Estimator; nil in the "without LE"
+	// configuration, where a miss believes lastReported.
 	est          estimate.PositionEstimator
 	lastReported geo.Point
-	lastReportT  float64
 	believed     Entry
 	hasReport    bool
 }
 
 // Broker is the grid broker.
 type Broker struct {
+	// newEstimator builds each node's Location Estimator; nil disables
+	// estimation, and records then carry no estimator at all.
 	newEstimator estimate.Factory
 	// records is keyed by node ID. Node IDs are assigned densely from
 	// zero, so the per-tick record lookups — the broker is touched for
@@ -56,11 +59,10 @@ type Broker struct {
 
 // New returns a broker whose Location Estimator instances are built by
 // factory. A nil factory disables estimation (the paper's "without LE"
-// configuration): the broker then believes each node's last report.
+// configuration): the broker keeps no per-node estimator and a miss
+// believes the node's last report — still counted as an estimated
+// refresh, exactly as a last-known-location estimator would serve it.
 func New(factory estimate.Factory) *Broker {
-	if factory == nil {
-		factory = func() estimate.PositionEstimator { return estimate.NewLastKnown() }
-	}
 	return &Broker{newEstimator: factory}
 }
 
@@ -75,10 +77,20 @@ func (b *Broker) record(node int) *record {
 	if r == nil {
 		//adf:allow hotpath — first report from a node; later ticks take
 		// the Ptr fast path.
-		r = b.records.PutPtr(node, record{est: b.newEstimator()})
+		r = b.birth(node)
 		obs.BrokerRecords.Inc()
 	}
 	return r
+}
+
+// birth stores a fresh record for node, with an estimator when the
+// broker estimates.
+func (b *Broker) birth(node int) *record {
+	var rec record
+	if b.newEstimator != nil {
+		rec.est = b.newEstimator()
+	}
+	return b.records.PutPtr(node, rec)
 }
 
 // ReceiveLU stores a received location update in the location DB and
@@ -91,9 +103,10 @@ func (b *Broker) ReceiveLU(node int, t float64, p geo.Point) {
 //adf:hotpath
 func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 	r.lastReported = p
-	r.lastReportT = t
 	r.hasReport = true
-	r.est.Observe(t, p)
+	if r.est != nil {
+		r.est.Observe(t, p)
+	}
 	r.believed = Entry{Node: node, Pos: p, Time: t, Estimated: false}
 	b.checkBelief(r)
 }
@@ -101,14 +114,15 @@ func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 // miss refreshes a known node's belief from the estimator and reports
 // whether the estimator (rather than the last report) supplied the
 // position, so the caller can attribute the refresh to its own counter.
+// Without an estimator the last report serves, counted as estimated.
 //
 //adf:hotpath
 func (b *Broker) miss(r *record, node int, t float64) (Entry, bool) {
-	pos := r.lastReported
-	estimated := false
-	if r.est.Ready() {
-		pos = r.est.Predict(t)
-		estimated = true
+	pos, estimated := r.lastReported, true
+	if r.est != nil {
+		if estimated = r.est.Ready(); estimated {
+			pos = r.est.Predict(t)
+		}
 	}
 	r.believed = Entry{Node: node, Pos: pos, Time: t, Estimated: estimated}
 	b.checkBelief(r)

@@ -46,8 +46,8 @@ func TestMissLUWithoutLEKeepsLastReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// LastKnown is Ready after one observation, so the refresh is labelled
-	// estimated but stays at the last reported point.
+	// Without an estimator the last report serves the miss; the refresh
+	// is labelled estimated but stays at the last reported point.
 	if e.Pos != (geo.Point{X: 5}) {
 		t.Errorf("believed = %v, want last report", e.Pos)
 	}

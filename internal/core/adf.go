@@ -77,14 +77,26 @@ func (c Config) Validate() error {
 	return c.Cluster.Validate()
 }
 
-// nodeState is the ADF's per-node bookkeeping.
+// nodeState is the ADF's per-node bookkeeping, held by value in the
+// ADF's compact node store with the classifier embedded.
 type nodeState struct {
-	classifier *Classifier
-	pattern    MobilityPattern
+	cls Classifier
 	// anchor is the distance-comparison reference: the last transmitted
 	// location (Anchored) or the previous sample (PerStep).
 	anchor   geo.Point
+	pattern  MobilityPattern
 	seenOnce bool
+	// live is false once the node is forgotten; a rejoin revives the
+	// slot with its classifier ring intact.
+	live bool
+}
+
+// forget resets the slot in place for a later rejoin, keeping the
+// classifier's ring.
+func (st *nodeState) forget() {
+	cls := st.cls
+	cls.reset()
+	*st = nodeState{cls: cls}
 }
 
 // ADF is the Adaptive Distance Filter of section 3.2. It implements
@@ -97,16 +109,23 @@ type nodeState struct {
 // happen in Offer; step (6), cluster reconstruction, runs every
 // ReclusterInterval of virtual time.
 type ADF struct {
-	cfg      Config
-	nodes    dense.Map[*nodeState]
+	cfg Config
+	// index maps a node ID to its slot in nodes. Slots are handed out in
+	// first-offer order — the order the owning shard visits its nodes —
+	// so the per-tick walk over node state is sequential, and the store
+	// grows with the nodes this instance has seen, not with the ID span.
+	index dense.Index
+	nodes []nodeState
+	// live counts the slots of nodes not forgotten.
+	live     int
 	clusters *cluster.Manager
 	// lastRebuild is the virtual time of the last cluster reconstruction.
 	lastRebuild float64
 	started     bool
 	// featIDs/featVals are the reusable parallel feature buffers for
-	// rebuild — filled in ascending node-ID order straight off the dense
-	// node store, so periodic reconstruction neither sorts nor allocates
-	// once their capacity is established.
+	// rebuild — filled in ascending node-ID order straight off the node
+	// index, so periodic reconstruction neither sorts nor allocates once
+	// their capacity is established.
 	featIDs  []cluster.NodeID
 	featVals []cluster.Feature
 }
@@ -139,21 +158,8 @@ func (a *ADF) Config() Config { return a.cfg }
 //
 //adf:hotpath
 func (a *ADF) Offer(lu filter.LU) filter.Decision {
-	st, ok := a.nodes.Get(lu.Node)
-	if !ok {
-		//adf:allow hotpath — classifier birth happens once per node.
-		cl, err := NewClassifier(a.cfg.Classifier)
-		if err != nil {
-			// Config was validated at construction; this cannot happen.
-			panic(fmt.Sprintf("core: classifier config invalidated: %v", err))
-		}
-		//adf:allow hotpath — first sight of a node; every later tick hits
-		// the dense-map fast path above.
-		st = &nodeState{classifier: cl}
-		a.nodes.Put(lu.Node, st)
-		obs.PatternNodes(int(PatternUnknown)).Add(1)
-	}
-	st.classifier.Observe(lu.Time, lu.Pos)
+	st := a.state(lu.Node)
+	st.cls.Observe(lu.Time, lu.Pos)
 	a.maintainClustering(lu.Time, lu.Node, st)
 
 	dth := a.dthFor(lu.Node, st)
@@ -171,16 +177,47 @@ func (a *ADF) Offer(lu filter.LU) filter.Decision {
 	return filter.Decision{Transmit: transmit, Distance: dist, Threshold: dth}
 }
 
+// state returns the node's live slot, reviving a forgotten one or
+// giving a first-seen node a new slot. The pointer is valid until the
+// next birth.
+//
+//adf:hotpath
+func (a *ADF) state(node int) *nodeState {
+	slot, ok := a.index.Get(node)
+	if !ok {
+		//adf:allow hotpath — first sight of a node: one classifier ring
+		// plus amortised growth of the slot store; every later tick,
+		// rejoins included, takes the index lookup above.
+		slot = a.birth(node)
+	}
+	st := &a.nodes[slot]
+	if !st.live {
+		st.live = true
+		a.live++
+		obs.PatternNodes(int(PatternUnknown)).Add(1)
+	}
+	return st
+}
+
+// birth appends a slot for a first-seen node and returns its number.
+func (a *ADF) birth(node int) int {
+	slot := len(a.nodes)
+	a.index.Put(node, slot)
+	a.nodes = append(a.nodes, nodeState{})
+	a.nodes[slot].cls.init(&a.cfg.Classifier)
+	return slot
+}
+
 // maintainClustering updates the node's pattern and membership, and runs
 // the periodic reconstruction.
 //
 //adf:hotpath
 func (a *ADF) maintainClustering(now float64, node int, st *nodeState) {
-	if !st.classifier.Ready() {
+	if !st.cls.Ready() {
 		return
 	}
 	prev := st.pattern
-	st.pattern = st.classifier.Pattern()
+	st.pattern = st.cls.Pattern()
 	if prev != st.pattern {
 		// Keep the per-pattern population gauges current. Gauges are
 		// ungated atomics; transitions are rare (a classification
@@ -196,10 +233,10 @@ func (a *ADF) maintainClustering(now float64, node int, st *nodeState) {
 		a.clusters.Remove(nid)
 	case prev != st.pattern:
 		// Pattern changed (or was just learned): (re-)assign immediately.
-		a.clusters.Assign(nid, st.classifier.Feature())
+		a.clusters.Assign(nid, st.cls.Feature())
 	default:
 		if _, clustered := a.clusters.ClusterOf(nid); !clustered {
-			a.clusters.Assign(nid, st.classifier.Feature())
+			a.clusters.Assign(nid, st.cls.Feature())
 		}
 	}
 
@@ -224,12 +261,12 @@ func (a *ADF) maintainClustering(now float64, node int, st *nodeState) {
 func (a *ADF) rebuild(now float64) {
 	a.featIDs = a.featIDs[:0]
 	a.featVals = a.featVals[:0]
-	// Range visits the dense node IDs ascending, exactly the order
-	// Rebuild's sorted pass would produce.
-	a.nodes.Range(func(id int, st *nodeState) bool {
-		if st.classifier.Ready() && st.pattern != PatternStop {
+	// The index visits every ID ascending — negative and far-sparse IDs
+	// included — which is the order RebuildOrdered requires.
+	a.index.Range(func(id, slot int) bool {
+		if st := &a.nodes[slot]; st.live && st.cls.Ready() && st.pattern != PatternStop {
 			a.featIDs = append(a.featIDs, cluster.NodeID(id))
-			a.featVals = append(a.featVals, st.classifier.Feature())
+			a.featVals = append(a.featVals, st.cls.Feature())
 		}
 		return true
 	})
@@ -249,7 +286,7 @@ func (a *ADF) rebuild(now float64) {
 //
 //adf:hotpath
 func (a *ADF) dthFor(node int, st *nodeState) float64 {
-	if !st.classifier.Ready() {
+	if !st.cls.Ready() {
 		return 0
 	}
 	mean, clustered := a.clusters.MeanSpeedOf(cluster.NodeID(node))
@@ -265,29 +302,34 @@ func (a *ADF) dthFor(node int, st *nodeState) float64 {
 	return dth
 }
 
-// Preallocate implements filter.Preallocator: it sizes the per-node
-// state window and the clustering's per-node stores for IDs in [0, n).
+// Preallocate implements filter.Preallocator: it sizes the node index
+// and the clustering's per-node stores for IDs in [0, n). The node
+// slots themselves grow with the nodes actually offered.
 func (a *ADF) Preallocate(n int) {
-	a.nodes.Grow(n)
+	a.index.Grow(n)
 	a.clusters.Preallocate(n)
 }
 
-// Forget implements filter.Filter.
+// Forget implements filter.Filter. The node's slot is reset in place
+// and revived if the node rejoins.
 func (a *ADF) Forget(node int) {
-	if st, ok := a.nodes.Get(node); ok {
-		obs.PatternNodes(int(st.pattern)).Add(-1)
+	if slot, ok := a.index.Get(node); ok {
+		if st := &a.nodes[slot]; st.live {
+			obs.PatternNodes(int(st.pattern)).Add(-1)
+			st.forget()
+			a.live--
+		}
 	}
-	a.nodes.Delete(node)
 	a.clusters.Remove(cluster.NodeID(node))
 }
 
 // PatternOf returns the current mobility pattern of a node.
 func (a *ADF) PatternOf(node int) MobilityPattern {
-	st, ok := a.nodes.Get(node)
+	slot, ok := a.index.Get(node)
 	if !ok {
 		return PatternUnknown
 	}
-	return st.pattern
+	return a.nodes[slot].pattern
 }
 
 // ClusterCount returns the number of live clusters.
@@ -322,4 +364,4 @@ func (a *ADF) Clusters() []ClusterStats {
 }
 
 // NodeCount returns the number of nodes the ADF is tracking.
-func (a *ADF) NodeCount() int { return a.nodes.Len() }
+func (a *ADF) NodeCount() int { return a.live }

@@ -430,3 +430,73 @@ func clone(in []motion) []motion {
 	copy(out, in)
 	return out
 }
+
+// TestADFReclusterOrderIgnoresIDWindow pins the rebuild order for node
+// IDs outside the dense window: reclustering must visit live nodes in
+// ascending ID order whatever their magnitude or sign, so an
+// order-preserving relabelling of the population (negative IDs, a dense
+// middle, IDs far past the dense window) clusters exactly like IDs
+// 0..n-1, run after run.
+func TestADFReclusterOrderIgnoresIDWindow(t *testing.T) {
+	rng := sim.NewRNG(41)
+	const n, ticks = 40, 60
+	nodes := make([]motion, n)
+	for i := range nodes {
+		nodes[i].v = geo.FromHeading(rng.Heading(), rng.Uniform(0.3, 9))
+	}
+	relabel := func(k int) int {
+		switch {
+		case k < 10:
+			return -(1 << 40) + 7*k
+		case k < 30:
+			return k
+		default:
+			return 1<<40 + k
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.ReclusterInterval = 5
+	run := func(id func(int) int) []ClusterStats {
+		a := mustADF(t, cfg)
+		states := clone(nodes)
+		var out []ClusterStats
+		for tick := 0; tick < ticks; tick++ {
+			for i := range states {
+				a.Offer(filter.LU{Node: id(i), Time: float64(tick), Pos: states[i].p})
+				states[i].p = states[i].p.Add(states[i].v)
+			}
+			out = append(out, a.Clusters()...)
+		}
+		return out
+	}
+	want := run(func(k int) int { return k })
+	for rep := 0; rep < 10; rep++ {
+		got := run(relabel)
+		if len(got) != len(want) {
+			t.Fatalf("rep %d: %d cluster stats, want %d", rep, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.ID != w.ID || g.Size != w.Size || !geo.SameBits(g.MeanSpeed, w.MeanSpeed) {
+				t.Fatalf("rep %d: stat %d = %+v, want %+v", rep, i, g, w)
+			}
+		}
+	}
+}
+
+// TestADFBirthAllocs pins the cost of a node's first Offer: after
+// Preallocate, a birth allocates at most one object (its classifier
+// window) beyond the amortised growth of the node store.
+func TestADFBirthAllocs(t *testing.T) {
+	const births = 1000
+	a := mustADF(t, DefaultConfig())
+	a.Preallocate(births + 1)
+	node := 0
+	allocs := testing.AllocsPerRun(births, func() {
+		a.Offer(filter.LU{Node: node, Time: 1, Pos: geo.Point{X: float64(node)}})
+		node++
+	})
+	if allocs > 1 {
+		t.Fatalf("allocs per ADF birth = %v, want at most 1", allocs)
+	}
+}

@@ -94,23 +94,38 @@ func (c ClassifierConfig) Validate() error {
 // Classifier implements the Figure-2 mobility-pattern classification for
 // one mobile node from its raw position samples.
 //
-// Observe runs once per node per sampling period, so the window is
-// maintained incrementally: each per-step speed, heading and its cos/sin
-// are computed exactly once when the step enters the window, and the fixed
-// buffers are shifted in place — a steady-state Observe performs no
-// allocations and no redundant trigonometry.
+// Observe runs once per node per sampling period, so the window is kept
+// compact and incremental: the newest sample is held inline, and the
+// window's steps — each step's speed and the cos/sin of its heading,
+// derived exactly once when the step completes — sit in one ring of
+// WindowSize-1 slots allocated at construction. A full window overwrites
+// its oldest step in place, so a steady-state Observe allocates nothing,
+// moves no memory and repeats no trigonometry. Every statistic walks the
+// ring oldest to newest, the order and arithmetic of geo.Mean,
+// geo.Variance and a fresh circular-mean pass, so results are bit for
+// bit those of a plain slice window.
 type Classifier struct {
-	cfg ClassifierConfig
-	// Sliding windows of the most recent WindowSize samples, shifted in
-	// place so the backing arrays are allocated once.
-	times  []float64
-	points []geo.Point
-	// Derived per-step motion (len = len(times)-1 when full).
-	speeds   []float64
-	headings []float64 // only steps with actual movement contribute
-	// Cached cos/sin of each heading, in heading order, so circular
-	// statistics never recompute trigonometry for steps already seen.
-	hcos, hsin []float64
+	// cfg is shared, not copied: an ADF points every node's classifier
+	// at its own validated config.
+	cfg *ClassifierConfig
+	// steps is the ring of the window's steps; head indexes the oldest.
+	steps []step
+	// lastT and lastP are the newest sample.
+	lastT float64
+	lastP geo.Point
+	head  int32
+	// n is the number of buffered samples (at most WindowSize); the
+	// window holds n-1 steps.
+	n int32
+	// moving counts the window's steps faster than StopSpeed: only those
+	// contribute a heading.
+	moving int32
+}
+
+// step is one completed per-sample motion: its speed and, for a moving
+// step, the cos/sin of its heading.
+type step struct {
+	speed, cos, sin float64
 }
 
 // NewClassifier returns a classifier for one node.
@@ -118,90 +133,142 @@ func NewClassifier(cfg ClassifierConfig) (*Classifier, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// Pre-size every window to its WindowSize cap so Observe never
-	// allocates: lazily grown windows leave a long warm-up tail at large
-	// populations (a node's headings window only grows the first time it
-	// moves, which can be arbitrarily late).
-	w := cfg.WindowSize
-	return &Classifier{
-		cfg:      cfg,
-		times:    make([]float64, 0, w),
-		points:   make([]geo.Point, 0, w),
-		speeds:   make([]float64, 0, w),
-		headings: make([]float64, 0, w),
-		hcos:     make([]float64, 0, w),
-		hsin:     make([]float64, 0, w),
-	}, nil
+	// One allocation holds the classifier and the config it points at.
+	owned := &struct {
+		Classifier
+		cfg ClassifierConfig
+	}{cfg: cfg}
+	owned.init(&owned.cfg)
+	return &owned.Classifier, nil
+}
+
+// init readies a zero Classifier to share the validated cfg, allocating
+// its step ring once.
+func (c *Classifier) init(cfg *ClassifierConfig) {
+	c.cfg = cfg
+	c.steps = make([]step, cfg.WindowSize-1)
+}
+
+// reset empties the window, keeping the ring for reuse.
+func (c *Classifier) reset() {
+	c.head, c.n, c.moving = 0, 0, 0
 }
 
 // Observe feeds the node's next position sample. Samples with
 // non-advancing timestamps are ignored.
 func (c *Classifier) Observe(t float64, p geo.Point) {
-	n := len(c.times)
-	if n > 0 && t <= c.times[n-1] {
-		return
-	}
-	if n == c.cfg.WindowSize {
-		// Window full: the oldest sample leaves, and with it the oldest
-		// step (and its heading, if that step was moving).
-		if c.speeds[0] > c.cfg.StopSpeed {
-			c.headings = shiftOut(c.headings)
-			c.hcos = shiftOut(c.hcos)
-			c.hsin = shiftOut(c.hsin)
+	if c.n > 0 {
+		if t <= c.lastT {
+			return
 		}
-		c.speeds = shiftOut(c.speeds)
-		copy(c.times, c.times[1:])
-		c.times[n-1] = t
-		copy(c.points, c.points[1:])
-		c.points[n-1] = p
-	} else {
-		// Warm-up only: every slice here is capped at WindowSize, so the
-		// appends stop allocating once the window has filled once.
-		c.times = append(c.times, t)   //adf:allow hotpath — bounded by WindowSize
-		c.points = append(c.points, p) //adf:allow hotpath — bounded by WindowSize
-	}
-	if n := len(c.times); n >= 2 {
 		// Derive the newly completed step exactly once.
-		dt := c.times[n-1] - c.times[n-2]
-		d := c.points[n-1].Sub(c.points[n-2])
-		speed := d.Len() / dt
-		c.speeds = append(c.speeds, speed) //adf:allow hotpath — bounded by WindowSize
-		if speed > c.cfg.StopSpeed {
+		dt := t - c.lastT
+		d := p.Sub(c.lastP)
+		s := step{speed: d.Len() / dt}
+		if s.speed > c.cfg.StopSpeed {
 			h := d.Heading()
-			c.headings = append(c.headings, h)   //adf:allow hotpath — bounded by WindowSize
-			c.hcos = append(c.hcos, math.Cos(h)) //adf:allow hotpath — bounded by WindowSize
-			c.hsin = append(c.hsin, math.Sin(h)) //adf:allow hotpath — bounded by WindowSize
+			s.cos, s.sin = math.Cos(h), math.Sin(h)
+			c.moving++
 		}
+		if int(c.n) == c.cfg.WindowSize {
+			// Window full: the oldest step leaves, and its slot takes
+			// the new one.
+			old := &c.steps[c.head]
+			if old.speed > c.cfg.StopSpeed {
+				c.moving--
+			}
+			*old = s
+			if c.head++; int(c.head) == len(c.steps) {
+				c.head = 0
+			}
+		} else {
+			// Warm-up: head is still 0, so step k sits in slot k.
+			c.steps[c.n-1] = s
+			c.n++
+		}
+	} else {
+		c.n = 1
 	}
+	c.lastT, c.lastP = t, p
 }
 
-// shiftOut drops the first element in place, keeping the backing array.
-func shiftOut(xs []float64) []float64 {
-	copy(xs, xs[1:])
-	return xs[:len(xs)-1]
+// window returns the window's steps oldest to newest as the ring's two
+// contiguous runs.
+func (c *Classifier) window() (older, newer []step) {
+	k := int(c.n) - 1
+	if k <= 0 {
+		return nil, nil
+	}
+	h := int(c.head)
+	if h+k <= len(c.steps) {
+		return c.steps[h : h+k], nil
+	}
+	return c.steps[h:], c.steps[:h+k-len(c.steps)]
 }
 
 // Ready reports whether enough samples have arrived to classify.
 func (c *Classifier) Ready() bool {
-	return len(c.times) >= c.cfg.WindowSize
+	return int(c.n) >= c.cfg.WindowSize
 }
 
 // Samples returns the number of buffered samples (at most WindowSize).
-func (c *Classifier) Samples() int { return len(c.times) }
+func (c *Classifier) Samples() int { return int(c.n) }
 
 // MeanSpeed returns the node's mean speed over the window, V_mn in the
-// paper's notation.
-func (c *Classifier) MeanSpeed() float64 { return geo.Mean(c.speeds) }
+// paper's notation: geo.Mean over the steps' speeds.
+func (c *Classifier) MeanSpeed() float64 {
+	older, newer := c.window()
+	k := len(older) + len(newer)
+	if k == 0 {
+		return 0
+	}
+	var s float64
+	for i := range older {
+		s += older[i].speed
+	}
+	for i := range newer {
+		s += newer[i].speed
+	}
+	return s / float64(k)
+}
+
+// speedStdDev returns geo.StdDev over the steps' speeds.
+func (c *Classifier) speedStdDev() float64 {
+	older, newer := c.window()
+	k := len(older) + len(newer)
+	if k < 2 {
+		return 0
+	}
+	m := c.MeanSpeed()
+	var s float64
+	for i := range older {
+		d := older[i].speed - m
+		s += d * d
+	}
+	for i := range newer {
+		d := newer[i].speed - m
+		s += d * d
+	}
+	return math.Sqrt(s / float64(k))
+}
 
 // headingSums returns Σcos and Σsin over the window's moving-step
-// headings, from the cached per-step terms, in heading order — the same
-// values and summation order a fresh geo.CircularMean pass would use.
+// headings, oldest to newest — the same values and summation order a
+// fresh geo.CircularMean pass would use.
 func (c *Classifier) headingSums() (sx, sy float64) {
-	for _, v := range c.hcos {
-		sx += v
+	older, newer := c.window()
+	stop := c.cfg.StopSpeed
+	for i := range older {
+		if s := &older[i]; s.speed > stop {
+			sx += s.cos
+			sy += s.sin
+		}
 	}
-	for _, v := range c.hsin {
-		sy += v
+	for i := range newer {
+		if s := &newer[i]; s.speed > stop {
+			sx += s.cos
+			sy += s.sin
+		}
 	}
 	return sx, sy
 }
@@ -210,7 +277,7 @@ func (c *Classifier) headingSums() (sx, sy float64) {
 // steps, D_mn in the paper's notation.
 func (c *Classifier) MeanHeading() float64 {
 	sx, sy := c.headingSums()
-	return geo.CircularMeanFromSums(sx, sy, len(c.headings))
+	return geo.CircularMeanFromSums(sx, sy, int(c.moving))
 }
 
 // Feature returns the clustering feature derived from the window.
@@ -237,9 +304,9 @@ func (c *Classifier) Pattern() MobilityPattern {
 	case v > c.cfg.WalkSpeed:
 		return PatternLinear
 	default:
-		speedStable := geo.StdDev(c.speeds) <= c.cfg.SpeedStability
+		speedStable := c.speedStdDev() <= c.cfg.SpeedStability
 		sx, sy := c.headingSums()
-		headingStable := geo.CircularVarianceFromSums(sx, sy, len(c.headings)) <= c.cfg.HeadingStability
+		headingStable := geo.CircularVarianceFromSums(sx, sy, int(c.moving)) <= c.cfg.HeadingStability
 		if speedStable && headingStable {
 			return PatternLinear
 		}

@@ -8,7 +8,7 @@ import "github.com/mobilegrid/adf/internal/sanitize"
 // the per-tick state digest covers the filter's internal state, not just
 // its transmit decisions.
 func (a *ADF) DigestState(d *sanitize.Digest) {
-	d.WriteInt(a.nodes.Len())
+	d.WriteInt(a.live)
 	for _, c := range a.clusters.Clusters() {
 		d.WriteInt(int(c.ID()))
 		d.WriteInt(c.Size())

@@ -1,10 +1,12 @@
-// Package dense provides an integer-keyed map tuned for the simulator's
+// Package dense provides integer-keyed stores tuned for the simulator's
 // hot paths. Mobile-node IDs are assigned densely from zero (see
 // campus.PopulationN), so per-node state lookups — broker records, filter
-// anchors, classifier state, energy tallies — hit a slice index instead of
-// hashing. Keys outside the dense window (negative or very large) fall
-// back to a regular map, so the structure stays a faithful map for
-// arbitrary IDs.
+// anchors, energy tallies — hit a slice index instead of hashing. Map
+// and Slab store values over the ID span; Index stores only a 4-byte
+// slot number per ID, for owners (the ADF's per-shard node store) that
+// pack their values by first insertion. Keys outside the dense window
+// (negative or very large) fall back to a regular map, so every
+// structure stays a faithful map for arbitrary IDs.
 package dense
 
 // maxDense bounds the slice-backed key window. Keys in [0, maxDense) are

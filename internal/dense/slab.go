@@ -72,7 +72,11 @@ func (s *Slab[V]) Put(key int, value V) {
 	if s.sparse == nil {
 		s.sparse = make(map[int]*V)
 	}
-	s.sparse[key] = &value
+	// Box a copy rather than taking &value, so value itself never escapes
+	// and in-window births stay allocation-free.
+	boxed := new(V)
+	*boxed = value
+	s.sparse[key] = boxed
 }
 
 // PutPtr stores value under key and returns the stored entry's pointer,

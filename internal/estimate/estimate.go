@@ -71,10 +71,18 @@ type Brown struct {
 // NewBrown returns a double-exponential smoother with smoothing constant
 // alpha in (0, 1).
 func NewBrown(alpha float64) (*Brown, error) {
-	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("estimate: alpha %v outside (0, 1)", alpha)
+	if err := checkAlpha(alpha); err != nil {
+		return nil, err
 	}
 	return &Brown{alpha: alpha}, nil
+}
+
+// checkAlpha validates a smoothing constant.
+func checkAlpha(alpha float64) error {
+	if alpha <= 0 || alpha >= 1 {
+		return fmt.Errorf("estimate: alpha %v outside (0, 1)", alpha)
+	}
+	return nil
 }
 
 // Observe feeds the next sample.
@@ -115,8 +123,8 @@ type Single struct {
 // NewSingle returns a single-exponential smoother with smoothing constant
 // alpha in (0, 1).
 func NewSingle(alpha float64) (*Single, error) {
-	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("estimate: alpha %v outside (0, 1)", alpha)
+	if err := checkAlpha(alpha); err != nil {
+		return nil, err
 	}
 	return &Single{alpha: alpha}, nil
 }
@@ -165,11 +173,12 @@ func (m *motionTracker) observe(t float64, p geo.Point) (speed, heading float64,
 // direction smoothed on the unit circle (cos/sin components) to avoid
 // wrap-around artefacts. Predict projects the smoothed motion forward from
 // the last received location with the trigonometric construction of
-// section 3.3.
+// section 3.3. The smoothers are held by value, so one node's estimator
+// is a single allocation.
 type BrownLE struct {
-	speed    *Brown
-	dirCos   *Brown
-	dirSin   *Brown
+	speed    Brown
+	dirCos   Brown
+	dirSin   Brown
 	tracker  motionTracker
 	nSamples int
 }
@@ -183,19 +192,11 @@ const DefaultSmoothing = 0.5
 // NewBrownLE returns the paper's double-exponential-smoothing location
 // estimator with smoothing constant alpha in (0, 1).
 func NewBrownLE(alpha float64) (*BrownLE, error) {
-	speed, err := NewBrown(alpha)
-	if err != nil {
+	if err := checkAlpha(alpha); err != nil {
 		return nil, err
 	}
-	dc, err := NewBrown(alpha)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := NewBrown(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return &BrownLE{speed: speed, dirCos: dc, dirSin: ds}, nil
+	b := Brown{alpha: alpha}
+	return &BrownLE{speed: b, dirCos: b, dirSin: b}, nil
 }
 
 // Observe implements PositionEstimator.
@@ -237,9 +238,9 @@ func (e *BrownLE) Predict(t float64) geo.Point {
 // SingleLE mirrors BrownLE with single exponential smoothing (no trend
 // term); it is the natural ablation of the LE's second smoothing pass.
 type SingleLE struct {
-	speed    *Single
-	dirCos   *Single
-	dirSin   *Single
+	speed    Single
+	dirCos   Single
+	dirSin   Single
 	tracker  motionTracker
 	nSamples int
 }
@@ -248,19 +249,11 @@ var _ PositionEstimator = (*SingleLE)(nil)
 
 // NewSingleLE returns a single-exponential-smoothing location estimator.
 func NewSingleLE(alpha float64) (*SingleLE, error) {
-	speed, err := NewSingle(alpha)
-	if err != nil {
+	if err := checkAlpha(alpha); err != nil {
 		return nil, err
 	}
-	dc, err := NewSingle(alpha)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := NewSingle(alpha)
-	if err != nil {
-		return nil, err
-	}
-	return &SingleLE{speed: speed, dirCos: dc, dirSin: ds}, nil
+	sm := Single{alpha: alpha}
+	return &SingleLE{speed: sm, dirCos: sm, dirSin: sm}, nil
 }
 
 // Observe implements PositionEstimator.

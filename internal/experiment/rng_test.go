@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/mobilegrid/adf/internal/gateway"
+	"github.com/mobilegrid/adf/internal/geo"
 )
 
 func TestValidateRejectsBadRNGModeAndNegativeShardWorkers(t *testing.T) {
@@ -51,6 +52,12 @@ func TestKeyedModeRunsBothPipelineShapes(t *testing.T) {
 		if stats.Ticks != 60 || stats.TotalLU == 0 {
 			t.Errorf("ShardWorkers=%d: ticks %d, total LU %v — keyed run produced no traffic",
 				shardWorkers, stats.Ticks, stats.TotalLU)
+		}
+		phases := stats.BuildMS + stats.TickMS + stats.FinalizeMS
+		if stats.BuildMS <= 0 || stats.TickMS <= 0 || stats.FinalizeMS < 0 ||
+			!geo.NearEq(phases, stats.ElapsedMS, 1e-9) {
+			t.Errorf("ShardWorkers=%d: phases build %v + ticks %v + finalize %v ms do not split elapsed %v ms",
+				shardWorkers, stats.BuildMS, stats.TickMS, stats.FinalizeMS, stats.ElapsedMS)
 		}
 	}
 }
