@@ -22,12 +22,13 @@ func percentileBits(p PercentilesResult) []string {
 }
 
 // TestPercentilesPinned pins the published error quantiles of two short
-// seed-1 campaigns, the classic pipeline and the keyed two-worker
-// sharded pipeline with churn, bit for bit. The goldens are nearest-rank
+// seed-1 campaigns, the campus partition and the two-worker region
+// partition with churn, bit for bit. The goldens are nearest-rank
 // over a full sort of every recorded error sample.
 func TestPercentilesPinned(t *testing.T) {
 	classic := shortConfig()
 	classic.Seed = 1
+	classic.RNGMode = RNGKeyed
 
 	keyed := DefaultConfig()
 	keyed.Seed = 1
@@ -42,12 +43,12 @@ func TestPercentilesPinned(t *testing.T) {
 		want []string
 	}{
 		{"classic", classic, []string{
-			"adf(0.75av) le=false p50=0000000000000000 p90=3ff772e3ccf3c7d6 p99=401c42607bee9c32 max=403961804dce9af6",
-			"adf(0.75av) le=true p50=0000000000000000 p90=3fe9ae9db0d81b80 p99=4014b79c31cd62c0 max=40459ed3a0f71fa4",
-			"adf(1.00av) le=false p50=0000000000000000 p90=40128297c6b92a33 p99=4031ec433e88f4d0 max=405081175fd66816",
-			"adf(1.00av) le=true p50=0000000000000000 p90=400296e5f1027cde p99=40274ac7c3749246 max=4058e260975fc204",
-			"adf(1.25av) le=false p50=3fe2d415b730d6dc p90=402714affdd65dc4 p99=404be5b0e4cca948 max=405da8dcdb1ee19f",
-			"adf(1.25av) le=true p50=3fc0872a2f849400 p90=401acae3f92a4fc0 p99=404a0932d333fa88 max=4069924a420c0fe0",
+			"adf(0.75av) le=false p50=0000000000000000 p90=3ff81c19611f2880 p99=401c8ea62e61abc0 max=40438f3a1e8c1210",
+			"adf(0.75av) le=true p50=0000000000000000 p90=3fea263d3655a4ab p99=40148e8e9d6ff2ea max=404176fd4e2a3018",
+			"adf(1.00av) le=false p50=0000000000000000 p90=4012b9f45a3f4eb0 p99=403365c65fdec400 max=40505ee39454c74a",
+			"adf(1.00av) le=true p50=0000000000000000 p90=400390f0f6e4a893 p99=40261d1fc7224f40 max=405631de439307de",
+			"adf(1.25av) le=false p50=3fe37c6a5a182735 p90=40276d24f4389fe0 p99=404d2acb4e380c80 max=40611c295177b519",
+			"adf(1.25av) le=true p50=3fc090f4b3a546ea p90=401e11a989e25340 p99=40496f57097c6c3e max=4069998fdab288d8",
 		}},
 		{"keyed-sharded-churn", keyed, []string{
 			"adf(0.75av) le=false p50=0000000000000000 p90=3ff363cad8c77580 p99=401c77ba5f29cb80 max=40438f3a1e8c1210",

@@ -48,14 +48,15 @@ func runBits(r *Run) string {
 // TestCampusPartitionPinned pins the published outputs of campus-wide
 // (ShardWorkers: 0) ADF 1.00av runs at seed 1, bit for bit: the
 // traffic and offered series, both RMSE series, the energy total, the
-// final cluster count and both error quantile sets. The sequential
-// churn case is the one where the timing of a departing node's forget
-// matters: the ADF's Forget leaves the node's cluster, which moves the
-// DTH of every later node visited in the same tick.
+// final cluster count and both error quantile sets. The churn cases
+// are the ones where the timing of a departing node's forget matters:
+// the ADF's Forget leaves the node's cluster, which moves the DTH of
+// every later node visited in the same tick.
 func TestCampusPartitionPinned(t *testing.T) {
 	base := DefaultConfig()
 	base.Seed = 1
 	base.Duration = 300
+	base.RNGMode = RNGKeyed
 
 	churn := base
 	churn.Churn = &ChurnConfig{LeaveProb: 0.02, RejoinProb: 0.05}
@@ -64,7 +65,6 @@ func TestCampusPartitionPinned(t *testing.T) {
 	burst.Burst = &gateway.BurstConfig{PEnterOutage: 0.01, PExitOutage: 0.1, DropUp: 0.01, DropDown: 1}
 
 	keyed := base
-	keyed.RNGMode = RNGKeyed
 	keyed.Churn = &ChurnConfig{LeaveProb: 0.02, RejoinProb: 0.3}
 
 	for _, tc := range []struct {
@@ -72,12 +72,12 @@ func TestCampusPartitionPinned(t *testing.T) {
 		cfg  Config
 		want string
 	}{
-		{"sequential", base,
-			"lu=5dbf7641bf24cd84 offered=0962b0def3df3ca3 rmse_nole=20d2a325d8bf0229 rmse_le=f4b392ca9de2e9ed energy=40b390b0a3d70a4a clusters=8 q_nole=0000000000000000/40128297c6b92a33/4031ec433e88f4d0/405081175fd66816 q_le=0000000000000000/400296e5f1027cde/40274ac7c3749246/4058e260975fc204"},
-		{"sequential-churn-heavy", churn,
-			"lu=6e5ece0a63599c53 offered=d0ae002d1af0c30d rmse_nole=c7a4d26492859fda rmse_le=c1971dad5fa0c43e energy=40b03ab0a3d70a3e clusters=7 q_nole=0000000000000000/400f0f68ecedbb00/40302693fdbc3da0/4052322dffeb8f82 q_le=0000000000000000/3ffef5f69c0658c1/402a6b0008937040/4052754f653f0567"},
+		{"plain", base,
+			"lu=abf9ada865e78b07 offered=185a91abd9001523 rmse_nole=e2bfdae8c79aa24a rmse_le=129485e5ae14591c energy=40b38dc51eb851f7 clusters=10 q_nole=0000000000000000/4012b9f45a3f4eb0/403365c65fdec400/40505ee39454c74a q_le=0000000000000000/400390f0f6e4a893/40261d1fc7224f40/405631de439307de"},
+		{"churn-heavy", churn,
+			"lu=f9031ee5588ed431 offered=0426bc17bac7142e rmse_nole=26e539d9016026ee rmse_le=09e81eef1d3f0d95 energy=40b04c451eb851ea clusters=7 q_nole=0000000000000000/40108ebf5be1fb6a/403182ce30cea1f0/404c844b49e224d4 q_le=0000000000000000/4001e57463953186/402cd0f5b499d243/405631de439307de"},
 		{"burst", burst,
-			"lu=2660c5a5ecd34b26 offered=ee5a7838be8556da rmse_nole=6ad68733f50f6802 rmse_le=4cfd949b7e3f4762 energy=40b29ca8f5c28f67 clusters=9 q_nole=0000000000000000/4015f60e0448c8d1/403787a0f35144bc/405c55923c148406 q_le=0000000000000000/400985bb3bf8a107/40354a2008896380/4059054e2848f098"},
+			"lu=bc8cfda4bd40703d offered=4dba1ead7259f60d rmse_nole=b7449fa1f1b040b2 rmse_le=e172fb2490ec800d energy=40b12a1c28f5c298 clusters=9 q_nole=0000000000000000/401b846b8ab23609/4044a97b22a68f70/405ed19c4e35f523 q_le=0000000000000000/401424e14177a500/4045c0aaeb03c558/4069390bf46aeda8"},
 		{"keyed-churn", keyed,
 			"lu=7b9335fe0260d674 offered=19ccd0969d957b8f rmse_nole=08ac24cb506a0aae rmse_le=23db43fd557c5887 energy=40b53223d70a3d7e clusters=7 q_nole=0000000000000000/4010417c0dd94240/403221a91dcca590/40505ee39454c74a q_le=0000000000000000/40012f1db9ac9940/402a32223e64f061/405631de439307de"},
 	} {
