@@ -7,15 +7,15 @@
 //
 //	adfbench [-ablation all|adf-vs-gdf|alpha|estimators|recluster|smoothing|semantics|outages|churn]
 //	         [-duration 600] [-seed 1] [-factor 1.0] [-workers 0] [-shard-workers 0]
-//	         [-rng sequential|keyed] [-churn leave,rejoin]
+//	         [-churn leave,rejoin]
 //	adfbench -json [-json-out BENCH_runner.json] [-duration 600] [-seed 1]
 //	adfbench -hotpath [-hotpath-out BENCH_hotpath.json] [-duration 300] [-seed 1]
-//	         [-scales 140,1k,5k,20k,50k] [-rng keyed] [-alloc-budget 2]
+//	         [-scales 140,1k,5k,20k,50k] [-alloc-budget 2]
 //	adfbench -obs-bench [-obs-out BENCH_obs.json] [-duration 300] [-seed 1] [-force]
 //	         [-obs-budget 5]
 //	adfbench -regress [-regress-tol 0.25] [-obs-budget 5]
 //	         [-hotpath-out BENCH_hotpath.json] [-obs-out BENCH_obs.json]
-//	adfbench -shard-digest [-duration 120] [-rng keyed]        (requires -tags adfcheck)
+//	adfbench -shard-digest [-duration 120]        (requires -tags adfcheck)
 //	adfbench -trace out.json ...
 //	adfbench -cpuprofile cpu.out -memprofile mem.out ...
 //
@@ -26,10 +26,7 @@
 //
 // With -hotpath the per-tick pipeline is benchmarked instead: one full ADF
 // run per -scales entry (default 140 through ~50k mobile nodes; "1m" runs
-// a million), reporting ticks/sec, ns/tick and allocs/tick per scale under
-// each RNG mode — both sequential and keyed unless -rng picks one — with
-// speedups against the recorded pre-optimization baselines (use
-// -duration 300 -seed 1, the baseline protocol, to get the comparison).
+// a million), reporting ticks/sec, ns/tick and allocs/tick per scale.
 // A positive -alloc-budget fails the run if any scale's steady
 // allocs/tick exceeds it; `make bench-smoke` uses this as CI's perf
 // regression gate.
@@ -150,7 +147,6 @@ func run(w io.Writer, args []string) (err error) {
 		factor      = fs.Float64("factor", 1.0, "DTH factor the sweeps run at")
 		workers     = fs.Int("workers", 0, "worker pool size: 0 = one per CPU, 1 = sequential (never changes results)")
 		shWorkers   = fs.Int("shard-workers", 0, "pipeline partition per simulation: 0 = campus-wide, >= 1 = one shard per region on that many workers (results identical at any count >= 1)")
-		rngMode     = fs.String("rng", "", `RNG stream class: "sequential" (default, the legacy bit-identical streams) or "keyed" (counter-based, order-independent); -hotpath with no -rng measures both`)
 		churnSpec   = fs.String("churn", "", `enable node churn as "leave,rejoin" per-tick probabilities (e.g. 0.02,0.3)`)
 		scales      = fs.String("scales", defaultHotpathScales, "comma-separated node counts -hotpath measures (k = thousand, m = million)")
 		allocBudget = fs.Float64("alloc-budget", 0, "fail -hotpath if any scale's steady allocs/tick exceeds this (0 = no gate)")
@@ -194,7 +190,6 @@ func run(w io.Writer, args []string) (err error) {
 	cfg.DTHFactors = []float64{*factor}
 	cfg.Workers = *workers
 	cfg.ShardWorkers = *shWorkers
-	cfg.RNGMode = *rngMode
 	if *churnSpec != "" {
 		churn, err := parseChurn(*churnSpec)
 		if err != nil {

@@ -105,31 +105,3 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 }
-
-// TestHotpathSkipSequential pins the large-scale RNG default: with no
-// explicit -rng, sequential measurement stops at the keyed-only cutoff;
-// an explicit mode choice is always honored.
-func TestHotpathSkipSequential(t *testing.T) {
-	const groups = 28 // Table-1 (region, pattern, type) groups per PerGroup unit
-	small := 5        // 140 nodes
-	big := (hotpathKeyedOnlyNodes + groups - 1) / groups
-	cases := []struct {
-		name         string
-		defaultModes bool
-		mode         string
-		pg           int
-		want         bool
-	}{
-		{"default sequential small scale runs", true, "sequential", small, false},
-		{"default sequential at cutoff skipped", true, "sequential", big, true},
-		{"default keyed at cutoff runs", true, "keyed", big, false},
-		{"explicit sequential at cutoff runs", false, "sequential", big, false},
-		{"just under cutoff runs", true, "sequential", big - 1, false},
-	}
-	for _, tc := range cases {
-		if got := hotpathSkipSequential(tc.defaultModes, tc.mode, tc.pg, groups); got != tc.want {
-			t.Errorf("%s: hotpathSkipSequential(%v, %q, %d) = %v, want %v",
-				tc.name, tc.defaultModes, tc.mode, tc.pg, got, tc.want)
-		}
-	}
-}

@@ -23,17 +23,9 @@ type RunMeta struct {
 	// ShardWorkers is the pipeline partition the run was configured with
 	// (0 = campus partition, N >= 1 = region partition on N workers).
 	ShardWorkers int `json:"shard_workers,omitempty"`
-	// RNGMode is the random stream class the run was configured with
-	// ("sequential" or "keyed"); empty when the report spans both (the
-	// hot-path report records the mode per run instead).
-	RNGMode string `json:"rng_mode,omitempty"`
-	// RNGPolicy documents a mode-selection default the run applied (the
-	// hot-path benchmark measures keyed only at large scales unless -rng
-	// asks for sequential explicitly); empty when no default kicked in.
-	RNGPolicy string `json:"rng_policy,omitempty"`
 }
 
-// runMeta captures the current environment and cfg's worker/RNG setup.
+// runMeta captures the current environment and cfg's worker setup.
 func runMeta(cfg experiment.Config) RunMeta {
 	return RunMeta{
 		GoVersion:    runtime.Version(),
@@ -43,7 +35,6 @@ func runMeta(cfg experiment.Config) RunMeta {
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		BuildTags:    buildTags(),
 		ShardWorkers: cfg.ShardWorkers,
-		RNGMode:      cfg.RNGMode,
 	}
 }
 

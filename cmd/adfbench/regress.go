@@ -132,7 +132,6 @@ func regressHotpath(w io.Writer, base *HotpathReport, tol float64) ([]string, er
 			}
 			cfg := regressConfig(base.DurationSeconds, base.Seed, base.DTHFactor)
 			cfg.PerGroup = bs.PerGroup
-			cfg.RNGMode = run.RNGMode
 			best := experiment.HotpathStats{AllocsPerTick: -1}
 			for pass := 0; pass < regressPasses; pass++ {
 				stats, err := cfg.MeasureHotpath()

@@ -5,7 +5,6 @@
 //
 //	adfsim [-figure all|table1|4|5|6|7|8|9] [-duration 1800] [-seed 1]
 //	       [-estimator gap-aware] [-series] [-workers 0] [-shard-workers 0]
-//	       [-rng sequential|keyed]
 //	       [-obs-addr :8080] [-obs-summary 10s] [-obs-events events.ndjson]
 //
 // With -series the per-second curves behind Figures 4, 5 and 7 are
@@ -51,7 +50,6 @@ func run(w io.Writer, args []string) error {
 		series    = fs.Bool("series", false, "also print the time series behind figures 4, 5 and 7")
 		workers   = fs.Int("workers", 0, "campaign worker pool size: 0 = one per CPU, 1 = sequential (never changes results)")
 		sharded   = fs.Int("shard-workers", 0, "pipeline partition per simulation: 0 = campus-wide, >= 1 = one shard per region on that many workers (results identical at any count >= 1; ADF clustering becomes region-scoped)")
-		rngMode   = fs.String("rng", "", `RNG stream class: "sequential" (default, the legacy bit-identical streams) or "keyed" (counter-based draws keyed by node and tick, order-independent across worker counts)`)
 		obsAddr   = fs.String("obs-addr", "", "serve /metrics, /trace and /debug/pprof on this address while running (empty disables)")
 		obsSum    = fs.Duration("obs-summary", 0, "log a one-line progress summary at this interval (0 disables)")
 		obsEvents = fs.String("obs-events", "", "write NDJSON observability events to this file (\"-\" for stderr)")
@@ -98,7 +96,6 @@ func run(w io.Writer, args []string) error {
 	cfg.Estimator = *estimator
 	cfg.Workers = *workers
 	cfg.ShardWorkers = *sharded
-	cfg.RNGMode = *rngMode
 	parsed, err := parseFactors(*factors)
 	if err != nil {
 		return err

@@ -41,8 +41,6 @@ func (p *Pipeline) StateDigest() uint64 {
 	}
 	if p.Churn != nil {
 		d.WriteInt(p.Churn.AbsentCount())
-	} else if p.ChurnK != nil {
-		d.WriteInt(p.ChurnK.AbsentCount())
 	}
 	return d.Sum()
 }

@@ -17,11 +17,8 @@ import (
 	"sync"
 
 	"github.com/mobilegrid/adf/internal/campus"
-	"github.com/mobilegrid/adf/internal/dense"
 	"github.com/mobilegrid/adf/internal/geo"
 	"github.com/mobilegrid/adf/internal/node"
-	"github.com/mobilegrid/adf/internal/obs"
-	"github.com/mobilegrid/adf/internal/sim"
 )
 
 // Sample is one node's position sample flowing through the pipeline.
@@ -134,56 +131,6 @@ func (os Observers) OnTick(now float64) error {
 	}
 	return nil
 }
-
-// Churn models nodes leaving and rejoining the grid (the paper's
-// "relocation" constraint). Decisions draw from a dedicated RNG stream in
-// node order, which keeps churned runs reproducible.
-type Churn struct {
-	leaveProb  float64
-	rejoinProb float64
-	rng        *sim.RNG
-	absent     dense.Map[bool]
-	// obsv, when set by the owning pipeline, receives rejoin tallies
-	// (only Step can tell a rejoin from an ordinary present tick).
-	obsv *obs.TickLocal
-}
-
-// NewChurn returns a churn model: an active node departs with leaveProb
-// per tick, a departed one returns with rejoinProb.
-func NewChurn(leaveProb, rejoinProb float64, rng *sim.RNG) *Churn {
-	return &Churn{
-		leaveProb:  leaveProb,
-		rejoinProb: rejoinProb,
-		rng:        rng,
-	}
-}
-
-// Step draws this tick's churn decision for one node: present reports
-// whether the node takes part in the tick, left that it departed just now
-// (so its filter and broker state must be forgotten). A rejoining node is
-// present in the same tick it returns.
-//
-//adf:hotpath
-func (c *Churn) Step(id int) (present, left bool) {
-	if away, _ := c.absent.Get(id); away {
-		if c.rng.Bool(c.rejoinProb) {
-			c.absent.Delete(id)
-			if c.obsv != nil {
-				c.obsv.ChurnRejoined++
-			}
-			return true, false
-		}
-		return false, false
-	}
-	if c.rng.Bool(c.leaveProb) {
-		c.absent.Put(id, true)
-		return false, true
-	}
-	return true, false
-}
-
-// AbsentCount returns the number of currently departed nodes.
-func (c *Churn) AbsentCount() int { return c.absent.Len() }
 
 // advanceRange advances the nodes in [lo, hi) and writes their samples.
 // Each node's mobility draws only from its private RNG stream, so disjoint

@@ -29,7 +29,7 @@ func (o *countingObserver) OnTick(float64) error                   { o.ticks++; 
 
 // newTestPipeline builds a one-per-group campus population (28 nodes)
 // behind an ideal filter, in the campus partition.
-func newTestPipeline(t *testing.T, dropProb float64, churn *Churn, obs ...Observer) *Pipeline {
+func newTestPipeline(t *testing.T, dropProb float64, churn *KeyedChurn, obs ...Observer) *Pipeline {
 	t.Helper()
 	world := campus.New()
 	streams := sim.NewStreams(7)
@@ -121,10 +121,6 @@ func TestPipelineValidate(t *testing.T) {
 		func(p *Pipeline) { p.WithLE = nil },
 		func(p *Pipeline) { p.SamplePeriod = 0 },
 		func(p *Pipeline) { p.Workers = -1 },
-		func(p *Pipeline) {
-			p.Churn = NewChurn(0.1, 0.1, sim.NewRNG(1))
-			p.ChurnK = NewKeyedChurn(0.1, 0.1, sim.NewKeyed(1))
-		},
 	}
 	for i, breakit := range breakages {
 		q := newTestPipeline(t, 0, nil)
@@ -141,7 +137,7 @@ func TestPipelineValidate(t *testing.T) {
 func TestChurnForgetAndRejoin(t *testing.T) {
 	// leaveProb 1 empties the grid on the first tick; rejoinProb 1 brings
 	// everyone back (and processed) on the next.
-	churn := NewChurn(1, 1, sim.NewRNG(1))
+	churn := NewKeyedChurn(1, 1, sim.NewKeyed(1))
 	obs := &countingObserver{}
 	p := newTestPipeline(t, 0, churn, obs)
 	nodes := len(p.Nodes)
@@ -171,19 +167,28 @@ func TestChurnForgetAndRejoin(t *testing.T) {
 }
 
 func TestChurnStepDeterministic(t *testing.T) {
-	a := NewChurn(0.3, 0.5, sim.NewRNG(42))
-	b := NewChurn(0.3, 0.5, sim.NewRNG(42))
-	for tick := 0; tick < 200; tick++ {
+	a := NewKeyedChurn(0.3, 0.5, sim.NewKeyed(42))
+	b := NewKeyedChurn(0.3, 0.5, sim.NewKeyed(42))
+	a.InitParts([][]int{seqIDs(10)})
+	b.InitParts([][]int{seqIDs(10)})
+	var sa, sb recordSink
+	for tick := uint64(1); tick <= 200; tick++ {
+		a.ProcessPart(0, tick, &sa)
+		b.ProcessPart(0, tick, &sb)
 		for id := 0; id < 10; id++ {
-			ap, al := a.Step(id)
-			bp, bl := b.Step(id)
-			if ap != bp || al != bl {
+			if a.Absent(id) != b.Absent(id) {
 				t.Fatalf("tick %d node %d: churn diverged", tick, id)
 			}
 		}
 	}
 	if a.AbsentCount() != b.AbsentCount() {
 		t.Errorf("absent counts diverged: %d vs %d", a.AbsentCount(), b.AbsentCount())
+	}
+	if len(sa.left) == 0 || len(sa.rejoined) == 0 {
+		t.Errorf("200 ticks drew %d departures and %d rejoins; want both", len(sa.left), len(sa.rejoined))
+	}
+	if !equalInts(sa.left, sb.left) || !equalInts(sa.rejoined, sb.rejoined) {
+		t.Error("equal seeds delivered different churn event sequences")
 	}
 }
 

@@ -14,23 +14,24 @@ import (
 )
 
 // newTestSharded builds a one-per-group campus population behind the
-// pipeline in the partition workers selects (0 campus, N ≥ 1 region).
+// pipeline in the partition workers selects (0 campus, N ≥ 1 region),
+// with keyed gateway drops and the keyed churn timeline.
 func newTestSharded(t *testing.T, seed int64, dropProb float64, churnProbs [2]float64,
 	workers int, newFilter func() (filter.Filter, error)) *Pipeline {
 	t.Helper()
 	world := campus.New()
-	streams := sim.NewStreams(seed)
-	nodes, err := node.Population(campus.PopulationN(world, 1), world, streams)
+	keyed := sim.NewKeyed(seed)
+	nodes, err := node.Population(campus.PopulationN(world, 1), world, sim.NewStreams(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := gateway.NewNetwork(world, dropProb, streams)
+	net, err := gateway.NewNetworkKeyed(world, dropProb, keyed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var churn *Churn
+	var churn *KeyedChurn
 	if churnProbs[0] > 0 || churnProbs[1] > 0 {
-		churn = NewChurn(churnProbs[0], churnProbs[1], streams.Stream("churn"))
+		churn = NewKeyedChurn(churnProbs[0], churnProbs[1], keyed)
 	}
 	return &Pipeline{
 		Nodes:        nodes,
@@ -54,55 +55,11 @@ func adfFactory() (filter.Filter, error) {
 	return core.New(cfg)
 }
 
-// newTestShardedKeyed mirrors newTestSharded in the keyed RNG mode:
-// keyed gateway drops and the keyed churn timeline, light sequential
-// streams for mobility.
-func newTestShardedKeyed(t *testing.T, seed int64, dropProb float64, churnProbs [2]float64,
-	workers int, newFilter func() (filter.Filter, error)) *Pipeline {
-	t.Helper()
-	world := campus.New()
-	streams := sim.NewLightStreams(seed)
-	keyed := sim.NewKeyed(seed)
-	nodes, err := node.Population(campus.PopulationN(world, 1), world, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := gateway.NewNetworkKeyed(world, dropProb, keyed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var churnK *KeyedChurn
-	if churnProbs[0] > 0 || churnProbs[1] > 0 {
-		churnK = NewKeyedChurn(churnProbs[0], churnProbs[1], keyed)
-	}
-	return &Pipeline{
-		Nodes:        nodes,
-		Net:          net,
-		NewFilter:    newFilter,
-		NoLE:         broker.New(nil),
-		WithLE:       broker.New(nil),
-		ChurnK:       churnK,
-		SamplePeriod: 1,
-		Workers:      workers,
-	}
-}
-
 // worldDigest folds the state both partitions share — node positions,
 // broker DBs and counters, churn population — so campus and region runs
 // can be compared even though their full StateDigests differ (those
 // also fold shard membership).
-func worldDigest(nodes []*node.Node, noLE, withLE *broker.Broker, churn *Churn) uint64 {
-	absent := -1
-	if churn != nil {
-		absent = churn.AbsentCount()
-	}
-	return worldDigestAbsent(nodes, noLE, withLE, absent)
-}
-
-// worldDigestAbsent is worldDigest with the churn population passed as
-// a plain count (absent < 0 skips it), so keyed-churn runs fold the
-// same digest shape.
-func worldDigestAbsent(nodes []*node.Node, noLE, withLE *broker.Broker, absent int) uint64 {
+func worldDigest(nodes []*node.Node, noLE, withLE *broker.Broker, churn *KeyedChurn) uint64 {
 	d := sanitize.NewDigest()
 	for _, n := range nodes {
 		d.WriteInt(n.ID())
@@ -112,8 +69,8 @@ func worldDigestAbsent(nodes []*node.Node, noLE, withLE *broker.Broker, absent i
 	}
 	noLE.DigestState(&d)
 	withLE.DigestState(&d)
-	if absent >= 0 {
-		d.WriteInt(absent)
+	if churn != nil {
+		d.WriteInt(churn.AbsentCount())
 	}
 	return d.Sum()
 }
@@ -121,7 +78,7 @@ func worldDigestAbsent(nodes []*node.Node, noLE, withLE *broker.Broker, absent i
 // TestShardedMatchesClassicState: for a per-node filter the region
 // partition must be bit-identical to the campus partition — same node
 // positions, same broker beliefs, same counters — tick for tick. Drops
-// and sequential churn are on so every stage participates.
+// and churn are on so every stage participates.
 func TestShardedMatchesClassicState(t *testing.T) {
 	const ticks = 60
 	churnProbs := [2]float64{0.02, 0.3}
@@ -157,13 +114,21 @@ func TestShardedMatchesClassicState(t *testing.T) {
 
 // TestShardedWorkerDeterminism: the region partition's full StateDigest
 // — including every shard's ADF clustering — must agree at every worker
-// count, tick for tick. This is the core merge-order contract.
+// count, tick for tick. This is the core merge-order contract. The
+// gateways run Gilbert–Elliott outage chains here, so each shard also
+// steps its own regions' chains.
 func TestShardedWorkerDeterminism(t *testing.T) {
 	const ticks = 60
+	burst := gateway.BurstConfig{PEnterOutage: 0.05, PExitOutage: 0.2, DropUp: 0.02, DropDown: 1}
 	workerCounts := []int{1, 2, 4, 8}
 	var ref []uint64
 	for _, w := range workerCounts {
-		p := newTestSharded(t, 23, 0.2, [2]float64{0.01, 0.2}, w, adfFactory)
+		p := newTestSharded(t, 23, 0, [2]float64{0.01, 0.2}, w, adfFactory)
+		net, err := gateway.NewBurstNetworkKeyed(campus.New(), burst, sim.NewKeyed(23))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Net = net
 		digests := make([]uint64, 0, ticks)
 		for tick := 1; tick <= ticks; tick++ {
 			if err := p.Tick(float64(tick)); err != nil {
@@ -188,7 +153,7 @@ func TestShardedWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedKeyedMatchesClassicState: in the keyed RNG mode the
+// TestShardedKeyedMatchesClassicState: on the shard worker pool the
 // region partition must still match the campus partition bit for bit,
 // even though the churn timeline is split per region shard in one and
 // kept whole in the other — keyed draws depend only on the node, never
@@ -200,8 +165,8 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 		drop  = 0.3
 	)
 	churnProbs := [2]float64{0.02, 0.3}
-	campusP := newTestShardedKeyed(t, seed, drop, churnProbs, 0, generalDFFactory)
-	region := newTestShardedKeyed(t, seed, drop, churnProbs, 2, generalDFFactory)
+	campusP := newTestSharded(t, seed, drop, churnProbs, 0, generalDFFactory)
+	region := newTestSharded(t, seed, drop, churnProbs, 2, generalDFFactory)
 	defer region.Close()
 
 	for tick := 1; tick <= ticks; tick++ {
@@ -212,13 +177,13 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 		if err := region.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		cd := worldDigestAbsent(campusP.Nodes, campusP.NoLE, campusP.WithLE, campusP.ChurnK.AbsentCount())
-		rd := worldDigestAbsent(region.Nodes, region.NoLE, region.WithLE, region.ChurnK.AbsentCount())
+		cd := worldDigest(campusP.Nodes, campusP.NoLE, campusP.WithLE, campusP.Churn)
+		rd := worldDigest(region.Nodes, region.NoLE, region.WithLE, region.Churn)
 		if cd != rd {
 			t.Fatalf("tick %d: campus keyed digest %x != region keyed digest %x", tick, cd, rd)
 		}
 	}
-	if campusP.ChurnK.AbsentCount() == 0 {
+	if campusP.Churn.AbsentCount() == 0 {
 		t.Error("churn never removed a node; the keyed timeline was not exercised")
 	}
 	if got, want := region.NoLE.ReceivedLUs(), campusP.NoLE.ReceivedLUs(); got != want {
@@ -226,8 +191,9 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 	}
 }
 
-// TestShardedKeyedWorkerDeterminism: keyed-mode digests must agree at
-// every worker count, and stay pinned across releases — the keyed PRF
+// TestShardedKeyedWorkerDeterminism: digests of a run with Bernoulli
+// gateway drops must agree at every worker count, and stay pinned across
+// releases — the keyed PRF
 // is a frozen function of (seed, stream, id, tick), so this digest only
 // moves when the simulation semantics themselves change. Re-pin
 // deliberately if they do.
@@ -240,7 +206,7 @@ func TestShardedKeyedWorkerDeterminism(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
 	var ref []uint64
 	for _, w := range workerCounts {
-		p := newTestShardedKeyed(t, 23, 0.2, [2]float64{0.01, 0.2}, w, adfFactory)
+		p := newTestSharded(t, 23, 0.2, [2]float64{0.01, 0.2}, w, adfFactory)
 		digests := make([]uint64, 0, ticks)
 		for tick := 1; tick <= ticks; tick++ {
 			if err := p.Tick(float64(tick)); err != nil {

@@ -97,10 +97,12 @@ func (c Config) RunUncached() (*Results, error) {
 // Workers is excluded and ShardWorkers reduced to the partition it
 // selects (0 campus, 1 region): worker counts change the execution
 // schedule, never the results, so sequential and parallel campaigns
-// share one cache entry.
+// share one cache entry. RNGMode is dropped too: "" and RNGKeyed name
+// the same stream class.
 func (c Config) fingerprint() (string, error) {
 	c.Workers = 0
 	c.ShardWorkers = min(c.ShardWorkers, 1)
+	c.RNGMode = ""
 	b, err := json.Marshal(c)
 	if err != nil {
 		return "", err

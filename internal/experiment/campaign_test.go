@@ -137,8 +137,18 @@ func TestWorkersExcludedFromFingerprint(t *testing.T) {
 	if regionOne == first {
 		t.Errorf("campus and region partitions shared a cache entry")
 	}
-	if hits, misses := CampaignCacheStats(); hits != 2 || misses != 2 {
-		t.Errorf("cache hits/misses = %d/%d, want 2/2", hits, misses)
+
+	// "" and RNGKeyed name the same stream class.
+	cfg.RNGMode = RNGKeyed
+	keyed, err := cfg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keyed != regionOne {
+		t.Errorf(`RNGMode "" and %q campaigns did not share a cache entry`, RNGKeyed)
+	}
+	if hits, misses := CampaignCacheStats(); hits != 3 || misses != 2 {
+		t.Errorf("cache hits/misses = %d/%d, want 3/2", hits, misses)
 	}
 }
 

@@ -79,22 +79,15 @@ type Config struct {
 	// per region shard there, so its clustering is region-scoped
 	// (DESIGN.md "Sharded pipeline").
 	ShardWorkers int
-	// RNGMode selects the random stream class (DESIGN.md "RNG stream
-	// classes"). Empty or RNGSequential keeps the classic per-entity
-	// sequential streams — bit-identical to every run recorded so far.
-	// RNGKeyed switches the gateway, outage and churn draws to the
-	// counter-based keyed PRF (sim.Keyed) and the remaining per-entity
-	// streams to the 8-byte light source: statistically equivalent but
-	// different sample paths, order-independent draws, O(events) churn,
-	// and memory that scales to million-node populations.
+	// RNGMode names the random stream class (DESIGN.md "Random
+	// streams"). There is one: empty and RNGKeyed select it.
 	RNGMode string
 }
 
-// RNG mode names accepted by Config.RNGMode.
-const (
-	RNGSequential = "sequential"
-	RNGKeyed      = "keyed"
-)
+// RNGKeyed is the one random stream class: gateway, outage and churn
+// draws come from the counter-based keyed PRF (sim.Keyed), mobility
+// from per-node 8-byte splitmix64 streams.
+const RNGKeyed = "keyed"
 
 // ChurnConfig parameterises node departure and return.
 type ChurnConfig struct {
@@ -224,10 +217,8 @@ func (c Config) Validate() error {
 	if c.ShardWorkers < 0 {
 		return fmt.Errorf("experiment: negative ShardWorkers %d", c.ShardWorkers)
 	}
-	switch c.RNGMode {
-	case "", RNGSequential, RNGKeyed:
-	default:
-		return fmt.Errorf("experiment: unknown RNGMode %q (want %q or %q)", c.RNGMode, RNGSequential, RNGKeyed)
+	if c.RNGMode != "" && c.RNGMode != RNGKeyed {
+		return fmt.Errorf("experiment: unknown RNGMode %q (want %q or empty)", c.RNGMode, RNGKeyed)
 	}
 	adf := c.ADF
 	adf.DTHFactor = 1 // factor is overridden per run; validate the rest
@@ -391,8 +382,7 @@ type simWorld struct {
 	net    *gateway.Network
 	noLE   *broker.Broker
 	withLE *broker.Broker
-	churn  *engine.Churn
-	churnK *engine.KeyedChurn
+	churn  *engine.KeyedChurn
 	run    *Run
 	// idSpan is one past the highest node ID — the pre-sizing hint for
 	// per-node state (broker windows, filter anchors).
@@ -435,7 +425,6 @@ func (c Config) buildPipeline(mk filterFactory) (*engine.Pipeline, *Run, error) 
 		NoLE:         w.noLE,
 		WithLE:       w.withLE,
 		Churn:        w.churn,
-		ChurnK:       w.churnK,
 		SamplePeriod: c.SamplePeriod,
 		Workers:      c.ShardWorkers,
 		Observers:    c.observers(w.run),
@@ -461,29 +450,16 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 		perGroup = campus.PerGroup
 	}
 	specs := campus.PopulationN(world, perGroup)
-	// The keyed mode swaps both stream classes: order-independent keyed
-	// draws for gateway/outage/churn, and the 8-byte light source for
-	// the per-entity sequential streams mobility keeps.
-	var keyed *sim.Keyed
-	streams := sim.NewStreams(c.Seed)
-	if c.RNGMode == RNGKeyed {
-		keyed = sim.NewKeyed(c.Seed)
-		streams = sim.NewLightStreams(c.Seed)
-	}
-	nodes, err := node.Population(specs, world, streams)
+	keyed := sim.NewKeyed(c.Seed)
+	nodes, err := node.Population(specs, world, sim.NewStreams(c.Seed))
 	if err != nil {
 		return nil, err
 	}
 	var net *gateway.Network
-	switch {
-	case c.Burst != nil && keyed != nil:
+	if c.Burst != nil {
 		net, err = gateway.NewBurstNetworkKeyed(world, *c.Burst, keyed)
-	case c.Burst != nil:
-		net, err = gateway.NewBurstNetwork(world, *c.Burst, streams)
-	case keyed != nil:
+	} else {
 		net, err = gateway.NewNetworkKeyed(world, c.DropProb, keyed)
-	default:
-		net, err = gateway.NewNetwork(world, c.DropProb, streams)
 	}
 	if err != nil {
 		return nil, err
@@ -551,14 +527,9 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 	noLE.Preallocate(idSpan)
 	withLE.Preallocate(idSpan)
 
-	var churn *engine.Churn
-	var churnK *engine.KeyedChurn
+	var churn *engine.KeyedChurn
 	if c.Churn != nil {
-		if keyed != nil {
-			churnK = engine.NewKeyedChurn(c.Churn.LeaveProb, c.Churn.RejoinProb, keyed)
-		} else {
-			churn = engine.NewChurn(c.Churn.LeaveProb, c.Churn.RejoinProb, streams.Stream("churn"))
-		}
+		churn = engine.NewKeyedChurn(c.Churn.LeaveProb, c.Churn.RejoinProb, keyed)
 	}
 	return &simWorld{
 		nodes:  nodes,
@@ -566,7 +537,6 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 		noLE:   noLE,
 		withLE: withLE,
 		churn:  churn,
-		churnK: churnK,
 		run:    run,
 		idSpan: idSpan,
 	}, nil

@@ -10,15 +10,17 @@ import (
 
 func TestValidateRejectsBadRNGModeAndNegativeShardWorkers(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.RNGMode = "quantum"
-	err := cfg.Validate()
-	if err == nil {
-		t.Fatal("RNGMode=quantum validated")
+	for _, bad := range []string{"quantum", "sequential"} {
+		cfg.RNGMode = bad
+		err := cfg.Validate()
+		if err == nil {
+			t.Fatalf("RNGMode=%s validated", bad)
+		}
+		if !strings.Contains(err.Error(), "RNGMode") || !strings.Contains(err.Error(), bad) {
+			t.Errorf("RNGMode error %q does not name the field and the bad value", err)
+		}
 	}
-	if !strings.Contains(err.Error(), "RNGMode") || !strings.Contains(err.Error(), "quantum") {
-		t.Errorf("RNGMode error %q does not name the field and the bad value", err)
-	}
-	for _, mode := range []string{"", RNGSequential, RNGKeyed} {
+	for _, mode := range []string{"", RNGKeyed} {
 		cfg.RNGMode = mode
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("RNGMode=%q rejected: %v", mode, err)
@@ -26,7 +28,7 @@ func TestValidateRejectsBadRNGModeAndNegativeShardWorkers(t *testing.T) {
 	}
 	cfg = DefaultConfig()
 	cfg.ShardWorkers = -2
-	err = cfg.Validate()
+	err := cfg.Validate()
 	if err == nil {
 		t.Fatal("ShardWorkers=-2 validated")
 	}
@@ -35,13 +37,12 @@ func TestValidateRejectsBadRNGModeAndNegativeShardWorkers(t *testing.T) {
 	}
 }
 
-// TestKeyedModeRunsBothPipelineShapes drives a short keyed-mode run —
-// with churn and gateway drops on, so every keyed draw site fires —
-// through the campus and the region partition.
+// TestKeyedModeRunsBothPipelineShapes drives a short run — with churn
+// and gateway drops on, so every keyed draw site fires — through the
+// campus and the region partition.
 func TestKeyedModeRunsBothPipelineShapes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 60
-	cfg.RNGMode = RNGKeyed
 	cfg.Churn = &ChurnConfig{LeaveProb: 0.02, RejoinProb: 0.3}
 	for _, shardWorkers := range []int{0, 2} {
 		cfg.ShardWorkers = shardWorkers
@@ -50,7 +51,7 @@ func TestKeyedModeRunsBothPipelineShapes(t *testing.T) {
 			t.Fatalf("ShardWorkers=%d: %v", shardWorkers, err)
 		}
 		if stats.Ticks != 60 || stats.TotalLU == 0 {
-			t.Errorf("ShardWorkers=%d: ticks %d, total LU %v — keyed run produced no traffic",
+			t.Errorf("ShardWorkers=%d: ticks %d, total LU %v — run produced no traffic",
 				shardWorkers, stats.Ticks, stats.TotalLU)
 		}
 		phases := stats.BuildMS + stats.TickMS + stats.FinalizeMS
@@ -62,14 +63,13 @@ func TestKeyedModeRunsBothPipelineShapes(t *testing.T) {
 	}
 }
 
-// TestKeyedModeShardDigestsAgree is the keyed-mode worker-count oracle:
-// CompareShardDigests in RNGKeyed with churn must hold bit-for-bit,
-// because the shard-side churn partitions and gateway draws are pure
-// functions of (node, tick).
+// TestKeyedModeShardDigestsAgree is the worker-count oracle:
+// CompareShardDigests with churn must hold bit-for-bit, because the
+// shard-side churn partitions and gateway draws are pure functions of
+// (node, tick).
 func TestKeyedModeShardDigestsAgree(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 40
-	cfg.RNGMode = RNGKeyed
 	cfg.Churn = &ChurnConfig{LeaveProb: 0.02, RejoinProb: 0.3}
 	ticks, err := cfg.CompareShardDigests([]int{1, 2, 4})
 	if err != nil {
@@ -85,7 +85,6 @@ func TestKeyedModeShardDigestsAgree(t *testing.T) {
 func TestKeyedModeBurstDigestsAgree(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = 30
-	cfg.RNGMode = RNGKeyed
 	cfg.Burst = &gateway.BurstConfig{PEnterOutage: 0.05, PExitOutage: 0.2, DropUp: 0.02, DropDown: 1}
 	ticks, err := cfg.CompareShardDigests([]int{1, 4})
 	if err != nil {
@@ -93,32 +92,5 @@ func TestKeyedModeBurstDigestsAgree(t *testing.T) {
 	}
 	if ticks != 30 {
 		t.Errorf("compared %d ticks, want 30", ticks)
-	}
-}
-
-// TestSequentialModeUnchanged pins the legacy contract: an empty or
-// explicit sequential RNGMode draws the exact streams it always has, so
-// recorded goldens and digests stay valid.
-func TestSequentialModeUnchanged(t *testing.T) {
-	base := DefaultConfig()
-	base.Duration = 30
-	runTotal := func(cfg Config) float64 {
-		t.Helper()
-		run, err := cfg.runFilter(cfg.adfFactory(1.0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run.TotalLUs()
-	}
-	implicit := runTotal(base)
-	explicit := base
-	explicit.RNGMode = RNGSequential
-	if got := runTotal(explicit); got != implicit {
-		t.Errorf("explicit sequential mode total LUs %v != implicit %v", got, implicit)
-	}
-	keyedCfg := base
-	keyedCfg.RNGMode = RNGKeyed
-	if got := runTotal(keyedCfg); got == implicit {
-		t.Errorf("keyed mode drew the identical sample path (%v LUs) — modes should re-roll", got)
 	}
 }

@@ -29,14 +29,17 @@ type BurstConfig struct {
 
 // Validate reports configuration errors.
 func (c BurstConfig) Validate() error {
-	for name, p := range map[string]float64{
-		"PEnterOutage": c.PEnterOutage,
-		"PExitOutage":  c.PExitOutage,
-		"DropUp":       c.DropUp,
-		"DropDown":     c.DropDown,
+	for _, f := range [...]struct {
+		name string
+		p    float64
+	}{
+		{"PEnterOutage", c.PEnterOutage},
+		{"PExitOutage", c.PExitOutage},
+		{"DropUp", c.DropUp},
+		{"DropDown", c.DropDown},
 	} {
-		if p < 0 || p > 1 {
-			return fmt.Errorf("gateway: %s %v outside [0, 1]", name, p)
+		if f.p < 0 || f.p > 1 {
+			return fmt.Errorf("gateway: %s %v outside [0, 1]", f.name, f.p)
 		}
 	}
 	if c.PEnterOutage > 0 && c.PExitOutage == 0 {
@@ -60,9 +63,7 @@ func (c BurstConfig) MeanLoss() float64 {
 type BurstGateway struct {
 	region campus.RegionID
 	cfg    BurstConfig
-	// Exactly one of rng (sequential mode) and keyed (keyed mode) is set.
-	rng   *sim.RNG
-	keyed *sim.Keyed
+	keyed  *sim.Keyed
 	// key is the gateway's id slot in the keyed PRF (outage-chain draws).
 	key int
 
@@ -73,17 +74,6 @@ type BurstGateway struct {
 	received uint64
 	dropped  uint64
 	outages  uint64
-}
-
-// NewBurst returns a gateway with Gilbert–Elliott outage behaviour.
-func NewBurst(region campus.RegionID, cfg BurstConfig, rng *sim.RNG) (*BurstGateway, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("gateway: nil RNG")
-	}
-	return &BurstGateway{region: region, cfg: cfg, rng: rng}, nil
 }
 
 // NewBurstKeyed returns a Gilbert–Elliott gateway on the keyed PRF: the
@@ -118,7 +108,7 @@ func (g *BurstGateway) Dropped() uint64 { return g.dropped }
 // advance steps the outage chain once per elapsed sampling period.
 //
 //adf:shardstage
-//adf:owns rng StreamOutage — per-region sequential stream and the outage-chain draw: the chain (and its stream) is owned by exactly one shard, stepped in that shard's own deterministic sample order
+//adf:owns StreamOutage — the outage-chain draw, keyed by (gateway, period)
 func (g *BurstGateway) advance(now float64) {
 	if !g.started {
 		g.started = true
@@ -128,12 +118,7 @@ func (g *BurstGateway) advance(now float64) {
 	for ; g.lastTime < now; g.lastTime++ {
 		// One uniform per period steps the chain; only the transition
 		// matching the current state consumes it.
-		var u float64
-		if g.keyed != nil {
-			u = g.keyed.Float64(sim.StreamOutage, g.key, math.Float64bits(g.lastTime))
-		} else {
-			u = g.rng.Float64()
-		}
+		u := g.keyed.Float64(sim.StreamOutage, g.key, math.Float64bits(g.lastTime))
 		if g.down {
 			if u < g.cfg.PExitOutage {
 				g.down = false
@@ -148,7 +133,7 @@ func (g *BurstGateway) advance(now float64) {
 // Collect offers one sample; false means the sample was lost.
 //
 //adf:shardstage
-//adf:owns rng StreamGatewayDrop — per-region sequential stream and the drop draw: this gateway (and its stream) is owned by exactly one shard, so consumption order is the shard's own deterministic node order
+//adf:owns StreamGatewayDrop — the drop draw, keyed by (node, sample time)
 func (g *BurstGateway) Collect(lu filter.LU) (filter.LU, bool) {
 	g.advance(lu.Time)
 	g.received++
@@ -156,17 +141,9 @@ func (g *BurstGateway) Collect(lu filter.LU) (filter.LU, bool) {
 	if g.down {
 		drop = g.cfg.DropDown
 	}
-	if drop > 0 {
-		var lost bool
-		if g.keyed != nil {
-			lost = g.keyed.Bool(sim.StreamGatewayDrop, lu.Node, math.Float64bits(lu.Time), drop)
-		} else {
-			lost = g.rng.Bool(drop)
-		}
-		if lost {
-			g.dropped++
-			return filter.LU{}, false
-		}
+	if drop > 0 && g.keyed.Bool(sim.StreamGatewayDrop, lu.Node, math.Float64bits(lu.Time), drop) {
+		g.dropped++
+		return filter.LU{}, false
 	}
 	return lu, true
 }

@@ -27,6 +27,18 @@ func TestBurstConfigValidate(t *testing.T) {
 	}
 }
 
+// TestBurstConfigValidateNamesFirstField: with several fields out of
+// range, Validate names the first in declaration order, every time.
+func TestBurstConfigValidateNamesFirstField(t *testing.T) {
+	cfg := BurstConfig{PEnterOutage: -1, PExitOutage: 2, DropUp: -3, DropDown: 4}
+	want := "gateway: PEnterOutage -1 outside [0, 1]"
+	for i := 0; i < 200; i++ {
+		if err := cfg.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Validate() = %v, want %q", i, err, want)
+		}
+	}
+}
+
 func TestBurstMeanLoss(t *testing.T) {
 	// No outages: the mean loss is the up-state drop.
 	c := BurstConfig{DropUp: 0.05}
@@ -41,13 +53,13 @@ func TestBurstMeanLoss(t *testing.T) {
 }
 
 func TestNewBurstValidation(t *testing.T) {
-	if _, err := NewBurst("R1", BurstConfig{DropUp: 2}, sim.NewRNG(1)); err == nil {
+	if _, err := NewBurstKeyed("R1", BurstConfig{DropUp: 2}, sim.NewKeyed(1)); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewBurst("R1", BurstConfig{}, nil); err == nil {
-		t.Error("nil RNG accepted")
+	if _, err := NewBurstKeyed("R1", BurstConfig{}, nil); err == nil {
+		t.Error("nil keyed PRF accepted")
 	}
-	g, err := NewBurst("R1", BurstConfig{}, sim.NewRNG(1))
+	g, err := NewBurstKeyed("R1", BurstConfig{}, sim.NewKeyed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +69,7 @@ func TestNewBurstValidation(t *testing.T) {
 }
 
 func TestBurstLosslessWhenDisabled(t *testing.T) {
-	g, err := NewBurst("R1", BurstConfig{}, sim.NewRNG(1))
+	g, err := NewBurstKeyed("R1", BurstConfig{}, sim.NewKeyed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +85,7 @@ func TestBurstLosslessWhenDisabled(t *testing.T) {
 
 func TestBurstEmpiricalLossMatchesStationary(t *testing.T) {
 	cfg := BurstConfig{PEnterOutage: 0.02, PExitOutage: 0.1, DropUp: 0, DropDown: 1}
-	g, err := NewBurst("R1", cfg, sim.NewRNG(9))
+	g, err := NewBurstKeyed("R1", cfg, sim.NewKeyed(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,12 +111,12 @@ func TestBurstLossesAreBursty(t *testing.T) {
 	// far more clustered than independent Bernoulli drops of the same
 	// mean rate.
 	cfg := BurstConfig{PEnterOutage: 0.01, PExitOutage: 0.05, DropUp: 0, DropDown: 1}
-	burst, err := NewBurst("R1", cfg, sim.NewRNG(3))
+	burst, err := NewBurstKeyed("R1", cfg, sim.NewKeyed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mean := cfg.MeanLoss()
-	bern, err := New("R1", mean, sim.NewRNG(4))
+	bern, err := NewKeyed("R1", mean, sim.NewKeyed(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +152,7 @@ func TestBurstSamePeriodSharesOutageState(t *testing.T) {
 	// Multiple samples within one sampling period see the same chain
 	// state: the chain advances with time, not with call count.
 	cfg := BurstConfig{PEnterOutage: 0.5, PExitOutage: 0.5, DropUp: 0, DropDown: 1}
-	g, err := NewBurst("R1", cfg, sim.NewRNG(11))
+	g, err := NewBurstKeyed("R1", cfg, sim.NewKeyed(11))
 	if err != nil {
 		t.Fatal(err)
 	}

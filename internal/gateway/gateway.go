@@ -20,32 +20,17 @@ import (
 type Gateway struct {
 	region   campus.RegionID
 	dropProb float64
-	// Exactly one of rng (sequential mode) and keyed (keyed mode) is set.
-	rng   *sim.RNG
-	keyed *sim.Keyed
+	keyed    *sim.Keyed
 
 	received uint64
 	dropped  uint64
 }
 
-// New returns a gateway for a region. dropProb in [0, 1) is the
-// per-sample probability that a node is disconnected.
-func New(region campus.RegionID, dropProb float64, rng *sim.RNG) (*Gateway, error) {
-	if dropProb < 0 || dropProb >= 1 {
-		return nil, fmt.Errorf("gateway: dropProb %v outside [0, 1)", dropProb)
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("gateway: nil RNG")
-	}
-	return &Gateway{region: region, dropProb: dropProb, rng: rng}, nil
-}
-
-// NewKeyed returns a gateway whose drop decisions come from the
-// order-independent keyed PRF: each sample's draw is keyed by the node
-// and the sample time, so the verdict does not depend on how many other
-// samples the gateway saw first. That removes the stream-alignment
-// bookkeeping the sequential mode needs (a private stream per gateway,
-// consumed in a fixed member order) and makes the draw safe anywhere in
+// NewKeyed returns a gateway for a region. dropProb in [0, 1) is the
+// per-sample probability that a node is disconnected. Each sample's
+// drop draw comes from the order-independent keyed PRF, keyed by the
+// node and the sample time, so the verdict does not depend on how many
+// other samples the gateway saw first, and the draw is safe anywhere in
 // the shard stage.
 func NewKeyed(region campus.RegionID, dropProb float64, keyed *sim.Keyed) (*Gateway, error) {
 	if dropProb < 0 || dropProb >= 1 {
@@ -65,20 +50,12 @@ func (g *Gateway) Region() campus.RegionID { return g.region }
 //
 //adf:hotpath
 //adf:shardstage
-//adf:owns rng StreamGatewayDrop — per-region sequential stream and the drop draw: this gateway (and its stream) is owned by exactly one shard, so consumption order is the shard's own deterministic node order
+//adf:owns StreamGatewayDrop — the drop draw, keyed by (node, sample time)
 func (g *Gateway) Collect(lu filter.LU) (filter.LU, bool) {
 	g.received++
-	if g.dropProb > 0 {
-		var drop bool
-		if g.keyed != nil {
-			drop = g.keyed.Bool(sim.StreamGatewayDrop, lu.Node, math.Float64bits(lu.Time), g.dropProb)
-		} else {
-			drop = g.rng.Bool(g.dropProb)
-		}
-		if drop {
-			g.dropped++
-			return filter.LU{}, false
-		}
+	if g.dropProb > 0 && g.keyed.Bool(sim.StreamGatewayDrop, lu.Node, math.Float64bits(lu.Time), g.dropProb) {
+		g.dropped++
+		return filter.LU{}, false
 	}
 	return lu, true
 }
@@ -112,25 +89,16 @@ type Network struct {
 	gateways map[campus.RegionID]Collector
 }
 
-// NewNetwork builds one Bernoulli-loss gateway per campus region, each
-// with its own deterministic random stream.
+// NewNetwork builds one Bernoulli-loss gateway per campus region on the
+// keyed PRF of the streams' root seed (see NewNetworkKeyed).
 func NewNetwork(c *campus.Campus, dropProb float64, streams *sim.Streams) (*Network, error) {
-	return buildNetwork(c, func(id campus.RegionID, rng *sim.RNG) (Collector, error) {
-		return New(id, dropProb, rng)
-	}, streams)
-}
-
-// NewBurstNetwork builds one Gilbert–Elliott gateway per campus region.
-func NewBurstNetwork(c *campus.Campus, cfg BurstConfig, streams *sim.Streams) (*Network, error) {
-	return buildNetwork(c, func(id campus.RegionID, rng *sim.RNG) (Collector, error) {
-		return NewBurst(id, cfg, rng)
-	}, streams)
+	return NewNetworkKeyed(c, dropProb, sim.NewKeyed(streams.Seed()))
 }
 
 // NewNetworkKeyed builds one Bernoulli-loss gateway per campus region,
 // all drawing from the shared keyed PRF (see NewKeyed).
 func NewNetworkKeyed(c *campus.Campus, dropProb float64, keyed *sim.Keyed) (*Network, error) {
-	return buildNetworkKeyed(c, func(id campus.RegionID) (Collector, error) {
+	return buildNetwork(c, func(id campus.RegionID) (Collector, error) {
 		return NewKeyed(id, dropProb, keyed)
 	})
 }
@@ -138,24 +106,12 @@ func NewNetworkKeyed(c *campus.Campus, dropProb float64, keyed *sim.Keyed) (*Net
 // NewBurstNetworkKeyed builds one Gilbert–Elliott gateway per campus
 // region on the keyed PRF (see NewBurstKeyed).
 func NewBurstNetworkKeyed(c *campus.Campus, cfg BurstConfig, keyed *sim.Keyed) (*Network, error) {
-	return buildNetworkKeyed(c, func(id campus.RegionID) (Collector, error) {
+	return buildNetwork(c, func(id campus.RegionID) (Collector, error) {
 		return NewBurstKeyed(id, cfg, keyed)
 	})
 }
 
-func buildNetwork(c *campus.Campus, build func(campus.RegionID, *sim.RNG) (Collector, error), streams *sim.Streams) (*Network, error) {
-	n := &Network{gateways: make(map[campus.RegionID]Collector)}
-	for _, r := range c.Regions() {
-		g, err := build(r.ID, streams.Stream("gateway-"+string(r.ID)))
-		if err != nil {
-			return nil, err
-		}
-		n.gateways[r.ID] = g
-	}
-	return n, nil
-}
-
-func buildNetworkKeyed(c *campus.Campus, build func(campus.RegionID) (Collector, error)) (*Network, error) {
+func buildNetwork(c *campus.Campus, build func(campus.RegionID) (Collector, error)) (*Network, error) {
 	n := &Network{gateways: make(map[campus.RegionID]Collector)}
 	for _, r := range c.Regions() {
 		g, err := build(r.ID)

@@ -11,17 +11,17 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	rng := sim.NewRNG(1)
-	if _, err := New("R1", -0.1, rng); err == nil {
+	keyed := sim.NewKeyed(1)
+	if _, err := NewKeyed("R1", -0.1, keyed); err == nil {
 		t.Error("negative dropProb accepted")
 	}
-	if _, err := New("R1", 1.0, rng); err == nil {
+	if _, err := NewKeyed("R1", 1.0, keyed); err == nil {
 		t.Error("dropProb = 1 accepted")
 	}
-	if _, err := New("R1", 0.1, nil); err == nil {
-		t.Error("nil RNG accepted")
+	if _, err := NewKeyed("R1", 0.1, nil); err == nil {
+		t.Error("nil keyed PRF accepted")
 	}
-	g, err := New("R1", 0.1, rng)
+	g, err := NewKeyed("R1", 0.1, keyed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestCollectNoDrop(t *testing.T) {
-	g, err := New("R1", 0, sim.NewRNG(1))
+	g, err := NewKeyed("R1", 0, sim.NewKeyed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCollectNoDrop(t *testing.T) {
 }
 
 func TestCollectDropRate(t *testing.T) {
-	g, err := New("R1", 0.3, sim.NewRNG(2))
+	g, err := NewKeyed("R1", 0.3, sim.NewKeyed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

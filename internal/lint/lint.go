@@ -172,6 +172,7 @@ var SimPackages = []string{
 	"internal/broker",
 	"internal/estimate",
 	"internal/energy",
+	"internal/gateway",
 }
 
 // ConcurrentPackages lists the import-path suffixes of the packages

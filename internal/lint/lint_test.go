@@ -341,6 +341,7 @@ func TestIsSimPackage(t *testing.T) {
 		{"github.com/mobilegrid/adf/internal/engine", true},
 		{"github.com/mobilegrid/adf/internal/sim", true},
 		{"github.com/mobilegrid/adf/internal/cluster", true},
+		{"github.com/mobilegrid/adf/internal/gateway", true},
 		{"github.com/mobilegrid/adf/internal/experiment", false},
 		{"github.com/mobilegrid/adf/internal/hla", false},
 		{"github.com/mobilegrid/adf/cmd/adfbench", false},

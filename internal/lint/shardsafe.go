@@ -32,17 +32,14 @@ import (
 //     sees depends on which shard drew first — a nondeterminism the race
 //     detector cannot see when the call site is reachable from several
 //     shards. sim.Keyed draws, pure functions of (stream, node, tick),
-//     are shard-safe. A draw on a receiver field that the function
-//     containing the draw claims with //adf:owns <field> is exempt: the
-//     streamowner rule proves the claimant is the field's sole consumer,
-//     so consumption order is the owner's own deterministic order.
+//     are shard-safe.
 //
 // Dynamic dispatch (interface methods, func values) is not followed: the
 // gateway/filter interfaces a stage calls through are proved at their
 // own //adf:shardstage implementations.
 var ShardSafe = &Analyzer{
 	Name: "shardsafe",
-	Doc:  "prove code reachable from //adf:shardstage stages touches only shard-owned state (no package-level or captured-variable writes, goroutines, or unclaimed sequential *sim.RNG draws)",
+	Doc:  "prove code reachable from //adf:shardstage stages touches only shard-owned state (no package-level or captured-variable writes, goroutines, or sequential *sim.RNG draws)",
 	Explain: `shardsafe proves shard isolation interprocedurally.
 
 Annotation grammar:
@@ -50,16 +47,12 @@ Annotation grammar:
                                 per region shard, during a pipeline tick
     //adf:shardlocal            on a package-level var: per-shard slots,
                                 indexed so shards never share an element
-    //adf:owns <field>          on a function: it is the sole consumer of
-                                the receiver's sequential *sim.RNG field
-                                (proved by streamowner)
 
 From every //adf:shardstage root, the static call graph is walked.
 Flagged in the root and everywhere reachable: writes to package-level
 variables not declared //adf:shardlocal, writes to variables captured
 from an enclosing scope, go statements (shards must not spawn), and
-sequential *sim.RNG draws, unless the function containing the draw
-claims the drawn field with //adf:owns. A callee annotated
+sequential *sim.RNG draws. A callee annotated
 //adf:shardstage is its own root; //adf:allow shardsafe on a call site
 prunes the walk, on a construct it silences just that construct.`,
 	RunModule: runShardSafe,
@@ -91,7 +84,6 @@ func runShardSafe(p *ModulePass) {
 // shard-stage call chain, the root's own body included.
 func checkShardBody(d funcDeclInfo, chain string, shardlocal map[*types.Var]bool, report reportFunc) {
 	name := d.fn.Name.Name
-	spec := parseOwns(d.fn)
 	checkWrite := func(lhs ast.Expr) {
 		v := rootVar(d.pkg.Info, lhs)
 		if v == nil || !isPkgLevelVar(v) || shardlocal[v] {
@@ -120,13 +112,7 @@ func checkShardBody(d funcDeclInfo, chain string, shardlocal map[*types.Var]bool
 			if !ok || m.Signature().Recv() == nil || !isSequentialRNG(m.Signature().Recv().Type()) {
 				return true
 			}
-			// A draw on a receiver field this function claims is the
-			// owner's own deterministic order (streamowner proves it).
-			if inner, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok && spec != nil &&
-				containsString(spec.fields, inner.Sel.Name) {
-				return true
-			}
-			report(n.Pos(), "sim.RNG.%s draw in %s consumes a sequential stream, so the value depends on shard scheduling (//adf:shardstage chain %s): use a sim.Keyed draw keyed by (stream, node, tick), claim the field with //adf:owns <field> if this function is its sole consumer, or //adf:allow shardsafe if the call provably runs outside the concurrent phase", sel.Sel.Name, name, chain)
+			report(n.Pos(), "sim.RNG.%s draw in %s consumes a sequential stream, so the value depends on shard scheduling (//adf:shardstage chain %s): use a sim.Keyed draw keyed by (stream, node, tick), or //adf:allow shardsafe if the call provably runs outside the concurrent phase", sel.Sel.Name, name, chain)
 		}
 		return true
 	})

@@ -8,10 +8,10 @@ import (
 	"strings"
 )
 
-// StreamOwner tracks every randomness stream from construction to draw
-// site and proves each (stream, consumer) pair has exactly one owner —
-// the property that makes the sharded pipeline's draws reproducible
-// regardless of worker scheduling. Ownership is declared on the
+// StreamOwner tracks every keyed randomness stream and worker queue to
+// its consumers and proves each has exactly one owner — the property
+// that makes the sharded pipeline's draws reproducible regardless of
+// worker scheduling. Ownership is declared on the
 // consuming function with the //adf:owns directive:
 //
 //	//adf:owns <resource> [<resource>...] [— why]
@@ -27,15 +27,6 @@ import (
 //     hazard is two subsystems keying the same stream with colliding
 //     ids — a hazard exactly when ownership spans packages.
 //
-//   - a bare lowercase identifier — a receiver field holding a
-//     sequential *sim.RNG stream: the method is the stream's sole
-//     consumer. The field must exist and be a *sim.RNG, the claiming
-//     method must draw on it, and no other function in the module may
-//     draw on that field; with one consumer, consumption order is the
-//     consumer's own deterministic order. (Draws through a local copy
-//     of the field are not tracked — keep draws on the field
-//     expression itself.)
-//
 //   - queue:<field> — a channel field whose worker goroutines the
 //     function launches: the claim is that those goroutines are the
 //     channel's only receivers, i.e. the function is the single place
@@ -46,28 +37,24 @@ import (
 //     function may receive from the same field, and no second function
 //     may claim it.
 //
-// The shardsafe rule consults the same claims — a sequential draw on a
-// receiver field the drawing function claims is exempt there — and so
-// do the determinism and goroleak rules for a goroutine draining a
-// claimed queue: the proof obligation moved here. An unverifiable ownership pattern falls back
-// to //adf:allow streamowner with a reason.
+// The determinism and goroleak rules consult the queue claims for a
+// goroutine draining a claimed queue: the proof obligation moved here.
+// An unverifiable ownership pattern falls back to //adf:allow
+// streamowner with a reason.
 var StreamOwner = &Analyzer{
 	Name: "streamowner",
-	Doc:  "prove every RNG stream (keyed constants, sequential *sim.RNG fields, worker queues) has exactly one owning consumer, declared //adf:owns",
+	Doc:  "prove every keyed RNG stream and worker queue has exactly one owning consumer, declared //adf:owns",
 	Explain: `streamowner proves single-ownership of randomness and work queues.
 
 Annotation grammar (function doc comment, comma-separated claims):
     //adf:owns StreamXxx          exclusive use of a keyed stream const
-    //adf:owns <field>            exclusive draws on a sequential
-                                  *sim.RNG struct field
     //adf:owns queue:<field>      this function's goroutines are the
                                   sole drainers of a channel field
 
-Flagged: a keyed-stream constant or sequential RNG field used by a
-function that does not claim it (and is not reachable from a claimant
-through the static call graph), a stream claimed by two functions
-neither of which can reach the other, and a claim naming nothing the
-function uses (stale). queue: claims also exempt the draining
+Flagged: a keyed draw in a function that does not claim its stream, a
+stream claimed in more than one package, a queue received from outside
+its owner or claimed twice, and a claim naming nothing the function
+uses (stale). queue: claims also exempt the draining
 goroutines from goroleak.
 
 Escape hatch: //adf:allow streamowner — reason.`,
@@ -81,7 +68,6 @@ const ownsDirective = "//adf:owns"
 type ownsSpec struct {
 	pos     token.Pos
 	streams []string // StreamXxx keyed-constant claims
-	fields  []string // receiver *sim.RNG field claims
 	queues  []string // queue:<field> worker-channel claims
 	// malformed collects tokens that fit no resource form.
 	malformed []string
@@ -112,8 +98,6 @@ func parseOwns(fn *ast.FuncDecl) *ownsSpec {
 				spec.queues = append(spec.queues, strings.TrimPrefix(tok, "queue:"))
 			case strings.HasPrefix(tok, "Stream"):
 				spec.streams = append(spec.streams, tok)
-			case tok != "" && tok[0] >= 'a' && tok[0] <= 'z':
-				spec.fields = append(spec.fields, tok)
 			default:
 				spec.malformed = append(spec.malformed, tok)
 			}
@@ -136,14 +120,6 @@ type keyedDraw struct {
 	fn     *ast.FuncDecl
 }
 
-// seqDraw is one call on a sequential *sim.RNG method whose receiver
-// chain roots in a struct field.
-type seqDraw struct {
-	pos   token.Pos
-	field *types.Var
-	fn    *ast.FuncDecl
-}
-
 // recvSite is one channel receive (range or <-) on a struct field.
 type recvSite struct {
 	pos   token.Pos
@@ -156,10 +132,8 @@ func runStreamOwner(p *ModulePass) {
 		claims  []ownsClaim
 		specOf  = make(map[*ast.FuncDecl]*ownsSpec)
 		keyed   []keyedDraw
-		seq     []seqDraw
 		recvs   []recvSite
 		drawnIn = make(map[*ast.FuncDecl]map[string]bool)
-		seqIn   = make(map[*ast.FuncDecl]map[*types.Var]bool)
 		fnName  = make(map[*ast.FuncDecl]string)
 	)
 	for _, pkg := range p.Pkgs {
@@ -183,34 +157,19 @@ func runStreamOwner(p *ModulePass) {
 							return true
 						}
 						m, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-						if !ok || m.Signature().Recv() == nil {
+						if !ok || m.Signature().Recv() == nil || !isKeyedRNG(m.Signature().Recv().Type()) ||
+							simProvider || len(n.Args) == 0 {
 							return true
 						}
-						switch {
-						case isKeyedRNG(m.Signature().Recv().Type()):
-							if simProvider || len(n.Args) == 0 {
-								return true
+						name := streamConstName(pkg, n.Args[0])
+						keyed = append(keyed, keyedDraw{pos: n.Pos(), stream: name, fn: fn})
+						if name != "" {
+							set := drawnIn[fn]
+							if set == nil {
+								set = make(map[string]bool)
+								drawnIn[fn] = set
 							}
-							name := streamConstName(pkg, n.Args[0])
-							keyed = append(keyed, keyedDraw{pos: n.Pos(), stream: name, fn: fn})
-							if name != "" {
-								set := drawnIn[fn]
-								if set == nil {
-									set = make(map[string]bool)
-									drawnIn[fn] = set
-								}
-								set[name] = true
-							}
-						case isSequentialRNG(m.Signature().Recv().Type()):
-							if v := fieldVarOf(pkg, sel.X); v != nil {
-								seq = append(seq, seqDraw{pos: n.Pos(), field: v, fn: fn})
-								set := seqIn[fn]
-								if set == nil {
-									set = make(map[*types.Var]bool)
-									seqIn[fn] = set
-								}
-								set[v] = true
-							}
+							set[name] = true
 						}
 					case *ast.RangeStmt:
 						if t := pkg.Info.TypeOf(n.X); t != nil {
@@ -236,7 +195,7 @@ func runStreamOwner(p *ModulePass) {
 	// Malformed specs.
 	for _, c := range claims {
 		for _, tok := range c.spec.malformed {
-			p.Reportf(c.spec.pos, "malformed //adf:owns resource %q on %s: want a StreamXxx constant, a lowercase receiver field, or queue:<field>", tok, fnName[c.fn])
+			p.Reportf(c.spec.pos, "malformed //adf:owns resource %q on %s: want a StreamXxx constant or queue:<field>", tok, fnName[c.fn])
 		}
 	}
 
@@ -271,46 +230,6 @@ func runStreamOwner(p *ModulePass) {
 			if pkgs := streamPkgs[s]; len(pkgs) > 1 {
 				p.Reportf(c.spec.pos, "keyed stream %s is claimed in more than one package (%s): a stream has exactly one owning package — split the stream or move the draws behind the owner's API", s, joinSorted(pkgs))
 			}
-		}
-	}
-
-	// Receiver-field claims: the field exists, is a *sim.RNG, is drawn by
-	// the claimant, and is drawn by nobody else.
-	fieldOwners := make(map[*types.Var][]*ast.FuncDecl)
-	for _, c := range claims {
-		for _, name := range c.spec.fields {
-			if c.fn.Recv == nil || len(c.fn.Recv.List) != 1 {
-				p.Reportf(c.spec.pos, "//adf:owns %s on receiverless function %s: a bare resource names a receiver field — use a StreamXxx or queue:<field> claim instead", name, fnName[c.fn])
-				continue
-			}
-			v := receiverField(c.pkg, c.fn, name)
-			if v == nil {
-				p.Reportf(c.spec.pos, "//adf:owns %s on %s: the receiver type has no field %s", name, fnName[c.fn], name)
-				continue
-			}
-			if !isSequentialRNG(v.Type()) {
-				p.Reportf(c.spec.pos, "//adf:owns %s on %s: field %s is not a sequential *sim.RNG stream", name, fnName[c.fn], name)
-				continue
-			}
-			if !seqIn[c.fn][v] {
-				p.Reportf(c.spec.pos, "stale //adf:owns %s on %s: the method performs no draw on the field — delete the claim", name, fnName[c.fn])
-			}
-			fieldOwners[v] = append(fieldOwners[v], c.fn)
-		}
-	}
-	for _, d := range seq {
-		owners := fieldOwners[d.field]
-		if len(owners) == 0 {
-			continue // unclaimed field: sequential use outside the ownership discipline
-		}
-		owned := false
-		for _, fn := range owners {
-			if fn == d.fn {
-				owned = true
-			}
-		}
-		if !owned {
-			p.Reportf(d.pos, "sequential draw on claimed stream field %s in %s: the field's //adf:owns holders (%s) are its only consumers — draw through the owner", d.field.Name(), fnName[d.fn], ownerNames(owners, fnName))
 		}
 	}
 
@@ -421,28 +340,6 @@ func fieldVarOf(pkg *Package, e ast.Expr) *types.Var {
 	return v
 }
 
-// receiverField finds the named field on a method's receiver struct.
-func receiverField(pkg *Package, fn *ast.FuncDecl, name string) *types.Var {
-	recv := fn.Recv.List[0]
-	t := pkg.Info.TypeOf(recv.Type)
-	if t == nil {
-		return nil
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	st, ok := t.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if f := st.Field(i); f.Name() == name {
-			return f
-		}
-	}
-	return nil
-}
-
 // goroutineQueueField finds the channel field named name that a
 // goroutine launched inside fn ranges over or receives from.
 func goroutineQueueField(pkg *Package, fn *ast.FuncDecl, name string) *types.Var {
@@ -503,13 +400,4 @@ func joinSorted(set map[string]bool) string {
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ", ")
-}
-
-func ownerNames(fns []*ast.FuncDecl, names map[*ast.FuncDecl]string) string {
-	out := make([]string, len(fns))
-	for i, fn := range fns {
-		out[i] = names[fn]
-	}
-	sort.Strings(out)
-	return strings.Join(out, ", ")
 }

@@ -83,40 +83,26 @@ func FreeDraw(rng *sim.RNG) int {
 	return rng.Intn(4)
 }
 
-// region mirrors a gateway: per-region sequential streams, each drawn
-// only by the functions that claim it.
+// region mirrors a gateway that keeps sequential streams: every draw on
+// them is flagged, in the stage and in each helper it reaches.
 type region struct {
 	rng     *sim.RNG
 	aux     *sim.RNG
-	spare   *sim.RNG
 	dropped int
 }
 
-// Collect is a shard stage drawing on a receiver field it claims with
-// //adf:owns: the claimant is the field's sole consumer (streamowner
-// proves it), so the draw is silent. Each helper it reaches is judged
-// by the claim on the helper itself.
+// Collect is a shard stage drawing on a receiver field: flagged, like
+// the draw in the helper it reaches.
 //
 //adf:shardstage
-//adf:owns rng — fixture: per-region stream owned by exactly one shard
 func (r *region) Collect() {
-	if r.rng.Bool(0.5) { // claimed by Collect: silent
+	if r.rng.Bool(0.5) { // flagged: sequential draw
 		r.dropped++
 	}
 	r.advance()
-	r.jitter()
 }
 
-// advance claims the stream it draws from: silent when reached from
-// Collect.
-//
-//adf:owns aux — fixture: the outage chain is aux's only consumer
+// advance is flagged through the chain from Collect.
 func (r *region) advance() {
 	r.dropped += r.aux.Intn(2)
-}
-
-// jitter claims nothing: its draw is flagged through the chain from
-// Collect.
-func (r *region) jitter() {
-	r.dropped += r.spare.Intn(3)
 }

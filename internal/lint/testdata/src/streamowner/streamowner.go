@@ -1,27 +1,21 @@
-// Streamowner fixture: every randomness stream — keyed constants,
-// sequential *sim.RNG receiver fields, worker queues — must have
-// exactly one owner, declared //adf:owns on the consuming function.
+// Streamowner fixture: every keyed randomness stream and worker queue
+// must have exactly one owner, declared //adf:owns on the consuming
+// function.
 package streamowner
 
 import "github.com/mobilegrid/adf/internal/sim"
 
-// source owns a sequential stream and a worker queue.
+// source owns a worker queue.
 type source struct {
-	rng   *sim.RNG
-	spare *sim.RNG
-	work  chan int
-	name  string
+	work chan int
+	name string
 }
 
-// Draw claims its keyed stream and the sequential field it consumes:
-// everything here is silent.
+// Draw claims its keyed stream: silent.
 //
-//adf:owns rng StreamGatewayDrop — fixture: sole consumer of both streams
+//adf:owns StreamGatewayDrop — fixture: sole consumer of the stream
 func (s *source) Draw(keyed *sim.Keyed, node int, tick uint64) bool {
-	if keyed.Bool(sim.StreamGatewayDrop, node, tick, 0.5) {
-		return true
-	}
-	return s.rng.Bool(0.5)
+	return keyed.Bool(sim.StreamGatewayDrop, node, tick, 0.5)
 }
 
 // Unclaimed draws a keyed stream with no //adf:owns: flagged.
@@ -29,23 +23,17 @@ func Unclaimed(keyed *sim.Keyed, node int, tick uint64) uint64 {
 	return keyed.Uint64(sim.StreamOutage, node, tick) // flagged: no ownership claim
 }
 
-// Poach draws the sequential field Draw claimed: flagged — the claim
-// made Draw the field's only consumer.
-func (s *source) Poach() bool {
-	return s.rng.Bool(0.1) // flagged: rng is owned by source.Draw
-}
-
-// Stale claims a stream it never draws and a field the receiver does
-// not have: both claims are flagged where they stand.
+// Stale claims a stream it never draws: flagged where it stands.
 //
-//adf:owns StreamChurnLeave missing — fixture: deliberately wrong claims
+//adf:owns StreamChurnLeave — fixture: deliberately stale claim
 func (s *source) Stale(keyed *sim.Keyed) {
 	_ = s.name
 }
 
-// Malformed shows the grammar error: a resource token fitting no form.
+// Malformed shows the grammar error: resource tokens fitting no form,
+// a bare field name among them.
 //
-//adf:owns Queue(work) — fixture: not a valid resource token
+//adf:owns Queue(work) name — fixture: not valid resource tokens
 func (s *source) Malformed() {}
 
 // StartWorkers launches the goroutine pool that drains the work queue:

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // StreamID names one logical keyed draw stream, so draws for different
 // purposes (gateway drops, churn departures, ...) are decorrelated even
@@ -33,10 +30,7 @@ const (
 // Bernoulli draw per node per tick.
 //
 // The generator chains SplitMix64 finalizer rounds over the key words.
-// It is deliberately not math/rand-compatible: Keyed is a new RNG mode
-// (experiment.RNGKeyed) with its own — statistically equivalent, but
-// bit-different — sample paths. Keyed is safe for concurrent use; it
-// holds no mutable state.
+// Keyed is safe for concurrent use; it holds no mutable state.
 type Keyed struct {
 	seed uint64
 }
@@ -119,49 +113,4 @@ func (k *Keyed) Geometric(stream StreamID, id int, tick uint64, p float64) uint6
 		return geometricCap
 	}
 	return uint64(n)
-}
-
-// lightSource is a splitmix64 counter implementing rand.Source64 in 8
-// bytes of state — against the ≈5 KB of math/rand's default Go1 source.
-// The keyed RNG mode uses it for the per-entity sequential streams
-// (mobility models keep stateful streams even in keyed mode), which is
-// what makes million-node populations buildable: 1e6 Go1 sources would
-// pin ≈5 GB in RNG state alone.
-type lightSource struct {
-	state uint64
-}
-
-var _ rand.Source64 = (*lightSource)(nil)
-
-// Uint64 implements rand.Source64.
-//
-//adf:hotpath
-func (s *lightSource) Uint64() uint64 {
-	s.state += keyedGamma
-	return mix64(s.state)
-}
-
-// Int63 implements rand.Source.
-//
-//adf:hotpath
-func (s *lightSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// Seed implements rand.Source.
-func (s *lightSource) Seed(seed int64) { s.state = uint64(seed) }
-
-// NewLightRNG returns a stream backed by the 8-byte splitmix64 source.
-// It draws a different (equally deterministic) sequence than NewRNG for
-// the same seed.
-func NewLightRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(&lightSource{state: uint64(seed)})}
-}
-
-// NewLightStreams returns a derivation root whose sub-streams use the
-// light splitmix64 source instead of math/rand's Go1 source. Stream
-// derivation (the per-name seeds) is identical to NewStreams; only the
-// generator behind each stream changes, so memory per stream drops from
-// ≈5 KB to ≈56 B. Used by the keyed RNG mode, which re-rolls sample
-// paths anyway.
-func NewLightStreams(seed int64) *Streams {
-	return &Streams{seed: seed, light: true}
 }

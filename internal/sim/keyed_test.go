@@ -142,19 +142,19 @@ func TestLightStreamsDeterministicPerName(t *testing.T) {
 			diff = true
 		}
 		if x < 0 || x >= 1 {
-			t.Fatalf("light stream Float64 = %v outside [0, 1)", x)
+			t.Fatalf("stream Float64 = %v outside [0, 1)", x)
 		}
 	}
 	if !same {
-		t.Error("equal names drew different light-stream sequences")
+		t.Error("equal names drew different stream sequences")
 	}
 	if !diff {
-		t.Error("distinct names drew identical light-stream sequences")
+		t.Error("distinct names drew identical stream sequences")
 	}
 }
 
 func TestLightStreamDistributions(t *testing.T) {
-	g := NewLightRNG(5)
+	g := NewRNG(5)
 	const n = 100_000
 	var sum, sumN float64
 	for i := 0; i < n; i++ {
@@ -162,12 +162,12 @@ func TestLightStreamDistributions(t *testing.T) {
 		sumN += g.Normal(0, 1)
 	}
 	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Errorf("light uniform mean %v, want 0.5 ± 0.01", mean)
+		t.Errorf("uniform mean %v, want 0.5 ± 0.01", mean)
 	}
 	if mean := sumN / n; math.Abs(mean) > 0.02 {
-		t.Errorf("light normal mean %v, want 0 ± 0.02", mean)
+		t.Errorf("normal mean %v, want 0 ± 0.02", mean)
 	}
 	if v := g.Intn(10); v < 0 || v >= 10 {
-		t.Errorf("light Intn(10) = %d", v)
+		t.Errorf("Intn(10) = %d", v)
 	}
 }
