@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-sarif race race-core check check-sharded obs-check check-obs-e2e bench-smoke bench-regress ci bench-runner bench bench-obs profile
+.PHONY: build test vet lint race check check-sharded check-obs-e2e bench-smoke bench-regress ci bench bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -22,26 +22,20 @@ vet:
 # included (`go run ./cmd/adflint -list` prints the rules). Two passes —
 # bare and with the adfcheck tag — so both halves of every sanitizer
 # file pair are analyzed. The shipped tree must lint clean; any
-# violation exits non-zero and fails ci.
+# violation exits non-zero and fails ci. Each pass also writes a SARIF
+# v2.1.0 report for CI's code-scanning upload (written even when clean,
+# so fixed findings are resolved upstream).
 lint:
-	$(GO) run ./cmd/adflint
-	$(GO) run ./cmd/adflint -tags adfcheck
-
-# lint-sarif is the lint pass for CI's code-scanning upload: the same
-# two tag passes, each also writing a SARIF v2.1.0 report (written even
-# when clean, so fixed findings are resolved upstream).
-lint-sarif:
 	$(GO) run ./cmd/adflint -sarif adflint.sarif
 	$(GO) run ./cmd/adflint -tags adfcheck -sarif adflint-adfcheck.sarif
 
-# Run the whole module under the race detector.
+# Run the whole module under the race detector. This includes the
+# observability gate: the end-to-end smoke test (full run with obs
+# enabled; Chrome trace must parse as JSON, the registry must account
+# the run, event lines must be valid NDJSON), the zero-allocation tick
+# tests and the obs unit suite with its live /metrics scrape.
 race:
 	$(GO) test -race ./...
-
-# Fast alias covering just the concurrency-bearing engine and campaign
-# layers (the old `make race` scope), for quick iteration.
-race-core:
-	$(GO) test -race ./internal/engine/... ./internal/experiment/...
 
 # check runs tier-1 under the adfcheck runtime sanitizer: the full test
 # suite with every //adf:invariant guard armed, campus-partition runs
@@ -51,27 +45,18 @@ race-core:
 check:
 	$(GO) test -tags adfcheck ./...
 
-# check-sharded is the region-partition determinism gate: the pipeline's
-# region partition runs the ADF scenario at 1 (the sequential
-# reference), 4 and NumCPU shard workers in tick lockstep for 120 ticks
-# with every adfcheck invariant armed, and the per-tick state digests —
-# node positions, broker beliefs, shard membership, per-shard cluster
-# statistics — must be bit-identical across all worker counts. The race
-# detector rides along so the same run also proves the shard fan-out is
-# data-race free. The second pass repeats the gate with node churn on,
-# so the geometric churn timeline is held to the same bit-identity bar.
+# check-sharded is the region-partition determinism gate
+# (TestShardDigestGate): the pipeline's region partition runs the ADF
+# scenario at 1 (the sequential reference), 4 and NumCPU shard workers
+# in tick lockstep for 120 ticks with every adfcheck invariant armed,
+# and the per-tick state digests — node positions, broker beliefs,
+# shard membership, per-shard cluster statistics — must be bit-identical
+# across all worker counts. The race detector rides along so the same
+# run also proves the shard fan-out is data-race free. A second subtest
+# repeats the gate with node churn on, so the geometric churn timeline
+# is held to the same bit-identity bar.
 check-sharded:
-	$(GO) run -race -tags adfcheck ./cmd/adfbench -shard-digest -duration 120
-	$(GO) run -race -tags adfcheck ./cmd/adfbench -shard-digest -duration 120 -churn 0.02,0.3
-
-# obs-check is the observability gate: the end-to-end smoke test (full
-# run with obs enabled; Chrome trace must parse as JSON, the registry
-# must account the run, event lines must be valid NDJSON) under the race
-# detector, plus the obs unit suite and one live /metrics scrape through
-# the HTTP handler.
-obs-check:
-	$(GO) test -race -run 'TestObsSmoke|TestZeroAllocTick' ./internal/experiment/
-	$(GO) test -race ./internal/obs/
+	$(GO) test -race -tags adfcheck -run TestShardDigestGate -count=1 ./internal/experiment
 
 # check-obs-e2e is the cross-process tracing gate: a real rtiserver and
 # two adffed federates (sender and receiver) run over TCP with tracing
@@ -111,12 +96,7 @@ bench-regress:
 # ci builds with -trimpath so artifacts are reproducible regardless of
 # the checkout location.
 ci: export GOFLAGS += -trimpath
-ci: build vet lint test race obs-check check-obs-e2e check-sharded bench-smoke bench-regress
-
-# Benchmark the campaign runner (sequential vs parallel figure
-# regeneration) and write BENCH_runner.json.
-bench-runner:
-	$(GO) run ./cmd/adfbench -json
+ci: build vet lint test race check-obs-e2e check-sharded bench-smoke bench-regress
 
 # Run the hot-path microbenchmarks (cluster assignment, geometry, tick
 # loop) and regenerate BENCH_hotpath.json at the baseline protocol
@@ -134,9 +114,9 @@ bench:
 bench-obs:
 	$(GO) run ./cmd/adfbench -obs-bench -duration 300 -seed 1
 
-# Capture CPU and heap profiles of a ~1k-node run; inspect with
-# `go tool pprof cpu.out` / `go tool pprof mem.out`.
+# Capture CPU and heap profiles of the ~1k-node tick loop
+# (BenchmarkTick1008MN); inspect with `go tool pprof cpu.out` /
+# `go tool pprof mem.out`.
 profile:
-	$(GO) run ./cmd/adfbench -hotpath -duration 300 -seed 1 \
-		-hotpath-out /dev/null -cpuprofile cpu.out -memprofile mem.out
+	$(GO) test -run '^$$' -bench BenchmarkTick1008MN -cpuprofile cpu.out -memprofile mem.out ./internal/experiment
 	@echo "wrote cpu.out and mem.out; inspect with: go tool pprof cpu.out"

@@ -91,7 +91,7 @@ func runHotpath(w io.Writer, cfg experiment.Config, path, scales string, allocBu
 		Meta:            runMeta(cfg),
 		DurationSeconds: cfg.Duration,
 		Seed:            cfg.Seed,
-		DTHFactor:       cfg.DTHFactors[0],
+		DTHFactor:       1.0, // MeasureHotpath always runs factor 1.0
 	}
 	if report.Meta.NumCPU == 1 {
 		report.Note = "recorded on a single-CPU host (NumCPU=1): worker parallelism cannot exceed 1, so sharded numbers measure algorithmic cost, not parallel speedup"

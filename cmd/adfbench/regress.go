@@ -39,8 +39,8 @@ const (
 
 // runRegress is the perf-regression gate behind `make bench-regress`:
 // it re-measures the hot-path and obs-overhead numbers at the committed
-// baselines' own protocol (duration, seed, DTH factor from the JSON
-// files) and fails if the current tree is slower or hungrier than the
+// baselines' own protocol (duration and seed from the JSON files) and
+// fails if the current tree is slower or hungrier than the
 // committed BENCH_hotpath.json / BENCH_obs.json allow. tol is the
 // fractional throughput band (0.25 = fail below 75% of baseline);
 // obsBudget is the obs layer's overhead budget in percent.
@@ -106,13 +106,10 @@ func cpuComparable(m RunMeta) bool {
 
 // regressConfig rebuilds the measurement config a baseline report was
 // recorded under.
-func regressConfig(duration float64, seed int64, factor float64) experiment.Config {
+func regressConfig(duration float64, seed int64) experiment.Config {
 	cfg := experiment.DefaultConfig()
 	cfg.Duration = duration
 	cfg.Seed = seed
-	if factor > 0 {
-		cfg.DTHFactors = []float64{factor}
-	}
 	return cfg
 }
 
@@ -130,7 +127,7 @@ func regressHotpath(w io.Writer, base *HotpathReport, tol float64) ([]string, er
 			if bs.PerGroup > regressMaxPerGroup {
 				continue
 			}
-			cfg := regressConfig(base.DurationSeconds, base.Seed, base.DTHFactor)
+			cfg := regressConfig(base.DurationSeconds, base.Seed)
 			cfg.PerGroup = bs.PerGroup
 			best := experiment.HotpathStats{AllocsPerTick: -1}
 			for pass := 0; pass < regressPasses; pass++ {
@@ -215,7 +212,7 @@ func regressObs(w io.Writer, base *ObsReport, obsBudget float64) ([]string, erro
 		if bs.PerGroup > regressMaxPerGroup {
 			continue
 		}
-		cfg := regressConfig(obsRegressDuration(base.DurationSeconds, bs.PerGroup), base.Seed, 0)
+		cfg := regressConfig(obsRegressDuration(base.DurationSeconds, bs.PerGroup), base.Seed)
 		cfg.PerGroup = bs.PerGroup
 		var disabled, enabled float64
 		for pass := 0; pass < obsBenchPasses; pass++ {

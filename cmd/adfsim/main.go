@@ -3,9 +3,19 @@
 //
 // Usage:
 //
-//	adfsim [-figure all|table1|4|5|6|7|8|9] [-duration 1800] [-seed 1]
+//	adfsim [-figure all|table1|4|5|6|7|8|9|energy|percentiles|seeds|scale]
+//	       [-duration 1800] [-seed 1] [-factors 0.75,1.0,1.25]
 //	       [-estimator gap-aware] [-series] [-workers 0] [-shard-workers 0]
 //	       [-obs-addr :8080] [-obs-summary 10s] [-obs-events events.ndjson]
+//	adfsim -figure ablations|adf-vs-gdf|alpha|estimators|recluster|smoothing|semantics|outages|churn
+//	       [-duration 1800] [-seed 1] [-factors 1.0] ...
+//
+// The ablation values run the design-choice ablations — per-cluster
+// versus global DTH sizing, the clustering similarity bound, the
+// estimator shoot-out, the reconstruction interval, the LE smoothing
+// constant, the distance-comparison semantics and the loss and churn
+// models — at the -factors DTH factors (the single-factor ablations at
+// the first); "ablations" runs all eight in order.
 //
 // With -series the per-second curves behind Figures 4, 5 and 7 are
 // printed (averaged into 60-second buckets).
@@ -42,7 +52,7 @@ func main() {
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("adfsim", flag.ContinueOnError)
 	var (
-		figure    = fs.String("figure", "all", "which figure to regenerate: all, table1, 4, 5, 6, 7, 8, 9, energy, percentiles, seeds or scale")
+		figure    = fs.String("figure", "all", "which figure to regenerate: all, table1, 4, 5, 6, 7, 8, 9, energy, percentiles, seeds, scale, ablations or one ablation (adf-vs-gdf, alpha, estimators, recluster, smoothing, semantics, outages, churn)")
 		duration  = fs.Float64("duration", 1800, "simulated horizon in seconds")
 		seed      = fs.Int64("seed", 1, "run seed")
 		estimator = fs.String("estimator", "gap-aware", "location estimator: gap-aware, brown, single, dead-reckoning or ar1")
@@ -120,6 +130,11 @@ func run(w io.Writer, args []string) error {
 			return err
 		}
 		return render(w, res.Table().String())
+	case "ablations":
+		return experiment.WriteAblations(w, cfg, experiment.Ablations)
+	}
+	if a, ok := experiment.LookupAblation(*figure); ok {
+		return experiment.WriteAblations(w, cfg, []experiment.Ablation{a})
 	}
 
 	res, err := cfg.Run()

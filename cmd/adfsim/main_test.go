@@ -84,12 +84,50 @@ func TestRunWithSeries(t *testing.T) {
 	}
 }
 
+func TestRunSingleAblations(t *testing.T) {
+	wants := map[string]string{
+		"adf-vs-gdf": "general DF",
+		"alpha":      "similarity bound",
+		"estimators": "shoot-out",
+		"recluster":  "reconstruction interval",
+		"smoothing":  "smoothing constant",
+		"semantics":  "semantics",
+		"outages":    "bursty wireless loss",
+		"churn":      "node churn",
+	}
+	for name, want := range wants {
+		var b strings.Builder
+		if err := run(&b, []string{"-figure", name, "-duration", "120", "-factors", "1.0"}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("%s output missing %q:\n%s", name, want, b.String())
+		}
+	}
+}
+
+func TestRunAllAblations(t *testing.T) {
+	var b strings.Builder
+	if err := run(&b, []string{"-figure", "ablations", "-duration", "120", "-factors", "1.0"}); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"general DF", "shoot-out", "semantics"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("missing %q", want)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-figure", "99", "-duration", "60"},
 		{"-factors", "abc"},
 		{"-factors", ""},
 		{"-duration", "-5"},
+		{"-figure", "4", "-duration", "NaN"},
+		{"-figure", "4", "-duration", "Inf"},
+		{"-figure", "4", "-duration", "60", "-factors", "NaN"},
 		{"-estimator", "bogus", "-duration", "60"},
 		{"-unknownflag"},
 	}

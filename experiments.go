@@ -1,7 +1,6 @@
 package adf
 
 import (
-	"fmt"
 	"io"
 
 	"github.com/mobilegrid/adf/internal/experiment"
@@ -187,57 +186,8 @@ func (r *ExperimentResults) RMSESeries() (noLE, withLE map[string][]float64) {
 
 // AblationReport runs the design-choice ablations DESIGN.md indexes (ADF
 // vs general DF, clustering α sweep, estimator shoot-out, recluster
-// interval, LE smoothing, filter semantics) and renders their tables.
+// interval, LE smoothing, filter semantics, bursty loss, node churn) and
+// renders their tables.
 func AblationReport(w io.Writer, cfg ExperimentConfig) error {
-	icfg := cfg.internal()
-
-	adfVsGdf, err := experiment.RunAblationADFvsGeneralDF(icfg)
-	if err != nil {
-		return fmt.Errorf("adf vs general df: %w", err)
-	}
-	alpha, err := experiment.RunAblationAlphaSweep(icfg, nil)
-	if err != nil {
-		return fmt.Errorf("alpha sweep: %w", err)
-	}
-	estimators, err := experiment.RunAblationEstimators(icfg)
-	if err != nil {
-		return fmt.Errorf("estimator shoot-out: %w", err)
-	}
-	recluster, err := experiment.RunAblationReclusterInterval(icfg, nil)
-	if err != nil {
-		return fmt.Errorf("recluster interval: %w", err)
-	}
-	smoothing, err := experiment.RunAblationSmoothing(icfg, nil)
-	if err != nil {
-		return fmt.Errorf("smoothing sweep: %w", err)
-	}
-	semantics, err := experiment.RunAblationSemantics(icfg)
-	if err != nil {
-		return fmt.Errorf("semantics: %w", err)
-	}
-	outages, err := experiment.RunAblationOutages(icfg)
-	if err != nil {
-		return fmt.Errorf("outages: %w", err)
-	}
-	churn, err := experiment.RunAblationChurn(icfg)
-	if err != nil {
-		return fmt.Errorf("churn: %w", err)
-	}
-
-	tables := []interface{ String() string }{
-		adfVsGdf.Table(), alpha.Table(), estimators.Table(),
-		recluster.Table(), smoothing.Table(), semantics.Table(),
-		outages.Table(), churn.Table(),
-	}
-	for i, t := range tables {
-		if i > 0 {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, t.String()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return experiment.WriteAblations(w, cfg.internal(), experiment.Ablations)
 }

@@ -2,12 +2,74 @@ package experiment
 
 import (
 	"fmt"
+	"io"
 
 	"github.com/mobilegrid/adf/internal/campus"
 	"github.com/mobilegrid/adf/internal/filter"
 	"github.com/mobilegrid/adf/internal/gateway"
 	"github.com/mobilegrid/adf/internal/metrics"
 )
+
+// Ablation is one design-choice ablation: its name (an `adfsim -figure`
+// value) and the run that renders its table.
+type Ablation struct {
+	Name string
+	Run  func(Config) (*metrics.Table, error)
+}
+
+// Ablations are the design-choice ablations DESIGN.md indexes, in report
+// order. Each runs at the configured DTH factors (the single-factor ones
+// at the first).
+var Ablations = []Ablation{
+	{"adf-vs-gdf", tabled(RunAblationADFvsGeneralDF)},
+	{"alpha", tabled(func(c Config) (SweepResult, error) { return RunAblationAlphaSweep(c, nil) })},
+	{"estimators", tabled(RunAblationEstimators)},
+	{"recluster", tabled(func(c Config) (SweepResult, error) { return RunAblationReclusterInterval(c, nil) })},
+	{"smoothing", tabled(func(c Config) (SweepResult, error) { return RunAblationSmoothing(c, nil) })},
+	{"semantics", tabled(RunAblationSemantics)},
+	{"outages", tabled(RunAblationOutages)},
+	{"churn", tabled(RunAblationChurn)},
+}
+
+// tabled adapts an ablation run to the Ablation.Run shape.
+func tabled[R interface{ Table() *metrics.Table }](run func(Config) (R, error)) func(Config) (*metrics.Table, error) {
+	return func(c Config) (*metrics.Table, error) {
+		r, err := run(c)
+		if err != nil {
+			return nil, err
+		}
+		return r.Table(), nil
+	}
+}
+
+// LookupAblation returns the ablation called name.
+func LookupAblation(name string) (Ablation, bool) {
+	for _, a := range Ablations {
+		if a.Name == name {
+			return a, true
+		}
+	}
+	return Ablation{}, false
+}
+
+// WriteAblations runs each ablation under cfg in order and writes its
+// table to w, a blank line between tables.
+func WriteAblations(w io.Writer, cfg Config, ablations []Ablation) error {
+	for i, a := range ablations {
+		t, err := a.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", a.Name, err)
+		}
+		sep := ""
+		if i > 0 {
+			sep = "\n"
+		}
+		if _, err := io.WriteString(w, sep+t.String()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // AblationADFvsGeneralDFRow compares the ADF against the general distance
 // filter at one DTH factor.

@@ -14,6 +14,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/mobilegrid/adf/internal/broker"
 	"github.com/mobilegrid/adf/internal/campus"
@@ -175,6 +176,21 @@ func DefaultConfig() Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
+	// NaN fails every comparison below and ±Inf passes some, so the
+	// float fields are checked for finiteness first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Duration", c.Duration},
+		{"SamplePeriod", c.SamplePeriod},
+		{"DropProb", c.DropProb},
+		{"Smoothing", c.Smoothing},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("experiment: %s must be finite, got %v", f.name, f.v)
+		}
+	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("experiment: Duration must be positive, got %v", c.Duration)
 	}
@@ -188,8 +204,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiment: no DTH factors")
 	}
 	for _, f := range c.DTHFactors {
-		if f <= 0 {
-			return fmt.Errorf("experiment: DTH factor %v not positive", f)
+		if !(f > 0) || math.IsInf(f, 0) {
+			return fmt.Errorf("experiment: DTHFactors entry %v not positive and finite", f)
 		}
 	}
 	if c.Smoothing <= 0 || c.Smoothing >= 1 {

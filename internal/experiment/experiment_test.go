@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"github.com/mobilegrid/adf/internal/campus"
@@ -38,6 +40,41 @@ func TestConfigValidate(t *testing.T) {
 			tt.mutate(&cfg)
 			if err := cfg.Validate(); (err != nil) != tt.wantErr {
 				t.Errorf("Validate() = %v, wantErr %v", err, tt.wantErr)
+			}
+		})
+	}
+}
+
+// TestConfigValidateRejectsNonFinite: NaN fails every ordered
+// comparison and ±Inf passes the one-sided ones, so each float field is
+// checked for finiteness and the error names the field.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mutate func(*Config)
+		field  string
+	}{
+		{"NaN duration", func(c *Config) { c.Duration = nan }, "Duration"},
+		{"+Inf duration", func(c *Config) { c.Duration = inf }, "Duration"},
+		{"NaN period", func(c *Config) { c.SamplePeriod = nan }, "SamplePeriod"},
+		{"+Inf period", func(c *Config) { c.SamplePeriod = inf }, "SamplePeriod"},
+		{"NaN drop", func(c *Config) { c.DropProb = nan }, "DropProb"},
+		{"-Inf drop", func(c *Config) { c.DropProb = -inf }, "DropProb"},
+		{"NaN smoothing", func(c *Config) { c.Smoothing = nan }, "Smoothing"},
+		{"NaN factor", func(c *Config) { c.DTHFactors = []float64{1, nan} }, "DTHFactors"},
+		{"+Inf factor", func(c *Config) { c.DTHFactors = []float64{inf} }, "DTHFactors"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			tt.mutate(&cfg)
+			err := cfg.Validate()
+			if err == nil {
+				t.Fatal("Validate() accepted a non-finite value")
+			}
+			if !strings.Contains(err.Error(), tt.field) {
+				t.Errorf("Validate() = %v, want the error to name %s", err, tt.field)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 // enabled end to end: the registry must account the run, the span ring
 // must export a parseable Chrome trace, the Prometheus rendering must
 // carry the pipeline families and the event log must stream valid
-// NDJSON. This is the `make obs-check` gate, run under -race in CI.
+// NDJSON. It is the observability gate, run under -race by `make race`.
 func TestObsSmoke(t *testing.T) {
 	was := obs.Enabled()
 	obs.SetEnabled(true)

@@ -14,9 +14,9 @@ import (
 // list like {1, 4, NumCPU} proves the shard merge is deterministic at
 // any parallelism. The first divergence is reported with its tick; the
 // number of compared ticks is returned. Under -tags adfcheck every tick
-// additionally runs the sanitizer invariants, which is how `adfbench
-// -shard-digest` and the CI `make check-sharded` job exercise the
-// sharded stack.
+// additionally runs the sanitizer invariants, which is how
+// TestShardDigestGate (`make check-sharded`) exercises the sharded
+// stack.
 func (c Config) CompareShardDigests(workerCounts []int) (int, error) {
 	if len(workerCounts) < 2 {
 		return 0, fmt.Errorf(
