@@ -54,14 +54,29 @@ func (s *CountSeries) Reserve(seconds int) {
 	}
 }
 
-// Add records n events at virtual time t (t >= 0).
+// bucketLimit is the first virtual time whose one-second bucket index
+// does not fit an int.
+const bucketLimit = math.MaxInt + 1
+
+// bucketOf returns the one-second bucket of virtual time t, or false
+// when t is negative, NaN or past bucketLimit (an infinite time
+// included): such a time has no bucket, and the series drop it.
+func bucketOf(t float64) (int, bool) {
+	if !(t >= 0 && t < bucketLimit) {
+		return 0, false
+	}
+	return int(t), true
+}
+
+// Add records n events at virtual time t; a time bucketOf rejects is
+// dropped.
 //
 //adf:hotpath
 func (s *CountSeries) Add(t float64, n float64) {
-	if t < 0 || math.IsNaN(t) {
+	b, ok := bucketOf(t)
+	if !ok {
 		return
 	}
-	b := int(t)
 	s.grow(b)
 	s.counts[b] += n
 }
@@ -150,12 +165,13 @@ func (s *RMSESeries) Reserve(seconds int) {
 	}
 }
 
-// Add records one scalar error distance at time t.
+// Add records one scalar error distance at time t; a NaN distance or a
+// time bucketOf rejects is dropped.
 func (s *RMSESeries) Add(t float64, err float64) {
-	if t < 0 || math.IsNaN(t) || math.IsNaN(err) {
+	b, ok := bucketOf(t)
+	if !ok || math.IsNaN(err) {
 		return
 	}
-	b := int(t)
 	for len(s.sumSq) <= b {
 		s.sumSq = append(s.sumSq, 0)
 		s.n = append(s.n, 0)

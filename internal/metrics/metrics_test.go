@@ -164,6 +164,37 @@ func TestRMSESeriesIgnoresInvalid(t *testing.T) {
 	}
 }
 
+// TestSeriesDropUnbucketableTimes: a time with no int bucket index —
+// negative, NaN, infinite or at least 2^63 — is dropped by both series
+// instead of panicking on a wrapped index.
+func TestSeriesDropUnbucketableTimes(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		t    float64
+	}{
+		{"negative", -1},
+		{"-inf", math.Inf(-1)},
+		{"nan", math.NaN()},
+		{"+inf", math.Inf(1)},
+		{"1e300", 1e300},
+		{"2^63", 1 << 63},
+		{"max-float", math.MaxFloat64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var c CountSeries
+			c.Add(tc.t, 1)
+			var r RMSESeries
+			r.Add(tc.t, 1)
+			if c.Len() != 0 || c.Total() != 0 {
+				t.Errorf("CountSeries recorded time %v: len %d total %v", tc.t, c.Len(), c.Total())
+			}
+			if r.Len() != 0 || r.Overall() != 0 {
+				t.Errorf("RMSESeries recorded time %v: len %d overall %v", tc.t, r.Len(), r.Overall())
+			}
+		})
+	}
+}
+
 func TestGroupTally(t *testing.T) {
 	g := NewGroupTally()
 	g.Add("road", 3)
