@@ -11,14 +11,16 @@
 // a private Pipeline, sim.Simulator and sim.Streams, so running
 // simulations concurrently on a Group is bit-for-bit identical to running
 // them one after another.
+//
+// The metric sinks lag the simulation by one tick: Pipeline.Tick(t)
+// computes tick t while the observers receive tick t−1, and the sinks
+// are complete once Pipeline.Run returns or Pipeline.Close has been
+// called.
 package engine
 
 import (
-	"sync"
-
 	"github.com/mobilegrid/adf/internal/campus"
 	"github.com/mobilegrid/adf/internal/geo"
-	"github.com/mobilegrid/adf/internal/node"
 )
 
 // Sample is one node's position sample flowing through the pipeline.
@@ -53,8 +55,11 @@ func (v Variant) String() string {
 
 // Observer receives pipeline events. Implementations are metric sinks
 // (traffic counters, energy accounting, RMSE accumulators); they must not
-// mutate simulation state. Returning a non-nil error aborts the run and
-// surfaces through Pipeline.Run.
+// mutate or read simulation state. A tick's events arrive while the
+// pipeline computes the next tick, so a sink is complete only after
+// Pipeline.Run returns or Pipeline.Close has been called. Returning a
+// non-nil error aborts the run: no observer receives another event, and
+// the error surfaces from the next Tick, from Close or from Run.
 type Observer interface {
 	// OnOffered fires when a sample survives wireless disconnection and
 	// reaches the filter.
@@ -131,73 +136,3 @@ func (os Observers) OnTick(now float64) error {
 	}
 	return nil
 }
-
-// advanceRange advances the nodes in [lo, hi) and writes their samples.
-// Each node's mobility draws only from its private RNG stream, so disjoint
-// ranges can advance concurrently with sequential-identical results.
-//
-//adf:hotpath
-func advanceRange(nodes []*node.Node, samples []Sample, period, now float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		n := nodes[i]
-		pos := n.Advance(period)
-		samples[i] = Sample{Node: n.ID(), Region: n.Region(), Time: now, Pos: pos}
-	}
-}
-
-// advancePool is a persistent worker pool for the mobility-advance stage:
-// the goroutines are started once and fed contiguous node ranges through a
-// channel, so a steady-state tick dispatches with no allocation.
-type advancePool struct {
-	workers int
-	work    chan [2]int
-	wg      sync.WaitGroup
-
-	// Per-dispatch inputs, published before wg.Add/sends and read by
-	// workers only between receiving a range and wg.Done.
-	nodes   []*node.Node
-	samples []Sample
-	period  float64
-	now     float64
-}
-
-// newAdvancePool starts the pool's worker goroutines, which advance
-// disjoint node ranges over private RNG streams — results are
-// bit-for-bit identical to the sequential order.
-//
-//adf:owns queue:work — the workers launched here are the work channel's only receivers
-func newAdvancePool(workers int) *advancePool {
-	p := &advancePool{workers: workers, work: make(chan [2]int)}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for r := range p.work {
-				advanceRange(p.nodes, p.samples, p.period, p.now, r[0], r[1])
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-// advance shards [0, len(nodes)) into one contiguous range per worker and
-// blocks until every node has been advanced.
-func (p *advancePool) advance(nodes []*node.Node, samples []Sample, period, now float64) {
-	p.nodes, p.samples, p.period, p.now = nodes, samples, period, now
-	n := len(nodes)
-	shards := p.workers
-	if shards > n {
-		shards = n
-	}
-	if shards == 0 {
-		return
-	}
-	p.wg.Add(shards)
-	for s := 0; s < shards; s++ {
-		lo := s * n / shards
-		hi := (s + 1) * n / shards
-		p.work <- [2]int{lo, hi}
-	}
-	p.wg.Wait()
-}
-
-func (p *advancePool) close() { close(p.work) }

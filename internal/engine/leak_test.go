@@ -44,20 +44,17 @@ func TestGroupGoroutinesDrain(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestShardPoolGoroutinesDrain pins the persistent shard worker pool:
-// closing the work channel ends every worker.
+// TestShardPoolGoroutinesDrain pins the pipeline's persistent worker
+// pool: closing the work channel ends every worker.
 func TestShardPoolGoroutinesDrain(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	var ran atomic.Int64
-	p := newShardPool(4, func(*shardCtx) { ran.Add(1) })
-	shards := make([]*shardCtx, 16)
-	for i := range shards {
-		shards[i] = &shardCtx{}
-	}
-	p.dispatch(shards)
-	p.dispatch(shards)
+	p := newShardPool(4, func(int) { ran.Add(1) })
+	jobs := make([]int, 16)
+	p.dispatch(jobs)
+	p.dispatch(jobs)
 	if ran.Load() != 32 {
-		t.Fatalf("ran %d shard dispatches, want 32", ran.Load())
+		t.Fatalf("ran %d job dispatches, want 32", ran.Load())
 	}
 	p.close()
 	waitForGoroutines(t, baseline)

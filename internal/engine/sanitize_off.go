@@ -8,8 +8,8 @@ import "github.com/mobilegrid/adf/internal/node"
 // Pipeline costs nothing.
 type sanitizerState struct{}
 
-// checkTick is a no-op in the default build.
-func (st *sanitizerState) checkTick(nodes []*node.Node, samples []Sample, now float64) {}
+// checkClock is a no-op in the default build.
+func (st *sanitizerState) checkClock(nodes []*node.Node, now float64) {}
 
-// sanitizeTick is a no-op in the default build.
-func (p *Pipeline) sanitizeTick(now float64) {}
+// checkSample is a no-op in the default build.
+func (st *sanitizerState) checkSample(s *Sample) {}

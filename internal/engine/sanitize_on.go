@@ -19,12 +19,10 @@ type sanitizerState struct {
 	ticked    bool
 }
 
-// checkTick verifies one tick's invariants right after the advance
-// stage filled the sample buffer: the virtual clock only moves forward,
-// and every node's sampled position is finite and inside the union of
-// the campus region bounds (the mobility models bounce or clamp inside
-// their region, so any escape is a model bug, not a modelling choice).
-func (st *sanitizerState) checkTick(nodes []*node.Node, samples []Sample, now float64) {
+// checkClock runs once per tick, before the job list: the virtual
+// clock only moves forward. The first call also resolves the union of
+// the campus region bounds that checkSample holds positions to.
+func (st *sanitizerState) checkClock(nodes []*node.Node, now float64) {
 	if !st.hasBounds {
 		bounds := nodes[0].Region().Bounds
 		for _, n := range nodes[1:] {
@@ -39,19 +37,19 @@ func (st *sanitizerState) checkTick(nodes []*node.Node, samples []Sample, now fl
 	//adf:invariant monotone-clock — sampling rounds may only move forward in virtual time.
 	sanitize.CheckMonotone("engine: tick clock", prev, now)
 	st.lastTick, st.ticked = now, true
-
-	for i := range samples {
-		s := &samples[i]
-		//adf:invariant finite-position — a NaN/Inf coordinate silently corrupts every downstream RMSE and traffic figure.
-		sanitize.CheckPoint("engine: node position", s.Pos)
-		//adf:invariant campus-bounds — positions stay inside the union of the campus region bounds.
-		sanitize.CheckInBounds("engine: node position", s.Pos, st.bounds)
-		//adf:invariant finite-position — sample timestamps feed the estimators and must be finite.
-		sanitize.CheckFinite("engine: sample time", s.Time)
-	}
 }
 
-// sanitizeTick checks the pipeline's tick invariants.
-func (p *Pipeline) sanitizeTick(now float64) {
-	p.san.checkTick(p.Nodes, p.samples, now)
+// checkSample verifies one freshly advanced sample inside its shard
+// job, before any filter sees it: the position is finite and inside the
+// campus bounds (the mobility models bounce or clamp inside their
+// region, so any escape is a model bug, not a modelling choice), and
+// the time is finite. It only reads the state checkClock wrote, so
+// shards may call it concurrently.
+func (st *sanitizerState) checkSample(s *Sample) {
+	//adf:invariant finite-position — a NaN/Inf coordinate silently corrupts every downstream RMSE and traffic figure.
+	sanitize.CheckPoint("engine: node position", s.Pos)
+	//adf:invariant campus-bounds — positions stay inside the union of the campus region bounds.
+	sanitize.CheckInBounds("engine: node position", s.Pos, st.bounds)
+	//adf:invariant finite-position — sample timestamps feed the estimators and must be finite.
+	sanitize.CheckFinite("engine: sample time", s.Time)
 }

@@ -33,16 +33,16 @@ func expectSanitizerPanic(t *testing.T, fragment string, f func()) {
 	f()
 }
 
-// TestSanitizerCatchesNaNPosition injects the ISSUE's canonical
-// corruption — a forced NaN coordinate — into the tick's sample buffer
-// and asserts the sanitizer fails the tick with a file:line panic.
+// TestSanitizerCatchesNaNPosition injects the canonical corruption — a
+// forced NaN coordinate — into a sample in the tick's buffer and asserts
+// the per-sample check a shard job runs fails with a file:line panic.
 func TestSanitizerCatchesNaNPosition(t *testing.T) {
 	p := newTestPipeline(t, 0, nil)
 	if err := p.Tick(1); err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
 	p.samples[3].Pos.X = math.NaN()
-	expectSanitizerPanic(t, "non-finite position", func() { p.sanitizeTick(2) })
+	expectSanitizerPanic(t, "non-finite position", func() { p.san.checkSample(&p.samples[3]) })
 }
 
 // TestSanitizerCatchesEscapedPosition: a position outside the campus
@@ -53,7 +53,7 @@ func TestSanitizerCatchesEscapedPosition(t *testing.T) {
 		t.Fatalf("healthy tick: %v", err)
 	}
 	p.samples[0].Pos = p.san.bounds.Max.Add(p.san.bounds.Max.Sub(p.san.bounds.Min)) // far outside
-	expectSanitizerPanic(t, "outside bounds", func() { p.sanitizeTick(2) })
+	expectSanitizerPanic(t, "outside bounds", func() { p.san.checkSample(&p.samples[0]) })
 }
 
 // TestSanitizerCatchesBackwardsClock: tick times may only increase.
@@ -62,7 +62,7 @@ func TestSanitizerCatchesBackwardsClock(t *testing.T) {
 	if err := p.Tick(5); err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
-	expectSanitizerPanic(t, "time moved backwards", func() { p.sanitizeTick(4) })
+	expectSanitizerPanic(t, "time moved backwards", func() { p.san.checkClock(p.Nodes, 4) })
 }
 
 // TestSanitizedRunIsClean drives a full pipeline run with churn under

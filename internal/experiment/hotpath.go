@@ -38,12 +38,13 @@ type HotpathStats struct {
 // MeasureHotpath executes one ADF run (DTH factor 1.0) under c — in the
 // campus partition, or the region partition when c.ShardWorkers > 0 —
 // and reports its end-to-end throughput: virtual ticks per wall-clock
-// second, nanoseconds per tick and heap allocations per tick (runtime.MemStats.Mallocs deltas). The whole
-// simulation is timed, setup and summary sorting included, matching the
-// protocol of the BENCH_hotpath.json baselines; the tick loop is driven
-// manually so a second MemStats read at the warmup boundary — half the
-// run, capped at 300 ticks — isolates SteadyAllocsPerTick from one-time
-// births.
+// second, nanoseconds per tick and heap allocations per tick
+// (runtime.MemStats.Mallocs deltas). The whole simulation is timed —
+// setup, the tick loop, the pipeline's closing replay of the last tick
+// and the quantile selection — matching the protocol of the
+// BENCH_hotpath.json baselines; the tick loop is driven manually so a
+// second MemStats read at the warmup boundary — half the run, capped at
+// 300 ticks — isolates SteadyAllocsPerTick from one-time births.
 func (c Config) MeasureHotpath() (HotpathStats, error) {
 	world := campus.New()
 	perGroup := c.PerGroup
@@ -79,6 +80,11 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 		if err := loop.Tick(now); err != nil {
 			return HotpathStats{}, err
 		}
+	}
+	// The observers trail the pipeline by one tick: Close replays the
+	// last one, so the sinks are complete before they are read.
+	if err := loop.Close(); err != nil {
+		return HotpathStats{}, err
 	}
 	runtime.ReadMemStats(&after)
 	ticked := time.Since(start) //adf:allow determinism — phase split of the wall-clock measurement

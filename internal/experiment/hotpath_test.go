@@ -112,10 +112,14 @@ func TestShardWorkersDeterminism(t *testing.T) {
 }
 
 // benchmarkTick measures the steady-state cost of one pipeline tick at a
-// given population scale, allocation-counted.
-func benchmarkTick(b *testing.B, perGroup int) {
+// given population scale and partition (shardWorkers 0 is the campus
+// partition), allocation-counted. The timed loop ends with Close, which
+// replays the last tick to the observers, so every timed tick is paid
+// in full.
+func benchmarkTick(b *testing.B, perGroup, shardWorkers int) {
 	c := DefaultConfig()
 	c.PerGroup = perGroup
+	c.ShardWorkers = shardWorkers
 	const warmup = 200
 	c.Duration = float64(b.N + warmup + 1)
 	pipeline, _, err := c.buildPipeline(c.adfFactory(1.0))
@@ -138,10 +142,17 @@ func benchmarkTick(b *testing.B, perGroup int) {
 			b.Fatal(err)
 		}
 	}
+	if err := pipeline.Close(); err != nil {
+		b.Fatal(err)
+	}
 }
 
-func BenchmarkTick140MN(b *testing.B)  { benchmarkTick(b, 5) }
-func BenchmarkTick1008MN(b *testing.B) { benchmarkTick(b, 36) }
+func BenchmarkTick140MN(b *testing.B)  { benchmarkTick(b, 5, 0) }
+func BenchmarkTick1008MN(b *testing.B) { benchmarkTick(b, 36, 0) }
+
+// BenchmarkTickSharded20k is the scale-20k shape: 20,020 nodes in the
+// region partition on two workers.
+func BenchmarkTickSharded20k(b *testing.B) { benchmarkTick(b, 715, 2) }
 
 // BenchmarkFullRun1800s140MN times the paper's full 1800-second run at the
 // Table-1 population, setup and summary sorting included — the end-to-end

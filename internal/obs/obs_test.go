@@ -196,6 +196,7 @@ func TestSpansAndChromeTrace(t *testing.T) {
 		t1 := StageClock(start)
 		t2 := StageClock(start)
 		t3 := StageClock(start)
+		RecordShardSpan(tid, 0, nil, start, t1, t2)
 		RecordTickSpans(tid, start, t1, t2, t3, StageClock(start))
 	})
 	if SpanCount() < 5 {
@@ -247,7 +248,7 @@ func TestStageDisabledRecordsNothing(t *testing.T) {
 		t.Fatalf("disabled StageStart = %d, want 0", start)
 	}
 	RecordTickSpans(1, start, StageClock(start), 0, 0, 0)
-	RecordShardSpan(1, 0, nil, 0, 0)
+	RecordShardSpan(1, 0, nil, 0, 0, 0)
 	if SpanCount() != before {
 		t.Error("disabled stage calls recorded spans")
 	}
