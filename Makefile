@@ -114,9 +114,12 @@ bench:
 bench-obs:
 	$(GO) run ./cmd/adfbench -obs-bench -duration 300 -seed 1
 
-# Capture CPU and heap profiles of the ~1k-node tick loop
-# (BenchmarkTick1008MN); inspect with `go tool pprof cpu.out` /
-# `go tool pprof mem.out`.
+# Capture CPU and heap profiles of the tick loop in both partitions:
+# the ~1k-node campus partition (BenchmarkTick1008MN, cpu.out/mem.out)
+# and the 20k-node region partition on two shard workers
+# (BenchmarkTickSharded20k at -cpu 2, cpu-sharded.out/mem-sharded.out).
+# Inspect with `go tool pprof cpu.out` and so on.
 profile:
-	$(GO) test -run '^$$' -bench BenchmarkTick1008MN -cpuprofile cpu.out -memprofile mem.out ./internal/experiment
-	@echo "wrote cpu.out and mem.out; inspect with: go tool pprof cpu.out"
+	$(GO) test -run '^$$' -bench 'BenchmarkTick1008MN$$' -cpuprofile cpu.out -memprofile mem.out ./internal/experiment
+	$(GO) test -run '^$$' -bench 'BenchmarkTickSharded20k$$' -cpu 2 -cpuprofile cpu-sharded.out -memprofile mem-sharded.out ./internal/experiment
+	@echo "wrote cpu.out, mem.out, cpu-sharded.out and mem-sharded.out; inspect with: go tool pprof cpu.out"

@@ -16,7 +16,9 @@ import (
 // number of compared ticks is returned. Under -tags adfcheck every tick
 // additionally runs the sanitizer invariants, which is how
 // TestShardDigestGate (`make check-sharded`) exercises the sharded
-// stack.
+// stack. It reads no metric sink, so the observers' one-tick lag does
+// not enter the comparison; closing the pipelines at the end still
+// surfaces an observer error from the last tick.
 func (c Config) CompareShardDigests(workerCounts []int) (int, error) {
 	if len(workerCounts) < 2 {
 		return 0, fmt.Errorf(
@@ -53,6 +55,11 @@ func (c Config) CompareShardDigests(workerCounts []int) (int, error) {
 					"experiment: shard digests diverge at tick %v: %d-worker %#016x, %d-worker %#016x",
 					t, workerCounts[0], ref, workerCounts[i+1], d)
 			}
+		}
+	}
+	for i, p := range pipes {
+		if err := p.Close(); err != nil {
+			return ticks, fmt.Errorf("experiment: %d-worker sharded pipeline: %w", workerCounts[i], err)
 		}
 	}
 	return ticks, nil
