@@ -74,9 +74,9 @@ check-obs-e2e:
 # double-digit headroom (the recorded number is 0). Throughput is not
 # gated (CI machines vary); the allocation floor is machine-independent.
 # The second step runs the TCP RTI lockstep microbenchmark (one sender,
-# 1 and 4 receivers, 405 LUs per step) for 20 steps each, reporting
-# ns/LU and allocs/LU, so a transport change that breaks the loopback
-# round trip or its fan-out fails here. The last step runs the error
+# 1 and 4 receivers, 405 pipelined sends and one time advance per step)
+# for 20 steps each, reporting ns/LU and allocs/LU, so a transport change
+# that breaks the loopback send→deliver path or its fan-out fails here. The last step runs the error
 # summary microbenchmark once (2M samples, 60% exact zeros: record, then
 # publish P50/P90/P99/Max), reporting ns/op and B/op.
 bench-smoke:
@@ -117,9 +117,11 @@ bench-obs:
 # Capture CPU and heap profiles of the tick loop in both partitions:
 # the ~1k-node campus partition (BenchmarkTick1008MN, cpu.out/mem.out)
 # and the 20k-node region partition on two shard workers
-# (BenchmarkTickSharded20k at -cpu 2, cpu-sharded.out/mem-sharded.out).
-# Inspect with `go tool pprof cpu.out` and so on.
+# (BenchmarkTickSharded20k at -cpu 2, cpu-sharded.out/mem-sharded.out),
+# then a CPU profile of the TCP RTI path (BenchmarkRTILockstep at -cpu
+# 2, cpu-rti.out). Inspect with `go tool pprof cpu.out` and so on.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkTick1008MN$$' -cpuprofile cpu.out -memprofile mem.out ./internal/experiment
 	$(GO) test -run '^$$' -bench 'BenchmarkTickSharded20k$$' -cpu 2 -cpuprofile cpu-sharded.out -memprofile mem-sharded.out ./internal/experiment
-	@echo "wrote cpu.out, mem.out, cpu-sharded.out and mem-sharded.out; inspect with: go tool pprof cpu.out"
+	$(GO) test -run '^$$' -bench 'BenchmarkRTILockstep$$' -cpu 2 -cpuprofile cpu-rti.out ./internal/hla
+	@echo "wrote cpu.out, mem.out, cpu-sharded.out, mem-sharded.out and cpu-rti.out; inspect with: go tool pprof cpu.out"

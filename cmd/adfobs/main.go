@@ -18,7 +18,11 @@
 //
 // SLOs are asserted with -slo, a comma-separated list like
 //
-//	-slo "interaction:p99<5ms,advance:p95<20ms"
+//	-slo "update:p99<5ms,advance:p95<20ms"
+//
+// An interaction span times only the client's enqueue (SendInteraction
+// is pipelined and does not wait for its ack), so an interaction SLO
+// bounds the send call, not the LU's trip to its receivers.
 //
 // and -require-links 0.99 demands at least that link ratio. Any
 // violation makes adfobs exit non-zero, so CI can gate on it.
@@ -101,7 +105,7 @@ func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("adfobs", flag.ContinueOnError)
 	var (
 		out      = fs.String("out", "", "write the merged Chrome trace_event JSON to this file")
-		sloSpec  = fs.String("slo", "", `latency SLOs, e.g. "interaction:p99<5ms,advance:p95<20ms"`)
+		sloSpec  = fs.String("slo", "", `latency SLOs, e.g. "update:p99<5ms,advance:p95<20ms"`)
 		minLinks = fs.Float64("require-links", 0, "fail unless at least this fraction of LU origin spans link to a delivery span (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -19,12 +19,12 @@ type countingAmb struct {
 
 func (a *countingAmb) ReceiveInteraction(string, Values, float64) { a.received++ }
 
-// BenchmarkRTILockstep is the loopback send→deliver round trip plus
-// fan-out over the TCP transport: per step, one sender makes luBatch
-// closed-loop SendInteraction requests, then it and every receiver
-// request the time advance that delivers the batch. One op is one step;
-// ns/LU and allocs/LU divide by the LUs sent (allocations count the
-// whole process: clients and server).
+// BenchmarkRTILockstep is the loopback send→deliver path plus fan-out
+// over the TCP transport: per step, one sender makes luBatch pipelined
+// SendInteraction calls, then it and every receiver request the time
+// advance that carries the batch to the server and delivers it. One op
+// is one step; ns/LU and allocs/LU divide by the LUs sent (allocations
+// count the whole process: clients and server).
 func BenchmarkRTILockstep(b *testing.B) {
 	for _, receivers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("receivers=%d", receivers), func(b *testing.B) {

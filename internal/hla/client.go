@@ -15,10 +15,19 @@ import (
 // the same service surface as the in-process Federate. A Client is not
 // safe for concurrent use: one goroutine drives the federate, exactly
 // like an HLA federate process.
+//
+// Every request but SendInteraction is a round trip whose error is its
+// own. SendInteraction is pipelined: it returns once the frame is
+// buffered, and the server's verdict arrives later. A rejection there
+// is returned by the next synchronous call (any other request, or
+// Close) after that call's own reply has been read and applied; when
+// that call fails too, both errors are joined. errors.Is holds for the
+// server's sentinels either way.
 type Client struct {
 	conn net.Conn
 	// r and bw buffer the connection: callback frames are read in
-	// socket-sized chunks, and each request frame leaves in one write.
+	// socket-sized chunks, and a synchronous request leaves in one write
+	// together with the pipelined sends buffered before it.
 	r  *bufio.Reader
 	bw *bufio.Writer
 
@@ -28,12 +37,35 @@ type Client struct {
 	joined bool
 	closed bool
 
-	// readTimeout bounds each socket read and writeTimeout each request
-	// flush. Zero means no deadline: a time advance legitimately blocks
+	// The local send check (checkSend) runs on the client's own record:
+	// the interaction classes it published, its last granted time and
+	// its lookahead.
+	published map[string]bool
+	granted   float64
+	lookahead float64
+	// pending counts the acks of pipelined sends not yet read; deferred
+	// is the first error among the acks already read, held for the next
+	// synchronous call.
+	pending  int
+	deferred error
+
+	// readTimeout bounds each socket read and writeTimeout each socket
+	// write. Zero means no deadline: a time advance legitimately blocks
 	// until the rest of the federation catches up. Set via SetIOTimeouts.
 	readTimeout  time.Duration
 	writeTimeout time.Duration
 }
+
+// pipelineWindow bounds the acks pipelined sends may owe: at that many
+// the next send first flushes and drains them. The server holds its
+// replies until its next read would block, so the window's acks must
+// fit its write buffer — at 64 bytes each (an ok ack is 5, an error ack
+// carries its message) they do, and a burst of sends never leaves both
+// ends blocked writing.
+const pipelineWindow = ioBufferSize / 64
+
+// errNotJoined rejects a request made before Join or after Resign.
+var errNotJoined = errors.New("hla: not joined")
 
 // Dial connects to a TCP RTI server.
 func Dial(addr string) (*Client, error) {
@@ -53,23 +85,36 @@ func newClient(conn net.Conn) *Client {
 	}
 }
 
-// Close tears down the connection. A joined federate should Resign first.
+// Close tears down the connection. A joined federate should Resign
+// first. Close first flushes the buffered sends and reads their acks
+// (closing a socket with unread replies resets it, which could discard
+// the sends), so a send that returned nil reaches the RTI; it returns
+// a server rejection still owed, like a synchronous call would.
 func (c *Client) Close() error {
 	if c.closed {
 		return nil
 	}
 	c.closed = true
-	return c.conn.Close()
+	err := c.drain()
+	if err == nil {
+		err, c.deferred = c.deferred, nil
+	}
+	if cerr := c.conn.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Handle returns the federate handle assigned at join.
 func (c *Client) Handle() FederateHandle { return c.handle }
 
 // SetIOTimeouts bounds the connection's I/O: read bounds each socket
-// read while awaiting a reply or callback, write bounds the single flush
-// that sends each request. Reads are buffered, so one socket read can
-// carry many frames. Zero (the default) means no deadline. Like the rest
-// of Client, not safe for concurrent use.
+// read while awaiting a reply or callback, write bounds each socket
+// write — the flush that sends a request with the sends buffered before
+// it, or a pipelined send that spills the buffer. Both directions are
+// buffered, so one socket operation can carry many frames. Zero (the
+// default) means no deadline. Like the rest of Client, not safe for
+// concurrent use.
 func (c *Client) SetIOTimeouts(read, write time.Duration) {
 	c.readTimeout = read
 	c.writeTimeout = write
@@ -81,6 +126,10 @@ func (c *Client) SetIOTimeouts(read, write time.Duration) {
 // that roots the request's cross-process trace. start is the op-entry
 // clock token (obs.RPCClock at method entry, before payload encoding);
 // 0 disables all recording and sends the legacy untraced frame.
+//
+// The payload is non-nil exactly when the request itself succeeded; the
+// error may then still carry a deferred send rejection (see await), so
+// callers apply a non-nil payload before returning the error.
 func (c *Client) request(e *wire.Encoder, op obs.RPCOp, terminal byte, start int64) ([]byte, error) {
 	var tc wire.TraceContext
 	if start != 0 {
@@ -99,15 +148,77 @@ func (c *Client) request(e *wire.Encoder, op obs.RPCOp, terminal byte, start int
 		wrote := obs.RPCClock()
 		obs.ObserveRPC(obs.PhaseEncode, op, start, wrote)
 		payload, err := c.await(terminal)
-		if err != nil {
-			return nil, err
+		if payload != nil {
+			end := obs.RPCClock()
+			obs.ObserveRPC(obs.PhaseRTT, op, wrote, end)
+			obs.RecordRPC(obs.KindClientOp, op, tc, start, end)
 		}
-		end := obs.RPCClock()
-		obs.ObserveRPC(obs.PhaseRTT, op, wrote, end)
-		obs.RecordRPC(obs.KindClientOp, op, tc, start, end)
-		return payload, nil
+		return payload, err
 	}
 	return c.await(terminal)
+}
+
+// enqueue buffers one pipelined request frame without flushing it or
+// reading its ack, which a later drain or await reads. Tracing records
+// the encode phase and the client op span from op entry to the
+// buffered write; the span's context rides the frame, so the delivery
+// links to it. There is no round-trip phase.
+func (c *Client) enqueue(e *wire.Encoder, op obs.RPCOp, start int64) error {
+	if c.pending >= pipelineWindow {
+		if err := c.drain(); err != nil {
+			return err
+		}
+	}
+	var tc wire.TraceContext
+	if start != 0 {
+		tc = obs.NewTraceContext(start)
+	}
+	payload := e.Bytes()
+	if c.bw.Available() < len(payload)+wire.MaxHeaderSize {
+		// The frame may not fit: this write can reach the socket.
+		_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
+	}
+	if err := wire.WriteFrameTC(c.bw, payload, tc); err != nil {
+		obs.RTIError(obs.SideClient, classifyErr(err))
+		return err
+	}
+	c.pending++
+	if start != 0 {
+		end := obs.RPCClock()
+		obs.ObserveRPC(obs.PhaseEncode, op, start, end)
+		obs.RecordRPC(obs.KindClientOp, op, tc, start, end)
+	}
+	return nil
+}
+
+// drain flushes the buffered sends and reads their acks, dispatching
+// any callbacks among them and keeping the first rejection in
+// c.deferred. It returns only transport and protocol failures.
+func (c *Client) drain() error {
+	if c.pending == 0 {
+		return nil
+	}
+	_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
+	if err := c.bw.Flush(); err != nil {
+		obs.RTIError(obs.SideClient, classifyErr(err))
+		return err
+	}
+	return c.readAcks()
+}
+
+// readAcks reads the acks of the flushed pipelined sends (see drain).
+func (c *Client) readAcks() error {
+	for c.pending > 0 {
+		_, rejected, err := c.reply(msgOK)
+		if err != nil {
+			return err
+		}
+		c.pending--
+		if c.deferred == nil {
+			c.deferred = rejected
+		}
+	}
+	return nil
 }
 
 // Join joins a federation as a time-regulating, time-constrained
@@ -139,19 +250,43 @@ func (c *Client) Join(federation, name string, lookahead float64, amb Ambassador
 		return d.Err()
 	}
 	c.joined = true
+	c.published = make(map[string]bool)
+	c.granted = 0
+	c.lookahead = lookahead
 	return nil
 }
 
-// await reads frames, dispatching callbacks to the ambassador, until a
-// frame of the terminal type (or msgError) arrives. It returns the
-// terminal frame's payload.
+// await reads the acks of the pipelined sends written before this
+// request, then its terminal frame, dispatching callbacks throughout.
+// The payload is the terminal frame's, nil when the request failed. The
+// error is the request's own, the first deferred send rejection, or
+// both joined; the rejection is reported only once the terminal frame
+// has been read, so the stream stays in step for the next call.
 func (c *Client) await(terminal byte) ([]byte, error) {
+	if err := c.readAcks(); err != nil {
+		return nil, err
+	}
+	payload, rejected, err := c.reply(terminal)
+	if err == nil {
+		err = rejected
+	}
+	if c.deferred != nil {
+		err, c.deferred = errors.Join(c.deferred, err), nil
+	}
+	return payload, err
+}
+
+// reply reads frames, dispatching callbacks to the ambassador, until a
+// frame of the terminal type or an error reply arrives. It returns the
+// terminal frame's payload, or the server's rejection as rejected; err
+// reports a transport or protocol failure.
+func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 	for {
 		_ = c.conn.SetReadDeadline(ioDeadline(c.readTimeout))
 		payload, rtc, err := wire.ReadFrameTC(c.r)
 		if err != nil {
 			obs.RTIError(obs.SideClient, classifyErr(err))
-			return nil, fmt.Errorf("hla: connection lost: %w", err)
+			return nil, nil, fmt.Errorf("hla: connection lost: %w", err)
 		}
 		rstart := obs.RPCClock()
 		d := wire.NewDecoder(payload)
@@ -161,17 +296,17 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 			code := d.Byte()
 			msg := d.String()
 			if d.Err() != nil {
-				return nil, d.Err()
+				return nil, nil, d.Err()
 			}
-			return nil, codeError(code, msg)
+			return nil, codeError(code, msg), nil
 		case terminal:
-			return payload, nil
+			return payload, nil, nil
 		case msgDiscover:
 			obj := ObjectHandle(d.Int64())
 			class := d.String()
 			name := d.String()
 			if d.Err() != nil {
-				return nil, d.Err()
+				return nil, nil, d.Err()
 			}
 			c.amb.DiscoverObjectInstance(obj, class, name)
 		case msgReflect:
@@ -179,7 +314,7 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 			t := d.Float64()
 			values := Values(d.Values())
 			if d.Err() != nil {
-				return nil, d.Err()
+				return nil, nil, d.Err()
 			}
 			c.amb.ReflectAttributeValues(obj, values, t)
 			if rstart != 0 {
@@ -192,7 +327,7 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 			t := d.Float64()
 			values := Values(d.Values())
 			if d.Err() != nil {
-				return nil, d.Err()
+				return nil, nil, d.Err()
 			}
 			c.amb.ReceiveInteraction(class, values, t)
 			if rstart != 0 {
@@ -203,14 +338,14 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 		case msgRemove:
 			obj := ObjectHandle(d.Int64())
 			if d.Err() != nil {
-				return nil, d.Err()
+				return nil, nil, d.Err()
 			}
 			c.amb.RemoveObjectInstance(obj)
 		case msgAnnounceSync:
 			label := d.String()
 			tag := d.Bytes()
 			if d.Err() != nil {
-				return nil, d.Err()
+				return nil, nil, d.Err()
 			}
 			if sync, ok := c.amb.(SyncAmbassador); ok {
 				sync.AnnounceSynchronizationPoint(label, tag)
@@ -218,7 +353,7 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 		case msgFederationSynced:
 			label := d.String()
 			if d.Err() != nil {
-				return nil, d.Err()
+				return nil, nil, d.Err()
 			}
 			if sync, ok := c.amb.(SyncAmbassador); ok {
 				sync.FederationSynchronized(label)
@@ -226,9 +361,9 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 		case msgGrant:
 			// A grant can only be terminal (requested via TAR); any other
 			// appearance is a protocol violation.
-			return nil, fmt.Errorf("hla: unexpected grant frame")
+			return nil, nil, fmt.Errorf("hla: unexpected grant frame")
 		default:
-			return nil, fmt.Errorf("hla: unexpected frame type %d", typ)
+			return nil, nil, fmt.Errorf("hla: unexpected frame type %d", typ)
 		}
 	}
 }
@@ -237,7 +372,7 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 // the op-entry clock token (see request).
 func (c *Client) call(e *wire.Encoder, op obs.RPCOp, start int64) error {
 	if !c.joined {
-		return errors.New("hla: not joined")
+		return errNotJoined
 	}
 	_, err := c.request(e, op, msgOK, start)
 	return err
@@ -269,7 +404,14 @@ func (c *Client) PublishInteractionClass(class string) error {
 	var e wire.Encoder
 	e.PutByte(msgPublishInteraction)
 	e.PutString(class)
-	return c.call(&e, obs.OpOther, start)
+	if !c.joined {
+		return errNotJoined
+	}
+	payload, err := c.request(&e, obs.OpOther, msgOK, start)
+	if payload != nil {
+		c.published[class] = true
+	}
+	return err
 }
 
 // SubscribeInteractionClass mirrors Federate.SubscribeInteractionClass.
@@ -285,20 +427,25 @@ func (c *Client) SubscribeInteractionClass(class string) error {
 func (c *Client) RegisterObjectInstance(class, name string) (ObjectHandle, error) {
 	start := obs.RPCClock()
 	if !c.joined {
-		return 0, errors.New("hla: not joined")
+		return 0, errNotJoined
 	}
 	var e wire.Encoder
 	e.PutByte(msgRegister)
 	e.PutString(class)
 	e.PutString(name)
 	payload, err := c.request(&e, obs.OpRegister, msgRegistered, start)
-	if err != nil {
+	if payload == nil {
 		return 0, err
 	}
+	// The instance exists even when err reports a deferred send
+	// rejection, so its handle is returned either way.
 	d := wire.NewDecoder(payload)
 	d.Byte()
 	obj := ObjectHandle(d.Int64())
-	return obj, d.Err()
+	if d.Err() != nil {
+		return 0, d.Err()
+	}
+	return obj, err
 }
 
 // UpdateAttributeValues mirrors Federate.UpdateAttributeValues.
@@ -312,7 +459,14 @@ func (c *Client) UpdateAttributeValues(obj ObjectHandle, attrs Values, ts float6
 	return c.call(&e, obs.OpUpdate, start)
 }
 
-// SendInteraction mirrors Federate.SendInteraction.
+// SendInteraction mirrors Federate.SendInteraction, pipelined. A send
+// that passes the local check — joined, the class published by this
+// client, ts a number no earlier than the last grant plus lookahead —
+// is buffered and returns nil without waiting for its ack; the frame
+// leaves with the next synchronous request, a full window or Close. If
+// the server still rejects it, the next synchronous call returns the
+// rejection (see Client). A send the local check rejects goes as a
+// round trip instead, so its error is the server's own and returns now.
 func (c *Client) SendInteraction(class string, params Values, ts float64) error {
 	start := obs.RPCClock()
 	var e wire.Encoder
@@ -320,7 +474,10 @@ func (c *Client) SendInteraction(class string, params Values, ts float64) error 
 	e.PutString(class)
 	e.PutFloat64(ts)
 	e.PutValues(params)
-	return c.call(&e, obs.OpInteraction, start)
+	if !c.joined || checkSend(class, c.published[class], ts, c.granted, c.lookahead) != nil {
+		return c.call(&e, obs.OpInteraction, start)
+	}
+	return c.enqueue(&e, obs.OpInteraction, start)
 }
 
 // DeleteObjectInstance mirrors Federate.DeleteObjectInstance.
@@ -347,13 +504,13 @@ func (c *Client) NextEventRequest(t float64) error {
 func (c *Client) advance(typ byte, t float64) error {
 	start := obs.RPCClock()
 	if !c.joined {
-		return errors.New("hla: not joined")
+		return errNotJoined
 	}
 	var e wire.Encoder
 	e.PutByte(typ)
 	e.PutFloat64(t)
 	payload, err := c.request(&e, obs.OpAdvance, msgGrant, start)
-	if err != nil {
+	if payload == nil {
 		return err
 	}
 	d := wire.NewDecoder(payload)
@@ -362,8 +519,9 @@ func (c *Client) advance(typ byte, t float64) error {
 	if d.Err() != nil {
 		return d.Err()
 	}
+	c.granted = granted
 	c.amb.TimeAdvanceGrant(granted)
-	return nil
+	return err
 }
 
 // Tick asks the server to flush pending receive-ordered callbacks
@@ -413,13 +571,13 @@ func (c *Client) SynchronizationPointAchieved(label string) error {
 func (c *Client) Resign() error {
 	start := obs.RPCClock()
 	if !c.joined {
-		return errors.New("hla: not joined")
+		return errNotJoined
 	}
 	var e wire.Encoder
 	e.PutByte(msgResign)
-	if _, err := c.request(&e, obs.OpResign, msgOK, start); err != nil {
-		return err
+	payload, err := c.request(&e, obs.OpResign, msgOK, start)
+	if payload != nil {
+		c.joined = false
 	}
-	c.joined = false
-	return nil
+	return err
 }

@@ -164,7 +164,7 @@ func (f *Federate) updateAttributeValues(obj ObjectHandle, attrs Values, ts floa
 	if o.owner != f.st.handle {
 		return fmt.Errorf("%w: object %d", ErrNotOwner, obj)
 	}
-	if err := f.checkTimestamp(ts); err != nil {
+	if err := checkTimestamp(ts, f.st.time, f.st.lookahead); err != nil {
 		return err
 	}
 	for h, other := range f.fed.federates {
@@ -219,10 +219,7 @@ func (f *Federate) sendInteraction(class string, params Values, ts float64, tc w
 	if err := f.checkLive(); err != nil {
 		return err
 	}
-	if !f.st.pubInteractions[class] {
-		return fmt.Errorf("%w: interaction class %q", ErrNotPublished, class)
-	}
-	if err := f.checkTimestamp(ts); err != nil {
+	if err := checkSend(class, f.st.pubInteractions[class], ts, f.st.time, f.st.lookahead); err != nil {
 		return err
 	}
 	for h, other := range f.fed.federates {
@@ -237,15 +234,26 @@ func (f *Federate) sendInteraction(class string, params Values, ts float64, tc w
 	return nil
 }
 
-// checkTimestamp enforces ts >= time + lookahead for regulating
-// federates. Callers must hold fed.mu.
-func (f *Federate) checkTimestamp(ts float64) error {
+// checkSend is the sender-side validity of an interaction: its class
+// is published and ts passes checkTimestamp. It is the one predicate
+// both the RTI (sendInteraction) and a pipelined TCP Client apply, the
+// client to its own record of publications and grants.
+func checkSend(class string, published bool, ts, now, lookahead float64) error {
+	if !published {
+		return fmt.Errorf("%w: interaction class %q", ErrNotPublished, class)
+	}
+	return checkTimestamp(ts, now, lookahead)
+}
+
+// checkTimestamp enforces ts >= now + lookahead, where now is the
+// sender's logical time; every federate is time-regulating (Join).
+func checkTimestamp(ts, now, lookahead float64) error {
 	if math.IsNaN(ts) {
 		return fmt.Errorf("%w: NaN", ErrInvalidTime)
 	}
-	if f.st.regulating && ts < f.st.time+f.st.lookahead {
+	if ts < now+lookahead {
 		return fmt.Errorf("%w: %v < time %v + lookahead %v",
-			ErrInvalidTime, ts, f.st.time, f.st.lookahead)
+			ErrInvalidTime, ts, now, lookahead)
 	}
 	return nil
 }

@@ -268,9 +268,9 @@ func (s *Server) Shutdown() error {
 // connWriter buffers the frames the request handler and the RTI
 // callback path write to one connection. Frames reach the socket when
 // the buffer fills or on flush, and the handler flushes whenever it is
-// about to block — before reading the next request, before waiting on
-// an empty mailbox in a time advance, and on exit — so a federate never
-// waits on a frame the server holds.
+// about to block — before a read that finds no whole request buffered,
+// before waiting on an empty mailbox in a time advance, and on exit —
+// so a federate never waits on a frame the server holds.
 type connWriter struct {
 	mu      sync.Mutex
 	conn    net.Conn
@@ -473,8 +473,12 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	for {
-		// Never hold a reply while waiting for the next request.
-		w.flush()
+		// Flush only when the next read would block: a reply is never
+		// held while the handler waits, and the acks of a pipelined
+		// burst leave together.
+		if !wire.FrameBuffered(r) {
+			w.flush()
+		}
 		// Refresh the read deadline each request; zero-timeout servers
 		// get an explicit unbounded wait.
 		_ = conn.SetReadDeadline(ioDeadline(s.readTimeout))

@@ -219,27 +219,31 @@ func luValues(node int) Values {
 }
 
 // TestTransportCoalescesWrites pins the socket-write shape of the TCP
-// transport: every client request, traced or not, leaves in exactly one
-// write, and a receiver's time advance that delivers a step's batch of
-// interactions costs the server no more writes on that connection than
-// the batch's bytes fill I/O buffers, plus one.
+// transport: a synchronous client request leaves in exactly one write; a
+// pipelined send, traced or not, takes no write of its own, and the
+// time advance that follows a step's batch of sends carries all of them
+// in no more writes than their bytes fill I/O buffers, plus one. The
+// server acks the burst in a handful of writes, not one per send: it
+// flushes only when its next read would block. A receiver's time
+// advance that delivers the batch costs the server no more writes on
+// that connection than the batch's bytes fill I/O buffers, plus one.
 func TestTransportCoalescesWrites(t *testing.T) {
 	srv, tl := startTapServer(t)
 	addr := srv.Addr().String()
 	send, sendTap := dialTap(t, addr)
-	request := func(what string, call func() error) {
+	request := func(what string, want int, call func() error) {
 		t.Helper()
 		before, _, _ := sendTap.stats()
 		if err := call(); err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if after, _, _ := sendTap.stats(); after-before != 1 {
-			t.Errorf("%s took %d client writes, want 1", what, after-before)
+		if after, _, _ := sendTap.stats(); after-before != want {
+			t.Errorf("%s took %d client writes, want %d", what, after-before, want)
 		}
 	}
-	request("join", func() error { return send.Join("test", "send", 1, &recorder{}) })
+	request("join", 1, func() error { return send.Join("test", "send", 1, &recorder{}) })
 	recv, recvRec := dialJoin(t, addr, "recv")
-	request("publish", func() error { return send.PublishInteractionClass("LU") })
+	request("publish", 1, func() error { return send.PublishInteractionClass("LU") })
 	if err := recv.SubscribeInteractionClass("LU"); err != nil {
 		t.Fatal(err)
 	}
@@ -249,14 +253,16 @@ func TestTransportCoalescesWrites(t *testing.T) {
 		if i == 0 {
 			obs.SetEnabled(true)
 		}
-		request("send", func() error { return send.SendInteraction("LU", luValues(i), 1) })
+		request("send", 0, func() error { return send.SendInteraction("LU", luValues(i), 1) })
 		if i == 0 {
 			obs.SetEnabled(false)
 		}
 	}
 
-	recvSrv := tl.conn(1)
+	sendSrv, recvSrv := tl.conn(0), tl.conn(1)
 	writes0, bytes0, _ := recvSrv.stats()
+	sendWrites0, sendBytes0, _ := sendTap.stats()
+	ackWrites0, _, _ := sendSrv.stats()
 	done := make(chan error, 1)
 	go func() { done <- send.TimeAdvanceRequest(1) }()
 	if err := recv.TimeAdvanceRequest(1); err != nil {
@@ -266,6 +272,19 @@ func TestTransportCoalescesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	writes1, bytes1, _ := recvSrv.stats()
+	sendWrites1, sendBytes1, _ := sendTap.stats()
+	ackWrites1, _, _ := sendSrv.stats()
+	// Every send was still buffered, so the advance carries them all.
+	sendWrites, sendBytes := sendWrites1-sendWrites0, sendBytes1-sendBytes0
+	if limit := (sendBytes+ioBufferSize-1)/ioBufferSize + 1; sendWrites > limit {
+		t.Errorf("advance carrying %d sends (%d bytes) took %d client writes, want at most %d",
+			lus, sendBytes, sendWrites, limit)
+	}
+	// The server's reads of the burst, however the kernel splits it,
+	// number far fewer than its sends.
+	if ackWrites, limit := ackWrites1-ackWrites0, sendBytes/4096+2; ackWrites > limit {
+		t.Errorf("acking %d sends and the grant took %d server writes, want at most %d", lus, ackWrites, limit)
+	}
 	recvRec.mu.Lock()
 	got := len(recvRec.interactions)
 	recvRec.mu.Unlock()

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -118,4 +119,21 @@ func ReadFrameTC(r io.Reader) ([]byte, TraceContext, error) {
 		return nil, TraceContext{}, fmt.Errorf("wire: read frame payload: %w", err)
 	}
 	return payload, tc, nil
+}
+
+// FrameBuffered reports whether r already holds one whole frame of
+// either form, so that ReadFrameTC(r) returns it without reading from
+// r's source. A frame larger than r's buffer never is.
+func FrameBuffered(r *bufio.Reader) bool {
+	n := r.Buffered()
+	if n < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	word := binary.BigEndian.Uint32(hdr)
+	size := 4 + int(word&^uint32(tcFlag))
+	if word&tcFlag != 0 {
+		size += 1 + tcSize
+	}
+	return n >= size
 }

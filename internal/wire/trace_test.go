@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"strings"
@@ -110,6 +111,39 @@ func TestTraceContextValid(t *testing.T) {
 	for _, c := range cases {
 		if got := c.tc.Valid(); got != c.want {
 			t.Errorf("Valid(%+v) = %v, want %v", c.tc, got, c.want)
+		}
+	}
+}
+
+// TestFrameBuffered feeds a reader one byte at a time: FrameBuffered
+// must report a whole frame exactly when the last byte of a legacy or a
+// traced frame is in the buffer, and ReadFrameTC must then return it.
+func TestFrameBuffered(t *testing.T) {
+	for _, tc := range []TraceContext{{}, {TraceHi: 1, SpanID: 2, OriginNS: 3}} {
+		var frame bytes.Buffer
+		if err := WriteFrameTC(&frame, []byte("payload"), tc); err != nil {
+			t.Fatal(err)
+		}
+		pr, pw := io.Pipe()
+		r := bufio.NewReader(pr)
+		wire := frame.Bytes()
+		go func() {
+			for i := range wire {
+				_, _ = pw.Write(wire[i : i+1])
+			}
+		}()
+		for i := 1; i <= len(wire); i++ {
+			// Each Peek pulls exactly the one byte the pipe offers.
+			if _, err := r.Peek(i); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := FrameBuffered(r), i == len(wire); got != want {
+				t.Fatalf("traced=%v: FrameBuffered with %d of %d bytes = %v", tc.Valid(), i, len(wire), got)
+			}
+		}
+		payload, _, err := ReadFrameTC(r)
+		if err != nil || string(payload) != "payload" {
+			t.Fatalf("traced=%v: read %q, %v", tc.Valid(), payload, err)
 		}
 	}
 }

@@ -208,7 +208,9 @@ func (d *Decoder) Strings() []string {
 	if d.err != nil {
 		return nil
 	}
-	out := make([]string, 0, n)
+	// Every string carries at least its 4-byte length, so the
+	// remainder caps the capacity hint whatever the count claims.
+	out := make([]string, 0, min(n, d.Remaining()/4))
 	for i := 0; i < n; i++ {
 		out = append(out, d.String())
 		if d.err != nil {
@@ -224,7 +226,8 @@ func (d *Decoder) Values() map[string][]byte {
 	if d.err != nil {
 		return nil
 	}
-	out := make(map[string][]byte, n)
+	// Every entry carries at least two 4-byte lengths (see Strings).
+	out := make(map[string][]byte, min(n, d.Remaining()/8))
 	for i := 0; i < n; i++ {
 		k := d.String()
 		v := d.Bytes()

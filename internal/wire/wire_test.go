@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -236,5 +237,59 @@ func TestDecoderRandomInputNeverPanics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDecoderCountHintsBounded feeds Strings and Values a list count
+// that the payload's length admits but its bytes cannot back: the
+// element data is garbage, so decoding fails on the first element.
+// The capacity hint must be capped by what the remaining bytes can
+// hold (4 per string, 8 per map entry), not taken from the wire, so a
+// 1 MiB frame cannot make the decoder allocate tens of MiB.
+func TestDecoderCountHintsBounded(t *testing.T) {
+	const size = 1 << 20
+	crafted := make([]byte, size)
+	for i := range crafted {
+		crafted[i] = 0xFF
+	}
+	// The count claims every remaining byte is one element.
+	crafted[0], crafted[1], crafted[2], crafted[3] = 0, 0x0F, 0xFF, 0xFC
+	cases := []struct {
+		name   string
+		decode func(d *Decoder)
+		limit  uint64
+	}{
+		{"Strings", func(d *Decoder) { d.Strings() }, 8 << 20},
+		{"Values", func(d *Decoder) { d.Values() }, 32 << 20},
+	}
+	for _, tc := range cases {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		d := NewDecoder(crafted)
+		tc.decode(d)
+		runtime.ReadMemStats(&after)
+		if d.Err() == nil {
+			t.Errorf("%s: garbage elements decoded without error", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes, want at most %d", tc.name, size, got, tc.limit)
+		}
+	}
+
+	// Well-formed lists still decode whole, empty elements included.
+	var e Encoder
+	e.PutStrings([]string{"", "a", "bc"})
+	e.PutValues(map[string][]byte{"": {}, "k": {1, 2}})
+	e.PutStrings(nil)
+	e.PutValues(nil)
+	d := NewDecoder(e.Bytes())
+	ss, vs, empty, none := d.Strings(), d.Values(), d.Strings(), d.Values()
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("round trip: err %v, %d bytes left", err, d.Remaining())
+	}
+	if !reflect.DeepEqual(ss, []string{"", "a", "bc"}) || !reflect.DeepEqual(vs, map[string][]byte{"": {}, "k": {1, 2}}) ||
+		len(empty) != 0 || len(none) != 0 {
+		t.Errorf("round trip: %q %v %q %v", ss, vs, empty, none)
 	}
 }
