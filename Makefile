@@ -73,15 +73,19 @@ check-obs-e2e:
 # allocs/tick — the pinned budget the optimized pipeline holds with
 # double-digit headroom (the recorded number is 0). Throughput is not
 # gated (CI machines vary); the allocation floor is machine-independent.
-# The second step runs the TCP RTI lockstep microbenchmark (one sender,
-# 1 and 4 receivers, 405 pipelined sends and one time advance per step)
-# for 20 steps each, reporting ns/LU and allocs/LU, so a transport change
-# that breaks the loopback send→deliver path or its fan-out fails here. The last step runs the error
-# summary microbenchmark once (2M samples, 60% exact zeros: record, then
-# publish P50/P90/P99/Max), reporting ns/op and B/op.
+# The second step is the TCP RTI allocation gate (TestRTIAllocsPerLU):
+# the loopback lockstep fails above 8 allocs/LU with one receiver or 32
+# with four (the recorded numbers are about 6 and 24). The third runs
+# the TCP RTI lockstep microbenchmark (one sender, 1 and 4 receivers,
+# 405 pipelined sends and one time advance per step) for 20 steps each,
+# reporting ns/LU and allocs/LU, so a transport change that breaks the
+# loopback send→deliver path or its fan-out fails here. The last step
+# runs the error summary microbenchmark once (2M samples, 60% exact
+# zeros: record, then publish P50/P90/P99/Max), reporting ns/op and B/op.
 bench-smoke:
 	$(GO) run ./cmd/adfbench -hotpath -duration 120 -seed 1 -scales 5k \
 		-alloc-budget 2 -hotpath-out /dev/null
+	$(GO) test -run '^TestRTIAllocsPerLU$$' -count=1 -v ./internal/hla
 	$(GO) test -run '^$$' -bench BenchmarkRTILockstep -benchtime 20x ./internal/hla
 	$(GO) test -run '^$$' -bench BenchmarkSummaryPercentiles -benchtime 1x ./internal/metrics
 
@@ -118,10 +122,11 @@ bench-obs:
 # the ~1k-node campus partition (BenchmarkTick1008MN, cpu.out/mem.out)
 # and the 20k-node region partition on two shard workers
 # (BenchmarkTickSharded20k at -cpu 2, cpu-sharded.out/mem-sharded.out),
-# then a CPU profile of the TCP RTI path (BenchmarkRTILockstep at -cpu
-# 2, cpu-rti.out). Inspect with `go tool pprof cpu.out` and so on.
+# then CPU and heap profiles of the TCP RTI path (BenchmarkRTILockstep at
+# -cpu 2, cpu-rti.out/mem-rti.out). Inspect with `go tool pprof cpu.out`
+# and so on.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkTick1008MN$$' -cpuprofile cpu.out -memprofile mem.out ./internal/experiment
 	$(GO) test -run '^$$' -bench 'BenchmarkTickSharded20k$$' -cpu 2 -cpuprofile cpu-sharded.out -memprofile mem-sharded.out ./internal/experiment
-	$(GO) test -run '^$$' -bench 'BenchmarkRTILockstep$$' -cpu 2 -cpuprofile cpu-rti.out ./internal/hla
-	@echo "wrote cpu.out, mem.out, cpu-sharded.out, mem-sharded.out and cpu-rti.out; inspect with: go tool pprof cpu.out"
+	$(GO) test -run '^$$' -bench 'BenchmarkRTILockstep$$' -cpu 2 -cpuprofile cpu-rti.out -memprofile mem-rti.out ./internal/hla
+	@echo "wrote cpu.out, mem.out, cpu-sharded.out, mem-sharded.out, cpu-rti.out and mem-rti.out; inspect with: go tool pprof cpu.out"

@@ -1,6 +1,7 @@
 package hla
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -19,103 +20,143 @@ type countingAmb struct {
 
 func (a *countingAmb) ReceiveInteraction(string, Values, float64) { a.received++ }
 
-// BenchmarkRTILockstep is the loopback send→deliver path plus fan-out
-// over the TCP transport: per step, one sender makes luBatch pipelined
-// SendInteraction calls, then it and every receiver request the time
-// advance that carries the batch to the server and delivers it. One op
-// is one step; ns/LU and allocs/LU divide by the LUs sent (allocations
-// count the whole process: clients and server).
-func BenchmarkRTILockstep(b *testing.B) {
-	for _, receivers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("receivers=%d", receivers), func(b *testing.B) {
-			benchLockstep(b, receivers)
-		})
-	}
+// lockstep is a loopback TCP federation: one sender that publishes the
+// LU interaction class and receivers that subscribe to it, each its own
+// Client on its own connection to one server.
+type lockstep struct {
+	send  *Client
+	recvs []*Client
+	ambs  []*countingAmb
+	lus   []Values
+	steps int
 }
 
-func benchLockstep(b *testing.B, receivers int) {
+// newLockstep starts the server and joins the federates; everything is
+// closed when tb ends.
+func newLockstep(tb testing.TB, receivers int) *lockstep {
+	tb.Helper()
 	rti := NewRTI()
 	if err := rti.CreateFederation("test"); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := NewServer(rti, "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	go func() { _ = srv.Serve() }()
-	defer func() { _ = srv.Close() }()
+	tb.Cleanup(func() { _ = srv.Close() })
 	addr := srv.Addr().String()
 	join := func(name string, amb Ambassador) *Client {
 		c, err := Dial(addr)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		tb.Cleanup(func() { _ = c.Close() })
 		if err := c.Join("test", name, 1, amb); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return c
 	}
-	send := join("send", &recorder{})
-	defer func() { _ = send.Close() }()
-	if err := send.PublishInteractionClass("LU"); err != nil {
-		b.Fatal(err)
+	l := &lockstep{send: join("send", &recorder{})}
+	if err := l.send.PublishInteractionClass("LU"); err != nil {
+		tb.Fatal(err)
 	}
-	recvs := make([]*Client, receivers)
-	ambs := make([]*countingAmb, receivers)
-	for i := range recvs {
-		ambs[i] = &countingAmb{}
-		recvs[i] = join(fmt.Sprintf("recv%d", i), ambs[i])
-		defer func(c *Client) { _ = c.Close() }(recvs[i])
-		if err := recvs[i].SubscribeInteractionClass("LU"); err != nil {
-			b.Fatal(err)
+	for i := range receivers {
+		amb := &countingAmb{}
+		c := join(fmt.Sprintf("recv%d", i), amb)
+		if err := c.SubscribeInteractionClass("LU"); err != nil {
+			tb.Fatal(err)
 		}
+		l.recvs = append(l.recvs, c)
+		l.ambs = append(l.ambs, amb)
 	}
-	lus := make([]Values, luBatch)
-	for i := range lus {
-		lus[i] = luValues(i)
+	l.lus = make([]Values, luBatch)
+	for i := range l.lus {
+		l.lus[i] = luValues(i)
 	}
+	return l
+}
 
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	b.ResetTimer()
+// run runs n more steps: per step the sender makes luBatch pipelined
+// SendInteraction calls, then it and every receiver request the time
+// advance that carries the batch to the server and delivers it. It
+// checks that every receiver got every LU. A federate that fails is
+// closed, so the RTI resigns it and the others do not wait on it.
+func (l *lockstep) run(n int) error {
+	from := l.steps + 1
+	l.steps += n
 	var wg sync.WaitGroup
-	errs := make(chan error, receivers)
-	for _, r := range recvs {
+	errs := make([]error, len(l.recvs)+1)
+	for i, r := range l.recvs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for step := 1; step <= b.N; step++ {
+			for step := from; step <= l.steps; step++ {
 				if err := r.TimeAdvanceRequest(float64(step)); err != nil {
-					errs <- err
+					errs[i] = err
+					_ = r.Close()
 					return
 				}
 			}
 		}()
 	}
-	for step := 1; step <= b.N; step++ {
+	errs[len(l.recvs)] = l.sendSteps(from)
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		return err
+	}
+	for i, a := range l.ambs {
+		if a.received != l.steps*luBatch {
+			return fmt.Errorf("receiver %d got %d LUs, want %d", i, a.received, l.steps*luBatch)
+		}
+	}
+	return nil
+}
+
+// sendSteps is the sender's half of run.
+func (l *lockstep) sendSteps(from int) error {
+	for step := from; step <= l.steps; step++ {
 		t := float64(step)
-		for _, v := range lus {
-			if err := send.SendInteraction("LU", v, t); err != nil {
-				b.Fatal(err)
+		for _, v := range l.lus {
+			if err := l.send.SendInteraction("LU", v, t); err != nil {
+				_ = l.send.Close()
+				return err
 			}
 		}
-		if err := send.TimeAdvanceRequest(t); err != nil {
-			b.Fatal(err)
+		if err := l.send.TimeAdvanceRequest(t); err != nil {
+			_ = l.send.Close()
+			return err
 		}
 	}
-	wg.Wait()
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	close(errs)
-	for err := range errs {
-		b.Fatal(err)
+	return nil
+}
+
+// mallocs returns the heap allocations the process has made so far.
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
+// BenchmarkRTILockstep is the loopback send→deliver path plus fan-out
+// over the TCP transport (see lockstep.run). One op is one step; ns/LU
+// and allocs/LU divide by the LUs sent (allocations count the whole
+// process: clients and server).
+func BenchmarkRTILockstep(b *testing.B) {
+	for _, receivers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("receivers=%d", receivers), func(b *testing.B) {
+			l := newLockstep(b, receivers)
+			m0 := mallocs()
+			b.ResetTimer()
+			err := l.run(b.N)
+			b.StopTimer()
+			m1 := mallocs()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sent := float64(b.N * luBatch)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sent, "ns/LU")
+			b.ReportMetric(float64(m1-m0)/sent, "allocs/LU")
+		})
 	}
-	for i, a := range ambs {
-		if a.received != b.N*luBatch {
-			b.Fatalf("receiver %d got %d LUs, want %d", i, a.received, b.N*luBatch)
-		}
-	}
-	sent := float64(b.N * luBatch)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sent, "ns/LU")
-	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/sent, "allocs/LU")
 }

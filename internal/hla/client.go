@@ -23,6 +23,11 @@ import (
 // Close) after that call's own reply has been read and applied; when
 // that call fails too, both errors are joined. errors.Is holds for the
 // server's sentinels either way.
+//
+// Each delivered Values is the ambassador's own: one map whose values
+// share one backing array that nothing else refers to. Everything else
+// a Client decodes or encodes goes through buffers it owns once and
+// reuses for every frame.
 type Client struct {
 	conn net.Conn
 	// r and bw buffer the connection: callback frames are read in
@@ -30,6 +35,13 @@ type Client struct {
 	// together with the pipelined sends buffered before it.
 	r  *bufio.Reader
 	bw *bufio.Writer
+	// enc encodes every request; each frame is written to bw before the
+	// next is encoded. rbuf is the buffer each incoming frame is read
+	// into (see retain), and names interns the class and parameter
+	// names of the callbacks read there.
+	enc   wire.Encoder
+	rbuf  []byte
+	names wire.Interner
 
 	amb    Ambassador
 	handle FederateHandle
@@ -120,23 +132,31 @@ func (c *Client) SetIOTimeouts(read, write time.Duration) {
 	c.writeTimeout = write
 }
 
-// request sends one frame and awaits the terminal response, recording
-// the request's encode (entry to socket write) and round-trip (write to
-// terminal read) phases and — when tracing is on — the client op span
-// that roots the request's cross-process trace. start is the op-entry
-// clock token (obs.RPCClock at method entry, before payload encoding);
-// 0 disables all recording and sends the legacy untraced frame.
+// encode starts the next request frame, of type typ, in c.enc.
+func (c *Client) encode(typ byte) *wire.Encoder {
+	c.enc.Reset()
+	c.enc.PutByte(typ)
+	return &c.enc
+}
+
+// request sends the frame in c.enc and awaits the terminal response,
+// recording the request's encode (entry to socket write) and round-trip
+// (write to terminal read) phases and — when tracing is on — the client
+// op span that roots the request's cross-process trace. start is the
+// op-entry clock token (obs.RPCClock at method entry, before payload
+// encoding); 0 disables all recording and sends the legacy untraced
+// frame.
 //
 // The payload is non-nil exactly when the request itself succeeded; the
 // error may then still carry a deferred send rejection (see await), so
 // callers apply a non-nil payload before returning the error.
-func (c *Client) request(e *wire.Encoder, op obs.RPCOp, terminal byte, start int64) ([]byte, error) {
+func (c *Client) request(op obs.RPCOp, terminal byte, start int64) ([]byte, error) {
 	var tc wire.TraceContext
 	if start != 0 {
 		tc = obs.NewTraceContext(start)
 	}
 	_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
-	err := wire.WriteFrameTC(c.bw, e.Bytes(), tc)
+	err := wire.WriteFrameTC(c.bw, c.enc.Bytes(), tc)
 	if err == nil {
 		err = c.bw.Flush()
 	}
@@ -158,12 +178,12 @@ func (c *Client) request(e *wire.Encoder, op obs.RPCOp, terminal byte, start int
 	return c.await(terminal)
 }
 
-// enqueue buffers one pipelined request frame without flushing it or
-// reading its ack, which a later drain or await reads. Tracing records
-// the encode phase and the client op span from op entry to the
+// enqueue buffers the pipelined request frame in c.enc without flushing
+// it or reading its ack, which a later drain or await reads. Tracing
+// records the encode phase and the client op span from op entry to the
 // buffered write; the span's context rides the frame, so the delivery
 // links to it. There is no round-trip phase.
-func (c *Client) enqueue(e *wire.Encoder, op obs.RPCOp, start int64) error {
+func (c *Client) enqueue(op obs.RPCOp, start int64) error {
 	if c.pending >= pipelineWindow {
 		if err := c.drain(); err != nil {
 			return err
@@ -173,7 +193,7 @@ func (c *Client) enqueue(e *wire.Encoder, op obs.RPCOp, start int64) error {
 	if start != 0 {
 		tc = obs.NewTraceContext(start)
 	}
-	payload := e.Bytes()
+	payload := c.enc.Bytes()
 	if c.bw.Available() < len(payload)+wire.MaxHeaderSize {
 		// The frame may not fit: this write can reach the socket.
 		_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
@@ -234,12 +254,11 @@ func (c *Client) Join(federation, name string, lookahead float64, amb Ambassador
 	}
 	c.amb = amb
 	c.name = name
-	var e wire.Encoder
-	e.PutByte(msgJoin)
+	e := c.encode(msgJoin)
 	e.PutString(federation)
 	e.PutString(name)
 	e.PutFloat64(lookahead)
-	payload, err := c.request(&e, obs.OpJoin, msgJoined, start)
+	payload, err := c.request(obs.OpJoin, msgJoined, start)
 	if err != nil {
 		return err
 	}
@@ -283,11 +302,12 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 	for {
 		_ = c.conn.SetReadDeadline(ioDeadline(c.readTimeout))
-		payload, rtc, err := wire.ReadFrameTC(c.r)
+		payload, rtc, err := wire.ReadFrameInto(c.r, c.rbuf)
 		if err != nil {
 			obs.RTIError(obs.SideClient, classifyErr(err))
 			return nil, nil, fmt.Errorf("hla: connection lost: %w", err)
 		}
+		c.rbuf = retain(payload)
 		rstart := obs.RPCClock()
 		d := wire.NewDecoder(payload)
 		typ := d.Byte()
@@ -303,7 +323,7 @@ func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 			return payload, nil, nil
 		case msgDiscover:
 			obj := ObjectHandle(d.Int64())
-			class := d.String()
+			class := d.Name(&c.names)
 			name := d.String()
 			if d.Err() != nil {
 				return nil, nil, d.Err()
@@ -312,7 +332,7 @@ func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 		case msgReflect:
 			obj := ObjectHandle(d.Int64())
 			t := d.Float64()
-			values := Values(d.Values())
+			values := Values(d.OwnValues(&c.names))
 			if d.Err() != nil {
 				return nil, nil, d.Err()
 			}
@@ -323,9 +343,9 @@ func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 				obs.ObserveFreshness(obs.FreshRecv, rtc.OriginNS, rend)
 			}
 		case msgReceive:
-			class := d.String()
+			class := d.Name(&c.names)
 			t := d.Float64()
-			values := Values(d.Values())
+			values := Values(d.OwnValues(&c.names))
 			if d.Err() != nil {
 				return nil, nil, d.Err()
 			}
@@ -368,46 +388,43 @@ func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 	}
 }
 
-// call sends a request and waits for the ok acknowledgement. start is
-// the op-entry clock token (see request).
-func (c *Client) call(e *wire.Encoder, op obs.RPCOp, start int64) error {
+// call sends the request in c.enc and waits for the ok acknowledgement.
+// start is the op-entry clock token (see request).
+func (c *Client) call(op obs.RPCOp, start int64) error {
 	if !c.joined {
 		return errNotJoined
 	}
-	_, err := c.request(e, op, msgOK, start)
+	_, err := c.request(op, msgOK, start)
 	return err
 }
 
 // PublishObjectClass mirrors Federate.PublishObjectClass.
 func (c *Client) PublishObjectClass(class string, attributes []string) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgPublishObject)
+	e := c.encode(msgPublishObject)
 	e.PutString(class)
 	e.PutStrings(attributes)
-	return c.call(&e, obs.OpOther, start)
+	return c.call(obs.OpOther, start)
 }
 
 // SubscribeObjectClass mirrors Federate.SubscribeObjectClass.
 func (c *Client) SubscribeObjectClass(class string, attributes []string) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgSubscribeObject)
+	e := c.encode(msgSubscribeObject)
 	e.PutString(class)
 	e.PutStrings(attributes)
-	return c.call(&e, obs.OpOther, start)
+	return c.call(obs.OpOther, start)
 }
 
 // PublishInteractionClass mirrors Federate.PublishInteractionClass.
 func (c *Client) PublishInteractionClass(class string) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgPublishInteraction)
+	e := c.encode(msgPublishInteraction)
 	e.PutString(class)
 	if !c.joined {
 		return errNotJoined
 	}
-	payload, err := c.request(&e, obs.OpOther, msgOK, start)
+	payload, err := c.request(obs.OpOther, msgOK, start)
 	if payload != nil {
 		c.published[class] = true
 	}
@@ -417,10 +434,9 @@ func (c *Client) PublishInteractionClass(class string) error {
 // SubscribeInteractionClass mirrors Federate.SubscribeInteractionClass.
 func (c *Client) SubscribeInteractionClass(class string) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgSubscribeInteraction)
+	e := c.encode(msgSubscribeInteraction)
 	e.PutString(class)
-	return c.call(&e, obs.OpOther, start)
+	return c.call(obs.OpOther, start)
 }
 
 // RegisterObjectInstance mirrors Federate.RegisterObjectInstance.
@@ -429,11 +445,10 @@ func (c *Client) RegisterObjectInstance(class, name string) (ObjectHandle, error
 	if !c.joined {
 		return 0, errNotJoined
 	}
-	var e wire.Encoder
-	e.PutByte(msgRegister)
+	e := c.encode(msgRegister)
 	e.PutString(class)
 	e.PutString(name)
-	payload, err := c.request(&e, obs.OpRegister, msgRegistered, start)
+	payload, err := c.request(obs.OpRegister, msgRegistered, start)
 	if payload == nil {
 		return 0, err
 	}
@@ -451,12 +466,11 @@ func (c *Client) RegisterObjectInstance(class, name string) (ObjectHandle, error
 // UpdateAttributeValues mirrors Federate.UpdateAttributeValues.
 func (c *Client) UpdateAttributeValues(obj ObjectHandle, attrs Values, ts float64) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgUpdate)
+	e := c.encode(msgUpdate)
 	e.PutInt64(int64(obj))
 	e.PutFloat64(ts)
 	e.PutValues(attrs)
-	return c.call(&e, obs.OpUpdate, start)
+	return c.call(obs.OpUpdate, start)
 }
 
 // SendInteraction mirrors Federate.SendInteraction, pipelined. A send
@@ -469,24 +483,22 @@ func (c *Client) UpdateAttributeValues(obj ObjectHandle, attrs Values, ts float6
 // round trip instead, so its error is the server's own and returns now.
 func (c *Client) SendInteraction(class string, params Values, ts float64) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgInteraction)
+	e := c.encode(msgInteraction)
 	e.PutString(class)
 	e.PutFloat64(ts)
 	e.PutValues(params)
 	if !c.joined || checkSend(class, c.published[class], ts, c.granted, c.lookahead) != nil {
-		return c.call(&e, obs.OpInteraction, start)
+		return c.call(obs.OpInteraction, start)
 	}
-	return c.enqueue(&e, obs.OpInteraction, start)
+	return c.enqueue(obs.OpInteraction, start)
 }
 
 // DeleteObjectInstance mirrors Federate.DeleteObjectInstance.
 func (c *Client) DeleteObjectInstance(obj ObjectHandle) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgDelete)
+	e := c.encode(msgDelete)
 	e.PutInt64(int64(obj))
-	return c.call(&e, obs.OpOther, start)
+	return c.call(obs.OpOther, start)
 }
 
 // TimeAdvanceRequest mirrors Federate.TimeAdvanceRequest: it blocks,
@@ -506,10 +518,9 @@ func (c *Client) advance(typ byte, t float64) error {
 	if !c.joined {
 		return errNotJoined
 	}
-	var e wire.Encoder
-	e.PutByte(typ)
+	e := c.encode(typ)
 	e.PutFloat64(t)
-	payload, err := c.request(&e, obs.OpAdvance, msgGrant, start)
+	payload, err := c.request(obs.OpAdvance, msgGrant, start)
 	if payload == nil {
 		return err
 	}
@@ -528,9 +539,8 @@ func (c *Client) advance(typ byte, t float64) error {
 // (discoveries, removals) and delivers them.
 func (c *Client) Tick() error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgTick)
-	return c.call(&e, obs.OpTick, start)
+	c.encode(msgTick)
+	return c.call(obs.OpTick, start)
 }
 
 // RegisterSynchronizationPoint mirrors
@@ -538,11 +548,10 @@ func (c *Client) Tick() error {
 // announcement is delivered before this call returns.
 func (c *Client) RegisterSynchronizationPoint(label string, tag []byte) error {
 	start := obs.RPCClock()
-	var e wire.Encoder
-	e.PutByte(msgRegisterSync)
+	e := c.encode(msgRegisterSync)
 	e.PutString(label)
 	e.PutBytes(tag)
-	return c.call(&e, obs.OpSync, start)
+	return c.call(obs.OpSync, start)
 }
 
 // SynchronizationPointAchieved mirrors
@@ -554,10 +563,9 @@ func (c *Client) RegisterSynchronizationPoint(label string, tag []byte) error {
 func (c *Client) SynchronizationPointAchieved(label string) error {
 	start := obs.RPCClock()
 	t0 := obs.Events.Now()
-	var e wire.Encoder
-	e.PutByte(msgSyncAchieved)
+	e := c.encode(msgSyncAchieved)
 	e.PutString(label)
-	err := c.call(&e, obs.OpSync, start)
+	err := c.call(obs.OpSync, start)
 	if t1 := obs.Events.Now(); err == nil && t0 != 0 && t1 != 0 {
 		obs.Events.Emit("sync_probe",
 			obs.S("label", label), obs.S("fed", c.name),
@@ -573,9 +581,8 @@ func (c *Client) Resign() error {
 	if !c.joined {
 		return errNotJoined
 	}
-	var e wire.Encoder
-	e.PutByte(msgResign)
-	payload, err := c.request(&e, obs.OpResign, msgOK, start)
+	c.encode(msgResign)
+	payload, err := c.request(obs.OpResign, msgOK, start)
 	if payload != nil {
 		c.joined = false
 	}

@@ -188,21 +188,14 @@ func (f *Federate) updateAttributeValues(obj ObjectHandle, attrs Values, ts floa
 	return nil
 }
 
-// filterValues keeps only subscribed attribute names. An empty subscribed
-// set (SubscribeObjectClass with no attributes) means all attributes.
+// filterValues copies the subscribed attributes of attrs. An empty
+// subscribed set (SubscribeObjectClass with no attributes) means all
+// attributes.
 func filterValues(attrs Values, subscribed map[string]bool) Values {
 	if len(subscribed) == 0 {
 		return attrs.clone()
 	}
-	out := make(Values)
-	for k, v := range attrs {
-		if subscribed[k] {
-			cp := make([]byte, len(v))
-			copy(cp, v)
-			out[k] = cp
-		}
-	}
-	return out
+	return attrs.copyKeys(subscribed)
 }
 
 // SendInteraction sends a timestamped interaction to subscribers.

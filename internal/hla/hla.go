@@ -23,9 +23,11 @@
 package hla
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,18 +75,42 @@ func (v Values) clone() Values {
 	if v == nil {
 		return nil
 	}
-	out := make(Values, len(v))
+	return v.copyKeys(nil)
+}
+
+// copyKeys copies the entries of v whose key keep holds (every entry
+// for an empty keep) into a new map whose values share one new backing
+// array. Each value is capped at its own length, so an append to one
+// reallocates instead of overwriting the next.
+func (v Values) copyKeys(keep map[string]bool) Values {
+	type entry struct {
+		k string
+		b []byte
+	}
+	var small [8]entry
+	kept := small[:0]
+	size := 0
 	for k, b := range v {
-		cp := make([]byte, len(b))
-		copy(cp, b)
-		out[k] = cp
+		if len(keep) == 0 || keep[k] {
+			kept = append(kept, entry{k, b})
+			size += len(b)
+		}
+	}
+	out := make(Values, len(kept))
+	back := make([]byte, 0, size)
+	for _, e := range kept {
+		i := len(back)
+		back = append(back, e.b...)
+		out[e.k] = back[i:len(back):len(back)]
 	}
 	return out
 }
 
 // Ambassador is the federate-side callback interface (the HLA
 // FederateAmbassador). Callbacks are invoked on the goroutine that calls
-// TimeAdvanceRequest or Tick, never concurrently.
+// TimeAdvanceRequest or Tick, never concurrently. The Values a callback
+// receives belong to the receiving federate: no other federate, and no
+// later callback, shares them, so an ambassador may keep or modify them.
 type Ambassador interface {
 	// DiscoverObjectInstance announces a remote object the federate
 	// subscribes to.
@@ -163,8 +189,15 @@ type mailbox struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
+	// items[head:] are queued; the slots before head are popped and
+	// zeroed, so a delivered callback's values are not kept reachable.
+	// Pushes reuse the array: it is reset when it empties and compacted
+	// when a push finds it full.
+	//
 	//adf:guardedby mu
 	items []callback
+	//adf:guardedby mu
+	head int
 
 	//adf:guardedby mu
 	closed bool
@@ -182,8 +215,21 @@ func (m *mailbox) push(c callback) {
 	if m.closed {
 		return
 	}
+	m.reserve(1)
 	m.items = append(m.items, c)
 	m.cond.Signal()
+}
+
+// reserve compacts the queue to the front of its array when pushing n
+// more would otherwise grow it. Callers must hold m.mu.
+func (m *mailbox) reserve(n int) {
+	if m.head == 0 || len(m.items)+n <= cap(m.items) {
+		return
+	}
+	k := copy(m.items, m.items[m.head:])
+	clear(m.items[k:])
+	m.items = m.items[:k]
+	m.head = 0
 }
 
 // pushGrant appends a time advance's TSO deliveries and its grant as one
@@ -196,6 +242,7 @@ func (m *mailbox) pushGrant(msgs []tsoMessage, grant callback) {
 	if m.closed {
 		return
 	}
+	m.reserve(len(msgs) + 1)
 	for _, msg := range msgs {
 		m.items = append(m.items, msg.cb)
 	}
@@ -207,26 +254,31 @@ func (m *mailbox) pushGrant(msgs []tsoMessage, grant callback) {
 func (m *mailbox) pop() (callback, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for len(m.items) == 0 && !m.closed {
+	for m.head == len(m.items) && !m.closed {
 		m.cond.Wait()
 	}
-	if len(m.items) == 0 {
-		return callback{}, false
-	}
-	c := m.items[0]
-	m.items = m.items[1:]
-	return c, true
+	return m.take()
 }
 
 // tryPop returns immediately.
 func (m *mailbox) tryPop() (callback, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.items) == 0 {
+	return m.take()
+}
+
+// take pops the head item, if any, and zeroes its slot. Callers must
+// hold m.mu.
+func (m *mailbox) take() (callback, bool) {
+	if m.head == len(m.items) {
 		return callback{}, false
 	}
-	c := m.items[0]
-	m.items = m.items[1:]
+	c := m.items[m.head]
+	m.items[m.head] = callback{}
+	m.head++
+	if m.head == len(m.items) {
+		m.items, m.head = m.items[:0], 0
+	}
 	return c, true
 }
 
@@ -632,20 +684,25 @@ func (f *federateState) nextTSOTime() (float64, bool) {
 
 // deliverGrant moves queued messages with timestamps up to the
 // federate's (just granted) time to its mailbox in timestamp order,
-// followed by the grant. Callers must hold fed.mu.
+// followed by the grant. The messages left behind move to the front of
+// the queue's array and the vacated slots are zeroed, so the array is
+// reused and keeps no delivered values reachable. Callers must hold
+// fed.mu.
 func (fed *Federation) deliverGrant(f *federateState) {
-	sort.Slice(f.tsoQueue, func(i, j int) bool {
-		if f.tsoQueue[i].time != f.tsoQueue[j].time {
-			return f.tsoQueue[i].time < f.tsoQueue[j].time
+	slices.SortFunc(f.tsoQueue, func(a, b tsoMessage) int {
+		if c := cmp.Compare(a.time, b.time); c != 0 {
+			return c
 		}
-		return f.tsoQueue[i].seq < f.tsoQueue[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	n := 0
 	for n < len(f.tsoQueue) && f.tsoQueue[n].time <= f.time {
 		n++
 	}
 	f.mailbox.pushGrant(f.tsoQueue[:n], callback{kind: cbGrant, time: f.time})
-	f.tsoQueue = f.tsoQueue[n:]
+	k := copy(f.tsoQueue, f.tsoQueue[n:])
+	clear(f.tsoQueue[k:])
+	f.tsoQueue = f.tsoQueue[:k]
 }
 
 // routeTSO enqueues a timestamped callback for a receiver, or delivers it

@@ -17,6 +17,16 @@ import (
 // callbacks leaves the server in a few writes.
 const ioBufferSize = 64 << 10
 
+// retain returns the buffer a connection keeps for its next frame read
+// after reading payload into it: the payload's array while it is at
+// most ioBufferSize, so one large frame does not stay pinned.
+func retain(payload []byte) []byte {
+	if cap(payload) > ioBufferSize {
+		return nil
+	}
+	return payload
+}
+
 // ioDeadline converts a configured I/O timeout into an absolute
 // deadline. A non-positive timeout yields the zero time.Time — an
 // explicit "no deadline" — so blocking time-advance semantics are
@@ -279,22 +289,45 @@ type connWriter struct {
 	//adf:guardedby mu
 	bw *bufio.Writer
 
+	// enc encodes every frame but the constant ok ack: replies, errors
+	// and the callbacks of the remote ambassador.
+	//
+	//adf:guardedby mu
+	enc wire.Encoder
+
 	//adf:guardedby mu
 	err error
 }
 
-func (w *connWriter) writeFrame(payload []byte) {
-	w.writeFrameTC(payload, wire.TraceContext{})
-}
+// okFrame is the payload of the ok ack.
+var okFrame = []byte{msgOK}
 
-// writeFrameTC writes one frame carrying a trace context (zero for
-// untraced frames — the wire layer then emits the legacy framing).
-func (w *connWriter) writeFrameTC(payload []byte, tc wire.TraceContext) {
+// frame encodes one frame with build and writes it carrying tc (zero
+// for untraced frames — the wire layer then emits the legacy framing).
+func (w *connWriter) frame(tc wire.TraceContext, build func(e *wire.Encoder)) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return
 	}
+	w.enc.Reset()
+	build(&w.enc)
+	w.write(w.enc.Bytes(), tc)
+}
+
+// writeOK writes the ok ack.
+func (w *connWriter) writeOK() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return
+	}
+	w.write(okFrame, wire.TraceContext{})
+}
+
+// write buffers one frame. Callers must hold w.mu and have checked
+// w.err.
+func (w *connWriter) write(payload []byte, tc wire.TraceContext) {
 	if w.bw.Available() < len(payload)+wire.MaxHeaderSize {
 		// The frame may not fit: this write can reach the socket.
 		_ = w.conn.SetWriteDeadline(ioDeadline(w.timeout))
@@ -337,44 +370,50 @@ var (
 func (a *remoteAmbassador) flush() { a.w.flush() }
 
 func (a *remoteAmbassador) DiscoverObjectInstance(obj ObjectHandle, class, name string) {
-	var e wire.Encoder
-	e.PutByte(msgDiscover)
-	e.PutInt64(int64(obj))
-	e.PutString(class)
-	e.PutString(name)
-	a.w.writeFrame(e.Bytes())
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+		e.PutByte(msgDiscover)
+		e.PutInt64(int64(obj))
+		e.PutString(class)
+		e.PutString(name)
+	})
 }
 
 func (a *remoteAmbassador) ReflectAttributeValues(obj ObjectHandle, attrs Values, t float64) {
-	var e wire.Encoder
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReflect(e, obj, attrs, t) })
+}
+
+func (a *remoteAmbassador) ReceiveInteraction(class string, params Values, t float64) {
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReceive(e, class, params, t) })
+}
+
+// putReflect encodes a reflect callback frame.
+func putReflect(e *wire.Encoder, obj ObjectHandle, attrs Values, t float64) {
 	e.PutByte(msgReflect)
 	e.PutInt64(int64(obj))
 	e.PutFloat64(t)
 	e.PutValues(attrs)
-	a.w.writeFrame(e.Bytes())
 }
 
-func (a *remoteAmbassador) ReceiveInteraction(class string, params Values, t float64) {
-	var e wire.Encoder
+// putReceive encodes an interaction callback frame.
+func putReceive(e *wire.Encoder, class string, params Values, t float64) {
 	e.PutByte(msgReceive)
 	e.PutString(class)
 	e.PutFloat64(t)
 	e.PutValues(params)
-	a.w.writeFrame(e.Bytes())
 }
 
 func (a *remoteAmbassador) RemoveObjectInstance(obj ObjectHandle) {
-	var e wire.Encoder
-	e.PutByte(msgRemove)
-	e.PutInt64(int64(obj))
-	a.w.writeFrame(e.Bytes())
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+		e.PutByte(msgRemove)
+		e.PutInt64(int64(obj))
+	})
 }
 
 func (a *remoteAmbassador) TimeAdvanceGrant(t float64) {
-	var e wire.Encoder
-	e.PutByte(msgGrant)
-	e.PutFloat64(t)
-	a.w.writeFrame(e.Bytes())
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+		e.PutByte(msgGrant)
+		e.PutFloat64(t)
+	})
 }
 
 var _ SyncAmbassador = (*remoteAmbassador)(nil)
@@ -390,20 +429,11 @@ var _ tracedDeliverer = (*remoteAmbassador)(nil)
 // gate is off.
 func (a *remoteAmbassador) deliverTraced(c callback) bool {
 	var op obs.RPCOp
-	var e wire.Encoder
 	switch c.kind {
 	case cbReflect:
 		op = obs.OpUpdate
-		e.PutByte(msgReflect)
-		e.PutInt64(int64(c.object))
-		e.PutFloat64(c.time)
-		e.PutValues(c.values)
 	case cbInteraction:
 		op = obs.OpInteraction
-		e.PutByte(msgReceive)
-		e.PutString(c.class)
-		e.PutFloat64(c.time)
-		e.PutValues(c.values)
 	default:
 		return false
 	}
@@ -415,7 +445,13 @@ func (a *remoteAmbassador) deliverTraced(c callback) bool {
 	if tc.Valid() {
 		tc = obs.ChildContext(tc)
 	}
-	a.w.writeFrameTC(e.Bytes(), tc)
+	a.w.frame(tc, func(e *wire.Encoder) {
+		if c.kind == cbReflect {
+			putReflect(e, c.object, c.values, c.time)
+		} else {
+			putReceive(e, c.class, c.values, c.time)
+		}
+	})
 	if start != 0 {
 		end := obs.RPCClock()
 		obs.ObserveRPC(obs.PhaseDeliver, op, start, end)
@@ -427,33 +463,27 @@ func (a *remoteAmbassador) deliverTraced(c callback) bool {
 
 // AnnounceSynchronizationPoint implements SyncAmbassador.
 func (a *remoteAmbassador) AnnounceSynchronizationPoint(label string, tag []byte) {
-	var e wire.Encoder
-	e.PutByte(msgAnnounceSync)
-	e.PutString(label)
-	e.PutBytes(tag)
-	a.w.writeFrame(e.Bytes())
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+		e.PutByte(msgAnnounceSync)
+		e.PutString(label)
+		e.PutBytes(tag)
+	})
 }
 
 // FederationSynchronized implements SyncAmbassador.
 func (a *remoteAmbassador) FederationSynchronized(label string) {
-	var e wire.Encoder
-	e.PutByte(msgFederationSynced)
-	e.PutString(label)
-	a.w.writeFrame(e.Bytes())
-}
-
-func writeOK(w *connWriter) {
-	var e wire.Encoder
-	e.PutByte(msgOK)
-	w.writeFrame(e.Bytes())
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+		e.PutByte(msgFederationSynced)
+		e.PutString(label)
+	})
 }
 
 func writeError(w *connWriter, err error) {
-	var e wire.Encoder
-	e.PutByte(msgError)
-	e.PutByte(errorCode(err))
-	e.PutString(err.Error())
-	w.writeFrame(e.Bytes())
+	w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+		e.PutByte(msgError)
+		e.PutByte(errorCode(err))
+		e.PutString(err.Error())
+	})
 }
 
 // handle runs one connection's request loop: a join frame first, then
@@ -463,6 +493,15 @@ func (s *Server) handle(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, ioBufferSize)
 	w := &connWriter{conn: conn, timeout: s.writeTimeout, bw: bufio.NewWriterSize(conn, ioBufferSize)}
 	defer w.flush()
+	// Each request is read into buf (see retain), and names are decoded
+	// through names. The parameters of an update or interaction are
+	// decoded borrowed, into the reused map scratch, their values
+	// aliasing buf: this is safe because the RTI copies them (clone,
+	// filterValues) under fed.mu before the call returns, so nothing
+	// refers to buf when the next request is read into it.
+	var buf []byte
+	var names wire.Interner
+	scratch := make(Values)
 
 	var fed *Federate
 	defer func() {
@@ -482,11 +521,12 @@ func (s *Server) handle(conn net.Conn) {
 		// Refresh the read deadline each request; zero-timeout servers
 		// get an explicit unbounded wait.
 		_ = conn.SetReadDeadline(ioDeadline(s.readTimeout))
-		payload, rtc, err := wire.ReadFrameTC(r)
+		payload, rtc, err := wire.ReadFrameInto(r, buf)
 		if err != nil {
 			obs.RTIError(obs.SideServer, classifyErr(err))
 			return
 		}
+		buf = retain(payload)
 		obs.WireFramesIn.Inc()
 		obs.WireBytesIn.Add(uint64(len(payload)))
 		d := wire.NewDecoder(payload)
@@ -511,10 +551,10 @@ func (s *Server) handle(conn net.Conn) {
 				continue
 			}
 			fed = f
-			var e wire.Encoder
-			e.PutByte(msgJoined)
-			e.PutInt64(int64(f.Handle()))
-			w.writeFrame(e.Bytes())
+			w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+				e.PutByte(msgJoined)
+				e.PutInt64(int64(f.Handle()))
+			})
 			continue
 		}
 
@@ -548,20 +588,22 @@ func (s *Server) handle(conn net.Conn) {
 				writeError(w, err)
 				break
 			}
-			var e wire.Encoder
-			e.PutByte(msgRegistered)
-			e.PutInt64(int64(obj))
-			w.writeFrame(e.Bytes())
+			w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
+				e.PutByte(msgRegistered)
+				e.PutInt64(int64(obj))
+			})
 		case msgUpdate:
 			obj := ObjectHandle(d.Int64())
 			ts := d.Float64()
-			values := Values(d.Values())
-			s.respond(w, d.Err(), func() error { return fed.updateAttributeValues(obj, values, ts, rtc) })
+			d.BorrowValues(scratch, &names)
+			s.respond(w, d.Err(), func() error { return fed.updateAttributeValues(obj, scratch, ts, rtc) })
+			clear(scratch)
 		case msgInteraction:
-			class := d.String()
+			class := d.Name(&names)
 			ts := d.Float64()
-			values := Values(d.Values())
-			s.respond(w, d.Err(), func() error { return fed.sendInteraction(class, values, ts, rtc) })
+			d.BorrowValues(scratch, &names)
+			s.respond(w, d.Err(), func() error { return fed.sendInteraction(class, scratch, ts, rtc) })
+			clear(scratch)
 		case msgDelete:
 			obj := ObjectHandle(d.Int64())
 			s.respond(w, d.Err(), func() error { return fed.DeleteObjectInstance(obj) })
@@ -582,7 +624,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 		case msgTick:
 			fed.Tick()
-			writeOK(w)
+			w.writeOK()
 		case msgRegisterSync:
 			label := d.String()
 			tag := d.Bytes()
@@ -598,7 +640,7 @@ func (s *Server) handle(conn net.Conn) {
 			// the client sees announce-then-ok, as an in-process federate
 			// would on its next Tick.
 			fed.Tick()
-			writeOK(w)
+			w.writeOK()
 		case msgSyncAchieved:
 			label := d.String()
 			if d.Err() != nil {
@@ -618,7 +660,7 @@ func (s *Server) handle(conn net.Conn) {
 				break
 			}
 			fed.Tick()
-			writeOK(w)
+			w.writeOK()
 		case msgResign:
 			err := fed.Resign()
 			fed = nil
@@ -649,5 +691,5 @@ func (s *Server) respond(w *connWriter, decodeErr error, op func() error) {
 		writeError(w, err)
 		return
 	}
-	writeOK(w)
+	w.writeOK()
 }

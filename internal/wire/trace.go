@@ -69,20 +69,14 @@ func decodeTC(b []byte) TraceContext {
 
 // WriteFrameTC writes one frame carrying tc. An invalid (zero) context
 // falls back to the legacy header, so untraced sends are bit-identical
-// to WriteFrame. The header and context share one stack buffer and one
-// Write call, keeping the traced path allocation-free.
+// to WriteFrame. On a *bufio.Writer the header is built in the writer's
+// own buffer, so neither form allocates; any other writer gets the
+// header as one Write of a fresh slice.
 func WriteFrameTC(w io.Writer, payload []byte, tc TraceContext) error {
-	if !tc.Valid() {
-		return WriteFrame(w, payload)
-	}
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
 	}
-	var hdr [5 + tcSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], tcFlag|uint32(len(payload)))
-	hdr[4] = tcVersion
-	tc.appendTo(hdr[5:5])
-	if _, err := w.Write(hdr[:]); err != nil {
+	if err := writeHeader(w, len(payload), tc); err != nil {
 		return fmt.Errorf("wire: write frame header: %w", err)
 	}
 	if _, err := w.Write(payload); err != nil {
@@ -91,22 +85,73 @@ func WriteFrameTC(w io.Writer, payload []byte, tc TraceContext) error {
 	return nil
 }
 
+// appendHeader appends the header of an n-byte frame carrying tc: the
+// length word, then for a valid tc the extension version and the trace
+// context.
+func appendHeader(b []byte, n int, tc TraceContext) []byte {
+	if !tc.Valid() {
+		return binary.BigEndian.AppendUint32(b, uint32(n))
+	}
+	b = binary.BigEndian.AppendUint32(b, tcFlag|uint32(n))
+	b = append(b, tcVersion)
+	return tc.appendTo(b)
+}
+
+// writeHeader writes the header of an n-byte frame carrying tc. A
+// header passed to an io.Writer escapes to the heap, so a
+// *bufio.Writer gets it through AvailableBuffer, or byte by byte when
+// its buffer lacks the room.
+func writeHeader(w io.Writer, n int, tc TraceContext) error {
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		_, err := w.Write(appendHeader(make([]byte, 0, MaxHeaderSize), n, tc))
+		return err
+	}
+	size := 4
+	if tc.Valid() {
+		size = MaxHeaderSize
+	}
+	if bw.Available() >= size {
+		_, err := bw.Write(appendHeader(bw.AvailableBuffer(), n, tc))
+		return err
+	}
+	var hdr [MaxHeaderSize]byte
+	for _, c := range appendHeader(hdr[:0], n, tc) {
+		if err := bw.WriteByte(c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ReadFrameTC reads one frame in either form, returning the payload and
-// the trace context (zero for legacy frames).
+// the trace context (zero for legacy frames). The payload is a fresh
+// slice the caller owns.
 func ReadFrameTC(r io.Reader) ([]byte, TraceContext, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return ReadFrameInto(r, nil)
+}
+
+// ReadFrameInto is ReadFrameTC reading the payload into buf, which it
+// grows (at least doubling) when the frame does not fit; the payload is
+// buf[:n] or a new slice. A caller that passes the last payload back in
+// reuses one buffer for every frame, and each payload is then valid
+// only until the next call. A nil buf always yields a fresh slice. On a *bufio.Reader
+// the header is read in place from the reader's buffer, so a frame that
+// fits buf allocates nothing.
+func ReadFrameInto(r io.Reader, buf []byte) ([]byte, TraceContext, error) {
+	hdr, err := readHeader(r, 4)
+	if err != nil {
 		return nil, TraceContext{}, err
 	}
-	word := binary.BigEndian.Uint32(hdr[:])
-	n := word &^ uint32(tcFlag)
+	word := binary.BigEndian.Uint32(hdr)
+	n := int(word &^ uint32(tcFlag))
 	if n > MaxFrameSize {
 		return nil, TraceContext{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
 	var tc TraceContext
 	if word&tcFlag != 0 {
-		var ext [1 + tcSize]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
+		ext, err := readHeader(r, 1+tcSize)
+		if err != nil {
 			return nil, TraceContext{}, fmt.Errorf("wire: read frame trace context: %w", err)
 		}
 		if ext[0] != tcVersion {
@@ -114,11 +159,35 @@ func ReadFrameTC(r io.Reader) ([]byte, TraceContext, error) {
 		}
 		tc = decodeTC(ext[1:])
 	}
-	payload := make([]byte, n)
+	if buf == nil || cap(buf) < n {
+		buf = make([]byte, n, max(n, 2*cap(buf)))
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, TraceContext{}, fmt.Errorf("wire: read frame payload: %w", err)
 	}
 	return payload, tc, nil
+}
+
+// readHeader reads the next n header bytes of r with io.ReadFull's
+// errors. A *bufio.Reader lends them from its buffer (valid until its
+// next read) instead of copying them into a slice that would escape.
+func readHeader(r io.Reader, n int) ([]byte, error) {
+	br, ok := r.(*bufio.Reader)
+	if !ok || br.Size() < n {
+		b := make([]byte, n)
+		_, err := io.ReadFull(r, b)
+		return b, err
+	}
+	b, err := br.Peek(n)
+	if err != nil {
+		if err == io.EOF && len(b) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	_, _ = br.Discard(n) // n bytes are buffered: Discard cannot fail
+	return b, nil
 }
 
 // FrameBuffered reports whether r already holds one whole frame of

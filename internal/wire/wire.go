@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 )
 
 // MaxFrameSize bounds a frame payload; oversized frames indicate a
@@ -29,18 +29,7 @@ var (
 
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("wire: write frame payload: %w", err)
-	}
-	return nil
+	return WriteFrameTC(w, payload, TraceContext{})
 }
 
 // ReadFrame reads one length-prefixed frame. Traced frames (see
@@ -83,7 +72,10 @@ func (e *Encoder) PutBytes(b []byte) {
 }
 
 // PutString appends a length-prefixed string.
-func (e *Encoder) PutString(s string) { e.PutBytes([]byte(s)) }
+func (e *Encoder) PutString(s string) {
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s)))
+	e.buf = append(e.buf, s...)
+}
 
 // PutStrings appends a length-prefixed string list.
 func (e *Encoder) PutStrings(ss []string) {
@@ -94,13 +86,18 @@ func (e *Encoder) PutStrings(ss []string) {
 }
 
 // PutValues appends a string-keyed byte-slice map in sorted key order,
-// so equal maps encode identically.
+// so equal maps encode identically. Maps of up to eight keys are sorted
+// on the stack.
 func (e *Encoder) PutValues(v map[string][]byte) {
-	keys := make([]string, 0, len(v))
+	var small [8]string
+	keys := small[:0]
+	if len(v) > len(small) {
+		keys = make([]string, 0, len(v))
+	}
 	for k := range v {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(keys)))
 	for _, k := range keys {
 		e.PutString(k)
@@ -186,21 +183,27 @@ func (d *Decoder) length() int {
 
 // Bytes reads a length-prefixed byte slice. The result is a copy.
 func (d *Decoder) Bytes() []byte {
-	n := d.length()
-	if d.err != nil {
-		return nil
-	}
-	b := d.take(n)
+	b := d.view()
 	if b == nil {
 		return nil
 	}
-	out := make([]byte, n)
+	out := make([]byte, len(b))
 	copy(out, b)
 	return out
 }
 
 // String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.Bytes()) }
+func (d *Decoder) String() string { return string(d.view()) }
+
+// view reads a length-prefixed byte slice without copying it: the
+// result aliases the payload.
+func (d *Decoder) view() []byte {
+	n := d.length()
+	if d.err != nil {
+		return nil
+	}
+	return d.take(n)
+}
 
 // Strings reads a length-prefixed string list.
 func (d *Decoder) Strings() []string {
@@ -237,4 +240,97 @@ func (d *Decoder) Values() map[string][]byte {
 		out[k] = v
 	}
 	return out
+}
+
+// Name reads a length-prefixed string through the intern table names,
+// so a name the connection has seen before costs no allocation. A nil
+// table reads like String.
+func (d *Decoder) Name(names *Interner) string {
+	b := d.view()
+	if names == nil {
+		return string(b)
+	}
+	return names.intern(b)
+}
+
+// OwnValues reads a string-keyed byte-slice map for a caller to own,
+// with keys through the intern table names (nil: none). It allocates
+// the map and one backing array that every value shares, each value
+// capped at its own length so an append to one never overwrites the
+// next. It is nil on a decoding error.
+func (d *Decoder) OwnValues(names *Interner) map[string][]byte {
+	// A first pass checks the entries and sums the value bytes, so the
+	// second allocates the map and the array once, at their final size.
+	start := d.off
+	n := d.length()
+	size := 0
+	for i := 0; i < n && d.err == nil; i++ {
+		d.view()
+		size += len(d.view())
+	}
+	if d.err != nil {
+		return nil
+	}
+	d.off = start + 4
+	out := make(map[string][]byte, n)
+	back := make([]byte, 0, size)
+	for range n {
+		k := d.Name(names)
+		i := len(back)
+		back = append(back, d.view()...)
+		out[k] = back[i:len(back):len(back)]
+	}
+	return out
+}
+
+// BorrowValues reads a string-keyed byte-slice map into dst, which it
+// clears first, with keys through the intern table names (nil: none).
+// The values are not copied: they alias the payload, so they are valid
+// only until the payload's buffer is reused and must not be modified.
+// On a decoding error dst is left cleared and Err reports it.
+func (d *Decoder) BorrowValues(dst map[string][]byte, names *Interner) {
+	clear(dst)
+	n := d.length()
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.Name(names)
+		v := d.view()
+		if d.err == nil {
+			dst[k] = v
+		}
+	}
+	if d.err != nil {
+		clear(dst)
+	}
+}
+
+// internCap and internMaxLen bound an Interner: it holds at most
+// internCap names, of at most internMaxLen bytes each.
+const (
+	internCap    = 256
+	internMaxLen = 64
+)
+
+// Interner is a per-connection table of the short strings a peer sends
+// over and over — class and parameter names — so that decoding a name
+// already seen returns the stored string instead of allocating. It is
+// bounded: once it holds internCap names, or for a name longer than
+// internMaxLen bytes, a name is simply allocated, so a peer cannot grow
+// the table. The zero value is ready to use. An Interner is not safe
+// for concurrent use.
+type Interner struct {
+	m map[string]string
+}
+
+func (in *Interner) intern(b []byte) string {
+	if s, ok := in.m[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(b) <= internMaxLen && len(in.m) < internCap {
+		if in.m == nil {
+			in.m = make(map[string]string)
+		}
+		in.m[s] = s
+	}
+	return s
 }

@@ -3,10 +3,13 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -261,6 +264,8 @@ func TestDecoderCountHintsBounded(t *testing.T) {
 	}{
 		{"Strings", func(d *Decoder) { d.Strings() }, 8 << 20},
 		{"Values", func(d *Decoder) { d.Values() }, 32 << 20},
+		{"OwnValues", func(d *Decoder) { d.OwnValues(&Interner{}) }, 32 << 20},
+		{"BorrowValues", func(d *Decoder) { d.BorrowValues(make(map[string][]byte), &Interner{}) }, 32 << 20},
 	}
 	for _, tc := range cases {
 		var before, after runtime.MemStats
@@ -292,4 +297,141 @@ func TestDecoderCountHintsBounded(t *testing.T) {
 		len(empty) != 0 || len(none) != 0 {
 		t.Errorf("round trip: %q %v %q %v", ss, vs, empty, none)
 	}
+	d = NewDecoder(e.Bytes())
+	d.Strings()
+	owned := d.OwnValues(&Interner{})
+	d = NewDecoder(e.Bytes())
+	d.Strings()
+	borrowed := map[string][]byte{"stale": nil}
+	d.BorrowValues(borrowed, &Interner{})
+	for name, m := range map[string]map[string][]byte{"owned": owned, "borrowed": borrowed} {
+		if err := d.Err(); err != nil || !reflect.DeepEqual(m, map[string][]byte{"": {}, "k": {1, 2}}) {
+			t.Errorf("%s round trip: %v, %v", name, m, err)
+		}
+	}
+}
+
+// TestInternerBounded sends more distinct names than the intern table
+// holds, and names longer than it keeps: every name still decodes to
+// its own text, repeats of a held name return the held string, and the
+// table never grows past internCap.
+func TestInternerBounded(t *testing.T) {
+	var names Interner
+	var e Encoder
+	for i := range 2 * internCap {
+		e.PutString(fmt.Sprintf("name%d", i))
+	}
+	long := strings.Repeat("x", internMaxLen+1)
+	e.PutString(long)
+	e.PutString(long)
+	d := NewDecoder(e.Bytes())
+	for i := range 2 * internCap {
+		if got, want := d.Name(&names), fmt.Sprintf("name%d", i); got != want {
+			t.Fatalf("name %d = %q, want %q", i, got, want)
+		}
+	}
+	if got := d.Name(&names) + d.Name(&names); got != long+long || d.Err() != nil {
+		t.Fatalf("long names = %d bytes, %v", len(got), d.Err())
+	}
+	if len(names.m) != internCap {
+		t.Fatalf("table holds %d names, want the cap %d", len(names.m), internCap)
+	}
+	var again Encoder
+	again.PutString("name7")
+	if n := testing.AllocsPerRun(100, func() { NewDecoder(again.Bytes()).Name(&names) }); n != 0 {
+		t.Errorf("a held name allocates %v times, want 0", n)
+	}
+}
+
+// FuzzValuesDecode holds the three Values decodes to one another: the
+// copying Values, the owned OwnValues a client hands its ambassador,
+// and the borrowed BorrowValues a server passes to the RTI. The input
+// is a callback frame body — type, class name, time, then the map —
+// and on any input all three must agree on the error and on the class,
+// time and content; none may panic, an owned value must be capped at
+// its length, and the intern table, shared across inputs, must stay
+// within its cap.
+func FuzzValuesDecode(f *testing.F) {
+	frame := func(class string, values func(e *Encoder)) []byte {
+		var e Encoder
+		e.PutByte(22)
+		e.PutString(class)
+		e.PutFloat64(1.5)
+		values(&e)
+		return e.Bytes()
+	}
+	for i := range 3 {
+		golden := frame("LU", func(e *Encoder) {
+			e.PutValues(map[string][]byte{"node": {0, 0, 0, byte(i)}, "x": bytes.Repeat([]byte{byte(i)}, 8), "y": {}})
+		})
+		f.Add(golden)
+		for _, cut := range []int{1, 5, len(golden) / 2, len(golden) - 1} {
+			f.Add(golden[:cut])
+		}
+	}
+	f.Add(frame("", func(e *Encoder) { e.PutValues(nil) }))
+	// Duplicate keys: the last value wins.
+	f.Add(frame("LU", func(e *Encoder) {
+		e.PutBytes([]byte{0, 0, 0, 2})
+		for _, v := range []string{"first", "second"} {
+			e.PutString("x")
+			e.PutString(v)
+		}
+	}))
+	// A count past the remaining bytes.
+	f.Add(frame("LU", func(e *Encoder) { e.PutBytes([]byte{0xFF, 0xFF, 0xFF, 0xFF}) }))
+
+	var names Interner
+	scratch := make(map[string][]byte)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type decoded struct {
+			class  string
+			time   uint64
+			values map[string][]byte
+			err    error
+		}
+		run := func(interned bool, values func(d *Decoder) map[string][]byte) decoded {
+			d := NewDecoder(data)
+			d.Byte()
+			var out decoded
+			if interned {
+				out.class = d.Name(&names)
+			} else {
+				out.class = d.String()
+			}
+			out.time = math.Float64bits(d.Float64())
+			out.values = maps.Clone(values(d)) // the borrowed map is reused
+			out.err = d.Err()
+			return out
+		}
+		copied := run(false, (*Decoder).Values)
+		owned := run(true, func(d *Decoder) map[string][]byte {
+			v := d.OwnValues(&names)
+			for k, b := range v {
+				if cap(b) != len(b) {
+					t.Fatalf("owned value %q has cap %d > len %d", k, cap(b), len(b))
+				}
+			}
+			return v
+		})
+		borrowed := run(true, func(d *Decoder) map[string][]byte {
+			d.BorrowValues(scratch, &names)
+			return scratch
+		})
+		for _, c := range []struct {
+			name string
+			got  decoded
+		}{{"owned", owned}, {"borrowed", borrowed}} {
+			if (c.got.err == nil) != (copied.err == nil) {
+				t.Fatalf("%s decode error %v, copying decode error %v", c.name, c.got.err, copied.err)
+			}
+			if copied.err == nil && (c.got.class != copied.class || c.got.time != copied.time ||
+				!maps.EqualFunc(c.got.values, copied.values, bytes.Equal)) {
+				t.Fatalf("%s decode = %+v, copying decode = %+v", c.name, c.got, copied)
+			}
+		}
+		if len(names.m) > internCap {
+			t.Fatalf("intern table holds %d names, cap %d", len(names.m), internCap)
+		}
+	})
 }
