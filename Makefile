@@ -102,13 +102,15 @@ bench-regress:
 ci: export GOFLAGS += -trimpath
 ci: build vet lint test race check-obs-e2e check-sharded bench-smoke bench-regress
 
-# Run the hot-path microbenchmarks (cluster assignment, geometry, tick
-# loop) and regenerate BENCH_hotpath.json at the baseline protocol
-# (duration 300, seed 1) at every scale up to a million nodes; the 200k
-# and 1m points dominate the wall clock.
+# Run the hot-path microbenchmarks (cluster assignment, geometry,
+# mobility, the gap-aware LE, tick loop) and regenerate
+# BENCH_hotpath.json at the baseline protocol (duration 300, seed 1) at
+# every scale up to a million nodes; the 200k and 1m points dominate the
+# wall clock.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem \
-		./internal/cluster/... ./internal/geo/... ./internal/experiment/...
+		./internal/cluster/... ./internal/geo/... ./internal/mobility/... \
+		./internal/estimate/... ./internal/experiment/...
 	$(GO) run ./cmd/adfbench -hotpath -duration 300 -seed 1 \
 		-scales 140,1k,5k,20k,50k,200k,1m
 

@@ -232,14 +232,15 @@ func (c *Classifier) MeanSpeed() float64 {
 	return s / float64(k)
 }
 
-// speedStdDev returns geo.StdDev over the steps' speeds.
-func (c *Classifier) speedStdDev() float64 {
+// speedStdDev returns geo.StdDev over the steps' speeds, given their
+// mean m as MeanSpeed computes it (the caller has it already, and the
+// same sum in the same order is the same mean).
+func (c *Classifier) speedStdDev(m float64) float64 {
 	older, newer := c.window()
 	k := len(older) + len(newer)
 	if k < 2 {
 		return 0
 	}
-	m := c.MeanSpeed()
 	var s float64
 	for i := range older {
 		d := older[i].speed - m
@@ -304,7 +305,7 @@ func (c *Classifier) Pattern() MobilityPattern {
 	case v > c.cfg.WalkSpeed:
 		return PatternLinear
 	default:
-		speedStable := c.speedStdDev() <= c.cfg.SpeedStability
+		speedStable := c.speedStdDev(v) <= c.cfg.SpeedStability
 		sx, sy := c.headingSums()
 		headingStable := geo.CircularVarianceFromSums(sx, sy, int(c.moving)) <= c.cfg.HeadingStability
 		if speedStable && headingStable {

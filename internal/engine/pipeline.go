@@ -459,13 +459,21 @@ func (p *Pipeline) runShard(sh *shardCtx) {
 			o.flags |= ocTransmitted
 			sh.local.BrokerReceived++
 		}
+		// A transmitted sample is the brokers' belief (a received LU is
+		// stored as reported), and for a finite position x−x is +0 and
+		// Hypot(+0, +0) is +0: its error distances keep outcome's zero
+		// value and skip both Dist calls.
 		if e, ok := p.NoLE.StepTally(s.Node, s.Time, s.Pos, transmitted, &sh.noLE); ok {
 			o.flags |= ocNoLE
-			o.distNoLE = e.Pos.Dist(s.Pos)
+			if !transmitted {
+				o.distNoLE = e.Pos.Dist(s.Pos)
+			}
 		}
 		if e, ok := p.WithLE.StepTally(s.Node, s.Time, s.Pos, transmitted, &sh.withLE); ok {
 			o.flags |= ocWithLE
-			o.distWithLE = e.Pos.Dist(s.Pos)
+			if !transmitted {
+				o.distWithLE = e.Pos.Dist(s.Pos)
+			}
 			if e.Estimated {
 				sh.local.BrokerEstimated++
 			}

@@ -66,17 +66,14 @@ func (a *ar1) forecast() float64 {
 //
 //adf:hotpath
 func (e *AR1LE) Observe(t float64, p geo.Point) {
-	n := e.tracker.n
-	lastT, lastP := e.tracker.lastT, e.tracker.lastP
-	_, _, ok := e.tracker.observe(t, p)
-	if !ok || n == 0 {
+	d, dt, ok := e.tracker.step(t, p)
+	if !ok {
 		return
 	}
-	dt := t - lastT
 	// Normalise to per-second increments so irregular update spacing does
 	// not bias the fit.
-	e.x.observe((p.X - lastP.X) / dt)
-	e.y.observe((p.Y - lastP.Y) / dt)
+	e.x.observe(d.DX / dt)
+	e.y.observe(d.DY / dt)
 	e.samples++
 }
 

@@ -157,15 +157,25 @@ type motionTracker struct {
 // observe returns the (speed, heading, ok) derived from the new sample;
 // ok is false for the first sample or non-advancing timestamps.
 func (m *motionTracker) observe(t float64, p geo.Point) (speed, heading float64, ok bool) {
+	d, dt, ok := m.step(t, p)
+	if !ok {
+		return 0, 0, false
+	}
+	return d.Len() / dt, d.Heading(), true
+}
+
+// step records the new sample and returns its displacement from the
+// previous one and the elapsed time; ok is false for the first sample or
+// non-advancing timestamps. Callers that need both the displacement's
+// length and its heading derive them from d once.
+func (m *motionTracker) step(t float64, p geo.Point) (d geo.Vec, dt float64, ok bool) {
 	prevN, prevT, prevP := m.n, m.lastT, m.lastP
 	m.lastT, m.lastP = t, p
 	m.n++
 	if prevN == 0 || t <= prevT {
-		return 0, 0, false
+		return geo.Vec{}, 0, false
 	}
-	dt := t - prevT
-	d := p.Sub(prevP)
-	return d.Len() / dt, d.Heading(), true
+	return p.Sub(prevP), t - prevT, true
 }
 
 // BrownLE is the paper's Location Estimator: Brown's double exponential

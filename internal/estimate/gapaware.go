@@ -40,21 +40,17 @@ type GapAwareLE struct {
 	tracker  motionTracker
 	nSamples int
 
-	// recent is a fixed ring of the last few observed headings; their mean
-	// resultant length gauges how trustworthy directional extrapolation is.
-	// A ring (rather than an append/reslice window) keeps Observe
-	// allocation-free on the simulator's hot path.
-	recent  [headingWindow]float64
-	recentN int // headings stored, saturating at headingWindow
-	recentI int // next ring write index
-
 	// Exponentially weighted sums of the (gap, net) regression.
 	sw, sx, sy, sxx, sxy float64
-}
 
-// headingWindow is the number of recent headings the confidence gauge
-// considers.
-const headingWindow = 6
+	// The prediction's direction and drift rate change only in Observe,
+	// but a broker predicts on every silent tick. Predict derives cos and
+	// sin of the smoothed heading and the slope once after each Observe
+	// and keeps them until the next; the same factors times the same
+	// length give bit for bit the same point.
+	predCos, predSin, predSlope float64
+	predValid                   bool
+}
 
 var _ PositionEstimator = (*GapAwareLE)(nil)
 
@@ -105,23 +101,19 @@ func NewGapAwareLE(cfg GapAwareConfig) (*GapAwareLE, error) {
 
 // Observe implements PositionEstimator.
 func (e *GapAwareLE) Observe(t float64, p geo.Point) {
-	n := e.tracker.n
-	lastT, lastP := e.tracker.lastT, e.tracker.lastP
-	_, heading, ok := e.tracker.observe(t, p)
-	if !ok || n == 0 {
+	e.predValid = false
+	d, gap, ok := e.tracker.step(t, p)
+	if !ok {
 		return
 	}
-	gap := t - lastT
-	net := p.Dist(lastP)
+	// The net displacement is |d|: Point.Dist takes the same Hypot of
+	// the same difference.
+	net := d.Len()
+	heading := d.Heading()
 
 	// Heading on the unit circle.
 	e.dirCos.Observe(math.Cos(heading))
 	e.dirSin.Observe(math.Sin(heading))
-	e.recent[e.recentI] = heading
-	e.recentI = (e.recentI + 1) % headingWindow
-	if e.recentN < headingWindow {
-		e.recentN++
-	}
 
 	// Drift regression update.
 	l := e.cfg.Lambda
@@ -164,19 +156,12 @@ func (e *GapAwareLE) Predict(t float64) geo.Point {
 	if e.cfg.MaxHorizon > 0 && dt > e.cfg.MaxHorizon {
 		dt = e.cfg.MaxHorizon
 	}
-	heading := math.Atan2(e.dirSin.Level(), e.dirCos.Level())
-	return e.tracker.lastP.Add(geo.FromHeading(geo.NormalizeAngle(heading), e.Slope()*dt))
-}
-
-// Confidence is the mean resultant length R̄ of the recent observed
-// headings, in [0, 1]: 1 for perfectly consistent motion, near 0 for
-// erratic motion (or right after a direction reversal). It is exposed as
-// a diagnostic; scaling the predicted drift by it was evaluated and
-// rejected — it sacrifices more mid-leg accuracy than it saves at
-// reversals (see EXPERIMENTS.md).
-func (e *GapAwareLE) Confidence() float64 {
-	if e.recentN == 0 {
-		return 0
+	if !e.predValid {
+		h := geo.NormalizeAngle(math.Atan2(e.dirSin.Level(), e.dirCos.Level()))
+		e.predCos, e.predSin = math.Cos(h), math.Sin(h)
+		e.predSlope = e.Slope()
+		e.predValid = true
 	}
-	return 1 - geo.CircularVariance(e.recent[:e.recentN])
+	l := e.predSlope * dt
+	return e.tracker.lastP.Add(geo.Vec{DX: e.predCos * l, DY: e.predSin * l})
 }

@@ -137,9 +137,6 @@ func TestGapAwareEdgeCases(t *testing.T) {
 	if got := e.Predict(5); got != (geo.Point{}) {
 		t.Errorf("empty Predict = %v", got)
 	}
-	if e.Confidence() != 0 {
-		t.Errorf("empty Confidence = %v", e.Confidence())
-	}
 	e.Observe(1, geo.Point{X: 3})
 	if e.Ready() {
 		t.Error("ready after one observation")
@@ -151,28 +148,6 @@ func TestGapAwareEdgeCases(t *testing.T) {
 	e.Observe(1, geo.Point{X: 50})
 	if e.nSamples != 0 {
 		t.Error("non-advancing observation counted")
-	}
-}
-
-func TestGapAwareConfidence(t *testing.T) {
-	e := mustGapAware(t, DefaultGapAwareConfig())
-	// Consistent eastward motion: confidence near 1.
-	for i := 0; i <= 8; i++ {
-		e.Observe(float64(i), geo.Point{X: float64(i)})
-	}
-	if c := e.Confidence(); c < 0.99 {
-		t.Errorf("consistent Confidence = %v, want ≈1", c)
-	}
-	// Erratic motion: confidence drops.
-	erratic := mustGapAware(t, DefaultGapAwareConfig())
-	rng := sim.NewRNG(7)
-	p := geo.Point{}
-	for i := 0; i <= 12; i++ {
-		p = p.Add(geo.FromHeading(rng.Heading(), 1))
-		erratic.Observe(float64(i), p)
-	}
-	if c := erratic.Confidence(); c > 0.8 {
-		t.Errorf("erratic Confidence = %v, want low", c)
 	}
 }
 

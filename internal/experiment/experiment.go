@@ -448,13 +448,9 @@ func (c Config) buildPipeline(mk filterFactory) (*engine.Pipeline, *Run, error) 
 	return p, w.run, nil
 }
 
-// observers wires the three metric sinks every run records into.
+// observers wires the one metric sink every run records into.
 func (c Config) observers(run *Run) engine.Observers {
-	return engine.Observers{
-		&trafficObserver{run: run},
-		energyObserver{acc: run.Energy, period: c.SamplePeriod},
-		newErrorObserver(run),
-	}
+	return engine.Observers{newMetricSink(run, c.SamplePeriod)}
 }
 
 // buildWorld constructs the partition-independent simulation world for

@@ -1,6 +1,9 @@
 package geo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Microbenchmarks for the geometry primitives on the simulator's hot
 // path: per-sample distance checks and the classifier's circular
@@ -40,6 +43,22 @@ func BenchmarkCircularVarianceFromSums(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += CircularVarianceFromSums(12.5, -3.25, 30)
+	}
+	_ = sink
+}
+
+// BenchmarkNormalizeAngle normalizes the mix the tick path produces:
+// atan2 outputs in (-π, π] and bounced headings in [π, 3π), plus an
+// occasional multiple turn.
+func BenchmarkNormalizeAngle(b *testing.B) {
+	angles := make([]float64, 64)
+	for i := range angles {
+		angles[i] = float64(i)*0.2 - math.Pi
+	}
+	angles[63] = 41.5
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += NormalizeAngle(angles[i&63])
 	}
 	_ = sink
 }
