@@ -73,9 +73,10 @@ check-obs-e2e:
 # allocs/tick — the pinned budget the optimized pipeline holds with
 # double-digit headroom (the recorded number is 0). Throughput is not
 # gated (CI machines vary); the allocation floor is machine-independent.
-# The second step is the TCP RTI allocation gate (TestRTIAllocsPerLU):
-# the loopback lockstep fails above 8 allocs/LU with one receiver or 32
-# with four (the recorded numbers are about 6 and 24). The third runs
+# The second step is the RTI allocation gate (TestRTIAllocsPerLU): the
+# loopback TCP lockstep fails above 4 allocs/LU with one receiver or 16
+# with four (the recorded numbers are about 3 and 12), the in-process
+# one above 3.5 or 12.5. The third runs
 # the TCP RTI lockstep microbenchmark (one sender, 1 and 4 receivers,
 # 405 pipelined sends and one time advance per step) for 20 steps each,
 # reporting ns/LU and allocs/LU, so a transport change that breaks the

@@ -1,10 +1,14 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"github.com/mobilegrid/adf/internal/engine"
+	"github.com/mobilegrid/adf/internal/filter"
 	"github.com/mobilegrid/adf/internal/gateway"
+	"github.com/mobilegrid/adf/internal/sim"
 )
 
 func ablationConfig() Config {
@@ -249,5 +253,88 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 	if a.TotalLUs() != b.TotalLUs() {
 		t.Errorf("churn runs differ: %v vs %v", a.TotalLUs(), b.TotalLUs())
+	}
+}
+
+// withheldDistances wraps a filter and keeps, per (node, time), the
+// decision distance of every LU it withholds.
+type withheldDistances struct {
+	filter.Filter
+	dist map[sampleKey]float64
+}
+
+type sampleKey struct {
+	node int
+	time float64
+}
+
+func (w *withheldDistances) Offer(lu filter.LU) filter.Decision {
+	d := w.Filter.Offer(lu)
+	if !d.Transmit {
+		w.dist[sampleKey{lu.Node, lu.Time}] = d.Distance
+	}
+	return d
+}
+
+// noLEErrors keeps the no-LE broker's error per (node, time).
+type noLEErrors struct {
+	engine.BaseObserver
+	dist map[sampleKey]float64
+}
+
+func (o *noLEErrors) OnError(s engine.Sample, v engine.Variant, dist float64) error {
+	if v == engine.NoLE {
+		o.dist[sampleKey{s.Node, s.Time}] = dist
+	}
+	return nil
+}
+
+// TestOfferDistanceIsNoLEErrorOnlyAnchored pins when the distance the
+// ADF computes in Offer could stand in for the no-LE broker's error of
+// a withheld sample. Under Anchored the filter's anchor is the last
+// transmitted position, which is the no-LE belief, so the two agree bit
+// for bit on every withheld sample. Under PerStep (the paper's default)
+// the anchor is the previous sample, so they differ on some: handing
+// the filter's distance to the error accounting is valid only under
+// Anchored.
+func TestOfferDistanceIsNoLEErrorOnlyAnchored(t *testing.T) {
+	for _, sem := range []filter.Semantics{filter.Anchored, filter.PerStep} {
+		cfg := ablationConfig()
+		cfg.ADF.Semantics = sem
+		withheld := &withheldDistances{dist: make(map[sampleKey]float64)}
+		mk := cfg.adfFactory(1.0)
+		p, _, err := cfg.buildPipeline(func() (filter.Filter, string, float64, error) {
+			f, name, factor, err := mk()
+			withheld.Filter = f
+			return withheld, name, factor, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := &noLEErrors{dist: make(map[sampleKey]float64)}
+		p.Observers = append(p.Observers, errs)
+		if err := p.Run(sim.New(), cfg.Duration); err != nil {
+			t.Fatal(err)
+		}
+		compared, differ := 0, 0
+		for k, d := range withheld.dist {
+			e, ok := errs.dist[k]
+			if !ok {
+				continue
+			}
+			compared++
+			if math.Float64bits(d) != math.Float64bits(e) {
+				differ++
+			}
+		}
+		t.Logf("%v: %d of %d withheld samples differ", sem, differ, compared)
+		switch {
+		case compared == 0:
+			t.Errorf("%v: no withheld sample with a no-LE belief", sem)
+		case sem == filter.Anchored && differ != 0:
+			t.Errorf("anchored: offer distance and no-LE error differ on %d of %d withheld samples", differ, compared)
+		case sem == filter.PerStep && differ == 0:
+			t.Errorf("per-step: offer distance equals the no-LE error on all %d withheld samples", compared)
+		}
 	}
 }

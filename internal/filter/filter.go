@@ -25,8 +25,9 @@ type LU struct {
 type Decision struct {
 	// Transmit is true when the LU must be forwarded to the grid broker.
 	Transmit bool
-	// Distance is the node's displacement from its last transmitted
-	// location (0 for a node's first LU).
+	// Distance is the node's displacement from the filter's anchor (0
+	// for a node's first LU): its last transmitted location under
+	// Anchored, its previous sample under PerStep.
 	Distance float64
 	// Threshold is the DTH the LU was compared against (0 when the filter
 	// does not use one).

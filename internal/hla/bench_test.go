@@ -20,42 +20,73 @@ type countingAmb struct {
 
 func (a *countingAmb) ReceiveInteraction(string, Values, float64) { a.received++ }
 
-// lockstep is a loopback TCP federation: one sender that publishes the
-// LU interaction class and receivers that subscribe to it, each its own
-// Client on its own connection to one server.
+// lockstepFed is what a lockstep drives of a federate: a Client over
+// TCP or a Federate in process.
+type lockstepFed interface {
+	PublishInteractionClass(class string) error
+	SubscribeInteractionClass(class string) error
+	SendInteraction(class string, params Values, ts float64) error
+	TimeAdvanceRequest(t float64) error
+}
+
+// quit ends a federate that failed, so the RTI resigns it and the
+// others do not wait on it.
+func quit(f lockstepFed) {
+	switch f := f.(type) {
+	case *Client:
+		_ = f.Close()
+	case *Federate:
+		_ = f.Resign()
+	}
+}
+
+// lockstep is a federation of one sender that publishes the LU
+// interaction class and receivers that subscribe to it: over loopback
+// TCP, each its own Client on its own connection to one server, or all
+// in process.
 type lockstep struct {
-	send  *Client
-	recvs []*Client
+	send  lockstepFed
+	recvs []lockstepFed
 	ambs  []*countingAmb
 	lus   []Values
 	steps int
 }
 
-// newLockstep starts the server and joins the federates; everything is
-// closed when tb ends.
-func newLockstep(tb testing.TB, receivers int) *lockstep {
+// newLockstep starts the RTI (and, for tcp, its server) and joins the
+// federates; everything is closed when tb ends.
+func newLockstep(tb testing.TB, receivers int, tcp bool) *lockstep {
 	tb.Helper()
 	rti := NewRTI()
 	if err := rti.CreateFederation("test"); err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServer(rti, "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	go func() { _ = srv.Serve() }()
-	tb.Cleanup(func() { _ = srv.Close() })
-	addr := srv.Addr().String()
-	join := func(name string, amb Ambassador) *Client {
-		c, err := Dial(addr)
+	join := func(name string, amb Ambassador) lockstepFed {
+		f, err := rti.Join("test", name, 1, amb)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		tb.Cleanup(func() { _ = c.Close() })
-		if err := c.Join("test", name, 1, amb); err != nil {
+		tb.Cleanup(func() { _ = f.Resign() })
+		return f
+	}
+	if tcp {
+		srv, err := NewServer(rti, "127.0.0.1:0")
+		if err != nil {
 			tb.Fatal(err)
 		}
-		return c
+		go func() { _ = srv.Serve() }()
+		tb.Cleanup(func() { _ = srv.Close() })
+		addr := srv.Addr().String()
+		join = func(name string, amb Ambassador) lockstepFed {
+			c, err := Dial(addr)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			tb.Cleanup(func() { _ = c.Close() })
+			if err := c.Join("test", name, 1, amb); err != nil {
+				tb.Fatal(err)
+			}
+			return c
+		}
 	}
 	l := &lockstep{send: join("send", &recorder{})}
 	if err := l.send.PublishInteractionClass("LU"); err != nil {
@@ -63,11 +94,11 @@ func newLockstep(tb testing.TB, receivers int) *lockstep {
 	}
 	for i := range receivers {
 		amb := &countingAmb{}
-		c := join(fmt.Sprintf("recv%d", i), amb)
-		if err := c.SubscribeInteractionClass("LU"); err != nil {
+		f := join(fmt.Sprintf("recv%d", i), amb)
+		if err := f.SubscribeInteractionClass("LU"); err != nil {
 			tb.Fatal(err)
 		}
-		l.recvs = append(l.recvs, c)
+		l.recvs = append(l.recvs, f)
 		l.ambs = append(l.ambs, amb)
 	}
 	l.lus = make([]Values, luBatch)
@@ -77,11 +108,10 @@ func newLockstep(tb testing.TB, receivers int) *lockstep {
 	return l
 }
 
-// run runs n more steps: per step the sender makes luBatch pipelined
-// SendInteraction calls, then it and every receiver request the time
-// advance that carries the batch to the server and delivers it. It
-// checks that every receiver got every LU. A federate that fails is
-// closed, so the RTI resigns it and the others do not wait on it.
+// run runs n more steps: per step the sender makes luBatch
+// SendInteraction calls (pipelined over TCP), then it and every
+// receiver request the time advance that delivers the batch. It checks
+// that every receiver got every LU.
 func (l *lockstep) run(n int) error {
 	from := l.steps + 1
 	l.steps += n
@@ -94,7 +124,7 @@ func (l *lockstep) run(n int) error {
 			for step := from; step <= l.steps; step++ {
 				if err := r.TimeAdvanceRequest(float64(step)); err != nil {
 					errs[i] = err
-					_ = r.Close()
+					quit(r)
 					return
 				}
 			}
@@ -119,12 +149,12 @@ func (l *lockstep) sendSteps(from int) error {
 		t := float64(step)
 		for _, v := range l.lus {
 			if err := l.send.SendInteraction("LU", v, t); err != nil {
-				_ = l.send.Close()
+				quit(l.send)
 				return err
 			}
 		}
 		if err := l.send.TimeAdvanceRequest(t); err != nil {
-			_ = l.send.Close()
+			quit(l.send)
 			return err
 		}
 	}
@@ -145,7 +175,7 @@ func mallocs() uint64 {
 func BenchmarkRTILockstep(b *testing.B) {
 	for _, receivers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("receivers=%d", receivers), func(b *testing.B) {
-			l := newLockstep(b, receivers)
+			l := newLockstep(b, receivers, true)
 			m0 := mallocs()
 			b.ResetTimer()
 			err := l.run(b.N)

@@ -301,7 +301,11 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 // reports a transport or protocol failure.
 func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 	for {
-		_ = c.conn.SetReadDeadline(ioDeadline(c.readTimeout))
+		// Only a frame not yet buffered is read from the socket, so
+		// only its read needs the deadline refreshed.
+		if !wire.FrameBuffered(c.r) {
+			_ = c.conn.SetReadDeadline(ioDeadline(c.readTimeout))
+		}
 		payload, rtc, err := wire.ReadFrameInto(c.r, c.rbuf)
 		if err != nil {
 			obs.RTIError(obs.SideClient, classifyErr(err))

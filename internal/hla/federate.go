@@ -15,6 +15,9 @@ type Federate struct {
 	fed *Federation
 	st  *federateState
 	amb Ambassador
+	// names interns the parameter names of the interactions delivered
+	// to amb in process; only the federate's delivery path uses it.
+	names wire.Interner
 }
 
 // Handle returns the federate's handle within its federation.
@@ -103,7 +106,10 @@ func (f *Federate) SubscribeInteractionClass(class string) error {
 	if err := f.checkLive(); err != nil {
 		return err
 	}
-	f.st.subInteractions[class] = true
+	if !f.st.subInteractions[class] {
+		f.st.subInteractions[class] = true
+		f.fed.subscribe(class, f.st)
+	}
 	return nil
 }
 
@@ -192,20 +198,21 @@ func (f *Federate) updateAttributeValues(obj ObjectHandle, attrs Values, ts floa
 // subscribed set (SubscribeObjectClass with no attributes) means all
 // attributes.
 func filterValues(attrs Values, subscribed map[string]bool) Values {
-	if len(subscribed) == 0 {
-		return attrs.clone()
-	}
 	return attrs.copyKeys(subscribed)
 }
 
 // SendInteraction sends a timestamped interaction to subscribers.
 func (f *Federate) SendInteraction(class string, params Values, ts float64) error {
-	return f.sendInteraction(class, params, ts, wire.TraceContext{})
+	return f.sendInteraction(class, nil, params, ts, wire.TraceContext{})
 }
 
 // sendInteraction is SendInteraction with the originating request's
-// trace context (see updateAttributeValues).
-func (f *Federate) sendInteraction(class string, params Values, ts float64, tc wire.TraceContext) error {
+// trace context (see updateAttributeValues). The parameters come as
+// block, a values block in canonical wire form (wire.ValuesBlock)
+// that the caller may reuse once the call returns, or, when block is
+// nil, as params. Either way they are written once into the sender's
+// arena, and every subscriber's callback shares that one block.
+func (f *Federate) sendInteraction(class string, block []byte, params Values, ts float64, tc wire.TraceContext) error {
 	enq := obs.RPCClock()
 	f.fed.mu.Lock()
 	defer f.fed.mu.Unlock()
@@ -215,14 +222,19 @@ func (f *Federate) sendInteraction(class string, params Values, ts float64, tc w
 	if err := checkSend(class, f.st.pubInteractions[class], ts, f.st.time, f.st.lookahead); err != nil {
 		return err
 	}
-	for h, other := range f.fed.federates {
-		if h == f.st.handle || other.resigned {
+	var shared []byte
+	for _, other := range f.fed.interactionSubs[class] {
+		if other == f.st {
 			continue
 		}
-		if !other.subInteractions[class] {
-			continue
+		if shared == nil {
+			if block != nil {
+				shared = f.st.arena.copy(block)
+			} else {
+				shared = f.st.arena.encode(params)
+			}
 		}
-		f.fed.routeTSO(other, ts, callback{kind: cbInteraction, class: class, values: params.clone(), time: ts, tc: tc, enqueuedNS: enq})
+		f.fed.routeTSO(other, ts, callback{kind: cbInteraction, class: class, block: shared, time: ts, tc: tc, enqueuedNS: enq})
 	}
 	return nil
 }
@@ -325,7 +337,7 @@ func (f *Federate) advance(t float64, nextEvent bool) error {
 				return fmt.Errorf("%w: %s", ErrResigned, f.st.name)
 			}
 		}
-		cb.deliver(f.amb)
+		cb.deliver(f.amb, &f.names)
 		if cb.kind == cbGrant {
 			return nil
 		}
@@ -348,7 +360,7 @@ func (f *Federate) Tick() bool {
 		if !ok {
 			return delivered
 		}
-		cb.deliver(f.amb)
+		cb.deliver(f.amb, &f.names)
 		delivered = true
 	}
 }
@@ -363,6 +375,9 @@ func (f *Federate) Resign() error {
 		return err
 	}
 	f.st.resigned = true
+	for class := range f.st.subInteractions {
+		f.fed.unsubscribe(class, f.st)
+	}
 	for h, o := range f.fed.objects {
 		if o.owner != f.st.handle {
 			continue

@@ -70,14 +70,6 @@ type ObjectHandle int
 // Values carries attribute or parameter values, keyed by name.
 type Values map[string][]byte
 
-// clone copies v so senders and receivers cannot alias each other's maps.
-func (v Values) clone() Values {
-	if v == nil {
-		return nil
-	}
-	return v.copyKeys(nil)
-}
-
 // copyKeys copies the entries of v whose key keep holds (every entry
 // for an empty keep) into a new map whose values share one new backing
 // array. Each value is capped at its own length, so an append to one
@@ -104,6 +96,50 @@ func (v Values) copyKeys(keep map[string]bool) Values {
 		out[e.k] = back[i:len(back):len(back)]
 	}
 	return out
+}
+
+// blockChunk is the size of a blockArena chunk, the connection buffer
+// size: one chunk holds a few time advances' worth of LU blocks.
+const blockChunk = ioBufferSize
+
+// blockArena is the append-only store of the interaction parameter
+// blocks one federate sends. Each block is carved from the current
+// chunk, capped at its own length and never rewritten, so all the
+// subscribers of an interaction share it. A chunk that is full is left
+// to the blocks carved from it: the arena retains its current chunk,
+// and a full chunk lives on only while a queued callback refers to one
+// of its blocks.
+type blockArena struct {
+	buf []byte
+}
+
+// reserve makes room for n more bytes, starting a new chunk when the
+// current one has too little.
+func (a *blockArena) reserve(n int) {
+	if cap(a.buf)-len(a.buf) < n {
+		a.buf = make([]byte, 0, max(blockChunk, n))
+	}
+}
+
+// carved returns the bytes appended since offset i as one block.
+func (a *blockArena) carved(i int) []byte {
+	return a.buf[i:len(a.buf):len(a.buf)]
+}
+
+// copy carves a copy of block.
+func (a *blockArena) copy(block []byte) []byte {
+	a.reserve(len(block))
+	i := len(a.buf)
+	a.buf = append(a.buf, block...)
+	return a.carved(i)
+}
+
+// encode carves the canonical wire form of v (wire.AppendValues).
+func (a *blockArena) encode(v Values) []byte {
+	a.reserve(wire.ValuesSize(v))
+	i := len(a.buf)
+	a.buf = wire.AppendValues(a.buf, v)
+	return a.carved(i)
 }
 
 // Ambassador is the federate-side callback interface (the HLA
@@ -136,17 +172,21 @@ const (
 	cbGrant
 )
 
-// callback is one queued ambassador invocation. tc carries the
-// originating request's trace context across the TSO queue (zero for
-// untraced sends) and enqueuedNS its wall-clock enqueue stamp (0 when
-// observability was off at send time); neither influences delivery
-// semantics, so traced and untraced runs stay bit-identical.
+// callback is one queued ambassador invocation. A reflect carries its
+// receiver's own values; an interaction carries block, its parameters
+// in canonical wire form, shared read-only by every receiver of the
+// interaction (see blockArena). tc carries the originating request's
+// trace context across the TSO queue (zero for untraced sends) and
+// enqueuedNS its wall-clock enqueue stamp (0 when observability was
+// off at send time); neither influences delivery semantics, so traced
+// and untraced runs stay bit-identical.
 type callback struct {
 	kind       callbackKind
 	object     ObjectHandle
 	class      string
 	name       string
 	values     Values
+	block      []byte
 	time       float64
 	tc         wire.TraceContext
 	enqueuedNS int64
@@ -160,7 +200,17 @@ type tracedDeliverer interface {
 	deliverTraced(c callback) bool
 }
 
-func (c callback) deliver(amb Ambassador) {
+// blockReceiver is implemented by ambassadors that take an
+// interaction's parameters as its shared block (the TCP transport's
+// remote ambassador, which writes the block out verbatim). Every other
+// ambassador gets its own Values, decoded from the block.
+type blockReceiver interface {
+	receiveBlock(class string, block []byte, t float64)
+}
+
+// deliver invokes the callback on amb. An interaction's parameter names
+// are decoded through names, the receiving federate's intern table.
+func (c callback) deliver(amb Ambassador, names *wire.Interner) {
 	if (c.tc.Valid() || c.enqueuedNS != 0) && (c.kind == cbReflect || c.kind == cbInteraction) {
 		if td, ok := amb.(tracedDeliverer); ok && td.deliverTraced(c) {
 			return
@@ -172,7 +222,11 @@ func (c callback) deliver(amb Ambassador) {
 	case cbReflect:
 		amb.ReflectAttributeValues(c.object, c.values, c.time)
 	case cbInteraction:
-		amb.ReceiveInteraction(c.class, c.values, c.time)
+		if br, ok := amb.(blockReceiver); ok {
+			br.receiveBlock(c.class, c.block, c.time)
+			return
+		}
+		amb.ReceiveInteraction(c.class, Values(wire.NewDecoder(c.block).OwnValues(names)), c.time)
 	case cbRemove:
 		amb.RemoveObjectInstance(c.object)
 	case cbGrant:
@@ -335,6 +389,12 @@ type federateState struct {
 	//adf:guardedby Federation.mu
 	tsoQueue []tsoMessage
 
+	// arena holds the parameter blocks of the interactions this
+	// federate sends.
+	//
+	//adf:guardedby Federation.mu
+	arena blockArena
+
 	mailbox *mailbox
 }
 
@@ -357,6 +417,11 @@ type Federation struct {
 
 	//adf:guardedby mu
 	federates map[FederateHandle]*federateState
+	// interactionSubs lists each interaction class's live subscribers
+	// in handle order: the fan-out of a send.
+	//
+	//adf:guardedby mu
+	interactionSubs map[string][]*federateState
 	//adf:guardedby mu
 	objects map[ObjectHandle]*objectState
 	//adf:guardedby mu
@@ -392,11 +457,12 @@ func (r *RTI) CreateFederation(name string) error {
 		return fmt.Errorf("%w: %q", ErrFederationExists, name)
 	}
 	r.federations[name] = &Federation{
-		name:         name,
-		federates:    make(map[FederateHandle]*federateState),
-		objects:      make(map[ObjectHandle]*objectState),
-		nextFederate: 1,
-		nextObject:   1,
+		name:            name,
+		federates:       make(map[FederateHandle]*federateState),
+		interactionSubs: make(map[string][]*federateState),
+		objects:         make(map[ObjectHandle]*objectState),
+		nextFederate:    1,
+		nextObject:      1,
 	}
 	return nil
 }
@@ -715,4 +781,25 @@ func (fed *Federation) routeTSO(f *federateState, ts float64, cb callback) {
 	}
 	fed.seq++
 	f.tsoQueue = append(f.tsoQueue, tsoMessage{time: ts, seq: fed.seq, cb: cb})
+}
+
+// subscribe adds f to class's interaction subscribers, keeping them in
+// handle order. Callers must hold fed.mu and add f at most once.
+func (fed *Federation) subscribe(class string, f *federateState) {
+	subs := fed.interactionSubs[class]
+	i, _ := slices.BinarySearchFunc(subs, f.handle, func(s *federateState, h FederateHandle) int {
+		return cmp.Compare(s.handle, h)
+	})
+	fed.interactionSubs[class] = slices.Insert(subs, i, f)
+}
+
+// unsubscribe removes f from class's interaction subscribers. Callers
+// must hold fed.mu.
+func (fed *Federation) unsubscribe(class string, f *federateState) {
+	subs := slices.DeleteFunc(fed.interactionSubs[class], func(s *federateState) bool { return s == f })
+	if len(subs) == 0 {
+		delete(fed.interactionSubs, class)
+		return
+	}
+	fed.interactionSubs[class] = subs
 }

@@ -382,8 +382,16 @@ func (a *remoteAmbassador) ReflectAttributeValues(obj ObjectHandle, attrs Values
 	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReflect(e, obj, attrs, t) })
 }
 
+// ReceiveInteraction implements Ambassador. The RTI hands this
+// ambassador each interaction as its shared block (receiveBlock).
 func (a *remoteAmbassador) ReceiveInteraction(class string, params Values, t float64) {
-	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReceive(e, class, params, t) })
+	a.receiveBlock(class, wire.AppendValues(nil, params), t)
+}
+
+// receiveBlock implements blockReceiver: the interaction's block goes
+// into the receive frame as it is.
+func (a *remoteAmbassador) receiveBlock(class string, block []byte, t float64) {
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReceive(e, class, block, t) })
 }
 
 // putReflect encodes a reflect callback frame.
@@ -394,12 +402,13 @@ func putReflect(e *wire.Encoder, obj ObjectHandle, attrs Values, t float64) {
 	e.PutValues(attrs)
 }
 
-// putReceive encodes an interaction callback frame.
-func putReceive(e *wire.Encoder, class string, params Values, t float64) {
+// putReceive encodes an interaction callback frame around the
+// interaction's values block.
+func putReceive(e *wire.Encoder, class string, block []byte, t float64) {
 	e.PutByte(msgReceive)
 	e.PutString(class)
 	e.PutFloat64(t)
-	e.PutValues(params)
+	e.PutRaw(block)
 }
 
 func (a *remoteAmbassador) RemoveObjectInstance(obj ObjectHandle) {
@@ -416,8 +425,11 @@ func (a *remoteAmbassador) TimeAdvanceGrant(t float64) {
 	})
 }
 
-var _ SyncAmbassador = (*remoteAmbassador)(nil)
-var _ tracedDeliverer = (*remoteAmbassador)(nil)
+var (
+	_ SyncAmbassador  = (*remoteAmbassador)(nil)
+	_ tracedDeliverer = (*remoteAmbassador)(nil)
+	_ blockReceiver   = (*remoteAmbassador)(nil)
+)
 
 // deliverTraced forwards a traced reflect/interaction callback to the
 // remote client with its trace context (a fresh hop span ID) in the
@@ -449,7 +461,7 @@ func (a *remoteAmbassador) deliverTraced(c callback) bool {
 		if c.kind == cbReflect {
 			putReflect(e, c.object, c.values, c.time)
 		} else {
-			putReceive(e, c.class, c.values, c.time)
+			putReceive(e, c.class, c.block, c.time)
 		}
 	})
 	if start != 0 {
@@ -494,13 +506,16 @@ func (s *Server) handle(conn net.Conn) {
 	w := &connWriter{conn: conn, timeout: s.writeTimeout, bw: bufio.NewWriterSize(conn, ioBufferSize)}
 	defer w.flush()
 	// Each request is read into buf (see retain), and names are decoded
-	// through names. The parameters of an update or interaction are
-	// decoded borrowed, into the reused map scratch, their values
-	// aliasing buf: this is safe because the RTI copies them (clone,
+	// through names. An interaction's parameters are passed on as the
+	// frame's values block, aliasing buf (canonicalised into canon when
+	// the sender's keys are not in order); an update's are decoded
+	// borrowed, into the reused map scratch, their values aliasing buf.
+	// This is safe because the RTI copies either (the sender's arena,
 	// filterValues) under fed.mu before the call returns, so nothing
 	// refers to buf when the next request is read into it.
 	var buf []byte
 	var names wire.Interner
+	var canon wire.Encoder
 	scratch := make(Values)
 
 	var fed *Federate
@@ -514,13 +529,13 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		// Flush only when the next read would block: a reply is never
 		// held while the handler waits, and the acks of a pipelined
-		// burst leave together.
+		// burst leave together. Only such a read reaches the socket, so
+		// only it needs the read deadline refreshed; zero-timeout
+		// servers get an explicit unbounded wait.
 		if !wire.FrameBuffered(r) {
 			w.flush()
+			_ = conn.SetReadDeadline(ioDeadline(s.readTimeout))
 		}
-		// Refresh the read deadline each request; zero-timeout servers
-		// get an explicit unbounded wait.
-		_ = conn.SetReadDeadline(ioDeadline(s.readTimeout))
 		payload, rtc, err := wire.ReadFrameInto(r, buf)
 		if err != nil {
 			obs.RTIError(obs.SideServer, classifyErr(err))
@@ -601,9 +616,17 @@ func (s *Server) handle(conn net.Conn) {
 		case msgInteraction:
 			class := d.Name(&names)
 			ts := d.Float64()
-			d.BorrowValues(scratch, &names)
-			s.respond(w, d.Err(), func() error { return fed.sendInteraction(class, scratch, ts, rtc) })
-			clear(scratch)
+			block, ok := d.ValuesBlock()
+			if !ok && d.Err() == nil {
+				// Keys unsorted or repeated: canonicalise the block
+				// once, so subscribers get what PutValues writes.
+				d.BorrowValues(scratch, &names)
+				canon.Reset()
+				canon.PutValues(scratch)
+				block = canon.Bytes()
+				clear(scratch)
+			}
+			s.respond(w, d.Err(), func() error { return fed.sendInteraction(class, block, nil, ts, rtc) })
 		case msgDelete:
 			obj := ObjectHandle(d.Int64())
 			s.respond(w, d.Err(), func() error { return fed.DeleteObjectInstance(obj) })

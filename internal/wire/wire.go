@@ -13,6 +13,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 )
 
 // MaxFrameSize bounds a frame payload; oversized frames indicate a
@@ -66,15 +67,15 @@ func (e *Encoder) PutInt64(v int64) { e.PutUint64(uint64(v)) }
 func (e *Encoder) PutFloat64(v float64) { e.PutUint64(math.Float64bits(v)) }
 
 // PutBytes appends a length-prefixed byte slice.
-func (e *Encoder) PutBytes(b []byte) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(b)))
-	e.buf = append(e.buf, b...)
-}
+func (e *Encoder) PutBytes(b []byte) { e.buf = appendPrefixed(e.buf, b) }
 
 // PutString appends a length-prefixed string.
-func (e *Encoder) PutString(s string) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(s)))
-	e.buf = append(e.buf, s...)
+func (e *Encoder) PutString(s string) { e.buf = appendPrefixed(e.buf, s) }
+
+// appendPrefixed appends b after its 4-byte big-endian length.
+func appendPrefixed[B string | []byte](dst []byte, b B) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
+	return append(dst, b...)
 }
 
 // PutStrings appends a length-prefixed string list.
@@ -86,23 +87,46 @@ func (e *Encoder) PutStrings(ss []string) {
 }
 
 // PutValues appends a string-keyed byte-slice map in sorted key order,
-// so equal maps encode identically. Maps of up to eight keys are sorted
-// on the stack.
-func (e *Encoder) PutValues(v map[string][]byte) {
-	var small [8]string
-	keys := small[:0]
+// so equal maps encode identically (see AppendValues).
+func (e *Encoder) PutValues(v map[string][]byte) { e.buf = AppendValues(e.buf, v) }
+
+// PutRaw appends b as it is: bytes already in wire form, such as a
+// values block (ValuesBlock).
+func (e *Encoder) PutRaw(b []byte) { e.buf = append(e.buf, b...) }
+
+// AppendValues appends PutValues' encoding of v to dst: the entry
+// count, then each key and value, length-prefixed, in strictly
+// ascending key order. The entries are collected and sorted in one
+// pass, on the stack for maps of up to eight keys.
+func AppendValues(dst []byte, v map[string][]byte) []byte {
+	type entry struct {
+		k string
+		b []byte
+	}
+	var small [8]entry
+	kv := small[:0]
 	if len(v) > len(small) {
-		keys = make([]string, 0, len(v))
+		kv = make([]entry, 0, len(v))
 	}
-	for k := range v {
-		keys = append(keys, k)
+	for k, b := range v {
+		kv = append(kv, entry{k, b})
 	}
-	slices.Sort(keys)
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(keys)))
-	for _, k := range keys {
-		e.PutString(k)
-		e.PutBytes(v[k])
+	slices.SortFunc(kv, func(a, b entry) int { return strings.Compare(a.k, b.k) })
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(kv)))
+	for _, e := range kv {
+		dst = appendPrefixed(dst, e.k)
+		dst = appendPrefixed(dst, e.b)
 	}
+	return dst
+}
+
+// ValuesSize returns the length of PutValues' encoding of v.
+func ValuesSize(v map[string][]byte) int {
+	n := 4
+	for k, b := range v {
+		n += 8 + len(k) + len(b)
+	}
+	return n
 }
 
 // Decoder reads a frame payload with a sticky error: after the first
@@ -301,6 +325,33 @@ func (d *Decoder) BorrowValues(dst map[string][]byte, names *Interner) {
 	if d.err != nil {
 		clear(dst)
 	}
+}
+
+// ValuesBlock reads a string-keyed byte-slice map as its raw wire
+// bytes, the entry count included, when its keys are strictly
+// ascending: the form PutValues writes, so the block is byte for byte
+// what re-encoding its decoded map would give. The block aliases the
+// payload. A block in any other form (keys unsorted or repeated) is
+// declined: ok is false, Err is nil and the decoder stays at the
+// block's start, for a reader that decodes it. On a decoding error ok
+// is false and Err reports it exactly as BorrowValues would.
+func (d *Decoder) ValuesBlock() (block []byte, ok bool) {
+	start := d.off
+	n := d.length()
+	var prev []byte
+	for i := 0; i < n && d.err == nil; i++ {
+		k := d.view()
+		d.view()
+		if i > 0 && d.err == nil && string(k) <= string(prev) {
+			d.off = start
+			return nil, false
+		}
+		prev = k
+	}
+	if d.err != nil {
+		return nil, false
+	}
+	return d.buf[start:d.off], true
 }
 
 // internCap and internMaxLen bound an Interner: it holds at most

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -150,6 +152,138 @@ func TestValuesDeterministicEncoding(t *testing.T) {
 	e2.PutValues(map[string][]byte{"m": {3}, "z": {1}, "a": {2}})
 	if !bytes.Equal(e1.Bytes(), e2.Bytes()) {
 		t.Error("equal maps encoded differently")
+	}
+}
+
+// referenceValues is PutValues as it was first written: sort the keys,
+// then look each one up again.
+func referenceValues(v map[string][]byte) []byte {
+	keys := make([]string, 0, len(v))
+	for k := range v {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	var e Encoder
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(keys)))
+	for _, k := range keys {
+		e.PutString(k)
+		e.PutBytes(v[k])
+	}
+	return e.Bytes()
+}
+
+// TestPutValuesMatchesReference holds the one-pass PutValues to the
+// sort-then-look-up encoding byte for byte, for maps on both sides of
+// the stack array's eight entries, empty keys and values included, and
+// checks ValuesSize against the encoded length.
+func TestPutValuesMatchesReference(t *testing.T) {
+	f := func(m map[string][]byte) bool {
+		var e Encoder
+		e.PutValues(m)
+		return bytes.Equal(e.Bytes(), referenceValues(m)) && ValuesSize(m) == len(e.Bytes())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+	for _, n := range []int{0, 1, 8, 9, 40} {
+		m := map[string][]byte{"": {}}
+		for i := range n {
+			m[fmt.Sprintf("k%02d", n-i)] = bytes.Repeat([]byte{byte(i)}, i%5)
+		}
+		if !f(m) {
+			t.Errorf("%d-key map: encoding differs from the reference", len(m))
+		}
+	}
+}
+
+// luValues is the LU parameter map the benchmarks encode: node, x and
+// y as 8-byte values.
+var luValues = map[string][]byte{
+	"node": bytes.Repeat([]byte{1}, 8),
+	"x":    bytes.Repeat([]byte{2}, 8),
+	"y":    bytes.Repeat([]byte{3}, 8),
+}
+
+// TestPutValuesAllocFree pins encoding a map of up to eight keys into
+// an encoder with room at zero allocations.
+func TestPutValuesAllocFree(t *testing.T) {
+	var e Encoder
+	e.PutValues(luValues)
+	if n := testing.AllocsPerRun(200, func() {
+		e.Reset()
+		e.PutValues(luValues)
+	}); n != 0 {
+		t.Errorf("PutValues: %v allocs/op, want 0", n)
+	}
+}
+
+func BenchmarkPutValues(b *testing.B) {
+	var e Encoder
+	b.ReportAllocs()
+	for b.Loop() {
+		e.Reset()
+		e.PutValues(luValues)
+	}
+}
+
+// TestValuesBlock checks the raw reader: a block in PutValues' form is
+// returned whole, aliasing the payload; one with keys out of order or
+// repeated is declined without an error and leaves the decoder at its
+// start; a truncated one fails exactly as BorrowValues does.
+func TestValuesBlock(t *testing.T) {
+	var canon Encoder
+	canon.PutValues(map[string][]byte{"a": {1}, "b": {}, "c": {3, 4}})
+	entries := func(kv ...string) []byte {
+		var e Encoder
+		e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(kv)/2))
+		for i := 0; i < len(kv); i += 2 {
+			e.PutString(kv[i])
+			e.PutString(kv[i+1])
+		}
+		return e.Bytes()
+	}
+	for _, tc := range []struct {
+		name  string
+		block []byte
+		ok    bool
+	}{
+		{"canonical", canon.Bytes(), true},
+		{"empty", entries(), true},
+		{"empty key first", entries("", "x", "a", "y"), true},
+		{"unsorted", entries("b", "1", "a", "2"), false},
+		{"duplicate", entries("a", "1", "a", "2"), false},
+		{"unsorted late", entries("a", "1", "c", "2", "b", "3"), false},
+	} {
+		payload := append([]byte{7}, tc.block...)
+		payload = append(payload, 9)
+		d := NewDecoder(payload)
+		d.Byte()
+		block, ok := d.ValuesBlock()
+		if ok != tc.ok || d.Err() != nil {
+			t.Errorf("%s: ok %v, err %v; want ok %v", tc.name, ok, d.Err(), tc.ok)
+			continue
+		}
+		if ok {
+			if !bytes.Equal(block, tc.block) || &block[0] != &payload[1] || d.Byte() != 9 {
+				t.Errorf("%s: block %x, want %x aliasing the payload and the reader past it", tc.name, block, tc.block)
+			}
+			continue
+		}
+		if d.Remaining() != len(tc.block)+1 {
+			t.Errorf("%s: declined with %d bytes left, want the decoder at the block's start (%d)", tc.name, d.Remaining(), len(tc.block)+1)
+		}
+	}
+
+	full := canon.Bytes()
+	for cut := range len(full) {
+		d, ref := NewDecoder(full[:cut]), NewDecoder(full[:cut])
+		if _, ok := d.ValuesBlock(); ok {
+			t.Fatalf("cut %d: truncated block accepted", cut)
+		}
+		ref.BorrowValues(make(map[string][]byte), nil)
+		if d.Err() == nil || ref.Err() == nil || d.Err().Error() != ref.Err().Error() {
+			t.Errorf("cut %d: error %v, BorrowValues error %v", cut, d.Err(), ref.Err())
+		}
 	}
 }
 
@@ -345,12 +479,16 @@ func TestInternerBounded(t *testing.T) {
 
 // FuzzValuesDecode holds the three Values decodes to one another: the
 // copying Values, the owned OwnValues a client hands its ambassador,
-// and the borrowed BorrowValues a server passes to the RTI. The input
-// is a callback frame body — type, class name, time, then the map —
-// and on any input all three must agree on the error and on the class,
-// time and content; none may panic, an owned value must be capped at
-// its length, and the intern table, shared across inputs, must stay
-// within its cap.
+// and the borrowed BorrowValues a server decodes updates with. The
+// input is a callback frame body — type, class name, time, then the
+// map — and on any input all three must agree on the error and on the
+// class, time and content; none may panic, an owned value must be
+// capped at its length, and the intern table, shared across inputs,
+// must stay within its cap. The raw ValuesBlock a server forwards is
+// held to them too: a block it accepts decodes without error and
+// re-encodes (PutValues) to itself, byte for byte; it declines without
+// an error only a block whose keys are not strictly ascending, and
+// then leaves the decoder at the block; its errors are BorrowValues'.
 func FuzzValuesDecode(f *testing.F) {
 	frame := func(class string, values func(e *Encoder)) []byte {
 		var e Encoder
@@ -372,10 +510,18 @@ func FuzzValuesDecode(f *testing.F) {
 	f.Add(frame("", func(e *Encoder) { e.PutValues(nil) }))
 	// Duplicate keys: the last value wins.
 	f.Add(frame("LU", func(e *Encoder) {
-		e.PutBytes([]byte{0, 0, 0, 2})
+		e.buf = binary.BigEndian.AppendUint32(e.buf, 2)
 		for _, v := range []string{"first", "second"} {
 			e.PutString("x")
 			e.PutString(v)
+		}
+	}))
+	// Keys out of order.
+	f.Add(frame("LU", func(e *Encoder) {
+		e.buf = binary.BigEndian.AppendUint32(e.buf, 2)
+		for _, k := range []string{"y", "x"} {
+			e.PutString(k)
+			e.PutString(k)
 		}
 	}))
 	// A count past the remaining bytes.
@@ -432,6 +578,48 @@ func FuzzValuesDecode(f *testing.F) {
 		}
 		if len(names.m) > internCap {
 			t.Fatalf("intern table holds %d names, cap %d", len(names.m), internCap)
+		}
+
+		d := NewDecoder(data)
+		d.Byte()
+		d.view() // the class
+		d.Float64()
+		at := d.off
+		block, ok := d.ValuesBlock()
+		switch {
+		case ok:
+			bd := NewDecoder(block)
+			m := bd.Values()
+			var e Encoder
+			e.PutValues(m)
+			if bd.Err() != nil || bd.Remaining() != 0 || !bytes.Equal(e.Bytes(), block) {
+				t.Fatalf("accepted block %x decodes to %v (err %v, %d bytes left) and re-encodes to %x",
+					block, m, bd.Err(), bd.Remaining(), e.Bytes())
+			}
+			if copied.err != nil || !maps.EqualFunc(m, copied.values, bytes.Equal) {
+				t.Fatalf("accepted block decodes to %v, copying decode = %v, %v", m, copied.values, copied.err)
+			}
+		case d.Err() == nil:
+			if d.off != at {
+				t.Fatalf("declined block left the decoder at %d, want its start %d", d.off, at)
+			}
+			// The keys read before the first bad entry.
+			var keys []string
+			kd := NewDecoder(data[at:])
+			n := kd.length()
+			for i := 0; i < n && kd.err == nil; i++ {
+				k := kd.String()
+				if kd.view(); kd.err == nil {
+					keys = append(keys, k)
+				}
+			}
+			if slices.IsSorted(keys) && len(slices.Compact(slices.Clone(keys))) == len(keys) {
+				t.Fatalf("declined a block with strictly ascending keys %q", keys)
+			}
+		default:
+			if borrowed.err == nil || d.Err().Error() != borrowed.err.Error() {
+				t.Fatalf("block error %v, borrowed decode error %v", d.Err(), borrowed.err)
+			}
 		}
 	})
 }
