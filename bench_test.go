@@ -18,6 +18,16 @@ func benchConfig() experiment.Config {
 	return experiment.DefaultConfig()
 }
 
+// runCampaign runs one full campaign; each figure benchmark times one
+// campaign per op plus its own derivation.
+func runCampaign(b *testing.B, cfg experiment.Config) *experiment.Results {
+	res, err := cfg.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkTable1Population regenerates Table 1: the 140-node population
 // specification.
 func BenchmarkTable1Population(b *testing.B) {
@@ -35,11 +45,7 @@ func BenchmarkTable1Population(b *testing.B) {
 func BenchmarkFig4LUsPerSecond(b *testing.B) {
 	var fig experiment.Fig4Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiment.RunFig4(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runCampaign(b, benchConfig()).Fig4()
 	}
 	b.ReportMetric(fig.Rows[0].Value, "ideal-LU/s")
 	b.ReportMetric(fig.Rows[1].Reduction, "reduction-0.75av-%")
@@ -52,11 +58,7 @@ func BenchmarkFig4LUsPerSecond(b *testing.B) {
 func BenchmarkFig5AccumulatedLUs(b *testing.B) {
 	var fig experiment.Fig5Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiment.RunFig5(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runCampaign(b, benchConfig()).Fig5()
 	}
 	b.ReportMetric(fig.Rows[0].Value, "ideal-total")
 	for _, row := range fig.Rows[1:] {
@@ -70,11 +72,7 @@ func BenchmarkFig5AccumulatedLUs(b *testing.B) {
 func BenchmarkFig6RegionRates(b *testing.B) {
 	var fig experiment.Fig6Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiment.RunFig6(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runCampaign(b, benchConfig()).Fig6()
 	}
 	for _, row := range fig.Rows {
 		b.ReportMetric(row.RoadPct, "road-"+row.Name+"-%")
@@ -88,11 +86,7 @@ func BenchmarkFig6RegionRates(b *testing.B) {
 func BenchmarkFig7RMSE(b *testing.B) {
 	var fig experiment.Fig7Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiment.RunFig7(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runCampaign(b, benchConfig()).Fig7()
 	}
 	for _, row := range fig.Rows {
 		b.ReportMetric(row.RMSENoLE, "rmse-noLE-"+row.Name)
@@ -106,11 +100,7 @@ func BenchmarkFig7RMSE(b *testing.B) {
 func BenchmarkFig8RegionRMSENoLE(b *testing.B) {
 	var fig experiment.Fig89Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiment.RunFig8(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runCampaign(b, benchConfig()).Fig8()
 	}
 	for _, row := range fig.Rows {
 		b.ReportMetric(row.RoadOverBuilding, "road/building-"+row.Name)
@@ -122,11 +112,7 @@ func BenchmarkFig8RegionRMSENoLE(b *testing.B) {
 func BenchmarkFig9RegionRMSEWithLE(b *testing.B) {
 	var fig experiment.Fig89Result
 	for i := 0; i < b.N; i++ {
-		var err error
-		fig, err = experiment.RunFig9(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig = runCampaign(b, benchConfig()).Fig9()
 	}
 	for _, row := range fig.Rows {
 		b.ReportMetric(row.RoadOverBuilding, "road/building-"+row.Name)
@@ -277,11 +263,7 @@ func BenchmarkAblationOutages(b *testing.B) {
 func BenchmarkEnergyBudget(b *testing.B) {
 	var res experiment.EnergyResult
 	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiment.RunEnergy(ablationBenchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = runCampaign(b, ablationBenchConfig()).EnergyBudget()
 	}
 	for _, row := range res.Rows {
 		b.ReportMetric(row.SavingPct, "energy-saved-"+row.Name+"-%")

@@ -110,9 +110,9 @@ type ExperimentResults struct {
 }
 
 // RunExperiments runs the campaign behind figures 4–9. The campaign's
-// independent simulations execute concurrently (see Workers) and completed
-// campaigns are memoized by configuration, so repeated calls — and every
-// figure derived from the result — cost one campaign.
+// independent simulations execute concurrently (see Workers); every
+// figure derived from the result reuses that one campaign, and each call
+// runs a fresh one.
 func RunExperiments(cfg ExperimentConfig) (*ExperimentResults, error) {
 	res, err := cfg.internal().Run()
 	if err != nil {

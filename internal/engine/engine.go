@@ -1,6 +1,6 @@
 // Package engine decomposes the per-tick simulation loop into explicit
 // pipeline stages — mobility advance → churn → gateway collect → filter →
-// broker delivery → error measurement — with pluggable Observers for the
+// broker delivery → error measurement — with one pluggable Observer for the
 // metric sinks, plus the bounded worker pool (Group) the campaign layer
 // uses to run independent simulations concurrently.
 //
@@ -90,49 +90,3 @@ func (BaseObserver) OnError(Sample, Variant, float64) error { return nil }
 
 // OnTick implements Observer.
 func (BaseObserver) OnTick(float64) error { return nil }
-
-// Observers fans each event out to every observer in slice order,
-// stopping at the first error.
-type Observers []Observer
-
-var _ Observer = Observers(nil)
-
-// OnOffered implements Observer.
-func (os Observers) OnOffered(s Sample) error {
-	for _, o := range os {
-		if err := o.OnOffered(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnTransmitted implements Observer.
-func (os Observers) OnTransmitted(s Sample) error {
-	for _, o := range os {
-		if err := o.OnTransmitted(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnError implements Observer.
-func (os Observers) OnError(s Sample, v Variant, dist float64) error {
-	for _, o := range os {
-		if err := o.OnError(s, v, dist); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// OnTick implements Observer.
-func (os Observers) OnTick(now float64) error {
-	for _, o := range os {
-		if err := o.OnTick(now); err != nil {
-			return err
-		}
-	}
-	return nil
-}

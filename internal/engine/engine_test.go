@@ -30,7 +30,7 @@ func (o *countingObserver) OnTick(float64) error                   { o.ticks++; 
 
 // newTestPipeline builds a one-per-group campus population (28 nodes)
 // behind an ideal filter, in the campus partition.
-func newTestPipeline(t *testing.T, dropProb float64, churn *KeyedChurn, obs ...Observer) *Pipeline {
+func newTestPipeline(t *testing.T, dropProb float64, churn *KeyedChurn, obs Observer) *Pipeline {
 	t.Helper()
 	world := campus.New()
 	streams := sim.NewStreams(7)
@@ -50,7 +50,7 @@ func newTestPipeline(t *testing.T, dropProb float64, churn *KeyedChurn, obs ...O
 		WithLE:       broker.New(nil),
 		Churn:        churn,
 		SamplePeriod: 1,
-		Observers:    obs,
+		Observer:     obs,
 	}
 }
 
@@ -110,7 +110,7 @@ func TestPipelineTickErrorAborts(t *testing.T) {
 }
 
 func TestPipelineValidate(t *testing.T) {
-	p := newTestPipeline(t, 0, nil)
+	p := newTestPipeline(t, 0, nil, nil)
 	if err := p.Validate(); err != nil {
 		t.Errorf("valid pipeline rejected: %v", err)
 	}
@@ -124,7 +124,7 @@ func TestPipelineValidate(t *testing.T) {
 		func(p *Pipeline) { p.Workers = -1 },
 	}
 	for i, breakit := range breakages {
-		q := newTestPipeline(t, 0, nil)
+		q := newTestPipeline(t, 0, nil, nil)
 		breakit(q)
 		if err := q.Validate(); err == nil {
 			t.Errorf("breakage %d not rejected", i)
@@ -201,34 +201,6 @@ func TestChurnStepDeterministic(t *testing.T) {
 	}
 }
 
-func TestObserversFanOutOrder(t *testing.T) {
-	var calls []string
-	mk := func(name string, fail bool) Observer {
-		return funcObserver{onTick: func(float64) error {
-			calls = append(calls, name)
-			if fail {
-				return errors.New(name)
-			}
-			return nil
-		}}
-	}
-	os := Observers{mk("a", false), mk("b", true), mk("c", false)}
-	if err := os.OnTick(0); err == nil || err.Error() != "b" {
-		t.Fatalf("err = %v, want b", err)
-	}
-	if len(calls) != 2 || calls[0] != "a" || calls[1] != "b" {
-		t.Errorf("calls = %v, want [a b] (stop at first error)", calls)
-	}
-}
-
-// funcObserver adapts a tick func to the Observer interface for tests.
-type funcObserver struct {
-	BaseObserver
-	onTick func(float64) error
-}
-
-func (f funcObserver) OnTick(now float64) error { return f.onTick(now) }
-
 func TestVariantString(t *testing.T) {
 	if NoLE.String() != "no-le" || WithLE.String() != "with-le" {
 		t.Errorf("variant names = %q/%q", NoLE.String(), WithLE.String())
@@ -271,7 +243,7 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 		// The error of tick 3 surfaces from Tick(4).
 		obs := &tickFailObserver{failAt: 3, err: boom}
 		p := newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
-		p.Observers = Observers{obs}
+		p.Observer = obs
 		for tick := 1; tick <= 3; tick++ {
 			if err := p.Tick(float64(tick)); err != nil {
 				t.Fatalf("workers=%d: Tick(%d) = %v before the failing round was replayed", workers, tick, err)
@@ -299,7 +271,7 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 		// The error of the last tick surfaces from Close.
 		obs = &tickFailObserver{failAt: 2, err: boom}
 		p = newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
-		p.Observers = Observers{obs}
+		p.Observer = obs
 		for tick := 1; tick <= 2; tick++ {
 			if err := p.Tick(float64(tick)); err != nil {
 				t.Fatalf("workers=%d: Tick(%d) = %v", workers, tick, err)
@@ -314,7 +286,7 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 	// restarted pool: every round reaches the observers exactly once.
 	obs := &tickFailObserver{}
 	p := newTestSharded(t, 5, 0, [2]float64{}, 2, idealFactory)
-	p.Observers = Observers{obs}
+	p.Observer = obs
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
 		if err := p.Close(); err != nil {

@@ -46,9 +46,9 @@ import (
 //
 // Each tick is one job list with one barrier: a job per shard, plus the
 // replay job, which feeds the previous tick's buffered events to the
-// Observers while the shards compute. So when Tick(t) returns, the
-// observers have seen tick t−1, not tick t; Close (which Run calls)
-// replays the last tick. The simulation never reads the observers, so
+// Observer while the shards compute. So when Tick(t) returns, the
+// observer has seen tick t−1, not tick t; Close (which Run calls)
+// replays the last tick. The simulation never reads the observer, so
 // the lag changes no result.
 type Pipeline struct {
 	// Nodes is the mobile population. Each node's mobility draws only
@@ -71,9 +71,10 @@ type Pipeline struct {
 	Churn *KeyedChurn
 	// SamplePeriod is the sampling interval in virtual seconds.
 	SamplePeriod float64
-	// Observers receive the pipeline's events, one tick late, from the
-	// replay job in shard order (they are never called concurrently).
-	Observers Observers
+	// Observer receives the pipeline's events, one tick late, from the
+	// replay job in shard order (it is never called concurrently). Nil
+	// means no sink: build substitutes BaseObserver{}.
+	Observer Observer
 	// Workers selects the partition: 0 is the campus partition, N ≥ 1
 	// the region partition on a pool of N workers (1 runs the job list
 	// inline).
@@ -129,7 +130,7 @@ type shardCtx struct {
 	// slot[k] indexes regions with member k's home region.
 	slot []int32
 	// outcomes buffers this tick's per-node results, prev the previous
-	// tick's, which the replay job feeds to the observers. The two swap
+	// tick's, which the replay job feeds to the observer. The two swap
 	// every tick; capacity settles at the member count.
 	outcomes, prev []outcome
 	// local batches the shard's counter/histogram tallies; merged into
@@ -281,6 +282,9 @@ func (p *Pipeline) build() error {
 	}
 	p.NoLE.Preallocate(maxID + 1)
 	p.WithLE.Preallocate(maxID + 1)
+	if p.Observer == nil {
+		p.Observer = BaseObserver{}
+	}
 	p.samples = make([]Sample, len(p.Nodes))
 	p.prev = make([]Sample, len(p.Nodes))
 	p.jobs = make([]int, len(p.shards)+1)
@@ -307,7 +311,7 @@ func (p *Pipeline) build() error {
 // Run schedules the pipeline on s at every sample period (first tick at
 // one period, like the paper's 1 Hz sampling), executes until the
 // horizon and closes the pipeline, so every tick has reached the
-// observers when it returns. It surfaces the first stage or observer
+// observer when it returns. It surfaces the first stage or observer
 // error.
 func (p *Pipeline) Run(s *sim.Simulator, horizon float64) (err error) {
 	if err := p.Validate(); err != nil {
@@ -324,11 +328,11 @@ func (p *Pipeline) Run(s *sim.Simulator, horizon float64) (err error) {
 	return s.RunUntil(horizon)
 }
 
-// Close replays the last ticked round to the observers, if one is
+// Close replays the last ticked round to the observer, if one is
 // pending, and releases the worker pool. It returns the first observer
 // error of the run. Safe to call repeatedly and on a pipeline that never
 // ticked; a later Tick restarts the pool. A caller that ticks the
-// pipeline itself must Close it before reading the observers' sinks.
+// pipeline itself must Close it before reading the observer's sink.
 func (p *Pipeline) Close() error {
 	if p.pending && p.err == nil {
 		p.replay()
@@ -343,7 +347,7 @@ func (p *Pipeline) Close() error {
 
 // Tick processes one sampling round as one job list: every shard job
 // advances and processes its members while the replay job feeds the
-// previous round to the observers. After the barrier the fold applies
+// previous round to the observer. After the barrier the fold applies
 // the shards' broker tallies and observability batches in shard order.
 // While observability is enabled the stage boundaries are published as
 // trace spans and the tick's tallies flush into the global registry.
@@ -484,10 +488,10 @@ func (p *Pipeline) runShard(sh *shardCtx) {
 }
 
 // replay is the replay job: it feeds the pending round's buffered
-// outcomes to the observers — shard by shard in shard order, per node
+// outcomes to the observer — shard by shard in shard order, per node
 // offered, transmitted, then the no-LE and with-LE errors — then fires
-// OnTick for that round. It is the only caller of the observers, so they
-// are never called concurrently, and it reads only the previous round's
+// OnTick for that round. It is the only caller of the observer, so it
+// is never called concurrently, and it reads only the previous round's
 // buffers, which no shard job writes. It runs concurrently with the
 // shard jobs, so the shardsafe rule holds it to the same isolation. The
 // first observer error stops the replay and is kept.
@@ -507,28 +511,28 @@ func (p *Pipeline) replayEvents() error {
 			o := &sh.prev[k]
 			s := p.prev[o.idx]
 			if o.flags&ocOffered != 0 {
-				if err := p.Observers.OnOffered(s); err != nil {
+				if err := p.Observer.OnOffered(s); err != nil {
 					return err
 				}
 			}
 			if o.flags&ocTransmitted != 0 {
-				if err := p.Observers.OnTransmitted(s); err != nil {
+				if err := p.Observer.OnTransmitted(s); err != nil {
 					return err
 				}
 			}
 			if o.flags&ocNoLE != 0 {
-				if err := p.Observers.OnError(s, NoLE, o.distNoLE); err != nil {
+				if err := p.Observer.OnError(s, NoLE, o.distNoLE); err != nil {
 					return err
 				}
 			}
 			if o.flags&ocWithLE != 0 {
-				if err := p.Observers.OnError(s, WithLE, o.distWithLE); err != nil {
+				if err := p.Observer.OnError(s, WithLE, o.distWithLE); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return p.Observers.OnTick(p.prevNow)
+	return p.Observer.OnTick(p.prevNow)
 }
 
 // fold is the synchronous merge after the barrier: for every shard in
@@ -587,7 +591,7 @@ type shardPool struct {
 
 // newShardPool starts the pool's worker goroutines. Shard jobs mutate
 // only shard-local state (plus disjoint broker records behind
-// Preallocate) and the replay job only the observers; every cross-shard
+// Preallocate) and the replay job only the observer; every cross-shard
 // effect is applied in stable shard order, so results are bit-for-bit
 // identical to the inline run.
 //

@@ -37,7 +37,7 @@ func expectSanitizerPanic(t *testing.T, fragment string, f func()) {
 // forced NaN coordinate — into a sample in the tick's buffer and asserts
 // the per-sample check a shard job runs fails with a file:line panic.
 func TestSanitizerCatchesNaNPosition(t *testing.T) {
-	p := newTestPipeline(t, 0, nil)
+	p := newTestPipeline(t, 0, nil, nil)
 	if err := p.Tick(1); err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestSanitizerCatchesNaNPosition(t *testing.T) {
 // TestSanitizerCatchesEscapedPosition: a position outside the campus
 // bounding box is a mobility-model bug.
 func TestSanitizerCatchesEscapedPosition(t *testing.T) {
-	p := newTestPipeline(t, 0, nil)
+	p := newTestPipeline(t, 0, nil, nil)
 	if err := p.Tick(1); err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestSanitizerCatchesEscapedPosition(t *testing.T) {
 
 // TestSanitizerCatchesBackwardsClock: tick times may only increase.
 func TestSanitizerCatchesBackwardsClock(t *testing.T) {
-	p := newTestPipeline(t, 0, nil)
+	p := newTestPipeline(t, 0, nil, nil)
 	if err := p.Tick(5); err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestSanitizerCatchesBackwardsClock(t *testing.T) {
 // TestSanitizedRunIsClean drives a full pipeline run with churn under
 // every invariant: nothing may fire on healthy code.
 func TestSanitizedRunIsClean(t *testing.T) {
-	p := newTestPipeline(t, 0.05, nil)
+	p := newTestPipeline(t, 0.05, nil, nil)
 	for tick := 1; tick <= 50; tick++ {
 		if err := p.Tick(float64(tick)); err != nil {
 			t.Fatalf("tick %d: %v", tick, err)

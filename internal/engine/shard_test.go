@@ -236,7 +236,7 @@ func TestShardedKeyedWorkerDeterminism(t *testing.T) {
 func TestShardedObserverEvents(t *testing.T) {
 	obs := &countingObserver{}
 	p := newTestSharded(t, 7, 0, [2]float64{}, 2, idealFactory)
-	p.Observers = Observers{obs}
+	p.Observer = obs
 	if err := p.Run(sim.New(), 10); err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestObserverStreamPinned(t *testing.T) {
 					p.Net = net
 				}
 				obs := newStreamObserver()
-				p.Observers = Observers{obs}
+				p.Observer = obs
 				if err := p.Run(sim.New(), ticks); err != nil {
 					t.Fatal(err)
 				}

@@ -276,9 +276,10 @@ func (w *withheldDistances) Offer(lu filter.LU) filter.Decision {
 	return d
 }
 
-// noLEErrors keeps the no-LE broker's error per (node, time).
+// noLEErrors keeps the no-LE broker's error per (node, time) and
+// forwards every event to the run's own sink.
 type noLEErrors struct {
-	engine.BaseObserver
+	engine.Observer
 	dist map[sampleKey]float64
 }
 
@@ -286,7 +287,7 @@ func (o *noLEErrors) OnError(s engine.Sample, v engine.Variant, dist float64) er
 	if v == engine.NoLE {
 		o.dist[sampleKey{s.Node, s.Time}] = dist
 	}
-	return nil
+	return o.Observer.OnError(s, v, dist)
 }
 
 // TestOfferDistanceIsNoLEErrorOnlyAnchored pins when the distance the
@@ -311,8 +312,8 @@ func TestOfferDistanceIsNoLEErrorOnlyAnchored(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		errs := &noLEErrors{dist: make(map[sampleKey]float64)}
-		p.Observers = append(p.Observers, errs)
+		errs := &noLEErrors{Observer: p.Observer, dist: make(map[sampleKey]float64)}
+		p.Observer = errs
 		if err := p.Run(sim.New(), cfg.Duration); err != nil {
 			t.Fatal(err)
 		}

@@ -72,7 +72,7 @@ func TestPaperClaimsAcrossSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
-		res, err := cfg.RunUncached()
+		res, err := cfg.Run()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,16 +28,6 @@ type EnergyResult struct {
 	Rows []EnergyRow
 }
 
-// RunEnergy derives the per-filter energy budget from the shared
-// memoized campaign.
-func RunEnergy(cfg Config) (EnergyResult, error) {
-	res, err := cfg.Run()
-	if err != nil {
-		return EnergyResult{}, err
-	}
-	return res.EnergyBudget(), nil
-}
-
 // EnergyBudget derives the energy summary from a completed campaign.
 func (r *Results) EnergyBudget() EnergyResult {
 	var out EnergyResult

@@ -39,16 +39,16 @@ func TestRunEnergy(t *testing.T) {
 	cfg := shortConfig()
 	cfg.Duration = 120
 	cfg.DTHFactors = []float64{1.0}
-	res, err := RunEnergy(cfg)
+	res, err := cfg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d", len(res.Rows))
+	if rows := res.EnergyBudget().Rows; len(rows) != 2 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	bad := cfg
 	bad.Duration = -1
-	if _, err := RunEnergy(bad); err == nil {
+	if _, err := bad.Run(); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

@@ -276,7 +276,7 @@ type Run struct {
 	ErrWithLE *metrics.Summary
 	// QuantNoLE and QuantWithLE are the published quantiles of ErrNoLE
 	// and ErrWithLE, computed once when the run completes. Readers use
-	// these, never the summaries, so a memoized Run is read-only data.
+	// these, never the summaries, so a completed Run is read-only data.
 	QuantNoLE   metrics.Quantiles
 	QuantWithLE metrics.Quantiles
 	// Per region kind ("road" / "building") error accumulators.
@@ -369,7 +369,6 @@ func (c Config) runFilter(mk filterFactory) (*Run, error) {
 		return nil, err
 	}
 
-	simulations.Add(1)
 	if err := p.Run(sim.New(), c.Duration); err != nil {
 		return nil, err
 	}
@@ -443,14 +442,9 @@ func (c Config) buildPipeline(mk filterFactory) (*engine.Pipeline, *Run, error) 
 		Churn:        w.churn,
 		SamplePeriod: c.SamplePeriod,
 		Workers:      c.ShardWorkers,
-		Observers:    c.observers(w.run),
+		Observer:     newMetricSink(w.run, c.SamplePeriod),
 	}
 	return p, w.run, nil
-}
-
-// observers wires the one metric sink every run records into.
-func (c Config) observers(run *Run) engine.Observers {
-	return engine.Observers{newMetricSink(run, c.SamplePeriod)}
 }
 
 // buildWorld constructs the partition-independent simulation world for
@@ -560,9 +554,8 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 const maxSummarySamples = 1 << 23
 
 // Results bundles the paired runs every figure draws from: the ideal
-// baseline plus one ADF run per DTH factor. Completed Results are shared
-// through the campaign cache and must be treated as read-only — every
-// figure derivation already is.
+// baseline plus one ADF run per DTH factor. Every figure derivation
+// only reads them, so one Results serves all the figures.
 type Results struct {
 	Config Config
 	Ideal  *Run

@@ -132,17 +132,6 @@ func (r *Results) Fig4() Fig4Result {
 	return out
 }
 
-// RunFig4 derives Figure 4 from the shared memoized campaign: all of
-// RunFig4..RunFig9 (and RunEnergy) at the same config cost exactly one
-// campaign between them.
-func RunFig4(cfg Config) (Fig4Result, error) {
-	res, err := cfg.Run()
-	if err != nil {
-		return Fig4Result{}, err
-	}
-	return res.Fig4(), nil
-}
-
 // Table renders Figure 4's summary rows.
 func (f Fig4Result) Table() *metrics.Table {
 	t := metrics.NewTable("Figure 4: transmitted LUs per second",
@@ -198,15 +187,6 @@ func sampleEvery(series []float64, width int) []float64 {
 		out = append(out, series[n-1])
 	}
 	return out
-}
-
-// RunFig5 derives Figure 5 from the shared memoized campaign.
-func RunFig5(cfg Config) (Fig5Result, error) {
-	res, err := cfg.Run()
-	if err != nil {
-		return Fig5Result{}, err
-	}
-	return res.Fig5(), nil
 }
 
 // Table renders Figure 5's summary rows.
@@ -271,15 +251,6 @@ func (r *Results) Fig6() Fig6Result {
 	return out
 }
 
-// RunFig6 derives Figure 6 from the shared memoized campaign.
-func RunFig6(cfg Config) (Fig6Result, error) {
-	res, err := cfg.Run()
-	if err != nil {
-		return Fig6Result{}, err
-	}
-	return res.Fig6(), nil
-}
-
 // Table renders Figure 6.
 func (f Fig6Result) Table() *metrics.Table {
 	t := metrics.NewTable("Figure 6: transmission rate of LUs by region (vs ideal)",
@@ -330,15 +301,6 @@ func (r *Results) Fig7() Fig7Result {
 		out.SeriesWithLE[run.Name] = metrics.Downsample(run.RMSEWithLE.Series(), seriesBucket)
 	}
 	return out
-}
-
-// RunFig7 derives Figure 7 from the shared memoized campaign.
-func RunFig7(cfg Config) (Fig7Result, error) {
-	res, err := cfg.Run()
-	if err != nil {
-		return Fig7Result{}, err
-	}
-	return res.Fig7(), nil
 }
 
 // Table renders Figure 7.
@@ -392,24 +354,6 @@ func (r *Results) fig89(withLE bool) Fig89Result {
 		out.Rows = append(out.Rows, row)
 	}
 	return out
-}
-
-// RunFig8 derives Figure 8 from the shared memoized campaign.
-func RunFig8(cfg Config) (Fig89Result, error) {
-	res, err := cfg.Run()
-	if err != nil {
-		return Fig89Result{}, err
-	}
-	return res.Fig8(), nil
-}
-
-// RunFig9 derives Figure 9 from the shared memoized campaign.
-func RunFig9(cfg Config) (Fig89Result, error) {
-	res, err := cfg.Run()
-	if err != nil {
-		return Fig89Result{}, err
-	}
-	return res.Fig9(), nil
 }
 
 // Table renders Figure 8 or 9.

@@ -179,35 +179,6 @@ func TestFig8And9RoadDominatesBuilding(t *testing.T) {
 	}
 }
 
-func TestRunFigWrappers(t *testing.T) {
-	cfg := shortConfig()
-	cfg.Duration = 120
-	cfg.DTHFactors = []float64{1.0}
-	if _, err := RunFig4(cfg); err != nil {
-		t.Errorf("RunFig4: %v", err)
-	}
-	if _, err := RunFig5(cfg); err != nil {
-		t.Errorf("RunFig5: %v", err)
-	}
-	if _, err := RunFig6(cfg); err != nil {
-		t.Errorf("RunFig6: %v", err)
-	}
-	if _, err := RunFig7(cfg); err != nil {
-		t.Errorf("RunFig7: %v", err)
-	}
-	if _, err := RunFig8(cfg); err != nil {
-		t.Errorf("RunFig8: %v", err)
-	}
-	if _, err := RunFig9(cfg); err != nil {
-		t.Errorf("RunFig9: %v", err)
-	}
-	bad := cfg
-	bad.Duration = -1
-	if _, err := RunFig4(bad); err == nil {
-		t.Error("RunFig4 with invalid config did not error")
-	}
-}
-
 func TestSampleEvery(t *testing.T) {
 	in := []float64{1, 2, 3, 4, 5, 6, 7}
 	got := sampleEvery(in, 3)

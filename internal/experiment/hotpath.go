@@ -68,7 +68,6 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 		return HotpathStats{}, err
 	}
 	defer loop.Close()
-	simulations.Add(1)
 	built := time.Since(start) //adf:allow determinism — phase split of the wall-clock measurement
 
 	now := 0.0
@@ -81,7 +80,7 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 			return HotpathStats{}, err
 		}
 	}
-	// The observers trail the pipeline by one tick: Close replays the
+	// The observer trails the pipeline by one tick: Close replays the
 	// last one, so the sinks are complete before they are read.
 	if err := loop.Close(); err != nil {
 		return HotpathStats{}, err

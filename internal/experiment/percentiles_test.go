@@ -60,7 +60,7 @@ func TestPercentilesPinned(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.cfg.RunUncached()
+			res, err := tc.cfg.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,13 +73,10 @@ func TestPercentilesPinned(t *testing.T) {
 }
 
 // TestPercentilesConcurrentReads reads the published percentiles of one
-// memoized campaign from several goroutines at once. Percentiles must
+// campaign from several goroutines at once. Percentiles must
 // only read the Run, so the race detector stays quiet and every reader
 // sees the same rows.
 func TestPercentilesConcurrentReads(t *testing.T) {
-	ResetCampaignCache()
-	defer ResetCampaignCache()
-
 	cfg := shortConfig()
 	cfg.Duration = 150
 	res, err := cfg.Run()

@@ -189,7 +189,7 @@ func (f *Federate) updateAttributeValues(obj ObjectHandle, attrs Values, ts floa
 			o.discovered[h] = true
 			other.mailbox.push(callback{kind: cbDiscover, object: o.handle, class: o.class, name: o.name})
 		}
-		f.fed.routeTSO(other, ts, callback{kind: cbReflect, object: obj, values: filtered, time: ts, tc: tc, enqueuedNS: enq})
+		f.fed.routeTSO(other, callback{kind: cbReflect, object: obj, values: filtered, time: ts, tc: tc, enqueuedNS: enq})
 	}
 	return nil
 }
@@ -234,7 +234,7 @@ func (f *Federate) sendInteraction(class string, block []byte, params Values, ts
 				shared = f.st.arena.encode(params)
 			}
 		}
-		f.fed.routeTSO(other, ts, callback{kind: cbInteraction, class: class, block: shared, time: ts, tc: tc, enqueuedNS: enq})
+		f.fed.routeTSO(other, callback{kind: cbInteraction, class: class, block: shared, time: ts, tc: tc, enqueuedNS: enq})
 	}
 	return nil
 }

@@ -343,11 +343,11 @@ func (m *mailbox) close() {
 	m.cond.Broadcast()
 }
 
-// tsoMessage is a timestamped message waiting in a federate's TSO queue.
+// tsoMessage is a timestamped message waiting in a federate's TSO queue;
+// its timestamp is cb.time.
 type tsoMessage struct {
-	time float64
-	seq  uint64
-	cb   callback
+	seq uint64
+	cb  callback
 }
 
 // federateState is the RTI-side record of one joined federate.
@@ -739,10 +739,10 @@ func (f *federateState) nextTSOTime() (float64, bool) {
 	if len(f.tsoQueue) == 0 {
 		return 0, false
 	}
-	earliest := f.tsoQueue[0].time
+	earliest := f.tsoQueue[0].cb.time
 	for _, m := range f.tsoQueue[1:] {
-		if m.time < earliest {
-			earliest = m.time
+		if m.cb.time < earliest {
+			earliest = m.cb.time
 		}
 	}
 	return earliest, true
@@ -756,13 +756,13 @@ func (f *federateState) nextTSOTime() (float64, bool) {
 // fed.mu.
 func (fed *Federation) deliverGrant(f *federateState) {
 	slices.SortFunc(f.tsoQueue, func(a, b tsoMessage) int {
-		if c := cmp.Compare(a.time, b.time); c != 0 {
+		if c := cmp.Compare(a.cb.time, b.cb.time); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
 	n := 0
-	for n < len(f.tsoQueue) && f.tsoQueue[n].time <= f.time {
+	for n < len(f.tsoQueue) && f.tsoQueue[n].cb.time <= f.time {
 		n++
 	}
 	f.mailbox.pushGrant(f.tsoQueue[:n], callback{kind: cbGrant, time: f.time})
@@ -771,16 +771,16 @@ func (fed *Federation) deliverGrant(f *federateState) {
 	f.tsoQueue = f.tsoQueue[:k]
 }
 
-// routeTSO enqueues a timestamped callback for a receiver, or delivers it
-// immediately when the receiver is not time-constrained. Callers must
-// hold fed.mu.
-func (fed *Federation) routeTSO(f *federateState, ts float64, cb callback) {
+// routeTSO enqueues a callback, timestamped by cb.time, for a receiver,
+// or delivers it immediately when the receiver is not time-constrained.
+// Callers must hold fed.mu.
+func (fed *Federation) routeTSO(f *federateState, cb callback) {
 	if !f.constrained {
 		f.mailbox.push(cb)
 		return
 	}
 	fed.seq++
-	f.tsoQueue = append(f.tsoQueue, tsoMessage{time: ts, seq: fed.seq, cb: cb})
+	f.tsoQueue = append(f.tsoQueue, tsoMessage{seq: fed.seq, cb: cb})
 }
 
 // subscribe adds f to class's interaction subscribers, keeping them in

@@ -373,7 +373,7 @@ func structFieldByName(st *types.Struct, name string) *types.Var {
 
 // structDisplayName names the struct a field annotation sits on: the
 // declared type name when the StructType is a named declaration, or the
-// holding variable's name for anonymous struct vars (campaignCache).
+// holding variable's name for anonymous struct vars (`var cache = struct{…}`).
 func structDisplayName(pkg *Package, st *ast.StructType) string {
 	t, _ := pkg.Info.TypeOf(st).(*types.Struct)
 	if t == nil {
@@ -456,7 +456,7 @@ func mutexCallEvent(pkg *Package, call *ast.CallExpr) (lockEvent, bool) {
 
 // mutexVarOf resolves the mutex behind a Lock/Unlock method selector:
 // the selected field for x.mu.Lock(), the embedded field reached by the
-// selection's index path for promoted calls (campaignCache.Lock()), or
+// selection's index path for promoted calls (cache.Lock()), or
 // a package-level mutex variable.
 func mutexVarOf(pkg *Package, sel *ast.SelectorExpr) (*types.Var, string) {
 	if s, ok := pkg.Info.Selections[sel]; ok && len(s.Index()) > 1 {
