@@ -74,13 +74,16 @@ check-obs-e2e:
 # double-digit headroom (the recorded number is 0). Throughput is not
 # gated (CI machines vary); the allocation floor is machine-independent.
 # The second step is the RTI allocation gate (TestRTIAllocsPerLU): the
-# loopback TCP lockstep fails above 4 allocs/LU with one receiver or 16
-# with four (the recorded numbers are about 3 and 12), the in-process
-# one above 3.5 or 12.5. The third runs
+# loopback TCP lockstep fails above 2.5 allocs/LU with one receiver or
+# 8.5 with four (the recorded numbers are 2.04 and 8.09), the
+# in-process one above 3.5 or 12.5. The third runs
 # the TCP RTI lockstep microbenchmark (one sender, 1 and 4 receivers,
-# 405 pipelined sends and one time advance per step) for 20 steps each,
-# reporting ns/LU and allocs/LU, so a transport change that breaks the
-# loopback send→deliver path or its fan-out fails here. The last step
+# 405 pipelined sends of one class and time, which leave as one run in
+# one frame, and one time advance per step) for 20 steps each,
+# reporting ns/LU, allocs/LU and interactions/frame (the mean run
+# length, 405), so a transport change that breaks the loopback
+# send→deliver path or its fan-out fails here, and one that stops
+# batching shows in interactions/frame. The last step
 # runs the error summary microbenchmark once (2M samples, 60% exact
 # zeros: record, then publish P50/P90/P99/Max), reporting ns/op and B/op.
 bench-smoke:

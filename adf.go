@@ -326,16 +326,18 @@ func NewBroker(newEstimator func() Estimator) *Broker {
 	var factory estimate.Factory
 	if newEstimator != nil {
 		factory = func() estimate.PositionEstimator {
-			return &publicEstimator{e: newEstimator()}
+			return &publicEstimator{e: newEstimator(), mk: newEstimator}
 		}
 	}
 	return &Broker{b: broker.New(factory)}
 }
 
 // publicEstimator adapts a user-supplied Estimator back to the internal
-// interface.
+// interface. An Estimator has no Reset, so Reset replaces it with a
+// fresh one from the broker's factory mk.
 type publicEstimator struct {
-	e Estimator
+	e  Estimator
+	mk func() Estimator
 }
 
 var _ estimate.PositionEstimator = (*publicEstimator)(nil)
@@ -343,6 +345,7 @@ var _ estimate.PositionEstimator = (*publicEstimator)(nil)
 func (p *publicEstimator) Observe(t float64, pt geo.Point) { p.e.Observe(t, fromInternal(pt)) }
 func (p *publicEstimator) Predict(t float64) geo.Point     { return p.e.Predict(t).internal() }
 func (p *publicEstimator) Ready() bool                     { return p.e.Ready() }
+func (p *publicEstimator) Reset()                          { p.e = p.mk() }
 
 // ReceiveLU stores a received location update.
 func (b *Broker) ReceiveLU(node int, t float64, p Point) {

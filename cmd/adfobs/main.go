@@ -21,8 +21,12 @@
 //	-slo "update:p99<5ms,advance:p95<20ms"
 //
 // An interaction span times only the client's enqueue (SendInteraction
-// is pipelined and does not wait for its ack), so an interaction SLO
-// bounds the send call, not the LU's trip to its receivers.
+// is pipelined: it joins a run of same-class, same-time sends that
+// leaves as one frame, and does not wait for the ack), so an
+// interaction SLO bounds the send call, not the LU's trip to its
+// receivers. Every send of a run records its own span under the run's
+// trace ID, and the run's one delivery span carries that ID, so each
+// send counts as linked.
 //
 // and -require-links 0.99 demands at least that link ratio. Any
 // violation makes adfobs exit non-zero, so CI can gate on it.

@@ -29,6 +29,10 @@ type Entry struct {
 	Estimated bool
 }
 
+// record is one node's slot in the location DB. A slot is never
+// deleted: Forget resets it in place and clears hasReport, which marks
+// the node absent to every reader until it reports again, so a node
+// that leaves and rejoins keeps its slot and its estimator's storage.
 type record struct {
 	// est is the node's Location Estimator; nil in the "without LE"
 	// configuration, where a miss believes lastReported.
@@ -72,12 +76,16 @@ func New(factory estimate.Factory) *Broker {
 // race-free once growth is off the hot path.
 func (b *Broker) Preallocate(n int) { b.records.Grow(n) }
 
+// record returns node's slot for a report, counting a node that was
+// absent (never seen, or forgotten) as a new record.
 func (b *Broker) record(node int) *record {
 	r := b.records.Ptr(node)
 	if r == nil {
 		//adf:allow hotpath — first report from a node; later ticks take
 		// the Ptr fast path.
 		r = b.birth(node)
+	}
+	if !r.hasReport {
 		obs.BrokerRecords.Inc()
 	}
 	return r
@@ -226,7 +234,7 @@ func (b *Broker) Location(node int) (Entry, bool) {
 // Locations returns a snapshot of the whole location DB ordered by node
 // ID.
 func (b *Broker) Locations() []Entry {
-	out := make([]Entry, 0, b.records.Count())
+	out := make([]Entry, 0, b.NodeCount())
 	b.records.Range(func(node int, r *record) bool {
 		if !r.hasReport {
 			return true
@@ -240,11 +248,19 @@ func (b *Broker) Locations() []Entry {
 	return out
 }
 
-// Forget drops a node from the location DB.
+// Forget drops a node from the location DB. Its slot stays, with its
+// estimator reset in place (estimate.PositionEstimator.Reset), and the
+// node is absent to every reader until it reports again.
 func (b *Broker) Forget(node int) {
-	if b.records.Delete(node) {
-		obs.BrokerForgets.Inc()
+	r := b.records.Ptr(node)
+	if r == nil || !r.hasReport {
+		return
 	}
+	if r.est != nil {
+		r.est.Reset()
+	}
+	*r = record{est: r.est}
+	obs.BrokerForgets.Inc()
 }
 
 // NodeCount returns the number of nodes with a DB entry.

@@ -5,6 +5,7 @@ import (
 
 	"github.com/mobilegrid/adf/internal/estimate"
 	"github.com/mobilegrid/adf/internal/geo"
+	"github.com/mobilegrid/adf/internal/sanitize"
 )
 
 func brownFactory(t *testing.T) estimate.Factory {
@@ -130,6 +131,56 @@ func TestForget(t *testing.T) {
 	}
 	if b.NodeCount() != 0 {
 		t.Errorf("NodeCount = %d", b.NodeCount())
+	}
+}
+
+// TestForgetThenRejoinMatchesFresh forgets a node the LE has learned
+// and lets it rejoin: while it is gone every reader finds it absent,
+// and once back the broker's beliefs and its state digest are bit for
+// bit those of a broker that never saw the node's first life.
+func TestForgetThenRejoinMatchesFresh(t *testing.T) {
+	b, fresh := New(brownFactory(t)), New(brownFactory(t))
+	b.ReceiveLU(2, 0, geo.Point{Y: 9})
+	fresh.ReceiveLU(2, 0, geo.Point{Y: 9})
+	for i := 0; i <= 6; i++ {
+		b.ReceiveLU(1, float64(i), geo.Point{X: 2 * float64(i)})
+	}
+	b.Forget(1)
+	b.Forget(1) // already gone: no effect
+	if _, ok := b.Location(1); ok {
+		t.Error("Location after Forget")
+	}
+	if _, err := b.MissLU(1, 7); err == nil {
+		t.Error("MissLU after Forget did not error")
+	}
+	if _, ok := b.Step(1, 7, geo.Point{}, false); ok {
+		t.Error("Step without a report after Forget found the node")
+	}
+	if locs := b.Locations(); len(locs) != 1 || locs[0].Node != 2 || b.NodeCount() != 1 {
+		t.Errorf("after Forget: Locations %v, NodeCount %d; want node 2 only", locs, b.NodeCount())
+	}
+	digest := func(b *Broker) uint64 {
+		d := sanitize.NewDigest()
+		b.DigestState(&d)
+		return d.Sum()
+	}
+	// The counters differ by the first life's LUs; add them to fresh.
+	for range 7 {
+		fresh.AddTally(&Tally{Received: 1})
+	}
+	if digest(b) != digest(fresh) {
+		t.Error("state digest after Forget differs from a broker that never saw the node")
+	}
+	for i := 10; i <= 16; i++ {
+		p := geo.Point{Y: -3 * float64(i)}
+		eb, _ := b.Step(1, float64(i), p, i%3 != 0)
+		ef, _ := fresh.Step(1, float64(i), p, i%3 != 0)
+		if eb != ef {
+			t.Fatalf("t=%d: rejoined node believed %+v, fresh broker %+v", i, eb, ef)
+		}
+	}
+	if digest(b) != digest(fresh) {
+		t.Error("state digest after the rejoin differs from a fresh broker's")
 	}
 }
 

@@ -2,12 +2,13 @@ package broker
 
 import "github.com/mobilegrid/adf/internal/sanitize"
 
-// DigestState folds the broker's full state — every believed DB entry
-// plus the received/estimated counters — into d. Node IDs are assigned
+// DigestState folds the broker's full state — the count of nodes on
+// record, every believed DB entry plus the received/estimated counters
+// — into d. Node IDs are assigned
 // densely from zero, so records.Range visits them in ascending ID order
 // and the digest is deterministic across runs.
 func (b *Broker) DigestState(d *sanitize.Digest) {
-	d.WriteInt(b.records.Count())
+	d.WriteInt(b.NodeCount())
 	b.records.Range(func(node int, r *record) bool {
 		if !r.hasReport {
 			return true

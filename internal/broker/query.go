@@ -69,7 +69,7 @@ func (b *Broker) Within(p geo.Point, radius float64) ([]Candidate, error) {
 }
 
 func (b *Broker) candidates(p geo.Point) []Candidate {
-	out := make([]Candidate, 0, b.records.Count())
+	out := make([]Candidate, 0, b.NodeCount())
 	b.records.Range(func(node int, r *record) bool {
 		if !r.hasReport {
 			return true

@@ -80,6 +80,12 @@ func (e *AR1LE) Observe(t float64, p geo.Point) {
 // Ready implements PositionEstimator.
 func (e *AR1LE) Ready() bool { return e.samples >= 2 }
 
+// Reset implements PositionEstimator.
+func (e *AR1LE) Reset() {
+	l := e.x.lambda
+	*e = AR1LE{x: ar1{lambda: l}, y: ar1{lambda: l}}
+}
+
 // Predict implements PositionEstimator.
 //
 //adf:hotpath

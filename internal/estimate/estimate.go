@@ -30,6 +30,10 @@ type PositionEstimator interface {
 	// Ready reports whether the estimator has seen enough updates to
 	// produce a meaningful forecast.
 	Ready() bool
+	// Reset forgets every observation: the estimator then behaves
+	// exactly as its constructor left it, so a tracked node that leaves
+	// and rejoins reuses its estimator in place.
+	Reset()
 }
 
 // Factory builds one estimator instance per tracked node.
@@ -58,6 +62,9 @@ func (e *LastKnown) Predict(float64) geo.Point { return e.last }
 
 // Ready implements PositionEstimator.
 func (e *LastKnown) Ready() bool { return e.has }
+
+// Reset implements PositionEstimator.
+func (e *LastKnown) Reset() { *e = LastKnown{} }
 
 // Brown is scalar double exponential smoothing. After each Observe the
 // smoothed level and trend are available and Forecast extrapolates h steps
@@ -225,6 +232,12 @@ func (e *BrownLE) Observe(t float64, p geo.Point) {
 // the trend term is meaningful.
 func (e *BrownLE) Ready() bool { return e.nSamples >= 2 }
 
+// Reset implements PositionEstimator.
+func (e *BrownLE) Reset() {
+	b := Brown{alpha: e.speed.alpha}
+	*e = BrownLE{speed: b, dirCos: b, dirSin: b}
+}
+
 // Predict implements PositionEstimator.
 func (e *BrownLE) Predict(t float64) geo.Point {
 	if e.tracker.n == 0 {
@@ -281,6 +294,12 @@ func (e *SingleLE) Observe(t float64, p geo.Point) {
 // Ready implements PositionEstimator.
 func (e *SingleLE) Ready() bool { return e.nSamples >= 1 }
 
+// Reset implements PositionEstimator.
+func (e *SingleLE) Reset() {
+	sm := Single{alpha: e.speed.alpha}
+	*e = SingleLE{speed: sm, dirCos: sm, dirSin: sm}
+}
+
 // Predict implements PositionEstimator.
 func (e *SingleLE) Predict(t float64) geo.Point {
 	if e.tracker.n == 0 {
@@ -323,6 +342,9 @@ func (e *DeadReckoning) Observe(t float64, p geo.Point) {
 
 // Ready implements PositionEstimator.
 func (e *DeadReckoning) Ready() bool { return e.hasVel }
+
+// Reset implements PositionEstimator.
+func (e *DeadReckoning) Reset() { *e = DeadReckoning{} }
 
 // Predict implements PositionEstimator.
 func (e *DeadReckoning) Predict(t float64) geo.Point {

@@ -128,6 +128,12 @@ func (e *GapAwareLE) Observe(t float64, p geo.Point) {
 // Ready implements PositionEstimator.
 func (e *GapAwareLE) Ready() bool { return e.nSamples >= 2 }
 
+// Reset implements PositionEstimator.
+func (e *GapAwareLE) Reset() {
+	sm := Single{alpha: e.cfg.HeadingAlpha}
+	*e = GapAwareLE{cfg: e.cfg, dirCos: sm, dirSin: sm}
+}
+
 // Slope returns the fitted silent-period drift in metres per second.
 func (e *GapAwareLE) Slope() float64 {
 	den := e.sw*e.sxx - e.sx*e.sx

@@ -45,6 +45,7 @@ func quit(f lockstepFed) {
 // TCP, each its own Client on its own connection to one server, or all
 // in process.
 type lockstep struct {
+	rti   *RTI
 	send  lockstepFed
 	recvs []lockstepFed
 	ambs  []*countingAmb
@@ -88,7 +89,7 @@ func newLockstep(tb testing.TB, receivers int, tcp bool) *lockstep {
 			return c
 		}
 	}
-	l := &lockstep{send: join("send", &recorder{})}
+	l := &lockstep{rti: rti, send: join("send", &recorder{})}
 	if err := l.send.PublishInteractionClass("LU"); err != nil {
 		tb.Fatal(err)
 	}
@@ -161,6 +162,18 @@ func (l *lockstep) sendSteps(from int) error {
 	return nil
 }
 
+// queued returns the messages the federation has routed to a TSO queue
+// so far: one per receiver of each interaction frame.
+func (l *lockstep) queued() uint64 {
+	fed, err := l.rti.federation("test")
+	if err != nil {
+		panic(err)
+	}
+	fed.mu.Lock()
+	defer fed.mu.Unlock()
+	return fed.seq
+}
+
 // mallocs returns the heap allocations the process has made so far.
 func mallocs() uint64 {
 	var ms runtime.MemStats
@@ -171,22 +184,25 @@ func mallocs() uint64 {
 // BenchmarkRTILockstep is the loopback send→deliver path plus fan-out
 // over the TCP transport (see lockstep.run). One op is one step; ns/LU
 // and allocs/LU divide by the LUs sent (allocations count the whole
-// process: clients and server).
+// process: clients and server). interactions/frame is the mean run
+// length, the LUs each interaction frame carries: the RTI queues one
+// message per receiver of each frame.
 func BenchmarkRTILockstep(b *testing.B) {
 	for _, receivers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("receivers=%d", receivers), func(b *testing.B) {
 			l := newLockstep(b, receivers, true)
-			m0 := mallocs()
+			q0, m0 := l.queued(), mallocs()
 			b.ResetTimer()
 			err := l.run(b.N)
 			b.StopTimer()
-			m1 := mallocs()
+			q1, m1 := l.queued(), mallocs()
 			if err != nil {
 				b.Fatal(err)
 			}
 			sent := float64(b.N * luBatch)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sent, "ns/LU")
 			b.ReportMetric(float64(m1-m0)/sent, "allocs/LU")
+			b.ReportMetric(sent*float64(receivers)/float64(q1-q0), "interactions/frame")
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,12 +84,16 @@ func rawValues(kv ...string) []byte {
 	return b
 }
 
-// TestTCPInteractionNonCanonicalBlock sends hand-built interaction
-// frames whose parameter keys are out of order or repeated, as a
-// foreign client might. Every receiver, over TCP and in process, must
-// get the map and the receive frame bytes that decoding the block and
-// re-encoding it with PutValues gives: the server canonicalises such a
-// block instead of forwarding it as sent.
+// TestTCPInteractionNonCanonicalBlock sends a hand-built interaction
+// frame whose run holds blocks with parameter keys out of order or
+// repeated, as a foreign client might, among canonical ones. Every
+// receiver, over TCP and in process, must get the maps, in order, that
+// decoding each block gives, and the remote receiver one receive frame
+// whose blocks are what re-encoding each map with PutValues gives: the
+// server canonicalises the bad blocks and forwards their canonical
+// neighbours byte for byte. Malformed runs — a count of 0, a count the
+// payload cannot hold, bytes after the last block — are answered with
+// an error reply and deliver nothing.
 func TestTCPInteractionNonCanonicalBlock(t *testing.T) {
 	rti := NewRTI()
 	if err := rti.CreateFederation("test"); err != nil {
@@ -125,27 +130,52 @@ func TestTCPInteractionNonCanonicalBlock(t *testing.T) {
 	}
 
 	blocks := [][]byte{
+		rawValues("a", "1", "b", "2"), // canonical: forwarded as sent
 		rawValues("y", "2", "x", "1", "node", "7"),
+		rawValues("node", "8", "x", "3"),
 		rawValues("x", "first", "a", "3", "x", "second"),
 		rawValues("a", "1", "a", "1"),
-		rawValues("a", "1", "b", "2"), // canonical: forwarded as sent
+		rawValues(), // canonical and empty
 	}
-	for i, block := range blocks {
+	// sendRun sends the run of blocks, counted as count, with extra bytes
+	// after it, as one interaction frame at time 1.
+	sendRun := func(count int, blocks [][]byte, extra ...byte) error {
 		e := send.encode(msgInteraction)
 		e.PutString("LU")
-		e.PutFloat64(float64(1 + i))
-		e.PutRaw(block)
-		if err := send.call(obs.OpInteraction, 0); err != nil {
-			t.Fatalf("block %d: %v", i, err)
+		e.PutFloat64(1)
+		e.PutCount(count)
+		for _, b := range blocks {
+			e.PutRaw(b)
+		}
+		e.PutRaw(extra)
+		return send.call(obs.OpInteraction, 0)
+	}
+	for _, c := range []struct {
+		name   string
+		count  int
+		blocks [][]byte
+		extra  []byte
+		want   error
+	}{
+		{"count 0", 0, nil, nil, wire.ErrMalformed},
+		{"count 0 before a block", 0, blocks[:1], nil, wire.ErrMalformed},
+		{"count past the blocks", 3, blocks[:2], nil, wire.ErrShortBuffer},
+		{"count past the payload", 1 << 20, blocks, nil, wire.ErrShortBuffer},
+		{"bytes after the last block", 2, blocks[:2], []byte{0}, wire.ErrMalformed},
+	} {
+		if err := sendRun(c.count, c.blocks, c.extra...); err == nil || !strings.Contains(err.Error(), c.want.Error()) {
+			t.Errorf("%s: %v, want an error reply for %v", c.name, err, c.want)
 		}
 	}
-	final := float64(len(blocks))
+	if err := sendRun(len(blocks), blocks); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	for _, f := range []lockstepFed{send, remote, local} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := f.TimeAdvanceRequest(final); err != nil {
+			if err := f.TimeAdvanceRequest(1); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -155,12 +185,16 @@ func TestTCPInteractionNonCanonicalBlock(t *testing.T) {
 		return
 	}
 
-	stream := tap.bytes()
-	for _, rec := range []*recorder{remoteRec, localRec} {
+	var e wire.Encoder
+	e.PutByte(msgReceive)
+	e.PutString("LU")
+	e.PutFloat64(1)
+	e.PutCount(len(blocks))
+	for name, rec := range map[string]*recorder{"remote": remoteRec, "local": localRec} {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
 		if len(rec.interactions) != len(blocks) {
-			t.Fatalf("received %d interactions, want %d", len(rec.interactions), len(blocks))
+			t.Fatalf("%s receiver got %d interactions, want %d", name, len(rec.interactions), len(blocks))
 		}
 	}
 	for i, block := range blocks {
@@ -174,18 +208,19 @@ func TestTCPInteractionNonCanonicalBlock(t *testing.T) {
 				t.Errorf("block %d: %s receiver got %v, want %v", i, name, got, want)
 			}
 		}
-		var e wire.Encoder
-		e.PutByte(msgReceive)
-		e.PutString("LU")
-		e.PutFloat64(float64(1 + i))
+		if canonical := wire.AppendValues(nil, want); i == 0 || i == 2 || i == len(blocks)-1 {
+			if !bytes.Equal(canonical, block) {
+				t.Fatalf("block %d is not canonical: the test's premise is wrong", i)
+			}
+		}
 		e.PutValues(want)
-		var frame bytes.Buffer
-		if err := wire.WriteFrame(&frame, e.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(stream, frame.Bytes()) {
-			t.Errorf("block %d: the remote receiver's stream lacks the canonical receive frame %x", i, frame.Bytes())
-		}
+	}
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, e.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(tap.bytes(), frame.Bytes()) {
+		t.Errorf("the remote receiver's stream lacks the canonical receive frame %x", frame.Bytes())
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -17,17 +18,22 @@ import (
 // like an HLA federate process.
 //
 // Every request but SendInteraction is a round trip whose error is its
-// own. SendInteraction is pipelined: it returns once the frame is
-// buffered, and the server's verdict arrives later. A rejection there
-// is returned by the next synchronous call (any other request, or
-// Close) after that call's own reply has been read and applied; when
-// that call fails too, both errors are joined. errors.Is holds for the
-// server's sentinels either way.
+// own. SendInteraction is pipelined: it returns once the interaction is
+// buffered, and the server's verdict arrives later. Consecutive sends
+// of one class and one timestamp form a run that leaves as one frame,
+// acked once (see SendInteraction). A rejection there is returned by
+// the next synchronous call (any other request, or Close) after that
+// call's own reply has been read and applied; when that call fails
+// too, both errors are joined. errors.Is holds for the server's
+// sentinels either way.
 //
-// Each delivered Values is the ambassador's own: one map whose values
-// share one backing array that nothing else refers to. Everything else
-// a Client decodes or encodes goes through buffers it owns once and
-// reuses for every frame.
+// A receive frame carries a run of interactions too, and the
+// ambassador gets one ReceiveInteraction per interaction, in send
+// order. Each delivered Values is the ambassador's own map; the values
+// of all the maps of one frame share one new backing array, each value
+// capped at its own length, so keeping any one of them keeps that
+// array. Everything else a Client decodes or encodes goes through
+// buffers it owns once and reuses for every frame.
 type Client struct {
 	conn net.Conn
 	// r and bw buffer the connection: callback frames are read in
@@ -43,6 +49,17 @@ type Client struct {
 	rbuf  []byte
 	names wire.Interner
 
+	// run is the open run of pipelined sends, an interaction frame
+	// being built: runN blocks of class runClass at time runTS so far,
+	// its count at runCount. runTC is its trace context, set by the
+	// first traced send in it. runN is 0 when no run is open.
+	run      wire.Encoder
+	runClass string
+	runTS    float64
+	runN     int
+	runCount int
+	runTC    wire.TraceContext
+
 	amb    Ambassador
 	handle FederateHandle
 	name   string
@@ -55,9 +72,9 @@ type Client struct {
 	published map[string]bool
 	granted   float64
 	lookahead float64
-	// pending counts the acks of pipelined sends not yet read; deferred
-	// is the first error among the acks already read, held for the next
-	// synchronous call.
+	// pending counts the acks of buffered runs not yet read, one per
+	// frame; deferred is the first error among the acks already read,
+	// held for the next synchronous call.
 	pending  int
 	deferred error
 
@@ -68,13 +85,19 @@ type Client struct {
 	writeTimeout time.Duration
 }
 
-// pipelineWindow bounds the acks pipelined sends may owe: at that many
-// the next send first flushes and drains them. The server holds its
-// replies until its next read would block, so the window's acks must
-// fit its write buffer — at 64 bytes each (an ok ack is 5, an error ack
-// carries its message) they do, and a burst of sends never leaves both
-// ends blocked writing.
+// pipelineWindow bounds the acks buffered runs may owe, one per frame:
+// at that many the next run first flushes and drains them. The server
+// holds its replies until its next read would block, so the window's
+// acks must fit its write buffer — at 64 bytes each (an ok ack is 5,
+// an error ack carries its message) they do, and a burst of sends never
+// leaves both ends blocked writing.
 const pipelineWindow = ioBufferSize / 64
+
+// maxRunFrame caps the payload of an interaction frame that carries a
+// run of more than one send: with the largest frame header it fits the
+// I/O buffers. A single send larger than that still leaves as a run of
+// one.
+const maxRunFrame = ioBufferSize - wire.MaxHeaderSize
 
 // errNotJoined rejects a request made before Join or after Resign.
 var errNotJoined = errors.New("hla: not joined")
@@ -123,7 +146,7 @@ func (c *Client) Handle() FederateHandle { return c.handle }
 // SetIOTimeouts bounds the connection's I/O: read bounds each socket
 // read while awaiting a reply or callback, write bounds each socket
 // write — the flush that sends a request with the sends buffered before
-// it, or a pipelined send that spills the buffer. Both directions are
+// it, or a run of sends that spills the buffer. Both directions are
 // buffered, so one socket operation can carry many frames. Zero (the
 // default) means no deadline. Like the rest of Client, not safe for
 // concurrent use.
@@ -151,6 +174,9 @@ func (c *Client) encode(typ byte) *wire.Encoder {
 // error may then still carry a deferred send rejection (see await), so
 // callers apply a non-nil payload before returning the error.
 func (c *Client) request(op obs.RPCOp, terminal byte, start int64) ([]byte, error) {
+	if err := c.closeRun(); err != nil {
+		return nil, err
+	}
 	var tc wire.TraceContext
 	if start != 0 {
 		tc = obs.NewTraceContext(start)
@@ -178,22 +204,62 @@ func (c *Client) request(op obs.RPCOp, terminal byte, start int64) ([]byte, erro
 	return c.await(terminal)
 }
 
-// enqueue buffers the pipelined request frame in c.enc without flushing
-// it or reading its ack, which a later drain or await reads. Tracing
-// records the encode phase and the client op span from op entry to the
-// buffered write; the span's context rides the frame, so the delivery
-// links to it. There is no round-trip phase.
-func (c *Client) enqueue(op obs.RPCOp, start int64) error {
+// appendRun adds a send that passed the local check to the open run,
+// first closing the run when the class or timestamp changes or the
+// block would take the frame past maxRunFrame. Tracing records the
+// encode phase and the send's own client op span, from op entry to the
+// append, under the run's trace ID: the frame carries the run's
+// context, so every send in it links to the delivery. There is no
+// round-trip phase.
+func (c *Client) appendRun(class string, params Values, ts float64, start int64) error {
+	if c.runN > 0 && (class != c.runClass || math.Float64bits(ts) != math.Float64bits(c.runTS) ||
+		c.run.Len()+wire.ValuesSize(params) > maxRunFrame) {
+		if err := c.closeRun(); err != nil {
+			return err
+		}
+	}
+	if c.runN == 0 {
+		c.run.Reset()
+		c.run.PutByte(msgInteraction)
+		c.run.PutString(class)
+		c.run.PutFloat64(ts)
+		c.runCount = c.run.Len()
+		c.run.PutCount(0)
+		c.runClass, c.runTS = class, ts
+	}
+	c.run.PutValues(params)
+	c.runN++
+	if start != 0 {
+		tc := c.runTC
+		if tc.Valid() {
+			tc.SpanID = obs.NextSpanID()
+		} else {
+			tc = obs.NewTraceContext(start)
+			c.runTC = tc
+		}
+		end := obs.RPCClock()
+		obs.ObserveRPC(obs.PhaseEncode, obs.OpInteraction, start, end)
+		obs.RecordRPC(obs.KindClientOp, obs.OpInteraction, tc, start, end)
+	}
+	return nil
+}
+
+// closeRun buffers the open run, if any, as one interaction frame
+// without flushing it or reading its ack, which a later drain or await
+// reads.
+func (c *Client) closeRun() error {
+	if c.runN == 0 {
+		return nil
+	}
+	n, tc := c.runN, c.runTC
+	c.runN, c.runTC = 0, wire.TraceContext{}
 	if c.pending >= pipelineWindow {
 		if err := c.drain(); err != nil {
 			return err
 		}
 	}
-	var tc wire.TraceContext
-	if start != 0 {
-		tc = obs.NewTraceContext(start)
-	}
-	payload := c.enc.Bytes()
+	c.run.SetCount(c.runCount, n)
+	payload := c.run.Bytes()
 	if c.bw.Available() < len(payload)+wire.MaxHeaderSize {
 		// The frame may not fit: this write can reach the socket.
 		_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
@@ -203,18 +269,17 @@ func (c *Client) enqueue(op obs.RPCOp, start int64) error {
 		return err
 	}
 	c.pending++
-	if start != 0 {
-		end := obs.RPCClock()
-		obs.ObserveRPC(obs.PhaseEncode, op, start, end)
-		obs.RecordRPC(obs.KindClientOp, op, tc, start, end)
-	}
 	return nil
 }
 
-// drain flushes the buffered sends and reads their acks, dispatching
-// any callbacks among them and keeping the first rejection in
-// c.deferred. It returns only transport and protocol failures.
+// drain closes the open run, flushes the buffered runs and reads their
+// acks, dispatching any callbacks among them and keeping the first
+// rejection in c.deferred. It returns only transport and protocol
+// failures.
 func (c *Client) drain() error {
+	if err := c.closeRun(); err != nil {
+		return err
+	}
 	if c.pending == 0 {
 		return nil
 	}
@@ -226,7 +291,7 @@ func (c *Client) drain() error {
 	return c.readAcks()
 }
 
-// readAcks reads the acks of the flushed pipelined sends (see drain).
+// readAcks reads the acks of the flushed runs (see drain).
 func (c *Client) readAcks() error {
 	for c.pending > 0 {
 		_, rejected, err := c.reply(msgOK)
@@ -275,8 +340,8 @@ func (c *Client) Join(federation, name string, lookahead float64, amb Ambassador
 	return nil
 }
 
-// await reads the acks of the pipelined sends written before this
-// request, then its terminal frame, dispatching callbacks throughout.
+// await reads the acks of the runs written before this request, then
+// its terminal frame, dispatching callbacks throughout.
 // The payload is the terminal frame's, nil when the request failed. The
 // error is the request's own, the first deferred send rejection, or
 // both joined; the rejection is reported only once the terminal frame
@@ -349,11 +414,12 @@ func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 		case msgReceive:
 			class := d.Name(&c.names)
 			t := d.Float64()
-			values := Values(d.OwnValues(&c.names))
+			d.OwnValuesRun(d.Count(), &c.names, func(v map[string][]byte) {
+				c.amb.ReceiveInteraction(class, Values(v), t)
+			})
 			if d.Err() != nil {
 				return nil, nil, d.Err()
 			}
-			c.amb.ReceiveInteraction(class, values, t)
 			if rstart != 0 {
 				rend := obs.RPCClock()
 				obs.RecordRPC(obs.KindClientRecv, obs.OpInteraction, obs.ChildContext(rtc), rstart, rend)
@@ -480,21 +546,26 @@ func (c *Client) UpdateAttributeValues(obj ObjectHandle, attrs Values, ts float6
 // SendInteraction mirrors Federate.SendInteraction, pipelined. A send
 // that passes the local check — joined, the class published by this
 // client, ts a number no earlier than the last grant plus lookahead —
-// is buffered and returns nil without waiting for its ack; the frame
-// leaves with the next synchronous request, a full window or Close. If
-// the server still rejects it, the next synchronous call returns the
-// rejection (see Client). A send the local check rejects goes as a
-// round trip instead, so its error is the server's own and returns now.
+// is added to the open run and returns nil without waiting for an ack.
+// The run holds consecutive such sends of one class and one timestamp
+// and leaves as one frame, acked once; it closes when the class or the
+// timestamp changes, when the next send would take the frame past
+// maxRunFrame, before any other request, and on a full window or
+// Close. If the server still rejects the run, the next synchronous call
+// returns the rejection (see Client). A send the local check rejects
+// goes as a round trip of its own instead, so its error is the
+// server's own and returns now.
 func (c *Client) SendInteraction(class string, params Values, ts float64) error {
 	start := obs.RPCClock()
+	if c.joined && checkSend(class, c.published[class], ts, c.granted, c.lookahead) == nil {
+		return c.appendRun(class, params, ts, start)
+	}
 	e := c.encode(msgInteraction)
 	e.PutString(class)
 	e.PutFloat64(ts)
+	e.PutCount(1)
 	e.PutValues(params)
-	if !c.joined || checkSend(class, c.published[class], ts, c.granted, c.lookahead) != nil {
-		return c.call(obs.OpInteraction, start)
-	}
-	return c.enqueue(obs.OpInteraction, start)
+	return c.call(obs.OpInteraction, start)
 }
 
 // DeleteObjectInstance mirrors Federate.DeleteObjectInstance.

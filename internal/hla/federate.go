@@ -203,16 +203,18 @@ func filterValues(attrs Values, subscribed map[string]bool) Values {
 
 // SendInteraction sends a timestamped interaction to subscribers.
 func (f *Federate) SendInteraction(class string, params Values, ts float64) error {
-	return f.sendInteraction(class, nil, params, ts, wire.TraceContext{})
+	return f.sendInteraction(class, nil, 1, params, ts, wire.TraceContext{})
 }
 
-// sendInteraction is SendInteraction with the originating request's
-// trace context (see updateAttributeValues). The parameters come as
-// block, a values block in canonical wire form (wire.ValuesBlock)
-// that the caller may reuse once the call returns, or, when block is
-// nil, as params. Either way they are written once into the sender's
-// arena, and every subscriber's callback shares that one block.
-func (f *Federate) sendInteraction(class string, block []byte, params Values, ts float64, tc wire.TraceContext) error {
+// sendInteraction sends a run of n interactions of one class and time,
+// with the originating request's trace context (see
+// updateAttributeValues). The parameters come as run, n values blocks
+// in canonical wire form back to back (wire.Decoder.ValuesRun) that
+// the caller may reuse once the call returns, or, when run is nil, as
+// params, a run of one. Either way they are written once into the
+// sender's arena, and each subscriber gets one callback that shares
+// them.
+func (f *Federate) sendInteraction(class string, run []byte, n int, params Values, ts float64, tc wire.TraceContext) error {
 	enq := obs.RPCClock()
 	f.fed.mu.Lock()
 	defer f.fed.mu.Unlock()
@@ -228,13 +230,13 @@ func (f *Federate) sendInteraction(class string, block []byte, params Values, ts
 			continue
 		}
 		if shared == nil {
-			if block != nil {
-				shared = f.st.arena.copy(block)
+			if run != nil {
+				shared = f.st.arena.copy(run)
 			} else {
 				shared = f.st.arena.encode(params)
 			}
 		}
-		f.fed.routeTSO(other, callback{kind: cbInteraction, class: class, block: shared, time: ts, tc: tc, enqueuedNS: enq})
+		f.fed.routeTSO(other, callback{kind: cbInteraction, class: class, run: shared, n: n, time: ts, tc: tc, enqueuedNS: enq})
 	}
 	return nil
 }

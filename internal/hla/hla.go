@@ -103,12 +103,12 @@ func (v Values) copyKeys(keep map[string]bool) Values {
 const blockChunk = ioBufferSize
 
 // blockArena is the append-only store of the interaction parameter
-// blocks one federate sends. Each block is carved from the current
-// chunk, capped at its own length and never rewritten, so all the
-// subscribers of an interaction share it. A chunk that is full is left
-// to the blocks carved from it: the arena retains its current chunk,
-// and a full chunk lives on only while a queued callback refers to one
-// of its blocks.
+// blocks one federate sends. Each run of blocks is carved from the
+// current chunk, capped at its own length and never rewritten, so all
+// the subscribers of the run share it. A chunk that is full is left to
+// the runs carved from it: the arena retains its current chunk, and a
+// full chunk lives on only while a queued callback refers to one of its
+// runs.
 type blockArena struct {
 	buf []byte
 }
@@ -173,20 +173,22 @@ const (
 )
 
 // callback is one queued ambassador invocation. A reflect carries its
-// receiver's own values; an interaction carries block, its parameters
-// in canonical wire form, shared read-only by every receiver of the
-// interaction (see blockArena). tc carries the originating request's
-// trace context across the TSO queue (zero for untraced sends) and
-// enqueuedNS its wall-clock enqueue stamp (0 when observability was
-// off at send time); neither influences delivery semantics, so traced
-// and untraced runs stay bit-identical.
+// receiver's own values; an interaction carries a run of n
+// interactions of one class and time, their parameters n values blocks
+// in canonical wire form back to back, shared read-only by every
+// receiver of the run (see blockArena). tc carries the originating
+// request's trace context across the TSO queue (zero for untraced
+// sends) and enqueuedNS its wall-clock enqueue stamp (0 when
+// observability was off at send time); neither influences delivery
+// semantics, so traced and untraced runs stay bit-identical.
 type callback struct {
 	kind       callbackKind
 	object     ObjectHandle
 	class      string
 	name       string
 	values     Values
-	block      []byte
+	run        []byte
+	n          int
 	time       float64
 	tc         wire.TraceContext
 	enqueuedNS int64
@@ -200,16 +202,18 @@ type tracedDeliverer interface {
 	deliverTraced(c callback) bool
 }
 
-// blockReceiver is implemented by ambassadors that take an
-// interaction's parameters as its shared block (the TCP transport's
-// remote ambassador, which writes the block out verbatim). Every other
-// ambassador gets its own Values, decoded from the block.
-type blockReceiver interface {
-	receiveBlock(class string, block []byte, t float64)
+// runReceiver is implemented by ambassadors that take a run of
+// interactions as its shared blocks (the TCP transport's remote
+// ambassador, which writes them out verbatim). Every other ambassador
+// gets one ReceiveInteraction per interaction, in send order, each with
+// Values of its own decoded from the run.
+type runReceiver interface {
+	receiveRun(class string, run []byte, n int, t float64)
 }
 
-// deliver invokes the callback on amb. An interaction's parameter names
-// are decoded through names, the receiving federate's intern table.
+// deliver invokes the callback on amb. A run's parameter names are
+// decoded through names, the receiving federate's intern table, and
+// its Values share one backing array (wire.Decoder.OwnValuesRun).
 func (c callback) deliver(amb Ambassador, names *wire.Interner) {
 	if (c.tc.Valid() || c.enqueuedNS != 0) && (c.kind == cbReflect || c.kind == cbInteraction) {
 		if td, ok := amb.(tracedDeliverer); ok && td.deliverTraced(c) {
@@ -222,11 +226,13 @@ func (c callback) deliver(amb Ambassador, names *wire.Interner) {
 	case cbReflect:
 		amb.ReflectAttributeValues(c.object, c.values, c.time)
 	case cbInteraction:
-		if br, ok := amb.(blockReceiver); ok {
-			br.receiveBlock(c.class, c.block, c.time)
+		if rr, ok := amb.(runReceiver); ok {
+			rr.receiveRun(c.class, c.run, c.n, c.time)
 			return
 		}
-		amb.ReceiveInteraction(c.class, Values(wire.NewDecoder(c.block).OwnValues(names)), c.time)
+		wire.NewDecoder(c.run).OwnValuesRun(c.n, names, func(v map[string][]byte) {
+			amb.ReceiveInteraction(c.class, Values(v), c.time)
+		})
 	case cbRemove:
 		amb.RemoveObjectInstance(c.object)
 	case cbGrant:

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"github.com/mobilegrid/adf/internal/wire"
 )
 
 // onServer runs edit on the RTI-side record of the federate c joined
@@ -155,7 +157,8 @@ func TestPipelinedSendRejectedOnServer(t *testing.T) {
 // interactions with no synchronous call in between, once accepted and
 // once all rejected on the server (error acks are larger than ok
 // acks): nothing deadlocks, the acks owed never exceed the window and
-// every send is accounted for.
+// every send is accounted for. The sends share a class and a time, so
+// they leave in runs as long as maxRunFrame allows.
 func TestPipelinedSendsBeyondWindow(t *testing.T) {
 	srv, _ := startTapServer(t)
 	addr := srv.Addr().String()
@@ -192,6 +195,18 @@ func TestPipelinedSendsBeyondWindow(t *testing.T) {
 		if node != i {
 			t.Fatalf("LU %d is node %d: sends reordered", i, node)
 		}
+	}
+	// A run's frame is its type, class, time and count, then the blocks.
+	perFrame := (maxRunFrame - (1 + 4 + len("LU") + 8 + 4)) / wire.ValuesSize(luValues(0))
+	fed, err := srv.RTI().federation("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.mu.Lock()
+	queued := fed.seq
+	fed.mu.Unlock()
+	if want := uint64((n + perFrame - 1) / perFrame); queued != want {
+		t.Errorf("%d sends were queued as %d messages, want %d runs of at most %d", n, queued, want, perFrame)
 	}
 
 	onServer(t, srv, send, func(st *federateState) { delete(st.pubInteractions, "LU") })

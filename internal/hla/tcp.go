@@ -47,7 +47,7 @@ func classifyErr(err error) obs.ErrClass {
 	if errors.As(err, &ne) && ne.Timeout() {
 		return obs.ErrTimeout
 	}
-	if errors.Is(err, wire.ErrShortBuffer) || errors.Is(err, wire.ErrFrameTooLarge) {
+	if errors.Is(err, wire.ErrShortBuffer) || errors.Is(err, wire.ErrFrameTooLarge) || errors.Is(err, wire.ErrMalformed) {
 		return obs.ErrDecode
 	}
 	return obs.ErrEOF
@@ -383,15 +383,16 @@ func (a *remoteAmbassador) ReflectAttributeValues(obj ObjectHandle, attrs Values
 }
 
 // ReceiveInteraction implements Ambassador. The RTI hands this
-// ambassador each interaction as its shared block (receiveBlock).
+// ambassador each run of interactions as its shared blocks
+// (receiveRun).
 func (a *remoteAmbassador) ReceiveInteraction(class string, params Values, t float64) {
-	a.receiveBlock(class, wire.AppendValues(nil, params), t)
+	a.receiveRun(class, wire.AppendValues(nil, params), 1, t)
 }
 
-// receiveBlock implements blockReceiver: the interaction's block goes
-// into the receive frame as it is.
-func (a *remoteAmbassador) receiveBlock(class string, block []byte, t float64) {
-	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReceive(e, class, block, t) })
+// receiveRun implements runReceiver: the run's n blocks go into one
+// receive frame as they are.
+func (a *remoteAmbassador) receiveRun(class string, run []byte, n int, t float64) {
+	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReceive(e, class, run, n, t) })
 }
 
 // putReflect encodes a reflect callback frame.
@@ -402,13 +403,15 @@ func putReflect(e *wire.Encoder, obj ObjectHandle, attrs Values, t float64) {
 	e.PutValues(attrs)
 }
 
-// putReceive encodes an interaction callback frame around the
-// interaction's values block.
-func putReceive(e *wire.Encoder, class string, block []byte, t float64) {
+// putReceive encodes the receive frame of a run of n interactions of
+// one class and time around their values blocks, the layout of the
+// interaction request frame it came in.
+func putReceive(e *wire.Encoder, class string, run []byte, n int, t float64) {
 	e.PutByte(msgReceive)
 	e.PutString(class)
 	e.PutFloat64(t)
-	e.PutRaw(block)
+	e.PutCount(n)
+	e.PutRaw(run)
 }
 
 func (a *remoteAmbassador) RemoveObjectInstance(obj ObjectHandle) {
@@ -428,7 +431,7 @@ func (a *remoteAmbassador) TimeAdvanceGrant(t float64) {
 var (
 	_ SyncAmbassador  = (*remoteAmbassador)(nil)
 	_ tracedDeliverer = (*remoteAmbassador)(nil)
-	_ blockReceiver   = (*remoteAmbassador)(nil)
+	_ runReceiver     = (*remoteAmbassador)(nil)
 )
 
 // deliverTraced forwards a traced reflect/interaction callback to the
@@ -461,7 +464,7 @@ func (a *remoteAmbassador) deliverTraced(c callback) bool {
 		if c.kind == cbReflect {
 			putReflect(e, c.object, c.values, c.time)
 		} else {
-			putReceive(e, c.class, c.block, c.time)
+			putReceive(e, c.class, c.run, c.n, c.time)
 		}
 	})
 	if start != 0 {
@@ -506,9 +509,9 @@ func (s *Server) handle(conn net.Conn) {
 	w := &connWriter{conn: conn, timeout: s.writeTimeout, bw: bufio.NewWriterSize(conn, ioBufferSize)}
 	defer w.flush()
 	// Each request is read into buf (see retain), and names are decoded
-	// through names. An interaction's parameters are passed on as the
-	// frame's values block, aliasing buf (canonicalised into canon when
-	// the sender's keys are not in order); an update's are decoded
+	// through names. An interaction frame's run of parameter blocks is
+	// passed on as it came, aliasing buf (canonicalised into canon when
+	// a sender's keys are not in order); an update's are decoded
 	// borrowed, into the reused map scratch, their values aliasing buf.
 	// This is safe because the RTI copies either (the sender's arena,
 	// filterValues) under fed.mu before the call returns, so nothing
@@ -614,19 +617,12 @@ func (s *Server) handle(conn net.Conn) {
 			s.respond(w, d.Err(), func() error { return fed.updateAttributeValues(obj, scratch, ts, rtc) })
 			clear(scratch)
 		case msgInteraction:
+			// One frame carries a run of interactions of one class and
+			// time: one send, one ack, one queue entry per receiver.
 			class := d.Name(&names)
 			ts := d.Float64()
-			block, ok := d.ValuesBlock()
-			if !ok && d.Err() == nil {
-				// Keys unsorted or repeated: canonicalise the block
-				// once, so subscribers get what PutValues writes.
-				d.BorrowValues(scratch, &names)
-				canon.Reset()
-				canon.PutValues(scratch)
-				block = canon.Bytes()
-				clear(scratch)
-			}
-			s.respond(w, d.Err(), func() error { return fed.sendInteraction(class, block, nil, ts, rtc) })
+			run, n := d.ValuesRun(&canon, scratch, &names)
+			s.respond(w, d.Err(), func() error { return fed.sendInteraction(class, run, n, nil, ts, rtc) })
 		case msgDelete:
 			obj := ObjectHandle(d.Int64())
 			s.respond(w, d.Err(), func() error { return fed.DeleteObjectInstance(obj) })

@@ -112,10 +112,10 @@ func dialTap(t *testing.T, addr string) (*Client, *tapConn) {
 // connection — moves it; how those bytes are split into socket writes
 // does not.
 var wireDigests = map[string]uint64{
-	"client/alpha": 0xe0dded99d1f249d4,
+	"client/alpha": 0xfb57f88672056118,
 	"client/beta":  0x47f3aec1161d4ed5,
-	"server/alpha": 0x2241a99c0dfa29d7,
-	"server/beta":  0x52c8dc1666a1dbf8,
+	"server/alpha": 0xcdfb5346cbf4c855,
+	"server/beta":  0xba4881f16f06b9d5,
 }
 
 // TestTransportWireIdentity runs a scripted two-federate TCP session
@@ -223,6 +223,8 @@ func luValues(node int) Values {
 // pipelined send, traced or not, takes no write of its own, and the
 // time advance that follows a step's batch of sends carries all of them
 // in no more writes than their bytes fill I/O buffers, plus one. The
+// batch, one class at one time with tracing on for its first send only,
+// is one run: the RTI queues it once for its one receiver. The
 // server acks the burst in a handful of writes, not one per send: it
 // flushes only when its next read would block. A receiver's time
 // advance that delivers the batch costs the server no more writes on
@@ -290,6 +292,16 @@ func TestTransportCoalescesWrites(t *testing.T) {
 	recvRec.mu.Unlock()
 	if got != lus {
 		t.Fatalf("receiver got %d interactions, want %d", got, lus)
+	}
+	fed, err := srv.RTI().federation("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.mu.Lock()
+	queued := fed.seq
+	fed.mu.Unlock()
+	if queued != 1 {
+		t.Errorf("%d sends of one class and time were queued as %d messages, want one run", lus, queued)
 	}
 	writes, bytes := writes1-writes0, bytes1-bytes0
 	if limit := (bytes+ioBufferSize-1)/ioBufferSize + 1; writes > limit {

@@ -26,6 +26,10 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame too large")
 	// ErrShortBuffer is returned when decoding runs past the payload.
 	ErrShortBuffer = errors.New("wire: short buffer")
+	// ErrMalformed is returned for a payload whose fields are in range
+	// but not a valid message: a run count of 0, or bytes left after
+	// the last field.
+	ErrMalformed = errors.New("wire: malformed payload")
 )
 
 // WriteFrame writes one length-prefixed frame.
@@ -48,6 +52,9 @@ type Encoder struct {
 
 // Bytes returns the encoded payload.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Len returns the length of the encoded payload.
+func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset clears the encoder for reuse.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
@@ -89,6 +96,17 @@ func (e *Encoder) PutStrings(ss []string) {
 // PutValues appends a string-keyed byte-slice map in sorted key order,
 // so equal maps encode identically (see AppendValues).
 func (e *Encoder) PutValues(v map[string][]byte) { e.buf = AppendValues(e.buf, v) }
+
+// PutCount appends the count of a run (Decoder.Count).
+func (e *Encoder) PutCount(n int) {
+	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(n))
+}
+
+// SetCount rewrites the count PutCount appended at offset off, for a
+// run whose length is known only once it closes.
+func (e *Encoder) SetCount(off, n int) {
+	binary.BigEndian.PutUint32(e.buf[off:], uint32(n))
+}
 
 // PutRaw appends b as it is: bytes already in wire form, such as a
 // values block (ValuesBlock).
@@ -147,9 +165,19 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns the number of undecoded bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
-func (d *Decoder) fail() {
+func (d *Decoder) fail() { d.failWith(ErrShortBuffer) }
+
+func (d *Decoder) failWith(err error) {
 	if d.err == nil {
-		d.err = fmt.Errorf("%w: offset %d of %d", ErrShortBuffer, d.off, len(d.buf))
+		d.err = fmt.Errorf("%w: offset %d of %d", err, d.off, len(d.buf))
+	}
+}
+
+// end checks that the payload is decoded to its end: bytes left over
+// are an ErrMalformed decoding error.
+func (d *Decoder) end() {
+	if d.err == nil && d.Remaining() != 0 {
+		d.failWith(ErrMalformed)
 	}
 }
 
@@ -286,23 +314,83 @@ func (d *Decoder) OwnValues(names *Interner) map[string][]byte {
 	// A first pass checks the entries and sums the value bytes, so the
 	// second allocates the map and the array once, at their final size.
 	start := d.off
+	size := d.skipValues()
+	if d.err != nil {
+		return nil
+	}
+	d.off = start
+	back := make([]byte, 0, size)
+	return d.ownValues(names, &back)
+}
+
+// Count reads the count of a run, whose elements (values blocks) take
+// at least 4 bytes each. A count of 0 is an ErrMalformed error, and a
+// count the remaining bytes cannot hold an ErrShortBuffer error, so a
+// count is never trusted beyond the payload behind it. It is 0 on a
+// decoding error.
+func (d *Decoder) Count() int {
+	b := d.take(4)
+	if b == nil {
+		return 0
+	}
+	n := int(binary.BigEndian.Uint32(b))
+	switch {
+	case n == 0:
+		d.failWith(ErrMalformed)
+	case n > d.Remaining()/4:
+		d.fail()
+	default:
+		return n
+	}
+	return 0
+}
+
+// OwnValuesRun reads the n values blocks of a run, after its count
+// (Count), which must end the payload, and hands them to each
+// in order, as maps for the caller to own with keys through the intern
+// table names (nil: none). All the values of the n maps share one new
+// backing array, each capped at its own length so an append to one
+// never overwrites the next. Every block is checked before the first is
+// handed over, so on a decoding error none is and Err reports it.
+func (d *Decoder) OwnValuesRun(n int, names *Interner, each func(map[string][]byte)) {
+	start := d.off
+	size := 0
+	for i := 0; i < n && d.err == nil; i++ {
+		size += d.skipValues()
+	}
+	d.end()
+	if d.err != nil {
+		return
+	}
+	d.off = start
+	back := make([]byte, 0, size)
+	for range n {
+		each(d.ownValues(names, &back))
+	}
+}
+
+// skipValues reads past one values block and returns the sum of its
+// value lengths.
+func (d *Decoder) skipValues() int {
 	n := d.length()
 	size := 0
 	for i := 0; i < n && d.err == nil; i++ {
 		d.view()
 		size += len(d.view())
 	}
-	if d.err != nil {
-		return nil
-	}
-	d.off = start + 4
+	return size
+}
+
+// ownValues decodes a values block that skipValues has checked, copying
+// its values onto the end of *back, which has the room.
+func (d *Decoder) ownValues(names *Interner, back *[]byte) map[string][]byte {
+	n := d.length()
 	out := make(map[string][]byte, n)
-	back := make([]byte, 0, size)
 	for range n {
 		k := d.Name(names)
-		i := len(back)
-		back = append(back, d.view()...)
-		out[k] = back[i:len(back):len(back)]
+		i := len(*back)
+		*back = append(*back, d.view()...)
+		out[k] = (*back)[i:len(*back):len(*back)]
 	}
 	return out
 }
@@ -352,6 +440,46 @@ func (d *Decoder) ValuesBlock() (block []byte, ok bool) {
 		return nil, false
 	}
 	return d.buf[start:d.off], true
+}
+
+// ValuesRun reads a run of values blocks — a count n (Count), then n
+// blocks back to back — which must end the payload, and returns
+// the blocks in canonical form, the form PutValues writes. When every
+// block is canonical (ValuesBlock), run is the blocks as they came,
+// aliasing the payload. Otherwise the run is written once into canon,
+// which it resets: the canonical blocks as they are, and each other
+// block decoded into scratch (BorrowValues, with names) and re-encoded.
+// On a decoding error run is nil, n is 0 and Err reports it.
+func (d *Decoder) ValuesRun(canon *Encoder, scratch map[string][]byte, names *Interner) (run []byte, n int) {
+	n = d.Count()
+	start := d.off
+	rewritten := false
+	for i := 0; i < n && d.err == nil; i++ {
+		at := d.off
+		block, ok := d.ValuesBlock()
+		switch {
+		case d.err != nil:
+		case !ok:
+			if !rewritten {
+				canon.Reset()
+				canon.PutRaw(d.buf[start:at])
+				rewritten = true
+			}
+			d.BorrowValues(scratch, names)
+			canon.PutValues(scratch)
+			clear(scratch)
+		case rewritten:
+			canon.PutRaw(block)
+		}
+	}
+	d.end()
+	switch {
+	case d.err != nil:
+		return nil, 0
+	case rewritten:
+		return canon.Bytes(), n
+	}
+	return d.buf[start:d.off], n
 }
 
 // internCap and internMaxLen bound an Interner: it holds at most

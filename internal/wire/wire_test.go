@@ -401,6 +401,31 @@ func TestDecoderCountHintsBounded(t *testing.T) {
 		{"OwnValues", func(d *Decoder) { d.OwnValues(&Interner{}) }, 32 << 20},
 		{"BorrowValues", func(d *Decoder) { d.BorrowValues(make(map[string][]byte), &Interner{}) }, 32 << 20},
 	}
+	// A run count the payload's length admits, over garbage blocks.
+	run := slices.Clone(crafted)
+	binary.BigEndian.PutUint32(run, uint32((size-4)/4))
+	runCases := []struct {
+		name   string
+		decode func(d *Decoder)
+		limit  uint64
+	}{
+		{"ValuesRun", func(d *Decoder) { d.ValuesRun(&Encoder{}, make(map[string][]byte), &Interner{}) }, 1 << 20},
+		{"OwnValuesRun", func(d *Decoder) { d.OwnValuesRun(d.Count(), &Interner{}, func(map[string][]byte) {}) }, 1 << 20},
+	}
+	for _, tc := range runCases {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		d := NewDecoder(run)
+		tc.decode(d)
+		runtime.ReadMemStats(&after)
+		if d.Err() == nil {
+			t.Errorf("%s: garbage blocks decoded without error", tc.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.limit {
+			t.Errorf("%s: a %d-byte run allocated %d bytes, want at most %d", tc.name, size, got, tc.limit)
+		}
+	}
 	for _, tc := range cases {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -620,6 +645,126 @@ func FuzzValuesDecode(f *testing.F) {
 			if borrowed.err == nil || d.Err().Error() != borrowed.err.Error() {
 				t.Fatalf("block error %v, borrowed decode error %v", d.Err(), borrowed.err)
 			}
+		}
+	})
+}
+
+// referenceRun decodes a values run the plain way: a nonzero count,
+// then that many blocks through the copying Values, and nothing after.
+func referenceRun(data []byte) ([]map[string][]byte, bool) {
+	if len(data) < 4 || binary.BigEndian.Uint32(data) == 0 {
+		return nil, false
+	}
+	n := binary.BigEndian.Uint32(data)
+	d := NewDecoder(data[4:])
+	var out []map[string][]byte
+	for range n {
+		m := d.Values()
+		if d.Err() != nil {
+			return nil, false
+		}
+		out = append(out, m)
+	}
+	return out, d.Remaining() == 0
+}
+
+// FuzzInteractionFrame holds the run decoders an interaction frame goes
+// through — Count, the server's ValuesRun and a receiving client's
+// OwnValuesRun — to the plain decode of referenceRun. The input is a
+// run: a count, then values blocks. On any input neither may panic;
+// both fail exactly when the reference does (a count of 0, a count the
+// blocks do not fill, a bad block, bytes after the last block), with
+// ErrMalformed or ErrShortBuffer; Count never returns more than the
+// remaining bytes can hold. An accepted run decodes to the reference's
+// maps, in order: ValuesRun's bytes are the concatenation of each map's
+// PutValues encoding — the input itself, aliased, when every block is
+// canonical — and OwnValuesRun's values are capped at their lengths.
+func FuzzInteractionFrame(f *testing.F) {
+	block := func(kv ...string) []byte {
+		b := binary.BigEndian.AppendUint32(nil, uint32(len(kv)/2))
+		for _, s := range kv {
+			b = appendPrefixed(b, s)
+		}
+		return b
+	}
+	run := func(count int, blocks ...[]byte) []byte {
+		b := binary.BigEndian.AppendUint32(nil, uint32(count))
+		for _, bl := range blocks {
+			b = append(b, bl...)
+		}
+		return b
+	}
+	lu := block("node", "\x00\x01", "x", "12345678", "y", "")
+	unsorted := block("y", "2", "x", "1")
+	repeated := block("x", "first", "x", "second")
+	three := run(3, lu, unsorted, block())
+	f.Add(run(1, lu))
+	f.Add(three)
+	f.Add(run(4, lu, repeated, lu, lu))
+	f.Add(run(0))
+	f.Add(run(0, lu))
+	f.Add(run(2, lu))
+	f.Add(run(1<<30, lu))
+	f.Add(append(run(1, lu), 0))
+	for _, cut := range []int{2, 4, 9, len(three) / 2, len(three) - 1} {
+		f.Add(three[:cut])
+	}
+
+	var names Interner
+	scratch := make(map[string][]byte)
+	var canon Encoder
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, ok := referenceRun(data)
+		checkErr := func(name string, err error) {
+			t.Helper()
+			if (err == nil) != ok {
+				t.Fatalf("%s error %v, reference accepts: %v", name, err, ok)
+			}
+			if err != nil && !errors.Is(err, ErrMalformed) && !errors.Is(err, ErrShortBuffer) {
+				t.Fatalf("%s error %v is neither ErrMalformed nor ErrShortBuffer", name, err)
+			}
+		}
+
+		d := NewDecoder(data)
+		got, n := d.ValuesRun(&canon, scratch, &names)
+		checkErr("ValuesRun", d.Err())
+		if ok {
+			var e Encoder
+			for _, m := range want {
+				e.PutValues(m)
+			}
+			if n != len(want) || !bytes.Equal(got, e.Bytes()) {
+				t.Fatalf("ValuesRun = %d blocks %x, want %d blocks %x", n, got, len(want), e.Bytes())
+			}
+			aliased := len(got) > 0 && &got[0] == &data[4]
+			if canonical := bytes.Equal(got, data[4:]); aliased != canonical {
+				t.Fatalf("ValuesRun aliases the input: %v; the input is canonical: %v", aliased, canonical)
+			}
+		}
+
+		d = NewDecoder(data)
+		count := d.Count()
+		if d.Err() == nil && (count < 1 || count > d.Remaining()/4) {
+			t.Fatalf("Count = %d with %d bytes left", count, d.Remaining())
+		}
+		var owned []map[string][]byte
+		d.OwnValuesRun(count, &names, func(m map[string][]byte) {
+			for k, b := range m {
+				if cap(b) != len(b) {
+					t.Fatalf("owned value %q has cap %d > len %d", k, cap(b), len(b))
+				}
+			}
+			owned = append(owned, m)
+		})
+		checkErr("OwnValuesRun", d.Err())
+		if !ok && len(owned) != 0 {
+			t.Fatalf("OwnValuesRun handed over %d maps of a run it failed on", len(owned))
+		}
+		if ok && !slices.EqualFunc(owned, want, func(a, b map[string][]byte) bool { return maps.EqualFunc(a, b, bytes.Equal) }) {
+			t.Fatalf("OwnValuesRun = %v, want %v", owned, want)
+		}
+		if len(names.m) > internCap {
+			t.Fatalf("intern table holds %d names, cap %d", len(names.m), internCap)
 		}
 	})
 }
