@@ -77,43 +77,57 @@ func (c Config) Validate() error {
 	return c.Cluster.Validate()
 }
 
-// nodeState is the ADF's per-node bookkeeping, held by value in the
-// ADF's compact node store with the classifier embedded.
+// nodeState is the front's per-node bookkeeping, held by value in the
+// front's compact node store with the classifier embedded.
 type nodeState struct {
-	cls Classifier
-	// anchor is the distance-comparison reference: the last transmitted
-	// location (Anchored) or the previous sample (PerStep).
-	anchor   geo.Point
-	pattern  MobilityPattern
-	seenOnce bool
+	cls     Classifier
+	pattern MobilityPattern
 	// live is false once the node is forgotten; a rejoin revives the
 	// slot with its classifier ring intact.
 	live bool
+	// updated is set once the node has been updated since its last
+	// forget, at the virtual time at. ready, clustered and mean are
+	// that update's threshold inputs, read right after it: a later view
+	// of the same LU must see the cluster mean as it was then, not after
+	// the nodes updated since.
+	updated, ready, clustered bool
+	at, mean                  float64
+	// gen counts the slot's forgets; a view whose slot carries an older
+	// generation resets its own state for the node.
+	gen uint32
 }
 
 // forget resets the slot in place for a later rejoin, keeping the
-// classifier's ring.
+// classifier's ring and bumping the generation.
 func (st *nodeState) forget() {
-	cls := st.cls
+	cls, gen := st.cls, st.gen+1
 	cls.reset()
-	*st = nodeState{cls: cls}
+	*st = nodeState{cls: cls, gen: gen}
 }
 
-// ADF is the Adaptive Distance Filter of section 3.2. It implements
-// filter.Filter so experiments can swap it against the baselines.
-//
-// The six-step process of section 3.4 maps onto the implementation as
-// follows: steps (1)–(2), initial pattern recognition and cluster
-// construction, happen as each node's classifier window fills; steps
-// (3)–(5), location acquisition, distance filtering and transmission,
-// happen in Offer; step (6), cluster reconstruction, runs every
-// ReclusterInterval of virtual time.
-type ADF struct {
+// viewState is one factor view's per-node state.
+type viewState struct {
+	// anchor is the distance-comparison reference: the last transmitted
+	// location (Anchored) or the previous sample (PerStep).
+	anchor   geo.Point
+	seenOnce bool
+	// gen is the front slot generation the state belongs to.
+	gen uint32
+}
+
+// front is the DTH-independent half of the ADF — the paper's steps
+// (1)–(2) and (6): every node's classifier ring and pattern, the
+// cluster manager and its periodic reconstruction. Every factor view of
+// one ADF reads one front, which updates each node once per LU time
+// however many views are offered it.
+type front struct {
+	// cfg is the configuration of the ADF that built the front; only
+	// its Classifier, Cluster and ReclusterInterval are read here.
 	cfg Config
 	// index maps a node ID to its slot in nodes. Slots are handed out in
 	// first-offer order — the order the owning shard visits its nodes —
 	// so the per-tick walk over node state is sequential, and the store
-	// grows with the nodes this instance has seen, not with the ID span.
+	// grows with the nodes this front has seen, not with the ID span.
 	index dense.Index
 	nodes []nodeState
 	// live counts the slots of nodes not forgotten.
@@ -130,6 +144,28 @@ type ADF struct {
 	featVals []cluster.Feature
 }
 
+// ADF is the Adaptive Distance Filter of section 3.2. It implements
+// filter.Filter so experiments can swap it against the baselines.
+//
+// The six-step process of section 3.4 maps onto the implementation as
+// follows: steps (1)–(2), initial pattern recognition and cluster
+// construction, happen as each node's classifier window fills; steps
+// (3)–(5), location acquisition, distance filtering and transmission,
+// happen in Offer; step (6), cluster reconstruction, runs every
+// ReclusterInterval of virtual time.
+//
+// An ADF is a factor view of a front that holds steps (1)–(2) and (6).
+// New builds a front with one view; At adds views at other DTH factors
+// that share it. Each view keeps its own anchors, so k views offered the
+// same LU stream decide bit for bit like k separate ADFs, while the
+// classification and clustering run once.
+type ADF struct {
+	cfg Config
+	f   *front
+	// views holds this view's per-node state, indexed by front slot.
+	views []viewState
+}
+
 var _ filter.Filter = (*ADF)(nil)
 
 // New returns an Adaptive Distance Filter with the given configuration.
@@ -141,7 +177,23 @@ func New(cfg Config) (*ADF, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ADF{cfg: cfg, clusters: cm}, nil
+	return &ADF{cfg: cfg, f: &front{cfg: cfg, clusters: cm}}, nil
+}
+
+// At returns a factor view of a's front at DTH factor factor: a filter
+// that shares a's classification and clustering and keeps its own
+// anchors. Views must be offered the same LU stream in tick lockstep —
+// every view offers a node's LU at time t before any offers its next
+// LU — as the pipeline's lanes do; a node forgotten through any view is
+// forgotten by all of them. At panics on a factor that is not positive
+// and finite.
+func (a *ADF) At(factor float64) filter.Filter {
+	cfg := a.cfg
+	cfg.DTHFactor = factor
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("core: ADF view: %v", err))
+	}
+	return &ADF{cfg: cfg, f: a.f}
 }
 
 // Name implements filter.Filter.
@@ -152,59 +204,102 @@ func (a *ADF) Name() string {
 // Config returns the filter's configuration.
 func (a *ADF) Config() Config { return a.cfg }
 
-// Offer implements filter.Filter: it feeds the node's classifier, keeps
-// the clustering current, sizes the node's DTH from its cluster's mean
-// speed, and applies the distance filter.
+// Offer implements filter.Filter: the front feeds the node's classifier
+// and keeps the clustering current, then the view sizes the node's DTH
+// from its cluster's mean speed and applies the distance filter.
 //
 //adf:hotpath
 func (a *ADF) Offer(lu filter.LU) filter.Decision {
-	st := a.state(lu.Node)
-	st.cls.Observe(lu.Time, lu.Pos)
-	a.maintainClustering(lu.Time, lu.Node, st)
+	slot, st := a.f.update(lu)
+	v := a.view(slot, st.gen)
+	dth := a.dthFor(st)
 
-	dth := a.dthFor(lu.Node, st)
-
-	if !st.seenOnce {
-		st.seenOnce = true
-		st.anchor = lu.Pos
+	if !v.seenOnce {
+		v.seenOnce = true
+		v.anchor = lu.Pos
 		return filter.Decision{Transmit: true, Threshold: dth}
 	}
-	dist := lu.Pos.Dist(st.anchor)
+	dist := lu.Pos.Dist(v.anchor)
 	transmit := dist >= dth
 	if transmit || a.cfg.Semantics == filter.PerStep {
-		st.anchor = lu.Pos
+		v.anchor = lu.Pos
 	}
 	return filter.Decision{Transmit: transmit, Distance: dist, Threshold: dth}
 }
 
-// state returns the node's live slot, reviving a forgotten one or
-// giving a first-seen node a new slot. The pointer is valid until the
-// next birth.
+// view returns the view's state for a front slot, reset when the slot
+// has been forgotten since the view last saw it.
 //
 //adf:hotpath
-func (a *ADF) state(node int) *nodeState {
-	slot, ok := a.index.Get(node)
+func (a *ADF) view(slot int, gen uint32) *viewState {
+	if slot >= len(a.views) {
+		//adf:allow hotpath — first sight of a node by this view:
+		// amortised growth of the view store, never a steady tick.
+		a.grow(slot + 1)
+	}
+	v := &a.views[slot]
+	if v.gen != gen {
+		*v = viewState{gen: gen}
+	}
+	return v
+}
+
+// grow extends the view store to n slots.
+func (a *ADF) grow(n int) {
+	a.views = append(a.views, make([]viewState, n-len(a.views))...)
+}
+
+// update runs the front's once-per-LU-time work for lu's node — the
+// classifier, the node's pattern and cluster membership and the
+// periodic reconstruction — and caches the node's threshold inputs. A
+// later offer of the node at the same time, through another view or
+// the same one, reuses the cache. It returns the node's slot and state;
+// the pointer is valid until the next birth.
+//
+//adf:hotpath
+func (f *front) update(lu filter.LU) (int, *nodeState) {
+	slot := f.state(lu.Node)
+	st := &f.nodes[slot]
+	if st.updated && geo.SameBits(st.at, lu.Time) {
+		return slot, st
+	}
+	st.cls.Observe(lu.Time, lu.Pos)
+	f.maintainClustering(lu.Time, lu.Node, st)
+	st.updated, st.at = true, lu.Time
+	st.ready = st.cls.Ready()
+	st.mean, st.clustered = 0, false
+	if st.ready {
+		st.mean, st.clustered = f.clusters.MeanSpeedOf(cluster.NodeID(lu.Node))
+	}
+	return slot, st
+}
+
+// state returns the node's live slot, reviving a forgotten one or
+// giving a first-seen node a new slot.
+//
+//adf:hotpath
+func (f *front) state(node int) int {
+	slot, ok := f.index.Get(node)
 	if !ok {
 		//adf:allow hotpath — first sight of a node: one classifier ring
 		// plus amortised growth of the slot store; every later tick,
 		// rejoins included, takes the index lookup above.
-		slot = a.birth(node)
+		slot = f.birth(node)
 	}
-	st := &a.nodes[slot]
-	if !st.live {
+	if st := &f.nodes[slot]; !st.live {
 		st.live = true
-		a.live++
+		f.live++
 		obs.PatternNodes(int(PatternUnknown)).Add(1)
 	}
-	return st
+	return slot
 }
 
 // birth appends a slot for a first-seen node and returns its number.
-func (a *ADF) birth(node int) int {
-	slot := len(a.nodes)
-	a.index.Put(node, slot)
-	a.nodes = append(a.nodes, nodeState{})
-	a.nodes[slot].cls.init(&a.cfg.Classifier)
+func (f *front) birth(node int) int {
+	slot := len(f.nodes)
+	f.index.Put(node, slot)
+	f.nodes = append(f.nodes, nodeState{})
+	f.nodes[slot].cls.init(&f.cfg.Classifier)
 	return slot
 }
 
@@ -212,7 +307,7 @@ func (a *ADF) birth(node int) int {
 // the periodic reconstruction.
 //
 //adf:hotpath
-func (a *ADF) maintainClustering(now float64, node int, st *nodeState) {
+func (f *front) maintainClustering(now float64, node int, st *nodeState) {
 	if !st.cls.Ready() {
 		return
 	}
@@ -230,27 +325,27 @@ func (a *ADF) maintainClustering(now float64, node int, st *nodeState) {
 	switch {
 	case st.pattern == PatternStop:
 		// The paper excludes Stop-state nodes from clustering.
-		a.clusters.Remove(nid)
+		f.clusters.Remove(nid)
 	case prev != st.pattern:
 		// Pattern changed (or was just learned): (re-)assign immediately.
-		a.clusters.Assign(nid, st.cls.Feature())
+		f.clusters.Assign(nid, st.cls.Feature())
 	default:
-		if _, clustered := a.clusters.ClusterOf(nid); !clustered {
-			a.clusters.Assign(nid, st.cls.Feature())
+		if _, clustered := f.clusters.ClusterOf(nid); !clustered {
+			f.clusters.Assign(nid, st.cls.Feature())
 		}
 	}
 
-	if !a.started {
-		a.started = true
-		a.lastRebuild = now
+	if !f.started {
+		f.started = true
+		f.lastRebuild = now
 		return
 	}
-	if a.cfg.ReclusterInterval > 0 && now-a.lastRebuild >= a.cfg.ReclusterInterval {
+	if f.cfg.ReclusterInterval > 0 && now-f.lastRebuild >= f.cfg.ReclusterInterval {
 		//adf:allow hotpath — periodic reclustering (the paper's step 6)
 		// runs once per ReclusterInterval, not per tick: a declared cold
 		// path, so the call-graph walk stops here.
-		a.rebuild(now)
-		a.lastRebuild = now
+		f.rebuild(now)
+		f.lastRebuild = now
 	}
 }
 
@@ -258,43 +353,43 @@ func (a *ADF) maintainClustering(now float64, node int, st *nodeState) {
 // current feature (the paper's step 6) and records the DTH-recompute
 // event: each reconstruction re-derives every cluster's mean speed and
 // therefore every member's distance threshold.
-func (a *ADF) rebuild(now float64) {
-	a.featIDs = a.featIDs[:0]
-	a.featVals = a.featVals[:0]
+func (f *front) rebuild(now float64) {
+	f.featIDs = f.featIDs[:0]
+	f.featVals = f.featVals[:0]
 	// The index visits every ID ascending — negative and far-sparse IDs
 	// included — which is the order RebuildOrdered requires.
-	a.index.Range(func(id, slot int) bool {
-		if st := &a.nodes[slot]; st.live && st.cls.Ready() && st.pattern != PatternStop {
-			a.featIDs = append(a.featIDs, cluster.NodeID(id))
-			a.featVals = append(a.featVals, st.cls.Feature())
+	f.index.Range(func(id, slot int) bool {
+		if st := &f.nodes[slot]; st.live && st.cls.Ready() && st.pattern != PatternStop {
+			f.featIDs = append(f.featIDs, cluster.NodeID(id))
+			f.featVals = append(f.featVals, st.cls.Feature())
 		}
 		return true
 	})
-	formed := a.clusters.RebuildOrdered(a.featIDs, a.featVals)
+	formed := f.clusters.RebuildOrdered(f.featIDs, f.featVals)
 	obs.Reclusters.Inc()
 	if obs.Events.On() {
 		obs.Events.Emit("recluster",
-			obs.F("t", now), obs.F("nodes", float64(len(a.featIDs))),
+			obs.F("t", now), obs.F("nodes", float64(len(f.featIDs))),
 			obs.F("clusters", float64(formed)))
 	}
 }
 
-// dthFor sizes the node's distance threshold. Until the node's window
-// fills the ADF behaves like the ideal LU (threshold 0 transmits
-// everything), matching the paper's observation that "the number of LUs of
-// the ADF is similar to the ideal LU at initial".
+// dthFor sizes the node's distance threshold from the front's cached
+// inputs. Until the node's window fills the ADF behaves like the ideal
+// LU (threshold 0 transmits everything), matching the paper's
+// observation that "the number of LUs of the ADF is similar to the
+// ideal LU at initial".
 //
 //adf:hotpath
-func (a *ADF) dthFor(node int, st *nodeState) float64 {
-	if !st.cls.Ready() {
+func (a *ADF) dthFor(st *nodeState) float64 {
+	if !st.ready {
 		return 0
 	}
-	mean, clustered := a.clusters.MeanSpeedOf(cluster.NodeID(node))
-	if !clustered {
+	if !st.clustered {
 		// Stop-state node: only genuine movement past the floor reports.
 		return a.cfg.MinDTH
 	}
-	dth := a.cfg.DTHFactor * mean * a.cfg.SamplePeriod
+	dth := a.cfg.DTHFactor * st.mean * a.cfg.SamplePeriod
 	if dth < a.cfg.MinDTH {
 		dth = a.cfg.MinDTH
 	}
@@ -302,38 +397,41 @@ func (a *ADF) dthFor(node int, st *nodeState) float64 {
 	return dth
 }
 
-// Preallocate implements filter.Preallocator: it sizes the node index
-// and the clustering's per-node stores for IDs in [0, n). The node
-// slots themselves grow with the nodes actually offered.
+// Preallocate implements filter.Preallocator: it sizes the front's node
+// index and the clustering's per-node stores for IDs in [0, n). The
+// node slots themselves grow with the nodes actually offered.
 func (a *ADF) Preallocate(n int) {
-	a.index.Grow(n)
-	a.clusters.Preallocate(n)
+	a.f.index.Grow(n)
+	a.f.clusters.Preallocate(n)
 }
 
-// Forget implements filter.Filter. The node's slot is reset in place
-// and revived if the node rejoins.
+// Forget implements filter.Filter: the front resets the node's slot in
+// place, to be revived if the node rejoins, and every view drops its
+// state for the node. Forgetting through a second view of the same
+// front is a no-op.
 func (a *ADF) Forget(node int) {
-	if slot, ok := a.index.Get(node); ok {
-		if st := &a.nodes[slot]; st.live {
+	f := a.f
+	if slot, ok := f.index.Get(node); ok {
+		if st := &f.nodes[slot]; st.live {
 			obs.PatternNodes(int(st.pattern)).Add(-1)
 			st.forget()
-			a.live--
+			f.live--
 		}
 	}
-	a.clusters.Remove(cluster.NodeID(node))
+	f.clusters.Remove(cluster.NodeID(node))
 }
 
 // PatternOf returns the current mobility pattern of a node.
 func (a *ADF) PatternOf(node int) MobilityPattern {
-	slot, ok := a.index.Get(node)
+	slot, ok := a.f.index.Get(node)
 	if !ok {
 		return PatternUnknown
 	}
-	return a.nodes[slot].pattern
+	return a.f.nodes[slot].pattern
 }
 
 // ClusterCount returns the number of live clusters.
-func (a *ADF) ClusterCount() int { return a.clusters.Len() }
+func (a *ADF) ClusterCount() int { return a.f.clusters.Len() }
 
 // ClusterStats summarises one cluster for diagnostics and experiments.
 type ClusterStats struct {
@@ -345,7 +443,7 @@ type ClusterStats struct {
 
 // Clusters returns per-cluster statistics ordered by cluster ID.
 func (a *ADF) Clusters() []ClusterStats {
-	cs := a.clusters.Clusters()
+	cs := a.f.clusters.Clusters()
 	out := make([]ClusterStats, 0, len(cs))
 	for _, c := range cs {
 		dth := a.cfg.DTHFactor * c.MeanSpeed() * a.cfg.SamplePeriod
@@ -364,4 +462,4 @@ func (a *ADF) Clusters() []ClusterStats {
 }
 
 // NodeCount returns the number of nodes the ADF is tracking.
-func (a *ADF) NodeCount() int { return a.live }
+func (a *ADF) NodeCount() int { return a.f.live }

@@ -4,7 +4,7 @@ import "github.com/mobilegrid/adf/internal/sanitize"
 
 // StateDigester is implemented by pipeline components that can fold
 // their internal state into a per-tick checksum. The engine asks each
-// shard's filter for it when comparing runs at different worker counts;
+// shard's filters for it when comparing runs at different worker counts;
 // the brokers implement the same method directly.
 type StateDigester interface {
 	// DigestState writes the component's state into d in a
@@ -13,10 +13,11 @@ type StateDigester interface {
 }
 
 // StateDigest returns the FNV-1a checksum of the pipeline's full
-// simulation state: every node's identity and true position, both
-// brokers' DBs and counters, then per shard (in shard order) the
-// shard's name, membership and filter state when the filter exposes a
-// digest, and finally the churn population. Two runs are bit-for-bit
+// simulation state: every node's identity and true position, each
+// lane's broker DBs and counters, then per shard (in shard order) the
+// shard's name, membership and each lane's filter state when the filter
+// exposes a digest, and finally the churn population. With one lane it
+// is the digest of a single-filter run. Two runs are bit-for-bit
 // identical exactly when this digest matches tick for tick;
 // experiment.CompareShardDigests drives it across worker counts.
 func (p *Pipeline) StateDigest() uint64 {
@@ -27,16 +28,20 @@ func (p *Pipeline) StateDigest() uint64 {
 		d.WriteFloat64(pos.X)
 		d.WriteFloat64(pos.Y)
 	}
-	p.NoLE.DigestState(&d)
-	p.WithLE.DigestState(&d)
+	for _, ln := range p.Lanes {
+		ln.NoLE.DigestState(&d)
+		ln.WithLE.DigestState(&d)
+	}
 	for _, sh := range p.shards {
 		d.WriteString(sh.name)
 		d.WriteInt(len(sh.members))
 		for _, i := range sh.members {
 			d.WriteInt(p.Nodes[i].ID())
 		}
-		if f, ok := sh.filt.(StateDigester); ok {
-			f.DigestState(&d)
+		for l := range sh.lanes {
+			if f, ok := sh.lanes[l].filt.(StateDigester); ok {
+				f.DigestState(&d)
+			}
 		}
 	}
 	if p.Churn != nil {

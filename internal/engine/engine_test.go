@@ -45,16 +45,26 @@ func newTestPipeline(t *testing.T, dropProb float64, churn *KeyedChurn, obs Obse
 	return &Pipeline{
 		Nodes:        nodes,
 		Net:          net,
-		NewFilter:    idealFactory,
-		NoLE:         broker.New(nil),
-		WithLE:       broker.New(nil),
+		NewFilters:   oneLane(idealFactory),
+		Lanes:        []Lane{{NoLE: broker.New(nil), WithLE: broker.New(nil), Observer: obs}},
 		Churn:        churn,
 		SamplePeriod: 1,
-		Observer:     obs,
 	}
 }
 
 func idealFactory() (filter.Filter, error) { return filter.NewIdealLU(), nil }
+
+// oneLane adapts a single-filter factory to NewFilters for a one-lane
+// pipeline.
+func oneLane(mk func() (filter.Filter, error)) func() ([]filter.Filter, error) {
+	return func() ([]filter.Filter, error) {
+		f, err := mk()
+		if err != nil {
+			return nil, err
+		}
+		return []filter.Filter{f}, nil
+	}
+}
 
 func TestPipelineIdealNoDrop(t *testing.T) {
 	obs := &countingObserver{}
@@ -77,7 +87,7 @@ func TestPipelineIdealNoDrop(t *testing.T) {
 	if obs.errs != 2*nodes*10 {
 		t.Errorf("errs = %d, want %d", obs.errs, 2*nodes*10)
 	}
-	if got := p.NoLE.NodeCount(); got != nodes {
+	if got := p.Lanes[0].NoLE.NodeCount(); got != nodes {
 		t.Errorf("broker tracks %d nodes, want %d", got, nodes)
 	}
 }
@@ -117,9 +127,10 @@ func TestPipelineValidate(t *testing.T) {
 	breakages := []func(*Pipeline){
 		func(p *Pipeline) { p.Nodes = nil },
 		func(p *Pipeline) { p.Net = nil },
-		func(p *Pipeline) { p.NewFilter = nil },
-		func(p *Pipeline) { p.NoLE = nil },
-		func(p *Pipeline) { p.WithLE = nil },
+		func(p *Pipeline) { p.NewFilters = nil },
+		func(p *Pipeline) { p.Lanes = nil },
+		func(p *Pipeline) { p.Lanes[0].NoLE = nil },
+		func(p *Pipeline) { p.Lanes[0].WithLE = nil },
 		func(p *Pipeline) { p.SamplePeriod = 0 },
 		func(p *Pipeline) { p.Workers = -1 },
 	}
@@ -157,7 +168,7 @@ func TestChurnForgetAndRejoin(t *testing.T) {
 	if obs.offered != 0 {
 		t.Errorf("offered = %d during mass departure, want 0", obs.offered)
 	}
-	if got := p.NoLE.NodeCount(); got != 0 {
+	if got := p.Lanes[0].NoLE.NodeCount(); got != 0 {
 		t.Errorf("broker still tracks %d nodes after departure", got)
 	}
 
@@ -243,7 +254,7 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 		// The error of tick 3 surfaces from Tick(4).
 		obs := &tickFailObserver{failAt: 3, err: boom}
 		p := newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
-		p.Observer = obs
+		p.Lanes[0].Observer = obs
 		for tick := 1; tick <= 3; tick++ {
 			if err := p.Tick(float64(tick)); err != nil {
 				t.Fatalf("workers=%d: Tick(%d) = %v before the failing round was replayed", workers, tick, err)
@@ -271,7 +282,7 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 		// The error of the last tick surfaces from Close.
 		obs = &tickFailObserver{failAt: 2, err: boom}
 		p = newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
-		p.Observer = obs
+		p.Lanes[0].Observer = obs
 		for tick := 1; tick <= 2; tick++ {
 			if err := p.Tick(float64(tick)); err != nil {
 				t.Fatalf("workers=%d: Tick(%d) = %v", workers, tick, err)
@@ -286,7 +297,7 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 	// restarted pool: every round reaches the observers exactly once.
 	obs := &tickFailObserver{}
 	p := newTestSharded(t, 5, 0, [2]float64{}, 2, idealFactory)
-	p.Observer = obs
+	p.Lanes[0].Observer = obs
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
 		if err := p.Close(); err != nil {

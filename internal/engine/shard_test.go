@@ -36,9 +36,8 @@ func newTestSharded(t *testing.T, seed int64, dropProb float64, churnProbs [2]fl
 	return &Pipeline{
 		Nodes:        nodes,
 		Net:          net,
-		NewFilter:    newFilter,
-		NoLE:         broker.New(nil),
-		WithLE:       broker.New(nil),
+		NewFilters:   oneLane(newFilter),
+		Lanes:        []Lane{{NoLE: broker.New(nil), WithLE: broker.New(nil)}},
 		Churn:        churn,
 		SamplePeriod: 1,
 		Workers:      workers,
@@ -94,8 +93,8 @@ func TestShardedMatchesClassicState(t *testing.T) {
 		if err := region.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		cd := worldDigest(campusP.Nodes, campusP.NoLE, campusP.WithLE, campusP.Churn)
-		rd := worldDigest(region.Nodes, region.NoLE, region.WithLE, region.Churn)
+		cd := worldDigest(campusP.Nodes, campusP.Lanes[0].NoLE, campusP.Lanes[0].WithLE, campusP.Churn)
+		rd := worldDigest(region.Nodes, region.Lanes[0].NoLE, region.Lanes[0].WithLE, region.Churn)
 		if cd != rd {
 			t.Fatalf("tick %d: campus digest %x != region digest %x", tick, cd, rd)
 		}
@@ -104,10 +103,10 @@ func TestShardedMatchesClassicState(t *testing.T) {
 		t.Errorf("shard counts campus %d, region %d; want 1 and one per region",
 			len(campusP.ShardFilters()), len(region.ShardFilters()))
 	}
-	if got, want := region.NoLE.ReceivedLUs(), campusP.NoLE.ReceivedLUs(); got != want {
+	if got, want := region.Lanes[0].NoLE.ReceivedLUs(), campusP.Lanes[0].NoLE.ReceivedLUs(); got != want {
 		t.Errorf("ReceivedLUs = %d, want %d", got, want)
 	}
-	if got, want := region.WithLE.EstimatedLUs(), campusP.WithLE.EstimatedLUs(); got != want {
+	if got, want := region.Lanes[0].WithLE.EstimatedLUs(), campusP.Lanes[0].WithLE.EstimatedLUs(); got != want {
 		t.Errorf("EstimatedLUs = %d, want %d", got, want)
 	}
 }
@@ -177,8 +176,8 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 		if err := region.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		cd := worldDigest(campusP.Nodes, campusP.NoLE, campusP.WithLE, campusP.Churn)
-		rd := worldDigest(region.Nodes, region.NoLE, region.WithLE, region.Churn)
+		cd := worldDigest(campusP.Nodes, campusP.Lanes[0].NoLE, campusP.Lanes[0].WithLE, campusP.Churn)
+		rd := worldDigest(region.Nodes, region.Lanes[0].NoLE, region.Lanes[0].WithLE, region.Churn)
 		if cd != rd {
 			t.Fatalf("tick %d: campus keyed digest %x != region keyed digest %x", tick, cd, rd)
 		}
@@ -186,7 +185,7 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 	if campusP.Churn.AbsentCount() == 0 {
 		t.Error("churn never removed a node; the keyed timeline was not exercised")
 	}
-	if got, want := region.NoLE.ReceivedLUs(), campusP.NoLE.ReceivedLUs(); got != want {
+	if got, want := region.Lanes[0].NoLE.ReceivedLUs(), campusP.Lanes[0].NoLE.ReceivedLUs(); got != want {
 		t.Errorf("ReceivedLUs = %d, want %d", got, want)
 	}
 }
@@ -236,7 +235,7 @@ func TestShardedKeyedWorkerDeterminism(t *testing.T) {
 func TestShardedObserverEvents(t *testing.T) {
 	obs := &countingObserver{}
 	p := newTestSharded(t, 7, 0, [2]float64{}, 2, idealFactory)
-	p.Observer = obs
+	p.Lanes[0].Observer = obs
 	if err := p.Run(sim.New(), 10); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +250,7 @@ func TestShardedObserverEvents(t *testing.T) {
 	if obs.errs != 2*nodes*10 {
 		t.Errorf("errs = %d, want %d", obs.errs, 2*nodes*10)
 	}
-	if got := p.NoLE.NodeCount(); got != nodes {
+	if got := p.Lanes[0].NoLE.NodeCount(); got != nodes {
 		t.Errorf("broker tracks %d nodes, want %d", got, nodes)
 	}
 }
@@ -262,9 +261,9 @@ func TestShardedValidate(t *testing.T) {
 		t.Fatalf("valid region pipeline rejected: %v", err)
 	}
 	bad := *p
-	bad.NewFilter = nil
+	bad.NewFilters = nil
 	if err := bad.Validate(); err == nil {
-		t.Error("nil NewFilter accepted")
+		t.Error("nil NewFilters accepted")
 	}
 	bad = *p
 	bad.Workers = -1

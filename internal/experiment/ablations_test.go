@@ -304,16 +304,16 @@ func TestOfferDistanceIsNoLEErrorOnlyAnchored(t *testing.T) {
 		cfg.ADF.Semantics = sem
 		withheld := &withheldDistances{dist: make(map[sampleKey]float64)}
 		mk := cfg.adfFactory(1.0)
-		p, _, err := cfg.buildPipeline(func() (filter.Filter, string, float64, error) {
-			f, name, factor, err := mk()
+		p, _, err := cfg.buildPipeline(filterFactory{mk: func() (filter.Filter, string, float64, error) {
+			f, name, factor, err := mk.mk()
 			withheld.Filter = f
 			return withheld, name, factor, err
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		errs := &noLEErrors{Observer: p.Observer, dist: make(map[sampleKey]float64)}
-		p.Observer = errs
+		errs := &noLEErrors{Observer: p.Lanes[0].Observer, dist: make(map[sampleKey]float64)}
+		p.Lanes[0].Observer = errs
 		if err := p.Run(sim.New(), cfg.Duration); err != nil {
 			t.Fatal(err)
 		}

@@ -2,15 +2,20 @@ package experiment
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"time"
 
+	"github.com/mobilegrid/adf/internal/core"
 	"github.com/mobilegrid/adf/internal/engine"
 )
 
-// The campaign layer schedules independent simulations — the ideal
+// The campaign layer schedules a campaign's simulations — the ideal
 // baseline, each DTH factor, each seed, each scale point — on a bounded
-// worker pool. Every figure of the paper derives from one campaign's
-// Results.
+// worker pool. Tasks that share a world (the same Config up to the lane
+// fields) are dealt into passes: a pass builds the world once and runs
+// every task in it as a lane of one pipeline. Every figure of the paper
+// derives from one campaign's Results.
 
 // workers resolves the campaign worker-pool size.
 func (c Config) workers() int {
@@ -20,41 +25,96 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runTask names one independent simulation of a campaign.
+// runTask names one simulation of a campaign.
 type runTask struct {
 	label string
 	cfg   Config
 	mk    filterFactory
 }
 
-// runAll executes tasks on a bounded worker pool and returns their runs
-// in task order. Each run owns private sim.Streams derived from its own
-// config seed and a private simulator, so the outcome is bit-for-bit
-// identical to sequential execution regardless of the pool size.
-func runAll(workers int, tasks []runTask) ([]*Run, error) {
-	out := make([]*Run, len(tasks))
-	g := engine.NewGroup(workers)
+// worldKey returns the part of c that fixes a simulation's world —
+// population, gateways, churn, horizon and partition: c with the lane
+// fields DTHFactors, Estimator, Smoothing, ADF and Workers cleared.
+func (c Config) worldKey() Config {
+	c.DTHFactors, c.Estimator, c.Smoothing, c.ADF, c.Workers = nil, "", 0, core.Config{}, 0
+	return c
+}
+
+// sameWorld reports whether two tasks' configurations share a world key,
+// comparing Burst and Churn by value.
+func sameWorld(a, b Config) bool {
+	return reflect.DeepEqual(a.worldKey(), b.worldKey())
+}
+
+// planPasses deals tasks into passes and returns each pass's task
+// indices: tasks are grouped by world in order of first appearance, and
+// each world's n tasks are dealt round-robin into min(workers, n)
+// passes, so a world never runs on more passes than there are workers
+// to run them.
+func planPasses(workers int, tasks []runTask) [][]int {
+	var worlds [][]int
 	for i, t := range tasks {
+		w := 0
+		for w < len(worlds) && !sameWorld(tasks[worlds[w][0]].cfg, t.cfg) {
+			w++
+		}
+		if w == len(worlds) {
+			worlds = append(worlds, nil)
+		}
+		worlds[w] = append(worlds[w], i)
+	}
+	var passes [][]int
+	for _, ids := range worlds {
+		deal := make([][]int, min(workers, len(ids)))
+		for j, id := range ids {
+			deal[j%len(deal)] = append(deal[j%len(deal)], id)
+		}
+		passes = append(passes, deal...)
+	}
+	return passes
+}
+
+// runAll executes tasks as passes on a bounded worker pool and returns
+// their runs in task order. Each lane owns private sim.Streams derived
+// from its config seed, so the outcome is bit-for-bit identical to
+// running every task alone and in sequence, whatever the pool size.
+func runAll(workers int, tasks []runTask) ([]*Run, error) {
+	runs, _, err := runAllTimed(workers, tasks)
+	return runs, err
+}
+
+// runAllTimed is runAll that also returns each task's share of its
+// pass's wall-clock time: the pass's wall time over its lane count.
+func runAllTimed(workers int, tasks []runTask) ([]*Run, []time.Duration, error) {
+	out := make([]*Run, len(tasks))
+	wall := make([]time.Duration, len(tasks))
+	g := engine.NewGroup(workers)
+	for _, pass := range planPasses(workers, tasks) {
 		g.Go(func() error {
-			r, err := t.cfg.runFilter(t.mk)
+			lanes := make([]runTask, len(pass))
+			for k, i := range pass {
+				lanes[k] = tasks[i]
+			}
+			start := time.Now() //adf:allow determinism — wall-clock share per lane, never simulation state
+			runs, err := runPass(lanes)
 			if err != nil {
-				if t.label != "" {
-					return fmt.Errorf("%s: %w", t.label, err)
-				}
 				return err
 			}
-			out[i] = r
+			share := time.Since(start) / time.Duration(len(pass)) //adf:allow determinism — wall-clock share per lane
+			for k, i := range pass {
+				out[i], wall[i] = runs[k], share
+			}
 			return nil
 		})
 	}
 	if err := g.Wait(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return out, nil
+	return out, wall, nil
 }
 
-// campaignTasks lists the campaign's independent runs: the ideal baseline
-// plus one ADF run per DTH factor.
+// campaignTasks lists the campaign's runs: the ideal baseline plus one
+// ADF run per DTH factor. They share one world.
 func (c Config) campaignTasks() []runTask {
 	tasks := []runTask{{label: "ideal", cfg: c, mk: idealFactory}}
 	for _, factor := range c.DTHFactors {
@@ -69,9 +129,10 @@ func (c Config) campaignTasks() []runTask {
 
 // Run executes the core campaign that figures 4–9 and the energy budget
 // are derived from: the ideal baseline plus one ADF run per DTH factor,
-// concurrently on the worker pool (Config.Workers). Each call simulates
-// afresh; derive every figure from one Results rather than running the
-// campaign once per figure.
+// as lanes of at most Config.Workers concurrent passes over one world
+// (at Workers 2: {ideal, 1.00av} and {0.75av, 1.25av}). Each call
+// simulates afresh; derive every figure from one Results rather than
+// running the campaign once per figure.
 func (c Config) Run() (*Results, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

@@ -15,6 +15,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"github.com/mobilegrid/adf/internal/broker"
 	"github.com/mobilegrid/adf/internal/campus"
@@ -65,10 +66,14 @@ type Config struct {
 	// ADF is the template configuration for the adaptive filter; its
 	// DTHFactor and SamplePeriod are overridden per run.
 	ADF core.Config
-	// Workers bounds the campaign worker pool that runs independent
-	// simulations concurrently: 0 means one worker per available CPU,
-	// 1 forces sequential execution. It never changes results — each run
-	// owns private random streams — only the execution schedule.
+	// Workers bounds the campaign worker pool: 0 means one worker per
+	// available CPU, 1 forces sequential execution. Runs that share a
+	// world (everything but the lane fields DTHFactors, Estimator,
+	// Smoothing, ADF and Workers) are dealt round-robin into at most
+	// Workers passes; a pass simulates the world once and runs each of
+	// its filter configurations as a lane. It never changes results —
+	// every lane computes exactly what a simulation of its own would —
+	// only the execution schedule.
 	Workers int
 	// ShardWorkers selects the engine.Pipeline partition. 0 is the
 	// campus partition: one filter instance sees every node, so the ADF
@@ -307,36 +312,44 @@ func (r *Run) ReductionVersus(baseline *Run) float64 {
 	return 1 - r.TotalLUs()/b
 }
 
-// filterFactory builds a fresh filter for one run.
-type filterFactory func() (filter.Filter, string, float64, error)
-
-func idealFactory() (filter.Filter, string, float64, error) {
-	f := filter.NewIdealLU()
-	return f, f.Name(), 0, nil
+// filterFactory describes one run's filter: mk builds a fresh instance
+// and returns the run's name and DTH factor. An ADF run also carries
+// its configuration in adf, so a pass can serve ADF lanes whose
+// configurations differ only in DTHFactor from one shared front per
+// shard (core.ADF.At).
+type filterFactory struct {
+	mk  func() (filter.Filter, string, float64, error)
+	adf *core.Config
 }
 
+var idealFactory = filterFactory{mk: func() (filter.Filter, string, float64, error) {
+	f := filter.NewIdealLU()
+	return f, f.Name(), 0, nil
+}}
+
 func (c Config) adfFactory(factor float64) filterFactory {
-	return func() (filter.Filter, string, float64, error) {
-		f, err := core.New(c.adfConfig(factor))
+	cfg := c.adfConfig(factor)
+	return filterFactory{adf: &cfg, mk: func() (filter.Filter, string, float64, error) {
+		f, err := core.New(cfg)
 		if err != nil {
 			return nil, "", 0, err
 		}
 		return f, f.Name(), factor, nil
-	}
+	}}
 }
 
 // generalDFFactory sizes the global DTH the way the paper's general DF
 // does: factor × mean speed of all MNs × sample period. The population
 // mean speed is computed from the Table-1 velocity ranges.
 func (c Config) generalDFFactory(factor float64, meanSpeed float64) filterFactory {
-	return func() (filter.Filter, string, float64, error) {
+	return filterFactory{mk: func() (filter.Filter, string, float64, error) {
 		f, err := filter.NewGeneralDFWithSemantics(
 			factor*meanSpeed*c.SamplePeriod, c.ADF.Semantics)
 		if err != nil {
 			return nil, "", 0, err
 		}
 		return f, fmt.Sprintf("general-df(%.2fav)", factor), factor, nil
-	}
+	}}
 }
 
 // PopulationMeanSpeed returns the mean of the Table-1 nodes' base speeds
@@ -353,33 +366,58 @@ func PopulationMeanSpeed(specs []campus.NodeSpec) float64 {
 	return sum / float64(len(specs))
 }
 
-// runFilter simulates the full campus once under the given filter and the
-// paper's LE configuration, by wiring the engine's staged pipeline
-// (mobility advance → churn → gateway collect → filter → brokers → error
-// measurement) to this Run's observer sinks. Every run derives its node
-// movement, gateway drops and estimator behaviour from Config.Seed
-// through private streams, so runs with different filters see identical
-// inputs, are directly comparable, and can execute concurrently with
-// other runs without changing results. The filter is instantiated once
-// per shard, so the ADF cluster summary is the sum over the shards'
-// filters (one filter in the campus partition).
+// runFilter simulates the full campus once under the given filter and
+// the paper's LE configuration: a one-lane pass.
 func (c Config) runFilter(mk filterFactory) (*Run, error) {
-	p, run, err := c.buildPipeline(mk)
+	runs, err := runPass([]runTask{{cfg: c, mk: mk}})
 	if err != nil {
 		return nil, err
 	}
+	return runs[0], nil
+}
 
-	if err := p.Run(sim.New(), c.Duration); err != nil {
+// runPass simulates one world under every task's filter: one pipeline
+// (mobility advance → churn → gateway collect → filter → brokers →
+// error measurement) whose lanes are the tasks, in task order, each
+// wired to its own Run's observer sinks. The tasks must share a world
+// key. Every lane derives its node movement, gateway drops and
+// estimator behaviour from Config.Seed through private streams, so it
+// computes exactly what a pass of its own would. The filters are
+// instantiated once per shard, so a run's ADF cluster summary is the sum
+// over its lane's shard filters (one filter in the campus partition).
+func runPass(tasks []runTask) ([]*Run, error) {
+	p, runs, err := buildPass(tasks)
+	if err != nil {
 		return nil, err
 	}
-
-	for _, f := range p.ShardFilters() {
-		if adf, ok := f.(*core.ADF); ok {
-			run.FinalClusters += adf.ClusterCount()
+	if err := p.Run(sim.New(), tasks[0].cfg.Duration); err != nil {
+		return nil, passError(tasks, err)
+	}
+	for _, filts := range p.ShardFilters() {
+		for l, f := range filts {
+			if adf, ok := f.(*core.ADF); ok {
+				runs[l].FinalClusters += adf.ClusterCount()
+			}
 		}
 	}
-	run.publishQuantiles()
-	return run, nil
+	for _, run := range runs {
+		run.publishQuantiles()
+	}
+	return runs, nil
+}
+
+// passError labels an error of a pass with its tasks' labels.
+func passError(tasks []runTask, err error) error {
+	var labels []string
+	for _, t := range tasks {
+		if t.label != "" {
+			labels = append(labels, t.label)
+		}
+	}
+	if len(labels) == 0 {
+		return err
+	}
+	return fmt.Errorf("%s: %w", strings.Join(labels, ", "), err)
 }
 
 // publishQuantiles computes the run's published error quantiles. It is
@@ -389,67 +427,113 @@ func (r *Run) publishQuantiles() {
 	r.QuantWithLE = r.ErrWithLE.Quantiles()
 }
 
-// simWorld bundles the simulation pieces the pipeline runs on: the
-// campus population, the gateway network, the broker pair, churn
-// and the Run record with its pre-sized metric sinks.
+// simWorld bundles the lane-independent simulation pieces a pass runs
+// on: the campus population, the gateway network and churn.
 type simWorld struct {
-	nodes  []*node.Node
-	net    *gateway.Network
-	noLE   *broker.Broker
-	withLE *broker.Broker
-	churn  *engine.KeyedChurn
-	run    *Run
+	nodes []*node.Node
+	net   *gateway.Network
+	churn *engine.KeyedChurn
 	// idSpan is one past the highest node ID — the pre-sizing hint for
 	// per-node state (broker windows, filter anchors).
 	idSpan int
 }
 
-// buildPipeline wires one simulation: the campus population, gateways,
-// brokers, metric sinks and the staged pipeline in the partition
-// ShardWorkers selects. The factory is probed once for the run's name
-// and factor, then every shard builds its own filter instance through
-// NewFilter, so no filter state is shared across shards. Callers that
-// need tick-level control (benchmarks, allocation tests, digest
-// comparisons) drive the returned pipeline directly; runFilter executes
-// it to the horizon.
+// buildPipeline wires a one-lane pass for tick-level control
+// (benchmarks, allocation tests, digest comparisons): callers drive the
+// returned pipeline directly; runFilter executes it to the horizon.
 func (c Config) buildPipeline(mk filterFactory) (*engine.Pipeline, *Run, error) {
-	if err := c.Validate(); err != nil {
-		return nil, nil, err
-	}
-	_, name, factor, err := mk()
+	p, runs, err := buildPass([]runTask{{cfg: c, mk: mk}})
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := c.buildWorld(name, factor)
+	return p, runs[0], nil
+}
+
+// buildPass wires one pass: the world of the first task's configuration
+// and one lane per task — brokers, Run record and metric sink — in the
+// partition ShardWorkers selects. Each task's factory is probed once
+// for its run's name and factor; the pipeline then builds every shard's
+// filters through newFilters.
+func buildPass(tasks []runTask) (*engine.Pipeline, []*Run, error) {
+	for i, t := range tasks {
+		if err := t.cfg.Validate(); err != nil {
+			return nil, nil, passError(tasks[i:i+1], err)
+		}
+	}
+	c := tasks[0].cfg
+	w, err := c.buildWorld()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, passError(tasks, err)
 	}
 	p := &engine.Pipeline{
-		Nodes: w.nodes,
-		Net:   w.net,
-		NewFilter: func() (filter.Filter, error) {
-			f, _, _, err := mk()
+		Nodes:        w.nodes,
+		Net:          w.net,
+		Churn:        w.churn,
+		SamplePeriod: c.SamplePeriod,
+		Workers:      c.ShardWorkers,
+	}
+	runs := make([]*Run, len(tasks))
+	mks := make([]filterFactory, len(tasks))
+	for i, t := range tasks {
+		lane, run, err := t.cfg.buildLane(w, t.mk)
+		if err != nil {
+			return nil, nil, passError(tasks[i:i+1], err)
+		}
+		p.Lanes = append(p.Lanes, lane)
+		runs[i], mks[i] = run, t.mk
+	}
+	p.NewFilters = newFilters(mks, w.idSpan)
+	return p, runs, nil
+}
+
+// newFilters returns the pass's per-shard filter factory: one fresh
+// filter per lane, except that an ADF lane whose configuration differs
+// from an earlier ADF lane's only in DTHFactor gets a factor view of
+// that lane's filter, so the classification and clustering run once per
+// shard for both.
+func newFilters(mks []filterFactory, idSpan int) func() ([]filter.Filter, error) {
+	return func() ([]filter.Filter, error) {
+		out := make([]filter.Filter, len(mks))
+		for l, mk := range mks {
+			if j := frontOf(mks[:l], mk); j >= 0 {
+				out[l] = out[j].(*core.ADF).At(mk.adf.DTHFactor)
+				continue
+			}
+			f, _, _, err := mk.mk()
 			if err != nil {
 				return nil, err
 			}
 			if pa, ok := f.(filter.Preallocator); ok {
-				pa.Preallocate(w.idSpan)
+				pa.Preallocate(idSpan)
 			}
-			return f, nil
-		},
-		NoLE:         w.noLE,
-		WithLE:       w.withLE,
-		Churn:        w.churn,
-		SamplePeriod: c.SamplePeriod,
-		Workers:      c.ShardWorkers,
-		Observer:     newMetricSink(w.run, c.SamplePeriod),
+			out[l] = f
+		}
+		return out, nil
 	}
-	return p, w.run, nil
 }
 
-// buildWorld constructs the partition-independent simulation world for
-// one run.
-func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
+// frontOf returns the index of the first ADF lane in earlier whose
+// configuration differs from mk's only in DTHFactor, or -1.
+func frontOf(earlier []filterFactory, mk filterFactory) int {
+	if mk.adf == nil {
+		return -1
+	}
+	for j, e := range earlier {
+		if e.adf == nil {
+			continue
+		}
+		cfg := *e.adf
+		cfg.DTHFactor = mk.adf.DTHFactor
+		if cfg == *mk.adf {
+			return j
+		}
+	}
+	return -1
+}
+
+// buildWorld constructs the partition- and lane-independent simulation
+// world: population, gateways and churn timeline.
+func (c Config) buildWorld() (*simWorld, error) {
 	world := campus.New()
 	perGroup := c.PerGroup
 	if perGroup == 0 {
@@ -470,10 +554,30 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 	if err != nil {
 		return nil, err
 	}
+	idSpan := 0
+	for _, n := range nodes {
+		if n.ID() >= idSpan {
+			idSpan = n.ID() + 1
+		}
+	}
+	var churn *engine.KeyedChurn
+	if c.Churn != nil {
+		churn = engine.NewKeyedChurn(c.Churn.LeaveProb, c.Churn.RejoinProb, keyed)
+	}
+	return &simWorld{nodes: nodes, net: net, churn: churn, idSpan: idSpan}, nil
+}
 
+// buildLane constructs one lane on world w: the broker pair under c's
+// estimator and the Run record, named by probing mk, with its pre-sized
+// metric sinks.
+func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, error) {
+	_, name, factor, err := mk.mk()
+	if err != nil {
+		return engine.Lane{}, nil, err
+	}
 	leFactory, err := c.estimatorFactory(c.Estimator)
 	if err != nil {
-		return nil, err
+		return engine.Lane{}, nil, err
 	}
 	noLE := broker.New(nil)
 	withLE := broker.New(leFactory)
@@ -500,7 +604,7 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 	}
 	run.Energy, err = energy.NewAccountant(energy.DefaultModel())
 	if err != nil {
-		return nil, err
+		return engine.Lane{}, nil, err
 	}
 
 	// The horizon and population are known up front: pre-size every series
@@ -514,7 +618,7 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 	run.OfferedPerSecond.Reserve(seconds)
 	run.RMSENoLE.Reserve(seconds)
 	run.RMSEWithLE.Reserve(seconds)
-	budget := ticks * len(nodes)
+	budget := ticks * len(w.nodes)
 	if budget > maxSummarySamples {
 		stride := (budget + maxSummarySamples - 1) / maxSummarySamples
 		run.ErrNoLE.SetStride(stride)
@@ -524,28 +628,10 @@ func (c Config) buildWorld(name string, factor float64) (*simWorld, error) {
 	run.ErrNoLE.Reserve(budget)
 	run.ErrWithLE.Reserve(budget)
 
-	idSpan := 0
-	for _, n := range nodes {
-		if n.ID() >= idSpan {
-			idSpan = n.ID() + 1
-		}
-	}
-	noLE.Preallocate(idSpan)
-	withLE.Preallocate(idSpan)
-
-	var churn *engine.KeyedChurn
-	if c.Churn != nil {
-		churn = engine.NewKeyedChurn(c.Churn.LeaveProb, c.Churn.RejoinProb, keyed)
-	}
-	return &simWorld{
-		nodes:  nodes,
-		net:    net,
-		noLE:   noLE,
-		withLE: withLE,
-		churn:  churn,
-		run:    run,
-		idSpan: idSpan,
-	}, nil
+	noLE.Preallocate(w.idSpan)
+	withLE.Preallocate(w.idSpan)
+	lane := engine.Lane{NoLE: noLE, WithLE: withLE, Observer: newMetricSink(run, c.SamplePeriod)}
+	return lane, run, nil
 }
 
 // maxSummarySamples caps each error summary's exact sample count; a
