@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/mobilegrid/adf/internal/engine"
 	"github.com/mobilegrid/adf/internal/metrics"
 )
 
@@ -116,8 +115,10 @@ type ScaleRow struct {
 	TotalLUs     float64
 	ReductionPct float64
 	RMSELE       float64
-	// SimSeconds is the wall-clock time per simulated second — the
-	// simulator's throughput at this scale.
+	// WallPerSimSecond is the wall-clock time per lane per simulated
+	// second: the wall time of the point's passes divided by its lanes
+	// (the ideal and the ADF run) and by the horizon — the simulator's
+	// throughput at this scale.
 	WallPerSimSecond time.Duration
 }
 
@@ -129,10 +130,10 @@ type ScaleResult struct {
 
 // RunScale runs the ADF at the first configured DTH factor for each
 // per-group population size (default 5, 10, 20, 40 → 140 to 1120 nodes).
-// Scale points execute concurrently on the worker pool; each point's
-// ideal/ADF pair stays sequential inside its task so the row's wall-clock
-// per simulated second remains a per-point throughput number (with
-// Workers > 1 it reports throughput under concurrent load).
+// Every scale point is its own world with an ideal and an ADF lane, and
+// the points' passes share the campaign worker pool, so with Workers > 1
+// a row's wall-clock per lane per simulated second is throughput under
+// concurrent load.
 func RunScale(cfg Config, perGroups []int) (ScaleResult, error) {
 	if len(perGroups) == 0 {
 		perGroups = []int{5, 10, 20, 40}
@@ -140,41 +141,32 @@ func RunScale(cfg Config, perGroups []int) (ScaleResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return ScaleResult{}, err
 	}
+	var tasks []runTask
 	for _, pg := range perGroups {
 		if pg <= 0 {
 			return ScaleResult{}, fmt.Errorf("experiment: per-group size %d not positive", pg)
 		}
+		c := cfg
+		c.PerGroup = pg
+		label := fmt.Sprintf("scale %d nodes", pg*28)
+		tasks = append(tasks,
+			runTask{label: label, cfg: c, mk: idealFactory},
+			runTask{label: label, cfg: c, mk: c.adfFactory(c.DTHFactors[0])})
+	}
+	runs, wall, err := runAllTimed(cfg.workers(), tasks)
+	if err != nil {
+		return ScaleResult{}, err
 	}
 	rows := make([]ScaleRow, len(perGroups))
-	g := engine.NewGroup(cfg.workers())
 	for i, pg := range perGroups {
-		g.Go(func() error {
-			c := cfg
-			c.PerGroup = pg
-
-			start := time.Now() //adf:allow determinism — wall-clock scaling measurement only
-			ideal, err := c.runFilter(idealFactory)
-			if err != nil {
-				return fmt.Errorf("scale %d nodes: %w", pg*28, err)
-			}
-			run, err := c.runFilter(c.adfFactory(c.DTHFactors[0]))
-			if err != nil {
-				return fmt.Errorf("scale %d nodes: %w", pg*28, err)
-			}
-			elapsed := time.Since(start) //adf:allow determinism — wall-clock scaling measurement only
-
-			rows[i] = ScaleRow{
-				Nodes:            pg * 28,
-				TotalLUs:         run.TotalLUs(),
-				ReductionPct:     100 * run.ReductionVersus(ideal),
-				RMSELE:           run.RMSEWithLE.Overall(),
-				WallPerSimSecond: time.Duration(float64(elapsed) / (2 * c.Duration)),
-			}
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		return ScaleResult{}, err
+		ideal, run := runs[2*i], runs[2*i+1]
+		rows[i] = ScaleRow{
+			Nodes:            pg * 28,
+			TotalLUs:         run.TotalLUs(),
+			ReductionPct:     100 * run.ReductionVersus(ideal),
+			RMSELE:           run.RMSEWithLE.Overall(),
+			WallPerSimSecond: time.Duration(float64(wall[2*i]+wall[2*i+1]) / (2 * cfg.Duration)),
+		}
 	}
 	return ScaleResult{Rows: rows}, nil
 }
@@ -182,7 +174,7 @@ func RunScale(cfg Config, perGroups []int) (ScaleResult, error) {
 // Table renders the scalability experiment.
 func (r ScaleResult) Table() *metrics.Table {
 	t := metrics.NewTable("Scalability: Table-1 population multiplied",
-		"nodes", "total LUs", "reduction", "RMSE w/ LE", "wall-clock / sim-second")
+		"nodes", "total LUs", "reduction", "RMSE w/ LE", "wall-clock / lane / sim-second")
 	for _, row := range r.Rows {
 		t.AddRow(fmt.Sprint(row.Nodes),
 			fmt.Sprintf("%.0f", row.TotalLUs),
