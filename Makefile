@@ -83,15 +83,19 @@ check-obs-e2e:
 # reporting ns/LU, allocs/LU and interactions/frame (the mean run
 # length, 405), so a transport change that breaks the loopback
 # send→deliver path or its fan-out fails here, and one that stops
-# batching shows in interactions/frame. The last step
+# batching shows in interactions/frame. The next step
 # runs the error summary microbenchmark once (2M samples, 60% exact
 # zeros: record, then publish P50/P90/P99/Max), reporting ns/op and B/op.
+# The last runs one seed's paper campaign once at campaign Workers 1 and
+# 2 (BenchmarkCampaign140MN), reporting ns/op, passes and lanes per pass,
+# so a change that stops the campaign's runs sharing passes shows there.
 bench-smoke:
 	$(GO) run ./cmd/adfbench -hotpath -duration 120 -seed 1 -scales 5k \
 		-alloc-budget 2 -hotpath-out /dev/null
 	$(GO) test -run '^TestRTIAllocsPerLU$$' -count=1 -v ./internal/hla
 	$(GO) test -run '^$$' -bench BenchmarkRTILockstep -benchtime 20x ./internal/hla
 	$(GO) test -run '^$$' -bench BenchmarkSummaryPercentiles -benchtime 1x ./internal/metrics
+	$(GO) test -run '^$$' -bench BenchmarkCampaign140MN -benchtime 1x ./internal/experiment
 
 # bench-regress re-measures the CI-sized scale points of the committed
 # BENCH_hotpath.json and BENCH_obs.json baselines under their own
@@ -129,10 +133,13 @@ bench-obs:
 # and the 20k-node region partition on two shard workers
 # (BenchmarkTickSharded20k at -cpu 2, cpu-sharded.out/mem-sharded.out),
 # then CPU and heap profiles of the TCP RTI path (BenchmarkRTILockstep at
-# -cpu 2, cpu-rti.out/mem-rti.out). Inspect with `go tool pprof cpu.out`
-# and so on.
+# -cpu 2, cpu-rti.out/mem-rti.out) and of one seed's paper campaign
+# (BenchmarkCampaign140MN at -cpu 2, cpu-campaign.out/mem-campaign.out),
+# where advance, collect, classify and cluster run once per pass.
+# Inspect with `go tool pprof cpu.out` and so on.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkTick1008MN$$' -cpuprofile cpu.out -memprofile mem.out ./internal/experiment
 	$(GO) test -run '^$$' -bench 'BenchmarkTickSharded20k$$' -cpu 2 -cpuprofile cpu-sharded.out -memprofile mem-sharded.out ./internal/experiment
 	$(GO) test -run '^$$' -bench 'BenchmarkRTILockstep$$' -cpu 2 -cpuprofile cpu-rti.out -memprofile mem-rti.out ./internal/hla
-	@echo "wrote cpu.out, mem.out, cpu-sharded.out, mem-sharded.out, cpu-rti.out and mem-rti.out; inspect with: go tool pprof cpu.out"
+	$(GO) test -run '^$$' -bench 'BenchmarkCampaign140MN$$' -cpu 2 -cpuprofile cpu-campaign.out -memprofile mem-campaign.out ./internal/experiment
+	@echo "wrote cpu.out, mem.out, cpu-sharded.out, mem-sharded.out, cpu-rti.out, mem-rti.out, cpu-campaign.out and mem-campaign.out; inspect with: go tool pprof cpu.out"

@@ -94,3 +94,44 @@ func TestRunAllLabelsErrors(t *testing.T) {
 		t.Errorf("error %q does not carry the task label", got)
 	}
 }
+
+// TestPlanPasses pins the pass rule: tasks are grouped by world key —
+// lane fields ignored, Burst and Churn compared by value — and each
+// world's tasks are dealt round-robin into min(workers, n) passes.
+func TestPlanPasses(t *testing.T) {
+	c := shortConfig()
+	tasks := c.campaignTasks() // ideal, 0.75av, 1.00av, 1.25av
+	for _, tc := range []struct {
+		workers int
+		want    [][]int
+	}{
+		{1, [][]int{{0, 1, 2, 3}}},
+		{2, [][]int{{0, 2}, {1, 3}}},
+		{4, [][]int{{0}, {1}, {2}, {3}}},
+		{8, [][]int{{0}, {1}, {2}, {3}}},
+	} {
+		if got := planPasses(tc.workers, tasks); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("workers=%d: passes %v, want %v", tc.workers, got, tc.want)
+		}
+	}
+
+	lane := c
+	lane.Estimator, lane.Smoothing, lane.Workers = EstimatorBrown, 0.5, 3
+	lane.ADF.Cluster.Alpha = 2
+	churnA, churnB := c, c
+	churnA.Churn = &ChurnConfig{LeaveProb: 0.01, RejoinProb: 0.1}
+	churnB.Churn = &ChurnConfig{LeaveProb: 0.01, RejoinProb: 0.1}
+	seed := c
+	seed.Seed = 2
+	mixed := []runTask{
+		{cfg: c, mk: idealFactory},
+		{cfg: churnA, mk: idealFactory},
+		{cfg: lane, mk: lane.adfFactory(1)},
+		{cfg: seed, mk: idealFactory},
+		{cfg: churnB, mk: churnB.adfFactory(1)},
+	}
+	want := [][]int{{0, 2}, {1, 4}, {3}}
+	if got := planPasses(1, mixed); !reflect.DeepEqual(got, want) {
+		t.Errorf("mixed worlds: passes %v, want %v", got, want)
+	}
+}

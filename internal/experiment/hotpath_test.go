@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -31,6 +32,34 @@ func TestZeroAllocTick(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
 		t.Fatalf("steady-state tick allocates: %v allocs/tick, want 0", allocs)
+	}
+}
+
+// TestZeroAllocTickLanes is TestZeroAllocTick for a pass of the whole
+// paper campaign: four lanes — the ideal filter and three ADF factor
+// views over one shared front — on one world. Past warmup a tick
+// allocates nothing.
+func TestZeroAllocTickLanes(t *testing.T) {
+	c := DefaultConfig()
+	c.Duration = 4000
+	p, _, err := buildPass(c.campaignTasks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+
+	now := 0.0
+	tick := func() {
+		now += c.SamplePeriod
+		if err := p.Tick(now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 600; i++ {
+		tick()
+	}
+	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
+		t.Fatalf("steady-state four-lane tick allocates: %v allocs/tick, want 0", allocs)
 	}
 }
 
@@ -154,9 +183,10 @@ func BenchmarkTick1008MN(b *testing.B) { benchmarkTick(b, 36, 0) }
 // region partition on two workers.
 func BenchmarkTickSharded20k(b *testing.B) { benchmarkTick(b, 715, 2) }
 
-// BenchmarkFullRun1800s140MN times the paper's full 1800-second run at the
-// Table-1 population, setup and summary sorting included — the end-to-end
-// number the campaign layer pays per simulation.
+// BenchmarkFullRun1800s140MN times the paper's full 1800-second run of
+// one ADF configuration at the Table-1 population, setup and quantile
+// selection included: a one-lane pass. A campaign pays less per run,
+// because its runs share passes (BenchmarkCampaign140MN).
 func BenchmarkFullRun1800s140MN(b *testing.B) {
 	c := DefaultConfig()
 	b.ReportAllocs()
@@ -164,5 +194,29 @@ func BenchmarkFullRun1800s140MN(b *testing.B) {
 		if _, err := c.runFilter(c.adfFactory(1.0)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCampaign140MN times one seed's paper campaign — the ideal run
+// and the ADF at 0.75, 1.00 and 1.25av over the Table-1 population for
+// 1800 s, as Config.Run schedules it — at campaign Workers 1 (one pass
+// of four lanes) and 2 (two passes of two lanes). It reports the passes
+// and lanes per pass beside ns/op.
+func BenchmarkCampaign140MN(b *testing.B) {
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			c := DefaultConfig()
+			c.Workers = workers
+			tasks := c.campaignTasks()
+			passes := planPasses(c.workers(), tasks)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(passes)), "passes")
+			b.ReportMetric(float64(len(tasks))/float64(len(passes)), "lanes/pass")
+		})
 	}
 }

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/mobilegrid/adf/internal/campus"
+	"github.com/mobilegrid/adf/internal/core"
 	"github.com/mobilegrid/adf/internal/obs"
 )
 
@@ -147,5 +149,93 @@ func TestZeroAllocTickObsEnabled(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
 		t.Fatalf("obs-enabled steady-state tick allocates: %v allocs/tick, want 0", allocs)
+	}
+}
+
+// registryTotals snapshots the registry instruments a campaign moves:
+// the lane-level counters and histogram counts, keyed by name, and the
+// front-level reclusters counter and per-pattern gauges.
+func registryTotals() (lane map[string]uint64, reclusters uint64, patterns []int64) {
+	lane = map[string]uint64{
+		"ticks":            obs.Ticks.Value(),
+		"offered":          obs.LUOffered.Value(),
+		"sent":             obs.LUSent.Value(),
+		"filtered":         obs.LUFiltered.Value(),
+		"broker_received":  obs.BrokerReceived.Value(),
+		"broker_estimated": obs.BrokerEstimated.Value(),
+		"broker_forgets":   obs.BrokerForgets.Value(),
+		"churn_left":       obs.ChurnLeft.Value(),
+		"churn_rejoined":   obs.ChurnRejoined.Value(),
+		"distance_hist":    obs.FilterDistance.Count(),
+		"dth_hist":         obs.FilterDTH.Count(),
+	}
+	for _, r := range campus.New().Regions() {
+		lane["offered/"+string(r.ID)] = obs.RegionOffered(string(r.ID)).Value()
+		lane["sent/"+string(r.ID)] = obs.RegionSent(string(r.ID)).Value()
+	}
+	for p := core.PatternUnknown; p <= core.PatternLinear; p++ {
+		patterns = append(patterns, obs.PatternNodes(int(p)).Value())
+	}
+	return lane, obs.Reclusters.Value(), patterns
+}
+
+// TestObsTotalsPerLane pins how the registry accounts a campaign run as
+// passes. At Workers 4 each of the campaign's four runs is a pass of its
+// own; at Workers 1 they are four lanes of one pass, and the three ADF
+// lanes share one front. Every lane-level instrument — ticks, LUs
+// offered, sent and filtered, broker receipts, estimates and forgets,
+// churn events, the filter histograms and the per-region LU counters —
+// must move by the same amount either way: each lane adds what its run
+// adds alone. Front-level instruments count once per front:
+// adf_reclusters_total and the per-pattern node gauges move by a third
+// as much when three ADF lanes share one front.
+func TestObsTotalsPerLane(t *testing.T) {
+	was := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(was)
+
+	c := DefaultConfig()
+	c.Duration = 60
+	c.Churn = &ChurnConfig{LeaveProb: 0.02, RejoinProb: 0.3}
+	measure := func(workers int) (map[string]uint64, uint64, []int64) {
+		lane0, rc0, pat0 := registryTotals()
+		cfg := c
+		cfg.Workers = workers
+		if _, err := cfg.Run(); err != nil {
+			t.Fatal(err)
+		}
+		lane1, rc1, pat1 := registryTotals()
+		for k := range lane1 {
+			lane1[k] -= lane0[k]
+		}
+		for p := range pat1 {
+			pat1[p] -= pat0[p]
+		}
+		return lane1, rc1 - rc0, pat1
+	}
+	aloneLane, aloneRC, alonePat := measure(4)
+	sharedLane, sharedRC, sharedPat := measure(1)
+
+	for k, v := range aloneLane {
+		if sharedLane[k] != v {
+			t.Errorf("%s: %d as four passes, %d as one pass of four lanes", k, v, sharedLane[k])
+		}
+	}
+	if aloneLane["offered"] == 0 || aloneLane["churn_left"] == 0 || aloneLane["broker_forgets"] == 0 {
+		t.Errorf("campaign moved no offered, churn or forget counter: %v", aloneLane)
+	}
+	if sharedRC == 0 || aloneRC != 3*sharedRC {
+		t.Errorf("reclusters: %d from three ADF fronts, %d from one shared front; want a 3:1 ratio", aloneRC, sharedRC)
+	}
+	var sharedNodes int64
+	for p := range alonePat {
+		if alonePat[p] != 3*sharedPat[p] {
+			t.Errorf("pattern %v gauge moved %d with three fronts, %d with one; want 3:1",
+				core.MobilityPattern(p), alonePat[p], sharedPat[p])
+		}
+		sharedNodes += sharedPat[p]
+	}
+	if sharedNodes == 0 {
+		t.Error("the shared front left no node in any pattern gauge")
 	}
 }
