@@ -232,21 +232,16 @@ func (a *ADF) Offer(lu filter.LU) filter.Decision {
 //
 //adf:hotpath
 func (a *ADF) view(slot int, gen uint32) *viewState {
-	if slot >= len(a.views) {
+	for slot >= len(a.views) {
 		//adf:allow hotpath — first sight of a node by this view:
 		// amortised growth of the view store, never a steady tick.
-		a.grow(slot + 1)
+		a.views = append(a.views, viewState{})
 	}
 	v := &a.views[slot]
 	if v.gen != gen {
 		*v = viewState{gen: gen}
 	}
 	return v
-}
-
-// grow extends the view store to n slots.
-func (a *ADF) grow(n int) {
-	a.views = append(a.views, make([]viewState, n-len(a.views))...)
 }
 
 // update runs the front's once-per-LU-time work for lu's node — the
