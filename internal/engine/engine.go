@@ -1,16 +1,22 @@
 // Package engine decomposes the per-tick simulation loop into explicit
 // pipeline stages — mobility advance → churn → gateway collect → filter →
-// broker delivery → error measurement — with one pluggable Observer for the
-// metric sinks, plus the bounded worker pool (Group) the campaign layer
-// uses to run independent simulations concurrently.
+// broker delivery → error measurement — plus the bounded worker pool
+// (Group) the campaign layer uses to run passes concurrently.
+//
+// A Pipeline is one world — population, gateways, churn — whose
+// advance, churn and collect stages run once per node per tick, and one
+// or more Lanes: filter configurations, each with its own broker pair
+// and one pluggable Observer for its metric sinks, that decide on the
+// world's samples. Each lane computes exactly what a pipeline of its
+// own would.
 //
 // There is one Pipeline with two partitions of the population: the
 // campus partition (one shard, campus-wide filtering, node order) and
 // the region partition (one shard per region on a worker pool). Either
-// way every effect is applied in a fixed order, and each simulation owns
-// a private Pipeline, sim.Simulator and sim.Streams, so running
-// simulations concurrently on a Group is bit-for-bit identical to running
-// them one after another.
+// way every effect is applied in a fixed order, and each pass owns a
+// private Pipeline, sim.Simulator and sim.Streams, so running passes
+// concurrently on a Group is bit-for-bit identical to running them one
+// after another.
 //
 // The metric sinks lag the simulation by one tick: Pipeline.Tick(t)
 // computes tick t while the observers receive tick t−1, and the sinks

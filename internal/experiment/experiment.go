@@ -10,6 +10,14 @@
 // two grid brokers run in lockstep — one without a Location Estimator and
 // one with the paper's Brown's-double-exponential-smoothing LE — so the
 // "with LE" and "without LE" curves come from identical inputs.
+//
+// Runs that share a world — every Config field but the lane fields
+// DTHFactors, Estimator, Smoothing, ADF and Workers — are simulated as
+// lanes of one pass: the population moves and the gateways collect once
+// per tick, and each run's filter, brokers and sinks are its own. ADF
+// runs that differ only in DTHFactor share one classification and
+// clustering front. Every run's outputs are bit-identical to simulating
+// it alone.
 package experiment
 
 import (
