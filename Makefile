@@ -33,9 +33,14 @@ lint:
 # observability gate: the end-to-end smoke test (full run with obs
 # enabled; Chrome trace must parse as JSON, the registry must account
 # the run, event lines must be valid NDJSON), the zero-allocation tick
-# tests and the obs unit suite with its live /metrics scrape.
+# tests and the obs unit suite with its live /metrics scrape. The second
+# step repeats the staged-pass tests — concurrent lane stages under
+# random delays, shutdown and leak checks — three times on two Ps, so the
+# trailing lane stages and the tick-frame ring run concurrently even on a
+# 1-CPU runner.
 race:
 	$(GO) test -race ./...
+	GOMAXPROCS=2 $(GO) test -race -count=3 -run 'Jitter|Lanes|Leak' ./internal/engine ./internal/experiment
 
 # check runs tier-1 under the adfcheck runtime sanitizer: the full test
 # suite with every //adf:invariant guard armed, campus-partition runs
@@ -87,8 +92,10 @@ check-obs-e2e:
 # runs the error summary microbenchmark once (2M samples, 60% exact
 # zeros: record, then publish P50/P90/P99/Max), reporting ns/op and B/op.
 # The last runs one seed's paper campaign once at campaign Workers 1 and
-# 2 (BenchmarkCampaign140MN), reporting ns/op, passes and lanes per pass,
-# so a change that stops the campaign's runs sharing passes shows there.
+# 2 (BenchmarkCampaign140MN), reporting ns/op, passes and lanes per pass
+# (one pass of four lanes at both: inline lane stages at 1, trailing
+# ones at 2), so a change that stops the campaign's runs sharing one
+# pass shows there.
 bench-smoke:
 	$(GO) run ./cmd/adfbench -hotpath -duration 120 -seed 1 -scales 5k \
 		-alloc-budget 2 -hotpath-out /dev/null
@@ -135,7 +142,8 @@ bench-obs:
 # then CPU and heap profiles of the TCP RTI path (BenchmarkRTILockstep at
 # -cpu 2, cpu-rti.out/mem-rti.out) and of one seed's paper campaign
 # (BenchmarkCampaign140MN at -cpu 2, cpu-campaign.out/mem-campaign.out),
-# where advance, collect, classify and cluster run once per pass.
+# where advance, collect, classify and cluster run once per seed, on the
+# world stage, beside the four lane stages.
 # Inspect with `go tool pprof cpu.out` and so on.
 profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkTick1008MN$$' -cpuprofile cpu.out -memprofile mem.out ./internal/experiment

@@ -58,7 +58,7 @@ func run(w io.Writer, args []string) error {
 		estimator = fs.String("estimator", "gap-aware", "location estimator: gap-aware, brown, single, dead-reckoning or ar1")
 		factors   = fs.String("factors", "0.75,1.0,1.25", "comma-separated DTH factors")
 		series    = fs.Bool("series", false, "also print the time series behind figures 4, 5 and 7")
-		workers   = fs.Int("workers", 0, "campaign worker pool size and pass bound: 0 = one per CPU, 1 = one pass per world (never changes results)")
+		workers   = fs.Int("workers", 0, "campaign worker pool size: 0 = one per CPU, 1 = sequential; above 1 each run's brokers and sinks trail its world on a goroutine of their own (never changes results)")
 		sharded   = fs.Int("shard-workers", 0, "pipeline partition per simulation: 0 = campus-wide, >= 1 = one shard per region on that many workers (results identical at any count >= 1; ADF clustering becomes region-scoped)")
 		obsAddr   = fs.String("obs-addr", "", "serve /metrics, /trace and /debug/pprof on this address while running (empty disables)")
 		obsSum    = fs.Duration("obs-summary", 0, "log a one-line progress summary at this interval (0 disables)")

@@ -49,16 +49,17 @@ type Broker struct {
 	newEstimator estimate.Factory
 	// records is keyed by node ID. Node IDs are assigned densely from
 	// zero, so the per-tick record lookups — the broker is touched for
-	// every node every sampling period — resolve to a slice index. The
-	// Slab keeps no shared bookkeeping, so after Preallocate the engine's
-	// region shards may Step disjoint node sets concurrently.
+	// every node every sampling period — resolve to a slice index.
 	records dense.Slab[record]
 
-	// Counters for experiment reporting. Shard-parallel callers must not
-	// touch these directly — they accumulate into a Tally and merge it
-	// deterministically with AddTally.
+	// Counters for experiment reporting.
 	received  uint64
 	estimated uint64
+	// The pad makes a Broker 128 bytes, an allocation size the runtime
+	// aligns to 128: Step writes the counters on every call, and the
+	// brokers of lanes stepped on different CPUs must not share a cache
+	// line.
+	_ [48]byte
 }
 
 // New returns a broker whose Location Estimator instances are built by
@@ -71,9 +72,8 @@ func New(factory estimate.Factory) *Broker {
 }
 
 // Preallocate sizes the location DB's dense window for node IDs in
-// [0, n), so later record births never move the storage. Sharded
-// execution requires it: concurrent Steps on disjoint node sets are only
-// race-free once growth is off the hot path.
+// [0, n), so later record births never move the storage and a steady
+// tick allocates nothing.
 func (b *Broker) Preallocate(n int) { b.records.Grow(n) }
 
 // record returns node's slot for a report, counting a node that was
@@ -177,49 +177,6 @@ func (b *Broker) Step(node int, t float64, p geo.Point, received bool) (Entry, b
 		b.estimated++
 	}
 	return e, true
-}
-
-// Tally accumulates Step outcomes for one shard. The engine's region
-// shards each own a Tally so the broker's shared counters are never
-// written concurrently; the merge step folds the tallies back in shard
-// order with AddTally.
-type Tally struct {
-	// Received counts LUs stored from the network.
-	Received uint64
-	// Estimated counts belief refreshes served by the Location Estimator.
-	Estimated uint64
-}
-
-// StepTally is Step for shard-parallel callers: identical record
-// mutation, but the received/estimated attribution lands in tl instead
-// of the broker's shared counters. The node must be inside the
-// Preallocate-d window and owned by exactly one shard this tick.
-//
-//adf:hotpath
-func (b *Broker) StepTally(node int, t float64, p geo.Point, received bool, tl *Tally) (Entry, bool) {
-	if received {
-		r := b.record(node)
-		b.receive(r, node, t, p)
-		tl.Received++
-		return r.believed, true
-	}
-	r := b.records.Ptr(node)
-	if r == nil || !r.hasReport {
-		return Entry{}, false
-	}
-	e, estimated := b.miss(r, node, t)
-	if estimated {
-		tl.Estimated++
-	}
-	return e, true
-}
-
-// AddTally folds one shard's tally into the broker's run counters and
-// zeroes it for reuse. Call sequentially, in stable shard order.
-func (b *Broker) AddTally(tl *Tally) {
-	b.received += tl.Received
-	b.estimated += tl.Estimated
-	tl.Received, tl.Estimated = 0, 0
 }
 
 // Location returns the broker's current belief about a node.

@@ -304,11 +304,13 @@ func (c *Classifier) Pattern() MobilityPattern {
 		return PatternStop
 	case v > c.cfg.WalkSpeed:
 		return PatternLinear
+	case !(c.speedStdDev(v) <= c.cfg.SpeedStability):
+		// An unstable speed (NaN included) is Random whatever the heading
+		// does, so the heading sums and their Hypot are left uncomputed.
+		return PatternRandom
 	default:
-		speedStable := c.speedStdDev(v) <= c.cfg.SpeedStability
 		sx, sy := c.headingSums()
-		headingStable := geo.CircularVarianceFromSums(sx, sy, int(c.moving)) <= c.cfg.HeadingStability
-		if speedStable && headingStable {
+		if geo.CircularVarianceFromSums(sx, sy, int(c.moving)) <= c.cfg.HeadingStability {
 			return PatternLinear
 		}
 		return PatternRandom

@@ -19,8 +19,11 @@ type StateDigester interface {
 // exposes a digest, and finally the churn population. With one lane it
 // is the digest of a single-filter run. Two runs are bit-for-bit
 // identical exactly when this digest matches tick for tick;
-// experiment.CompareShardDigests drives it across worker counts.
+// experiment.CompareShardDigests drives it across worker counts. On a
+// concurrent pipeline it first waits until the lane stages have
+// finished every published tick, so it digests the state Tick left.
 func (p *Pipeline) StateDigest() uint64 {
+	p.settle()
 	d := sanitize.NewDigest()
 	for _, n := range p.Nodes {
 		d.WriteInt(n.ID())

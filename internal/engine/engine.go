@@ -10,18 +10,23 @@
 // world's samples. Each lane computes exactly what a pipeline of its
 // own would.
 //
+// A tick runs as a world stage (advance, churn, collect and every
+// lane's filter decision) and one lane stage per lane (brokers, error
+// distances, observer calls), joined by a ring of preallocated tick
+// frames. The lane stages run inline after the world stage, or each on
+// a goroutine of its own trailing it by fewer than the ring's frame
+// count; either way every effect is applied in a fixed order.
+//
 // There is one Pipeline with two partitions of the population: the
 // campus partition (one shard, campus-wide filtering, node order) and
-// the region partition (one shard per region on a worker pool). Either
-// way every effect is applied in a fixed order, and each pass owns a
-// private Pipeline, sim.Simulator and sim.Streams, so running passes
-// concurrently on a Group is bit-for-bit identical to running them one
-// after another.
+// the region partition (one shard per region on a worker pool). Each
+// pass owns a private Pipeline, sim.Simulator and sim.Streams, so
+// running passes concurrently on a Group is bit-for-bit identical to
+// running them one after another.
 //
-// The metric sinks lag the simulation by one tick: Pipeline.Tick(t)
-// computes tick t while the observers receive tick t−1, and the sinks
-// are complete once Pipeline.Run returns or Pipeline.Close has been
-// called.
+// A concurrent pipeline's metric sinks and brokers trail the world
+// stage: they are complete once Pipeline.Run returns or Pipeline.Close
+// has been called.
 package engine
 
 import (
@@ -61,11 +66,13 @@ func (v Variant) String() string {
 
 // Observer receives pipeline events. Implementations are metric sinks
 // (traffic counters, energy accounting, RMSE accumulators); they must not
-// mutate or read simulation state. A tick's events arrive while the
-// pipeline computes the next tick, so a sink is complete only after
-// Pipeline.Run returns or Pipeline.Close has been called. Returning a
-// non-nil error aborts the run: no observer receives another event, and
-// the error surfaces from the next Tick, from Close or from Run.
+// mutate or read simulation state. A lane's observer is called by its
+// lane stage only, which may trail the world stage on a goroutine of its
+// own, so a sink is complete only after Pipeline.Run returns or
+// Pipeline.Close has been called, and observers of different lanes must
+// not share unguarded state. Returning a non-nil error aborts the run:
+// no observer receives an event of a later tick, and the error surfaces
+// from Tick, from Close or from Run.
 type Observer interface {
 	// OnOffered fires when a sample survives wireless disconnection and
 	// reaches the filter.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -154,8 +155,8 @@ func TestChurnForgetAndRejoin(t *testing.T) {
 	p := newTestPipeline(t, 0, churn, obs)
 	nodes := len(p.Nodes)
 
-	// Close replays each ticked round to the observers before the
-	// counts are read.
+	// The lanes run inline, so each Tick has reached the observer when
+	// it returns.
 	if err := p.Tick(1); err != nil {
 		t.Fatal(err)
 	}
@@ -242,61 +243,62 @@ func (o *tickFailObserver) OnTick(now float64) error {
 	return nil
 }
 
-// TestPipelineLaggedReplayLifecycle pins the one-tick observer lag for
-// a caller that ticks the pipeline itself: an OnOffered error raised in
-// tick k surfaces from Tick(k+1), or from Close when k is the last tick;
-// after it no observer receives another event and every later Tick or
-// Close returns the same error. Close is idempotent, works on a pipeline
-// that never ticked, and a Tick after Close restarts the worker pool.
-func TestPipelineLaggedReplayLifecycle(t *testing.T) {
+// TestPipelineStageLifecycle pins the error and restart contract of
+// Tick and Close for a caller that ticks the pipeline itself. An
+// OnOffered error raised in tick k surfaces from Tick(k) when the lanes
+// run inline, and from a later Tick or from Close when they trail the
+// world stage. Either way no observer receives an event of a later
+// tick, and every later Tick or Close returns the same error. Close is
+// idempotent, works on a pipeline that never ticked, and a Tick after
+// Close starts the lane stages again.
+func TestPipelineStageLifecycle(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{0, 2} {
-		// The error of tick 3 surfaces from Tick(4).
-		obs := &tickFailObserver{failAt: 3, err: boom}
-		p := newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
-		p.Lanes[0].Observer = obs
-		for tick := 1; tick <= 3; tick++ {
-			if err := p.Tick(float64(tick)); err != nil {
-				t.Fatalf("workers=%d: Tick(%d) = %v before the failing round was replayed", workers, tick, err)
+		for _, concurrent := range []bool{false, true} {
+			name := fmt.Sprintf("workers=%d concurrent=%v", workers, concurrent)
+			obs := &tickFailObserver{failAt: 3, err: boom}
+			p := newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
+			p.Concurrent = concurrent
+			p.Lanes[0].Observer = obs
+			var err error
+			tick := 0
+			for err == nil && tick < 8 {
+				tick++
+				err = p.Tick(float64(tick))
 			}
-		}
-		if err := p.Tick(4); !errors.Is(err, boom) {
-			t.Fatalf("workers=%d: Tick(4) = %v, want boom from tick 3's replay", workers, err)
-		}
-		if len(obs.ticks) != 2 || obs.ticks[1] != 2 {
-			t.Errorf("workers=%d: OnTick saw %v, want [1 2]", workers, obs.ticks)
-		}
-		seen := obs.events
-		if err := p.Tick(5); !errors.Is(err, boom) {
-			t.Errorf("workers=%d: Tick(5) after the error = %v, want boom", workers, err)
-		}
-		for i := 0; i < 2; i++ {
+			if !concurrent && tick != 3 {
+				t.Errorf("%s: the error of tick 3 surfaced from Tick(%d)", name, tick)
+			}
+			if err != nil && !errors.Is(err, boom) {
+				t.Fatalf("%s: Tick(%d) = %v, want boom", name, tick, err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := p.Close(); !errors.Is(err, boom) {
+					t.Errorf("%s: Close #%d = %v, want boom", name, i+1, err)
+				}
+			}
+			if len(obs.ticks) != 2 || obs.ticks[1] != 2 {
+				t.Errorf("%s: OnTick saw %v, want [1 2]", name, obs.ticks)
+			}
+			seen := obs.events
+			if err := p.Tick(float64(tick + 1)); !errors.Is(err, boom) {
+				t.Errorf("%s: Tick after the error = %v, want boom", name, err)
+			}
 			if err := p.Close(); !errors.Is(err, boom) {
-				t.Errorf("workers=%d: Close #%d = %v, want boom", workers, i+1, err)
+				t.Errorf("%s: Close after the error = %v, want boom", name, err)
 			}
-		}
-		if obs.events != seen {
-			t.Errorf("workers=%d: observers got %d events after the error", workers, obs.events-seen)
-		}
-
-		// The error of the last tick surfaces from Close.
-		obs = &tickFailObserver{failAt: 2, err: boom}
-		p = newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
-		p.Lanes[0].Observer = obs
-		for tick := 1; tick <= 2; tick++ {
-			if err := p.Tick(float64(tick)); err != nil {
-				t.Fatalf("workers=%d: Tick(%d) = %v", workers, tick, err)
+			if obs.events != seen {
+				t.Errorf("%s: observers got %d events after the error", name, obs.events-seen)
 			}
-		}
-		if err := p.Close(); !errors.Is(err, boom) {
-			t.Errorf("workers=%d: Close = %v, want boom from the last tick's replay", workers, err)
 		}
 	}
 
-	// Close before any tick, twice; then tick, close, tick again on a
-	// restarted pool: every round reaches the observers exactly once.
+	// Close before any tick, twice; then tick, close, tick again on
+	// restarted lane stages and shard pool: every round reaches the
+	// observers exactly once.
 	obs := &tickFailObserver{}
 	p := newTestSharded(t, 5, 0, [2]float64{}, 2, idealFactory)
+	p.Concurrent = true
 	p.Lanes[0].Observer = obs
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
@@ -311,8 +313,8 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if p.pool != nil {
-			t.Fatal("Close left the worker pool running")
+		if p.pool != nil || p.lanesRunning {
+			t.Fatal("Close left the shard pool or the lane stages running")
 		}
 		if len(obs.ticks) != tick || obs.ticks[tick-1] != float64(tick) {
 			t.Fatalf("after Tick(%d) and Close, OnTick saw %v", tick, obs.ticks)
@@ -320,7 +322,7 @@ func TestPipelineLaggedReplayLifecycle(t *testing.T) {
 	}
 	seen := obs.events
 	if err := p.Close(); err != nil || obs.events != seen {
-		t.Errorf("second Close = %v and replayed %d events, want nil and 0", err, obs.events-seen)
+		t.Errorf("second Close = %v and delivered %d events, want nil and 0", err, obs.events-seen)
 	}
 	waitForGoroutines(t, baseline)
 }

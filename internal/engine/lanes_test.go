@@ -6,6 +6,7 @@ import (
 	"github.com/mobilegrid/adf/internal/broker"
 	"github.com/mobilegrid/adf/internal/core"
 	"github.com/mobilegrid/adf/internal/filter"
+	"github.com/mobilegrid/adf/internal/obs"
 	"github.com/mobilegrid/adf/internal/sanitize"
 	"github.com/mobilegrid/adf/internal/sim"
 )
@@ -101,3 +102,50 @@ func TestLanesFilterCountChecked(t *testing.T) {
 }
 
 func newBroker() *broker.Broker { return broker.New(nil) }
+
+// TestLanesJitterMatchInline: a concurrent three-lane pipeline whose
+// lane stages are delayed at random points gives every lane's observer
+// exactly the event stream, and leaves every lane's brokers in exactly
+// the state, of the inline schedule — in both partitions, with gateway
+// drops and churn on, over enough ticks that the world stage fills the
+// ring and the lanes drain it.
+func TestLanesJitterMatchInline(t *testing.T) {
+	const ticks = 300
+	was := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(was)
+	for _, workers := range []int{0, 2} {
+		run := func(concurrent bool) (streams, brokers [3]uint64) {
+			var sinks [3]*streamObserver
+			var observers [3]Observer
+			for l := range sinks {
+				sinks[l] = newStreamObserver()
+				observers[l] = sinks[l]
+			}
+			p := newThreeLanes(t, workers, observers)
+			p.Concurrent = concurrent
+			if err := p.Run(sim.New(), ticks); err != nil {
+				t.Fatal(err)
+			}
+			for l := range sinks {
+				streams[l], brokers[l] = sinks[l].d.Sum(), brokerDigest(p.Lanes[l])
+			}
+			return streams, brokers
+		}
+		wantStreams, wantBrokers := run(false)
+		for seed := int64(1); seed <= 3; seed++ {
+			worldWaits, laneWaits := obs.WorldWaits.Value(), obs.LaneWaits.Value()
+			SetStageJitter(seed)
+			streams, brokers := run(true)
+			SetStageJitter(0)
+			for l := range streams {
+				if streams[l] != wantStreams[l] || brokers[l] != wantBrokers[l] {
+					t.Errorf("workers=%d jitter %d lane %d: stream %#016x broker %#016x, inline %#016x %#016x",
+						workers, seed, l, streams[l], brokers[l], wantStreams[l], wantBrokers[l])
+				}
+			}
+			t.Logf("workers=%d jitter %d: world waited %d times, lanes %d", workers, seed,
+				obs.WorldWaits.Value()-worldWaits, obs.LaneWaits.Value()-laneWaits)
+		}
+	}
+}

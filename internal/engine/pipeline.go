@@ -19,10 +19,38 @@ import (
 // measurement. One pipeline is one world — population, gateways, churn —
 // simulated once per tick, and one or more lanes, each a filter
 // configuration with its own brokers and observer, that decide on the
-// world's samples side by side. A one-filter run is one lane. The
-// per-node stages run over a partition of the population into shards,
-// and a deterministic merge folds the shards' effects back. Workers
-// selects the partition:
+// world's samples side by side. A one-filter run is one lane.
+//
+// A tick runs as two kinds of stage joined by a ring of preallocated
+// tick frames:
+//
+//   - The world stage advances every node, drains the churn timeline,
+//     collects every present node's sample through its gateway once and
+//     lets each lane's filter decide on it, lane-major. It writes the
+//     tick into a frame: the true positions, each member's state
+//     (absent, lost or reached), each lane's transmit bits, the tick's
+//     departures and its observability flag.
+//   - One lane stage per lane reads the frame: it forgets the tick's
+//     departures from its brokers, steps the no-LE/with-LE broker pair
+//     on every present member, measures the error distances and calls
+//     the lane's observer, shard by shard in shard order, then the
+//     observer's OnTick.
+//
+// The world stage owns the nodes, the gateways, the churn timeline and
+// the filters; a lane stage owns its brokers, its observer and its
+// observability batch. Lanes never read each other's state, so each
+// lane computes exactly what a pipeline of its own would.
+//
+// Concurrent selects the schedule. False runs the lane stages inline
+// after the world stage each tick — the sequential reference. True runs
+// each lane stage on a goroutine of its own that trails the world stage
+// by fewer than K ticks, K the ring's frame count: Tick publishes the
+// tick's frame and returns, blocking only while every frame is still
+// held by a lane, and Close waits for the lanes to finish every
+// published tick. Results are bit for bit the same either way.
+//
+// The world stage's per-node work runs over a partition of the
+// population into shards. Workers selects the partition:
 //
 //   - 0, the campus partition: one shard owns every node and every
 //     region's gateway, and each lane's one filter instance sees the
@@ -30,37 +58,20 @@ import (
 //     nodes together. The shard visits nodes in slice order.
 //   - N ≥ 1, the region partition: one shard per campus region, each
 //     with its own gateway and its own filter instance per lane, so a
-//     clustering filter like the ADF clusters per region. The shards run
-//     on N workers (1 runs them inline, the sequential reference).
+//     clustering filter like the ADF clusters per region. The world
+//     stage runs the shards on N workers (1 runs them inline).
 //     Per-node filters (GeneralDF, IdealLU) behave identically in both
 //     partitions.
 //
-// A shard job advances its members, drains its churn partition (a
-// departure is forgotten in every lane) and collects every present
-// member's sample through its gateway once, into a per-shard buffer.
-// Then each lane in turn sweeps the shard's members: filter decision,
-// broker pair, buffered observer events. Lanes never read each other's
-// state, so each lane computes exactly what a pipeline of its own would.
-//
-// A shard's stage chain touches only shard-local state: its members'
-// mobility (each node draws only from its private stream), its gateways
-// (whose draws are keyed by node and time), its filter instances, its
-// churn timeline partition, and the broker records of the nodes it owns
-// (shard-safe after Preallocate, because the dense.Slab does no shared
-// bookkeeping). Cross-shard effects are buffered per shard and applied
-// in shard order (ascending region ID), never in completion order:
-// broker tallies and observability batches by the synchronous fold at
-// the end of the tick, observer events by the replay job of the next
-// tick. Results are therefore bit-for-bit identical at every worker
-// count: Workers only changes which OS thread runs a job, never what
-// the job computes or the order the effects are applied in.
-//
-// Each tick is one job list with one barrier: a job per shard, plus the
-// replay job, which feeds the previous tick's buffered events to the
-// lanes' observers while the shards compute. So when Tick(t) returns,
-// the observers have seen tick t−1, not tick t; Close (which Run calls)
-// replays the last tick. The simulation never reads an observer, so
-// the lag changes no result.
+// A shard job touches only shard-local state: its members' mobility
+// (each node draws only from its private stream), its gateways (whose
+// draws are keyed by node and time), its filter instances, its churn
+// timeline partition and its part of the frame. Cross-shard effects are
+// applied in shard order (ascending region ID), never in completion
+// order: observability batches by the synchronous fold at the end of
+// the world stage, broker steps and observer events by each lane stage,
+// which walks the shards in order. Neither Workers nor Concurrent ever
+// changes what a stage computes or the order its effects are applied in.
 type Pipeline struct {
 	// Nodes is the mobile population. Each node's mobility draws only
 	// from its private stream, so the shards advance their members
@@ -83,33 +94,36 @@ type Pipeline struct {
 	// SamplePeriod is the sampling interval in virtual seconds.
 	SamplePeriod float64
 	// Workers selects the partition: 0 is the campus partition, N ≥ 1
-	// the region partition on a pool of N workers (1 runs the job list
+	// the region partition on a pool of N workers (1 runs the shard jobs
 	// inline).
 	Workers int
+	// Concurrent runs each lane stage on a goroutine of its own,
+	// trailing the world stage on the ring of tick frames; false runs
+	// the lane stages inline after the world stage each tick.
+	Concurrent bool
 
-	built bool
-	// samples holds the current tick's samples, written by the shard
-	// jobs; prev holds the previous tick's, read by the replay job.
-	samples, prev []Sample
-	shards        []*shardCtx
-	// jobs is the tick's job list: jobReplay, then every shard index.
+	built  bool
+	shards []*shardCtx
+	// jobs is the world stage's job list: every shard index.
 	jobs []int
 	pool *shardPool
 	san  sanitizerState
-
-	// now is the tick being computed; prevNow the tick awaiting replay
-	// while pending is set.
-	now, prevNow float64
-	pending      bool
-	// err is the first observer error. It is sticky: once set, no
-	// observer receives another event and Tick and Close return it.
+	// ring is the tick-frame ring, allocated at build.
+	ring *ring
+	// stages holds the lane stages, in lane order; lanesRunning is set
+	// while they have goroutines.
+	stages       []laneStage
+	lanesRunning bool
+	// err is the first observer error, by tick and then lane order,
+	// resolved once the lanes have drained. It is sticky: Tick and Close
+	// return it from then on.
 	err error
-	// replayStart/replayEnd are the replay job's span endpoints.
-	replayStart, replayEnd int64
 
+	// now is the tick being computed.
+	now   float64
 	obsOn bool
 	tid   uint32
-	// masters are the lanes' per-tick observability batches, each
+	// masters are the lanes' world-side observability batches, each
 	// flushed like a pipeline of its own.
 	masters []obs.TickLocal
 	// tick counts processed sampling rounds; it keys the churn timeline.
@@ -121,24 +135,20 @@ type Pipeline struct {
 // observer that receives the lane's events.
 type Lane struct {
 	// NoLE and WithLE are the broker without and with a Location
-	// Estimator, shared across shards: the location DB is the wired-grid
-	// side and stays global. Their dense windows are Preallocate-d at
-	// build so concurrent shard steps on disjoint node sets are
-	// race-free.
+	// Estimator. The location DB is the wired-grid side, one per lane
+	// across all shards; only the lane's stage touches it. Their dense
+	// windows are Preallocate-d at build, so a steady tick allocates no
+	// record.
 	NoLE, WithLE *broker.Broker
-	// Observer receives the lane's events, one tick late, from the
-	// replay job in shard order (it is never called concurrently). Nil
-	// means no sink: build substitutes BaseObserver{}.
+	// Observer receives the lane's events from the lane stage, in shard
+	// order; it is never called concurrently with itself, but the
+	// observers of different lanes may run concurrently. Nil means no
+	// sink: build substitutes BaseObserver{}.
 	Observer
 }
 
-// jobReplay is the replay job's entry in the job list; the shard jobs
-// follow it as their shard indices 0, 1, ….
-const jobReplay = -1
-
-// shardCtx is one shard's private state: everything its stage chain
-// touches without synchronisation, plus the buffered cross-shard
-// effects the fold and the replay job apply.
+// shardCtx is one shard's private state: everything its world-stage job
+// touches without synchronisation.
 type shardCtx struct {
 	idx int
 	// name is the region ID in the region partition, "campus" in the
@@ -153,11 +163,18 @@ type shardCtx struct {
 	members []int
 	// slot[k] indexes regions with member k's home region.
 	slot []int32
-	// collected[k] is member k's gateway verdict this tick, shared by
-	// every lane.
-	collected []collected
+	// ids[k] is member k's node ID. Like slot and the regions' home
+	// regions it is written once at build, so the lane stages read a
+	// member's identity without touching the nodes the world stage
+	// advances.
+	ids []int32
+	// lus[k] is member k's sample as its gateway forwarded it this tick,
+	// valid when the member is reached; every lane's filter is offered it.
+	lus []filter.LU
 	// lanes holds the shard's per-lane state, in lane order.
 	lanes []shardLane
+	// out is the shard's part of the frame the world stage is filling.
+	out *frameShard
 	// shardH is the region shard's own latency series; nil in the
 	// campus partition, whose shard span is the whole nodes stage.
 	shardH *obs.Histogram
@@ -167,19 +184,12 @@ type shardCtx struct {
 	startNS, advancedNS, endNS int64
 }
 
-// shardRegion is one home region inside a shard: its gateway plus the
-// region's labeled LU counters.
+// shardRegion is one home region inside a shard: the region, its
+// gateway and its labeled LU counters.
 type shardRegion struct {
+	home            *campus.Region
 	gw              gateway.Collector
 	offeredC, sentC *obs.Counter
-}
-
-// collected is one member's gateway verdict for the tick.
-type collected struct {
-	// lu is the sample as the gateway forwarded it (valid when state is
-	// reached).
-	lu    filter.LU
-	state uint8
 }
 
 // Member states after the shard's churn and collect stages.
@@ -192,34 +202,27 @@ const (
 	reached
 )
 
-// shardLane is one lane's private state inside a shard.
+// shardLane is one lane's world-stage state inside a shard.
 type shardLane struct {
 	filt filter.Filter
-	// outcomes buffers this tick's per-node results, prev the previous
-	// tick's, which the replay job feeds to the lane's observer. The two
-	// swap every tick; capacity settles at the member count.
-	outcomes, prev []outcome
-	// local batches the lane's counter/histogram tallies; merged into
-	// the lane's master batch in shard order.
+	// local batches the lane's filter and churn tallies; folded into the
+	// lane's master batch in shard order.
 	local obs.TickLocal
-	// noLE/withLE collect the lane's broker attributions, folded back
-	// via Broker.AddTally in shard order.
-	noLE, withLE broker.Tally
-	// noLEB/withLEB are the lane's shared brokers, held here so the
-	// shard can forget departing members itself (record deletes are
-	// shard-safe after Preallocate; the forget counter is atomic).
-	noLEB, withLEB *broker.Broker
 	// offered/sent are the lane's per-region LU tallies, indexed like
 	// the shard's regions, accumulated between flushes.
 	offered, sent []uint64
 }
 
 // ChurnEvent implements ChurnSink for the shard's own churn partition.
-// Every lane tallies the event in its shard-local batch (merged in
-// shard order), as its own run would, and a departure forgets the node
-// from every lane's filter and brokers — all shard-safe, since the
-// shard only ever reports owned nodes.
+// Every lane tallies the event in its shard-local batch, as its own run
+// would. A departure is forgotten by every lane's filter here and
+// recorded in the frame, so each lane stage forgets it from its brokers
+// before it steps the tick — all shard-safe, since the shard only ever
+// reports owned nodes.
 func (sh *shardCtx) ChurnEvent(id int, left bool) {
+	if left {
+		sh.out.departed = append(sh.out.departed, int32(id))
+	}
 	for l := range sh.lanes {
 		ln := &sh.lanes[l]
 		if !left {
@@ -228,27 +231,8 @@ func (sh *shardCtx) ChurnEvent(id int, left bool) {
 		}
 		ln.local.ChurnLeft++
 		ln.filt.Forget(id)
-		ln.noLEB.Forget(id)
-		ln.withLEB.Forget(id)
 	}
 }
-
-// outcome is one node's buffered tick result: which observer events to
-// replay and the believed-vs-true distances measured in the shard.
-type outcome struct {
-	idx   int32
-	flags uint8
-	// distNoLE/distWithLE are the broker error distances (valid when the
-	// corresponding flag is set).
-	distNoLE, distWithLE float64
-}
-
-const (
-	ocOffered uint8 = 1 << iota
-	ocTransmitted
-	ocNoLE
-	ocWithLE
-)
 
 // Validate reports wiring errors.
 func (p *Pipeline) Validate() error {
@@ -277,16 +261,17 @@ func (p *Pipeline) Validate() error {
 // build resolves the partition: the home regions in ascending ID order,
 // grouped into one campus shard or one shard per region, each shard
 // with its gateways, one filter per lane and its member list. It also
-// pre-sizes the brokers' dense windows and the reusable tick buffers.
+// pre-sizes the brokers' dense windows, builds the lane stages and
+// fills the ring with its frames.
 func (p *Pipeline) build() error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	seen := make(map[campus.RegionID]bool)
+	homes := make(map[campus.RegionID]*campus.Region)
 	var ids []campus.RegionID
 	for _, n := range p.Nodes {
-		if id := n.Region().ID; !seen[id] {
-			seen[id] = true
+		if id := n.Region().ID; homes[id] == nil {
+			homes[id] = n.Region()
 			ids = append(ids, id)
 		}
 	}
@@ -317,8 +302,6 @@ func (p *Pipeline) build() error {
 		for l := range sh.lanes {
 			sh.lanes[l] = shardLane{
 				filt:    filts[l],
-				noLEB:   p.Lanes[l].NoLE,
-				withLEB: p.Lanes[l].WithLE,
 				offered: make([]uint64, len(group)),
 				sent:    make([]uint64, len(group)),
 			}
@@ -333,6 +316,7 @@ func (p *Pipeline) build() error {
 				return err
 			}
 			sh.regions = append(sh.regions, shardRegion{
+				home:     homes[id],
 				gw:       gw,
 				offeredC: obs.RegionOffered(string(id)),
 				sentC:    obs.RegionSent(string(id)),
@@ -347,14 +331,16 @@ func (p *Pipeline) build() error {
 		sh := p.shards[at.shard]
 		sh.members = append(sh.members, i)
 		sh.slot = append(sh.slot, int32(at.slot))
+		sh.ids = append(sh.ids, int32(n.ID()))
 		maxID = max(maxID, n.ID())
 	}
 	for _, sh := range p.shards {
-		sh.collected = make([]collected, len(sh.members))
+		sh.lus = make([]filter.LU, len(sh.members))
 		if p.Workers > 0 {
 			obs.ShardNodes(sh.name).Set(int64(len(sh.members)))
 		}
 	}
+	p.stages = make([]laneStage, len(p.Lanes))
 	p.masters = make([]obs.TickLocal, len(p.Lanes))
 	for l := range p.Lanes {
 		ln := &p.Lanes[l]
@@ -363,13 +349,18 @@ func (p *Pipeline) build() error {
 		if ln.Observer == nil {
 			ln.Observer = BaseObserver{}
 		}
+		st := &p.stages[l]
+		*st = laneStage{idx: l, noLE: ln.NoLE, withLE: ln.WithLE, ob: ln.Observer, tid: obs.NextTID()}
 		p.masters[l].Init()
 	}
-	p.samples = make([]Sample, len(p.Nodes))
-	p.prev = make([]Sample, len(p.Nodes))
-	p.jobs = make([]int, len(p.shards)+1)
+	frames := 1
+	if p.Concurrent {
+		frames = ringFrames(len(p.Nodes), len(p.Lanes))
+	}
+	p.ring = newRing(frames, p.shards, len(p.Lanes))
+	p.jobs = make([]int, len(p.shards))
 	for i := range p.jobs {
-		p.jobs[i] = jobReplay + i
+		p.jobs[i] = i
 	}
 	p.tid = obs.NextTID()
 	if p.Churn != nil {
@@ -390,7 +381,7 @@ func (p *Pipeline) build() error {
 // Run schedules the pipeline on s at every sample period (first tick at
 // one period, like the paper's 1 Hz sampling), executes until the
 // horizon and closes the pipeline, so every tick has reached the
-// observer when it returns. It surfaces the first stage or observer
+// observers when it returns. It surfaces the first stage or observer
 // error.
 func (p *Pipeline) Run(s *sim.Simulator, horizon float64) (err error) {
 	if err := p.Validate(); err != nil {
@@ -407,273 +398,168 @@ func (p *Pipeline) Run(s *sim.Simulator, horizon float64) (err error) {
 	return s.RunUntil(horizon)
 }
 
-// Close replays the last ticked round to the observers, if one is
-// pending, and releases the worker pool. It returns the first observer
-// error of the run. Safe to call repeatedly and on a pipeline that never
-// ticked; a later Tick restarts the pool. A caller that ticks the
-// pipeline itself must Close it before reading an observer's sink.
+// Close waits until the lane stages have finished every published tick,
+// stops their goroutines and releases the shard pool. It returns the
+// first observer error of the run. Safe to call repeatedly and on a
+// pipeline that never ticked; a later Tick starts the goroutines again.
+// A caller that ticks a concurrent pipeline itself must Close it before
+// it reads a broker or an observer's sink.
 func (p *Pipeline) Close() error {
-	if p.pending && p.err == nil {
-		p.replay()
-	}
-	p.pending = false
+	p.stopLanes()
 	if p.pool != nil {
 		p.pool.close()
 		p.pool = nil
 	}
-	return p.err
+	return p.failure()
 }
 
-// Tick processes one sampling round as one job list: every shard job
-// advances and processes its members while the replay job feeds the
-// previous round to the observers. After the barrier the fold applies
-// the shards' broker tallies and observability batches in shard order.
-// While observability is enabled the stage boundaries are published as
-// trace spans and each lane's tallies flush into the global registry.
-// Tick returns the first observer error, raised by this tick's replay
-// or an earlier one.
+// Tick processes one sampling round. The world stage runs the shard
+// jobs — inline, or on the shard pool in the region partition — folds
+// the shards' observability batches in shard order and hands the tick's
+// frame to the lane stages: inline lanes run before Tick returns,
+// concurrent lanes trail it. While observability is enabled the world
+// stage's boundaries are published as trace spans, each lane's tallies
+// are flushed into the global registry and every lane stage adds its
+// estimator refreshes. Tick returns the first
+// observer error raised so far: by this tick when the lanes run inline,
+// by some published tick when they trail.
 func (p *Pipeline) Tick(now float64) error {
-	if p.err != nil {
-		return p.err
+	if err := p.failure(); err != nil {
+		return err
 	}
 	if !p.built {
 		if err := p.build(); err != nil {
 			return err
 		}
 	}
+	p.startLanes()
 	p.obsOn = obs.Enabled()
 	t0 := obs.StageStart()
 	p.san.checkClock(p.Nodes, now)
 	p.tick++
 	p.now = now
-	jobs := p.jobs
-	if !p.pending {
-		jobs = jobs[1:]
-	}
-	p.replayStart, p.replayEnd = 0, 0
-	p.runJobs(jobs)
-	t1 := obs.StageClock(t0)
-	// This round becomes the pending one: its buffers swap into the
-	// replay side, and the replayed buffers are reused next tick.
-	p.pending, p.prevNow = true, now
-	p.samples, p.prev = p.prev, p.samples
+	f := p.ring.acquire()
+	f.now, f.tick, f.obs = now, p.tick, p.obsOn
 	for _, sh := range p.shards {
-		for l := range sh.lanes {
-			ln := &sh.lanes[l]
-			ln.outcomes, ln.prev = ln.prev, ln.outcomes
-		}
+		sh.out = &f.shards[sh.idx]
 	}
+	p.runJobs()
+	t1 := obs.StageClock(t0)
 	p.fold()
 	t2 := obs.StageClock(t0)
-	obs.RecordTickSpans(p.tid, t0, t1, t2, p.replayStart, p.replayEnd)
-	if p.obsOn {
-		for l := range p.masters {
-			p.masters[l].Flush()
-		}
-	}
-	return p.err
+	p.publish(f)
+	obs.RecordTickSpans(p.tid, t0, t1, t2, obs.StageClock(t0))
+	return p.failure()
 }
 
-// runJobs runs the job list, inline in list order when Workers <= 1,
-// otherwise on the persistent worker pool. Either way each job computes
-// exactly the same thing — the pool only changes which thread runs it.
-func (p *Pipeline) runJobs(jobs []int) {
+// runJobs runs the world stage's shard jobs, inline in shard order when
+// Workers <= 1, otherwise on the persistent worker pool. Either way each
+// job computes exactly the same thing — the pool only changes which
+// thread runs it.
+func (p *Pipeline) runJobs() {
 	if p.Workers > 1 && p.pool == nil {
 		p.pool = newShardPool(p.Workers, p.runJob)
 	}
 	if p.pool != nil {
-		p.pool.dispatch(jobs)
+		p.pool.dispatch(p.jobs)
 		return
 	}
-	for _, j := range jobs {
+	for _, j := range p.jobs {
 		p.runJob(j)
 	}
 }
 
-// runJob runs one entry of the job list.
-func (p *Pipeline) runJob(j int) {
-	if j == jobReplay {
-		p.replay()
-		return
-	}
-	p.runShard(p.shards[j])
-}
+// runJob runs one shard job of the world stage.
+func (p *Pipeline) runJob(j int) { p.runShard(p.shards[j]) }
 
-// runShard executes one shard's per-node stage chain over its members
-// in ascending index order: it advances every member one sample period
+// runShard executes one shard's world-stage chain over its members in
+// ascending index order: it advances every member one sample period
 // (movement continues while a node is absent from the grid — people
 // keep walking after closing their laptop), runs churn and collects
 // every present member's sample through its gateway, then lets each
-// lane sweep the members. Everything it writes is shard-local or keyed
-// by an owned node; the shardstage lint rule holds it (and future edits)
-// to that.
+// lane's filter sweep the members. Everything it writes is shard-local,
+// keyed by an owned node or the shard's part of the frame; the
+// shardstage lint rule holds it (and future edits) to that.
 //
 //adf:hotpath
 //adf:shardstage
 func (p *Pipeline) runShard(sh *shardCtx) {
 	sh.startNS = obs.StageStart()
-	for _, i := range sh.members {
-		n := p.Nodes[i]
-		s := &p.samples[i]
-		*s = Sample{Node: n.ID(), Region: n.Region(), Time: p.now, Pos: n.Advance(p.SamplePeriod)}
-		p.san.checkSample(s)
+	out := sh.out
+	for k, i := range sh.members {
+		out.pos[k] = p.Nodes[i].Advance(p.SamplePeriod)
+		p.san.checkSample(out.pos[k], p.now)
 	}
 	sh.advancedNS = obs.StageClock(sh.startNS)
+	out.departed = out.departed[:0]
 	if p.Churn != nil {
 		p.Churn.ProcessPart(sh.idx, p.tick, sh) //adf:allow hotpath — event timeline; buckets recycle through a free list
 	}
-	for k, i := range sh.members {
-		s := &p.samples[i]
-		c := &sh.collected[k]
-		if p.Churn != nil && p.Churn.Absent(s.Node) {
-			c.state = absent
+	for k := range sh.members {
+		id := int(sh.ids[k])
+		if p.Churn != nil && p.Churn.Absent(id) {
+			out.state[k] = absent
 			continue
 		}
 		var connected bool
-		c.lu, connected = sh.regions[sh.slot[k]].gw.Collect(filter.LU{Node: s.Node, Time: s.Time, Pos: s.Pos})
-		c.state = lost
+		sh.lus[k], connected = sh.regions[sh.slot[k]].gw.Collect(filter.LU{Node: id, Time: p.now, Pos: out.pos[k]})
+		out.state[k] = lost
 		if connected {
-			c.state = reached
+			out.state[k] = reached
 		}
 	}
 	for l := range sh.lanes {
-		p.sweepLane(sh, &sh.lanes[l])
+		p.sweepLane(sh, l)
 	}
 	sh.endNS = obs.StageClock(sh.startNS)
 }
 
-// sweepLane runs one lane over the shard's collected samples: filter,
-// broker delivery, and the buffered observer events and error
-// distances for the next tick's replay.
+// sweepLane offers every reached member's sample to lane l's filter in
+// the shard and records the verdicts: the lane's tallies and its
+// transmit bits in the frame.
 //
 //adf:hotpath
 //adf:shardstage
-func (p *Pipeline) sweepLane(sh *shardCtx, ln *shardLane) {
-	ln.outcomes = ln.outcomes[:0]
-	for k, i := range sh.members {
-		c := &sh.collected[k]
-		if c.state == absent {
+func (p *Pipeline) sweepLane(sh *shardCtx, l int) {
+	ln := &sh.lanes[l]
+	out := sh.out
+	sent := out.sent[l]
+	clear(sent)
+	for k := range sh.members {
+		if out.state[k] != reached {
 			continue
 		}
-		s := &p.samples[i]
-		o := outcome{idx: int32(i)}
-		transmitted := false
-		if c.state == reached {
-			o.flags |= ocOffered
-			d := ln.filt.Offer(c.lu)
-			ln.local.Offered++
-			filter.Observe(d, &ln.local, p.obsOn)
-			ln.offered[sh.slot[k]]++
-			if d.Transmit {
-				ln.sent[sh.slot[k]]++
-				transmitted = true
-			}
-		}
-		if transmitted {
-			o.flags |= ocTransmitted
+		d := ln.filt.Offer(sh.lus[k])
+		ln.local.Offered++
+		filter.Observe(d, &ln.local, p.obsOn)
+		r := sh.slot[k]
+		ln.offered[r]++
+		if d.Transmit {
+			ln.sent[r]++
 			ln.local.BrokerReceived++
-		}
-		// A transmitted sample is the brokers' belief (a received LU is
-		// stored as reported), and for a finite position x−x is +0 and
-		// Hypot(+0, +0) is +0: its error distances keep outcome's zero
-		// value and skip both Dist calls.
-		if e, ok := ln.noLEB.StepTally(s.Node, s.Time, s.Pos, transmitted, &ln.noLE); ok {
-			o.flags |= ocNoLE
-			if !transmitted {
-				o.distNoLE = e.Pos.Dist(s.Pos)
-			}
-		}
-		if e, ok := ln.withLEB.StepTally(s.Node, s.Time, s.Pos, transmitted, &ln.withLE); ok {
-			o.flags |= ocWithLE
-			if !transmitted {
-				o.distWithLE = e.Pos.Dist(s.Pos)
-			}
-			if e.Estimated {
-				ln.local.BrokerEstimated++
-			}
-		}
-		ln.outcomes = append(ln.outcomes, o) //adf:allow hotpath — reused buffer; capacity settles at the member count
-	}
-}
-
-// replay is the replay job: it feeds the pending round's buffered
-// outcomes to the lanes' observers — lane by lane, and within a lane
-// shard by shard in shard order, per node offered, transmitted, then
-// the no-LE and with-LE errors, then the lane's OnTick for that round.
-// Each observer thus sees exactly the stream a pipeline of its own lane
-// would emit. It is the only caller of the observers, so it is never
-// called concurrently, and it reads only the previous round's buffers,
-// which no shard job writes. It runs concurrently with the shard jobs,
-// so the shardsafe rule holds it to the same isolation. The first
-// observer error stops the replay and is kept.
-//
-//adf:hotpath
-//adf:shardstage
-func (p *Pipeline) replay() {
-	p.replayStart = obs.StageStart()
-	p.err = p.replayEvents()
-	p.replayEnd = obs.StageClock(p.replayStart)
-}
-
-// replayEvents emits the pending round's events and OnTick, lane by
-// lane.
-func (p *Pipeline) replayEvents() error {
-	for l := range p.Lanes {
-		if err := p.replayLane(l); err != nil {
-			return err
+			sent[k>>6] |= 1 << (k & 63)
 		}
 	}
-	return nil
 }
 
-// replayLane emits one lane's events of the pending round and its
-// OnTick.
-func (p *Pipeline) replayLane(l int) error {
-	ob := p.Lanes[l].Observer
-	for _, sh := range p.shards {
-		prev := sh.lanes[l].prev
-		for k := range prev {
-			o := &prev[k]
-			s := p.prev[o.idx]
-			if o.flags&ocOffered != 0 {
-				if err := ob.OnOffered(s); err != nil {
-					return err
-				}
-			}
-			if o.flags&ocTransmitted != 0 {
-				if err := ob.OnTransmitted(s); err != nil {
-					return err
-				}
-			}
-			if o.flags&ocNoLE != 0 {
-				if err := ob.OnError(s, NoLE, o.distNoLE); err != nil {
-					return err
-				}
-			}
-			if o.flags&ocWithLE != 0 {
-				if err := ob.OnError(s, WithLE, o.distWithLE); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return ob.OnTick(p.prevNow)
-}
-
-// fold is the synchronous merge after the barrier: for every shard in
-// shard order it folds each lane's broker tallies and observability
-// batch. No step here depends on worker scheduling, so the merged state
-// is identical at every worker count.
+// fold is the world stage's synchronous merge after the barrier: for
+// every shard in shard order it folds each lane's observability batch
+// into the lane's master batch and publishes the shard's region
+// counters and spans, then flushes the masters while observability is
+// enabled. No step here depends on worker scheduling, so the merged
+// state is identical at every worker count.
 func (p *Pipeline) fold() {
 	for _, sh := range p.shards {
 		for l := range sh.lanes {
-			ln := &sh.lanes[l]
-			p.Lanes[l].NoLE.AddTally(&ln.noLE)
-			p.Lanes[l].WithLE.AddTally(&ln.withLE)
-			p.masters[l].Merge(&ln.local)
+			p.masters[l].Merge(&sh.lanes[l].local)
 		}
 		if p.obsOn {
 			sh.flushObs(p.tid)
+		}
+	}
+	if p.obsOn {
+		for l := range p.masters {
+			p.masters[l].Flush()
 		}
 	}
 }
@@ -702,7 +588,8 @@ func (sh *shardCtx) flushObs(tid uint32) {
 // ShardFilters returns each shard's filters, one per lane in lane
 // order, with the shards in shard order (empty before the first tick
 // builds the shards), so callers can fold per-shard filter summaries —
-// e.g. total ADF cluster counts — after a run.
+// e.g. total ADF cluster counts — after a run. The filters belong to
+// the world stage, so they are quiescent whenever Tick has returned.
 func (p *Pipeline) ShardFilters() [][]filter.Filter {
 	out := make([][]filter.Filter, len(p.shards))
 	for i, sh := range p.shards {
@@ -714,9 +601,9 @@ func (p *Pipeline) ShardFilters() [][]filter.Filter {
 	return out
 }
 
-// shardPool is the pipeline's one worker pool: goroutines are started
-// once and fed job-list entries through a channel, so a steady-state
-// tick dispatches with no allocation.
+// shardPool is the world stage's one worker pool: goroutines are
+// started once and fed shard indices through a channel, so a
+// steady-state tick dispatches with no allocation.
 type shardPool struct {
 	work chan int
 	wg   sync.WaitGroup
@@ -724,10 +611,9 @@ type shardPool struct {
 }
 
 // newShardPool starts the pool's worker goroutines. Shard jobs mutate
-// only shard-local state (plus disjoint broker records behind
-// Preallocate) and the replay job only the observer; every cross-shard
-// effect is applied in stable shard order, so results are bit-for-bit
-// identical to the inline run.
+// only shard-local state and their own part of the frame, and every
+// cross-shard effect is applied in stable shard order, so results are
+// bit-for-bit identical to the inline run.
 //
 //adf:owns queue:work — the workers launched here are the work channel's only receivers
 func newShardPool(workers int, run func(job int)) *shardPool {

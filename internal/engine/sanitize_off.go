@@ -2,7 +2,10 @@
 
 package engine
 
-import "github.com/mobilegrid/adf/internal/node"
+import (
+	"github.com/mobilegrid/adf/internal/geo"
+	"github.com/mobilegrid/adf/internal/node"
+)
 
 // sanitizerState is empty in the default build; the field it backs in
 // Pipeline costs nothing.
@@ -12,4 +15,4 @@ type sanitizerState struct{}
 func (st *sanitizerState) checkClock(nodes []*node.Node, now float64) {}
 
 // checkSample is a no-op in the default build.
-func (st *sanitizerState) checkSample(s *Sample) {}
+func (st *sanitizerState) checkSample(pos geo.Point, t float64) {}

@@ -39,17 +39,17 @@ func (st *sanitizerState) checkClock(nodes []*node.Node, now float64) {
 	st.lastTick, st.ticked = now, true
 }
 
-// checkSample verifies one freshly advanced sample inside its shard
-// job, before any filter sees it: the position is finite and inside the
-// campus bounds (the mobility models bounce or clamp inside their
-// region, so any escape is a model bug, not a modelling choice), and
-// the time is finite. It only reads the state checkClock wrote, so
-// shards may call it concurrently.
-func (st *sanitizerState) checkSample(s *Sample) {
+// checkSample verifies one freshly advanced sample — position pos at
+// time t — inside its shard job, before any filter sees it: the
+// position is finite and inside the campus bounds (the mobility models
+// bounce or clamp inside their region, so any escape is a model bug,
+// not a modelling choice), and the time is finite. It only reads the
+// state checkClock wrote, so shards may call it concurrently.
+func (st *sanitizerState) checkSample(pos geo.Point, t float64) {
 	//adf:invariant finite-position — a NaN/Inf coordinate silently corrupts every downstream RMSE and traffic figure.
-	sanitize.CheckPoint("engine: node position", s.Pos)
+	sanitize.CheckPoint("engine: node position", pos)
 	//adf:invariant campus-bounds — positions stay inside the union of the campus region bounds.
-	sanitize.CheckInBounds("engine: node position", s.Pos, st.bounds)
+	sanitize.CheckInBounds("engine: node position", pos, st.bounds)
 	//adf:invariant finite-position — sample timestamps feed the estimators and must be finite.
-	sanitize.CheckFinite("engine: sample time", s.Time)
+	sanitize.CheckFinite("engine: sample time", t)
 }

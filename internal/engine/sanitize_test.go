@@ -34,15 +34,17 @@ func expectSanitizerPanic(t *testing.T, fragment string, f func()) {
 }
 
 // TestSanitizerCatchesNaNPosition injects the canonical corruption — a
-// forced NaN coordinate — into a sample in the tick's buffer and asserts
-// the per-sample check a shard job runs fails with a file:line panic.
+// forced NaN coordinate — into a position of the tick's frame and
+// asserts the per-sample check a shard job runs fails with a file:line
+// panic.
 func TestSanitizerCatchesNaNPosition(t *testing.T) {
 	p := newTestPipeline(t, 0, nil, nil)
 	if err := p.Tick(1); err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
-	p.samples[3].Pos.X = math.NaN()
-	expectSanitizerPanic(t, "non-finite position", func() { p.san.checkSample(&p.samples[3]) })
+	pos := p.ring.frames[0].shards[0].pos[3]
+	pos.X = math.NaN()
+	expectSanitizerPanic(t, "non-finite position", func() { p.san.checkSample(pos, 1) })
 }
 
 // TestSanitizerCatchesEscapedPosition: a position outside the campus
@@ -52,8 +54,8 @@ func TestSanitizerCatchesEscapedPosition(t *testing.T) {
 	if err := p.Tick(1); err != nil {
 		t.Fatalf("healthy tick: %v", err)
 	}
-	p.samples[0].Pos = p.san.bounds.Max.Add(p.san.bounds.Max.Sub(p.san.bounds.Min)) // far outside
-	expectSanitizerPanic(t, "outside bounds", func() { p.san.checkSample(&p.samples[0]) })
+	pos := p.san.bounds.Max.Add(p.san.bounds.Max.Sub(p.san.bounds.Min)) // far outside
+	expectSanitizerPanic(t, "outside bounds", func() { p.san.checkSample(pos, 1) })
 }
 
 // TestSanitizerCatchesBackwardsClock: tick times may only increase.

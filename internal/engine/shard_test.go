@@ -230,8 +230,8 @@ func TestShardedKeyedWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedObserverEvents: the region partition's merge step must
-// replay exactly the event multiset the campus partition emits.
+// TestShardedObserverEvents: the region partition's lane stage must
+// emit exactly the event multiset the campus partition emits.
 func TestShardedObserverEvents(t *testing.T) {
 	obs := &countingObserver{}
 	p := newTestSharded(t, 7, 0, [2]float64{}, 2, idealFactory)

@@ -13,9 +13,10 @@ import (
 // The campaign layer schedules a campaign's simulations — the ideal
 // baseline, each DTH factor, each seed, each scale point — on a bounded
 // worker pool. Tasks that share a world (the same Config up to the lane
-// fields) are dealt into passes: a pass builds the world once and runs
-// every task in it as a lane of one pipeline. Every figure of the paper
-// derives from one campaign's Results.
+// fields) form one pass: a pass builds the world once and runs every
+// task in it as a lane of one pipeline, whose lane stages share the
+// CPUs with its world stage. Every figure of the paper derives from one
+// campaign's Results.
 
 // workers resolves the campaign worker-pool size.
 func (c Config) workers() int {
@@ -46,30 +47,19 @@ func sameWorld(a, b Config) bool {
 	return reflect.DeepEqual(a.worldKey(), b.worldKey())
 }
 
-// planPasses deals tasks into passes and returns each pass's task
-// indices: tasks are grouped by world in order of first appearance, and
-// each world's n tasks are dealt round-robin into min(workers, n)
-// passes, so a world never runs on more passes than there are workers
-// to run them.
-func planPasses(workers int, tasks []runTask) [][]int {
-	var worlds [][]int
+// planPasses groups tasks by world, in order of first appearance, and
+// returns each pass's task indices: a world is one pass.
+func planPasses(tasks []runTask) [][]int {
+	var passes [][]int
 	for i, t := range tasks {
 		w := 0
-		for w < len(worlds) && !sameWorld(tasks[worlds[w][0]].cfg, t.cfg) {
+		for w < len(passes) && !sameWorld(tasks[passes[w][0]].cfg, t.cfg) {
 			w++
 		}
-		if w == len(worlds) {
-			worlds = append(worlds, nil)
+		if w == len(passes) {
+			passes = append(passes, nil)
 		}
-		worlds[w] = append(worlds[w], i)
-	}
-	var passes [][]int
-	for _, ids := range worlds {
-		deal := make([][]int, min(workers, len(ids)))
-		for j, id := range ids {
-			deal[j%len(deal)] = append(deal[j%len(deal)], id)
-		}
-		passes = append(passes, deal...)
+		passes[w] = append(passes[w], i)
 	}
 	return passes
 }
@@ -77,7 +67,8 @@ func planPasses(workers int, tasks []runTask) [][]int {
 // runAll executes tasks as passes on a bounded worker pool and returns
 // their runs in task order. Each lane owns private sim.Streams derived
 // from its config seed, so the outcome is bit-for-bit identical to
-// running every task alone and in sequence, whatever the pool size.
+// running every task alone and in sequence, whatever the pool size and
+// whether a pass's lane stages run inline or trail its world stage.
 func runAll(workers int, tasks []runTask) ([]*Run, error) {
 	runs, _, err := runAllTimed(workers, tasks)
 	return runs, err
@@ -89,7 +80,7 @@ func runAllTimed(workers int, tasks []runTask) ([]*Run, []time.Duration, error) 
 	out := make([]*Run, len(tasks))
 	wall := make([]time.Duration, len(tasks))
 	g := engine.NewGroup(workers)
-	for _, pass := range planPasses(workers, tasks) {
+	for _, pass := range planPasses(tasks) {
 		g.Go(func() error {
 			lanes := make([]runTask, len(pass))
 			for k, i := range pass {
@@ -129,10 +120,10 @@ func (c Config) campaignTasks() []runTask {
 
 // Run executes the core campaign that figures 4–9 and the energy budget
 // are derived from: the ideal baseline plus one ADF run per DTH factor,
-// as lanes of at most Config.Workers concurrent passes over one world
-// (at Workers 2: {ideal, 1.00av} and {0.75av, 1.25av}). Each call
-// simulates afresh; derive every figure from one Results rather than
-// running the campaign once per figure.
+// as the lanes of one pass over one world. At Workers above 1 the four
+// lane stages trail the world stage on goroutines of their own. Each
+// call simulates afresh; derive every figure from one Results rather
+// than running the campaign once per figure.
 func (c Config) Run() (*Results, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err

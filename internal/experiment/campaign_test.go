@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/mobilegrid/adf/internal/engine"
 )
 
 // TestParallelMatchesSequential is the engine's core determinism claim:
@@ -97,22 +100,12 @@ func TestRunAllLabelsErrors(t *testing.T) {
 
 // TestPlanPasses pins the pass rule: tasks are grouped by world key —
 // lane fields ignored, Burst and Churn compared by value — and each
-// world's tasks are dealt round-robin into min(workers, n) passes.
+// world is one pass, whatever the worker count.
 func TestPlanPasses(t *testing.T) {
 	c := shortConfig()
 	tasks := c.campaignTasks() // ideal, 0.75av, 1.00av, 1.25av
-	for _, tc := range []struct {
-		workers int
-		want    [][]int
-	}{
-		{1, [][]int{{0, 1, 2, 3}}},
-		{2, [][]int{{0, 2}, {1, 3}}},
-		{4, [][]int{{0}, {1}, {2}, {3}}},
-		{8, [][]int{{0}, {1}, {2}, {3}}},
-	} {
-		if got := planPasses(tc.workers, tasks); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("workers=%d: passes %v, want %v", tc.workers, got, tc.want)
-		}
+	if got, want := planPasses(tasks), [][]int{{0, 1, 2, 3}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("campaign: passes %v, want %v", got, want)
 	}
 
 	lane := c
@@ -131,7 +124,50 @@ func TestPlanPasses(t *testing.T) {
 		{cfg: churnB, mk: churnB.adfFactory(1)},
 	}
 	want := [][]int{{0, 2}, {1, 4}, {3}}
-	if got := planPasses(1, mixed); !reflect.DeepEqual(got, want) {
+	if got := planPasses(mixed); !reflect.DeepEqual(got, want) {
 		t.Errorf("mixed worlds: passes %v, want %v", got, want)
 	}
+}
+
+// TestCampaignJitterMatchesInline runs the paper campaign at seeds 1–3
+// with its four lane stages trailing the world stage (Workers 2) while
+// the engine delays them at random points, and holds every published
+// output — each lane's series, tallies, quantiles, energy and cluster
+// count, and the campaign digest over all of them — to the inline run
+// (Workers 1).
+func TestCampaignJitterMatchesInline(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		c := DefaultConfig()
+		c.Seed = seed
+		c.Duration = 300
+		c.Workers = 1
+		inline, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Workers = 2
+		engine.SetStageJitter(seed)
+		jittered, err := c.Run()
+		engine.SetStageJitter(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := append([]*Run{inline.Ideal}, inline.ADF...)
+		for l, r := range append([]*Run{jittered.Ideal}, jittered.ADF...) {
+			if got, want := runDigest(r), runDigest(want[l]); got != want {
+				t.Errorf("seed %d lane %d (%s): outputs %#016x under jitter, %#016x inline", seed, l, r.Name, got, want)
+			}
+		}
+		if got, want := campaignDigest(jittered), campaignDigest(inline); got != want {
+			t.Errorf("seed %d: campaign digest %#016x under jitter, %#016x inline", seed, got, want)
+		}
+	}
+}
+
+// runDigest folds everything one run holds — every series, tally,
+// summary, accumulator and the energy ledger — through digestValue.
+func runDigest(r *Run) uint64 {
+	h := fnv.New64a()
+	digestValue(h, reflect.ValueOf(r))
+	return h.Sum64()
 }

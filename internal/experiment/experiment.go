@@ -77,11 +77,13 @@ type Config struct {
 	// Workers bounds the campaign worker pool: 0 means one worker per
 	// available CPU, 1 forces sequential execution. Runs that share a
 	// world (everything but the lane fields DTHFactors, Estimator,
-	// Smoothing, ADF and Workers) are dealt round-robin into at most
-	// Workers passes; a pass simulates the world once and runs each of
-	// its filter configurations as a lane. It never changes results —
-	// every lane computes exactly what a simulation of its own would —
-	// only the execution schedule.
+	// Smoothing, ADF and Workers) form one pass, which simulates the
+	// world once and runs each of its filter configurations as a lane;
+	// passes run concurrently on up to Workers workers. Above 1 (or with
+	// ShardWorkers above 1) each lane's brokers and sinks run on a
+	// goroutine of their own, trailing the pass's world. It never
+	// changes results — every lane computes exactly what a simulation of
+	// its own would — only the execution schedule.
 	Workers int
 	// ShardWorkers selects the engine.Pipeline partition. 0 is the
 	// campus partition: one filter instance sees every node, so the ADF
@@ -408,10 +410,16 @@ func runPass(tasks []runTask) ([]*Run, error) {
 			}
 		}
 	}
+	// Each run's summaries are its own, so the quantile selections run
+	// side by side on the pass's workers.
+	g := engine.NewGroup(tasks[0].cfg.workers())
 	for _, run := range runs {
-		run.publishQuantiles()
+		g.Go(func() error {
+			run.publishQuantiles()
+			return nil
+		})
 	}
-	return runs, nil
+	return runs, g.Wait()
 }
 
 // passError labels an error of a pass with its tasks' labels.
@@ -479,6 +487,7 @@ func buildPass(tasks []runTask) (*engine.Pipeline, []*Run, error) {
 		Churn:        w.churn,
 		SamplePeriod: c.SamplePeriod,
 		Workers:      c.ShardWorkers,
+		Concurrent:   c.workers() > 1 || c.ShardWorkers > 1,
 	}
 	runs := make([]*Run, len(tasks))
 	mks := make([]filterFactory, len(tasks))
@@ -590,6 +599,10 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 	noLE := broker.New(nil)
 	withLE := broker.New(leFactory)
 
+	// The lane's four per-kind accumulators, written on every error
+	// event, share one 64-byte allocation — one cache line — so lanes
+	// recording on different CPUs never write to one line.
+	kinds := new([4]estimate.RMSEAccumulator)
 	run := &Run{
 		Name:             name,
 		Factor:           factor,
@@ -602,12 +615,12 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 		ErrNoLE:          &metrics.Summary{},
 		ErrWithLE:        &metrics.Summary{},
 		RMSENoLEByKind: map[string]*estimate.RMSEAccumulator{
-			campus.Road.String():     {},
-			campus.Building.String(): {},
+			campus.Road.String():     &kinds[0],
+			campus.Building.String(): &kinds[1],
 		},
 		RMSEWithLEByKind: map[string]*estimate.RMSEAccumulator{
-			campus.Road.String():     {},
-			campus.Building.String(): {},
+			campus.Road.String():     &kinds[2],
+			campus.Building.String(): &kinds[3],
 		},
 	}
 	run.Energy, err = energy.NewAccountant(energy.DefaultModel())

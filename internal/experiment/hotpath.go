@@ -40,7 +40,7 @@ type HotpathStats struct {
 // and reports its end-to-end throughput: virtual ticks per wall-clock
 // second, nanoseconds per tick and heap allocations per tick
 // (runtime.MemStats.Mallocs deltas). The whole simulation is timed —
-// setup, the tick loop, the pipeline's closing replay of the last tick
+// setup, the tick loop, the wait in Close for the lane stages to finish
 // and the quantile selection — matching the protocol of the
 // BENCH_hotpath.json baselines; the tick loop is driven manually so a
 // second MemStats read at the warmup boundary — half the run, capped at
@@ -80,8 +80,8 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 			return HotpathStats{}, err
 		}
 	}
-	// The observer trails the pipeline by one tick: Close replays the
-	// last one, so the sinks are complete before they are read.
+	// The lane stage may trail the world stage: Close waits for it, so
+	// the sinks are complete before they are read.
 	if err := loop.Close(); err != nil {
 		return HotpathStats{}, err
 	}

@@ -37,35 +37,43 @@ func TestZeroAllocTick(t *testing.T) {
 
 // TestZeroAllocTickLanes is TestZeroAllocTick for a pass of the whole
 // paper campaign: four lanes — the ideal filter and three ADF factor
-// views over one shared front — on one world. Past warmup a tick
-// allocates nothing.
+// views over one shared front — on one world, with the lane stages run
+// inline (campaign Workers 1) and trailing the world stage on
+// goroutines of their own (Workers 2). Past warmup a tick allocates
+// nothing either way.
 func TestZeroAllocTickLanes(t *testing.T) {
-	c := DefaultConfig()
-	c.Duration = 4000
-	p, _, err := buildPass(c.campaignTasks())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			c := DefaultConfig()
+			c.Duration = 4000
+			c.Workers = workers
+			p, _, err := buildPass(c.campaignTasks())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
 
-	now := 0.0
-	tick := func() {
-		now += c.SamplePeriod
-		if err := p.Tick(now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 600; i++ {
-		tick()
-	}
-	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
-		t.Fatalf("steady-state four-lane tick allocates: %v allocs/tick, want 0", allocs)
+			now := 0.0
+			tick := func() {
+				now += c.SamplePeriod
+				if err := p.Tick(now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 600; i++ {
+				tick()
+			}
+			if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
+				t.Fatalf("steady-state four-lane tick allocates: %v allocs/tick, want 0", allocs)
+			}
+		})
 	}
 }
 
 // TestZeroAllocTickSharded is TestZeroAllocTick for the region
 // partition: past warmup, a whole tick — shard fan-out over the worker
-// pool, outcome replay, broker tally merge — allocates nothing.
+// pool, the frame's hand-off to the trailing lane stage — allocates
+// nothing.
 func TestZeroAllocTickSharded(t *testing.T) {
 	c := DefaultConfig()
 	c.Duration = 4000
@@ -94,9 +102,9 @@ func TestZeroAllocTickSharded(t *testing.T) {
 // TestShardWorkersDeterminism proves the region partition's merge-order
 // contract at the metrics level: every series a Run produces is
 // identical between ShardWorkers=1 (the sequential reference) and
-// higher worker counts. Observer events are buffered per shard and
-// replayed in ascending region order at merge, so worker scheduling
-// cannot reorder a single float addition.
+// higher worker counts. Each lane stage walks the shards in ascending
+// region order, so worker scheduling cannot reorder a single float
+// addition.
 func TestShardWorkersDeterminism(t *testing.T) {
 	base := DefaultConfig()
 	base.Seed = 5
@@ -143,8 +151,8 @@ func TestShardWorkersDeterminism(t *testing.T) {
 // benchmarkTick measures the steady-state cost of one pipeline tick at a
 // given population scale and partition (shardWorkers 0 is the campus
 // partition), allocation-counted. The timed loop ends with Close, which
-// replays the last tick to the observers, so every timed tick is paid
-// in full.
+// waits for the trailing lane stage to finish every tick, so every timed
+// tick is paid in full.
 func benchmarkTick(b *testing.B, perGroup, shardWorkers int) {
 	c := DefaultConfig()
 	c.PerGroup = perGroup
@@ -199,16 +207,17 @@ func BenchmarkFullRun1800s140MN(b *testing.B) {
 
 // BenchmarkCampaign140MN times one seed's paper campaign — the ideal run
 // and the ADF at 0.75, 1.00 and 1.25av over the Table-1 population for
-// 1800 s, as Config.Run schedules it — at campaign Workers 1 (one pass
-// of four lanes) and 2 (two passes of two lanes). It reports the passes
-// and lanes per pass beside ns/op.
+// 1800 s, as Config.Run schedules it: one pass of four lanes, whose lane
+// stages run inline at campaign Workers 1 and trail the world stage on
+// goroutines of their own at Workers 2. It reports the passes and lanes
+// per pass beside ns/op.
 func BenchmarkCampaign140MN(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			c := DefaultConfig()
 			c.Workers = workers
 			tasks := c.campaignTasks()
-			passes := planPasses(c.workers(), tasks)
+			passes := planPasses(tasks)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Run(); err != nil {

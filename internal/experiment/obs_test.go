@@ -79,7 +79,7 @@ func TestObsSmoke(t *testing.T) {
 			t.Errorf("negative span duration %v", e.Dur)
 		}
 	}
-	for _, want := range []string{"advance", "nodes", "observers", "tick"} {
+	for _, want := range []string{"advance", "nodes", "lane", "tick"} {
 		if !stages[want] {
 			t.Errorf("trace missing %q stage spans", want)
 		}
@@ -180,15 +180,16 @@ func registryTotals() (lane map[string]uint64, reclusters uint64, patterns []int
 }
 
 // TestObsTotalsPerLane pins how the registry accounts a campaign run as
-// passes. At Workers 4 each of the campaign's four runs is a pass of its
-// own; at Workers 1 they are four lanes of one pass, and the three ADF
-// lanes share one front. Every lane-level instrument — ticks, LUs
-// offered, sent and filtered, broker receipts, estimates and forgets,
-// churn events, the filter histograms and the per-region LU counters —
-// must move by the same amount either way: each lane adds what its run
-// adds alone. Front-level instruments count once per front:
-// adf_reclusters_total and the per-pattern node gauges move by a third
-// as much when three ADF lanes share one front.
+// one pass. Run alone, each of the campaign's four runs is a pass of
+// its own; as the campaign runs them they are four lanes of one pass —
+// inline at Workers 1, trailing the world stage at Workers 2 — and the
+// three ADF lanes share one front. Every lane-level instrument — ticks,
+// LUs offered, sent and filtered, broker receipts, estimates and
+// forgets, churn events, the filter histograms and the per-region LU
+// counters — must move by the same amount either way: each lane adds
+// what its run adds alone. Front-level instruments count once per
+// front: adf_reclusters_total and the per-pattern node gauges move by a
+// third as much when three ADF lanes share one front.
 func TestObsTotalsPerLane(t *testing.T) {
 	was := obs.Enabled()
 	obs.SetEnabled(true)
@@ -197,11 +198,9 @@ func TestObsTotalsPerLane(t *testing.T) {
 	c := DefaultConfig()
 	c.Duration = 60
 	c.Churn = &ChurnConfig{LeaveProb: 0.02, RejoinProb: 0.3}
-	measure := func(workers int) (map[string]uint64, uint64, []int64) {
+	measure := func(run func() error) (map[string]uint64, uint64, []int64) {
 		lane0, rc0, pat0 := registryTotals()
-		cfg := c
-		cfg.Workers = workers
-		if _, err := cfg.Run(); err != nil {
+		if err := run(); err != nil {
 			t.Fatal(err)
 		}
 		lane1, rc1, pat1 := registryTotals()
@@ -213,29 +212,50 @@ func TestObsTotalsPerLane(t *testing.T) {
 		}
 		return lane1, rc1 - rc0, pat1
 	}
-	aloneLane, aloneRC, alonePat := measure(4)
-	sharedLane, sharedRC, sharedPat := measure(1)
+	aloneLane, aloneRC, alonePat := measure(func() error {
+		for _, task := range c.campaignTasks() {
+			if _, err := runPass([]runTask{task}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	for _, workers := range []int{1, 2} {
+		cfg := c
+		cfg.Workers = workers
+		sharedLane, sharedRC, sharedPat := measure(func() error {
+			_, err := cfg.Run()
+			return err
+		})
+		checkObsTotals(t, workers, aloneLane, sharedLane, aloneRC, sharedRC, alonePat, sharedPat)
+	}
+}
 
+// checkObsTotals compares a campaign's registry movement as one pass at
+// campaign workers against its runs' movement as passes of their own.
+func checkObsTotals(t *testing.T, workers int, aloneLane, sharedLane map[string]uint64,
+	aloneRC, sharedRC uint64, alonePat, sharedPat []int64) {
+	t.Helper()
 	for k, v := range aloneLane {
 		if sharedLane[k] != v {
-			t.Errorf("%s: %d as four passes, %d as one pass of four lanes", k, v, sharedLane[k])
+			t.Errorf("workers=%d %s: %d as four passes, %d as one pass of four lanes", workers, k, v, sharedLane[k])
 		}
 	}
 	if aloneLane["offered"] == 0 || aloneLane["churn_left"] == 0 || aloneLane["broker_forgets"] == 0 {
 		t.Errorf("campaign moved no offered, churn or forget counter: %v", aloneLane)
 	}
 	if sharedRC == 0 || aloneRC != 3*sharedRC {
-		t.Errorf("reclusters: %d from three ADF fronts, %d from one shared front; want a 3:1 ratio", aloneRC, sharedRC)
+		t.Errorf("workers=%d reclusters: %d from three ADF fronts, %d from one shared front; want a 3:1 ratio", workers, aloneRC, sharedRC)
 	}
 	var sharedNodes int64
 	for p := range alonePat {
 		if alonePat[p] != 3*sharedPat[p] {
-			t.Errorf("pattern %v gauge moved %d with three fronts, %d with one; want 3:1",
-				core.MobilityPattern(p), alonePat[p], sharedPat[p])
+			t.Errorf("workers=%d pattern %v gauge moved %d with three fronts, %d with one; want 3:1",
+				workers, core.MobilityPattern(p), alonePat[p], sharedPat[p])
 		}
 		sharedNodes += sharedPat[p]
 	}
 	if sharedNodes == 0 {
-		t.Error("the shared front left no node in any pattern gauge")
+		t.Errorf("workers=%d: the shared front left no node in any pattern gauge", workers)
 	}
 }

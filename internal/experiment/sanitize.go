@@ -16,9 +16,10 @@ import (
 // number of compared ticks is returned. Under -tags adfcheck every tick
 // additionally runs the sanitizer invariants, which is how
 // TestShardDigestGate (`make check-sharded`) exercises the sharded
-// stack. It reads no metric sink, so the observers' one-tick lag does
-// not enter the comparison; closing the pipelines at the end still
-// surfaces an observer error from the last tick.
+// stack. StateDigest waits for each pipeline's trailing lane stages, so
+// every digest covers the brokers of the tick just computed; closing the
+// pipelines at the end still surfaces an observer error from the last
+// tick.
 func (c Config) CompareShardDigests(workerCounts []int) (int, error) {
 	if len(workerCounts) < 2 {
 		return 0, fmt.Errorf(

@@ -105,7 +105,7 @@ var (
 	stageSeconds = [numStages]*Histogram{
 		Default.Histogram("adf_stage_seconds", StageSecondsBounds, "stage", "advance"),
 		Default.Histogram("adf_stage_seconds", StageSecondsBounds, "stage", "nodes"),
-		Default.Histogram("adf_stage_seconds", StageSecondsBounds, "stage", "observers"),
+		Default.Histogram("adf_stage_seconds", StageSecondsBounds, "stage", "lane"),
 		Default.Histogram("adf_stage_seconds", StageSecondsBounds, "stage", "tick"),
 		Default.Histogram("adf_stage_seconds", StageSecondsBounds, "stage", "shard"),
 		Default.Histogram("adf_stage_seconds", StageSecondsBounds, "stage", "merge"),
@@ -115,6 +115,18 @@ var (
 	// FilterDTH is the distribution of thresholds LUs were compared
 	// against.
 	FilterDTH = Default.Histogram("adf_filter_dth_meters", MetersBounds)
+)
+
+// Stage waits: how often a stage of a concurrent pipeline found the
+// tick-frame ring in its way. A run whose world waits more than its
+// lanes is bound by the lane stages, and the other way round.
+var (
+	// WorldWaits counts world-stage ticks that found the ring full:
+	// every frame still held by a lane stage that has not finished it.
+	WorldWaits = Default.Counter("adf_stage_waits_total", "stage", "world")
+	// LaneWaits counts lane-stage reads that found the ring empty: the
+	// lane had caught up with the world stage.
+	LaneWaits = Default.Counter("adf_stage_waits_total", "stage", "lane")
 )
 
 // ShardSeconds returns the per-region latency histogram for one shard's

@@ -12,10 +12,8 @@ package obs
 type TickLocal struct {
 	// Offered, Sent and Filtered mirror the filter stage's verdicts.
 	Offered, Sent, Filtered uint64
-	// BrokerReceived counts LUs delivered to the broker pair;
-	// BrokerEstimated counts with-LE belief refreshes served by the
-	// Location Estimator.
-	BrokerReceived, BrokerEstimated uint64
+	// BrokerReceived counts LUs delivered to the broker pair.
+	BrokerReceived uint64
 	// ChurnLeft and ChurnRejoined mirror the churn stage.
 	ChurnLeft, ChurnRejoined uint64
 	// Distance and DTH are local histograms for the filter's
@@ -42,7 +40,6 @@ func (t *TickLocal) Flush() {
 	flushCount(LUSent, &t.Sent)
 	flushCount(LUFiltered, &t.Filtered)
 	flushCount(BrokerReceived, &t.BrokerReceived)
-	flushCount(BrokerEstimated, &t.BrokerEstimated)
 	flushCount(ChurnLeft, &t.ChurnLeft)
 	flushCount(ChurnRejoined, &t.ChurnRejoined)
 	t.Distance.flush()
@@ -59,11 +56,10 @@ func (t *TickLocal) Merge(src *TickLocal) {
 	t.Sent += src.Sent
 	t.Filtered += src.Filtered
 	t.BrokerReceived += src.BrokerReceived
-	t.BrokerEstimated += src.BrokerEstimated
 	t.ChurnLeft += src.ChurnLeft
 	t.ChurnRejoined += src.ChurnRejoined
 	src.Offered, src.Sent, src.Filtered = 0, 0, 0
-	src.BrokerReceived, src.BrokerEstimated = 0, 0
+	src.BrokerReceived = 0
 	src.ChurnLeft, src.ChurnRejoined = 0, 0
 	t.Distance.merge(&src.Distance)
 	t.DTH.merge(&src.DTH)

@@ -197,7 +197,8 @@ func TestSpansAndChromeTrace(t *testing.T) {
 		t2 := StageClock(start)
 		t3 := StageClock(start)
 		RecordShardSpan(tid, 0, nil, start, t1, t2)
-		RecordTickSpans(tid, start, t1, t2, t3, StageClock(start))
+		RecordTickSpans(tid, start, t1, t2, t3)
+		RecordLaneSpan(tid, t3, StageClock(start))
 	})
 	if SpanCount() < 5 {
 		t.Fatalf("span count = %d, want >= 5", SpanCount())
@@ -230,7 +231,7 @@ func TestSpansAndChromeTrace(t *testing.T) {
 		}
 		names[e.Name] = true
 	}
-	for _, want := range []string{"advance", "nodes", "merge", "observers", "tick"} {
+	for _, want := range []string{"advance", "nodes", "merge", "lane", "tick"} {
 		if !names[want] {
 			t.Errorf("trace missing %q span", want)
 		}
@@ -247,7 +248,7 @@ func TestStageDisabledRecordsNothing(t *testing.T) {
 	if start != 0 {
 		t.Fatalf("disabled StageStart = %d, want 0", start)
 	}
-	RecordTickSpans(1, start, StageClock(start), 0, 0, 0)
+	RecordTickSpans(1, start, StageClock(start), 0, 0)
 	RecordShardSpan(1, 0, nil, 0, 0, 0)
 	if SpanCount() != before {
 		t.Error("disabled stage calls recorded spans")
@@ -256,12 +257,12 @@ func TestStageDisabledRecordsNothing(t *testing.T) {
 
 func TestStageString(t *testing.T) {
 	cases := map[Stage]string{
-		StageAdvance:   "advance",
-		StageNodes:     "nodes",
-		StageObservers: "observers",
-		StageTick:      "tick",
-		Stage(99):      "unknown",
-		Stage(-1):      "unknown",
+		StageAdvance: "advance",
+		StageNodes:   "nodes",
+		StageLane:    "lane",
+		StageTick:    "tick",
+		Stage(99):    "unknown",
+		Stage(-1):    "unknown",
 	}
 	for s, want := range cases {
 		if got := s.String(); got != want {
@@ -364,7 +365,7 @@ func TestDisabledPathAllocsNothing(t *testing.T) {
 		l.Offered++
 		l.Distance.Observe(1)
 		start := StageStart()
-		RecordTickSpans(1, start, StageClock(start), 0, 0, 0)
+		RecordTickSpans(1, start, StageClock(start), 0, 0)
 		Events.Emit("never")
 	}); allocs != 0 {
 		t.Fatalf("disabled instrument path allocates %v/op, want 0", allocs)

@@ -16,21 +16,23 @@ const (
 	// StageAdvance is one shard's mobility advance, the first step of
 	// its shard job.
 	StageAdvance Stage = iota
-	// StageNodes is the tick's job-list dispatch: every shard job
-	// (advance, churn, collect, filter, deliver) and the replay job, up
-	// to the barrier.
+	// StageNodes is the world stage's shard dispatch: every shard job
+	// (advance, churn, collect, each lane's filter decision), up to the
+	// barrier.
 	StageNodes
-	// StageObservers is the replay job: the previous tick's events and
-	// OnTick fanned out to the metric sinks.
-	StageObservers
-	// StageTick is the whole sampling round.
+	// StageLane is one lane stage's tick: the departures forgotten, the
+	// broker pair stepped, the error distances measured and the lane's
+	// observer called, shard by shard.
+	StageLane
+	// StageTick is the world stage's whole sampling round, from the
+	// shard dispatch to the frame's hand-off to the lane stages.
 	StageTick
 	// StageShard is one region shard's job in the region partition
 	// (advance, then churn-gated collect → filter → broker delivery over
 	// the shard's members).
 	StageShard
-	// StageMerge is the pipeline's synchronous fold after the barrier:
-	// broker tallies and observability batches in stable shard order.
+	// StageMerge is the world stage's synchronous fold after the
+	// barrier: the shards' observability batches in stable shard order.
 	StageMerge
 	// numStages sizes stage-indexed arrays.
 	numStages
@@ -39,7 +41,7 @@ const (
 // stageNames maps Stage values to their trace and metric names. Indexed
 // by int rather than switched over so no exhaustiveness obligation
 // spreads to callers.
-var stageNames = [numStages]string{"advance", "nodes", "observers", "tick", "shard", "merge"}
+var stageNames = [numStages]string{"advance", "nodes", "lane", "tick", "shard", "merge"}
 
 // String returns the stage's name.
 func (s Stage) String() string {
@@ -110,34 +112,39 @@ func StageClock(start int64) int64 {
 	return nowNanos()
 }
 
-// RecordTickSpans publishes one tick's serial chain and its replay job
-// under a single ring lock acquisition, so the engine's per-tick path
-// pays one lock/unlock pair and one atomic gate load for all of them:
-// nodes [t0, t1] (the job-list dispatch up to its barrier), merge
-// [t1, t2] (the fold), the enclosing tick [t0, t2] and, when the replay
-// job ran (rs != 0), observers [rs, re]. The chain's boundaries come
-// from one StageStart and two StageClock reads; a zero t0 means the
-// chain was never opened.
-func RecordTickSpans(tid uint32, t0, t1, t2, rs, re int64) {
-	if t0 == 0 || t1 < t0 || t2 < t1 || re < rs || !on.Load() {
+// RecordTickSpans publishes one world-stage tick's serial chain under a
+// single ring lock acquisition, so the engine's per-tick path pays one
+// lock/unlock pair and one atomic gate load for all of them: nodes
+// [t0, t1] (the shard dispatch up to its barrier), merge [t1, t2] (the
+// fold) and the enclosing tick [t0, t3], which ends once the frame is
+// handed to the lane stages (inline lanes included). The chain's
+// boundaries come from one StageStart and three StageClock reads; a
+// zero t0 means the chain was never opened.
+func RecordTickSpans(tid uint32, t0, t1, t2, t3 int64) {
+	if t0 == 0 || t1 < t0 || t2 < t1 || t3 < t2 || !on.Load() {
 		return
 	}
 	stageSeconds[StageNodes].observe(float64(t1-t0) / 1e9)
 	stageSeconds[StageMerge].observe(float64(t2-t1) / 1e9)
-	stageSeconds[StageTick].observe(float64(t2-t0) / 1e9)
-	recs := [4]spanRecord{
+	stageSeconds[StageTick].observe(float64(t3-t0) / 1e9)
+	recs := [3]spanRecord{
 		{stage: StageNodes, tid: tid, shard: -1, startNS: t0, durNS: t1 - t0},
 		{stage: StageMerge, tid: tid, shard: -1, startNS: t1, durNS: t2 - t1},
-		{stage: StageTick, tid: tid, shard: -1, startNS: t0, durNS: t2 - t0},
-		{stage: StageObservers, tid: tid, shard: -1, startNS: rs, durNS: re - rs},
+		{stage: StageTick, tid: tid, shard: -1, startNS: t0, durNS: t3 - t0},
 	}
-	n := len(recs)
-	if rs == 0 {
-		n--
-	} else {
-		stageSeconds[StageObservers].observe(float64(re-rs) / 1e9)
+	spans.record(recs[:])
+}
+
+// RecordLaneSpan records one lane stage's tick [start, end] on the
+// lane's own trace track, so lanes that trail the world stage on
+// goroutines of their own do not overlap its spans.
+func RecordLaneSpan(tid uint32, start, end int64) {
+	if start == 0 || end < start || !on.Load() {
+		return
 	}
-	spans.record(recs[:n])
+	stageSeconds[StageLane].observe(float64(end-start) / 1e9)
+	recs := [1]spanRecord{{stage: StageLane, tid: tid, shard: -1, startNS: start, durNS: end - start}}
+	spans.record(recs[:])
 }
 
 // RecordShardSpan records one shard job's spans with explicit
