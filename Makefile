@@ -35,12 +35,12 @@ lint:
 # the run, event lines must be valid NDJSON), the zero-allocation tick
 # tests and the obs unit suite with its live /metrics scrape. The second
 # step repeats the staged-pass tests — concurrent lane stages under
-# random delays, shutdown and leak checks — three times on two Ps, so the
-# trailing lane stages and the tick-frame ring run concurrently even on a
-# 1-CPU runner.
+# random delays, shutdown and leak checks, close and restart — three
+# times on two Ps, so the trailing lane stages and the tick-frame ring
+# run concurrently even on a 1-CPU runner.
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=2 $(GO) test -race -count=3 -run 'Jitter|Lanes|Leak' ./internal/engine ./internal/experiment
+	GOMAXPROCS=2 $(GO) test -race -count=3 -run 'Jitter|Lanes|Leak|Lifecycle' ./internal/engine ./internal/experiment
 
 # check runs tier-1 under the adfcheck runtime sanitizer: the full test
 # suite with every //adf:invariant guard armed, campus-partition runs

@@ -20,9 +20,13 @@
 // There is one Pipeline with two partitions of the population: the
 // campus partition (one shard, campus-wide filtering, node order) and
 // the region partition (one shard per region on a worker pool). Each
-// pass owns a private Pipeline, sim.Simulator and sim.Streams, so
-// running passes concurrently on a Group is bit-for-bit identical to
-// running them one after another.
+// pass owns a private Pipeline and sim.Streams, so running passes
+// concurrently on a Group is bit-for-bit identical to running them one
+// after another.
+//
+// Virtual time is the tick loop's: Pipeline.Run samples every node at
+// sampling round k = 1, 2, … at TickTime(SamplePeriod, k), up to the
+// horizon — Ticks rounds in all.
 //
 // A concurrent pipeline's metric sinks and brokers trail the world
 // stage: they are complete once Pipeline.Run returns or Pipeline.Close
@@ -70,22 +74,20 @@ func (v Variant) String() string {
 // lane stage only, which may trail the world stage on a goroutine of its
 // own, so a sink is complete only after Pipeline.Run returns or
 // Pipeline.Close has been called, and observers of different lanes must
-// not share unguarded state. Returning a non-nil error aborts the run:
-// no observer receives an event of a later tick, and the error surfaces
-// from Tick, from Close or from Run.
+// not share unguarded state.
 type Observer interface {
 	// OnOffered fires when a sample survives wireless disconnection and
 	// reaches the filter.
-	OnOffered(s Sample) error
+	OnOffered(s Sample)
 	// OnTransmitted fires when the filter forwards the sample to the
 	// brokers.
-	OnTransmitted(s Sample) error
+	OnTransmitted(s Sample)
 	// OnError fires once per broker variant that holds a belief for the
 	// node, with the believed-vs-true distance.
-	OnError(s Sample, v Variant, dist float64) error
+	OnError(s Sample, v Variant, dist float64)
 	// OnTick fires after every node has been processed for one sampling
 	// round.
-	OnTick(now float64) error
+	OnTick(now float64)
 }
 
 // BaseObserver is a no-op Observer for embedding, so sinks implement only
@@ -93,13 +95,13 @@ type Observer interface {
 type BaseObserver struct{}
 
 // OnOffered implements Observer.
-func (BaseObserver) OnOffered(Sample) error { return nil }
+func (BaseObserver) OnOffered(Sample) {}
 
 // OnTransmitted implements Observer.
-func (BaseObserver) OnTransmitted(Sample) error { return nil }
+func (BaseObserver) OnTransmitted(Sample) {}
 
 // OnError implements Observer.
-func (BaseObserver) OnError(Sample, Variant, float64) error { return nil }
+func (BaseObserver) OnError(Sample, Variant, float64) {}
 
 // OnTick implements Observer.
-func (BaseObserver) OnTick(float64) error { return nil }
+func (BaseObserver) OnTick(float64) {}

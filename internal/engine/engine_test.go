@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -14,20 +12,19 @@ import (
 	"github.com/mobilegrid/adf/internal/sim"
 )
 
-// countingObserver tallies every event and can be told to fail.
+// countingObserver tallies every event and records the tick times.
 type countingObserver struct {
-	offered, transmitted, errs, ticks int
-	failOffered                       error
-	failTick                          error
+	offered, transmitted, errs int
+	ticks                      []float64
 }
 
-func (o *countingObserver) OnOffered(Sample) error { o.offered++; return o.failOffered }
-func (o *countingObserver) OnTransmitted(Sample) error {
-	o.transmitted++
-	return nil
-}
-func (o *countingObserver) OnError(Sample, Variant, float64) error { o.errs++; return nil }
-func (o *countingObserver) OnTick(float64) error                   { o.ticks++; return o.failTick }
+func (o *countingObserver) OnOffered(Sample)                 { o.offered++ }
+func (o *countingObserver) OnTransmitted(Sample)             { o.transmitted++ }
+func (o *countingObserver) OnError(Sample, Variant, float64) { o.errs++ }
+func (o *countingObserver) OnTick(now float64)               { o.ticks = append(o.ticks, now) }
+
+// events counts every event the observer received.
+func (o *countingObserver) events() int { return o.offered + o.transmitted + o.errs + len(o.ticks) }
 
 // newTestPipeline builds a one-per-group campus population (28 nodes)
 // behind an ideal filter, in the campus partition.
@@ -70,12 +67,12 @@ func oneLane(mk func() (filter.Filter, error)) func() ([]filter.Filter, error) {
 func TestPipelineIdealNoDrop(t *testing.T) {
 	obs := &countingObserver{}
 	p := newTestPipeline(t, 0, nil, obs)
-	if err := p.Run(sim.New(), 10); err != nil {
+	if err := p.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	nodes := len(p.Nodes)
-	if obs.ticks != 10 {
-		t.Errorf("ticks = %d, want 10", obs.ticks)
+	if len(obs.ticks) != 10 {
+		t.Errorf("ticks = %d, want 10", len(obs.ticks))
 	}
 	// With no drops every sample is offered, and the ideal filter
 	// transmits each one.
@@ -90,33 +87,6 @@ func TestPipelineIdealNoDrop(t *testing.T) {
 	}
 	if got := p.Lanes[0].NoLE.NodeCount(); got != nodes {
 		t.Errorf("broker tracks %d nodes, want %d", got, nodes)
-	}
-}
-
-func TestPipelineObserverErrorAborts(t *testing.T) {
-	boom := errors.New("boom")
-	obs := &countingObserver{failOffered: boom}
-	p := newTestPipeline(t, 0, nil, obs)
-	if err := p.Run(sim.New(), 10); !errors.Is(err, boom) {
-		t.Fatalf("Run err = %v, want boom", err)
-	}
-	if obs.offered != 1 {
-		t.Errorf("offered = %d, want 1 (abort on first event)", obs.offered)
-	}
-	if obs.ticks != 0 {
-		t.Errorf("ticks = %d, want 0 (tick aborted mid-round)", obs.ticks)
-	}
-}
-
-func TestPipelineTickErrorAborts(t *testing.T) {
-	boom := errors.New("tick boom")
-	obs := &countingObserver{failTick: boom}
-	p := newTestPipeline(t, 0, nil, obs)
-	if err := p.Run(sim.New(), 10); !errors.Is(err, boom) {
-		t.Fatalf("Run err = %v, want boom", err)
-	}
-	if obs.ticks != 1 {
-		t.Errorf("ticks = %d, want 1", obs.ticks)
 	}
 }
 
@@ -141,7 +111,7 @@ func TestPipelineValidate(t *testing.T) {
 		if err := q.Validate(); err == nil {
 			t.Errorf("breakage %d not rejected", i)
 		}
-		if err := q.Run(sim.New(), 1); err == nil {
+		if err := q.Run(1); err == nil {
 			t.Errorf("breakage %d: Run did not surface wiring error", i)
 		}
 	}
@@ -160,9 +130,7 @@ func TestChurnForgetAndRejoin(t *testing.T) {
 	if err := p.Tick(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 	if churn.AbsentCount() != nodes {
 		t.Fatalf("absent = %d after leave tick, want %d", churn.AbsentCount(), nodes)
 	}
@@ -176,9 +144,7 @@ func TestChurnForgetAndRejoin(t *testing.T) {
 	if err := p.Tick(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
+	p.Close()
 	if churn.AbsentCount() != 0 {
 		t.Errorf("absent = %d after rejoin tick, want 0", churn.AbsentCount())
 	}
@@ -219,100 +185,25 @@ func TestVariantString(t *testing.T) {
 	}
 }
 
-// tickFailObserver counts every event and fails OnOffered for the
-// samples of one tick.
-type tickFailObserver struct {
-	events int
-	ticks  []float64
-	failAt float64
-	err    error
-}
-
-func (o *tickFailObserver) OnOffered(s Sample) error {
-	o.events++
-	if s.Time == o.failAt {
-		return o.err
-	}
-	return nil
-}
-func (o *tickFailObserver) OnTransmitted(Sample) error             { o.events++; return nil }
-func (o *tickFailObserver) OnError(Sample, Variant, float64) error { o.events++; return nil }
-func (o *tickFailObserver) OnTick(now float64) error {
-	o.events++
-	o.ticks = append(o.ticks, now)
-	return nil
-}
-
-// TestPipelineStageLifecycle pins the error and restart contract of
-// Tick and Close for a caller that ticks the pipeline itself. An
-// OnOffered error raised in tick k surfaces from Tick(k) when the lanes
-// run inline, and from a later Tick or from Close when they trail the
-// world stage. Either way no observer receives an event of a later
-// tick, and every later Tick or Close returns the same error. Close is
+// TestPipelineStageLifecycle pins the restart contract of Tick and
+// Close for a caller that ticks the pipeline itself: Close is
 // idempotent, works on a pipeline that never ticked, and a Tick after
-// Close starts the lane stages again.
+// Close starts the lane stages and the shard pool again, with every
+// round reaching the observers exactly once.
 func TestPipelineStageLifecycle(t *testing.T) {
-	boom := errors.New("boom")
-	for _, workers := range []int{0, 2} {
-		for _, concurrent := range []bool{false, true} {
-			name := fmt.Sprintf("workers=%d concurrent=%v", workers, concurrent)
-			obs := &tickFailObserver{failAt: 3, err: boom}
-			p := newTestSharded(t, 5, 0, [2]float64{}, workers, idealFactory)
-			p.Concurrent = concurrent
-			p.Lanes[0].Observer = obs
-			var err error
-			tick := 0
-			for err == nil && tick < 8 {
-				tick++
-				err = p.Tick(float64(tick))
-			}
-			if !concurrent && tick != 3 {
-				t.Errorf("%s: the error of tick 3 surfaced from Tick(%d)", name, tick)
-			}
-			if err != nil && !errors.Is(err, boom) {
-				t.Fatalf("%s: Tick(%d) = %v, want boom", name, tick, err)
-			}
-			for i := 0; i < 2; i++ {
-				if err := p.Close(); !errors.Is(err, boom) {
-					t.Errorf("%s: Close #%d = %v, want boom", name, i+1, err)
-				}
-			}
-			if len(obs.ticks) != 2 || obs.ticks[1] != 2 {
-				t.Errorf("%s: OnTick saw %v, want [1 2]", name, obs.ticks)
-			}
-			seen := obs.events
-			if err := p.Tick(float64(tick + 1)); !errors.Is(err, boom) {
-				t.Errorf("%s: Tick after the error = %v, want boom", name, err)
-			}
-			if err := p.Close(); !errors.Is(err, boom) {
-				t.Errorf("%s: Close after the error = %v, want boom", name, err)
-			}
-			if obs.events != seen {
-				t.Errorf("%s: observers got %d events after the error", name, obs.events-seen)
-			}
-		}
-	}
-
-	// Close before any tick, twice; then tick, close, tick again on
-	// restarted lane stages and shard pool: every round reaches the
-	// observers exactly once.
-	obs := &tickFailObserver{}
+	obs := &countingObserver{}
 	p := newTestSharded(t, 5, 0, [2]float64{}, 2, idealFactory)
 	p.Concurrent = true
 	p.Lanes[0].Observer = obs
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
-		if err := p.Close(); err != nil {
-			t.Fatalf("Close on an unticked pipeline = %v", err)
-		}
+		p.Close()
 	}
 	for tick := 1; tick <= 3; tick++ {
 		if err := p.Tick(float64(tick)); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
+		p.Close()
 		if p.pool != nil || p.lanesRunning {
 			t.Fatal("Close left the shard pool or the lane stages running")
 		}
@@ -320,9 +211,54 @@ func TestPipelineStageLifecycle(t *testing.T) {
 			t.Fatalf("after Tick(%d) and Close, OnTick saw %v", tick, obs.ticks)
 		}
 	}
-	seen := obs.events
-	if err := p.Close(); err != nil || obs.events != seen {
-		t.Errorf("second Close = %v and delivered %d events, want nil and 0", err, obs.events-seen)
+	seen := obs.events()
+	p.Close()
+	if obs.events() != seen {
+		t.Errorf("second Close delivered %d events, want 0", obs.events()-seen)
 	}
 	waitForGoroutines(t, baseline)
+}
+
+// TestTicksMatchTickTime: Ticks counts exactly the rounds whose
+// TickTime lies within the horizon, over non-dyadic periods too, and at
+// period 1 every TickTime is bit for bit the time of a clock that adds
+// one period per round.
+func TestTicksMatchTickTime(t *testing.T) {
+	for _, period := range []float64{0.1, 0.3, 0.7, 1.0 / 3, 1, 2.5} {
+		for h := 0; h <= 400; h++ {
+			horizon := float64(h) / 4
+			n := Ticks(period, horizon)
+			if n < 0 || (n > 0 && TickTime(period, n) > horizon) || TickTime(period, n+1) <= horizon {
+				t.Fatalf("Ticks(%v, %v) = %d: rounds %v and %v straddle the horizon wrongly",
+					period, horizon, n, TickTime(period, n), TickTime(period, n+1))
+			}
+		}
+	}
+	now := 0.0
+	for k := 1; k <= 100000; k++ {
+		now++
+		if TickTime(1, k) != now {
+			t.Fatalf("TickTime(1, %d) = %v, an added clock reads %v", k, TickTime(1, k), now)
+		}
+	}
+}
+
+// TestRunTicksAtTickTimes: Run ticks the pipeline once per round Ticks
+// counts, at the round's TickTime, at a period whose added clock would
+// overshoot the horizon one round early.
+func TestRunTicksAtTickTimes(t *testing.T) {
+	obs := &countingObserver{}
+	p := newTestPipeline(t, 0, nil, obs)
+	p.SamplePeriod = 0.1
+	if err := p.Run(2); err != nil {
+		t.Fatal(err)
+	}
+	if n := Ticks(0.1, 2); len(obs.ticks) != n || n != 20 {
+		t.Fatalf("Run(2) at period 0.1 made %d ticks, Ticks says %d, want 20", len(obs.ticks), n)
+	}
+	for k, now := range obs.ticks {
+		if now != TickTime(0.1, k+1) {
+			t.Errorf("tick %d at %v, want %v", k+1, now, TickTime(0.1, k+1))
+		}
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/mobilegrid/adf/internal/filter"
 	"github.com/mobilegrid/adf/internal/obs"
 	"github.com/mobilegrid/adf/internal/sanitize"
-	"github.com/mobilegrid/adf/internal/sim"
 )
 
 // adfFactoryAt is adfFactory at another DTH factor.
@@ -49,7 +48,7 @@ func TestLanesMatchSeparatePipelines(t *testing.T) {
 			p := newTestSharded(t, seed, drop, churn, workers, mk)
 			obs := newStreamObserver()
 			p.Lanes[0].Observer = obs
-			if err := p.Run(sim.New(), ticks); err != nil {
+			if err := p.Run(ticks); err != nil {
 				t.Fatal(err)
 			}
 			wantStream = append(wantStream, obs.d.Sum())
@@ -71,7 +70,7 @@ func TestLanesMatchSeparatePipelines(t *testing.T) {
 			observers[l] = newStreamObserver()
 			p.Lanes = append(p.Lanes, Lane{NoLE: newBroker(), WithLE: newBroker(), Observer: observers[l]})
 		}
-		if err := p.Run(sim.New(), ticks); err != nil {
+		if err := p.Run(ticks); err != nil {
 			t.Fatal(err)
 		}
 		if p.Churn.AbsentCount() == 0 {
@@ -96,7 +95,7 @@ func TestLanesMatchSeparatePipelines(t *testing.T) {
 func TestLanesFilterCountChecked(t *testing.T) {
 	p := newTestSharded(t, 3, 0, [2]float64{}, 0, idealFactory)
 	p.Lanes = append(p.Lanes, Lane{NoLE: newBroker(), WithLE: newBroker()})
-	if err := p.Run(sim.New(), 1); err == nil {
+	if err := p.Run(1); err == nil {
 		t.Error("one filter for two lanes accepted")
 	}
 }
@@ -124,7 +123,7 @@ func TestLanesJitterMatchInline(t *testing.T) {
 			}
 			p := newThreeLanes(t, workers, observers)
 			p.Concurrent = concurrent
-			if err := p.Run(sim.New(), ticks); err != nil {
+			if err := p.Run(ticks); err != nil {
 				t.Fatal(err)
 			}
 			for l := range sinks {

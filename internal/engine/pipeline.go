@@ -11,7 +11,6 @@ import (
 	"github.com/mobilegrid/adf/internal/gateway"
 	"github.com/mobilegrid/adf/internal/node"
 	"github.com/mobilegrid/adf/internal/obs"
-	"github.com/mobilegrid/adf/internal/sim"
 )
 
 // Pipeline is the whole-tick simulation pipeline: mobility advance →
@@ -114,10 +113,6 @@ type Pipeline struct {
 	// while they have goroutines.
 	stages       []laneStage
 	lanesRunning bool
-	// err is the first observer error, by tick and then lane order,
-	// resolved once the lanes have drained. It is sticky: Tick and Close
-	// return it from then on.
-	err error
 
 	// now is the tick being computed.
 	now   float64
@@ -378,39 +373,58 @@ func (p *Pipeline) build() error {
 	return nil
 }
 
-// Run schedules the pipeline on s at every sample period (first tick at
-// one period, like the paper's 1 Hz sampling), executes until the
-// horizon and closes the pipeline, so every tick has reached the
-// observers when it returns. It surfaces the first stage or observer
-// error.
-func (p *Pipeline) Run(s *sim.Simulator, horizon float64) (err error) {
+// TickTime returns the virtual time of sampling round k, counting from
+// 1: k sample periods, so the first round falls one period in, like the
+// paper's 1 Hz sampling.
+func TickTime(period float64, k int) float64 { return float64(k) * period }
+
+// Ticks returns how many sampling rounds a run to the horizon makes:
+// every round k ≥ 1 whose TickTime is no later than the horizon. Run,
+// the experiment's pre-sizing and every caller that drives Tick itself
+// count and time rounds through Ticks and TickTime, so they agree on
+// every period and horizon.
+func Ticks(period, horizon float64) int {
+	q := horizon / period
+	if !(q >= 1) {
+		return 0 // NaN, or no round within the horizon
+	}
+	n := int(q)
+	for n > 0 && TickTime(period, n) > horizon {
+		n--
+	}
+	for TickTime(period, n+1) <= horizon {
+		n++
+	}
+	return n
+}
+
+// Run ticks the pipeline through every sampling round up to the horizon
+// and closes it, so every tick has reached the observers when it
+// returns. It returns a wiring error, before the first tick.
+func (p *Pipeline) Run(horizon float64) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := p.Close(); err == nil {
-			err = cerr
+	defer p.Close()
+	for k := range Ticks(p.SamplePeriod, horizon) {
+		if err := p.Tick(TickTime(p.SamplePeriod, k+1)); err != nil {
+			return err
 		}
-	}()
-	if _, err := s.EveryErr(p.SamplePeriod, p.SamplePeriod, p.Tick); err != nil {
-		return err
 	}
-	return s.RunUntil(horizon)
+	return nil
 }
 
 // Close waits until the lane stages have finished every published tick,
-// stops their goroutines and releases the shard pool. It returns the
-// first observer error of the run. Safe to call repeatedly and on a
-// pipeline that never ticked; a later Tick starts the goroutines again.
-// A caller that ticks a concurrent pipeline itself must Close it before
-// it reads a broker or an observer's sink.
-func (p *Pipeline) Close() error {
+// stops their goroutines and releases the shard pool. Safe to call
+// repeatedly and on a pipeline that never ticked; a later Tick starts
+// the goroutines again. A caller that ticks a concurrent pipeline
+// itself must Close it before it reads a broker or an observer's sink.
+func (p *Pipeline) Close() {
 	p.stopLanes()
 	if p.pool != nil {
 		p.pool.close()
 		p.pool = nil
 	}
-	return p.failure()
 }
 
 // Tick processes one sampling round. The world stage runs the shard
@@ -420,13 +434,9 @@ func (p *Pipeline) Close() error {
 // concurrent lanes trail it. While observability is enabled the world
 // stage's boundaries are published as trace spans, each lane's tallies
 // are flushed into the global registry and every lane stage adds its
-// estimator refreshes. Tick returns the first
-// observer error raised so far: by this tick when the lanes run inline,
-// by some published tick when they trail.
+// estimator refreshes. The first Tick builds the shards and returns a
+// wiring error the build finds.
 func (p *Pipeline) Tick(now float64) error {
-	if err := p.failure(); err != nil {
-		return err
-	}
 	if !p.built {
 		if err := p.build(); err != nil {
 			return err
@@ -439,7 +449,7 @@ func (p *Pipeline) Tick(now float64) error {
 	p.tick++
 	p.now = now
 	f := p.ring.acquire()
-	f.now, f.tick, f.obs = now, p.tick, p.obsOn
+	f.now, f.obs = now, p.obsOn
 	for _, sh := range p.shards {
 		sh.out = &f.shards[sh.idx]
 	}
@@ -449,7 +459,7 @@ func (p *Pipeline) Tick(now float64) error {
 	t2 := obs.StageClock(t0)
 	p.publish(f)
 	obs.RecordTickSpans(p.tid, t0, t1, t2, obs.StageClock(t0))
-	return p.failure()
+	return nil
 }
 
 // runJobs runs the world stage's shard jobs, inline in shard order when

@@ -236,12 +236,12 @@ func TestShardedObserverEvents(t *testing.T) {
 	obs := &countingObserver{}
 	p := newTestSharded(t, 7, 0, [2]float64{}, 2, idealFactory)
 	p.Lanes[0].Observer = obs
-	if err := p.Run(sim.New(), 10); err != nil {
+	if err := p.Run(10); err != nil {
 		t.Fatal(err)
 	}
 	nodes := len(p.Nodes)
-	if obs.ticks != 10 {
-		t.Errorf("ticks = %d, want 10", obs.ticks)
+	if len(obs.ticks) != 10 {
+		t.Errorf("ticks = %d, want 10", len(obs.ticks))
 	}
 	if obs.offered != nodes*10 || obs.transmitted != nodes*10 {
 		t.Errorf("offered/transmitted = %d/%d, want %d/%d",

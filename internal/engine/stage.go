@@ -13,8 +13,7 @@ import (
 // everything a lane stage reads of the world's tick. The world stage
 // fills it while it holds it, and no lane writes it.
 type frame struct {
-	now  float64
-	tick uint64
+	now float64
 	// obs is whether observability was enabled for the tick.
 	obs bool
 	// shards holds the tick per shard, in shard order.
@@ -65,9 +64,6 @@ type ring struct {
 	// world stage fills them first.
 	idle []*frame
 	free chan *frame
-	// failAt is the earliest tick a lane stage's observer failed on, 0
-	// while none has. Lane stages skip every later tick.
-	failAt atomic.Uint64
 	// running counts the running lane goroutines.
 	running sync.WaitGroup
 	// shards and lanes shape the frames.
@@ -151,9 +147,6 @@ type laneStage struct {
 	// jit delays the stage at random points when a determinism test has
 	// set SetStageJitter; nil otherwise.
 	jit *jitter
-	// err is the lane's first observer error and errTick its tick.
-	err     error
-	errTick uint64
 }
 
 // publish hands the world stage's filled frame to the lane stages: on
@@ -234,13 +227,9 @@ func (p *Pipeline) stopLanes() {
 	p.lanesRunning = false
 }
 
-// laneTick runs lane stage st on frame f, unless an observer has
-// already failed on an earlier tick, and adds the lane's estimator
+// laneTick runs lane stage st on frame f and adds the lane's estimator
 // refreshes to the registry while observability is enabled.
 func (p *Pipeline) laneTick(st *laneStage, f *frame) {
-	if at := p.ring.failAt.Load(); at != 0 && f.tick > at {
-		return
-	}
 	var start int64
 	if f.obs {
 		start = obs.StageStart()
@@ -248,12 +237,7 @@ func (p *Pipeline) laneTick(st *laneStage, f *frame) {
 	// The refreshes come back as a count rather than a per-step write to
 	// st: the lane stages sit side by side in one slice, and per-step
 	// writes there would share cache lines between lanes.
-	estimated, err := p.laneEvents(st, f)
-	st.estimated += estimated
-	if err != nil {
-		st.err, st.errTick = err, f.tick
-		p.markFailed(f.tick)
-	}
+	st.estimated += p.laneEvents(st, f)
 	if f.obs {
 		obs.BrokerEstimated.Add(st.estimated)
 		st.estimated = 0
@@ -271,11 +255,10 @@ func (p *Pipeline) laneTick(st *laneStage, f *frame) {
 // shards' immutable layout (member IDs, region slots, home regions), and
 // writes only the lane's own state, so it runs concurrently with the
 // world stage and the other lanes; the shardsafe rule holds it to that.
-// The first observer error ends the tick.
 //
 //adf:hotpath
 //adf:shardstage
-func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64, err error) {
+func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64) {
 	ob := st.ob
 	st.jit.pause()
 	for s, sh := range p.shards {
@@ -293,14 +276,10 @@ func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64, err er
 			smp := Sample{Node: int(id), Region: sh.regions[sh.slot[k]].home, Time: f.now, Pos: fs.pos[k]}
 			transmitted := sent[k>>6]&(1<<(k&63)) != 0
 			if state == reached {
-				if err := ob.OnOffered(smp); err != nil {
-					return estimated, err
-				}
+				ob.OnOffered(smp)
 			}
 			if transmitted {
-				if err := ob.OnTransmitted(smp); err != nil {
-					return estimated, err
-				}
+				ob.OnTransmitted(smp)
 			}
 			// A transmitted sample is the brokers' belief (a received LU
 			// is stored as reported), and for a finite position x−x is +0
@@ -311,9 +290,7 @@ func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64, err er
 				if !transmitted {
 					dist = e.Pos.Dist(smp.Pos)
 				}
-				if err := ob.OnError(smp, NoLE, dist); err != nil {
-					return estimated, err
-				}
+				ob.OnError(smp, NoLE, dist)
 			}
 			if e, ok := st.withLE.Step(smp.Node, smp.Time, smp.Pos, transmitted); ok {
 				if e.Estimated {
@@ -323,45 +300,11 @@ func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64, err er
 				if !transmitted {
 					dist = e.Pos.Dist(smp.Pos)
 				}
-				if err := ob.OnError(smp, WithLE, dist); err != nil {
-					return estimated, err
-				}
+				ob.OnError(smp, WithLE, dist)
 			}
 		}
 		st.jit.pause()
 	}
-	return estimated, ob.OnTick(f.now)
-}
-
-// markFailed lowers failAt to tick.
-func (p *Pipeline) markFailed(tick uint64) {
-	for {
-		at := p.ring.failAt.Load()
-		if at != 0 && at <= tick {
-			return
-		}
-		if p.ring.failAt.CompareAndSwap(at, tick) {
-			return
-		}
-	}
-}
-
-// failure returns the run's first observer error, or nil while no lane
-// has failed. Once one has, it waits for the lanes to finish every
-// published tick and resolves the first error by tick, then lane order
-// — the error the inline schedule stops on.
-func (p *Pipeline) failure() error {
-	if p.err != nil || p.ring == nil || p.ring.failAt.Load() == 0 {
-		return p.err
-	}
-	p.settle()
-	var first *laneStage
-	for l := range p.stages {
-		st := &p.stages[l]
-		if st.err != nil && (first == nil || st.errTick < first.errTick) {
-			first = st
-		}
-	}
-	p.err = first.err
-	return p.err
+	ob.OnTick(f.now)
+	return estimated
 }

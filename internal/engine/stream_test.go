@@ -35,28 +35,19 @@ func (o *streamObserver) sample(kind int, s Sample) {
 	o.d.WriteFloat64(s.Time)
 }
 
-func (o *streamObserver) OnOffered(s Sample) error {
-	o.sample(evOffered, s)
-	return nil
-}
+func (o *streamObserver) OnOffered(s Sample)     { o.sample(evOffered, s) }
+func (o *streamObserver) OnTransmitted(s Sample) { o.sample(evTransmitted, s) }
 
-func (o *streamObserver) OnTransmitted(s Sample) error {
-	o.sample(evTransmitted, s)
-	return nil
-}
-
-func (o *streamObserver) OnError(s Sample, v Variant, dist float64) error {
+func (o *streamObserver) OnError(s Sample, v Variant, dist float64) {
 	o.sample(evError, s)
 	o.d.WriteInt(int(v))
 	o.d.WriteFloat64(dist)
-	return nil
 }
 
-func (o *streamObserver) OnTick(now float64) error {
+func (o *streamObserver) OnTick(now float64) {
 	o.events++
 	o.d.WriteInt(evTick)
 	o.d.WriteFloat64(now)
-	return nil
 }
 
 // TestObserverStreamPinned pins the exact observer event stream — every
@@ -97,7 +88,7 @@ func TestObserverStreamPinned(t *testing.T) {
 				}
 				obs := newStreamObserver()
 				p.Lanes[0].Observer = obs
-				if err := p.Run(sim.New(), ticks); err != nil {
+				if err := p.Run(ticks); err != nil {
 					t.Fatal(err)
 				}
 				// Every node is offered at most once per tick, then

@@ -8,7 +8,6 @@ import (
 	"github.com/mobilegrid/adf/internal/engine"
 	"github.com/mobilegrid/adf/internal/filter"
 	"github.com/mobilegrid/adf/internal/gateway"
-	"github.com/mobilegrid/adf/internal/sim"
 )
 
 func ablationConfig() Config {
@@ -283,11 +282,11 @@ type noLEErrors struct {
 	dist map[sampleKey]float64
 }
 
-func (o *noLEErrors) OnError(s engine.Sample, v engine.Variant, dist float64) error {
+func (o *noLEErrors) OnError(s engine.Sample, v engine.Variant, dist float64) {
 	if v == engine.NoLE {
 		o.dist[sampleKey{s.Node, s.Time}] = dist
 	}
-	return o.Observer.OnError(s, v, dist)
+	o.Observer.OnError(s, v, dist)
 }
 
 // TestOfferDistanceIsNoLEErrorOnlyAnchored pins when the distance the
@@ -314,7 +313,7 @@ func TestOfferDistanceIsNoLEErrorOnlyAnchored(t *testing.T) {
 		}
 		errs := &noLEErrors{Observer: p.Lanes[0].Observer, dist: make(map[sampleKey]float64)}
 		p.Lanes[0].Observer = errs
-		if err := p.Run(sim.New(), cfg.Duration); err != nil {
+		if err := p.Run(cfg.Duration); err != nil {
 			t.Fatal(err)
 		}
 		compared, differ := 0, 0

@@ -400,7 +400,7 @@ func runPass(tasks []runTask) ([]*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.Run(sim.New(), tasks[0].cfg.Duration); err != nil {
+	if err := p.Run(tasks[0].cfg.Duration); err != nil {
 		return nil, passError(tasks, err)
 	}
 	for _, filts := range p.ShardFilters() {
@@ -634,7 +634,7 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 	// systematic stride sampling — at a million nodes over 300 ticks an
 	// exact error series would hold 300M float64s per summary.
 	seconds := int(c.Duration) + 1
-	ticks := int(c.Duration / c.SamplePeriod)
+	ticks := engine.Ticks(c.SamplePeriod, c.Duration)
 	run.LUPerSecond.Reserve(seconds)
 	run.OfferedPerSecond.Reserve(seconds)
 	run.RMSENoLE.Reserve(seconds)

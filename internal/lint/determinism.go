@@ -9,11 +9,12 @@ import (
 // Determinism enforces the reproduction's bit-for-bit reproducibility
 // contract. Module wide, code may not read the wall clock (time.Now,
 // time.Since, time.Until) or draw from math/rand's global source — virtual
-// time comes from sim.Simulator and randomness from injected *sim.RNG
-// streams. Inside the simulation packages it additionally forbids bare go
-// statements: concurrency there must go through the engine's worker pools
-// (engine.Group), whose sharding is designed to consume RNG streams
-// identically to a sequential run.
+// time is the engine pipeline's tick time (engine.TickTime) and
+// randomness comes from injected *sim.RNG streams. Inside the simulation
+// packages it additionally forbids bare go statements: concurrency there
+// must go through the engine's worker pools (engine.Group), whose
+// sharding is designed to consume RNG streams identically to a
+// sequential run.
 //
 // The checks on the bodies the region-sharded pipeline runs concurrently
 // (package-level writes, sequential *sim.RNG draws) belong to the
@@ -86,7 +87,7 @@ func runDeterminism(p *Pass) {
 					switch fn.Pkg().Path() {
 					case "time":
 						if bannedClockFuncs[fn.Name()] {
-							p.Reportf(n.Pos(), "call to time.%s reads the wall clock: use virtual time from sim.Simulator (or //adf:allow determinism for measurement-only code)", fn.Name())
+							p.Reportf(n.Pos(), "call to time.%s reads the wall clock: use virtual time, the engine pipeline's tick time (or //adf:allow determinism for measurement-only code)", fn.Name())
 						}
 					case "math/rand", "math/rand/v2":
 						if !allowedRandFuncs[fn.Name()] {

@@ -1,3 +1,8 @@
+// Package sim holds the simulation's deterministic random streams: per
+// entity sequential sources (Streams, RNG) and keyed counter-based draws
+// (Keyed) whose every value is a pure function of its stream, node and
+// tick. Virtual time is the engine pipeline's: its tick loop samples
+// every node once per sample period up to the horizon.
 package sim
 
 import (
