@@ -109,8 +109,9 @@ func runHotpath(w io.Writer, cfg experiment.Config, path, scales string, allocBu
 		if allocBudget > 0 && stats.SteadyAllocsPerTick > allocBudget {
 			over = append(over, fmt.Sprintf("%d nodes: %.2f", stats.Nodes, stats.SteadyAllocsPerTick))
 		}
-		fmt.Fprintf(w, "%8d nodes: %9.1f ticks/sec, %6.2f allocs/tick, %5.2f steady allocs/tick; build %.1f ms, ticks %.1f ms, finalize %.1f ms\n",
+		fmt.Fprintf(w, "%8d nodes: %9.1f ticks/sec, %6.2f allocs/tick, %5.2f steady allocs/tick (%d in %d ticks); build %.1f ms, ticks %.1f ms, finalize %.1f ms\n",
 			stats.Nodes, stats.TicksPerSec, stats.AllocsPerTick, stats.SteadyAllocsPerTick,
+			stats.SteadyAllocs, stats.Ticks-stats.WarmupTicks,
 			stats.BuildMS, stats.TickMS, stats.FinalizeMS)
 	}
 	report.Runs = []HotpathRun{run}

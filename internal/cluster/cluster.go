@@ -262,10 +262,6 @@ type Manager struct {
 	// rebuild allocates nothing in steady state.
 	free []*Cluster
 
-	// rebuildIDs is the scratch key buffer for Rebuild's deterministic
-	// node ordering.
-	rebuildIDs []NodeID
-
 	// scans counts candidate distance evaluations inside nearest; tests
 	// use it to pin the index's pruning behaviour.
 	scans uint64
@@ -554,41 +550,16 @@ func (m *Manager) Clusters() []*Cluster {
 	return m.ordered
 }
 
-// Rebuild discards the current clustering and re-runs the sequential pass
-// over the given features in ascending node-ID order (the ADF's periodic
-// cluster reconstruction). It returns the number of clusters formed. All
-// internal storage is reused, so steady-state rebuilds do not allocate.
-func (m *Manager) Rebuild(features map[NodeID]Feature) int {
-	m.resetAll()
-	m.rebuildIDs = m.rebuildIDs[:0]
-	for id := range features {
-		m.rebuildIDs = append(m.rebuildIDs, id)
-	}
-	slices.Sort(m.rebuildIDs)
-	for _, id := range m.rebuildIDs {
-		m.Assign(id, features[id])
-	}
-	return len(m.clusters)
-}
-
-// RebuildOrdered is Rebuild for callers that already hold the features
-// in ascending node-ID order as parallel slices (the ADF collects them
-// by ranging its dense node store, which visits IDs ascending). It
-// skips the key-collection sort, so a steady-state reconstruction is a
-// straight sequential pass with no allocation at all. ids and feats
-// must be the same length; an ID order other than ascending changes
-// which clusters form first and is a caller bug.
+// RebuildOrdered discards the current clustering and re-runs the
+// sequential pass over the given features, in the ascending node-ID
+// order the caller holds them in as parallel slices (the ADF's periodic
+// cluster reconstruction; it collects them by ranging its dense node
+// store, which visits IDs ascending). It returns the number of clusters
+// formed. Retired clusters are pooled and the node index is cleared in
+// place, so a steady-state reconstruction allocates nothing. ids and
+// feats must be the same length; an ID order other than ascending
+// changes which clusters form first and is a caller bug.
 func (m *Manager) RebuildOrdered(ids []NodeID, feats []Feature) int {
-	m.resetAll()
-	for i, id := range ids {
-		m.Assign(id, feats[i])
-	}
-	return len(m.clusters)
-}
-
-// resetAll retires every cluster into the pool and clears the node
-// index: the shared preamble of the rebuild variants.
-func (m *Manager) resetAll() {
 	//adf:allow maporder — retirement order only permutes the free pool;
 	// pooled structs are interchangeable after reset, so results are
 	// bit-for-bit identical either way.
@@ -600,4 +571,8 @@ func (m *Manager) resetAll() {
 	clear(m.clusters)
 	m.byNode.Clear()
 	m.orderedDirty = true
+	for i, id := range ids {
+		m.Assign(id, feats[i])
+	}
+	return len(m.clusters)
 }

@@ -148,14 +148,15 @@ func TestMaxClustersCap(t *testing.T) {
 }
 
 func TestRebuildDeterministicAndComplete(t *testing.T) {
-	features := map[NodeID]Feature{
-		1: {Speed: 0.5}, 2: {Speed: 0.6}, 3: {Speed: 4.0},
-		4: {Speed: 4.2}, 5: {Speed: 9.0},
+	ids := []NodeID{1, 2, 3, 4, 5}
+	features := []Feature{
+		{Speed: 0.5}, {Speed: 0.6}, {Speed: 4.0},
+		{Speed: 4.2}, {Speed: 9.0},
 	}
 	m1 := mustManager(t, Config{Alpha: 1.0})
 	m2 := mustManager(t, Config{Alpha: 1.0})
-	n1 := m1.Rebuild(features)
-	n2 := m2.Rebuild(features)
+	n1 := m1.RebuildOrdered(ids, features)
+	n2 := m2.RebuildOrdered(ids, features)
 	if n1 != n2 {
 		t.Fatalf("rebuild cluster counts differ: %d vs %d", n1, n2)
 	}
@@ -165,7 +166,7 @@ func TestRebuildDeterministicAndComplete(t *testing.T) {
 	if m1.NodeCount() != len(features) {
 		t.Errorf("NodeCount = %d, want %d", m1.NodeCount(), len(features))
 	}
-	for id := range features {
+	for _, id := range ids {
 		c1, ok1 := m1.ClusterOf(id)
 		c2, ok2 := m2.ClusterOf(id)
 		if !ok1 || !ok2 || c1 != c2 {

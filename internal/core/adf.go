@@ -54,6 +54,12 @@ func DefaultConfig() Config {
 	}
 }
 
+// Name is the name of an ADF filter under c: "adf(0.75av)" at DTH
+// factor 0.75.
+func (c Config) Name() string {
+	return fmt.Sprintf("adf(%.2fav)", c.DTHFactor)
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.DTHFactor <= 0 {
@@ -197,9 +203,7 @@ func (a *ADF) At(factor float64) filter.Filter {
 }
 
 // Name implements filter.Filter.
-func (a *ADF) Name() string {
-	return fmt.Sprintf("adf(%.2fav)", a.cfg.DTHFactor)
-}
+func (a *ADF) Name() string { return a.cfg.Name() }
 
 // Config returns the filter's configuration.
 func (a *ADF) Config() Config { return a.cfg }

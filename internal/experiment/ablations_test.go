@@ -303,10 +303,10 @@ func TestOfferDistanceIsNoLEErrorOnlyAnchored(t *testing.T) {
 		cfg.ADF.Semantics = sem
 		withheld := &withheldDistances{dist: make(map[sampleKey]float64)}
 		mk := cfg.adfFactory(1.0)
-		p, _, err := cfg.buildPipeline(filterFactory{mk: func() (filter.Filter, string, float64, error) {
-			f, name, factor, err := mk.mk()
+		p, _, err := cfg.buildPipeline(filterFactory{name: mk.name, factor: mk.factor, mk: func() (filter.Filter, error) {
+			f, err := mk.mk()
 			withheld.Filter = f
-			return withheld, name, factor, err
+			return withheld, err
 		}})
 		if err != nil {
 			t.Fatal(err)

@@ -98,6 +98,24 @@ func TestRunAllLabelsErrors(t *testing.T) {
 	}
 }
 
+// TestFilterErrorNamesRun checks a filter that fails to build surfaces
+// its task label and its run's name.
+func TestFilterErrorNamesRun(t *testing.T) {
+	c := shortConfig()
+	c.Duration = 100
+	// Config.Validate checks the ADF configuration at factor 1 only, so
+	// this one fails when the pipeline builds its filters.
+	_, err := runAll(1, []runTask{{label: "doomed", cfg: c, mk: c.adfFactory(-1)}})
+	if err == nil {
+		t.Fatal("want error from a negative DTH factor")
+	}
+	for _, want := range []string{"doomed", "adf(-1.00av)", "DTHFactor"} {
+		if got := err.Error(); !strings.Contains(got, want) {
+			t.Errorf("error %q does not name %q", got, want)
+		}
+	}
+}
+
 // TestPlanPasses pins the pass rule: tasks are grouped by world key —
 // lane fields ignored, Burst and Churn compared by value — and each
 // world is one pass, whatever the worker count.

@@ -322,29 +322,30 @@ func (r *Run) ReductionVersus(baseline *Run) float64 {
 	return 1 - r.TotalLUs()/b
 }
 
-// filterFactory describes one run's filter: mk builds a fresh instance
-// and returns the run's name and DTH factor. An ADF run also carries
-// its configuration in adf, so a pass can serve ADF lanes whose
+// filterFactory describes one run's filter: its name and DTH factor,
+// and mk, which builds a fresh instance. An ADF run also carries its
+// configuration in adf, so a pass can serve ADF lanes whose
 // configurations differ only in DTHFactor from one shared front per
 // shard (core.ADF.At).
 type filterFactory struct {
-	mk  func() (filter.Filter, string, float64, error)
-	adf *core.Config
+	name   string
+	factor float64
+	mk     func() (filter.Filter, error)
+	adf    *core.Config
 }
 
-var idealFactory = filterFactory{mk: func() (filter.Filter, string, float64, error) {
-	f := filter.NewIdealLU()
-	return f, f.Name(), 0, nil
+var idealFactory = filterFactory{name: "ideal", mk: func() (filter.Filter, error) {
+	return filter.NewIdealLU(), nil
 }}
 
 func (c Config) adfFactory(factor float64) filterFactory {
 	cfg := c.adfConfig(factor)
-	return filterFactory{adf: &cfg, mk: func() (filter.Filter, string, float64, error) {
+	return filterFactory{name: cfg.Name(), factor: factor, adf: &cfg, mk: func() (filter.Filter, error) {
 		f, err := core.New(cfg)
 		if err != nil {
-			return nil, "", 0, err
+			return nil, err
 		}
-		return f, f.Name(), factor, nil
+		return f, nil
 	}}
 }
 
@@ -352,13 +353,13 @@ func (c Config) adfFactory(factor float64) filterFactory {
 // does: factor × mean speed of all MNs × sample period. The population
 // mean speed is computed from the Table-1 velocity ranges.
 func (c Config) generalDFFactory(factor float64, meanSpeed float64) filterFactory {
-	return filterFactory{mk: func() (filter.Filter, string, float64, error) {
-		f, err := filter.NewGeneralDFWithSemantics(
-			factor*meanSpeed*c.SamplePeriod, c.ADF.Semantics)
+	name := fmt.Sprintf("general-df(%.2fav)", factor)
+	return filterFactory{name: name, factor: factor, mk: func() (filter.Filter, error) {
+		f, err := filter.NewGeneralDFWithSemantics(factor*meanSpeed*c.SamplePeriod, c.ADF.Semantics)
 		if err != nil {
-			return nil, "", 0, err
+			return nil, err
 		}
-		return f, fmt.Sprintf("general-df(%.2fav)", factor), factor, nil
+		return f, nil
 	}}
 }
 
@@ -467,8 +468,7 @@ func (c Config) buildPipeline(mk filterFactory) (*engine.Pipeline, *Run, error) 
 
 // buildPass wires one pass: the world of the first task's configuration
 // and one lane per task — brokers, Run record and metric sink — in the
-// partition ShardWorkers selects. Each task's factory is probed once
-// for its run's name and factor; the pipeline then builds every shard's
+// partition ShardWorkers selects. The pipeline builds every shard's
 // filters through newFilters.
 func buildPass(tasks []runTask) (*engine.Pipeline, []*Run, error) {
 	for i, t := range tasks {
@@ -516,9 +516,9 @@ func newFilters(mks []filterFactory, idSpan int) func() ([]filter.Filter, error)
 				out[l] = out[j].(*core.ADF).At(mk.adf.DTHFactor)
 				continue
 			}
-			f, _, _, err := mk.mk()
+			f, err := mk.mk()
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %w", mk.name, err)
 			}
 			if pa, ok := f.(filter.Preallocator); ok {
 				pa.Preallocate(idSpan)
@@ -585,13 +585,9 @@ func (c Config) buildWorld() (*simWorld, error) {
 }
 
 // buildLane constructs one lane on world w: the broker pair under c's
-// estimator and the Run record, named by probing mk, with its pre-sized
-// metric sinks.
+// estimator and the Run record, named by mk, with its pre-sized metric
+// sinks.
 func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, error) {
-	_, name, factor, err := mk.mk()
-	if err != nil {
-		return engine.Lane{}, nil, err
-	}
 	leFactory, err := c.estimatorFactory(c.Estimator)
 	if err != nil {
 		return engine.Lane{}, nil, err
@@ -604,8 +600,8 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 	// recording on different CPUs never write to one line.
 	kinds := new([4]estimate.RMSEAccumulator)
 	run := &Run{
-		Name:             name,
-		Factor:           factor,
+		Name:             mk.name,
+		Factor:           mk.factor,
 		LUPerSecond:      &metrics.CountSeries{},
 		OfferedPerSecond: &metrics.CountSeries{},
 		SentByRegion:     metrics.NewGroupTally(),

@@ -33,7 +33,11 @@ type HotpathStats struct {
 	// boundary only — the zero-allocation steady-state claim is about
 	// this number.
 	SteadyAllocsPerTick float64 `json:"steady_allocs_per_tick"`
-	TotalLU             float64 `json:"total_lu"`
+	// SteadyAllocs is the Mallocs count over those ticks: on a short
+	// window one stray allocation reads as a fraction per tick, and the
+	// integer count says it was one.
+	SteadyAllocs uint64  `json:"steady_allocs"`
+	TotalLU      float64 `json:"total_lu"`
 }
 
 // MeasureHotpath executes one ADF run (DTH factor 1.0) under c — in the
@@ -91,9 +95,11 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 	run.publishQuantiles()
 	elapsed := time.Since(start) //adf:allow determinism — measures wall-clock throughput
 
+	var steadyAllocs uint64
 	steady := 0.0
 	if ticks > warmup {
-		steady = float64(after.Mallocs-mid.Mallocs) / float64(ticks-warmup)
+		steadyAllocs = after.Mallocs - mid.Mallocs
+		steady = float64(steadyAllocs) / float64(ticks-warmup)
 	}
 	return HotpathStats{
 		Nodes:               nodes,
@@ -108,6 +114,7 @@ func (c Config) MeasureHotpath() (HotpathStats, error) {
 		FinalizeMS:          ms(elapsed - ticked),
 		AllocsPerTick:       float64(after.Mallocs-before.Mallocs) / float64(ticks),
 		SteadyAllocsPerTick: steady,
+		SteadyAllocs:        steadyAllocs,
 		TotalLU:             run.TotalLUs(),
 	}, nil
 }

@@ -35,7 +35,7 @@ import (
 // array. Everything else a Client decodes or encodes goes through
 // buffers it owns once and reuses for every frame.
 type Client struct {
-	conn net.Conn
+	conn *deadlineConn
 	// r and bw buffer the connection: callback frames are read in
 	// socket-sized chunks, and a synchronous request leaves in one write
 	// together with the pipelined sends buffered before it.
@@ -77,12 +77,6 @@ type Client struct {
 	// held for the next synchronous call.
 	pending  int
 	deferred error
-
-	// readTimeout bounds each socket read and writeTimeout each socket
-	// write. Zero means no deadline: a time advance legitimately blocks
-	// until the rest of the federation catches up. Set via SetIOTimeouts.
-	readTimeout  time.Duration
-	writeTimeout time.Duration
 }
 
 // pipelineWindow bounds the acks buffered runs may owe, one per frame:
@@ -113,10 +107,11 @@ func Dial(addr string) (*Client, error) {
 
 // newClient wraps an established connection.
 func newClient(conn net.Conn) *Client {
+	dc := &deadlineConn{Conn: conn}
 	return &Client{
-		conn: conn,
-		r:    bufio.NewReaderSize(conn, ioBufferSize),
-		bw:   bufio.NewWriterSize(conn, ioBufferSize),
+		conn: dc,
+		r:    bufio.NewReaderSize(dc, ioBufferSize),
+		bw:   bufio.NewWriterSize(dc, ioBufferSize),
 	}
 }
 
@@ -151,8 +146,7 @@ func (c *Client) Handle() FederateHandle { return c.handle }
 // default) means no deadline. Like the rest of Client, not safe for
 // concurrent use.
 func (c *Client) SetIOTimeouts(read, write time.Duration) {
-	c.readTimeout = read
-	c.writeTimeout = write
+	c.conn.setTimeouts(read, write)
 }
 
 // encode starts the next request frame, of type typ, in c.enc.
@@ -181,7 +175,6 @@ func (c *Client) request(op obs.RPCOp, terminal byte, start int64) ([]byte, erro
 	if start != 0 {
 		tc = obs.NewTraceContext(start)
 	}
-	_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
 	err := wire.WriteFrameTC(c.bw, c.enc.Bytes(), tc)
 	if err == nil {
 		err = c.bw.Flush()
@@ -260,10 +253,6 @@ func (c *Client) closeRun() error {
 	}
 	c.run.SetCount(c.runCount, n)
 	payload := c.run.Bytes()
-	if c.bw.Available() < len(payload)+wire.MaxHeaderSize {
-		// The frame may not fit: this write can reach the socket.
-		_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
-	}
 	if err := wire.WriteFrameTC(c.bw, payload, tc); err != nil {
 		obs.RTIError(obs.SideClient, classifyErr(err))
 		return err
@@ -283,7 +272,6 @@ func (c *Client) drain() error {
 	if c.pending == 0 {
 		return nil
 	}
-	_ = c.conn.SetWriteDeadline(ioDeadline(c.writeTimeout))
 	if err := c.bw.Flush(); err != nil {
 		obs.RTIError(obs.SideClient, classifyErr(err))
 		return err
@@ -366,11 +354,6 @@ func (c *Client) await(terminal byte) ([]byte, error) {
 // reports a transport or protocol failure.
 func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 	for {
-		// Only a frame not yet buffered is read from the socket, so
-		// only its read needs the deadline refreshed.
-		if !wire.FrameBuffered(c.r) {
-			_ = c.conn.SetReadDeadline(ioDeadline(c.readTimeout))
-		}
 		payload, rtc, err := wire.ReadFrameInto(c.r, c.rbuf)
 		if err != nil {
 			obs.RTIError(obs.SideClient, classifyErr(err))

@@ -27,15 +27,42 @@ func retain(payload []byte) []byte {
 	return payload
 }
 
-// ioDeadline converts a configured I/O timeout into an absolute
-// deadline. A non-positive timeout yields the zero time.Time — an
-// explicit "no deadline" — so blocking time-advance semantics are
-// preserved unless a timeout is configured.
-func ioDeadline(d time.Duration) time.Time {
-	if d <= 0 {
-		return time.Time{}
+// deadlineConn is a federate connection whose every socket read and
+// write is bounded by a timeout: Read and Write set the deadline just
+// before the call, so the bound covers that one operation. Both ends
+// read and write only through bufio over it, so a deadline is set
+// exactly when I/O reaches the socket. A zero timeout sets nothing, and
+// the operation blocks as long as it takes — a time advance
+// legitimately waits until the rest of the federation catches up.
+type deadlineConn struct {
+	net.Conn
+	read, write time.Duration
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	if c.read > 0 {
+		_ = c.Conn.SetReadDeadline(time.Now().Add(c.read)) //adf:allow determinism — wall-clock deadline for network I/O, not simulation state
 	}
-	return time.Now().Add(d) //adf:allow determinism obsgate — wall-clock deadline for network I/O, not simulation state
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineConn) Write(p []byte) (int, error) {
+	if c.write > 0 {
+		_ = c.Conn.SetWriteDeadline(time.Now().Add(c.write)) //adf:allow determinism — wall-clock deadline for network I/O, not simulation state
+	}
+	return c.Conn.Write(p)
+}
+
+// setTimeouts changes the timeouts. Turning one off clears the deadline
+// the last bounded operation left on the socket.
+func (c *deadlineConn) setTimeouts(read, write time.Duration) {
+	if c.read > 0 && read <= 0 {
+		_ = c.Conn.SetReadDeadline(time.Time{})
+	}
+	if c.write > 0 && write <= 0 {
+		_ = c.Conn.SetWriteDeadline(time.Time{})
+	}
+	c.read, c.write = read, write
 }
 
 // classifyErr maps a transport failure to its obs error class: deadline
@@ -282,9 +309,7 @@ func (s *Server) Shutdown() error {
 // before waiting on an empty mailbox in a time advance, and on exit —
 // so a federate never waits on a frame the server holds.
 type connWriter struct {
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration // write deadline per socket write; zero blocks
+	mu sync.Mutex
 
 	//adf:guardedby mu
 	bw *bufio.Writer
@@ -328,10 +353,6 @@ func (w *connWriter) writeOK() {
 // write buffers one frame. Callers must hold w.mu and have checked
 // w.err.
 func (w *connWriter) write(payload []byte, tc wire.TraceContext) {
-	if w.bw.Available() < len(payload)+wire.MaxHeaderSize {
-		// The frame may not fit: this write can reach the socket.
-		_ = w.conn.SetWriteDeadline(ioDeadline(w.timeout))
-	}
 	w.err = wire.WriteFrameTC(w.bw, payload, tc)
 	if w.err != nil {
 		// Only the sticky transition is counted; later writes short-circuit.
@@ -342,17 +363,18 @@ func (w *connWriter) write(payload []byte, tc wire.TraceContext) {
 	obs.WireBytesOut.Add(uint64(len(payload)))
 }
 
-// flush writes the buffered frames to the socket.
-func (w *connWriter) flush() {
+// flush writes the buffered frames to the socket. It returns the
+// writer's sticky error, the first write that failed.
+func (w *connWriter) flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil || w.bw.Buffered() == 0 {
-		return
+		return w.err
 	}
-	_ = w.conn.SetWriteDeadline(ioDeadline(w.timeout))
 	if w.err = w.bw.Flush(); w.err != nil {
 		obs.RTIError(obs.SideServer, classifyErr(w.err))
 	}
+	return w.err
 }
 
 // remoteAmbassador relays ambassador callbacks to the remote client.
@@ -366,8 +388,9 @@ var (
 )
 
 // flush implements flusher: a federate blocking in a time advance first
-// sends the callbacks delivered so far.
-func (a *remoteAmbassador) flush() { a.w.flush() }
+// sends the callbacks delivered so far. A failed write stays in the
+// writer, and the handler drops the connection at its next flush.
+func (a *remoteAmbassador) flush() { _ = a.w.flush() }
 
 func (a *remoteAmbassador) DiscoverObjectInstance(obj ObjectHandle, class, name string) {
 	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
@@ -505,8 +528,9 @@ func writeError(w *connWriter, err error) {
 // RTI service requests until the connection drops or the client resigns.
 func (s *Server) handle(conn net.Conn) {
 	defer s.dropConn(conn)
-	r := bufio.NewReaderSize(conn, ioBufferSize)
-	w := &connWriter{conn: conn, timeout: s.writeTimeout, bw: bufio.NewWriterSize(conn, ioBufferSize)}
+	dc := &deadlineConn{Conn: conn, read: s.readTimeout, write: s.writeTimeout}
+	r := bufio.NewReaderSize(dc, ioBufferSize)
+	w := &connWriter{bw: bufio.NewWriterSize(dc, ioBufferSize)}
 	defer w.flush()
 	// Each request is read into buf (see retain), and names are decoded
 	// through names. An interaction frame's run of parameter blocks is
@@ -532,12 +556,10 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		// Flush only when the next read would block: a reply is never
 		// held while the handler waits, and the acks of a pipelined
-		// burst leave together. Only such a read reaches the socket, so
-		// only it needs the read deadline refreshed; zero-timeout
-		// servers get an explicit unbounded wait.
-		if !wire.FrameBuffered(r) {
-			w.flush()
-			_ = conn.SetReadDeadline(ioDeadline(s.readTimeout))
+		// burst leave together. A peer that cannot take its replies
+		// (a write failed or timed out) is dropped.
+		if !wire.FrameBuffered(r) && w.flush() != nil {
+			return
 		}
 		payload, rtc, err := wire.ReadFrameInto(r, buf)
 		if err != nil {

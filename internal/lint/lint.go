@@ -110,7 +110,6 @@ type ModulePass struct {
 	rule            string
 	simSuffixes     []string
 	concSuffixes    []string
-	netSuffixes     []string
 	obsGateSuffixes []string
 	diags           *[]Diagnostic
 	allows          *allowSet
@@ -143,12 +142,6 @@ func (p *ModulePass) Sim(path string) bool {
 // (served/distributed) packages the goroleak rule covers.
 func (p *ModulePass) Concurrent(path string) bool {
 	return isSimPackage(path, p.concSuffixes)
-}
-
-// Net reports whether an import path belongs to the network packages
-// the netctx rule covers.
-func (p *ModulePass) Net(path string) bool {
-	return isSimPackage(path, p.netSuffixes)
 }
 
 // ObsGated reports whether an import path belongs to the
@@ -187,16 +180,9 @@ var ConcurrentPackages = []string{
 	"cmd/rtiserver",
 }
 
-// NetPackages lists the import-path suffixes of the packages doing raw
-// network I/O. The netctx deadline rule applies here.
-var NetPackages = []string{
-	"internal/hla",
-}
-
 // ObsGatePackages lists the import-path suffixes of the packages carrying
 // obs instrumentation on their hot request paths. The obsgate rule
-// (recording behind the enable gate, timing through the shared obs
-// clock) applies here.
+// (recording behind the enable gate) applies here.
 var ObsGatePackages = []string{
 	"internal/hla",
 	"internal/wire",
@@ -212,9 +198,6 @@ type Config struct {
 	// ConcurrentPackages are import-path suffixes the goroleak rule
 	// covers; nil means the package-level ConcurrentPackages default.
 	ConcurrentPackages []string
-	// NetPackages are import-path suffixes the netctx rule covers; nil
-	// means the package-level NetPackages default.
-	NetPackages []string
 	// ObsGatePackages are import-path suffixes the obsgate rule covers;
 	// nil means the package-level ObsGatePackages default.
 	ObsGatePackages []string
@@ -222,7 +205,7 @@ type Config struct {
 
 // All returns the full analyzer set in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, HotPath, Exhaustive, FloatCmp, Invariant, ShardSafe, StreamOwner, GuardedBy, LockOrder, GoroLeak, NetCtx, ObsGate, AllowAudit}
+	return []*Analyzer{Determinism, MapOrder, HotPath, Exhaustive, FloatCmp, Invariant, ShardSafe, StreamOwner, GuardedBy, LockOrder, GoroLeak, ObsGate, AllowAudit}
 }
 
 // isSimPackage reports whether an import path names (or is nested under)
@@ -256,10 +239,6 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 	concSuffixes := cfg.ConcurrentPackages
 	if concSuffixes == nil {
 		concSuffixes = ConcurrentPackages
-	}
-	netSuffixes := cfg.NetPackages
-	if netSuffixes == nil {
-		netSuffixes = NetPackages
 	}
 	obsGateSuffixes := cfg.ObsGatePackages
 	if obsGateSuffixes == nil {
@@ -312,7 +291,6 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 		Pkgs:            pkgs,
 		simSuffixes:     simSuffixes,
 		concSuffixes:    concSuffixes,
-		netSuffixes:     netSuffixes,
 		obsGateSuffixes: obsGateSuffixes,
 		diags:           &raw,
 		allows:          allows,
@@ -498,7 +476,7 @@ func (s *allowSet) allowedAt(file string, line int, rule string) bool {
 // a loop over All() because the analyzers' Run functions reference the
 // allow machinery, which references this — going through All() would be
 // an initialization cycle. TestRuleNamesMatchAll keeps the two in sync.
-var ruleNames = []string{"determinism", "maporder", "hotpath", "exhaustive", "floatcmp", "invariant", "shardsafe", "streamowner", "guardedby", "lockorder", "goroleak", "netctx", "obsgate", "allowaudit"}
+var ruleNames = []string{"determinism", "maporder", "hotpath", "exhaustive", "floatcmp", "invariant", "shardsafe", "streamowner", "guardedby", "lockorder", "goroleak", "obsgate", "allowaudit"}
 
 func isRuleName(s string) bool {
 	for _, n := range ruleNames {

@@ -13,11 +13,10 @@ var update = flag.Bool("update", false, "rewrite the golden files from the curre
 
 // fixtureScope selects which package-gated rule families see the
 // fixture: sim (determinism goroutine rule, maporder, floatcmp), conc
-// (goroleak), net (netctx), obsgate (obs gating discipline).
+// (goroleak), obsgate (obs gating discipline).
 type fixtureScope struct {
 	sim     bool
 	conc    bool
-	net     bool
 	obsgate bool
 }
 
@@ -40,9 +39,6 @@ func loadFixture(t *testing.T, name string, scope fixtureScope) []Diagnostic {
 	}
 	if scope.conc {
 		cfg.ConcurrentPackages = []string{importPath}
-	}
-	if scope.net {
-		cfg.NetPackages = []string{importPath}
 	}
 	if scope.obsgate {
 		cfg.ObsGatePackages = []string{importPath}
@@ -79,7 +75,6 @@ func TestGoldenFixtures(t *testing.T) {
 		{"guardedby", fixtureScope{}},
 		{"lockorder", fixtureScope{}},
 		{"goroleak", fixtureScope{conc: true}},
-		{"netctx", fixtureScope{net: true}},
 		{"obsgate", fixtureScope{obsgate: true}},
 		{"allowaudit", fixtureScope{}},
 	}
@@ -155,17 +150,12 @@ func TestFixturesFlagNothingOutsideSimScope(t *testing.T) {
 	}
 }
 
-// TestConcurrencyFixturesRespectScope pins the goroleak and netctx
-// package gating: outside their declared scopes the rules stay silent.
+// TestConcurrencyFixturesRespectScope pins the goroleak package gating:
+// outside its declared scope the launch rule stays silent.
 func TestConcurrencyFixturesRespectScope(t *testing.T) {
 	for _, d := range loadFixture(t, "goroleak", fixtureScope{}) {
 		if d.Rule == "goroleak" && strings.Contains(d.Message, "termination path") {
 			t.Errorf("goroleak launch rule fired outside concurrent scope: %s", d)
-		}
-	}
-	for _, d := range loadFixture(t, "netctx", fixtureScope{}) {
-		if d.Rule == "netctx" {
-			t.Errorf("netctx fired outside net scope: %s", d)
 		}
 	}
 }

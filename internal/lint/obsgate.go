@@ -6,35 +6,27 @@ import (
 )
 
 // ObsGate enforces the zero-cost observability discipline on the
-// obs-instrumented packages (internal/hla, internal/wire):
-//
-//   - no wall-clock reads: time.Now, time.Since and time.Until are
-//     forbidden — request timing must flow through the shared obs clock
-//     (obs.RPCClock / obs.StageClock), whose zero return token makes
-//     every downstream recording a no-op when observability is off, so
-//     a disabled run never pays for a clock read;
-//   - every obs recording call site (Emit, ObserveRPC, ObserveFreshness,
-//     RecordRPC, RecordSpan, RecordShardSpan, RecordTickSpans) must sit
-//     lexically inside an if statement whose condition checks the
-//     enable gate: a call named Enabled, On, Verbose or Valid, or a
-//     comparison against the literal 0 (the clock-token idiom
-//     `if start != 0 { ... }`, including recording in the else branch
-//     of `if start == 0`).
+// obs-instrumented packages (internal/hla, internal/wire): every obs
+// recording call site (Emit, ObserveRPC, ObserveFreshness, RecordRPC,
+// RecordSpan, RecordShardSpan, RecordTickSpans) must sit lexically
+// inside an if statement whose condition checks the enable gate: a call
+// named Enabled, On, Verbose or Valid, or a comparison against the
+// literal 0 (the clock-token idiom `if start != 0 { ... }`, including
+// recording in the else branch of `if start == 0`). Wall-clock reads
+// are the determinism rule's, which bans time.Now, time.Since and
+// time.Until module-wide.
 //
 // Trace-context *forwarding* is deliberately not covered: propagating a
 // TraceContext through a frame costs nothing extra and must keep
 // working even when the middle hop's own recording is disabled.
 var ObsGate = &Analyzer{
 	Name: "obsgate",
-	Doc:  "obs recording in the instrumented packages must sit behind the atomic enable gate, and timing must use the shared obs clock, never time.Now",
+	Doc:  "obs recording in the instrumented packages must sit behind the atomic enable gate",
 	Explain: `obsgate applies to the obs-instrumented packages
-(internal/hla, internal/wire).
-
-Wall clock: time.Now, time.Since and time.Until are forbidden. Take
-timestamps with obs.RPCClock() / obs.StageClock(start) instead: they
-return 0 when observability is disabled, and a zero start token turns
-the whole downstream Observe/Record chain into no-ops, which is what
-keeps the disabled hot path zero-cost.
+(internal/hla, internal/wire). Take timestamps with obs.RPCClock() /
+obs.StageClock(start): they return 0 when observability is disabled,
+and a zero start token turns the whole downstream Observe/Record chain
+into no-ops, which is what keeps the disabled hot path zero-cost.
 
 Recording: a call named Emit, ObserveRPC, ObserveFreshness, RecordRPC,
 RecordSpan, RecordShardSpan or RecordTickSpans must be lexically inside
@@ -79,7 +71,7 @@ func runObsGate(p *ModulePass) {
 				if !ok || fn.Body == nil {
 					continue
 				}
-				checkObsGates(p, pkg, fn)
+				checkObsGates(p, fn)
 			}
 		}
 	}
@@ -87,15 +79,8 @@ func runObsGate(p *ModulePass) {
 
 // checkObsGates walks one function, tracking whether each call site is
 // lexically enclosed by a gate-checking if statement.
-func checkObsGates(p *ModulePass, pkg *Package, fn *ast.FuncDecl) {
+func checkObsGates(p *ModulePass, fn *ast.FuncDecl) {
 	check := func(call *ast.CallExpr, gated bool) {
-		if obj := staticCallee(pkg, call); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "time" {
-			switch obj.Name() {
-			case "Now", "Since", "Until":
-				p.Reportf(call.Pos(), "time.%s in an obs-gated package in %s: take timestamps through the shared obs clock (obs.RPCClock / obs.StageClock), whose zero token keeps disabled runs free of recording cost — or //adf:allow obsgate with a reason", obj.Name(), funcDisplayName(fn))
-				return
-			}
-		}
 		name := calleeDisplayName(call.Fun)
 		if !obsRecordingNames[name] || gated {
 			return

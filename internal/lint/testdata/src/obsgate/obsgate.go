@@ -1,8 +1,8 @@
 // Package obsgate exercises the obsgate rule: obs recording calls in
 // the instrumented packages must sit lexically inside an enable-gated
-// if (a zero test on a clock token, or an Enabled/On-style call), and
-// timestamps must come from the shared obs clock rather than time.Now.
-// The obs API is stubbed locally; the rule matches callee names.
+// if (a zero test on a clock token, or an Enabled/On-style call).
+// Wall-clock reads are the determinism rule's, module wide. The obs API
+// is stubbed locally; the rule matches callee names.
 package obsgate
 
 import "time"
@@ -94,17 +94,9 @@ func badAfterEarlyReturn() {
 }
 
 // badWallClock reads the wall clock directly instead of drawing a
-// gated token from the shared obs clock.
+// gated token from the shared obs clock; determinism catches it here
+// as everywhere else.
 func badWallClock() int64 {
-	//adf:allow determinism — fixture isolates the obsgate wall-clock diagnostic
-	t := time.Now() // want: use the shared obs clock
-	//adf:allow determinism — fixture isolates the obsgate wall-clock diagnostic
-	return int64(time.Since(t)) // want: use the shared obs clock
-}
-
-// allowedWallClock is vouched for: a wall-clock deadline on network
-// I/O is policy, not recording cost.
-func allowedWallClock() time.Time {
-	//adf:allow determinism obsgate — wall-clock deadline policy, not recording cost
-	return time.Now().Add(time.Second)
+	t := time.Now()             // want: determinism
+	return int64(time.Since(t)) // want: determinism
 }

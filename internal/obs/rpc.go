@@ -12,7 +12,6 @@ package obs
 import (
 	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"github.com/mobilegrid/adf/internal/wire"
@@ -168,23 +167,8 @@ type rpcRecord struct {
 	durNS   int64
 }
 
-// rpcRingCap bounds the RPC span ring (~2 MiB when full, allocated on
-// the first traced request).
-const rpcRingCap = 1 << 15
-
-// rpcRing mirrors spanRing for traced RPC spans.
-type rpcRing struct {
-	mu sync.Mutex
-
-	//adf:guardedby mu
-	records []rpcRecord
-	//adf:guardedby mu
-	next int
-	//adf:guardedby mu
-	wrapped bool
-}
-
-var rpcSpans rpcRing
+// rpcSpans holds the traced RPC spans.
+var rpcSpans traceRing[rpcRecord]
 
 // RecordRPC records one traced span into the RPC ring. Untraced
 // (zero-context) or zero-start spans record nothing, as does a disabled
@@ -193,47 +177,12 @@ func RecordRPC(k RPCKind, op RPCOp, tc wire.TraceContext, startNS, endNS int64) 
 	if startNS == 0 || endNS < startNS || !tc.Valid() || !on.Load() {
 		return
 	}
-	rec := rpcRecord{kind: k, op: op, tc: tc, startNS: startNS, durNS: endNS - startNS}
-	rpcSpans.mu.Lock()
-	if rpcSpans.records == nil {
-		rpcSpans.records = make([]rpcRecord, rpcRingCap)
-	}
-	rpcSpans.records[rpcSpans.next] = rec
-	rpcSpans.next++
-	if rpcSpans.next == len(rpcSpans.records) {
-		rpcSpans.next = 0
-		rpcSpans.wrapped = true
-	}
-	rpcSpans.mu.Unlock()
-}
-
-// snapshot copies the ring's live records in recording order.
-func (r *rpcRing) snapshot() []rpcRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.records == nil {
-		return nil
-	}
-	var out []rpcRecord
-	if r.wrapped {
-		out = make([]rpcRecord, 0, len(r.records))
-		out = append(out, r.records[r.next:]...)
-		out = append(out, r.records[:r.next]...)
-	} else {
-		out = append([]rpcRecord(nil), r.records[:r.next]...)
-	}
-	return out
+	recs := [1]rpcRecord{{kind: k, op: op, tc: tc, startNS: startNS, durNS: endNS - startNS}}
+	rpcSpans.record(recs[:])
 }
 
 // RPCSpanCount returns the number of live records in the RPC ring.
-func RPCSpanCount() int {
-	rpcSpans.mu.Lock()
-	defer rpcSpans.mu.Unlock()
-	if rpcSpans.wrapped {
-		return len(rpcSpans.records)
-	}
-	return rpcSpans.next
-}
+func RPCSpanCount() int { return rpcSpans.count() }
 
 // splitmix64 is the SplitMix64 finalizer: a cheap bijective mixer whose
 // outputs over distinct inputs are collision-free per process and

@@ -61,26 +61,70 @@ type spanRecord struct {
 	durNS   int64
 }
 
-// spanRingCap bounds the trace ring: 1<<15 records ≈ 6.5k campus-
-// partition ticks of the five pipeline stages, ~1 MiB, allocated on the
-// first recording.
-const spanRingCap = 1 << 15
+// traceRingCap bounds each trace ring: 1<<15 records, allocated on the
+// first recording — ≈6.5k campus-partition ticks of the five pipeline
+// stages (~1 MiB) in the span ring, ~2 MiB of RPC spans in the RPC ring.
+const traceRingCap = 1 << 15
 
-// spanRing is a fixed-capacity ring of completed spans. A mutex (not
-// atomics) guards it: recording happens a handful of times per tick,
-// and the /trace endpoint reads it while simulations run.
-type spanRing struct {
+// traceRing is a fixed-capacity ring of completed trace records. A mutex
+// (not atomics) guards it: recording happens a handful of times per
+// tick or request, and the /trace endpoint reads it while simulations
+// run.
+type traceRing[T any] struct {
 	mu sync.Mutex
 
 	//adf:guardedby mu
-	records []spanRecord
+	records []T
 	//adf:guardedby mu
 	next int
 	//adf:guardedby mu
 	wrapped bool
 }
 
-var spans spanRing
+// record appends recs to the ring under one lock acquisition.
+func (r *traceRing[T]) record(recs []T) {
+	r.mu.Lock()
+	if r.records == nil {
+		r.records = make([]T, traceRingCap)
+	}
+	for _, rec := range recs {
+		r.records[r.next] = rec
+		r.next++
+		if r.next == len(r.records) {
+			r.next = 0
+			r.wrapped = true
+		}
+	}
+	r.mu.Unlock()
+}
+
+// snapshot copies the ring's live records in recording order.
+func (r *traceRing[T]) snapshot() []T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.records == nil {
+		return nil
+	}
+	if !r.wrapped {
+		return append([]T(nil), r.records[:r.next]...)
+	}
+	out := make([]T, 0, len(r.records))
+	out = append(out, r.records[r.next:]...)
+	return append(out, r.records[:r.next]...)
+}
+
+// count returns the number of live records (capped at the capacity).
+func (r *traceRing[T]) count() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.wrapped {
+		return len(r.records)
+	}
+	return r.next
+}
+
+// spans holds the pipeline's stage spans.
+var spans traceRing[spanRecord]
 
 // nextTID hands out trace thread IDs, one per pipeline, so concurrent
 // campaign simulations land on separate tracks in about:tracing.
@@ -171,41 +215,6 @@ func RecordShardSpan(tid uint32, shard int, h *Histogram, start, advanced, end i
 	stageSeconds[StageShard].observe(sec)
 	h.observe(sec)
 	spans.record(recs[:])
-}
-
-// record appends recs to the ring under one lock acquisition.
-func (r *spanRing) record(recs []spanRecord) {
-	r.mu.Lock()
-	if r.records == nil {
-		r.records = make([]spanRecord, spanRingCap)
-	}
-	for _, rec := range recs {
-		r.records[r.next] = rec
-		r.next++
-		if r.next == len(r.records) {
-			r.next = 0
-			r.wrapped = true
-		}
-	}
-	r.mu.Unlock()
-}
-
-// snapshot copies the ring's live records in recording order.
-func (r *spanRing) snapshot() []spanRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.records == nil {
-		return nil
-	}
-	var out []spanRecord
-	if r.wrapped {
-		out = make([]spanRecord, 0, len(r.records))
-		out = append(out, r.records[r.next:]...)
-		out = append(out, r.records[:r.next]...)
-	} else {
-		out = append([]spanRecord(nil), r.records[:r.next]...)
-	}
-	return out
 }
 
 // traceEvent is one Chrome trace_event entry ("ph":"X" complete event;
@@ -304,11 +313,4 @@ func hexID2(v uint64) string {
 
 // SpanCount returns the number of live records in the ring (capped at
 // the ring capacity).
-func SpanCount() int {
-	spans.mu.Lock()
-	defer spans.mu.Unlock()
-	if spans.wrapped {
-		return len(spans.records)
-	}
-	return spans.next
-}
+func SpanCount() int { return spans.count() }
