@@ -9,7 +9,7 @@ import (
 // ExperimentConfig parameterises a reproduction campaign of the paper's
 // evaluation (section 4): 140 mobile nodes on the synthetic campus,
 // sampled at 1 Hz through the wireless gateways, filtered and tracked by
-// two brokers (with and without the Location Estimator).
+// a broker, with and without the Location Estimator.
 type ExperimentConfig struct {
 	// Seed drives every random stream; equal seeds reproduce runs
 	// bit-for-bit.

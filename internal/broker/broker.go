@@ -29,6 +29,14 @@ type Entry struct {
 	Estimated bool
 }
 
+// Belief is a node's DB state after a Step: the believed location Pos
+// (Estimated when the Location Estimator supplied it) and the last
+// report, which is what a broker without an estimator believes.
+type Belief struct {
+	Pos, Reported geo.Point
+	Estimated     bool
+}
+
 // record is one node's slot in the location DB. A slot is never
 // deleted: Forget resets it in place and clears hasReport, which marks
 // the node absent to every reader until it reports again, so a node
@@ -125,7 +133,7 @@ func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 // Without an estimator the last report serves, counted as estimated.
 //
 //adf:hotpath
-func (b *Broker) miss(r *record, node int, t float64) (Entry, bool) {
+func (b *Broker) miss(r *record, node int, t float64) bool {
 	pos, estimated := r.lastReported, true
 	if r.est != nil {
 		if estimated = r.est.Ready(); estimated {
@@ -134,7 +142,7 @@ func (b *Broker) miss(r *record, node int, t float64) (Entry, bool) {
 	}
 	r.believed = Entry{Node: node, Pos: pos, Time: t, Estimated: estimated}
 	b.checkBelief(r)
-	return r.believed, estimated
+	return estimated
 }
 
 // MissLU tells the broker that node's LU for time t was filtered. The
@@ -146,37 +154,35 @@ func (b *Broker) MissLU(node int, t float64) (Entry, error) {
 	if r == nil || !r.hasReport {
 		return Entry{}, fmt.Errorf("broker: no location on record for node %d", node)
 	}
-	e, estimated := b.miss(r, node, t)
-	if estimated {
+	if b.miss(r, node, t) {
 		b.estimated++
 	}
-	return e, nil
+	return r.believed, nil
 }
 
 // Step processes one sampling period for a node with a single record
 // lookup: a received LU is stored (like ReceiveLU), a filtered or dropped
 // one refreshes the belief (like MissLU, but without constructing an
-// error for unknown nodes). It returns the broker's resulting belief, or
-// false when the node has never reported. This is the simulation engine's
-// hot path.
+// error for unknown nodes). It returns the resulting belief and last
+// report, or false when the node has never reported. This is the
+// simulation engine's hot path.
 //
 //adf:hotpath
-func (b *Broker) Step(node int, t float64, p geo.Point, received bool) (Entry, bool) {
+func (b *Broker) Step(node int, t float64, p geo.Point, received bool) (Belief, bool) {
 	if received {
-		r := b.record(node)
-		b.receive(r, node, t, p)
+		b.receive(b.record(node), node, t, p)
 		b.received++
-		return r.believed, true
+		return Belief{Pos: p, Reported: p}, true
 	}
 	r := b.records.Ptr(node)
 	if r == nil || !r.hasReport {
-		return Entry{}, false
+		return Belief{}, false
 	}
-	e, estimated := b.miss(r, node, t)
+	estimated := b.miss(r, node, t)
 	if estimated {
 		b.estimated++
 	}
-	return e, true
+	return Belief{Pos: r.believed.Pos, Reported: r.lastReported, Estimated: estimated}, true
 }
 
 // Location returns the broker's current belief about a node.

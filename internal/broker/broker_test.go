@@ -186,6 +186,41 @@ func TestForgetThenRejoinMatchesFresh(t *testing.T) {
 	}
 }
 
+// fixedLE is a test estimator that, once it has seen a report, always
+// predicts the same point.
+type fixedLE struct{ ready bool }
+
+func (e *fixedLE) Observe(float64, geo.Point) { e.ready = true }
+func (e *fixedLE) Predict(float64) geo.Point  { return geo.Point{X: 7, Y: 7} }
+func (e *fixedLE) Ready() bool                { return e.ready }
+func (e *fixedLE) Reset()                     { e.ready = false }
+
+// TestDigestCoversLastReport: two brokers whose believed entries and
+// counters agree but whose last reports differ hold different no-LE
+// beliefs, so their state digests must differ.
+func TestDigestCoversLastReport(t *testing.T) {
+	digest := func(report geo.Point) (uint64, Entry) {
+		b := New(func() estimate.PositionEstimator { return &fixedLE{} })
+		b.Step(1, 1, report, true)
+		bel, _ := b.Step(1, 2, geo.Point{}, false)
+		if bel.Reported != report || !bel.Estimated {
+			t.Fatalf("miss belief %+v, want last report %v and an estimate", bel, report)
+		}
+		e, _ := b.Location(1)
+		d := sanitize.NewDigest()
+		b.DigestState(&d)
+		return d.Sum(), e
+	}
+	da, ea := digest(geo.Point{X: 1})
+	db, eb := digest(geo.Point{X: 2})
+	if ea != eb {
+		t.Fatalf("believed entries differ: %+v, %+v", ea, eb)
+	}
+	if da == db {
+		t.Error("brokers with different last reports share a state digest")
+	}
+}
+
 func TestEstimatorIsolationBetweenNodes(t *testing.T) {
 	b := New(brownFactory(t))
 	// Node 1 moves east, node 2 moves north; forecasts must not mix.

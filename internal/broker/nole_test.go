@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"math"
 	"testing"
 
 	"github.com/mobilegrid/adf/internal/estimate"
@@ -66,6 +67,82 @@ func TestNoLEMatchesLastKnownFactory(t *testing.T) {
 		for i := range wantAll {
 			if gotAll[i] != wantAll[i] {
 				t.Fatalf("seed %d: Locations[%d] = %+v, want %+v", seed, i, gotAll[i], wantAll[i])
+			}
+		}
+	}
+}
+
+// TestReportedMatchesNoLEBroker pins the one-broker lane: the last
+// report that Step returns next to the belief of an estimating broker
+// (Belief.Reported) must be, bit for bit and with the same ok flag, the
+// belief of a broker without an estimator stepped on the same stream —
+// over seeded receive, miss and Forget sequences in which nodes rejoin
+// after being forgotten and a few IDs never report at all. This is what
+// lets a lane step only its with-LE broker and read the no-LE error off
+// the last report.
+func TestReportedMatchesNoLEBroker(t *testing.T) {
+	gapAware := func() estimate.PositionEstimator {
+		le, err := estimate.NewGapAwareLE(estimate.DefaultGapAwareConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return le
+	}
+	for _, tc := range []struct {
+		name    string
+		factory estimate.Factory
+	}{{"gap-aware", gapAware}, {"brown", brownFactory(t)}} {
+		for seed := int64(1); seed <= 5; seed++ {
+			estB, nilB := New(tc.factory), New(nil)
+			if seed%2 == 0 {
+				estB.Preallocate(16)
+				nilB.Preallocate(16)
+			}
+			rng := sim.NewRNG(seed)
+			forgotten := map[int]bool{}
+			var rejoins, absentSteps, estimatedApart int
+			for step := 0; step < 4000; step++ {
+				// IDs 20..23 never report; a few lie outside the dense
+				// window.
+				node := rng.Intn(28) - 4
+				now := float64(step) / 4
+				p := geo.Point{X: 3*now + float64(node) + rng.Uniform(-2, 2), Y: -now + rng.Uniform(-2, 2)}
+				switch r := rng.Float64(); {
+				case r < 0.03:
+					if _, on := nilB.Location(node); on {
+						forgotten[node] = true
+					}
+					estB.Forget(node)
+					nilB.Forget(node)
+					continue
+				case r < 0.06:
+					estB.MissLU(node, now)
+					nilB.MissLU(node, now)
+					continue
+				}
+				received := node < 20 && rng.Bool(0.4)
+				if received && forgotten[node] {
+					rejoins++
+					delete(forgotten, node)
+				}
+				got, okE := estB.Step(node, now, p, received)
+				want, okN := nilB.Step(node, now, p, received)
+				if okE != okN ||
+					math.Float64bits(got.Reported.X) != math.Float64bits(want.Pos.X) ||
+					math.Float64bits(got.Reported.Y) != math.Float64bits(want.Pos.Y) {
+					t.Fatalf("%s seed %d step %d node %d: Reported %v/%v, no-LE belief %v/%v",
+						tc.name, seed, step, node, got.Reported, okE, want.Pos, okN)
+				}
+				if !okE {
+					absentSteps++
+				}
+				if got.Estimated && got.Pos != got.Reported {
+					estimatedApart++
+				}
+			}
+			if rejoins == 0 || absentSteps == 0 || estimatedApart == 0 {
+				t.Fatalf("%s seed %d: %d rejoins, %d absent steps, %d estimated beliefs apart from the last report; the comparison is vacuous",
+					tc.name, seed, rejoins, absentSteps, estimatedApart)
 			}
 		}
 	}

@@ -5,7 +5,7 @@ import "github.com/mobilegrid/adf/internal/sanitize"
 // StateDigester is implemented by pipeline components that can fold
 // their internal state into a per-tick checksum. The engine asks each
 // shard's filters for it when comparing runs at different worker counts;
-// the brokers implement the same method directly.
+// the lanes' brokers implement the same method directly.
 type StateDigester interface {
 	// DigestState writes the component's state into d in a
 	// deterministic order.
@@ -14,7 +14,7 @@ type StateDigester interface {
 
 // StateDigest returns the FNV-1a checksum of the pipeline's full
 // simulation state: every node's identity and true position, each
-// lane's broker DBs and counters, then per shard (in shard order) the
+// lane's broker DB and counters, then per shard (in shard order) the
 // shard's name, membership and each lane's filter state when the filter
 // exposes a digest, and finally the churn population. With one lane it
 // is the digest of a single-filter run. Two runs are bit-for-bit
@@ -32,8 +32,7 @@ func (p *Pipeline) StateDigest() uint64 {
 		d.WriteFloat64(pos.Y)
 	}
 	for _, ln := range p.Lanes {
-		ln.NoLE.DigestState(&d)
-		ln.WithLE.DigestState(&d)
+		ln.Broker.DigestState(&d)
 	}
 	for _, sh := range p.shards {
 		d.WriteString(sh.name)

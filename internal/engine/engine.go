@@ -5,13 +5,13 @@
 //
 // A Pipeline is one world — population, gateways, churn — whose
 // advance, churn and collect stages run once per node per tick, and one
-// or more Lanes: filter configurations, each with its own broker pair
+// or more Lanes: filter configurations, each with its own broker
 // and one pluggable Observer for its metric sinks, that decide on the
 // world's samples. Each lane computes exactly what a pipeline of its
 // own would.
 //
 // A tick runs as a world stage (advance, churn, collect and every
-// lane's filter decision) and one lane stage per lane (brokers, error
+// lane's filter decision) and one lane stage per lane (broker, error
 // distances, observer calls), joined by a ring of preallocated tick
 // frames. The lane stages run inline after the world stage, or each on
 // a goroutine of its own trailing it by fewer than the ring's frame
@@ -28,7 +28,7 @@
 // sampling round k = 1, 2, … at TickTime(SamplePeriod, k), up to the
 // horizon — Ticks rounds in all.
 //
-// A concurrent pipeline's metric sinks and brokers trail the world
+// A concurrent pipeline's metric sinks and broker trail the world
 // stage: they are complete once Pipeline.Run returns or Pipeline.Close
 // has been called.
 package engine
@@ -50,13 +50,13 @@ type Sample struct {
 	Pos geo.Point
 }
 
-// Variant names one of the two broker variants run in lockstep.
+// Variant names one of the two beliefs a lane measures.
 type Variant int
 
 const (
-	// NoLE is the broker without a Location Estimator.
+	// NoLE is the belief without a Location Estimator: the last report.
 	NoLE Variant = iota
-	// WithLE is the broker with the Location Estimator.
+	// WithLE is the belief with the Location Estimator.
 	WithLE
 )
 
@@ -80,10 +80,10 @@ type Observer interface {
 	// reaches the filter.
 	OnOffered(s Sample)
 	// OnTransmitted fires when the filter forwards the sample to the
-	// brokers.
+	// broker.
 	OnTransmitted(s Sample)
-	// OnError fires once per broker variant that holds a belief for the
-	// node, with the believed-vs-true distance.
+	// OnError fires once per variant — no-LE, then with-LE — while the
+	// broker holds the node, with the believed-vs-true distance.
 	OnError(s Sample, v Variant, dist float64)
 	// OnTick fires after every node has been processed for one sampling
 	// round.

@@ -44,7 +44,7 @@ func newTestPipeline(t *testing.T, dropProb float64, churn *KeyedChurn, obs Obse
 		Nodes:        nodes,
 		Net:          net,
 		NewFilters:   oneLane(idealFactory),
-		Lanes:        []Lane{{NoLE: broker.New(nil), WithLE: broker.New(nil), Observer: obs}},
+		Lanes:        []Lane{{Broker: broker.New(nil), Observer: obs}},
 		Churn:        churn,
 		SamplePeriod: 1,
 	}
@@ -80,12 +80,12 @@ func TestPipelineIdealNoDrop(t *testing.T) {
 		t.Errorf("offered/transmitted = %d/%d, want %d/%d",
 			obs.offered, obs.transmitted, nodes*10, nodes*10)
 	}
-	// Both broker variants hold a belief from the first tick on, so the
+	// The broker holds both beliefs from the first tick on, so the
 	// measurement stage fires twice per node per tick.
 	if obs.errs != 2*nodes*10 {
 		t.Errorf("errs = %d, want %d", obs.errs, 2*nodes*10)
 	}
-	if got := p.Lanes[0].NoLE.NodeCount(); got != nodes {
+	if got := p.Lanes[0].Broker.NodeCount(); got != nodes {
 		t.Errorf("broker tracks %d nodes, want %d", got, nodes)
 	}
 }
@@ -100,8 +100,7 @@ func TestPipelineValidate(t *testing.T) {
 		func(p *Pipeline) { p.Net = nil },
 		func(p *Pipeline) { p.NewFilters = nil },
 		func(p *Pipeline) { p.Lanes = nil },
-		func(p *Pipeline) { p.Lanes[0].NoLE = nil },
-		func(p *Pipeline) { p.Lanes[0].WithLE = nil },
+		func(p *Pipeline) { p.Lanes[0].Broker = nil },
 		func(p *Pipeline) { p.SamplePeriod = 0 },
 		func(p *Pipeline) { p.Workers = -1 },
 	}
@@ -137,7 +136,7 @@ func TestChurnForgetAndRejoin(t *testing.T) {
 	if obs.offered != 0 {
 		t.Errorf("offered = %d during mass departure, want 0", obs.offered)
 	}
-	if got := p.Lanes[0].NoLE.NodeCount(); got != 0 {
+	if got := p.Lanes[0].Broker.NodeCount(); got != 0 {
 		t.Errorf("broker still tracks %d nodes after departure", got)
 	}
 

@@ -20,18 +20,17 @@ func adfFactoryAt(factor float64) func() (filter.Filter, error) {
 	}
 }
 
-// brokerDigest folds a lane's two broker DBs and counters.
+// brokerDigest folds a lane's broker DB and counters.
 func brokerDigest(ln Lane) uint64 {
 	d := sanitize.NewDigest()
-	ln.NoLE.DigestState(&d)
-	ln.WithLE.DigestState(&d)
+	ln.Broker.DigestState(&d)
 	return d.Sum()
 }
 
 // TestLanesMatchSeparatePipelines: a pipeline of three lanes — the
 // ideal filter, an ADF and a 1.25av factor view of that ADF's front —
 // must give each lane's observer exactly the event stream, OnTick
-// included, and leave each lane's brokers in exactly the state that a
+// included, and leave each lane's broker in exactly the state that a
 // one-lane pipeline of the same filter does, in both partitions, with
 // gateway drops and churn on.
 func TestLanesMatchSeparatePipelines(t *testing.T) {
@@ -68,7 +67,7 @@ func TestLanesMatchSeparatePipelines(t *testing.T) {
 		p.Lanes = p.Lanes[:0]
 		for l := range observers {
 			observers[l] = newStreamObserver()
-			p.Lanes = append(p.Lanes, Lane{NoLE: newBroker(), WithLE: newBroker(), Observer: observers[l]})
+			p.Lanes = append(p.Lanes, Lane{Broker: newBroker(), Observer: observers[l]})
 		}
 		if err := p.Run(ticks); err != nil {
 			t.Fatal(err)
@@ -94,7 +93,7 @@ func TestLanesMatchSeparatePipelines(t *testing.T) {
 // number of filters fails the build with an error.
 func TestLanesFilterCountChecked(t *testing.T) {
 	p := newTestSharded(t, 3, 0, [2]float64{}, 0, idealFactory)
-	p.Lanes = append(p.Lanes, Lane{NoLE: newBroker(), WithLE: newBroker()})
+	p.Lanes = append(p.Lanes, Lane{Broker: newBroker()})
 	if err := p.Run(1); err == nil {
 		t.Error("one filter for two lanes accepted")
 	}
@@ -104,7 +103,7 @@ func newBroker() *broker.Broker { return broker.New(nil) }
 
 // TestLanesJitterMatchInline: a concurrent three-lane pipeline whose
 // lane stages are delayed at random points gives every lane's observer
-// exactly the event stream, and leaves every lane's brokers in exactly
+// exactly the event stream, and leaves every lane's broker in exactly
 // the state, of the inline schedule — in both partitions, with gateway
 // drops and churn on, over enough ticks that the world stage fills the
 // ring and the lanes drain it.

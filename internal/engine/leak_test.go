@@ -80,7 +80,7 @@ func newThreeLanes(t *testing.T, workers int, observers [3]Observer) *Pipeline {
 	}
 	p.Lanes = p.Lanes[:0]
 	for _, ob := range observers {
-		p.Lanes = append(p.Lanes, Lane{NoLE: newBroker(), WithLE: newBroker(), Observer: ob})
+		p.Lanes = append(p.Lanes, Lane{Broker: newBroker(), Observer: ob})
 	}
 	p.Concurrent = true
 	return p

@@ -17,7 +17,7 @@ import (
 // churn → gateway collect → filter → broker delivery → error
 // measurement. One pipeline is one world — population, gateways, churn —
 // simulated once per tick, and one or more lanes, each a filter
-// configuration with its own brokers and observer, that decide on the
+// configuration with its own broker and observer, that decide on the
 // world's samples side by side. A one-filter run is one lane.
 //
 // A tick runs as two kinds of stage joined by a ring of preallocated
@@ -30,13 +30,12 @@ import (
 //     (absent, lost or reached), each lane's transmit bits, the tick's
 //     departures and its observability flag.
 //   - One lane stage per lane reads the frame: it forgets the tick's
-//     departures from its brokers, steps the no-LE/with-LE broker pair
-//     on every present member, measures the error distances and calls
-//     the lane's observer, shard by shard in shard order, then the
-//     observer's OnTick.
+//     departures from its broker, steps it once on every present
+//     member, measures both error distances and calls the lane's
+//     observer, shard by shard in shard order, then the observer's OnTick.
 //
 // The world stage owns the nodes, the gateways, the churn timeline and
-// the filters; a lane stage owns its brokers, its observer and its
+// the filters; a lane stage owns its broker, its observer and its
 // observability batch. Lanes never read each other's state, so each
 // lane computes exactly what a pipeline of its own would.
 //
@@ -125,16 +124,16 @@ type Pipeline struct {
 	tick uint64
 }
 
-// Lane is one filter configuration on a pipeline's world: the two
-// broker variants run in lockstep on the lane's filter verdicts, and the
-// observer that receives the lane's events.
+// Lane is one filter configuration on a pipeline's world: the broker
+// stepped on the lane's filter verdicts, and the observer that receives
+// the lane's events.
 type Lane struct {
-	// NoLE and WithLE are the broker without and with a Location
-	// Estimator. The location DB is the wired-grid side, one per lane
-	// across all shards; only the lane's stage touches it. Their dense
-	// windows are Preallocate-d at build, so a steady tick allocates no
-	// record.
-	NoLE, WithLE *broker.Broker
+	// Broker is the lane's location DB with its Location Estimator: the
+	// wired-grid side, one per lane across all shards, touched only by
+	// the lane's stage. Each step's belief is the with-LE belief and the
+	// node's last report the no-LE one (broker.Belief). Its dense window
+	// is Preallocate-d at build, so a steady tick allocates no record.
+	Broker *broker.Broker
 	// Observer receives the lane's events from the lane stage, in shard
 	// order; it is never called concurrently with itself, but the
 	// observers of different lanes may run concurrently. Nil means no
@@ -191,7 +190,7 @@ type shardRegion struct {
 const (
 	// absent: the member is off the grid; no lane sees it this tick.
 	absent uint8 = iota
-	// lost: the gateway dropped the sample; the brokers still step.
+	// lost: the gateway dropped the sample; the broker still steps.
 	lost
 	// reached: the sample reached the lanes' filters.
 	reached
@@ -211,7 +210,7 @@ type shardLane struct {
 // ChurnEvent implements ChurnSink for the shard's own churn partition.
 // Every lane tallies the event in its shard-local batch, as its own run
 // would. A departure is forgotten by every lane's filter here and
-// recorded in the frame, so each lane stage forgets it from its brokers
+// recorded in the frame, so each lane stage forgets it from its broker
 // before it steps the tick — all shard-safe, since the shard only ever
 // reports owned nodes.
 func (sh *shardCtx) ChurnEvent(id int, left bool) {
@@ -246,8 +245,8 @@ func (p *Pipeline) Validate() error {
 		return fmt.Errorf("engine: negative Workers %d", p.Workers)
 	}
 	for l, ln := range p.Lanes {
-		if ln.NoLE == nil || ln.WithLE == nil {
-			return fmt.Errorf("engine: lane %d needs both broker variants", l)
+		if ln.Broker == nil {
+			return fmt.Errorf("engine: lane %d has no broker", l)
 		}
 	}
 	return nil
@@ -256,7 +255,7 @@ func (p *Pipeline) Validate() error {
 // build resolves the partition: the home regions in ascending ID order,
 // grouped into one campus shard or one shard per region, each shard
 // with its gateways, one filter per lane and its member list. It also
-// pre-sizes the brokers' dense windows, builds the lane stages and
+// pre-sizes the lanes' broker windows, builds the lane stages and
 // fills the ring with its frames.
 func (p *Pipeline) build() error {
 	if err := p.Validate(); err != nil {
@@ -339,13 +338,12 @@ func (p *Pipeline) build() error {
 	p.masters = make([]obs.TickLocal, len(p.Lanes))
 	for l := range p.Lanes {
 		ln := &p.Lanes[l]
-		ln.NoLE.Preallocate(maxID + 1)
-		ln.WithLE.Preallocate(maxID + 1)
+		ln.Broker.Preallocate(maxID + 1)
 		if ln.Observer == nil {
 			ln.Observer = BaseObserver{}
 		}
 		st := &p.stages[l]
-		*st = laneStage{idx: l, noLE: ln.NoLE, withLE: ln.WithLE, ob: ln.Observer, tid: obs.NextTID()}
+		*st = laneStage{idx: l, b: ln.Broker, ob: ln.Observer, tid: obs.NextTID()}
 		p.masters[l].Init()
 	}
 	frames := 1

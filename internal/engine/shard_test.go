@@ -37,7 +37,7 @@ func newTestSharded(t *testing.T, seed int64, dropProb float64, churnProbs [2]fl
 		Nodes:        nodes,
 		Net:          net,
 		NewFilters:   oneLane(newFilter),
-		Lanes:        []Lane{{NoLE: broker.New(nil), WithLE: broker.New(nil)}},
+		Lanes:        []Lane{{Broker: broker.New(nil)}},
 		Churn:        churn,
 		SamplePeriod: 1,
 		Workers:      workers,
@@ -55,10 +55,10 @@ func adfFactory() (filter.Filter, error) {
 }
 
 // worldDigest folds the state both partitions share — node positions,
-// broker DBs and counters, churn population — so campus and region runs
+// the broker DB and counters, churn population — so campus and region runs
 // can be compared even though their full StateDigests differ (those
 // also fold shard membership).
-func worldDigest(nodes []*node.Node, noLE, withLE *broker.Broker, churn *KeyedChurn) uint64 {
+func worldDigest(nodes []*node.Node, b *broker.Broker, churn *KeyedChurn) uint64 {
 	d := sanitize.NewDigest()
 	for _, n := range nodes {
 		d.WriteInt(n.ID())
@@ -66,8 +66,7 @@ func worldDigest(nodes []*node.Node, noLE, withLE *broker.Broker, churn *KeyedCh
 		d.WriteFloat64(pos.X)
 		d.WriteFloat64(pos.Y)
 	}
-	noLE.DigestState(&d)
-	withLE.DigestState(&d)
+	b.DigestState(&d)
 	if churn != nil {
 		d.WriteInt(churn.AbsentCount())
 	}
@@ -93,8 +92,8 @@ func TestShardedMatchesClassicState(t *testing.T) {
 		if err := region.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		cd := worldDigest(campusP.Nodes, campusP.Lanes[0].NoLE, campusP.Lanes[0].WithLE, campusP.Churn)
-		rd := worldDigest(region.Nodes, region.Lanes[0].NoLE, region.Lanes[0].WithLE, region.Churn)
+		cd := worldDigest(campusP.Nodes, campusP.Lanes[0].Broker, campusP.Churn)
+		rd := worldDigest(region.Nodes, region.Lanes[0].Broker, region.Churn)
 		if cd != rd {
 			t.Fatalf("tick %d: campus digest %x != region digest %x", tick, cd, rd)
 		}
@@ -103,10 +102,10 @@ func TestShardedMatchesClassicState(t *testing.T) {
 		t.Errorf("shard counts campus %d, region %d; want 1 and one per region",
 			len(campusP.ShardFilters()), len(region.ShardFilters()))
 	}
-	if got, want := region.Lanes[0].NoLE.ReceivedLUs(), campusP.Lanes[0].NoLE.ReceivedLUs(); got != want {
+	if got, want := region.Lanes[0].Broker.ReceivedLUs(), campusP.Lanes[0].Broker.ReceivedLUs(); got != want {
 		t.Errorf("ReceivedLUs = %d, want %d", got, want)
 	}
-	if got, want := region.Lanes[0].WithLE.EstimatedLUs(), campusP.Lanes[0].WithLE.EstimatedLUs(); got != want {
+	if got, want := region.Lanes[0].Broker.EstimatedLUs(), campusP.Lanes[0].Broker.EstimatedLUs(); got != want {
 		t.Errorf("EstimatedLUs = %d, want %d", got, want)
 	}
 }
@@ -176,8 +175,8 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 		if err := region.Tick(now); err != nil {
 			t.Fatal(err)
 		}
-		cd := worldDigest(campusP.Nodes, campusP.Lanes[0].NoLE, campusP.Lanes[0].WithLE, campusP.Churn)
-		rd := worldDigest(region.Nodes, region.Lanes[0].NoLE, region.Lanes[0].WithLE, region.Churn)
+		cd := worldDigest(campusP.Nodes, campusP.Lanes[0].Broker, campusP.Churn)
+		rd := worldDigest(region.Nodes, region.Lanes[0].Broker, region.Churn)
 		if cd != rd {
 			t.Fatalf("tick %d: campus keyed digest %x != region keyed digest %x", tick, cd, rd)
 		}
@@ -185,7 +184,7 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 	if campusP.Churn.AbsentCount() == 0 {
 		t.Error("churn never removed a node; the keyed timeline was not exercised")
 	}
-	if got, want := region.Lanes[0].NoLE.ReceivedLUs(), campusP.Lanes[0].NoLE.ReceivedLUs(); got != want {
+	if got, want := region.Lanes[0].Broker.ReceivedLUs(), campusP.Lanes[0].Broker.ReceivedLUs(); got != want {
 		t.Errorf("ReceivedLUs = %d, want %d", got, want)
 	}
 }
@@ -194,13 +193,13 @@ func TestShardedKeyedMatchesClassicState(t *testing.T) {
 // gateway drops must agree at every worker count, and stay pinned across
 // releases — the keyed PRF
 // is a frozen function of (seed, stream, id, tick), so this digest only
-// moves when the simulation semantics themselves change. Re-pin
-// deliberately if they do.
+// moves when the simulation semantics or the digest's own layout change.
+// Re-pin deliberately if they do.
 func TestShardedKeyedWorkerDeterminism(t *testing.T) {
 	const (
 		ticks = 60
 		// Final-tick StateDigest of the seed-23 keyed run below.
-		pinnedFinal = uint64(0x1c10c40c62c21fe8)
+		pinnedFinal = uint64(0x242b30356e4a0668)
 	)
 	workerCounts := []int{1, 2, 4, 8}
 	var ref []uint64
@@ -250,7 +249,7 @@ func TestShardedObserverEvents(t *testing.T) {
 	if obs.errs != 2*nodes*10 {
 		t.Errorf("errs = %d, want %d", obs.errs, 2*nodes*10)
 	}
-	if got := p.Lanes[0].NoLE.NodeCount(); got != nodes {
+	if got := p.Lanes[0].Broker.NodeCount(); got != nodes {
 		t.Errorf("broker tracks %d nodes, want %d", got, nodes)
 	}
 }

@@ -129,18 +129,18 @@ func (r *ring) drain() {
 	}
 }
 
-// laneStage is one lane's stage: the lane's brokers, observer and
+// laneStage is one lane's stage: the lane's broker, observer and
 // estimator-refresh tally, and, while it runs concurrently, the queue of
 // published frames it has yet to read.
 type laneStage struct {
-	idx          int
-	noLE, withLE *broker.Broker
-	ob           Observer
+	idx int
+	b   *broker.Broker
+	ob  Observer
 	// in carries the published frames, in tick order, to the stage's
 	// goroutine; a fresh queue is made each time the goroutine starts.
 	in chan *frame
-	// estimated counts the with-LE refreshes served by the Location
-	// Estimator since the lane last added them to the registry.
+	// estimated counts the refreshes served by the Location Estimator
+	// since the lane last added them to the registry.
 	estimated uint64
 	// tid is the lane's trace track.
 	tid uint32
@@ -246,15 +246,16 @@ func (p *Pipeline) laneTick(st *laneStage, f *frame) {
 }
 
 // laneEvents is one lane's tick: shard by shard in shard order it
-// forgets the shard's departures from both brokers, then per present
-// member steps the broker pair on the lane's transmit bit and calls the
-// observer — offered, transmitted, then the no-LE and with-LE errors —
-// and finally the observer's OnTick. It returns the with-LE refreshes
-// the estimator served. Each observer thus sees exactly the stream a
-// pipeline of its own lane would emit. It reads only the frame and the
-// shards' immutable layout (member IDs, region slots, home regions), and
-// writes only the lane's own state, so it runs concurrently with the
-// world stage and the other lanes; the shardsafe rule holds it to that.
+// forgets the shard's departures from the broker, then per present
+// member steps the broker once on the lane's transmit bit and calls the
+// observer — offered, transmitted, then the no-LE error (from the last
+// report) and the with-LE error (from the belief) — and finally the
+// observer's OnTick. It returns the refreshes the estimator served.
+// Each observer thus sees exactly the stream a pipeline of its own lane
+// would emit. It reads only the frame and the shards' immutable layout
+// (member IDs, region slots, home regions), and writes only the lane's
+// own state, so it runs concurrently with the world stage and the other
+// lanes; the shardsafe rule holds it to that.
 //
 //adf:hotpath
 //adf:shardstage
@@ -264,8 +265,7 @@ func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64) {
 	for s, sh := range p.shards {
 		fs := &f.shards[s]
 		for _, id := range fs.departed {
-			st.noLE.Forget(int(id))
-			st.withLE.Forget(int(id))
+			st.b.Forget(int(id))
 		}
 		sent := fs.sent[st.idx]
 		for k, id := range sh.ids {
@@ -281,27 +281,24 @@ func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64) {
 			if transmitted {
 				ob.OnTransmitted(smp)
 			}
-			// A transmitted sample is the brokers' belief (a received LU
-			// is stored as reported), and for a finite position x−x is +0
+			bel, ok := st.b.Step(smp.Node, smp.Time, smp.Pos, transmitted)
+			if !ok {
+				continue
+			}
+			if bel.Estimated {
+				estimated++
+			}
+			// A transmitted sample is both beliefs (a received LU is
+			// stored as reported), and for a finite position x−x is +0
 			// and Hypot(+0, +0) is +0: its error distances are +0 and
 			// skip both Dist calls.
-			if e, ok := st.noLE.Step(smp.Node, smp.Time, smp.Pos, transmitted); ok {
-				var dist float64
-				if !transmitted {
-					dist = e.Pos.Dist(smp.Pos)
-				}
-				ob.OnError(smp, NoLE, dist)
+			var noLE, withLE float64
+			if !transmitted {
+				noLE = bel.Reported.Dist(smp.Pos)
+				withLE = bel.Pos.Dist(smp.Pos)
 			}
-			if e, ok := st.withLE.Step(smp.Node, smp.Time, smp.Pos, transmitted); ok {
-				if e.Estimated {
-					estimated++
-				}
-				var dist float64
-				if !transmitted {
-					dist = e.Pos.Dist(smp.Pos)
-				}
-				ob.OnError(smp, WithLE, dist)
-			}
+			ob.OnError(smp, NoLE, noLE)
+			ob.OnError(smp, WithLE, withLE)
 		}
 		st.jit.pause()
 	}

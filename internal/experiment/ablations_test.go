@@ -275,7 +275,7 @@ func (w *withheldDistances) Offer(lu filter.LU) filter.Decision {
 	return d
 }
 
-// noLEErrors keeps the no-LE broker's error per (node, time) and
+// noLEErrors keeps the no-LE error per (node, time) and
 // forwards every event to the run's own sink.
 type noLEErrors struct {
 	engine.Observer
@@ -290,7 +290,7 @@ func (o *noLEErrors) OnError(s engine.Sample, v engine.Variant, dist float64) {
 }
 
 // TestOfferDistanceIsNoLEErrorOnlyAnchored pins when the distance the
-// ADF computes in Offer could stand in for the no-LE broker's error of
+// ADF computes in Offer could stand in for the no-LE error of
 // a withheld sample. Under Anchored the filter's anchor is the last
 // transmitted position, which is the no-LE belief, so the two agree bit
 // for bit on every withheld sample. Under PerStep (the paper's default)

@@ -7,14 +7,14 @@
 // mobile nodes moving on the synthetic campus for a configurable horizon
 // (1800 s in the paper), sampled at 1 Hz through per-region wireless
 // gateways, filtered by a pluggable location-update filter, and tracked by
-// two grid brokers run in lockstep — one without a Location Estimator and
-// one with the paper's Brown's-double-exponential-smoothing LE — so the
-// "with LE" and "without LE" curves come from identical inputs.
+// a grid broker with a Location Estimator, whose every record keeps both
+// the estimated belief and the last report — the belief without an LE —
+// so the "with LE" and "without LE" curves come from identical inputs.
 //
 // Runs that share a world — every Config field but the lane fields
 // DTHFactors, Estimator, Smoothing, ADF and Workers — are simulated as
 // lanes of one pass: the population moves and the gateways collect once
-// per tick, and each run's filter, brokers and sinks are its own. ADF
+// per tick, and each run's filter, broker and sinks are its own. ADF
 // runs that differ only in DTHFactor share one classification and
 // clustering front. Every run's outputs are bit-identical to simulating
 // it alone.
@@ -59,14 +59,14 @@ type Config struct {
 	// Churn, when non-nil, lets nodes leave and rejoin the grid (the
 	// paper's "relocation" constraint): an active node departs with
 	// LeaveProb per second, a departed one returns with RejoinProb. On
-	// departure the filter and both brokers forget the node entirely.
+	// departure the filter and the broker forget the node entirely.
 	Churn *ChurnConfig
 	// DTHFactors are the threshold scalings to evaluate (0.75, 1.0, 1.25
 	// in the paper).
 	DTHFactors []float64
 	// Smoothing is the Location Estimator's smoothing constant.
 	Smoothing float64
-	// Estimator selects the Location Estimator the "with LE" broker uses:
+	// Estimator selects the Location Estimator the lane's broker uses:
 	// EstimatorGapAware (default), EstimatorBrown (the paper's plain
 	// double-exponential smoothing), EstimatorSingle, EstimatorDead or
 	// EstimatorAR1.
@@ -80,7 +80,7 @@ type Config struct {
 	// Smoothing, ADF and Workers) form one pass, which simulates the
 	// world once and runs each of its filter configurations as a lane;
 	// passes run concurrently on up to Workers workers. Above 1 (or with
-	// ShardWorkers above 1) each lane's brokers and sinks run on a
+	// ShardWorkers above 1) each lane's broker and sinks run on a
 	// goroutine of their own, trailing the pass's world. It never
 	// changes results — every lane computes exactly what a simulation of
 	// its own would — only the execution schedule.
@@ -388,7 +388,7 @@ func (c Config) runFilter(mk filterFactory) (*Run, error) {
 }
 
 // runPass simulates one world under every task's filter: one pipeline
-// (mobility advance → churn → gateway collect → filter → brokers →
+// (mobility advance → churn → gateway collect → filter → broker →
 // error measurement) whose lanes are the tasks, in task order, each
 // wired to its own Run's observer sinks. The tasks must share a world
 // key. Every lane derives its node movement, gateway drops and
@@ -467,7 +467,7 @@ func (c Config) buildPipeline(mk filterFactory) (*engine.Pipeline, *Run, error) 
 }
 
 // buildPass wires one pass: the world of the first task's configuration
-// and one lane per task — brokers, Run record and metric sink — in the
+// and one lane per task — broker, Run record and metric sink — in the
 // partition ShardWorkers selects. The pipeline builds every shard's
 // filters through newFilters.
 func buildPass(tasks []runTask) (*engine.Pipeline, []*Run, error) {
@@ -584,7 +584,7 @@ func (c Config) buildWorld() (*simWorld, error) {
 	return &simWorld{nodes: nodes, net: net, churn: churn, idSpan: idSpan}, nil
 }
 
-// buildLane constructs one lane on world w: the broker pair under c's
+// buildLane constructs one lane on world w: the broker under c's
 // estimator and the Run record, named by mk, with its pre-sized metric
 // sinks.
 func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, error) {
@@ -592,8 +592,7 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 	if err != nil {
 		return engine.Lane{}, nil, err
 	}
-	noLE := broker.New(nil)
-	withLE := broker.New(leFactory)
+	b := broker.New(leFactory)
 
 	// The lane's four per-kind accumulators, written on every error
 	// event, share one 64-byte allocation — one cache line — so lanes
@@ -645,9 +644,8 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 	run.ErrNoLE.Reserve(budget)
 	run.ErrWithLE.Reserve(budget)
 
-	noLE.Preallocate(w.idSpan)
-	withLE.Preallocate(w.idSpan)
-	lane := engine.Lane{NoLE: noLE, WithLE: withLE, Observer: newMetricSink(run, c.SamplePeriod)}
+	b.Preallocate(w.idSpan)
+	lane := engine.Lane{Broker: b, Observer: newMetricSink(run, c.SamplePeriod)}
 	return lane, run, nil
 }
 

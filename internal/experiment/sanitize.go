@@ -17,7 +17,7 @@ import (
 // additionally runs the sanitizer invariants, which is how
 // TestShardDigestGate (`make check-sharded`) exercises the sharded
 // stack. StateDigest waits for each pipeline's trailing lane stages, so
-// every digest covers the brokers of the tick just computed.
+// every digest covers the lanes' brokers at the tick just computed.
 func (c Config) CompareShardDigests(workerCounts []int) (int, error) {
 	if len(workerCounts) < 2 {
 		return 0, fmt.Errorf(

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSanitizedCampaignRun executes a full campaign simulation — ADF
-// filter, churn, wireless drops, both brokers — with every runtime
+// filter, churn, wireless drops, the lanes' brokers — with every runtime
 // invariant armed. Any NaN position or estimate, out-of-campus
 // coordinate, drifted cluster statistic, below-floor DTH or clock
 // regression panics with file:line; a clean pass is the sanitizer's

@@ -27,10 +27,10 @@ var (
 	LUSent = Default.Counter("adf_lu_sent_total")
 	// LUFiltered counts LUs the filter suppressed.
 	LUFiltered = Default.Counter("adf_lu_filtered_total")
-	// BrokerReceived counts LUs delivered to the broker pair.
+	// BrokerReceived counts LUs delivered to a lane's broker.
 	BrokerReceived = Default.Counter("adf_broker_received_total")
 	// BrokerEstimated counts belief refreshes served by the Location
-	// Estimator (the with-LE broker's miss path).
+	// Estimator (the lane broker's miss path).
 	BrokerEstimated = Default.Counter("adf_broker_estimated_total")
 	// ChurnLeft counts nodes departing the grid.
 	ChurnLeft = Default.Counter("adf_churn_left_total")
@@ -49,9 +49,9 @@ var (
 	// member.
 	ClustersRetired = Default.Counter("adf_clusters_retired_total")
 	// BrokerRecords counts location-DB records created on a node's
-	// first report.
+	// first report; a simulation lane keeps one DB, so once per lane.
 	BrokerRecords = Default.Counter("adf_broker_records_total")
-	// BrokerForgets counts location-DB records dropped (churn).
+	// BrokerForgets counts location-DB records dropped (churn), per lane.
 	BrokerForgets = Default.Counter("adf_broker_forgets_total")
 )
 

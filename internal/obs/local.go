@@ -12,7 +12,7 @@ package obs
 type TickLocal struct {
 	// Offered, Sent and Filtered mirror the filter stage's verdicts.
 	Offered, Sent, Filtered uint64
-	// BrokerReceived counts LUs delivered to the broker pair.
+	// BrokerReceived counts LUs delivered to the lane's broker.
 	BrokerReceived uint64
 	// ChurnLeft and ChurnRejoined mirror the churn stage.
 	ChurnLeft, ChurnRejoined uint64

@@ -21,7 +21,7 @@ const (
 	// barrier.
 	StageNodes
 	// StageLane is one lane stage's tick: the departures forgotten, the
-	// broker pair stepped, the error distances measured and the lane's
+	// broker stepped, the error distances measured and the lane's
 	// observer called, shard by shard.
 	StageLane
 	// StageTick is the world stage's whole sampling round, from the
