@@ -15,29 +15,19 @@ import (
 // one receiver and with four, the same callbacks arrive in the same
 // order. Any change to what is delivered, to whom, when or in which
 // order moves it; how the transport frames the callbacks does not.
-const deliveryGolden uint64 = 0x38e44fef55aee7e0
+const deliveryGolden uint64 = 0x35c6f66c32e7154
 
-// digestAmb folds every callback it receives into an FNV-64a digest, in
-// delivery order: the kind, the class or object, the time and the
-// values in sorted key order.
+// digestAmb folds every interaction and grant it receives into an
+// FNV-64a digest, in delivery order: the kind, the class, the time and
+// the values in sorted key order. It embeds recorder for the callbacks
+// it does not digest.
 type digestAmb struct {
+	recorder
 	h     hash.Hash64
 	calls int
 }
 
 func newDigestAmb() *digestAmb { return &digestAmb{h: fnv.New64a()} }
-
-func (a *digestAmb) DiscoverObjectInstance(obj ObjectHandle, class, name string) {
-	a.calls++
-	fmt.Fprintf(a.h, "discover|%d|%s|%s\n", obj, class, name)
-}
-
-func (a *digestAmb) ReflectAttributeValues(obj ObjectHandle, attrs Values, t float64) {
-	a.calls++
-	fmt.Fprintf(a.h, "reflect|%d|%v|", obj, t)
-	writeValues(a.h, attrs)
-	fmt.Fprintln(a.h)
-}
 
 func (a *digestAmb) ReceiveInteraction(class string, params Values, t float64) {
 	a.calls++
@@ -46,33 +36,16 @@ func (a *digestAmb) ReceiveInteraction(class string, params Values, t float64) {
 	fmt.Fprintln(a.h)
 }
 
-func (a *digestAmb) RemoveObjectInstance(obj ObjectHandle) {
-	a.calls++
-	fmt.Fprintf(a.h, "remove|%d\n", obj)
-}
-
 func (a *digestAmb) TimeAdvanceGrant(t float64) {
 	a.calls++
 	fmt.Fprintf(a.h, "grant|%v\n", t)
 }
 
-// goldenFed is what the scripted session drives of a federate: a
-// Client over TCP or a Federate in process.
-type goldenFed interface {
-	lockstepFed
-	PublishObjectClass(class string, attributes []string) error
-	SubscribeObjectClass(class string, attributes []string) error
-	RegisterObjectInstance(class, name string) (ObjectHandle, error)
-	UpdateAttributeValues(obj ObjectHandle, attrs Values, ts float64) error
-	NextEventRequest(t float64) error
-}
-
 // TestDeliveryGolden pins what every receiver is delivered by a
 // scripted session of one sender. Per step the sender sends two
 // interaction classes, changes the timestamp inside the step and back,
-// interleaves attribute updates between its sends, and makes sends the
-// local check rejects; the receivers then advance, and at the end they
-// step by NextEventRequest. The digest of each receiver's callbacks must
+// and makes sends the local check rejects; the receivers then advance,
+// and at the end they advance past the last sends in two steps. The digest of each receiver's callbacks must
 // equal deliveryGolden, with one receiver and with four, over TCP and
 // in process.
 func TestDeliveryGolden(t *testing.T) {
@@ -98,7 +71,7 @@ func TestDeliveryGolden(t *testing.T) {
 func runGoldenSession(t *testing.T, receivers int, tcp bool) []*digestAmb {
 	t.Helper()
 	rti := newFederation(t)
-	join := func(name string, amb Ambassador) goldenFed {
+	join := func(name string, amb Ambassador) lockstepFed {
 		f, err := rti.Join("test", name, 1, amb)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +86,7 @@ func runGoldenSession(t *testing.T, receivers int, tcp bool) []*digestAmb {
 		}
 		go func() { _ = srv.Serve() }()
 		t.Cleanup(func() { _ = srv.Close() })
-		join = func(name string, amb Ambassador) goldenFed {
+		join = func(name string, amb Ambassador) lockstepFed {
 			c, err := Dial(srv.Addr().String())
 			if err != nil {
 				t.Fatal(err)
@@ -136,8 +109,7 @@ func runGoldenSession(t *testing.T, receivers int, tcp bool) []*digestAmb {
 	for _, class := range []string{"LU", "Handoff"} {
 		must(send.PublishInteractionClass(class))
 	}
-	must(send.PublishObjectClass("Node", []string{"x", "y"}))
-	var recvs []goldenFed
+	var recvs []lockstepFed
 	var ambs []*digestAmb
 	for i := range receivers {
 		amb := newDigestAmb()
@@ -145,12 +117,9 @@ func runGoldenSession(t *testing.T, receivers int, tcp bool) []*digestAmb {
 		for _, class := range []string{"LU", "Handoff"} {
 			must(r.SubscribeInteractionClass(class))
 		}
-		must(r.SubscribeObjectClass("Node", []string{"x", "y"}))
 		recvs = append(recvs, r)
 		ambs = append(ambs, amb)
 	}
-	obj, err := send.RegisterObjectInstance("Node", "n1")
-	must(err)
 
 	// advanceAll runs every receiver's time advance to ts in the
 	// background and the sender's in the foreground.
@@ -178,7 +147,6 @@ func runGoldenSession(t *testing.T, receivers int, tcp bool) []*digestAmb {
 		for n := range 3 {
 			must(send.SendInteraction("LU", lu(n, i), ts))
 		}
-		must(send.UpdateAttributeValues(obj, Values{"x": {byte(i)}, "y": {byte(i + 1)}}, ts))
 		must(send.SendInteraction("LU", lu(3, i), ts))
 		must(send.SendInteraction("Handoff", Values{"from": {byte(i)}, "to": {byte(i + 1)}}, ts))
 		must(send.SendInteraction("Handoff", Values{"from": {byte(i + 1)}, "to": {byte(i)}}, ts))
@@ -192,24 +160,12 @@ func runGoldenSession(t *testing.T, receivers int, tcp bool) []*digestAmb {
 			t.Fatalf("step %d: send of an unpublished class: %v, want ErrNotPublished", i, err)
 		}
 		must(send.SendInteraction("LU", lu(9, i), ts))
-		must(send.UpdateAttributeValues(obj, Values{"x": {byte(i + 2)}}, ts+0.5))
 		advanceAll(ts)
 	}
-	// Event stepping: the receivers' NextEventRequest is granted at the
-	// earliest queued message, the last step's half-second sends, and
-	// their time advance then delivers the rest.
+	// The last step's half-second sends and one more send past them are
+	// delivered by two further advances.
 	must(send.SendInteraction("LU", lu(10, steps+1), steps+1.5))
-	var wg sync.WaitGroup
-	errs := make([]error, len(recvs))
-	for i, r := range recvs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = r.NextEventRequest(steps + 3)
-		}()
-	}
-	wg.Wait()
-	must(errors.Join(errs...))
+	advanceAll(steps + 1)
 	advanceAll(steps + 3)
 	return ambs
 }

@@ -112,17 +112,17 @@ func dialTap(t *testing.T, addr string) (*Client, *tapConn) {
 // connection — moves it; how those bytes are split into socket writes
 // does not.
 var wireDigests = map[string]uint64{
-	"client/alpha": 0xfb57f88672056118,
-	"client/beta":  0x47f3aec1161d4ed5,
-	"server/alpha": 0xcdfb5346cbf4c855,
-	"server/beta":  0xba4881f16f06b9d5,
+	"client/alpha": 0xfaeb4368bf3b1895,
+	"client/beta":  0xeb19ebad02a35b9,
+	"server/alpha": 0xf59579b675c8ce,
+	"server/beta":  0x9fbc843bf2ade0cd,
 }
 
 // TestTransportWireIdentity runs a scripted two-federate TCP session
-// that exercises every request type — join, publish/subscribe, register,
-// sync point, sends and updates, an error reply, time advances, tick,
-// delete, resign — and checks the digest of every byte each side wrote
-// on each connection against wireDigests.
+// that exercises every request type — join, publish/subscribe, tick,
+// sync point, sends, an error reply, time advances, resign — and checks
+// the digest of every byte each side wrote on each connection against
+// wireDigests.
 func TestTransportWireIdentity(t *testing.T) {
 	srv, tl := startTapServer(t)
 	addr := srv.Addr().String()
@@ -143,11 +143,7 @@ func TestTransportWireIdentity(t *testing.T) {
 		}
 	}
 	must(alpha.PublishInteractionClass("LU"))
-	must(alpha.PublishObjectClass("Node", []string{"x", "y"}))
 	must(beta.SubscribeInteractionClass("LU"))
-	must(beta.SubscribeObjectClass("Node", []string{"x"}))
-	obj, err := alpha.RegisterObjectInstance("Node", "n1")
-	must(err)
 	must(beta.Tick())
 	must(alpha.RegisterSynchronizationPoint("ready", []byte("tag")))
 	must(beta.SynchronizationPointAchieved("ready"))
@@ -156,13 +152,12 @@ func TestTransportWireIdentity(t *testing.T) {
 		t.Fatal("lookahead violation accepted")
 	}
 
-	// advance runs beta's request in the background and alpha's time
-	// advance to the same time in the foreground: neither is granted
-	// alone.
-	advance := func(betaRequest func(float64) error, to float64) {
+	// advance runs beta's time advance in the background and alpha's to
+	// the same time in the foreground: neither is granted alone.
+	advance := func(to float64) {
 		t.Helper()
 		done := make(chan error, 1)
-		go func() { done <- betaRequest(to) }()
+		go func() { done <- beta.TimeAdvanceRequest(to) }()
 		must(alpha.TimeAdvanceRequest(to))
 		must(<-done)
 	}
@@ -172,11 +167,10 @@ func TestTransportWireIdentity(t *testing.T) {
 		for n := 0; n < 3; n++ {
 			must(alpha.SendInteraction("LU", Values{"node": {byte(n)}, "x": {byte(i), byte(n)}}, ts))
 		}
-		must(alpha.UpdateAttributeValues(obj, Values{"x": {byte(i)}, "y": {byte(i + 1)}}, ts))
-		advance(beta.TimeAdvanceRequest, ts)
+		must(alpha.SendInteraction("LU", Values{"node": {9}, "y": {byte(i)}}, ts+0.5))
+		advance(ts)
 	}
-	must(alpha.DeleteObjectInstance(obj))
-	advance(beta.NextEventRequest, steps+2)
+	advance(steps + 2)
 	must(beta.Tick())
 	must(beta.Resign())
 	must(alpha.Resign())
@@ -185,9 +179,9 @@ func TestTransportWireIdentity(t *testing.T) {
 	must(srv.Close())
 
 	betaRec.mu.Lock()
-	if len(betaRec.interactions) != 3*steps || len(betaRec.reflects) != steps || len(betaRec.synced) != 1 || len(betaRec.removed) != 1 {
-		t.Errorf("beta saw %d interactions, %d reflects, synced %v, removed %v",
-			len(betaRec.interactions), len(betaRec.reflects), betaRec.synced, betaRec.removed)
+	if len(betaRec.interactions) != 4*steps || len(betaRec.grants) != steps+1 || len(betaRec.synced) != 1 {
+		t.Errorf("beta saw %d interactions, grants %v, synced %v",
+			len(betaRec.interactions), betaRec.grants, betaRec.synced)
 	}
 	betaRec.mu.Unlock()
 
@@ -311,20 +305,20 @@ func TestTransportCoalescesWrites(t *testing.T) {
 }
 
 // signalAmb records callbacks like syncRecorder and also reports each
-// discover, announcement and grant on events as it arrives.
+// announcement, synchronization and grant on events as it arrives.
 type signalAmb struct {
 	syncRecorder
 	events chan string
 }
 
-func (a *signalAmb) DiscoverObjectInstance(obj ObjectHandle, class, name string) {
-	a.syncRecorder.DiscoverObjectInstance(obj, class, name)
-	a.events <- "discover " + name
-}
-
 func (a *signalAmb) AnnounceSynchronizationPoint(label string, tag []byte) {
 	a.syncRecorder.AnnounceSynchronizationPoint(label, tag)
 	a.events <- "announce " + label
+}
+
+func (a *signalAmb) FederationSynchronized(label string) {
+	a.syncRecorder.FederationSynchronized(label)
+	a.events <- "synced " + label
 }
 
 func (a *signalAmb) TimeAdvanceGrant(t float64) {
@@ -336,7 +330,7 @@ func (a *signalAmb) TimeAdvanceGrant(t float64) {
 // never holds a buffered frame while a federate's handler waits. A
 // remote federate blocked in a time advance that cannot be granted yet
 // must still receive the receive-order callbacks other federates cause
-// in the meantime — a discover from a registration and a sync-point
+// in the meantime — a federation synchronization and a sync-point
 // announcement — before its grant.
 func TestTransportFlushesBeforeBlocking(t *testing.T) {
 	srv, _ := startTapServer(t)
@@ -348,11 +342,8 @@ func TestTransportFlushesBeforeBlocking(t *testing.T) {
 	t.Cleanup(func() { _ = waiter.Close() })
 	// One slot per expected callback, so a failed test never leaves the
 	// waiter's goroutine blocked in a callback.
-	amb := &signalAmb{events: make(chan string, 3)}
+	amb := &signalAmb{events: make(chan string, 4)}
 	if err := waiter.Join("test", "waiter", 1, amb); err != nil {
-		t.Fatal(err)
-	}
-	if err := waiter.SubscribeObjectClass("Node", nil); err != nil {
 		t.Fatal(err)
 	}
 	other, err := Dial(addr)
@@ -363,7 +354,28 @@ func TestTransportFlushesBeforeBlocking(t *testing.T) {
 	if err := other.Join("test", "other", 1, &syncRecorder{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := other.PublishObjectClass("Node", []string{"x"}); err != nil {
+
+	expect := func(want string) {
+		t.Helper()
+		select {
+		case got := <-amb.events:
+			if got != want {
+				t.Fatalf("blocked federate received %q, want %q", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("blocked federate never received %q: a callback is held in a server buffer", want)
+		}
+	}
+	// The waiter achieves "ready" before it blocks; "other" completes it
+	// while the waiter waits.
+	if err := other.RegisterSynchronizationPoint("ready", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := waiter.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	expect("announce ready")
+	if err := waiter.SynchronizationPointAchieved("ready"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -382,25 +394,14 @@ func TestTransportFlushesBeforeBlocking(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	expect := func(want string) {
-		t.Helper()
-		select {
-		case got := <-amb.events:
-			if got != want {
-				t.Fatalf("blocked federate received %q, want %q", got, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("blocked federate never received %q: a callback is held in a server buffer", want)
-		}
-	}
-	if _, err := other.RegisterObjectInstance("Node", "n1"); err != nil {
+	if err := other.SynchronizationPointAchieved("ready"); err != nil {
 		t.Fatal(err)
 	}
-	expect("discover n1")
-	if err := other.RegisterSynchronizationPoint("ready", nil); err != nil {
+	expect("synced ready")
+	if err := other.RegisterSynchronizationPoint("go", nil); err != nil {
 		t.Fatal(err)
 	}
-	expect("announce ready")
+	expect("announce go")
 
 	if err := other.TimeAdvanceRequest(10); err != nil {
 		t.Fatal(err)
