@@ -28,7 +28,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"log"
@@ -38,6 +37,7 @@ import (
 
 	"github.com/mobilegrid/adf/internal/hla"
 	"github.com/mobilegrid/adf/internal/obs"
+	"github.com/mobilegrid/adf/internal/wire"
 )
 
 func main() {
@@ -136,18 +136,6 @@ type fedConfig struct {
 // luClass is the interaction class carrying raw location updates.
 const luClass = "LU"
 
-// encodeLU packs (node, x, y) into interaction parameters, the same
-// layout examples/distributed uses.
-func encodeLU(node int, x, y float64) hla.Values {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint64(buf, uint64(node))
-	xb := make([]byte, 8)
-	binary.BigEndian.PutUint64(xb, math.Float64bits(x))
-	yb := make([]byte, 8)
-	binary.BigEndian.PutUint64(yb, math.Float64bits(y))
-	return hla.Values{"node": buf, "x": xb, "y": yb}
-}
-
 // ambassador tracks synchronization progress and counts received LUs.
 type ambassador struct {
 	announced bool
@@ -155,13 +143,10 @@ type ambassador struct {
 	received  int
 }
 
-func (*ambassador) DiscoverObjectInstance(hla.ObjectHandle, string, string)      {}
-func (*ambassador) ReflectAttributeValues(hla.ObjectHandle, hla.Values, float64) {}
-func (a *ambassador) ReceiveInteraction(string, hla.Values, float64)             { a.received++ }
-func (*ambassador) RemoveObjectInstance(hla.ObjectHandle)                        {}
-func (*ambassador) TimeAdvanceGrant(float64)                                     {}
-func (a *ambassador) AnnounceSynchronizationPoint(string, []byte)                { a.announced = true }
-func (a *ambassador) FederationSynchronized(string)                              { a.synced = true }
+func (a *ambassador) ReceiveInteraction(string, hla.Values, float64) { a.received++ }
+func (*ambassador) TimeAdvanceGrant(float64)                         {}
+func (a *ambassador) AnnounceSynchronizationPoint(string, []byte)    { a.announced = true }
+func (a *ambassador) FederationSynchronized(string)                  { a.synced = true }
 
 // awaitSync achieves the synchronization point and ticks until the whole
 // federation has.
@@ -201,7 +186,7 @@ func sender(cfg fedConfig, federation, name string) error {
 		for i := 0; i < cfg.nodes; i++ {
 			x := 40 * math.Cos(t/10+float64(i))
 			y := 40 * math.Sin(t/10+float64(i))
-			if err := c.SendInteraction(luClass, encodeLU(i, x, y), t); err != nil {
+			if err := c.SendInteraction(luClass, wire.EncodeLU(i, x, y), t); err != nil {
 				return fmt.Errorf("send: %w", err)
 			}
 		}

@@ -18,7 +18,7 @@
 //
 // SLOs are asserted with -slo, a comma-separated list like
 //
-//	-slo "update:p99<5ms,advance:p95<20ms"
+//	-slo "interaction:p99<5ms,advance:p95<20ms"
 //
 // An interaction span times only the client's enqueue (SendInteraction
 // is pipelined: it joins a run of same-class, same-time sends that
@@ -109,7 +109,7 @@ func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("adfobs", flag.ContinueOnError)
 	var (
 		out      = fs.String("out", "", "write the merged Chrome trace_event JSON to this file")
-		sloSpec  = fs.String("slo", "", `latency SLOs, e.g. "update:p99<5ms,advance:p95<20ms"`)
+		sloSpec  = fs.String("slo", "", `latency SLOs, e.g. "interaction:p99<5ms,advance:p95<20ms"`)
 		minLinks = fs.Float64("require-links", 0, "fail unless at least this fraction of LU origin spans link to a delivery span (0 disables)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -341,8 +341,8 @@ func (r *mergeReport) linkRatio() float64 {
 }
 
 // analyze computes per-op client latency distributions and the LU link
-// ratio: a client:update or client:interaction origin span counts as
-// linked when its 128-bit trace ID reappears on a server:deliver span.
+// ratio: a client:interaction origin span (an LU send) counts as linked
+// when its 128-bit trace ID reappears on a server:deliver span.
 func analyze(merged []traceEvent) *mergeReport {
 	rep := &mergeReport{byOp: make(map[string]*spanStats)}
 	delivered := make(map[string]bool)
@@ -366,7 +366,7 @@ func analyze(merged []traceEvent) *mergeReport {
 			rep.byOp[op] = st
 		}
 		st.durs = append(st.durs, e.Dur)
-		if op == "update" || op == "interaction" {
+		if op == "interaction" {
 			rep.luOrigins++
 			if delivered[e.Args["trace"]] {
 				rep.luLinked++

@@ -58,9 +58,9 @@ func TestAnalyzeLinksByTraceID(t *testing.T) {
 	merged := []traceEvent{
 		{Name: "client:interaction", Cat: "rpc", Dur: 100, Args: map[string]string{"trace": "aa"}},
 		{Name: "client:interaction", Cat: "rpc", Dur: 200, Args: map[string]string{"trace": "bb"}},
-		{Name: "client:update", Cat: "rpc", Dur: 300, Args: map[string]string{"trace": "cc"}},
+		{Name: "client:interaction", Cat: "rpc", Dur: 300, Args: map[string]string{"trace": "cc"}},
 		{Name: "server:deliver:interaction", Cat: "rpc", Dur: 10, Args: map[string]string{"trace": "aa"}},
-		{Name: "server:deliver:update", Cat: "rpc", Dur: 10, Args: map[string]string{"trace": "cc"}},
+		{Name: "server:deliver:interaction", Cat: "rpc", Dur: 10, Args: map[string]string{"trace": "cc"}},
 		// Receive-side spans must not count as origins.
 		{Name: "client:recv:interaction", Cat: "rpc", Dur: 5, Args: map[string]string{"trace": "aa"}},
 		// Non-rpc events are ignored entirely.
@@ -73,8 +73,8 @@ func TestAnalyzeLinksByTraceID(t *testing.T) {
 	if got := rep.linkRatio(); math.Abs(got-2.0/3.0) > 1e-9 {
 		t.Errorf("linkRatio = %v, want 2/3", got)
 	}
-	if n := len(rep.byOp["interaction"].durs); n != 2 {
-		t.Errorf("interaction samples = %d, want 2", n)
+	if n := len(rep.byOp["interaction"].durs); n != 3 {
+		t.Errorf("interaction samples = %d, want 3", n)
 	}
 }
 

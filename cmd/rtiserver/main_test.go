@@ -11,11 +11,8 @@ import (
 // quietAmbassador discards callbacks.
 type quietAmbassador struct{}
 
-func (quietAmbassador) DiscoverObjectInstance(hla.ObjectHandle, string, string)      {}
-func (quietAmbassador) ReflectAttributeValues(hla.ObjectHandle, hla.Values, float64) {}
-func (quietAmbassador) ReceiveInteraction(string, hla.Values, float64)               {}
-func (quietAmbassador) RemoveObjectInstance(hla.ObjectHandle)                        {}
-func (quietAmbassador) TimeAdvanceGrant(float64)                                     {}
+func (quietAmbassador) ReceiveInteraction(string, hla.Values, float64) {}
+func (quietAmbassador) TimeAdvanceGrant(float64)                       {}
 
 func TestSetupAndServe(t *testing.T) {
 	srv, err := setup([]string{"-addr", "127.0.0.1:0", "-federations", "alpha, beta"})

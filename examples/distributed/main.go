@@ -17,15 +17,17 @@
 package main
 
 import (
-	"encoding/binary"
 	"fmt"
+	"io"
 	"log"
 	"math"
+	"os"
 	"sync"
 	"time"
 
 	adf "github.com/mobilegrid/adf"
 	"github.com/mobilegrid/adf/internal/hla"
+	"github.com/mobilegrid/adf/internal/wire"
 )
 
 const (
@@ -39,12 +41,14 @@ const (
 
 func main() {
 	log.SetFlags(0)
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run() error {
+// run hosts the federation, runs the three federates to the end and
+// writes the report to out.
+func run(out io.Writer) error {
 	// Host the RTI exactly as cmd/rtiserver does, on a loopback port.
 	rti := hla.NewRTI()
 	if err := rti.CreateFederation(federation); err != nil {
@@ -57,15 +61,29 @@ func run() error {
 	go func() { _ = srv.Serve() }()
 	defer func() { _ = srv.Close() }()
 	addr := srv.Addr().String()
-	fmt.Printf("RTI serving federation %q on %s\n", federation, addr)
+	fmt.Fprintf(out, "RTI serving federation %q on %s\n", federation, addr)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
 	stats := &brokerStats{}
+	// The nodes federate registers the synchronization point only once
+	// the adf and broker federates are ready (joined and subscribed): a
+	// point's participants are the federates joined at its registration,
+	// so a later joiner would never hear of it and wait forever. A
+	// receiving federate that fails before it is ready counts as ready,
+	// so the nodes federate does not wait for it either.
+	var ready sync.WaitGroup
+	ready.Add(2)
+	receiver := func(fed func(ready func()) error) {
+		defer wg.Done()
+		done := sync.OnceFunc(ready.Done)
+		defer done()
+		errs <- fed(done)
+	}
 	wg.Add(3)
-	go func() { defer wg.Done(); errs <- nodesFederate(addr) }()
-	go func() { defer wg.Done(); errs <- adfFederate(addr) }()
-	go func() { defer wg.Done(); errs <- brokerFederate(addr, stats) }()
+	go func() { defer wg.Done(); errs <- nodesFederate(addr, &ready) }()
+	go receiver(func(ready func()) error { return adfFederate(addr, ready) })
+	go receiver(func(ready func()) error { return brokerFederate(addr, stats, ready) })
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -74,12 +92,12 @@ func run() error {
 		}
 	}
 
-	fmt.Printf("\nafter %d steps with %d nodes:\n", steps, nodeCount)
-	fmt.Printf("  raw LUs sampled:       %d\n", steps*nodeCount)
-	fmt.Printf("  LUs reaching broker:   %d (%.1f%% traffic saved)\n",
+	fmt.Fprintf(out, "\nafter %d steps with %d nodes:\n", steps, nodeCount)
+	fmt.Fprintf(out, "  raw LUs sampled:       %d\n", steps*nodeCount)
+	fmt.Fprintf(out, "  LUs reaching broker:   %d (%.1f%% traffic saved)\n",
 		stats.received, 100*(1-float64(stats.received)/float64(steps*nodeCount)))
-	fmt.Printf("  nodes tracked:         %d\n", stats.tracked)
-	fmt.Printf("  mean broker error:     %.2f m\n", stats.meanError())
+	fmt.Fprintf(out, "  nodes tracked:         %d\n", stats.tracked)
+	fmt.Fprintf(out, "  mean broker error:     %.2f m\n", stats.meanError())
 	return nil
 }
 
@@ -94,25 +112,10 @@ func walkerPos(i int, t float64) adf.Point {
 	return adf.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
 }
 
-// encodeLU packs (node, x, y) into interaction parameters.
-func encodeLU(node int, p adf.Point) hla.Values {
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint64(buf, uint64(node))
-	x := make([]byte, 8)
-	binary.BigEndian.PutUint64(x, math.Float64bits(p.X))
-	y := make([]byte, 8)
-	binary.BigEndian.PutUint64(y, math.Float64bits(p.Y))
-	return hla.Values{"node": buf, "x": x, "y": y}
-}
-
-func decodeLU(v hla.Values) (int, adf.Point, bool) {
-	if len(v["node"]) != 8 || len(v["x"]) != 8 || len(v["y"]) != 8 {
-		return 0, adf.Point{}, false
-	}
-	return int(binary.BigEndian.Uint64(v["node"])), adf.Point{
-		X: math.Float64frombits(binary.BigEndian.Uint64(v["x"])),
-		Y: math.Float64frombits(binary.BigEndian.Uint64(v["y"])),
-	}, true
+// decodeLU reads an LU's node and position (wire.DecodeLU).
+func decodeLU(v hla.Values) (int, adf.Point, error) {
+	node, x, y, err := wire.DecodeLU(v)
+	return node, adf.Point{X: x, Y: y}, err
 }
 
 // silentAmbassador ignores every callback; federates that only send
@@ -123,13 +126,10 @@ type silentAmbassador struct {
 	synced    bool
 }
 
-func (*silentAmbassador) DiscoverObjectInstance(hla.ObjectHandle, string, string)      {}
-func (*silentAmbassador) ReflectAttributeValues(hla.ObjectHandle, hla.Values, float64) {}
-func (*silentAmbassador) ReceiveInteraction(string, hla.Values, float64)               {}
-func (*silentAmbassador) RemoveObjectInstance(hla.ObjectHandle)                        {}
-func (*silentAmbassador) TimeAdvanceGrant(float64)                                     {}
-func (a *silentAmbassador) AnnounceSynchronizationPoint(string, []byte)                { a.announced = true }
-func (a *silentAmbassador) FederationSynchronized(string)                              { a.synced = true }
+func (*silentAmbassador) ReceiveInteraction(string, hla.Values, float64) {}
+func (*silentAmbassador) TimeAdvanceGrant(float64)                       {}
+func (a *silentAmbassador) AnnounceSynchronizationPoint(string, []byte)  { a.announced = true }
+func (a *silentAmbassador) FederationSynchronized(string)                { a.synced = true }
 
 // syncPoint is the label every federate achieves before stepping.
 const syncPoint = "population-placed"
@@ -161,8 +161,10 @@ func awaitSync(c *hla.Client, amb *silentAmbassador) error {
 	return nil
 }
 
-// nodesFederate moves nodeCount walkers and publishes raw LUs.
-func nodesFederate(addr string) error {
+// nodesFederate moves nodeCount walkers and publishes raw LUs. It
+// registers the synchronization point once ready says the receiving
+// federates are joined.
+func nodesFederate(addr string, ready *sync.WaitGroup) error {
 	c, err := hla.Dial(addr)
 	if err != nil {
 		return err
@@ -177,6 +179,7 @@ func nodesFederate(addr string) error {
 	}
 	// The nodes federate owns the synchronization point; everyone lines
 	// up on it before logical time starts moving.
+	ready.Wait()
 	if err := c.RegisterSynchronizationPoint(syncPoint, nil); err != nil {
 		return err
 	}
@@ -187,7 +190,8 @@ func nodesFederate(addr string) error {
 	for step := 1; step <= steps; step++ {
 		t := float64(step)
 		for i := 0; i < nodeCount; i++ {
-			if err := c.SendInteraction(luClass, encodeLU(i, walkerPos(i, t)), t); err != nil {
+			p := walkerPos(i, t)
+			if err := c.SendInteraction(luClass, wire.EncodeLU(i, p.X, p.Y), t); err != nil {
 				return fmt.Errorf("nodes: send: %w", err)
 			}
 		}
@@ -212,8 +216,9 @@ func (a *adfAmbassador) ReceiveInteraction(class string, params hla.Values, t fl
 }
 
 // adfFederate filters LUs with the Adaptive Distance Filter and forwards
-// the survivors one lookahead later.
-func adfFederate(addr string) error {
+// the survivors one lookahead later. It calls ready once it has joined
+// and subscribed.
+func adfFederate(addr string, ready func()) error {
 	c, err := hla.Dial(addr)
 	if err != nil {
 		return err
@@ -229,6 +234,7 @@ func adfFederate(addr string) error {
 	if err := c.PublishInteractionClass(passedClass); err != nil {
 		return err
 	}
+	ready()
 	if err := waitForPointThenSync(c, &amb.silentAmbassador); err != nil {
 		return err
 	}
@@ -244,8 +250,8 @@ func adfFederate(addr string) error {
 			return fmt.Errorf("adf: advance: %w", err)
 		}
 		for i, params := range amb.pending {
-			node, pos, ok := decodeLU(params)
-			if !ok {
+			node, pos, err := decodeLU(params)
+			if err != nil {
 				continue
 			}
 			lu := adf.LU{Node: node, Time: amb.times[i], Pos: pos}
@@ -286,8 +292,8 @@ type brokerAmbassador struct {
 }
 
 func (a *brokerAmbassador) ReceiveInteraction(class string, params hla.Values, t float64) {
-	node, pos, ok := decodeLU(params)
-	if !ok {
+	node, pos, err := decodeLU(params)
+	if err != nil {
 		return
 	}
 	a.broker.ReceiveLU(node, t, pos)
@@ -295,8 +301,9 @@ func (a *brokerAmbassador) ReceiveInteraction(class string, params hla.Values, t
 	a.seen[node] = true
 }
 
-// brokerFederate maintains the location DB on the filtered stream.
-func brokerFederate(addr string, stats *brokerStats) error {
+// brokerFederate maintains the location DB on the filtered stream. It
+// calls ready once it has joined and subscribed.
+func brokerFederate(addr string, stats *brokerStats, ready func()) error {
 	c, err := hla.Dial(addr)
 	if err != nil {
 		return err
@@ -317,6 +324,7 @@ func brokerFederate(addr string, stats *brokerStats) error {
 	if err := c.SubscribeInteractionClass(passedClass); err != nil {
 		return err
 	}
+	ready()
 	if err := waitForPointThenSync(c, &amb.silentAmbassador); err != nil {
 		return err
 	}

@@ -294,9 +294,8 @@ func (c *Client) readAcks() error {
 	return nil
 }
 
-// Join joins a federation as a time-regulating, time-constrained
-// federate. Callbacks are delivered to amb during TimeAdvanceRequest and
-// Tick.
+// Join joins a federation with the given lookahead. Callbacks are
+// delivered to amb during TimeAdvanceRequest and Tick.
 func (c *Client) Join(federation, name string, lookahead float64, amb Ambassador) error {
 	start := obs.RPCClock()
 	if amb == nil {
@@ -373,27 +372,6 @@ func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 			return nil, codeError(code, msg), nil
 		case terminal:
 			return payload, nil, nil
-		case msgDiscover:
-			obj := ObjectHandle(d.Int64())
-			class := d.Name(&c.names)
-			name := d.String()
-			if d.Err() != nil {
-				return nil, nil, d.Err()
-			}
-			c.amb.DiscoverObjectInstance(obj, class, name)
-		case msgReflect:
-			obj := ObjectHandle(d.Int64())
-			t := d.Float64()
-			values := Values(d.OwnValues(&c.names))
-			if d.Err() != nil {
-				return nil, nil, d.Err()
-			}
-			c.amb.ReflectAttributeValues(obj, values, t)
-			if rstart != 0 {
-				rend := obs.RPCClock()
-				obs.RecordRPC(obs.KindClientRecv, obs.OpUpdate, obs.ChildContext(rtc), rstart, rend)
-				obs.ObserveFreshness(obs.FreshRecv, rtc.OriginNS, rend)
-			}
 		case msgReceive:
 			class := d.Name(&c.names)
 			t := d.Float64()
@@ -408,12 +386,6 @@ func (c *Client) reply(terminal byte) (payload []byte, rejected, err error) {
 				obs.RecordRPC(obs.KindClientRecv, obs.OpInteraction, obs.ChildContext(rtc), rstart, rend)
 				obs.ObserveFreshness(obs.FreshRecv, rtc.OriginNS, rend)
 			}
-		case msgRemove:
-			obj := ObjectHandle(d.Int64())
-			if d.Err() != nil {
-				return nil, nil, d.Err()
-			}
-			c.amb.RemoveObjectInstance(obj)
 		case msgAnnounceSync:
 			label := d.String()
 			tag := d.Bytes()
@@ -451,24 +423,6 @@ func (c *Client) call(op obs.RPCOp, start int64) error {
 	return err
 }
 
-// PublishObjectClass mirrors Federate.PublishObjectClass.
-func (c *Client) PublishObjectClass(class string, attributes []string) error {
-	start := obs.RPCClock()
-	e := c.encode(msgPublishObject)
-	e.PutString(class)
-	e.PutStrings(attributes)
-	return c.call(obs.OpOther, start)
-}
-
-// SubscribeObjectClass mirrors Federate.SubscribeObjectClass.
-func (c *Client) SubscribeObjectClass(class string, attributes []string) error {
-	start := obs.RPCClock()
-	e := c.encode(msgSubscribeObject)
-	e.PutString(class)
-	e.PutStrings(attributes)
-	return c.call(obs.OpOther, start)
-}
-
 // PublishInteractionClass mirrors Federate.PublishInteractionClass.
 func (c *Client) PublishInteractionClass(class string) error {
 	start := obs.RPCClock()
@@ -490,40 +444,6 @@ func (c *Client) SubscribeInteractionClass(class string) error {
 	e := c.encode(msgSubscribeInteraction)
 	e.PutString(class)
 	return c.call(obs.OpOther, start)
-}
-
-// RegisterObjectInstance mirrors Federate.RegisterObjectInstance.
-func (c *Client) RegisterObjectInstance(class, name string) (ObjectHandle, error) {
-	start := obs.RPCClock()
-	if !c.joined {
-		return 0, errNotJoined
-	}
-	e := c.encode(msgRegister)
-	e.PutString(class)
-	e.PutString(name)
-	payload, err := c.request(obs.OpRegister, msgRegistered, start)
-	if payload == nil {
-		return 0, err
-	}
-	// The instance exists even when err reports a deferred send
-	// rejection, so its handle is returned either way.
-	d := wire.NewDecoder(payload)
-	d.Byte()
-	obj := ObjectHandle(d.Int64())
-	if d.Err() != nil {
-		return 0, d.Err()
-	}
-	return obj, err
-}
-
-// UpdateAttributeValues mirrors Federate.UpdateAttributeValues.
-func (c *Client) UpdateAttributeValues(obj ObjectHandle, attrs Values, ts float64) error {
-	start := obs.RPCClock()
-	e := c.encode(msgUpdate)
-	e.PutInt64(int64(obj))
-	e.PutFloat64(ts)
-	e.PutValues(attrs)
-	return c.call(obs.OpUpdate, start)
 }
 
 // SendInteraction mirrors Federate.SendInteraction, pipelined. A send
@@ -551,32 +471,14 @@ func (c *Client) SendInteraction(class string, params Values, ts float64) error 
 	return c.call(obs.OpInteraction, start)
 }
 
-// DeleteObjectInstance mirrors Federate.DeleteObjectInstance.
-func (c *Client) DeleteObjectInstance(obj ObjectHandle) error {
-	start := obs.RPCClock()
-	e := c.encode(msgDelete)
-	e.PutInt64(int64(obj))
-	return c.call(obs.OpOther, start)
-}
-
 // TimeAdvanceRequest mirrors Federate.TimeAdvanceRequest: it blocks,
 // delivering callbacks, until the grant arrives.
 func (c *Client) TimeAdvanceRequest(t float64) error {
-	return c.advance(msgTAR, t)
-}
-
-// NextEventRequest mirrors Federate.NextEventRequest. The granted time
-// (possibly earlier than t) is reported via TimeAdvanceGrant.
-func (c *Client) NextEventRequest(t float64) error {
-	return c.advance(msgNER, t)
-}
-
-func (c *Client) advance(typ byte, t float64) error {
 	start := obs.RPCClock()
 	if !c.joined {
 		return errNotJoined
 	}
-	e := c.encode(typ)
+	e := c.encode(msgTAR)
 	e.PutFloat64(t)
 	payload, err := c.request(obs.OpAdvance, msgGrant, start)
 	if payload == nil {
@@ -594,7 +496,7 @@ func (c *Client) advance(typ byte, t float64) error {
 }
 
 // Tick asks the server to flush pending receive-ordered callbacks
-// (discoveries, removals) and delivers them.
+// (sync-point announcements and synchronizations) and delivers them.
 func (c *Client) Tick() error {
 	start := obs.RPCClock()
 	c.encode(msgTick)

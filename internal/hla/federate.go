@@ -43,51 +43,6 @@ func (f *Federate) checkLive() error {
 	return nil
 }
 
-// PublishObjectClass declares the attributes this federate will update on
-// instances of class.
-func (f *Federate) PublishObjectClass(class string, attributes []string) error {
-	f.fed.mu.Lock()
-	defer f.fed.mu.Unlock()
-	if err := f.checkLive(); err != nil {
-		return err
-	}
-	set := f.st.pubObjects[class]
-	if set == nil {
-		set = make(map[string]bool)
-		f.st.pubObjects[class] = set
-	}
-	for _, a := range attributes {
-		set[a] = true
-	}
-	return nil
-}
-
-// SubscribeObjectClass declares interest in attribute updates of class.
-// Existing instances of the class are discovered immediately.
-func (f *Federate) SubscribeObjectClass(class string, attributes []string) error {
-	f.fed.mu.Lock()
-	defer f.fed.mu.Unlock()
-	if err := f.checkLive(); err != nil {
-		return err
-	}
-	set := f.st.subObjects[class]
-	if set == nil {
-		set = make(map[string]bool)
-		f.st.subObjects[class] = set
-	}
-	for _, a := range attributes {
-		set[a] = true
-	}
-	// Late subscribers discover existing instances.
-	for _, obj := range f.fed.objects {
-		if obj.class == class && obj.owner != f.st.handle && !obj.discovered[f.st.handle] {
-			obj.discovered[f.st.handle] = true
-			f.st.mailbox.push(callback{kind: cbDiscover, object: obj.handle, class: obj.class, name: obj.name})
-		}
-	}
-	return nil
-}
-
 // PublishInteractionClass declares this federate will send class.
 func (f *Federate) PublishInteractionClass(class string) error {
 	f.fed.mu.Lock()
@@ -113,102 +68,15 @@ func (f *Federate) SubscribeInteractionClass(class string) error {
 	return nil
 }
 
-// RegisterObjectInstance creates an object instance of a published class.
-// Subscribed federates discover it immediately.
-func (f *Federate) RegisterObjectInstance(class, name string) (ObjectHandle, error) {
-	f.fed.mu.Lock()
-	defer f.fed.mu.Unlock()
-	if err := f.checkLive(); err != nil {
-		return 0, err
-	}
-	if _, ok := f.st.pubObjects[class]; !ok {
-		return 0, fmt.Errorf("%w: object class %q", ErrNotPublished, class)
-	}
-	obj := &objectState{
-		handle:     f.fed.nextObject,
-		class:      class,
-		name:       name,
-		owner:      f.st.handle,
-		discovered: make(map[FederateHandle]bool),
-	}
-	f.fed.nextObject++
-	f.fed.objects[obj.handle] = obj
-	for h, other := range f.fed.federates {
-		if h == f.st.handle || other.resigned {
-			continue
-		}
-		if _, sub := other.subObjects[class]; sub {
-			obj.discovered[h] = true
-			other.mailbox.push(callback{kind: cbDiscover, object: obj.handle, class: class, name: name})
-		}
-	}
-	return obj.handle, nil
-}
-
-// UpdateAttributeValues sends a timestamped attribute update for an owned
-// object instance. The timestamp must respect the federate's time plus
-// lookahead guarantee.
-func (f *Federate) UpdateAttributeValues(obj ObjectHandle, attrs Values, ts float64) error {
-	return f.updateAttributeValues(obj, attrs, ts, wire.TraceContext{})
-}
-
-// updateAttributeValues is UpdateAttributeValues with the originating
-// request's trace context, which rides the routed callbacks to their
-// delivery hops (the TCP server passes the inbound frame's context; the
-// public method passes zero).
-func (f *Federate) updateAttributeValues(obj ObjectHandle, attrs Values, ts float64, tc wire.TraceContext) error {
-	enq := obs.RPCClock()
-	f.fed.mu.Lock()
-	defer f.fed.mu.Unlock()
-	if err := f.checkLive(); err != nil {
-		return err
-	}
-	o, ok := f.fed.objects[obj]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownObject, obj)
-	}
-	if o.owner != f.st.handle {
-		return fmt.Errorf("%w: object %d", ErrNotOwner, obj)
-	}
-	if err := checkTimestamp(ts, f.st.time, f.st.lookahead); err != nil {
-		return err
-	}
-	for h, other := range f.fed.federates {
-		if h == f.st.handle || other.resigned {
-			continue
-		}
-		sub, ok := other.subObjects[o.class]
-		if !ok {
-			continue
-		}
-		filtered := filterValues(attrs, sub)
-		if len(filtered) == 0 {
-			continue
-		}
-		if !o.discovered[h] {
-			o.discovered[h] = true
-			other.mailbox.push(callback{kind: cbDiscover, object: o.handle, class: o.class, name: o.name})
-		}
-		f.fed.routeTSO(other, callback{kind: cbReflect, object: obj, values: filtered, time: ts, tc: tc, enqueuedNS: enq})
-	}
-	return nil
-}
-
-// filterValues copies the subscribed attributes of attrs. An empty
-// subscribed set (SubscribeObjectClass with no attributes) means all
-// attributes.
-func filterValues(attrs Values, subscribed map[string]bool) Values {
-	return attrs.copyKeys(subscribed)
-}
-
 // SendInteraction sends a timestamped interaction to subscribers.
 func (f *Federate) SendInteraction(class string, params Values, ts float64) error {
 	return f.sendInteraction(class, nil, 1, params, ts, wire.TraceContext{})
 }
 
 // sendInteraction sends a run of n interactions of one class and time,
-// with the originating request's trace context (see
-// updateAttributeValues). The parameters come as run, n values blocks
+// with the originating request's trace context, which rides the routed
+// callbacks to their delivery hops (the TCP server passes the inbound
+// frame's context; SendInteraction passes zero). The parameters come as run, n values blocks
 // in canonical wire form back to back (wire.Decoder.ValuesRun) that
 // the caller may reuse once the call returns, or, when run is nil, as
 // params, a run of one. Either way they are written once into the
@@ -242,49 +110,19 @@ func (f *Federate) sendInteraction(class string, run []byte, n int, params Value
 }
 
 // checkSend is the sender-side validity of an interaction: its class
-// is published and ts passes checkTimestamp. It is the one predicate
-// both the RTI (sendInteraction) and a pipelined TCP Client apply, the
-// client to its own record of publications and grants.
+// is published and ts >= now + lookahead, where now is the sender's
+// logical time. It is the one
+// predicate both the RTI (sendInteraction) and a pipelined TCP Client
+// apply, the client to its own record of publications and grants.
 func checkSend(class string, published bool, ts, now, lookahead float64) error {
-	if !published {
+	switch {
+	case !published:
 		return fmt.Errorf("%w: interaction class %q", ErrNotPublished, class)
-	}
-	return checkTimestamp(ts, now, lookahead)
-}
-
-// checkTimestamp enforces ts >= now + lookahead, where now is the
-// sender's logical time; every federate is time-regulating (Join).
-func checkTimestamp(ts, now, lookahead float64) error {
-	if math.IsNaN(ts) {
+	case math.IsNaN(ts):
 		return fmt.Errorf("%w: NaN", ErrInvalidTime)
-	}
-	if ts < now+lookahead {
+	case ts < now+lookahead:
 		return fmt.Errorf("%w: %v < time %v + lookahead %v",
 			ErrInvalidTime, ts, now, lookahead)
-	}
-	return nil
-}
-
-// DeleteObjectInstance removes an owned object instance; discoverers get a
-// remove callback.
-func (f *Federate) DeleteObjectInstance(obj ObjectHandle) error {
-	f.fed.mu.Lock()
-	defer f.fed.mu.Unlock()
-	if err := f.checkLive(); err != nil {
-		return err
-	}
-	o, ok := f.fed.objects[obj]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownObject, obj)
-	}
-	if o.owner != f.st.handle {
-		return fmt.Errorf("%w: object %d", ErrNotOwner, obj)
-	}
-	delete(f.fed.objects, obj)
-	for h := range o.discovered {
-		if other, ok := f.fed.federates[h]; ok && !other.resigned {
-			other.mailbox.push(callback{kind: cbRemove, object: obj})
-		}
 	}
 	return nil
 }
@@ -294,19 +132,6 @@ func (f *Federate) DeleteObjectInstance(obj ObjectHandle) error {
 // timestamped messages up to t are delivered (in timestamp order) before
 // TimeAdvanceGrant.
 func (f *Federate) TimeAdvanceRequest(t float64) error {
-	return f.advance(t, false)
-}
-
-// NextEventRequest asks to advance to the timestamp of the next incoming
-// TSO message, or to t when none arrives earlier. Event-stepped
-// federates loop on it instead of fixed time steps. It blocks like
-// TimeAdvanceRequest; the grant time is reported through
-// TimeAdvanceGrant and Time.
-func (f *Federate) NextEventRequest(t float64) error {
-	return f.advance(t, true)
-}
-
-func (f *Federate) advance(t float64, nextEvent bool) error {
 	f.fed.mu.Lock()
 	if err := f.checkLive(); err != nil {
 		f.fed.mu.Unlock()
@@ -322,7 +147,6 @@ func (f *Federate) advance(t float64, nextEvent bool) error {
 	}
 	f.st.hasTAR = true
 	f.st.pendingTAR = t
-	f.st.nextEvent = nextEvent
 	f.fed.evaluateGrants()
 	f.fed.mu.Unlock()
 
@@ -347,7 +171,7 @@ func (f *Federate) advance(t float64, nextEvent bool) error {
 }
 
 // flusher is implemented by ambassadors that buffer callbacks (the TCP
-// transport's remote ambassador). advance flushes them before it blocks
+// transport's remote ambassador). TimeAdvanceRequest flushes them before it blocks
 // on an empty mailbox, so no delivered callback waits behind the grant.
 type flusher interface {
 	flush()
@@ -367,9 +191,9 @@ func (f *Federate) Tick() bool {
 	}
 }
 
-// Resign removes the federate from the federation. Its owned objects are
-// deleted and other federates' pending advances are re-evaluated (a
-// resigned federate no longer constrains the LBTS).
+// Resign removes the federate from the federation. Other federates'
+// pending advances are re-evaluated (a resigned federate no longer
+// constrains the LBTS).
 func (f *Federate) Resign() error {
 	f.fed.mu.Lock()
 	defer f.fed.mu.Unlock()
@@ -379,17 +203,6 @@ func (f *Federate) Resign() error {
 	f.st.resigned = true
 	for class := range f.st.subInteractions {
 		f.fed.unsubscribe(class, f.st)
-	}
-	for h, o := range f.fed.objects {
-		if o.owner != f.st.handle {
-			continue
-		}
-		delete(f.fed.objects, h)
-		for dh := range o.discovered {
-			if other, ok := f.fed.federates[dh]; ok && !other.resigned {
-				other.mailbox.push(callback{kind: cbRemove, object: h})
-			}
-		}
 	}
 	f.st.mailbox.close()
 	f.fed.evaluateGrants()

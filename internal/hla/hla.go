@@ -4,18 +4,22 @@
 // specification ver 1.3 to design and develop the distributed simulation
 // system").
 //
-// The subset covers what the experiment needs:
+// The subset covers what the mobile-grid federation uses, in which a
+// location update reaches the broker as a timestamped interaction:
 //
-//   - Federation management: create, join, resign, destroy.
-//   - Declaration management: publish/subscribe object classes (by
-//     attribute) and interaction classes.
-//   - Object management: register/discover/delete object instances,
-//     timestamped attribute updates and interactions.
-//   - Time management: conservative time stepping for
-//     regulating/constrained federates — TimeAdvanceRequest blocks until
-//     the federation's lower-bound time stamp (LBTS) permits the grant,
-//     and all timestamped messages up to the grant time are delivered, in
-//     timestamp order, before the grant.
+//   - Federation management: create, join, resign, and synchronization
+//     points (sync.go).
+//   - Declaration management: publish/subscribe interaction classes.
+//   - Interactions: timestamped sends, delivered in timestamp order.
+//   - Time management: conservative time stepping. Every federate's
+//     sends bound the others' grants and its own grants are bounded;
+//     TimeAdvanceRequest blocks until the federation's lower-bound time
+//     stamp (LBTS) permits the grant, and all timestamped messages up to
+//     the grant time are delivered, in timestamp order, before the
+//     grant.
+//
+// HLA object management and event-driven time advance are not part of
+// it: the federation uses neither.
 //
 // The core RTI is transport-agnostic; federates in the same process attach
 // directly (NewRTI + Join), and package file tcp.go serves the same
@@ -42,17 +46,10 @@ var (
 	ErrFederationExists = errors.New("hla: federation already exists")
 	// ErrNoFederation is returned for operations on unknown federations.
 	ErrNoFederation = errors.New("hla: no such federation")
-	// ErrFederationNotEmpty is returned when destroying a federation that
-	// still has joined federates.
-	ErrFederationNotEmpty = errors.New("hla: federation has joined federates")
 	// ErrResigned is returned for operations on a resigned federate.
 	ErrResigned = errors.New("hla: federate has resigned")
 	// ErrNotPublished is returned when sending without publication.
 	ErrNotPublished = errors.New("hla: class not published")
-	// ErrUnknownObject is returned for operations on unknown objects.
-	ErrUnknownObject = errors.New("hla: unknown object instance")
-	// ErrNotOwner is returned when updating another federate's object.
-	ErrNotOwner = errors.New("hla: not the owner of the object instance")
 	// ErrInvalidTime is returned when a timestamp violates the federate's
 	// time + lookahead guarantee or a TAR goes backwards.
 	ErrInvalidTime = errors.New("hla: invalid timestamp")
@@ -64,39 +61,13 @@ var (
 // FederateHandle identifies a joined federate within its federation.
 type FederateHandle int
 
-// ObjectHandle identifies a registered object instance.
+// ObjectHandle identifies an HLA object instance. The RTI has no object
+// management; the type remains for the no-op object callbacks of the
+// benchmark module's federates (benchmark/rti.go), which name it.
 type ObjectHandle int
 
-// Values carries attribute or parameter values, keyed by name.
+// Values carries interaction parameter values, keyed by name.
 type Values map[string][]byte
-
-// copyKeys copies the entries of v whose key keep holds (every entry
-// for an empty keep) into a new map whose values share one new backing
-// array. Each value is capped at its own length, so an append to one
-// reallocates instead of overwriting the next.
-func (v Values) copyKeys(keep map[string]bool) Values {
-	type entry struct {
-		k string
-		b []byte
-	}
-	var small [8]entry
-	kept := small[:0]
-	size := 0
-	for k, b := range v {
-		if len(keep) == 0 || keep[k] {
-			kept = append(kept, entry{k, b})
-			size += len(b)
-		}
-	}
-	out := make(Values, len(kept))
-	back := make([]byte, 0, size)
-	for _, e := range kept {
-		i := len(back)
-		back = append(back, e.b...)
-		out[e.k] = back[i:len(back):len(back)]
-	}
-	return out
-}
 
 // blockChunk is the size of a blockArena chunk, the connection buffer
 // size: one chunk holds a few time advances' worth of LU blocks.
@@ -148,15 +119,8 @@ func (a *blockArena) encode(v Values) []byte {
 // receives belong to the receiving federate: no other federate, and no
 // later callback, shares them, so an ambassador may keep or modify them.
 type Ambassador interface {
-	// DiscoverObjectInstance announces a remote object the federate
-	// subscribes to.
-	DiscoverObjectInstance(obj ObjectHandle, class, name string)
-	// ReflectAttributeValues delivers a timestamped attribute update.
-	ReflectAttributeValues(obj ObjectHandle, attrs Values, time float64)
 	// ReceiveInteraction delivers a timestamped interaction.
 	ReceiveInteraction(class string, params Values, time float64)
-	// RemoveObjectInstance announces a deleted object.
-	RemoveObjectInstance(obj ObjectHandle)
 	// TimeAdvanceGrant completes a TimeAdvanceRequest.
 	TimeAdvanceGrant(time float64)
 }
@@ -165,28 +129,27 @@ type Ambassador interface {
 type callbackKind int
 
 const (
-	cbDiscover callbackKind = iota + 1
-	cbReflect
-	cbInteraction
-	cbRemove
+	cbInteraction callbackKind = iota + 1
 	cbGrant
+	cbAnnounceSync
+	cbFederationSynced
 )
 
-// callback is one queued ambassador invocation. A reflect carries its
-// receiver's own values; an interaction carries a run of n
-// interactions of one class and time, their parameters n values blocks
-// in canonical wire form back to back, shared read-only by every
-// receiver of the run (see blockArena). tc carries the originating
-// request's trace context across the TSO queue (zero for untraced
-// sends) and enqueuedNS its wall-clock enqueue stamp (0 when
-// observability was off at send time); neither influences delivery
-// semantics, so traced and untraced runs stay bit-identical.
+// callback is one queued ambassador invocation. An interaction carries
+// a run of n interactions of one class and time, their parameters n
+// values blocks in canonical wire form back to back, shared read-only
+// by every receiver of the run (see blockArena); a sync callback
+// carries its point's label in name and, for an announcement, the
+// receiver's own copy of the tag. tc carries the originating request's
+// trace context across the TSO queue (zero for untraced sends) and
+// enqueuedNS its wall-clock enqueue stamp (0 when observability was off
+// at send time); neither influences delivery semantics, so traced and
+// untraced runs stay bit-identical.
 type callback struct {
 	kind       callbackKind
-	object     ObjectHandle
 	class      string
 	name       string
-	values     Values
+	tag        []byte
 	run        []byte
 	n          int
 	time       float64
@@ -194,12 +157,11 @@ type callback struct {
 	enqueuedNS int64
 }
 
-// tracedDeliverer is implemented by ambassadors that can forward a
-// traced callback with its context (the TCP transport's remote
-// ambassador). deliverTraced reports whether it handled the callback;
-// false falls back to the plain interface dispatch.
+// tracedDeliverer is implemented by ambassadors that forward a traced
+// interaction run with its context (the TCP transport's remote
+// ambassador).
 type tracedDeliverer interface {
-	deliverTraced(c callback) bool
+	deliverTraced(c callback)
 }
 
 // runReceiver is implemented by ambassadors that take a run of
@@ -215,17 +177,12 @@ type runReceiver interface {
 // decoded through names, the receiving federate's intern table, and
 // its Values share one backing array (wire.Decoder.OwnValuesRun).
 func (c callback) deliver(amb Ambassador, names *wire.Interner) {
-	if (c.tc.Valid() || c.enqueuedNS != 0) && (c.kind == cbReflect || c.kind == cbInteraction) {
-		if td, ok := amb.(tracedDeliverer); ok && td.deliverTraced(c) {
+	switch c.kind {
+	case cbInteraction:
+		if td, ok := amb.(tracedDeliverer); ok && (c.tc.Valid() || c.enqueuedNS != 0) {
+			td.deliverTraced(c)
 			return
 		}
-	}
-	switch c.kind {
-	case cbDiscover:
-		amb.DiscoverObjectInstance(c.object, c.class, c.name)
-	case cbReflect:
-		amb.ReflectAttributeValues(c.object, c.values, c.time)
-	case cbInteraction:
 		if rr, ok := amb.(runReceiver); ok {
 			rr.receiveRun(c.class, c.run, c.n, c.time)
 			return
@@ -233,8 +190,6 @@ func (c callback) deliver(amb Ambassador, names *wire.Interner) {
 		wire.NewDecoder(c.run).OwnValuesRun(c.n, names, func(v map[string][]byte) {
 			amb.ReceiveInteraction(c.class, Values(v), c.time)
 		})
-	case cbRemove:
-		amb.RemoveObjectInstance(c.object)
 	case cbGrant:
 		amb.TimeAdvanceGrant(c.time)
 	case cbAnnounceSync, cbFederationSynced:
@@ -361,10 +316,7 @@ type federateState struct {
 	handle FederateHandle
 	name   string
 
-	lookahead  float64
-	regulating bool
-	// constrained federates receive TSO messages only on time advance.
-	constrained bool
+	lookahead float64
 
 	//adf:guardedby Federation.mu
 	time float64
@@ -372,21 +324,11 @@ type federateState struct {
 	pendingTAR float64
 	//adf:guardedby Federation.mu
 	hasTAR bool
-	// nextEvent marks the pending request as a NextEventRequest: the
-	// grant jumps to the next TSO message's timestamp when one precedes
-	// the requested time.
-	//
-	//adf:guardedby Federation.mu
-	nextEvent bool
 	//adf:guardedby Federation.mu
 	resigned bool
 
 	// pub/sub interest sets, mutated by the publish/subscribe services.
 	//
-	//adf:guardedby Federation.mu
-	pubObjects map[string]map[string]bool // class -> attribute set
-	//adf:guardedby Federation.mu
-	subObjects map[string]map[string]bool
 	//adf:guardedby Federation.mu
 	pubInteractions map[string]bool
 	//adf:guardedby Federation.mu
@@ -404,17 +346,6 @@ type federateState struct {
 	mailbox *mailbox
 }
 
-// objectState is the RTI-side record of one registered object instance.
-type objectState struct {
-	handle ObjectHandle
-	class  string
-	name   string
-	owner  FederateHandle
-	// discovered tracks which federates have received the discover
-	// callback, so reflects are only routed to discoverers.
-	discovered map[FederateHandle]bool
-}
-
 // Federation is one federation execution hosted by an RTI.
 type Federation struct {
 	name string
@@ -429,13 +360,9 @@ type Federation struct {
 	//adf:guardedby mu
 	interactionSubs map[string][]*federateState
 	//adf:guardedby mu
-	objects map[ObjectHandle]*objectState
-	//adf:guardedby mu
 	syncPoints map[string]*syncPoint
 	//adf:guardedby mu
 	nextFederate FederateHandle
-	//adf:guardedby mu
-	nextObject ObjectHandle
 	//adf:guardedby mu
 	seq uint64
 }
@@ -466,33 +393,8 @@ func (r *RTI) CreateFederation(name string) error {
 		name:            name,
 		federates:       make(map[FederateHandle]*federateState),
 		interactionSubs: make(map[string][]*federateState),
-		objects:         make(map[ObjectHandle]*objectState),
 		nextFederate:    1,
-		nextObject:      1,
 	}
-	return nil
-}
-
-// DestroyFederation removes an empty federation execution.
-func (r *RTI) DestroyFederation(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	fed, ok := r.federations[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoFederation, name)
-	}
-	fed.mu.Lock()
-	live := 0
-	for _, f := range fed.federates {
-		if !f.resigned {
-			live++
-		}
-	}
-	fed.mu.Unlock()
-	if live > 0 {
-		return fmt.Errorf("%w: %q has %d", ErrFederationNotEmpty, name, live)
-	}
-	delete(r.federations, name)
 	return nil
 }
 
@@ -507,9 +409,8 @@ func (r *RTI) federation(name string) (*Federation, error) {
 	return fed, nil
 }
 
-// Join adds a federate to a federation and returns its in-process handle.
-// The federate is time-regulating and time-constrained with the given
-// lookahead (the configuration the mobile-grid federation uses).
+// Join adds a federate to a federation with the given lookahead and
+// returns its in-process handle.
 func (r *RTI) Join(federation, name string, lookahead float64, amb Ambassador) (*Federate, error) {
 	if amb == nil {
 		return nil, errors.New("hla: nil ambassador")
@@ -527,10 +428,6 @@ func (r *RTI) Join(federation, name string, lookahead float64, amb Ambassador) (
 		handle:          fed.nextFederate,
 		name:            name,
 		lookahead:       lookahead,
-		regulating:      true,
-		constrained:     true,
-		pubObjects:      make(map[string]map[string]bool),
-		subObjects:      make(map[string]map[string]bool),
 		pubInteractions: make(map[string]bool),
 		subInteractions: make(map[string]bool),
 		mailbox:         newMailbox(),
@@ -553,8 +450,7 @@ type FederateInfo struct {
 	// Name is the federate's name; Handle its federation-local handle.
 	Name   string
 	Handle FederateHandle
-	// Time is the federate's current logical time, Lookahead its
-	// regulating lookahead.
+	// Time is the federate's current logical time.
 	Time      float64
 	Lookahead float64
 	// Pending reports a blocked time advance, RequestedTime its target
@@ -626,64 +522,26 @@ func (r *RTI) Snapshot() []FederationInfo {
 	return out
 }
 
-// sendBounds computes, for every live regulating federate, the earliest
-// timestamp it may still put on a message. The bound is inclusive (a
-// federate at time T may send exactly T + lookahead), so a grant to time
-// t is safe only when t is strictly below every other federate's bound.
-//
-//   - An unblocked federate may send from its current time plus
-//     lookahead.
-//   - A federate blocked in a TimeAdvanceRequest will be granted exactly
-//     its requested time, so its bound is request + lookahead.
-//   - A federate blocked in a NextEventRequest may be granted *earlier*:
-//     at the timestamp of a message it has queued — or one that another
-//     federate may still send it. That last clause makes the bounds
-//     mutually dependent, so they are lowered iteratively to a fixpoint
-//     (the values only decrease and are drawn from a finite set, so the
-//     loop terminates).
+// sendBounds computes, for every live federate, the earliest timestamp
+// it may still put on a message. The bound is inclusive (a federate at
+// time T may send exactly T + lookahead), so a grant to time t is safe
+// only when t is strictly below every other federate's bound. A
+// federate blocked in a TimeAdvanceRequest will be granted exactly its
+// requested time, so its bound is request + lookahead; any other
+// federate may send from its current time plus lookahead.
 func (fed *Federation) sendBounds() map[FederateHandle]float64 {
 	bounds := make(map[FederateHandle]float64, len(fed.federates))
-	nerGrantFloor := func(f *federateState) float64 {
-		t := f.pendingTAR
-		if m, ok := f.nextTSOTime(); ok && m < t {
-			t = m
-		}
-		return t
-	}
 	for h, f := range fed.federates {
-		if f.resigned || !f.regulating {
+		if f.resigned {
 			continue
 		}
-		switch {
-		case f.hasTAR && f.nextEvent:
-			bounds[h] = nerGrantFloor(f) + f.lookahead
-		case f.hasTAR:
-			bounds[h] = f.pendingTAR + f.lookahead
-		default:
-			bounds[h] = f.time + f.lookahead
+		t := f.time
+		if f.hasTAR {
+			t = f.pendingTAR
 		}
+		bounds[h] = t + f.lookahead
 	}
-	for {
-		changed := false
-		for h, f := range fed.federates {
-			if f.resigned || !f.regulating || !f.hasTAR || !f.nextEvent {
-				continue
-			}
-			floor := nerGrantFloor(f)
-			for k, b := range bounds {
-				if k != h && b < floor {
-					floor = b
-				}
-			}
-			if cand := floor + f.lookahead; cand < bounds[h] {
-				bounds[h] = cand
-				changed = true
-			}
-		}
-		if !changed {
-			return bounds
-		}
-	}
+	return bounds
 }
 
 // lbtsFor computes the exclusive lower-bound time stamp for federate
@@ -712,25 +570,11 @@ func (fed *Federation) evaluateGrants() {
 		sort.Slice(handles, func(i, j int) bool { return handles[i] < handles[j] })
 		for _, h := range handles {
 			f := fed.federates[h]
-			if f.resigned || !f.hasTAR {
+			if f.resigned || !f.hasTAR || lbtsFor(bounds, h) <= f.pendingTAR {
 				continue
 			}
-			grantTime := f.pendingTAR
-			if f.nextEvent {
-				// NextEventRequest: jump to the earliest queued message's
-				// timestamp when it precedes the requested time. The jump
-				// is only safe once the LBTS guarantees no earlier
-				// message can still arrive.
-				if m, ok := f.nextTSOTime(); ok && m < grantTime {
-					grantTime = m
-				}
-			}
-			if f.constrained && lbtsFor(bounds, h) <= grantTime {
-				continue
-			}
-			f.time = grantTime
+			f.time = f.pendingTAR
 			f.hasTAR = false
-			f.nextEvent = false
 			fed.deliverGrant(f)
 			progressed = true
 		}
@@ -738,20 +582,6 @@ func (fed *Federation) evaluateGrants() {
 			return
 		}
 	}
-}
-
-// nextTSOTime returns the earliest queued message timestamp.
-func (f *federateState) nextTSOTime() (float64, bool) {
-	if len(f.tsoQueue) == 0 {
-		return 0, false
-	}
-	earliest := f.tsoQueue[0].cb.time
-	for _, m := range f.tsoQueue[1:] {
-		if m.cb.time < earliest {
-			earliest = m.cb.time
-		}
-	}
-	return earliest, true
 }
 
 // deliverGrant moves queued messages with timestamps up to the
@@ -777,14 +607,10 @@ func (fed *Federation) deliverGrant(f *federateState) {
 	f.tsoQueue = f.tsoQueue[:k]
 }
 
-// routeTSO enqueues a callback, timestamped by cb.time, for a receiver,
-// or delivers it immediately when the receiver is not time-constrained.
+// routeTSO enqueues a callback, timestamped by cb.time, in a receiver's
+// TSO queue, for delivery on its next grant at or past that time.
 // Callers must hold fed.mu.
 func (fed *Federation) routeTSO(f *federateState, cb callback) {
-	if !f.constrained {
-		f.mailbox.push(cb)
-		return
-	}
 	fed.seq++
 	f.tsoQueue = append(f.tsoQueue, tsoMessage{seq: fed.seq, cb: cb})
 }

@@ -10,42 +10,20 @@ import (
 // recorder is a test Ambassador that records callbacks.
 type recorder struct {
 	mu           sync.Mutex
-	discovered   []ObjectHandle
-	reflects     []callbackRecord
 	interactions []callbackRecord
-	removed      []ObjectHandle
 	grants       []float64
 }
 
 type callbackRecord struct {
-	object ObjectHandle
 	class  string
 	values Values
 	time   float64
-}
-
-func (r *recorder) DiscoverObjectInstance(obj ObjectHandle, class, name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.discovered = append(r.discovered, obj)
-}
-
-func (r *recorder) ReflectAttributeValues(obj ObjectHandle, attrs Values, t float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reflects = append(r.reflects, callbackRecord{object: obj, values: attrs, time: t})
 }
 
 func (r *recorder) ReceiveInteraction(class string, params Values, t float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.interactions = append(r.interactions, callbackRecord{class: class, values: params, time: t})
-}
-
-func (r *recorder) RemoveObjectInstance(obj ObjectHandle) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.removed = append(r.removed, obj)
 }
 
 func (r *recorder) TimeAdvanceGrant(t float64) {
@@ -88,17 +66,8 @@ func TestFederationLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rti.DestroyFederation("fed"); !errors.Is(err, ErrFederationNotEmpty) {
-		t.Errorf("destroy non-empty: %v", err)
-	}
 	if err := f.Resign(); err != nil {
 		t.Fatal(err)
-	}
-	if err := rti.DestroyFederation("fed"); err != nil {
-		t.Errorf("destroy after resign: %v", err)
-	}
-	if err := rti.DestroyFederation("fed"); !errors.Is(err, ErrNoFederation) {
-		t.Errorf("double destroy: %v", err)
 	}
 }
 
@@ -119,116 +88,8 @@ func TestJoinValidation(t *testing.T) {
 func TestPublishRequiredForSending(t *testing.T) {
 	rti := newFederation(t)
 	f, _ := join(t, rti, "sender")
-	if _, err := f.RegisterObjectInstance("Node", "n1"); !errors.Is(err, ErrNotPublished) {
-		t.Errorf("register unpublished: %v", err)
-	}
 	if err := f.SendInteraction("LU", nil, 5); !errors.Is(err, ErrNotPublished) {
 		t.Errorf("send unpublished: %v", err)
-	}
-}
-
-func TestDiscoverOnRegisterAndLateSubscribe(t *testing.T) {
-	rti := newFederation(t)
-	pub, _ := join(t, rti, "pub")
-	sub, subRec := join(t, rti, "sub")
-
-	if err := pub.PublishObjectClass("Node", []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.SubscribeObjectClass("Node", nil); err != nil {
-		t.Fatal(err)
-	}
-	obj, err := pub.RegisterObjectInstance("Node", "n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub.Tick()
-	if len(subRec.discovered) != 1 || subRec.discovered[0] != obj {
-		t.Fatalf("discovered = %v, want [%v]", subRec.discovered, obj)
-	}
-
-	// A federate that subscribes after registration also discovers.
-	late, lateRec := join(t, rti, "late")
-	if err := late.SubscribeObjectClass("Node", nil); err != nil {
-		t.Fatal(err)
-	}
-	late.Tick()
-	if len(lateRec.discovered) != 1 {
-		t.Errorf("late subscriber discovered %v", lateRec.discovered)
-	}
-}
-
-func TestReflectDeliveredOnTimeAdvance(t *testing.T) {
-	rti := newFederation(t)
-	pub, _ := join(t, rti, "pub")
-	sub, subRec := join(t, rti, "sub")
-
-	if err := pub.PublishObjectClass("Node", []string{"x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.SubscribeObjectClass("Node", []string{"x"}); err != nil {
-		t.Fatal(err)
-	}
-	obj, err := pub.RegisterObjectInstance("Node", "n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pub.UpdateAttributeValues(obj, Values{"x": []byte{1}}, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	// The subscriber cannot see the update before advancing to its time.
-	done := make(chan error, 1)
-	go func() { done <- sub.TimeAdvanceRequest(3) }()
-	// The publisher must advance for the subscriber's LBTS to clear 3.
-	if err := pub.TimeAdvanceRequest(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	subRec.mu.Lock()
-	defer subRec.mu.Unlock()
-	if len(subRec.reflects) != 1 {
-		t.Fatalf("reflects = %d, want 1", len(subRec.reflects))
-	}
-	r := subRec.reflects[0]
-	if r.object != obj || r.time != 2 || string(r.values["x"]) != "\x01" {
-		t.Errorf("reflect = %+v", r)
-	}
-	if len(subRec.grants) != 1 || subRec.grants[0] != 3 {
-		t.Errorf("grants = %v", subRec.grants)
-	}
-}
-
-func TestAttributeFiltering(t *testing.T) {
-	rti := newFederation(t)
-	pub, _ := join(t, rti, "pub")
-	sub, subRec := join(t, rti, "sub")
-
-	if err := pub.PublishObjectClass("Node", []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	// Subscribe to x only.
-	if err := sub.SubscribeObjectClass("Node", []string{"x"}); err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := pub.RegisterObjectInstance("Node", "n1")
-	if err := pub.UpdateAttributeValues(obj, Values{"x": []byte{1}, "y": []byte{2}}, 2); err != nil {
-		t.Fatal(err)
-	}
-	advanceBoth(t, pub, sub, 3)
-	subRec.mu.Lock()
-	defer subRec.mu.Unlock()
-	if len(subRec.reflects) != 1 {
-		t.Fatalf("reflects = %d", len(subRec.reflects))
-	}
-	vals := subRec.reflects[0].values
-	if _, ok := vals["y"]; ok {
-		t.Error("unsubscribed attribute delivered")
-	}
-	if string(vals["x"]) != "\x01" {
-		t.Errorf("x = %v", vals["x"])
 	}
 }
 
@@ -300,7 +161,7 @@ func TestLookaheadEnforced(t *testing.T) {
 }
 
 func TestConservativeTimeStepping(t *testing.T) {
-	// A federate cannot be granted past another regulating federate's
+	// A federate cannot be granted past another federate's
 	// time + lookahead.
 	rti := newFederation(t)
 	a, aRec := join(t, rti, "a")
@@ -387,48 +248,6 @@ func TestResignedOperationsFail(t *testing.T) {
 	}
 	if err := f.Resign(); !errors.Is(err, ErrResigned) {
 		t.Errorf("double resign: %v", err)
-	}
-}
-
-func TestDeleteObjectNotifiesDiscoverers(t *testing.T) {
-	rti := newFederation(t)
-	pub, _ := join(t, rti, "pub")
-	sub, subRec := join(t, rti, "sub")
-	if err := pub.PublishObjectClass("Node", []string{"x"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.SubscribeObjectClass("Node", nil); err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := pub.RegisterObjectInstance("Node", "n1")
-	if err := pub.DeleteObjectInstance(obj); err != nil {
-		t.Fatal(err)
-	}
-	sub.Tick()
-	subRec.mu.Lock()
-	defer subRec.mu.Unlock()
-	if len(subRec.removed) != 1 || subRec.removed[0] != obj {
-		t.Errorf("removed = %v", subRec.removed)
-	}
-	// Deleting again fails.
-	if err := pub.DeleteObjectInstance(obj); !errors.Is(err, ErrUnknownObject) {
-		t.Errorf("double delete: %v", err)
-	}
-}
-
-func TestUpdateOwnership(t *testing.T) {
-	rti := newFederation(t)
-	pub, _ := join(t, rti, "pub")
-	other, _ := join(t, rti, "other")
-	if err := pub.PublishObjectClass("Node", []string{"x"}); err != nil {
-		t.Fatal(err)
-	}
-	obj, _ := pub.RegisterObjectInstance("Node", "n1")
-	if err := other.UpdateAttributeValues(obj, Values{"x": nil}, 5); !errors.Is(err, ErrNotOwner) {
-		t.Errorf("foreign update: %v", err)
-	}
-	if err := pub.UpdateAttributeValues(999, Values{"x": nil}, 5); !errors.Is(err, ErrUnknownObject) {
-		t.Errorf("unknown object: %v", err)
 	}
 }
 

@@ -66,7 +66,6 @@ func TestDeliveredValuesCollectable(t *testing.T) {
 type keepAmb struct {
 	recorder
 	interactions []Values
-	reflects     []Values
 }
 
 func (a *keepAmb) ReceiveInteraction(_ string, params Values, _ float64) {
@@ -75,17 +74,11 @@ func (a *keepAmb) ReceiveInteraction(_ string, params Values, _ float64) {
 	a.interactions = append(a.interactions, params)
 }
 
-func (a *keepAmb) ReflectAttributeValues(_ ObjectHandle, attrs Values, _ float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.reflects = append(a.reflects, attrs)
-}
-
-// all returns every kept Values, interactions first.
+// all returns every kept Values.
 func (a *keepAmb) all() []Values {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return slices.Concat(a.interactions, a.reflects)
+	return slices.Clone(a.interactions)
 }
 
 // ownedParams is the i-th Values the ownership test sends: four values
@@ -114,9 +107,8 @@ func cloneForTest(v Values) Values {
 
 // TestDeliveredValuesOwnedOverTCP checks that every receiver owns the
 // Values it is delivered, over TCP as in process. A TCP sender sends
-// interactions and attribute updates, refilling one Values in place
-// between sends, to two TCP receivers (one subscribed to a subset of
-// the attributes) and one in-process receiver. Each receiver keeps
+// interactions, refilling one Values in place between sends, to two
+// TCP receivers and one in-process receiver. Each receiver keeps
 // every delivered Values across all advances; afterwards — long after
 // later frames were read into the connections' reused buffers — each
 // kept Values must still equal what was sent. Then each receiver in
@@ -138,31 +130,23 @@ func TestDeliveredValuesOwnedOverTCP(t *testing.T) {
 	addr := srv.Addr().String()
 
 	send, _ := dialJoin(t, addr, "send")
-	attrs := []string{"node", "pad", "x", "y"}
 	if err := send.PublishInteractionClass("LU"); err != nil {
 		t.Fatal(err)
 	}
-	if err := send.PublishObjectClass("Node", attrs); err != nil {
-		t.Fatal(err)
-	}
 	type receiver struct {
-		name   string
-		amb    *keepAmb
-		attrs  []string // subscribed attributes; nil means all
-		access func() []Values
-		fed    interface {
+		name string
+		amb  *keepAmb
+		fed  interface {
 			SubscribeInteractionClass(string) error
-			SubscribeObjectClass(string, []string) error
 			TimeAdvanceRequest(float64) error
 		}
 	}
 	var recvs []*receiver
 	for _, r := range []struct {
-		name  string
-		tcp   bool
-		attrs []string
-	}{{"tcpAll", true, nil}, {"tcpSubset", true, []string{"node", "x"}}, {"local", false, nil}} {
-		rv := &receiver{name: r.name, amb: &keepAmb{}, attrs: r.attrs}
+		name string
+		tcp  bool
+	}{{"tcp1", true}, {"tcp2", true}, {"local", false}} {
+		rv := &receiver{name: r.name, amb: &keepAmb{}}
 		if r.tcp {
 			c, err := Dial(addr)
 			if err != nil {
@@ -183,29 +167,13 @@ func TestDeliveredValuesOwnedOverTCP(t *testing.T) {
 		if err := rv.fed.SubscribeInteractionClass("LU"); err != nil {
 			t.Fatal(err)
 		}
-		if err := rv.fed.SubscribeObjectClass("Node", r.attrs); err != nil {
-			t.Fatal(err)
-		}
 		recvs = append(recvs, rv)
-	}
-	obj, err := send.RegisterObjectInstance("Node", "n1")
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// want holds what each receiver should have kept, in its order.
-	want := make([][]Values, len(recvs))
-	for i, r := range recvs {
-		for n := range steps * perStep {
-			want[i] = append(want[i], ownedParams(n))
-		}
-		for step := 1; step <= steps; step++ {
-			full := ownedParams(1000 + step)
-			if r.attrs != nil {
-				maps.DeleteFunc(full, func(k string, _ []byte) bool { return !slices.Contains(r.attrs, k) })
-			}
-			want[i] = append(want[i], full)
-		}
+	var want []Values
+	for n := range steps * perStep {
+		want = append(want, ownedParams(n))
 	}
 
 	var wg sync.WaitGroup
@@ -238,10 +206,6 @@ func TestDeliveredValuesOwnedOverTCP(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		refill(ownedParams(1000 + step))
-		if err := send.UpdateAttributeValues(obj, buf, ts); err != nil {
-			t.Fatal(err)
-		}
 		if err := send.TimeAdvanceRequest(ts); err != nil {
 			t.Fatal(err)
 		}
@@ -254,11 +218,11 @@ func TestDeliveredValuesOwnedOverTCP(t *testing.T) {
 	check := func(i int, flipped bool) {
 		t.Helper()
 		got := recvs[i].amb.all()
-		if len(got) != len(want[i]) {
-			t.Fatalf("%s kept %d Values, want %d", recvs[i].name, len(got), len(want[i]))
+		if len(got) != len(want) {
+			t.Fatalf("%s kept %d Values, want %d", recvs[i].name, len(got), len(want))
 		}
 		for n, v := range got {
-			w := want[i][n]
+			w := want[n]
 			if flipped {
 				w = cloneForTest(w)
 				for _, b := range w {

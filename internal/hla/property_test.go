@@ -97,7 +97,6 @@ func runRandomSchedule(t *testing.T, seed int64) {
 	type action struct {
 		sendOffsets []float64 // message timestamps as offsets past time+lookahead
 		advanceBy   float64
-		useNER      bool
 	}
 	schedules := make([][]action, federates)
 	for i := range schedules {
@@ -108,7 +107,6 @@ func runRandomSchedule(t *testing.T, seed int64) {
 				a.sendOffsets = append(a.sendOffsets, rng.Uniform(0, 5))
 			}
 			a.advanceBy = rng.Uniform(0.1, 3)
-			a.useNER = rng.Bool(0.3)
 			schedules[i] = append(schedules[i], a)
 		}
 	}
@@ -138,14 +136,7 @@ func runRandomSchedule(t *testing.T, seed int64) {
 					}
 					sentActual[i][id] = ts
 				}
-				target := f.Time() + a.advanceBy
-				var err error
-				if a.useNER {
-					err = f.NextEventRequest(target)
-				} else {
-					err = f.TimeAdvanceRequest(target)
-				}
-				if err != nil {
+				if err := f.TimeAdvanceRequest(f.Time() + a.advanceBy); err != nil {
 					t.Errorf("f%d step %d: advance: %v", i, s, err)
 					return
 				}

@@ -30,13 +30,6 @@ type SyncAmbassador interface {
 	FederationSynchronized(label string)
 }
 
-// Synchronization callback kinds (continuing the callbackKind values of
-// hla.go).
-const (
-	cbAnnounceSync callbackKind = iota + 100
-	cbFederationSynced
-)
-
 // deliverSync dispatches the synchronization callbacks; plain callbacks
 // are handled by callback.deliver.
 func deliverSync(c callback, amb Ambassador) {
@@ -46,11 +39,7 @@ func deliverSync(c callback, amb Ambassador) {
 	}
 	switch c.kind {
 	case cbAnnounceSync:
-		var tag []byte
-		if c.values != nil {
-			tag = c.values["tag"]
-		}
-		sync.AnnounceSynchronizationPoint(c.name, tag)
+		sync.AnnounceSynchronizationPoint(c.name, c.tag)
 	case cbFederationSynced:
 		sync.FederationSynchronized(c.name)
 	default:
@@ -62,7 +51,6 @@ func deliverSync(c callback, amb Ambassador) {
 // syncPoint is the RTI-side record of one registered point.
 type syncPoint struct {
 	label        string
-	tag          []byte
 	participants map[FederateHandle]bool // joined federates at registration
 	achieved     map[FederateHandle]bool
 }
@@ -84,7 +72,6 @@ func (f *Federate) RegisterSynchronizationPoint(label string, tag []byte) error 
 	}
 	sp := &syncPoint{
 		label:        label,
-		tag:          append([]byte(nil), tag...),
 		participants: make(map[FederateHandle]bool),
 		achieved:     make(map[FederateHandle]bool),
 	}
@@ -93,11 +80,7 @@ func (f *Federate) RegisterSynchronizationPoint(label string, tag []byte) error 
 			continue
 		}
 		sp.participants[h] = true
-		other.mailbox.push(callback{
-			kind:   cbAnnounceSync,
-			name:   label,
-			values: Values{"tag": append([]byte(nil), tag...)},
-		})
+		other.mailbox.push(callback{kind: cbAnnounceSync, name: label, tag: append([]byte(nil), tag...)})
 	}
 	f.fed.syncPoints[label] = sp
 	return nil

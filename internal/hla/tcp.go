@@ -85,18 +85,14 @@ func opOfMsg(typ byte) obs.RPCOp {
 	switch typ {
 	case msgJoin:
 		return obs.OpJoin
-	case msgUpdate:
-		return obs.OpUpdate
 	case msgInteraction:
 		return obs.OpInteraction
-	case msgTAR, msgNER:
+	case msgTAR:
 		return obs.OpAdvance
 	case msgTick:
 		return obs.OpTick
 	case msgRegisterSync, msgSyncAchieved:
 		return obs.OpSync
-	case msgRegister:
-		return obs.OpRegister
 	case msgResign:
 		return obs.OpResign
 	default:
@@ -104,68 +100,58 @@ func opOfMsg(typ byte) obs.RPCOp {
 	}
 }
 
-// Message types of the TCP RTI protocol. Client requests first, then
-// server responses and callbacks.
+// Message types of the TCP RTI protocol: client requests, then server
+// responses and callbacks. The gaps are retired codes (object
+// management and event-driven time advance), which the server rejects
+// like any unknown type.
 const (
-	msgJoin byte = iota + 1
-	msgPublishObject
-	msgSubscribeObject
-	msgPublishInteraction
-	msgSubscribeInteraction
-	msgRegister
-	msgUpdate
-	msgInteraction
-	msgDelete
-	msgTAR
-	msgTick
-	msgResign
-	msgRegisterSync
-	msgSyncAchieved
-	msgNER
+	msgJoin                 byte = 1
+	msgPublishInteraction   byte = 4
+	msgSubscribeInteraction byte = 5
+	msgInteraction          byte = 8
+	msgTAR                  byte = 10
+	msgTick                 byte = 11
+	msgResign               byte = 12
+	msgRegisterSync         byte = 13
+	msgSyncAchieved         byte = 14
 
-	msgJoined
-	msgRegistered
-	msgOK
-	msgError
-	msgDiscover
-	msgReflect
-	msgReceive
-	msgRemove
-	msgGrant
-	msgAnnounceSync
-	msgFederationSynced
+	msgJoined           byte = 16
+	msgOK               byte = 18
+	msgError            byte = 19
+	msgReceive          byte = 22
+	msgGrant            byte = 24
+	msgAnnounceSync     byte = 25
+	msgFederationSynced byte = 26
 )
 
-// Sentinel error codes carried across the wire so errors.Is keeps working
-// on the client side.
-var wireErrors = []error{
-	ErrFederationExists,
-	ErrNoFederation,
-	ErrFederationNotEmpty,
-	ErrResigned,
-	ErrNotPublished,
-	ErrUnknownObject,
-	ErrNotOwner,
-	ErrInvalidTime,
-	ErrPendingAdvance,
-	ErrSyncPointExists,
-	ErrNoSyncPoint,
+// wireErrors holds, at its code, each sentinel error carried across the
+// wire, so errors.Is keeps working on the client side. Code 0 is an
+// error without a sentinel; the gaps are retired codes.
+var wireErrors = [...]error{
+	1:  ErrFederationExists,
+	2:  ErrNoFederation,
+	4:  ErrResigned,
+	5:  ErrNotPublished,
+	8:  ErrInvalidTime,
+	9:  ErrPendingAdvance,
+	10: ErrSyncPointExists,
+	11: ErrNoSyncPoint,
 }
 
 func errorCode(err error) byte {
-	for i, sentinel := range wireErrors {
-		if errors.Is(err, sentinel) {
-			return byte(i + 1)
+	for code, sentinel := range wireErrors {
+		if sentinel != nil && errors.Is(err, sentinel) {
+			return byte(code)
 		}
 	}
 	return 0
 }
 
 func codeError(code byte, msg string) error {
-	if code == 0 || int(code) > len(wireErrors) {
+	if int(code) >= len(wireErrors) || wireErrors[code] == nil {
 		return errors.New(msg)
 	}
-	return fmt.Errorf("%w: %s", wireErrors[code-1], msg)
+	return fmt.Errorf("%w: %s", wireErrors[code], msg)
 }
 
 // Server exposes an RTI's federations over TCP. Each connection carries
@@ -392,19 +378,6 @@ var (
 // writer, and the handler drops the connection at its next flush.
 func (a *remoteAmbassador) flush() { _ = a.w.flush() }
 
-func (a *remoteAmbassador) DiscoverObjectInstance(obj ObjectHandle, class, name string) {
-	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
-		e.PutByte(msgDiscover)
-		e.PutInt64(int64(obj))
-		e.PutString(class)
-		e.PutString(name)
-	})
-}
-
-func (a *remoteAmbassador) ReflectAttributeValues(obj ObjectHandle, attrs Values, t float64) {
-	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReflect(e, obj, attrs, t) })
-}
-
 // ReceiveInteraction implements Ambassador. The RTI hands this
 // ambassador each run of interactions as its shared blocks
 // (receiveRun).
@@ -418,14 +391,6 @@ func (a *remoteAmbassador) receiveRun(class string, run []byte, n int, t float64
 	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) { putReceive(e, class, run, n, t) })
 }
 
-// putReflect encodes a reflect callback frame.
-func putReflect(e *wire.Encoder, obj ObjectHandle, attrs Values, t float64) {
-	e.PutByte(msgReflect)
-	e.PutInt64(int64(obj))
-	e.PutFloat64(t)
-	e.PutValues(attrs)
-}
-
 // putReceive encodes the receive frame of a run of n interactions of
 // one class and time around their values blocks, the layout of the
 // interaction request frame it came in.
@@ -435,13 +400,6 @@ func putReceive(e *wire.Encoder, class string, run []byte, n int, t float64) {
 	e.PutFloat64(t)
 	e.PutCount(n)
 	e.PutRaw(run)
-}
-
-func (a *remoteAmbassador) RemoveObjectInstance(obj ObjectHandle) {
-	a.w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
-		e.PutByte(msgRemove)
-		e.PutInt64(int64(obj))
-	})
 }
 
 func (a *remoteAmbassador) TimeAdvanceGrant(t float64) {
@@ -457,46 +415,29 @@ var (
 	_ runReceiver     = (*remoteAmbassador)(nil)
 )
 
-// deliverTraced forwards a traced reflect/interaction callback to the
-// remote client with its trace context (a fresh hop span ID) in the
-// frame header, recording the callback's TSO-queue residency, the
-// delivery fan-out span, and the LU's delivery freshness. Trace-context
-// forwarding itself is not gated — a server with recording off still
-// propagates the sender's context so downstream hops can link — while
-// every recording call sits behind a clock token that is 0 when the
-// gate is off.
-func (a *remoteAmbassador) deliverTraced(c callback) bool {
-	var op obs.RPCOp
-	switch c.kind {
-	case cbReflect:
-		op = obs.OpUpdate
-	case cbInteraction:
-		op = obs.OpInteraction
-	default:
-		return false
-	}
+// deliverTraced forwards a traced interaction run to the remote client
+// with its trace context (a fresh hop span ID) in the frame header,
+// recording the run's TSO-queue residency, the delivery fan-out span,
+// and the LU's delivery freshness. Trace-context forwarding itself is
+// not gated — a server with recording off still propagates the
+// sender's context so downstream hops can link — while every recording
+// call sits behind a clock token that is 0 when the gate is off.
+func (a *remoteAmbassador) deliverTraced(c callback) {
 	start := obs.RPCClock()
 	if start != 0 {
-		obs.ObserveRPC(obs.PhaseQueue, op, c.enqueuedNS, start)
+		obs.ObserveRPC(obs.PhaseQueue, obs.OpInteraction, c.enqueuedNS, start)
 	}
 	tc := c.tc
 	if tc.Valid() {
 		tc = obs.ChildContext(tc)
 	}
-	a.w.frame(tc, func(e *wire.Encoder) {
-		if c.kind == cbReflect {
-			putReflect(e, c.object, c.values, c.time)
-		} else {
-			putReceive(e, c.class, c.run, c.n, c.time)
-		}
-	})
+	a.w.frame(tc, func(e *wire.Encoder) { putReceive(e, c.class, c.run, c.n, c.time) })
 	if start != 0 {
 		end := obs.RPCClock()
-		obs.ObserveRPC(obs.PhaseDeliver, op, start, end)
-		obs.RecordRPC(obs.KindServerDeliver, op, tc, start, end)
+		obs.ObserveRPC(obs.PhaseDeliver, obs.OpInteraction, start, end)
+		obs.RecordRPC(obs.KindServerDeliver, obs.OpInteraction, tc, start, end)
 		obs.ObserveFreshness(obs.FreshDeliver, tc.OriginNS, end)
 	}
-	return true
 }
 
 // AnnounceSynchronizationPoint implements SyncAmbassador.
@@ -534,11 +475,10 @@ func (s *Server) handle(conn net.Conn) {
 	defer w.flush()
 	// Each request is read into buf (see retain), and names are decoded
 	// through names. An interaction frame's run of parameter blocks is
-	// passed on as it came, aliasing buf (canonicalised into canon when
-	// a sender's keys are not in order); an update's are decoded
-	// borrowed, into the reused map scratch, their values aliasing buf.
-	// This is safe because the RTI copies either (the sender's arena,
-	// filterValues) under fed.mu before the call returns, so nothing
+	// passed on as it came, aliasing buf (canonicalised into canon, with
+	// scratch as the reused map, when a sender's keys are not in
+	// order). This is safe because the RTI copies the run into the
+	// sender's arena under fed.mu before the call returns, so nothing
 	// refers to buf when the next request is read into it.
 	var buf []byte
 	var names wire.Interner
@@ -602,42 +542,12 @@ func (s *Server) handle(conn net.Conn) {
 		// per-request handle-phase recording below the switch always runs.
 		done := false
 		switch typ {
-		case msgPublishObject:
-			class := d.String()
-			attrs := d.Strings()
-			s.respond(w, d.Err(), func() error { return fed.PublishObjectClass(class, attrs) })
-		case msgSubscribeObject:
-			class := d.String()
-			attrs := d.Strings()
-			s.respond(w, d.Err(), func() error { return fed.SubscribeObjectClass(class, attrs) })
 		case msgPublishInteraction:
 			class := d.String()
 			s.respond(w, d.Err(), func() error { return fed.PublishInteractionClass(class) })
 		case msgSubscribeInteraction:
 			class := d.String()
 			s.respond(w, d.Err(), func() error { return fed.SubscribeInteractionClass(class) })
-		case msgRegister:
-			class := d.String()
-			name := d.String()
-			if d.Err() != nil {
-				writeError(w, d.Err())
-				break
-			}
-			obj, err := fed.RegisterObjectInstance(class, name)
-			if err != nil {
-				writeError(w, err)
-				break
-			}
-			w.frame(wire.TraceContext{}, func(e *wire.Encoder) {
-				e.PutByte(msgRegistered)
-				e.PutInt64(int64(obj))
-			})
-		case msgUpdate:
-			obj := ObjectHandle(d.Int64())
-			ts := d.Float64()
-			d.BorrowValues(scratch, &names)
-			s.respond(w, d.Err(), func() error { return fed.updateAttributeValues(obj, scratch, ts, rtc) })
-			clear(scratch)
 		case msgInteraction:
 			// One frame carries a run of interactions of one class and
 			// time: one send, one ack, one queue entry per receiver.
@@ -645,10 +555,7 @@ func (s *Server) handle(conn net.Conn) {
 			ts := d.Float64()
 			run, n := d.ValuesRun(&canon, scratch, &names)
 			s.respond(w, d.Err(), func() error { return fed.sendInteraction(class, run, n, nil, ts, rtc) })
-		case msgDelete:
-			obj := ObjectHandle(d.Int64())
-			s.respond(w, d.Err(), func() error { return fed.DeleteObjectInstance(obj) })
-		case msgTAR, msgNER:
+		case msgTAR:
 			t := d.Float64()
 			if d.Err() != nil {
 				writeError(w, d.Err())
@@ -656,11 +563,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			// The advance blocks; callbacks (ending with the grant)
 			// stream to the client through the remote ambassador.
-			advance := fed.TimeAdvanceRequest
-			if typ == msgNER {
-				advance = fed.NextEventRequest
-			}
-			if err := advance(t); err != nil {
+			if err := fed.TimeAdvanceRequest(t); err != nil {
 				writeError(w, err)
 			}
 		case msgTick:

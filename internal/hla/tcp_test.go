@@ -2,8 +2,11 @@ package hla
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+
+	"github.com/mobilegrid/adf/internal/wire"
 )
 
 // startServer runs a TCP RTI with one federation and returns its address.
@@ -103,69 +106,11 @@ func TestTCPInteractionFlow(t *testing.T) {
 	}
 }
 
-func TestTCPObjectLifecycle(t *testing.T) {
-	addr := startServer(t)
-	pub, _ := dialJoin(t, addr, "pub")
-	sub, subRec := dialJoin(t, addr, "sub")
-
-	if err := pub.PublishObjectClass("Node", []string{"x", "y"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.SubscribeObjectClass("Node", []string{"x"}); err != nil {
-		t.Fatal(err)
-	}
-	obj, err := pub.RegisterObjectInstance("Node", "n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	subRec.mu.Lock()
-	if len(subRec.discovered) != 1 || subRec.discovered[0] != obj {
-		t.Fatalf("discovered = %v", subRec.discovered)
-	}
-	subRec.mu.Unlock()
-
-	if err := pub.UpdateAttributeValues(obj, Values{"x": []byte{1}, "y": []byte{2}}, 2); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); _ = pub.TimeAdvanceRequest(3) }()
-	go func() { defer wg.Done(); _ = sub.TimeAdvanceRequest(3) }()
-	wg.Wait()
-
-	subRec.mu.Lock()
-	if len(subRec.reflects) != 1 {
-		t.Fatalf("reflects = %d", len(subRec.reflects))
-	}
-	if _, leaked := subRec.reflects[0].values["y"]; leaked {
-		t.Error("unsubscribed attribute crossed the wire")
-	}
-	subRec.mu.Unlock()
-
-	if err := pub.DeleteObjectInstance(obj); err != nil {
-		t.Fatal(err)
-	}
-	if err := sub.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	subRec.mu.Lock()
-	defer subRec.mu.Unlock()
-	if len(subRec.removed) != 1 {
-		t.Errorf("removed = %v", subRec.removed)
-	}
-}
-
 func TestTCPServiceErrorsCrossWire(t *testing.T) {
 	addr := startServer(t)
 	c, _ := dialJoin(t, addr, "f")
 	if err := c.SendInteraction("LU", nil, 5); !errors.Is(err, ErrNotPublished) {
 		t.Errorf("unpublished send: %v", err)
-	}
-	if _, err := c.RegisterObjectInstance("Node", "n"); !errors.Is(err, ErrNotPublished) {
-		t.Errorf("unpublished register: %v", err)
 	}
 	if err := c.PublishInteractionClass("LU"); err != nil {
 		t.Fatal(err)
@@ -173,8 +118,52 @@ func TestTCPServiceErrorsCrossWire(t *testing.T) {
 	if err := c.SendInteraction("LU", nil, 0.5); !errors.Is(err, ErrInvalidTime) {
 		t.Errorf("lookahead violation: %v", err)
 	}
-	if err := c.UpdateAttributeValues(42, nil, 5); !errors.Is(err, ErrUnknownObject) {
-		t.Errorf("unknown object: %v", err)
+}
+
+// TestTCPRetiredCodesRejected sends a joined federate's connection one
+// frame of each retired request type (publish-object, subscribe-object,
+// register, update, delete and next-event, codes 2, 3, 6, 7, 9 and 15)
+// and of a type never assigned. Each gets the "unknown message type"
+// error reply, without a sentinel, and the connection then still
+// carries a send and a time advance.
+func TestTCPRetiredCodesRejected(t *testing.T) {
+	addr := startServer(t)
+	c, _ := dialJoin(t, addr, "f")
+	recv, recvRec := dialJoin(t, addr, "recv")
+	for _, code := range []byte{2, 3, 6, 7, 9, 15, 200} {
+		// A type byte and the start of a payload, as an old client
+		// would send it.
+		if err := wire.WriteFrame(c.bw, []byte{code, 0, 0, 0, 1, 'N'}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, rejected, err := c.reply(msgOK)
+		if err != nil {
+			t.Fatalf("code %d: %v", code, err)
+		}
+		want := fmt.Sprintf("hla: unknown message type %d", code)
+		if rejected == nil || rejected.Error() != want || errorCode(rejected) != 0 {
+			t.Errorf("code %d: reply %v, want %q", code, rejected, want)
+		}
+	}
+	if err := c.PublishInteractionClass("LU"); err != nil {
+		t.Fatal(err)
+	}
+	if err := recv.SubscribeInteractionClass("LU"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendInteraction("LU", Values{"id": {1}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := stepBoth(c, recv, 1); err != nil {
+		t.Fatal(err)
+	}
+	recvRec.mu.Lock()
+	defer recvRec.mu.Unlock()
+	if len(recvRec.interactions) != 1 || len(recvRec.grants) != 1 {
+		t.Errorf("receiver got %d interactions and grants %v, want 1 and [1]", len(recvRec.interactions), recvRec.grants)
 	}
 }
 

@@ -26,17 +26,7 @@ func TestTracingPreservesDeliveryBitIdentity(t *testing.T) {
 		if err := send.PublishInteractionClass("LU"); err != nil {
 			t.Fatal(err)
 		}
-		if err := send.PublishObjectClass("Node", []string{"x", "y"}); err != nil {
-			t.Fatal(err)
-		}
 		if err := recv.SubscribeInteractionClass("LU"); err != nil {
-			t.Fatal(err)
-		}
-		if err := recv.SubscribeObjectClass("Node", []string{"x", "y"}); err != nil {
-			t.Fatal(err)
-		}
-		obj, err := send.RegisterObjectInstance("Node", "n1")
-		if err != nil {
 			t.Fatal(err)
 		}
 
@@ -53,10 +43,6 @@ func TestTracingPreservesDeliveryBitIdentity(t *testing.T) {
 						t.Error(err)
 						return
 					}
-				}
-				if err := send.UpdateAttributeValues(obj, Values{"x": {byte(i)}, "y": {byte(i + 1)}}, ts); err != nil {
-					t.Error(err)
-					return
 				}
 				if err := send.TimeAdvanceRequest(ts); err != nil {
 					t.Error(err)
@@ -82,10 +68,6 @@ func TestTracingPreservesDeliveryBitIdentity(t *testing.T) {
 		for _, in := range recvRec.interactions {
 			fmt.Fprintf(h, "i|%s|%v|", in.class, in.time)
 			writeValues(h, in.values)
-		}
-		for _, r := range recvRec.reflects {
-			fmt.Fprintf(h, "r|%d|%v|", r.object, r.time)
-			writeValues(h, r.values)
 		}
 		fmt.Fprintf(h, "g|%v", recvRec.grants)
 		return h.Sum64()

@@ -24,12 +24,10 @@ type RPCOp int
 
 const (
 	OpJoin RPCOp = iota
-	OpUpdate
 	OpInteraction
 	OpAdvance
 	OpTick
 	OpSync
-	OpRegister
 	OpResign
 	OpOther
 	numRPCOps
@@ -38,7 +36,7 @@ const (
 // rpcOpNames is indexed rather than switched so no exhaustiveness
 // obligation spreads to callers.
 var rpcOpNames = [numRPCOps]string{
-	"join", "update", "interaction", "advance", "tick", "sync", "register", "resign", "other",
+	"join", "interaction", "advance", "tick", "sync", "resign", "other",
 }
 
 // String returns the op's metric label.
