@@ -80,7 +80,7 @@ check-obs-e2e:
 # gated (CI machines vary); the allocation floor is machine-independent.
 # The second step is the RTI allocation gate (TestRTIAllocsPerLU): the
 # loopback TCP lockstep fails above 2.5 allocs/LU with one receiver or
-# 8.5 with four (the recorded numbers are 2.04 and 8.09), the
+# 8.5 with four (the recorded numbers are 2.03 and 8.06), the
 # in-process one above 3.5 or 12.5. The third runs
 # the TCP RTI lockstep microbenchmark (one sender, 1 and 4 receivers,
 # 405 pipelined sends of one class and time, which leave as one run in

@@ -76,12 +76,12 @@ func (f *Federate) SendInteraction(class string, params Values, ts float64) erro
 // sendInteraction sends a run of n interactions of one class and time,
 // with the originating request's trace context, which rides the routed
 // callbacks to their delivery hops (the TCP server passes the inbound
-// frame's context; SendInteraction passes zero). The parameters come as run, n values blocks
-// in canonical wire form back to back (wire.Decoder.ValuesRun) that
-// the caller may reuse once the call returns, or, when run is nil, as
-// params, a run of one. Either way they are written once into the
-// sender's arena, and each subscriber gets one callback that shares
-// them.
+// frame's context; SendInteraction passes zero). The parameters come
+// as run, n values blocks in canonical wire form back to back
+// (wire.Decoder.ValuesRun) that the caller may reuse once the call
+// returns, or, when run is nil, as params, a run of one. Either way
+// they are written once into the sender's arena, and each subscriber
+// gets one callback that shares them.
 func (f *Federate) sendInteraction(class string, run []byte, n int, params Values, ts float64, tc wire.TraceContext) error {
 	enq := obs.RPCClock()
 	f.fed.mu.Lock()
@@ -111,9 +111,9 @@ func (f *Federate) sendInteraction(class string, run []byte, n int, params Value
 
 // checkSend is the sender-side validity of an interaction: its class
 // is published and ts >= now + lookahead, where now is the sender's
-// logical time. It is the one
-// predicate both the RTI (sendInteraction) and a pipelined TCP Client
-// apply, the client to its own record of publications and grants.
+// logical time. It is the one predicate both the RTI (sendInteraction)
+// and a pipelined TCP Client apply, the client to its own record of
+// publications and grants.
 func checkSend(class string, published bool, ts, now, lookahead float64) error {
 	switch {
 	case !published:
@@ -171,8 +171,9 @@ func (f *Federate) TimeAdvanceRequest(t float64) error {
 }
 
 // flusher is implemented by ambassadors that buffer callbacks (the TCP
-// transport's remote ambassador). TimeAdvanceRequest flushes them before it blocks
-// on an empty mailbox, so no delivered callback waits behind the grant.
+// transport's remote ambassador). TimeAdvanceRequest flushes them
+// before it blocks on an empty mailbox, so no delivered callback waits
+// behind the grant.
 type flusher interface {
 	flush()
 }

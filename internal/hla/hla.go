@@ -11,12 +11,11 @@
 //     points (sync.go).
 //   - Declaration management: publish/subscribe interaction classes.
 //   - Interactions: timestamped sends, delivered in timestamp order.
-//   - Time management: conservative time stepping. Every federate's
-//     sends bound the others' grants and its own grants are bounded;
-//     TimeAdvanceRequest blocks until the federation's lower-bound time
-//     stamp (LBTS) permits the grant, and all timestamped messages up to
-//     the grant time are delivered, in timestamp order, before the
-//     grant.
+//   - Time management: conservative time stepping, one lookahead per
+//     federate. TimeAdvanceRequest blocks until the lower-bound time
+//     stamp (LBTS) over every other federate permits the grant, and all
+//     timestamped messages up to the grant time are delivered, in
+//     timestamp order, before the grant.
 //
 // HLA object management and event-driven time advance are not part of
 // it: the federation uses neither.
@@ -450,7 +449,8 @@ type FederateInfo struct {
 	// Name is the federate's name; Handle its federation-local handle.
 	Name   string
 	Handle FederateHandle
-	// Time is the federate's current logical time.
+	// Time is the federate's current logical time, Lookahead the
+	// lookahead it joined with.
 	Time      float64
 	Lookahead float64
 	// Pending reports a blocked time advance, RequestedTime its target
