@@ -85,14 +85,6 @@ func appendPrefixed[B string | []byte](dst []byte, b B) []byte {
 	return append(dst, b...)
 }
 
-// PutStrings appends a length-prefixed string list.
-func (e *Encoder) PutStrings(ss []string) {
-	e.buf = binary.BigEndian.AppendUint32(e.buf, uint32(len(ss)))
-	for _, s := range ss {
-		e.PutString(s)
-	}
-}
-
 // PutValues appends a string-keyed byte-slice map in sorted key order,
 // so equal maps encode identically (see AppendValues).
 func (e *Encoder) PutValues(v map[string][]byte) { e.buf = AppendValues(e.buf, v) }
@@ -257,31 +249,14 @@ func (d *Decoder) view() []byte {
 	return d.take(n)
 }
 
-// Strings reads a length-prefixed string list.
-func (d *Decoder) Strings() []string {
-	n := d.length()
-	if d.err != nil {
-		return nil
-	}
-	// Every string carries at least its 4-byte length, so the
-	// remainder caps the capacity hint whatever the count claims.
-	out := make([]string, 0, min(n, d.Remaining()/4))
-	for i := 0; i < n; i++ {
-		out = append(out, d.String())
-		if d.err != nil {
-			return nil
-		}
-	}
-	return out
-}
-
 // Values reads a string-keyed byte-slice map.
 func (d *Decoder) Values() map[string][]byte {
 	n := d.length()
 	if d.err != nil {
 		return nil
 	}
-	// Every entry carries at least two 4-byte lengths (see Strings).
+	// Every entry carries at least two 4-byte lengths, so the remainder
+	// caps the capacity hint whatever the count claims.
 	out := make(map[string][]byte, min(n, d.Remaining()/8))
 	for i := 0; i < n; i++ {
 		k := d.String()

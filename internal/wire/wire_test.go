@@ -73,7 +73,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	e.PutFloat64(3.14159)
 	e.PutString("hello world")
 	e.PutBytes([]byte{1, 2, 3})
-	e.PutStrings([]string{"a", "bb", ""})
 	e.PutValues(map[string][]byte{"x": {9}, "a": {1, 2}})
 
 	d := NewDecoder(e.Bytes())
@@ -94,9 +93,6 @@ func TestEncoderDecoderRoundTrip(t *testing.T) {
 	}
 	if got := d.Bytes(); !bytes.Equal(got, []byte{1, 2, 3}) {
 		t.Errorf("Bytes = %v", got)
-	}
-	if got := d.Strings(); !reflect.DeepEqual(got, []string{"a", "bb", ""}) {
-		t.Errorf("Strings = %v", got)
 	}
 	got := d.Values()
 	want := map[string][]byte{"x": {9}, "a": {1, 2}}
@@ -121,7 +117,7 @@ func TestDecoderStickyError(t *testing.T) {
 	if d.Byte() != 0 || d.String() != "" || d.Float64() != 0 {
 		t.Error("reads after error not zero")
 	}
-	if d.Values() != nil || d.Strings() != nil || d.Bytes() != nil {
+	if d.Values() != nil || d.Bytes() != nil {
 		t.Error("composite reads after error not nil")
 	}
 	if !errors.Is(d.Err(), ErrShortBuffer) {
@@ -377,12 +373,12 @@ func TestDecoderRandomInputNeverPanics(t *testing.T) {
 	}
 }
 
-// TestDecoderCountHintsBounded feeds Strings and Values a list count
-// that the payload's length admits but its bytes cannot back: the
-// element data is garbage, so decoding fails on the first element.
-// The capacity hint must be capped by what the remaining bytes can
-// hold (4 per string, 8 per map entry), not taken from the wire, so a
-// 1 MiB frame cannot make the decoder allocate tens of MiB.
+// TestDecoderCountHintsBounded feeds the map decoders a count that the
+// payload's length admits but its bytes cannot back: the element data
+// is garbage, so decoding fails on the first element. The capacity
+// hint must be capped by what the remaining bytes can hold (8 per map
+// entry), not taken from the wire, so a 1 MiB frame cannot make the
+// decoder allocate tens of MiB.
 func TestDecoderCountHintsBounded(t *testing.T) {
 	const size = 1 << 20
 	crafted := make([]byte, size)
@@ -396,7 +392,6 @@ func TestDecoderCountHintsBounded(t *testing.T) {
 		decode func(d *Decoder)
 		limit  uint64
 	}{
-		{"Strings", func(d *Decoder) { d.Strings() }, 8 << 20},
 		{"Values", func(d *Decoder) { d.Values() }, 32 << 20},
 		{"OwnValues", func(d *Decoder) { d.OwnValues(&Interner{}) }, 32 << 20},
 		{"BorrowValues", func(d *Decoder) { d.BorrowValues(make(map[string][]byte), &Interner{}) }, 32 << 20},
@@ -441,26 +436,21 @@ func TestDecoderCountHintsBounded(t *testing.T) {
 		}
 	}
 
-	// Well-formed lists still decode whole, empty elements included.
+	// Well-formed maps still decode whole, empty elements included.
 	var e Encoder
-	e.PutStrings([]string{"", "a", "bc"})
 	e.PutValues(map[string][]byte{"": {}, "k": {1, 2}})
-	e.PutStrings(nil)
 	e.PutValues(nil)
 	d := NewDecoder(e.Bytes())
-	ss, vs, empty, none := d.Strings(), d.Values(), d.Strings(), d.Values()
+	vs, none := d.Values(), d.Values()
 	if err := d.Err(); err != nil || d.Remaining() != 0 {
 		t.Fatalf("round trip: err %v, %d bytes left", err, d.Remaining())
 	}
-	if !reflect.DeepEqual(ss, []string{"", "a", "bc"}) || !reflect.DeepEqual(vs, map[string][]byte{"": {}, "k": {1, 2}}) ||
-		len(empty) != 0 || len(none) != 0 {
-		t.Errorf("round trip: %q %v %q %v", ss, vs, empty, none)
+	if !reflect.DeepEqual(vs, map[string][]byte{"": {}, "k": {1, 2}}) || len(none) != 0 {
+		t.Errorf("round trip: %v %v", vs, none)
 	}
 	d = NewDecoder(e.Bytes())
-	d.Strings()
 	owned := d.OwnValues(&Interner{})
 	d = NewDecoder(e.Bytes())
-	d.Strings()
 	borrowed := map[string][]byte{"stale": nil}
 	d.BorrowValues(borrowed, &Interner{})
 	for name, m := range map[string]map[string][]byte{"owned": owned, "borrowed": borrowed} {
