@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race check check-sharded check-obs-e2e bench-smoke bench-regress ci bench bench-obs profile
+.PHONY: build test vet lint race check-sharded check-obs-e2e bench-smoke bench-regress ci bench bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -19,15 +19,12 @@ vet:
 
 # adflint is the project's own static-analysis pass (internal/lint):
 # every rule, allowaudit's stale/unknown/reason-less suppression audit
-# included (`go run ./cmd/adflint -list` prints the rules). Two passes —
-# bare and with the adfcheck tag — so both halves of every sanitizer
-# file pair are analyzed. The shipped tree must lint clean; any
-# violation exits non-zero and fails ci. Each pass also writes a SARIF
-# v2.1.0 report for CI's code-scanning upload (written even when clean,
-# so fixed findings are resolved upstream).
+# included (`go run ./cmd/adflint -list` prints the rules). The shipped
+# tree must lint clean; any violation exits non-zero and fails ci. The
+# pass also writes a SARIF v2.1.0 report for CI's code-scanning upload
+# (written even when clean, so fixed findings are resolved upstream).
 lint:
 	$(GO) run ./cmd/adflint -sarif adflint.sarif
-	$(GO) run ./cmd/adflint -tags adfcheck -sarif adflint-adfcheck.sarif
 
 # Run the whole module under the race detector. This includes the
 # observability gate: the end-to-end smoke test (full run with obs
@@ -42,26 +39,19 @@ race:
 	$(GO) test -race ./...
 	GOMAXPROCS=2 $(GO) test -race -count=3 -run 'Jitter|Lanes|Leak|Lifecycle' ./internal/engine ./internal/experiment
 
-# check runs tier-1 under the adfcheck runtime sanitizer: the full test
-# suite with every //adf:invariant guard armed, campus-partition runs
-# included (check-sharded gates the region partition). Any NaN, escaped
-# position, drifted cluster statistic, DTH below the floor or clock
-# regression panics with file:line.
-check:
-	$(GO) test -tags adfcheck ./...
-
-# check-sharded is the region-partition determinism gate
-# (TestShardDigestGate): the pipeline's region partition runs the ADF
-# scenario at 1 (the sequential reference), 4 and NumCPU shard workers
-# in tick lockstep for 120 ticks with every adfcheck invariant armed,
-# and the per-tick state digests — node positions, broker beliefs,
-# shard membership, per-shard cluster statistics — must be bit-identical
-# across all worker counts. The race detector rides along so the same
-# run also proves the shard fan-out is data-race free. A second subtest
-# repeats the gate with node churn on, so the geometric churn timeline
-# is held to the same bit-identity bar.
+# check-sharded runs the region-partition determinism gate
+# (TestShardDigestGate, part of tier-1) under the race detector: the
+# pipeline's region partition runs the campaign pass at 1 (the
+# sequential reference), 4 and NumCPU shard workers in tick lockstep
+# for 120 ticks with the run oracle held at every tick, and the
+# per-tick state digests — node positions, broker beliefs, shard
+# membership, per-shard cluster statistics — must be bit-identical
+# across all worker counts. The race detector proves the same run's
+# shard fan-out data-race free. A second subtest repeats the gate with
+# node churn on, so the geometric churn timeline is held to the same
+# bit-identity bar.
 check-sharded:
-	$(GO) test -race -tags adfcheck -run TestShardDigestGate -count=1 ./internal/experiment
+	$(GO) test -race -run TestShardDigestGate -count=1 ./internal/experiment
 
 # check-obs-e2e is the cross-process tracing gate: a real rtiserver and
 # two adffed federates (sender and receiver) run over TCP with tracing

@@ -17,8 +17,8 @@ type RunMeta struct {
 	NumCPU    int    `json:"num_cpu"`
 	// GOMAXPROCS is the scheduler's processor limit at report time.
 	GOMAXPROCS int `json:"gomaxprocs"`
-	// BuildTags are the -tags the binary was built with (e.g. adfcheck),
-	// empty for a default build.
+	// BuildTags are the -tags the binary was built with, empty for a
+	// default build.
 	BuildTags string `json:"build_tags,omitempty"`
 	// ShardWorkers is the pipeline partition the run was configured with
 	// (0 = campus partition, N >= 1 = region partition on N workers).

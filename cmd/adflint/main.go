@@ -8,16 +8,14 @@
 // Usage:
 //
 //	adflint [-dir module-root] [-rules determinism,maporder,...]
-//	        [-tags adfcheck] [-json] [-sarif findings.sarif] [-list]
-//	        [-explain rule]
+//	        [-json] [-sarif findings.sarif] [-list] [-explain rule]
 //
 // -explain prints one rule's long-form documentation — semantics and
 // annotation grammar — and exits.
 //
-// -tags selects the build-tag set used for file selection; `make lint`
-// runs the module twice, bare and with -tags adfcheck, so both halves
-// of every sanitizer file pair are analyzed. -json emits newline-
-// delimited JSON, one object per finding, for editor and CI tooling.
+// Files are selected as the default `go build` selects them. -json
+// emits newline-delimited JSON, one object per finding, for editor and
+// CI tooling.
 // -sarif additionally writes a SARIF v2.1.0 report to the given path
 // (written even when the tree is clean, so CI's code-scanning upload
 // can resolve fixed findings); the exit status is unchanged.
@@ -42,7 +40,6 @@ import (
 func main() {
 	dir := flag.String("dir", ".", "directory inside the module to lint (the module root is found via go.mod)")
 	rules := flag.String("rules", "", "comma-separated subset of rules to run (default: all)")
-	tags := flag.String("tags", "", "comma-separated build tags satisfied during file selection (e.g. adfcheck)")
 	jsonOut := flag.Bool("json", false, "emit newline-delimited JSON diagnostics instead of text")
 	sarifPath := flag.String("sarif", "", "also write a SARIF v2.1.0 report to this path (written even when clean)")
 	list := flag.Bool("list", false, "list the available rules and exit")
@@ -62,7 +59,7 @@ func main() {
 		}
 		return
 	}
-	n, err := run(*dir, *rules, *tags, *jsonOut, *sarifPath, os.Stdout)
+	n, err := run(*dir, *rules, *jsonOut, *sarifPath, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adflint:", err)
 		os.Exit(2)
@@ -97,14 +94,8 @@ type jsonDiagnostic struct {
 // run lints the module containing dir, writing diagnostics (with paths
 // relative to the module root) to out, and returns how many there were.
 // When sarifPath is non-empty a SARIF report is also written there.
-func run(dir, rules, tags string, jsonOut bool, sarifPath string, out io.Writer) (int, error) {
-	var tagList []string
-	for _, t := range strings.Split(tags, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			tagList = append(tagList, t)
-		}
-	}
-	loader, err := lint.NewLoader(dir, tagList...)
+func run(dir, rules string, jsonOut bool, sarifPath string, out io.Writer) (int, error) {
+	loader, err := lint.NewLoader(dir)
 	if err != nil {
 		return 0, err
 	}

@@ -10,21 +10,6 @@ import (
 	"github.com/mobilegrid/adf/internal/lint"
 )
 
-// TestRealModuleIsClean runs the driver over this repository with the
-// adfcheck sanitizer files selected: the shipped tree must lint clean in
-// that tag mode too. The bare-tags pass is internal/lint's
-// TestModuleLintsClean, so each tag mode loads the module once per suite.
-func TestRealModuleIsClean(t *testing.T) {
-	var out strings.Builder
-	n, err := run(".", "", "adfcheck", false, "", &out)
-	if err != nil {
-		t.Fatalf("run(tags=adfcheck): %v", err)
-	}
-	if n != 0 {
-		t.Errorf("module has %d lint violations with tags=adfcheck:\n%s", n, out.String())
-	}
-}
-
 // TestViolationFailsTheRun checks the CI contract end to end: a scratch
 // module with a wall-clock read in internal/engine yields a diagnostic
 // with a module-relative path and a non-zero count.
@@ -39,7 +24,7 @@ import "time"
 func Now() int64 { return time.Now().UnixNano() }
 `)
 	var out strings.Builder
-	n, err := run(dir, "", "", false, "", &out)
+	n, err := run(dir, "", false, "", &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -66,7 +51,7 @@ import "time"
 func Now() int64 { return time.Now().UnixNano() }
 `)
 	var out strings.Builder
-	n, err := run(dir, "", "", true, "", &out)
+	n, err := run(dir, "", true, "", &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -92,43 +77,6 @@ func Now() int64 { return time.Now().UnixNano() }
 	}
 }
 
-// TestTagSelection: a violation inside an adfcheck-gated file is
-// invisible to the bare pass and caught by the tagged pass.
-func TestTagSelection(t *testing.T) {
-	dir := t.TempDir()
-	mustWrite(t, filepath.Join(dir, "go.mod"), "module github.com/mobilegrid/adf\n\ngo 1.24\n")
-	mustWrite(t, filepath.Join(dir, "internal", "engine", "engine.go"), `package engine
-
-// Tick is the neutral half.
-func Tick() {}
-`)
-	mustWrite(t, filepath.Join(dir, "internal", "engine", "check_on.go"), `//go:build adfcheck
-
-package engine
-
-import "time"
-
-// now leaks the wall clock, but only into the sanitizer build.
-func now() int64 { return time.Now().UnixNano() }
-`)
-	var out strings.Builder
-	n, err := run(dir, "determinism", "", false, "", &out)
-	if err != nil {
-		t.Fatalf("bare run: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("bare pass saw the tagged file:\n%s", out.String())
-	}
-	out.Reset()
-	n, err = run(dir, "determinism", "adfcheck", false, "", &out)
-	if err != nil {
-		t.Fatalf("tagged run: %v", err)
-	}
-	if n != 1 {
-		t.Errorf("tagged pass found %d violations, want 1:\n%s", n, out.String())
-	}
-}
-
 // TestRuleSelection runs only the exhaustive rule over a module that
 // violates determinism: nothing may be reported.
 func TestRuleSelection(t *testing.T) {
@@ -142,14 +90,14 @@ import "time"
 func Now() int64 { return time.Now().UnixNano() }
 `)
 	var out strings.Builder
-	n, err := run(dir, "exhaustive", "", false, "", &out)
+	n, err := run(dir, "exhaustive", false, "", &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if n != 0 {
 		t.Errorf("exhaustive-only run reported %d violations:\n%s", n, out.String())
 	}
-	if _, err := run(dir, "nosuchrule", "", false, "", &out); err == nil {
+	if _, err := run(dir, "nosuchrule", false, "", &out); err == nil {
 		t.Error("unknown rule name did not error")
 	} else if !strings.Contains(err.Error(), "nosuchrule") {
 		t.Errorf("unknown-rule error %q does not name the rule", err)
@@ -172,7 +120,7 @@ func Now() int64 { return time.Now().UnixNano() }
 `)
 	sarifPath := filepath.Join(t.TempDir(), "findings.sarif")
 	var out strings.Builder
-	n, err := run(dir, "", "", false, sarifPath, &out)
+	n, err := run(dir, "", false, sarifPath, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -232,7 +180,7 @@ func Tick() {}
 `)
 	sarifPath := filepath.Join(t.TempDir(), "clean.sarif")
 	var out strings.Builder
-	n, err := run(dir, "", "", false, sarifPath, &out)
+	n, err := run(dir, "", false, sarifPath, &out)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

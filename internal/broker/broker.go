@@ -124,7 +124,6 @@ func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 		r.est.Observe(t, p)
 	}
 	r.believed = Entry{Node: node, Pos: p, Time: t, Estimated: false}
-	b.checkBelief(r)
 }
 
 // miss refreshes a known node's belief from the estimator and reports
@@ -141,7 +140,6 @@ func (b *Broker) miss(r *record, node int, t float64) bool {
 		}
 	}
 	r.believed = Entry{Node: node, Pos: pos, Time: t, Estimated: estimated}
-	b.checkBelief(r)
 	return estimated
 }
 

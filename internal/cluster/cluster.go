@@ -184,7 +184,6 @@ func (c *Cluster) add(id NodeID, f Feature) {
 	c.sinSum += s.sin
 	c.membersDirty = true
 	c.refresh()
-	c.checkStats()
 }
 
 // remove unlinks a current member. The caller (the manager, via its
@@ -208,7 +207,6 @@ func (c *Cluster) remove(id NodeID) {
 	}
 	c.membersDirty = true
 	c.refresh()
-	c.checkStats()
 }
 
 // reset returns a retired cluster to its empty state so the manager can
@@ -548,6 +546,41 @@ func (m *Manager) Clusters() []*Cluster {
 		m.orderedDirty = false
 	}
 	return m.ordered
+}
+
+// sumsTol bounds how far a running sum may sit from its recompute. The
+// recompute visits members in list order while the running sums
+// followed assignment history, so the two round differently; anything
+// beyond ~1e-6 relative error is drift, not rounding.
+const sumsTol = 1e-6
+
+// CheckSums is the reference for the O(1) statistics: it recomputes
+// every cluster's speed, heading-cosine and heading-sine sums from its
+// members and returns an error naming the first cluster whose running
+// sum differs from the recompute beyond sumsTol (geo.NearEq), or whose
+// cached mean is not finite. Clusters are visited in ID order.
+func (m *Manager) CheckSums() error {
+	for _, c := range m.Clusters() {
+		var speed, cos, sin float64
+		for id := c.head; id != noMember; id = m.members.Ptr(int(id)).next {
+			f := m.members.Ptr(int(id)).f
+			speed += f.Speed
+			cos += math.Cos(f.Heading)
+			sin += math.Sin(f.Heading)
+		}
+		for _, s := range [...]struct {
+			name      string
+			run, want float64
+		}{{"speed", c.speedSum, speed}, {"heading cosine", c.cosSum, cos}, {"heading sine", c.sinSum, sin}} {
+			if !geo.NearEq(s.run, s.want, sumsTol) {
+				return fmt.Errorf("cluster %d: running %s sum %v, recomputed %v", c.id, s.name, s.run, s.want)
+			}
+		}
+		if math.IsNaN(c.meanSpeed) || math.IsInf(c.meanSpeed, 0) || math.IsNaN(c.meanHeading) {
+			return fmt.Errorf("cluster %d: non-finite mean speed %v or heading %v", c.id, c.meanSpeed, c.meanHeading)
+		}
+	}
+	return nil
 }
 
 // RebuildOrdered discards the current clustering and re-runs the

@@ -23,7 +23,7 @@ type StateDigester interface {
 // concurrent pipeline it first waits until the lane stages have
 // finished every published tick, so it digests the state Tick left.
 func (p *Pipeline) StateDigest() uint64 {
-	p.settle()
+	p.Settle()
 	d := sanitize.NewDigest()
 	for _, n := range p.Nodes {
 		d.WriteInt(n.ID())

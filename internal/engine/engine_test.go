@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -259,5 +261,33 @@ func TestRunTicksAtTickTimes(t *testing.T) {
 		if now != TickTime(0.1, k+1) {
 			t.Errorf("tick %d at %v, want %v", k+1, now, TickTime(0.1, k+1))
 		}
+	}
+}
+
+// TestTickRejectsClockRegression: the monotone-clock invariant is Tick's
+// input validation. A time earlier than the previous tick's, or one that
+// is not finite, returns ErrClock and leaves the pipeline where it was;
+// an equal time is legal.
+func TestTickRejectsClockRegression(t *testing.T) {
+	p := newTestPipeline(t, 0, nil, nil)
+	if err := p.Tick(math.NaN()); !errors.Is(err, ErrClock) {
+		t.Fatalf("first Tick(NaN) = %v, want ErrClock", err)
+	}
+	for _, now := range []float64{5, 5} {
+		if err := p.Tick(now); err != nil {
+			t.Fatalf("Tick(%v): %v", now, err)
+		}
+	}
+	before := p.StateDigest()
+	for _, now := range []float64{4, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := p.Tick(now); !errors.Is(err, ErrClock) {
+			t.Errorf("Tick(%v) after 5 = %v, want ErrClock", now, err)
+		}
+	}
+	if p.tick != 2 || p.StateDigest() != before {
+		t.Errorf("rejected ticks moved the pipeline: %d rounds, digest changed %v", p.tick, p.StateDigest() != before)
+	}
+	if err := p.Tick(6); err != nil {
+		t.Errorf("Tick(6) after the rejections: %v", err)
 	}
 }

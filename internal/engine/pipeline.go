@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -105,7 +107,6 @@ type Pipeline struct {
 	// jobs is the world stage's job list: every shard index.
 	jobs []int
 	pool *shardPool
-	san  sanitizerState
 	// ring is the tick-frame ring, allocated at build.
 	ring *ring
 	// stages holds the lane stages, in lane order; lanesRunning is set
@@ -113,7 +114,8 @@ type Pipeline struct {
 	stages       []laneStage
 	lanesRunning bool
 
-	// now is the tick being computed.
+	// now is the tick being computed, and after Tick returns the last
+	// tick computed.
 	now   float64
 	obsOn bool
 	tid   uint32
@@ -425,6 +427,12 @@ func (p *Pipeline) Close() {
 	}
 }
 
+// ErrClock classifies a Tick whose time is not finite or is earlier
+// than the previous tick's: virtual time only moves forward (equal
+// times are legal). It is the monotone-clock invariant, checked once
+// per tick as input validation.
+var ErrClock = errors.New("engine: monotone-clock")
+
 // Tick processes one sampling round. The world stage runs the shard
 // jobs — inline, or on the shard pool in the region partition — folds
 // the shards' observability batches in shard order and hands the tick's
@@ -433,17 +441,21 @@ func (p *Pipeline) Close() {
 // stage's boundaries are published as trace spans, each lane's tallies
 // are flushed into the global registry and every lane stage adds its
 // estimator refreshes. The first Tick builds the shards and returns a
-// wiring error the build finds.
+// wiring error the build finds. A time that is not finite or is earlier
+// than the previous tick's is rejected with ErrClock, before any stage
+// runs.
 func (p *Pipeline) Tick(now float64) error {
 	if !p.built {
 		if err := p.build(); err != nil {
 			return err
 		}
 	}
+	if math.IsNaN(now) || math.IsInf(now, 0) || (p.tick > 0 && now < p.now) {
+		return fmt.Errorf("%w: tick at %v after %v", ErrClock, now, p.now)
+	}
 	p.startLanes()
 	p.obsOn = obs.Enabled()
 	t0 := obs.StageStart()
-	p.san.checkClock(p.Nodes, now)
 	p.tick++
 	p.now = now
 	f := p.ring.acquire()
@@ -496,7 +508,6 @@ func (p *Pipeline) runShard(sh *shardCtx) {
 	out := sh.out
 	for k, i := range sh.members {
 		out.pos[k] = p.Nodes[i].Advance(p.SamplePeriod)
-		p.san.checkSample(out.pos[k], p.now)
 	}
 	sh.advancedNS = obs.StageClock(sh.startNS)
 	out.departed = out.departed[:0]

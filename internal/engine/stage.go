@@ -205,9 +205,10 @@ func (p *Pipeline) startLanes() {
 	}
 }
 
-// settle waits until the lane stages have finished every published
-// frame; their goroutines keep running.
-func (p *Pipeline) settle() {
+// Settle waits until the lane stages have finished every published
+// tick; their goroutines keep running. After Settle, and until the next
+// Tick, the lanes' brokers and observers may be read.
+func (p *Pipeline) Settle() {
 	if p.lanesRunning {
 		p.ring.drain()
 	}

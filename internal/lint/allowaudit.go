@@ -28,9 +28,7 @@ import (
 // Staleness is only judged for rules that ran: `-rules allowaudit`
 // still executes the full analyzer set for fact generation, so the
 // audit never calls a suppression stale merely because its rule was
-// deselected. A suppression that is deliberately dormant in one build-
-// tag pass (it fires only under -tags adfcheck, say) can carry
-// allowaudit in its own rule list — with a reason — to opt out.
+// deselected.
 //
 // AllowAudit has no Run/RunModule hook: it needs the post-filter usage
 // bits of every other analyzer, so lint.Run invokes auditAllows after
@@ -46,9 +44,7 @@ Suppression grammar (own line above, or trailing on the line):
 Flagged: an //adf:allow whose named rule produced no diagnostic (and
 consumed no walk-pruning exemption) in its covered span — a stale
 suppression hiding nothing — an //adf:allow that names no known rule,
-and any //adf:allow without a free-text reason after the rule list. A
-deliberately dormant suppression (one that only fires under another
-build-tag pass) is kept alive with //adf:allow allowaudit — reason.`,
+and any //adf:allow without a free-text reason after the rule list.`,
 }
 
 // auditAllows reports the stale, unknown-rule and reason-less entries of
@@ -70,17 +66,12 @@ func auditAllows(fset *token.FileSet, allows *allowSet, ran map[string]bool) []D
 		}
 		var stale []string
 		for _, r := range e.rules {
-			if r == AllowAudit.Name {
-				// Listing allowaudit is the opt-out for deliberately
-				// dormant suppressions, never a staleness subject.
-				continue
-			}
 			if ran[r] && !e.used[r] {
 				stale = append(stale, r)
 			}
 		}
 		if len(stale) > 0 {
-			report(e.pos, "stale //adf:allow %s: no %s diagnostic on the covered lines — delete the suppression, or carry allowaudit in its rule list if it only fires under another tag set",
+			report(e.pos, "stale //adf:allow %s: no %s diagnostic on the covered lines — delete the suppression",
 				strings.Join(stale, " "), strings.Join(stale, "/"))
 		}
 		if !e.hasReason {

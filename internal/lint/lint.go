@@ -1,8 +1,8 @@
 // Package lint is a small static-analysis framework, built only on the
 // standard library's go/ast, go/parser, go/types and go/token, that
 // enforces the repository's simulation invariants at compile time:
-// determinism, shard isolation, the zero-allocation hot path, sanitizer
-// annotations, lock and goroutine discipline, and more. Each check has
+// determinism, shard isolation, the zero-allocation hot path, lock and
+// goroutine discipline, and more. Each check has
 // exactly one owning rule. All() lists the rules; `adflint -list` prints
 // their one-line summaries and `adflint -explain <rule>` the semantics
 // and annotation grammar of one.
@@ -205,7 +205,7 @@ type Config struct {
 
 // All returns the full analyzer set in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, HotPath, Exhaustive, FloatCmp, Invariant, ShardSafe, StreamOwner, GuardedBy, LockOrder, GoroLeak, ObsGate, AllowAudit}
+	return []*Analyzer{Determinism, MapOrder, HotPath, Exhaustive, FloatCmp, ShardSafe, StreamOwner, GuardedBy, LockOrder, GoroLeak, ObsGate, AllowAudit}
 }
 
 // isSimPackage reports whether an import path names (or is nested under)
@@ -313,20 +313,16 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 	}
 	if auditing {
 		// The audit runs after the filter so every suppression's usage
-		// bits are final. Its own findings go through the same filter: an
-		// //adf:allow allowaudit (with a reason) keeps a deliberately
-		// dormant suppression, e.g. one that only fires under another
-		// build-tag pass.
+		// bits are final.
 		ran := make(map[string]bool, len(analyzers))
 		for _, a := range analyzers {
 			ran[a.Name] = true
 		}
 		for _, d := range auditAllows(pkgs[0].Fset, allows, ran) {
-			if allows.allowed(d) || seen[d] {
-				continue
+			if !seen[d] {
+				seen[d] = true
+				diags = append(diags, d)
 			}
-			seen[d] = true
-			diags = append(diags, d)
 		}
 	}
 	if len(requested) < len(analyzers) {
@@ -476,7 +472,7 @@ func (s *allowSet) allowedAt(file string, line int, rule string) bool {
 // a loop over All() because the analyzers' Run functions reference the
 // allow machinery, which references this — going through All() would be
 // an initialization cycle. TestRuleNamesMatchAll keeps the two in sync.
-var ruleNames = []string{"determinism", "maporder", "hotpath", "exhaustive", "floatcmp", "invariant", "shardsafe", "streamowner", "guardedby", "lockorder", "goroleak", "obsgate", "allowaudit"}
+var ruleNames = []string{"determinism", "maporder", "hotpath", "exhaustive", "floatcmp", "shardsafe", "streamowner", "guardedby", "lockorder", "goroleak", "obsgate", "allowaudit"}
 
 func isRuleName(s string) bool {
 	for _, n := range ruleNames {

@@ -43,13 +43,6 @@ type Loader struct {
 	ModuleDir string
 	// Fset is shared across all packages loaded by this Loader.
 	Fset *token.FileSet
-	// Tags are the build tags considered satisfied when evaluating each
-	// file's //go:build constraint. The default (empty) set matches the
-	// default `go build`: files gated on a custom tag such as adfcheck
-	// are excluded, files gated on its negation are included. make lint
-	// runs the module twice — once bare, once with the adfcheck tag — so
-	// both halves of every sanitizer file pair are analyzed.
-	Tags map[string]bool
 
 	std     types.Importer
 	pkgs    map[string]*Package
@@ -57,9 +50,8 @@ type Loader struct {
 }
 
 // NewLoader returns a loader rooted at the module directory containing
-// dir (dir itself or an ancestor must hold go.mod). Any tags are treated
-// as satisfied build tags when files are selected.
-func NewLoader(dir string, tags ...string) (*Loader, error) {
+// dir (dir itself or an ancestor must hold go.mod).
+func NewLoader(dir string) (*Loader, error) {
 	root, err := findModuleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -85,15 +77,10 @@ func NewLoader(dir string, tags ...string) (*Loader, error) {
 		build.Default.GOROOT = strings.TrimSpace(string(out))
 	}
 	fset := token.NewFileSet()
-	tagSet := make(map[string]bool, len(tags))
-	for _, t := range tags {
-		tagSet[t] = true
-	}
 	return &Loader{
 		ModulePath: modPath,
 		ModuleDir:  root,
 		Fset:       fset,
-		Tags:       tagSet,
 		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
@@ -266,16 +253,15 @@ func fileConstraint(f *ast.File) constraint.Expr {
 }
 
 // fileExcluded reports whether a file's //go:build constraint rules it
-// out under the loader's tag set. Unknown tags evaluate false, which
-// matches `go build`: a bare "//go:build ignore" helper or an
-// "//go:build adfcheck" sanitizer file is excluded unless the tag was
-// passed, while "//go:build !adfcheck" stubs are included by default.
+// out under the default tag set, in which every tag evaluates false: a
+// "//go:build ignore" helper is excluded, a file gated on a negated tag
+// included.
 func (l *Loader) fileExcluded(f *ast.File) bool {
 	expr := fileConstraint(f)
 	if expr == nil {
 		return false
 	}
-	return !expr.Eval(func(tag string) bool { return l.Tags[tag] })
+	return !expr.Eval(func(string) bool { return false })
 }
 
 // LoadDir loads the single package in dir under a synthetic import path.

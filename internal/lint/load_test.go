@@ -72,49 +72,36 @@ func TestParseErrorPackage(t *testing.T) {
 	}
 }
 
-// TestLoaderTagSelection pins the //go:build evaluation: by default the
-// adfcheck half of a file pair and //go:build ignore helpers are
-// excluded and the !adfcheck half is included; with the tag passed the
-// selection flips.
+// TestLoaderTagSelection pins the //go:build evaluation under the default
+// tag set: a file gated on a tag and a //go:build ignore helper are
+// excluded, a file gated on a negated tag is included.
 func TestLoaderTagSelection(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module github.com/mobilegrid/adf\n\ngo 1.24\n")
 	pkgDir := filepath.Join(dir, "internal", "engine")
 	writeFile(t, filepath.Join(pkgDir, "engine.go"), "package engine\n\nfunc Neutral() {}\n")
-	writeFile(t, filepath.Join(pkgDir, "check_on.go"), "//go:build adfcheck\n\npackage engine\n\nfunc Tagged() {}\n")
-	writeFile(t, filepath.Join(pkgDir, "check_off.go"), "//go:build !adfcheck\n\npackage engine\n\nfunc Untagged() {}\n")
+	writeFile(t, filepath.Join(pkgDir, "tagged.go"), "//go:build sometag\n\npackage engine\n\nfunc Tagged() {}\n")
+	writeFile(t, filepath.Join(pkgDir, "untagged.go"), "//go:build !sometag\n\npackage engine\n\nfunc Untagged() {}\n")
 	writeFile(t, filepath.Join(pkgDir, "gen.go"), "//go:build ignore\n\npackage main\n\nfunc main() {}\n")
 
-	load := func(tags ...string) map[string]bool {
-		t.Helper()
-		loader, err := NewLoader(dir, tags...)
-		if err != nil {
-			t.Fatalf("NewLoader(%v): %v", tags, err)
-		}
-		pkgs, err := loader.LoadModule()
-		if err != nil {
-			t.Fatalf("LoadModule(%v): %v", tags, err)
-		}
-		if len(pkgs) != 1 {
-			t.Fatalf("LoadModule(%v) found %d packages, want 1", tags, len(pkgs))
-		}
-		names := make(map[string]bool)
-		for _, f := range pkgs[0].Files {
-			names[filepath.Base(pkgs[0].Fset.Position(f.Pos()).Filename)] = true
-		}
-		return names
+	loader, err := NewLoader(dir)
+	if err != nil {
+		t.Fatalf("NewLoader: %v", err)
 	}
-
-	bare := load()
-	for name, want := range map[string]bool{"engine.go": true, "check_off.go": true, "check_on.go": false, "gen.go": false} {
-		if bare[name] != want {
-			t.Errorf("bare pass included %s = %v, want %v", name, bare[name], want)
-		}
+	pkgs, err := loader.LoadModule()
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
 	}
-	tagged := load("adfcheck")
-	for name, want := range map[string]bool{"engine.go": true, "check_on.go": true, "check_off.go": false, "gen.go": false} {
-		if tagged[name] != want {
-			t.Errorf("adfcheck pass included %s = %v, want %v", name, tagged[name], want)
+	if len(pkgs) != 1 {
+		t.Fatalf("LoadModule found %d packages, want 1", len(pkgs))
+	}
+	got := make(map[string]bool)
+	for _, f := range pkgs[0].Files {
+		got[filepath.Base(pkgs[0].Fset.Position(f.Pos()).Filename)] = true
+	}
+	for name, want := range map[string]bool{"engine.go": true, "untagged.go": true, "tagged.go": false, "gen.go": false} {
+		if got[name] != want {
+			t.Errorf("included %s = %v, want %v", name, got[name], want)
 		}
 	}
 }

@@ -24,14 +24,6 @@ func Stale() int64 {
 	return 42
 }
 
-// Dormant shows the opt-out: the suppression fires only under another
-// build-tag pass, so it carries allowaudit in its own rule list and the
-// audit leaves it alone.
-func Dormant() int64 {
-	//adf:allow determinism allowaudit — fixture: fires only under -tags adfcheck
-	return 43
-}
-
 // Misspelled names a rule that does not exist: the allow suppresses
 // nothing, so the clock read is still flagged, and the audit reports
 // the allow instead of leaving a dead comment behind.

@@ -71,7 +71,7 @@ func Drop(m map[int]bool) {
 
 // Justified carries the escape hatch: not flagged.
 func Justified(m map[int]int, sink func(int)) {
-	//adf:allow maporder allowaudit — fixture: the sink is order-insensitive; allowaudit opt-out because the non-sim load keeps maporder quiet
+	//adf:allow maporder — fixture: the sink is order-insensitive
 	for _, v := range m {
 		sink(v)
 	}

@@ -3,11 +3,9 @@
 // lightweight per-stage span recorder exportable as Chrome trace_event
 // JSON, and an NDJSON structured event log — all stdlib-only.
 //
-// The layer follows the zero-cost discipline established by
-// internal/sanitize, with one difference: where the sanitizer picks its
-// face at build time (-tags adfcheck), obs is gated at run time behind a
-// single atomic enable flag so binaries can switch it on with a flag
-// (`adfsim -obs-addr`, `adfbench -trace`) without a rebuild.
+// The layer costs nothing while it is off. It is gated at run time
+// behind a single atomic enable flag, so binaries switch it on with a
+// flag (`adfsim -obs-addr`, `adfbench -trace`) without a rebuild.
 //
 //   - Disabled (the default), every instrument's record method is a load
 //     of one atomic bool and a branch; the engine's hot path additionally

@@ -1,25 +1,8 @@
-// Package sanitize is the repository's runtime invariant sanitizer. It
-// has two faces selected by the adfcheck build tag:
-//
-//   - Built normally, every Check* function is an empty stub the compiler
-//     inlines away, and Enabled is false. The default build carries zero
-//     sanitizer overhead — TestZeroAllocTick and the BENCH_hotpath.json
-//     baselines are unaffected.
-//   - Built with -tags adfcheck (`make check`, the sanitize CI job), the
-//     Check* functions verify the invariant they are named after and
-//     panic with the calling file:line on the first violation, so a
-//     corrupted simulation fails at the moment of corruption instead of
-//     skewing every downstream RMSE and traffic figure.
-//
-// Call sites are annotated //adf:invariant <name> — <why>; the lint
-// rule of the same name keeps the annotations and the checks in sync and
-// verifies that sanitizer-only code never leaks into untagged builds.
-//
-// The Digest type is tag-independent: it is the FNV-1a checksum of
-// simulation state (node positions, broker beliefs, cluster statistics)
-// that the engine exposes through Pipeline.StateDigest, used to assert
-// that runs at different shard worker counts stay bit-for-bit identical
-// tick by tick.
+// Package sanitize holds Digest, the FNV-1a checksum of simulation
+// state (node positions, broker beliefs, cluster statistics) that the
+// engine exposes through Pipeline.StateDigest, used to assert that runs
+// at different worker counts stay bit-for-bit identical tick by tick.
+// The invariants over that state are the run oracle's (internal/oracle).
 package sanitize
 
 import "math"
