@@ -26,6 +26,9 @@ func TestConfigValidate(t *testing.T) {
 	}{
 		{"default", func(*Config) {}, false},
 		{"zero factor", func(c *Config) { c.DTHFactor = 0 }, true},
+		{"NaN factor", func(c *Config) { c.DTHFactor = math.NaN() }, true},
+		{"largest factor", func(c *Config) { c.DTHFactor = MaxDTHFactor }, false},
+		{"factor past the bound", func(c *Config) { c.DTHFactor = 1e308 }, true},
 		{"zero period", func(c *Config) { c.SamplePeriod = 0 }, true},
 		{"negative min dth", func(c *Config) { c.MinDTH = -1 }, true},
 		{"negative recluster", func(c *Config) { c.ReclusterInterval = -1 }, true},

@@ -11,10 +11,11 @@ import (
 
 // SetDTHFactor changes the ADF's threshold scaling at run time. The new
 // factor applies from the next Offer; per-node state and clustering are
-// unaffected. It returns an error for non-positive factors.
+// unaffected. It returns an error for a factor outside (0,
+// MaxDTHFactor].
 func (a *ADF) SetDTHFactor(factor float64) error {
-	if factor <= 0 {
-		return fmt.Errorf("core: DTHFactor must be positive, got %v", factor)
+	if err := validFactor(factor); err != nil {
+		return err
 	}
 	a.cfg.DTHFactor = factor
 	return nil
@@ -30,7 +31,8 @@ type ControllerConfig struct {
 	// multiplies the factor by (rate/target)^Gain. Values well below 1
 	// keep the loop stable on the strongly non-linear filtering plant.
 	Gain float64
-	// MinFactor and MaxFactor clamp the controlled DTH factor.
+	// MinFactor and MaxFactor clamp the controlled DTH factor; MaxFactor
+	// is at most MaxDTHFactor.
 	MinFactor, MaxFactor float64
 }
 
@@ -58,7 +60,7 @@ func (c ControllerConfig) Validate() error {
 	if c.Gain <= 0 {
 		return fmt.Errorf("core: Gain must be positive, got %v", c.Gain)
 	}
-	if c.MinFactor <= 0 || c.MaxFactor < c.MinFactor {
+	if c.MinFactor <= 0 || c.MaxFactor < c.MinFactor || c.MaxFactor > MaxDTHFactor {
 		return fmt.Errorf("core: invalid factor range [%v, %v]", c.MinFactor, c.MaxFactor)
 	}
 	return nil

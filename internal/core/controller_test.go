@@ -17,6 +17,9 @@ func TestSetDTHFactor(t *testing.T) {
 	if err := a.SetDTHFactor(-1); err == nil {
 		t.Error("negative factor accepted")
 	}
+	if err := a.SetDTHFactor(2 * MaxDTHFactor); err == nil {
+		t.Error("factor past MaxDTHFactor accepted")
+	}
 	if err := a.SetDTHFactor(2.5); err != nil {
 		t.Fatal(err)
 	}
@@ -38,6 +41,7 @@ func TestControllerConfigValidate(t *testing.T) {
 		{"zero gain", func(c *ControllerConfig) { c.Gain = 0 }},
 		{"zero min factor", func(c *ControllerConfig) { c.MinFactor = 0 }},
 		{"inverted range", func(c *ControllerConfig) { c.MaxFactor = 0.05 }},
+		{"max factor past the bound", func(c *ControllerConfig) { c.MaxFactor = 2 * MaxDTHFactor }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/mobilegrid/adf/internal/campus"
+	"github.com/mobilegrid/adf/internal/core"
 )
 
 // shortConfig keeps integration tests fast: a few hundred simulated
@@ -30,6 +31,8 @@ func TestConfigValidate(t *testing.T) {
 		{"drop = 1", func(c *Config) { c.DropProb = 1 }, true},
 		{"no factors", func(c *Config) { c.DTHFactors = nil }, true},
 		{"negative factor", func(c *Config) { c.DTHFactors = []float64{-1} }, true},
+		{"largest factor", func(c *Config) { c.DTHFactors = []float64{core.MaxDTHFactor} }, false},
+		{"factor past the bound", func(c *Config) { c.DTHFactors = []float64{1, 1e308} }, true},
 		{"bad smoothing", func(c *Config) { c.Smoothing = 1.5 }, true},
 		{"unknown estimator", func(c *Config) { c.Estimator = "kalman" }, true},
 		{"empty estimator ok", func(c *Config) { c.Estimator = "" }, false},
