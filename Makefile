@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race check-sharded check-obs-e2e bench-smoke bench-regress ci bench bench-obs profile
+.PHONY: build test vet lint race check-sharded check-obs-e2e bench-smoke bench-regress bench-harness ci bench bench-obs profile
 
 build:
 	$(GO) build ./...
@@ -102,10 +102,19 @@ bench-smoke:
 bench-regress:
 	$(GO) run ./cmd/adfbench -regress
 
+# bench-harness vets and tests the repository benchmark under
+# benchmark/, a module of its own that compiles against the internal
+# packages (node.Population, the sim streams, the brokers' and the
+# ADF's Preallocate, experiment.Config): the module's own build and
+# tests never compile it, so an API change that breaks the benchmark
+# fails here instead of at its next run.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test -count=1 ./...
+
 # ci builds with -trimpath so artifacts are reproducible regardless of
 # the checkout location.
 ci: export GOFLAGS += -trimpath
-ci: build vet lint test race check-obs-e2e check-sharded bench-smoke bench-regress
+ci: build vet lint test race check-obs-e2e check-sharded bench-smoke bench-regress bench-harness
 
 # Run the hot-path microbenchmarks (cluster assignment, geometry,
 # mobility, the gap-aware LE, tick loop) and regenerate

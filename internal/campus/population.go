@@ -115,7 +115,8 @@ func Table1Population(c *Campus) []NodeSpec {
 // (region, pattern, type) group: 28 groups, so 28×perGroup nodes in
 // total. perGroup below 1 yields an empty population.
 func PopulationN(c *Campus, perGroup int) []NodeSpec {
-	var specs []NodeSpec
+	roads, buildings := c.Roads(), c.Buildings()
+	specs := make([]NodeSpec, 0, max(perGroup, 0)*(2*len(roads)+3*len(buildings)))
 	id := 0
 	next := func(region RegionID, m Mobility, t NodeType, minV, maxV float64) {
 		for i := 0; i < perGroup; i++ {
@@ -130,11 +131,11 @@ func PopulationN(c *Campus, perGroup int) []NodeSpec {
 			id++
 		}
 	}
-	for _, r := range c.Roads() {
+	for _, r := range roads {
 		next(r.ID, Linear, Human, RoadHumanMinSpeed, RoadHumanMaxSpeed)
 		next(r.ID, Linear, Vehicle, RoadVehicleMinSpeed, RoadVehicleMaxSpeed)
 	}
-	for _, b := range c.Buildings() {
+	for _, b := range buildings {
 		next(b.ID, Stop, Human, 0, 0)
 		next(b.ID, Random, Human, BuildingRMSMinSpeed, BuildingRMSMaxSpeed)
 		next(b.ID, Linear, Human, BuildingLMSMinSpeed, BuildingLMSMaxSpeed)

@@ -171,7 +171,7 @@ func (c *Cluster) refresh() {
 func (c *Cluster) add(id NodeID, f Feature) {
 	s := c.mgr.slotFor(id)
 	s.f = f
-	s.cos, s.sin = math.Cos(f.Heading), math.Sin(f.Heading)
+	s.sin, s.cos = math.Sincos(f.Heading)
 	s.prev = noMember
 	s.next = c.head
 	if c.head != noMember {
@@ -565,8 +565,9 @@ func (m *Manager) CheckSums() error {
 		for id := c.head; id != noMember; id = m.members.Ptr(int(id)).next {
 			f := m.members.Ptr(int(id)).f
 			speed += f.Speed
-			cos += math.Cos(f.Heading)
-			sin += math.Sin(f.Heading)
+			fs, fc := math.Sincos(f.Heading)
+			cos += fc
+			sin += fs
 		}
 		for _, s := range [...]struct {
 			name      string

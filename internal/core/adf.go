@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/mobilegrid/adf/internal/cluster"
@@ -151,6 +152,10 @@ type front struct {
 	// grows with the nodes this front has seen, not with the ID span.
 	index dense.Index
 	nodes []nodeState
+	// rings is the unclaimed rest of the classifier rings' backing
+	// array, which PreallocateMembers sizes with the slot store: each
+	// birth carves its node's WindowSize-1 steps from the front.
+	rings []step
 	// live counts the slots of nodes not forgotten.
 	live     int
 	clusters *cluster.Manager
@@ -253,7 +258,9 @@ func (a *ADF) Offer(lu filter.LU) filter.Decision {
 func (a *ADF) view(slot int, gen uint32) *viewState {
 	for slot >= len(a.views) {
 		//adf:allow hotpath — first sight of a node by this view:
-		// amortised growth of the view store, never a steady tick.
+		// within the preallocated members it stays in capacity, past
+		// them it is amortised growth of the view store; never a
+		// steady tick.
 		a.views = append(a.views, viewState{})
 	}
 	v := &a.views[slot]
@@ -295,9 +302,10 @@ func (f *front) update(lu filter.LU) (int, *nodeState) {
 func (f *front) state(node int) int {
 	slot, ok := f.index.Get(node)
 	if !ok {
-		//adf:allow hotpath — first sight of a node: one classifier ring
-		// plus amortised growth of the slot store; every later tick,
-		// rejoins included, takes the index lookup above.
+		//adf:allow hotpath — first sight of a node: within the
+		// preallocated members a birth allocates nothing, past them it
+		// grows the slot store and allocates one ring; every later
+		// tick, rejoins included, takes the index lookup above.
 		slot = f.birth(node)
 	}
 	if st := &f.nodes[slot]; !st.live {
@@ -313,8 +321,23 @@ func (f *front) birth(node int) int {
 	slot := len(f.nodes)
 	f.index.Put(node, slot)
 	f.nodes = append(f.nodes, nodeState{})
-	f.nodes[slot].cls.init(&f.cfg.Classifier)
+	w := f.cfg.Classifier.WindowSize - 1
+	if len(f.rings) < w {
+		f.rings = make([]step, w)
+	}
+	f.nodes[slot].cls.init(&f.cfg.Classifier, f.rings[:w:w])
+	f.rings = f.rings[w:]
 	return slot
+}
+
+// reserve sizes the slot store and the rings' backing array for n
+// nodes, so the births up to n allocate nothing.
+func (f *front) reserve(n int) {
+	if n <= cap(f.nodes) {
+		return
+	}
+	f.nodes = slices.Grow(f.nodes, n-len(f.nodes))
+	f.rings = make([]step, (n-len(f.nodes))*(f.cfg.Classifier.WindowSize-1))
 }
 
 // maintainClustering updates the node's pattern and membership, and runs
@@ -419,13 +442,24 @@ func (a *ADF) threshold(mean float64) float64 {
 	return dth
 }
 
-// Preallocate implements filter.Preallocator: it sizes the front's node
-// index and the clustering's per-node stores for IDs in [0, n). The
-// node slots themselves grow with the nodes actually offered.
-func (a *ADF) Preallocate(n int) {
-	a.f.index.Grow(n)
-	a.f.clusters.Preallocate(n)
+// PreallocateMembers implements filter.Preallocator: it sizes the
+// front's node index and the clustering's per-node stores for IDs in
+// [0, span), and the front's slot store, its classifier rings and this
+// view's state for members nodes, so the births of the first members
+// nodes allocate nothing. Every view of a front may call it; the
+// front's stores are sized once.
+func (a *ADF) PreallocateMembers(span, members int) {
+	a.f.index.Grow(span)
+	a.f.clusters.Preallocate(span)
+	a.f.reserve(members)
+	if members > cap(a.views) {
+		a.views = slices.Grow(a.views, members-len(a.views))
+	}
 }
+
+// Preallocate sizes the ADF for n nodes with IDs in [0, n):
+// PreallocateMembers(n, n).
+func (a *ADF) Preallocate(n int) { a.PreallocateMembers(n, n) }
 
 // Forget implements filter.Filter: the front resets the node's slot in
 // place, to be revived if the node rejoins, and every view drops its

@@ -488,18 +488,23 @@ func TestADFReclusterOrderIgnoresIDWindow(t *testing.T) {
 }
 
 // TestADFBirthAllocs pins the cost of a node's first Offer: after
-// Preallocate, a birth allocates at most one object (its classifier
-// window) beyond the amortised growth of the node store.
+// Preallocate has sized the slot store, the classifier rings and the
+// view's state, a birth allocates nothing — through the filter New
+// built and through a factor view of its front alike.
 func TestADFBirthAllocs(t *testing.T) {
 	const births = 1000
 	a := mustADF(t, DefaultConfig())
+	v := a.At(1.25).(*ADF)
 	a.Preallocate(births + 1)
+	v.Preallocate(births + 1)
 	node := 0
 	allocs := testing.AllocsPerRun(births, func() {
-		a.Offer(filter.LU{Node: node, Time: 1, Pos: geo.Point{X: float64(node)}})
+		lu := filter.LU{Node: node, Time: 1, Pos: geo.Point{X: float64(node)}}
+		a.Offer(lu)
+		v.Offer(lu)
 		node++
 	})
-	if allocs > 1 {
-		t.Fatalf("allocs per ADF birth = %v, want at most 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("allocs per ADF birth = %v, want 0", allocs)
 	}
 }

@@ -98,7 +98,7 @@ func (c ClassifierConfig) Validate() error {
 // compact and incremental: the newest sample is held inline, and the
 // window's steps — each step's speed and the cos/sin of its heading,
 // derived exactly once when the step completes — sit in one ring of
-// WindowSize-1 slots allocated at construction. A full window overwrites
+// WindowSize-1 slots fixed at construction. A full window overwrites
 // its oldest step in place, so a steady-state Observe allocates nothing,
 // moves no memory and repeats no trigonometry. Every statistic walks the
 // ring oldest to newest, the order and arithmetic of geo.Mean,
@@ -138,15 +138,16 @@ func NewClassifier(cfg ClassifierConfig) (*Classifier, error) {
 		Classifier
 		cfg ClassifierConfig
 	}{cfg: cfg}
-	owned.init(&owned.cfg)
+	owned.init(&owned.cfg, make([]step, cfg.WindowSize-1))
 	return &owned.Classifier, nil
 }
 
-// init readies a zero Classifier to share the validated cfg, allocating
-// its step ring once.
-func (c *Classifier) init(cfg *ClassifierConfig) {
+// init readies a zero Classifier to share the validated cfg, with steps
+// — WindowSize-1 slots, owned by this classifier from now on — as its
+// step ring.
+func (c *Classifier) init(cfg *ClassifierConfig, steps []step) {
 	c.cfg = cfg
-	c.steps = make([]step, cfg.WindowSize-1)
+	c.steps = steps
 }
 
 // reset empties the window, keeping the ring for reuse.
@@ -167,7 +168,7 @@ func (c *Classifier) Observe(t float64, p geo.Point) {
 		s := step{speed: d.Len() / dt}
 		if s.speed > c.cfg.StopSpeed {
 			h := d.Heading()
-			s.cos, s.sin = math.Cos(h), math.Sin(h)
+			s.sin, s.cos = math.Sincos(h)
 			c.moving++
 		}
 		if int(c.n) == c.cfg.WindowSize {

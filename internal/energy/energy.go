@@ -85,6 +85,10 @@ func NewAccountant(model Model) (*Accountant, error) {
 	return &Accountant{model: model}, nil
 }
 
+// Preallocate sizes the ledger for node IDs in [0, n), so the first
+// charge of each node grows nothing.
+func (a *Accountant) Preallocate(n int) { a.spent.Grow(n) }
+
 // Model returns the accountant's radio model.
 func (a *Accountant) Model() Model { return a.model }
 

@@ -82,7 +82,8 @@ type Pipeline struct {
 	// NewFilters builds one shard's filters, one per lane in lane order.
 	// It is called once per shard, so filters of one call may share
 	// state — ADF factor views over one front (core.ADF.At) — and
-	// filters of different calls never do.
+	// filters of different calls never do. Build pre-sizes every
+	// filter that is a filter.Preallocator by its shard's members.
 	NewFilters func() ([]filter.Filter, error)
 	// Lanes are the filter configurations simulated on this world; each
 	// lane's filters come from NewFilters.
@@ -230,6 +231,21 @@ func (sh *shardCtx) ChurnEvent(id int, left bool) {
 	}
 }
 
+// preallocate sizes the shard's filters by the shard alone: ID-keyed
+// windows end at its highest member ID + 1, and stores packed by first
+// offer hold its member count, so the first tick's births grow nothing.
+func (sh *shardCtx) preallocate() {
+	span := 0
+	for _, id := range sh.ids {
+		span = max(span, int(id)+1)
+	}
+	for l := range sh.lanes {
+		if pa, ok := sh.lanes[l].filt.(filter.Preallocator); ok {
+			pa.PreallocateMembers(span, len(sh.members))
+		}
+	}
+}
+
 // Validate reports wiring errors.
 func (p *Pipeline) Validate() error {
 	switch {
@@ -256,9 +272,10 @@ func (p *Pipeline) Validate() error {
 
 // build resolves the partition: the home regions in ascending ID order,
 // grouped into one campus shard or one shard per region, each shard
-// with its gateways, one filter per lane and its member list. It also
-// pre-sizes the lanes' broker windows, builds the lane stages and
-// fills the ring with its frames.
+// with its gateways, one filter per lane and its member list. It is the
+// one place per-node state is pre-sized: each shard's filters by the
+// shard's members, the lanes' broker windows by the whole population.
+// It also builds the lane stages and fills the ring with its frames.
 func (p *Pipeline) build() error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -332,6 +349,7 @@ func (p *Pipeline) build() error {
 	}
 	for _, sh := range p.shards {
 		sh.lus = make([]filter.LU, len(sh.members))
+		sh.preallocate()
 		if p.Workers > 0 {
 			obs.ShardNodes(sh.name).Set(int64(len(sh.members)))
 		}

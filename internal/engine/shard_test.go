@@ -99,3 +99,56 @@ func TestShardedValidate(t *testing.T) {
 		t.Error("empty population accepted")
 	}
 }
+
+// sizedFilter is an ideal filter that records how build pre-sized it.
+type sizedFilter struct {
+	*filter.IdealLU
+	span, members int
+	calls         int
+}
+
+func (f *sizedFilter) PreallocateMembers(span, members int) {
+	f.span, f.members = span, members
+	f.calls++
+	f.IdealLU.PreallocateMembers(span, members)
+}
+
+// TestShardFilterWindows: build pre-sizes every shard's filters once, by
+// that shard alone — a region shard's ID windows end at its highest
+// member ID + 1 and its member count is its own, while the campus
+// shard's cover the population.
+func TestShardFilterWindows(t *testing.T) {
+	newSized := func() (filter.Filter, error) { return &sizedFilter{IdealLU: filter.NewIdealLU()}, nil }
+	for _, workers := range []int{0, 1} {
+		p := newTestSharded(t, 3, 0, [2]float64{}, workers, newSized)
+		if err := p.Tick(1); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		want := map[string][2]int{}
+		for _, n := range p.Nodes {
+			key := string(n.Region().ID)
+			if workers == 0 {
+				key = "campus"
+			}
+			w := want[key]
+			want[key] = [2]int{max(w[0], n.ID()+1), w[1] + 1}
+		}
+		if len(p.shards) != len(want) {
+			t.Fatalf("workers %d: %d shards, want %d", workers, len(p.shards), len(want))
+		}
+		narrower := false
+		for _, sh := range p.shards {
+			f := sh.lanes[0].filt.(*sizedFilter)
+			w := want[sh.name]
+			if f.calls != 1 || f.span != w[0] || f.members != w[1] {
+				t.Errorf("workers %d, shard %s: pre-sized %d times to span %d, members %d; want once to span %d, members %d",
+					workers, sh.name, f.calls, f.span, f.members, w[0], w[1])
+			}
+			narrower = narrower || f.span < len(p.Nodes)
+		}
+		if workers > 0 && !narrower {
+			t.Errorf("every region shard's window spans the whole population")
+		}
+	}
+}

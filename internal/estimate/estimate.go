@@ -223,8 +223,9 @@ func (e *BrownLE) Observe(t float64, p geo.Point) {
 		return
 	}
 	e.speed.Observe(speed)
-	e.dirCos.Observe(math.Cos(heading))
-	e.dirSin.Observe(math.Sin(heading))
+	sin, cos := math.Sincos(heading)
+	e.dirCos.Observe(cos)
+	e.dirSin.Observe(sin)
 	e.nSamples++
 }
 
@@ -286,8 +287,9 @@ func (e *SingleLE) Observe(t float64, p geo.Point) {
 		return
 	}
 	e.speed.Observe(speed)
-	e.dirCos.Observe(math.Cos(heading))
-	e.dirSin.Observe(math.Sin(heading))
+	sin, cos := math.Sincos(heading)
+	e.dirCos.Observe(cos)
+	e.dirSin.Observe(sin)
 	e.nSamples++
 }
 

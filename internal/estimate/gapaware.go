@@ -112,8 +112,9 @@ func (e *GapAwareLE) Observe(t float64, p geo.Point) {
 	heading := d.Heading()
 
 	// Heading on the unit circle.
-	e.dirCos.Observe(math.Cos(heading))
-	e.dirSin.Observe(math.Sin(heading))
+	sin, cos := math.Sincos(heading)
+	e.dirCos.Observe(cos)
+	e.dirSin.Observe(sin)
 
 	// Drift regression update.
 	l := e.cfg.Lambda
@@ -164,7 +165,7 @@ func (e *GapAwareLE) Predict(t float64) geo.Point {
 	}
 	if !e.predValid {
 		h := geo.NormalizeAngle(math.Atan2(e.dirSin.Level(), e.dirCos.Level()))
-		e.predCos, e.predSin = math.Cos(h), math.Sin(h)
+		e.predSin, e.predCos = math.Sincos(h)
 		e.predSlope = e.Slope()
 		e.predValid = true
 	}

@@ -26,6 +26,14 @@ func (c Config) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// passWorkers is the parallelism of one pass: the campaign workers or
+// the shard workers, whichever is larger. Above 1 the pass's lane
+// stages trail its world stage (engine.Pipeline.Concurrent), and its
+// end-of-run quantile selections run side by side on as many workers.
+func (c Config) passWorkers() int {
+	return max(c.workers(), c.ShardWorkers)
+}
+
 // runTask names one simulation of a campaign.
 type runTask struct {
 	label string

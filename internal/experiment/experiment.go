@@ -141,38 +141,54 @@ func EstimatorNames() []string {
 	return []string{EstimatorGapAware, EstimatorBrown, EstimatorSingle, EstimatorDead, EstimatorAR1}
 }
 
-// estimatorFactory builds the estimate.Factory for a named estimator.
-func (c Config) estimatorFactory(name string) (estimate.Factory, error) {
-	mk := func(build func() (estimate.PositionEstimator, error)) (estimate.Factory, error) {
-		// Validate the configuration once up front so the per-node factory
-		// cannot fail later.
-		if _, err := build(); err != nil {
-			return nil, err
-		}
-		return func() estimate.PositionEstimator {
-			e, err := build()
-			if err != nil {
-				panic(fmt.Sprintf("experiment: estimator config invalidated: %v", err))
-			}
-			return e
-		}, nil
-	}
+// estimatorFactory builds the estimate.Factory for a named estimator,
+// carving its estimators from blocks of n (estimatorBlock).
+func (c Config) estimatorFactory(name string, n int) (estimate.Factory, error) {
 	switch name {
 	case EstimatorGapAware, "":
 		gcfg := estimate.DefaultGapAwareConfig()
 		gcfg.HeadingAlpha = c.Smoothing
-		return mk(func() (estimate.PositionEstimator, error) { return estimate.NewGapAwareLE(gcfg) })
+		e, err := estimate.NewGapAwareLE(gcfg)
+		return estimatorBlock(e, err, n)
 	case EstimatorBrown:
-		return mk(func() (estimate.PositionEstimator, error) { return estimate.NewBrownLE(c.Smoothing) })
+		e, err := estimate.NewBrownLE(c.Smoothing)
+		return estimatorBlock(e, err, n)
 	case EstimatorSingle:
-		return mk(func() (estimate.PositionEstimator, error) { return estimate.NewSingleLE(c.Smoothing) })
+		e, err := estimate.NewSingleLE(c.Smoothing)
+		return estimatorBlock(e, err, n)
 	case EstimatorDead:
-		return mk(func() (estimate.PositionEstimator, error) { return estimate.NewDeadReckoning(), nil })
+		return estimatorBlock(estimate.NewDeadReckoning(), nil, n)
 	case EstimatorAR1:
-		return mk(func() (estimate.PositionEstimator, error) { return estimate.NewAR1LE(0.98), nil })
+		return estimatorBlock(estimate.NewAR1LE(0.98), nil, n)
 	default:
 		return nil, fmt.Errorf("experiment: unknown estimator %q", name)
 	}
+}
+
+// estimatorBlock returns a factory whose every estimator is a copy of
+// proto — a freshly constructed estimator, built and validated once
+// here, or err — constructed in place in a block of n estimators that
+// the first birth allocates; a spent block is followed by a fresh one.
+// A broker never frees a record's estimator, so no block outlives its
+// estimators. n is the population a lane's broker serves, so a pass
+// allocates one block per lane; n below 1 gives blocks of one.
+func estimatorBlock[E any, P interface {
+	*E
+	estimate.PositionEstimator
+}](proto P, err error, n int) (estimate.Factory, error) {
+	if err != nil {
+		return nil, err
+	}
+	var block []E
+	return func() estimate.PositionEstimator {
+		if len(block) == 0 {
+			block = make([]E, max(n, 1))
+		}
+		e := P(&block[0])
+		block = block[1:]
+		*e = *proto
+		return e
+	}, nil
 }
 
 // DefaultConfig returns the paper's experiment setup.
@@ -226,7 +242,7 @@ func (c Config) Validate() error {
 	if c.Smoothing <= 0 || c.Smoothing >= 1 {
 		return fmt.Errorf("experiment: Smoothing %v outside (0, 1)", c.Smoothing)
 	}
-	if _, err := c.estimatorFactory(c.Estimator); err != nil {
+	if _, err := c.estimatorFactory(c.Estimator, 0); err != nil {
 		return err
 	}
 	if c.Burst != nil {
@@ -404,7 +420,7 @@ func runPass(tasks []runTask) ([]*Run, error) {
 	if err := p.Run(tasks[0].cfg.Duration); err != nil {
 		return nil, passError(tasks, err)
 	}
-	return runs, finishPass(p, runs, tasks[0].cfg.workers())
+	return runs, finishPass(p, runs, tasks[0].cfg.passWorkers())
 }
 
 // finishPass completes the runs of a pass that has ticked to its
@@ -458,7 +474,7 @@ type simWorld struct {
 	net   *gateway.Network
 	churn *engine.KeyedChurn
 	// idSpan is one past the highest node ID — the pre-sizing hint for
-	// per-node state (broker windows, filter anchors).
+	// the lanes' ID-keyed energy ledgers.
 	idSpan int
 }
 
@@ -494,7 +510,7 @@ func buildPass(tasks []runTask) (*engine.Pipeline, []*Run, error) {
 		Churn:        w.churn,
 		SamplePeriod: c.SamplePeriod,
 		Workers:      c.ShardWorkers,
-		Concurrent:   c.workers() > 1 || c.ShardWorkers > 1,
+		Concurrent:   c.passWorkers() > 1,
 	}
 	runs := make([]*Run, len(tasks))
 	mks := make([]filterFactory, len(tasks))
@@ -506,7 +522,7 @@ func buildPass(tasks []runTask) (*engine.Pipeline, []*Run, error) {
 		p.Lanes = append(p.Lanes, lane)
 		runs[i], mks[i] = run, t.mk
 	}
-	p.NewFilters = newFilters(mks, w.idSpan)
+	p.NewFilters = newFilters(mks)
 	return p, runs, nil
 }
 
@@ -515,7 +531,7 @@ func buildPass(tasks []runTask) (*engine.Pipeline, []*Run, error) {
 // from an earlier ADF lane's only in DTHFactor gets a factor view of
 // that lane's filter, so the classification and clustering run once per
 // shard for both.
-func newFilters(mks []filterFactory, idSpan int) func() ([]filter.Filter, error) {
+func newFilters(mks []filterFactory) func() ([]filter.Filter, error) {
 	return func() ([]filter.Filter, error) {
 		out := make([]filter.Filter, len(mks))
 		for l, mk := range mks {
@@ -526,9 +542,6 @@ func newFilters(mks []filterFactory, idSpan int) func() ([]filter.Filter, error)
 			f, err := mk.mk()
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", mk.name, err)
-			}
-			if pa, ok := f.(filter.Preallocator); ok {
-				pa.Preallocate(idSpan)
 			}
 			out[l] = f
 		}
@@ -595,7 +608,7 @@ func (c Config) buildWorld() (*simWorld, error) {
 // estimator and the Run record, named by mk, with its pre-sized metric
 // sinks.
 func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, error) {
-	leFactory, err := c.estimatorFactory(c.Estimator)
+	leFactory, err := c.estimatorFactory(c.Estimator, len(w.nodes))
 	if err != nil {
 		return engine.Lane{}, nil, err
 	}
@@ -629,6 +642,7 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 	if err != nil {
 		return engine.Lane{}, nil, err
 	}
+	run.Energy.Preallocate(w.idSpan)
 
 	// The horizon and population are known up front: pre-size every series
 	// and summary so the tick loop records without growth allocations.
@@ -651,7 +665,6 @@ func (c Config) buildLane(w *simWorld, mk filterFactory) (engine.Lane, *Run, err
 	run.ErrNoLE.Reserve(budget)
 	run.ErrWithLE.Reserve(budget)
 
-	b.Preallocate(w.idSpan)
 	lane := engine.Lane{Broker: b, Observer: newMetricSink(run, c.SamplePeriod)}
 	return lane, run, nil
 }

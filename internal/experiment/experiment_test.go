@@ -8,6 +8,8 @@ import (
 
 	"github.com/mobilegrid/adf/internal/campus"
 	"github.com/mobilegrid/adf/internal/core"
+	"github.com/mobilegrid/adf/internal/estimate"
+	"github.com/mobilegrid/adf/internal/geo"
 )
 
 // shortConfig keeps integration tests fast: a few hundred simulated
@@ -98,16 +100,29 @@ func TestPopulationMeanSpeed(t *testing.T) {
 	}
 }
 
+// TestEstimatorNamesAllConstructible builds three estimators of every
+// kind from blocks of two, so the third starts a fresh block: each is
+// its own fresh estimator, untouched by its neighbours' observations.
 func TestEstimatorNamesAllConstructible(t *testing.T) {
 	cfg := DefaultConfig()
 	for _, name := range EstimatorNames() {
-		f, err := cfg.estimatorFactory(name)
+		f, err := cfg.estimatorFactory(name, 2)
 		if err != nil {
 			t.Errorf("estimatorFactory(%q): %v", name, err)
 			continue
 		}
-		if f() == nil {
+		a, b, c := f(), f(), f()
+		if a == nil || b == nil || c == nil {
 			t.Errorf("factory %q built nil estimator", name)
+			continue
+		}
+		for i, p := range []geo.Point{{X: 0}, {X: 1}, {X: 3}} {
+			a.Observe(float64(i+1), p)
+		}
+		for _, e := range []estimate.PositionEstimator{b, c} {
+			if e.Ready() || e.Predict(5) != (geo.Point{}) {
+				t.Errorf("factory %q: a neighbour's observations reached a fresh estimator", name)
+			}
 		}
 	}
 }

@@ -2,10 +2,13 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
+	"github.com/mobilegrid/adf/internal/broker"
 	"github.com/mobilegrid/adf/internal/engine"
+	"github.com/mobilegrid/adf/internal/geo"
 )
 
 // TestZeroAllocTick proves the per-tick pipeline, in the campus
@@ -98,6 +101,64 @@ func TestZeroAllocTickSharded(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
 		t.Fatalf("steady-state sharded tick allocates: %v allocs/tick, want 0", allocs)
+	}
+}
+
+// TestSetupAllocsPerNode holds the build to its budget: a one-tick pass
+// of the ideal and ADF lanes in the region partition at 5,012 nodes —
+// the population, the gateways, the lanes' brokers and sinks, every
+// shard's filters and the first tick's births into all of them — makes
+// at most 4 allocations per node. Per-node state comes in blocks: the
+// nodes, each lane's estimators and each shard's ADF slots and rings
+// are one allocation apiece, so what remains per node is its random
+// stream and mobility model.
+func TestSetupAllocsPerNode(t *testing.T) {
+	c := DefaultConfig()
+	c.PerGroup = 179
+	c.Duration = c.SamplePeriod
+	c.Workers = 1
+	c.ShardWorkers = 1
+	c.DTHFactors = []float64{1.0}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, _, err := buildPass(c.campaignTasks())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(c.Duration); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.Mallocs-before.Mallocs) / float64(len(p.Nodes))
+	t.Logf("%d nodes: %.2f allocs/node", len(p.Nodes), perNode)
+	if perNode > 4 {
+		t.Fatalf("one-tick set-up makes %.2f allocs/node, want at most 4", perNode)
+	}
+}
+
+// TestBlockBrokerBirthAllocs: a lane's broker on the experiment's
+// estimator factory births a node — its record and its estimator — with
+// no allocation once Preallocate has sized the location DB, for every
+// estimator kind: the lane's one block, which the first birth
+// allocates, holds every estimator.
+func TestBlockBrokerBirthAllocs(t *testing.T) {
+	const births = 1000
+	for _, name := range EstimatorNames() {
+		f, err := DefaultConfig().estimatorFactory(name, births+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := broker.New(f)
+		b.Preallocate(births + 1)
+		node := 0
+		allocs := testing.AllocsPerRun(births, func() {
+			b.Step(node, 1, geo.Point{X: float64(node)}, true)
+			node++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: allocs per broker birth = %v, want 0", name, allocs)
+		}
 	}
 }
 

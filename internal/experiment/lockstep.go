@@ -80,7 +80,7 @@ func lockstep(cfgs []Config) ([][]*Run, int, error) {
 	}
 	for i, p := range pipes {
 		p.Close()
-		if err := finishPass(p, runs[i], cfgs[i].workers()); err != nil {
+		if err := finishPass(p, runs[i], cfgs[i].passWorkers()); err != nil {
 			return nil, ticks, err
 		}
 	}

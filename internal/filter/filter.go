@@ -48,13 +48,18 @@ type Filter interface {
 }
 
 // Preallocator is implemented by filters whose per-node state can be
-// sized up front. When the population size is known (experiment configs
-// state it), pre-sizing replaces the first-touch growth walk of the
-// dense maps with a single allocation — at a million nodes that is the
-// difference between a quiet warmup and a gigabyte of doubling copies.
+// sized up front. The engine pipeline is its one caller: at build, once
+// a shard's members are placed, it sizes each of the shard's filters by
+// that shard alone. Pre-sizing replaces the first-touch growth walk of
+// the dense stores with a single allocation — at a million nodes that
+// is the difference between a quiet warmup and a gigabyte of doubling
+// copies — and sizing by the shard keeps a region shard's windows to
+// its own IDs instead of the whole population's.
 type Preallocator interface {
-	// Preallocate reserves state for node IDs in [0, n).
-	Preallocate(n int)
+	// PreallocateMembers reserves state for members distinct nodes with
+	// IDs in [0, span): ID-keyed windows cover [0, span), and stores
+	// packed by first offer hold members entries.
+	PreallocateMembers(span, members int)
 }
 
 // Observe mirrors one filter verdict into a pipeline's observability
@@ -107,8 +112,8 @@ func (f *IdealLU) Offer(lu LU) Decision {
 // Forget implements Filter.
 func (f *IdealLU) Forget(node int) { f.lastSent.Delete(node) }
 
-// Preallocate implements Preallocator.
-func (f *IdealLU) Preallocate(n int) { f.lastSent.Grow(n) }
+// PreallocateMembers implements Preallocator: the window is ID-keyed.
+func (f *IdealLU) PreallocateMembers(span, _ int) { f.lastSent.Grow(span) }
 
 // Semantics selects what "the MN's moving distance" is compared against
 // the DTH.
@@ -211,5 +216,5 @@ func (f *GeneralDF) Offer(lu LU) Decision {
 // Forget implements Filter.
 func (f *GeneralDF) Forget(node int) { f.anchor.Delete(node) }
 
-// Preallocate implements Preallocator.
-func (f *GeneralDF) Preallocate(n int) { f.anchor.Grow(n) }
+// PreallocateMembers implements Preallocator: the window is ID-keyed.
+func (f *GeneralDF) PreallocateMembers(span, _ int) { f.anchor.Grow(span) }

@@ -8,8 +8,9 @@ import "math"
 func CircularMean(angles []float64) float64 {
 	var sx, sy float64
 	for _, a := range angles {
-		sx += math.Cos(a)
-		sy += math.Sin(a)
+		sin, cos := math.Sincos(a)
+		sx += cos
+		sy += sin
 	}
 	return CircularMeanFromSums(sx, sy, len(angles))
 }
@@ -35,8 +36,9 @@ func CircularMeanFromSums(sx, sy float64, n int) float64 {
 func CircularVariance(angles []float64) float64 {
 	var sx, sy float64
 	for _, a := range angles {
-		sx += math.Cos(a)
-		sy += math.Sin(a)
+		sin, cos := math.Sincos(a)
+		sx += cos
+		sy += sin
 	}
 	return CircularVarianceFromSums(sx, sy, len(angles))
 }

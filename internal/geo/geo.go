@@ -99,10 +99,8 @@ func (v Vec) Unit() Vec {
 // FromHeading builds the unit displacement for a heading angle scaled by
 // length. It is the inverse of Vec.Heading for non-zero lengths.
 func FromHeading(heading, length float64) Vec {
-	return Vec{
-		DX: math.Cos(heading) * length,
-		DY: math.Sin(heading) * length,
-	}
+	sin, cos := math.Sincos(heading)
+	return Vec{DX: cos * length, DY: sin * length}
 }
 
 // NormalizeAngle maps an arbitrary angle in radians to [0, 2π).

@@ -105,7 +105,7 @@ func (w *RandomWalk) redraw() {
 // setHeading turns the walker to h and refreshes the cached cos and sin.
 func (w *RandomWalk) setHeading(h float64) {
 	w.heading = h
-	w.cosH, w.sinH = math.Cos(h), math.Sin(h)
+	w.sinH, w.cosH = math.Sincos(h)
 }
 
 // Advance implements Model.

@@ -6,6 +6,7 @@ package node
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/mobilegrid/adf/internal/campus"
 	"github.com/mobilegrid/adf/internal/geo"
@@ -25,21 +26,32 @@ type Node struct {
 // region on the given campus. All randomness (start position, route,
 // speeds) comes from rng.
 func New(spec campus.NodeSpec, c *campus.Campus, rng *sim.RNG) (*Node, error) {
-	if err := spec.Validate(); err != nil {
+	n := new(Node)
+	if err := n.init(spec, c, rng); err != nil {
 		return nil, err
 	}
+	return n, nil
+}
+
+// init builds the node in place; New and Population both construct
+// through it.
+func (n *Node) init(spec campus.NodeSpec, c *campus.Campus, rng *sim.RNG) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	if rng == nil {
-		return nil, fmt.Errorf("node: nil RNG")
+		return fmt.Errorf("node: nil RNG")
 	}
 	region, err := c.Region(spec.Region)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	model, err := buildModel(spec, region, rng)
 	if err != nil {
-		return nil, fmt.Errorf("node %d: %w", spec.ID, err)
+		return fmt.Errorf("node %d: %w", spec.ID, err)
 	}
-	return &Node{spec: spec, region: region, model: model}, nil
+	*n = Node{spec: spec, region: region, model: model}
+	return nil
 }
 
 func buildModel(spec campus.NodeSpec, region *campus.Region, rng *sim.RNG) (mobility.Model, error) {
@@ -53,10 +65,10 @@ func buildModel(spec campus.NodeSpec, region *campus.Region, rng *sim.RNG) (mobi
 		return mobility.NewRandomWalk(region.Bounds, randomPointIn(region.Bounds, rng),
 			spec.MinSpeed, spec.MaxSpeed, rng)
 	case campus.Linear:
-		var route []geo.Point
-		if region.Kind == campus.Road {
-			route = append(route, region.Path...)
-		} else {
+		// NewWaypoints keeps a copy of the route, so a road's path is
+		// handed over as it is.
+		route := region.Path
+		if region.Kind != campus.Road {
 			// Corridor walk: a handful of well-separated interior points.
 			route = corridorRoute(region.Bounds, rng)
 		}
@@ -84,7 +96,8 @@ func buildModel(spec campus.NodeSpec, region *campus.Region, rng *sim.RNG) (mobi
 func corridorRoute(bounds geo.Rect, rng *sim.RNG) []geo.Point {
 	const points = 4
 	minLeg := bounds.Width() / 4
-	route := []geo.Point{randomPointIn(bounds, rng)}
+	route := make([]geo.Point, 1, points)
+	route[0] = randomPointIn(bounds, rng)
 	for len(route) < points {
 		p := randomPointIn(bounds, rng)
 		if p.Dist(route[len(route)-1]) >= minLeg {
@@ -128,15 +141,19 @@ func (n *Node) Pos() geo.Point { return n.model.Pos() }
 func (n *Node) Advance(dt float64) geo.Point { return n.model.Advance(dt) }
 
 // Population instantiates every node of a population spec with
-// per-node deterministic random streams derived from streams.
+// per-node deterministic random streams derived from streams: each node
+// draws from the stream named "node-<ID>". The nodes are built in place
+// in one block.
 func Population(specs []campus.NodeSpec, c *campus.Campus, streams *sim.Streams) ([]*Node, error) {
-	nodes := make([]*Node, 0, len(specs))
-	for _, spec := range specs {
-		n, err := New(spec, c, streams.Stream(fmt.Sprintf("node-%d", spec.ID)))
-		if err != nil {
+	block := make([]Node, len(specs))
+	nodes := make([]*Node, len(specs))
+	name := make([]byte, 0, 32)
+	for i, spec := range specs {
+		name = strconv.AppendInt(append(name[:0], "node-"...), int64(spec.ID), 10)
+		if err := block[i].init(spec, c, streams.StreamBytes(name)); err != nil {
 			return nil, err
 		}
-		nodes = append(nodes, n)
+		nodes[i] = &block[i]
 	}
 	return nodes, nil
 }

@@ -6,7 +6,6 @@
 package sim
 
 import (
-	"hash/fnv"
 	"math/rand"
 )
 
@@ -14,13 +13,30 @@ import (
 // math/rand, driven by an 8-byte splitmix64 counter, with the handful of
 // distributions the mobility and network models need. RNG is not safe
 // for concurrent use; each stream belongs to one entity.
+//
+// An RNG is one allocation: the splitmix counter and the rand.Rand that
+// draws from it are held by value, and the Rand points at the counter
+// inside the same RNG. An RNG must therefore never be copied by value —
+// a copy's Rand would still advance the original's counter — so it is
+// only ever handled as the *RNG its constructors return (go vet's
+// copylocks check flags a copy).
 type RNG struct {
-	r *rand.Rand
+	_   noCopy
+	src splitmix
+	r   rand.Rand
 }
+
+// noCopy makes go vet's copylocks check flag a copied RNG.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // NewRNG returns a stream seeded directly with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(&splitmix{state: uint64(seed)})}
+	g := &RNG{src: splitmix{state: uint64(seed)}}
+	g.r = *rand.New(&g.src)
+	return g
 }
 
 // splitmix is a splitmix64 counter implementing rand.Source64 in 8 bytes
@@ -67,13 +83,32 @@ func NewLightStreams(seed int64) *Streams { return NewStreams(seed) }
 // Seed returns the root seed.
 func (s *Streams) Seed() int64 { return s.seed }
 
-// Stream derives the sub-stream for name. Equal names always yield streams
-// that generate identical sequences.
+// Stream derives the sub-stream for name: the root seed XOR the 64-bit
+// FNV-1a hash of the name's bytes. Equal names always yield streams that
+// generate identical sequences.
 func (s *Streams) Stream(name string) *RNG {
-	h := fnv.New64a()
-	// hash.Hash Write never errors.
-	_, _ = h.Write([]byte(name))
-	return NewRNG(s.seed ^ int64(h.Sum64()))
+	return NewRNG(s.seed ^ int64(fnv1a(name)))
+}
+
+// StreamBytes is Stream for a name held in a byte slice, so a caller
+// deriving many streams can build their names in one reused buffer.
+func (s *Streams) StreamBytes(name []byte) *RNG {
+	return NewRNG(s.seed ^ int64(fnv1a(name)))
+}
+
+// fnv1a is the 64-bit FNV-1a hash of b, bit for bit hash/fnv's New64a
+// over the same bytes.
+func fnv1a[T string | []byte](b T) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= prime64
+	}
+	return h
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -158,4 +159,39 @@ func TestIntnAndShuffle(t *testing.T) {
 	if sum != 28 {
 		t.Errorf("Shuffle lost elements: %v", xs)
 	}
+}
+
+// TestStreamHashMatchesFNV pins the stream seeds: the inline FNV-1a over
+// a name's bytes, from a string or a byte slice, is hash/fnv's New64a.
+func TestStreamHashMatchesFNV(t *testing.T) {
+	for _, name := range []string{"", "x", "node-0", "node-7", "node-100015", "gateway/\xff\x00"} {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(name))
+		want := h.Sum64()
+		if got := fnv1a(name); got != want {
+			t.Errorf("fnv1a(%q) = %#x, want %#x", name, got, want)
+		}
+		if got := fnv1a([]byte(name)); got != want {
+			t.Errorf("fnv1a([]byte(%q)) = %#x, want %#x", name, got, want)
+		}
+		a, b := NewStreams(42).Stream(name), NewStreams(42).StreamBytes([]byte(name))
+		for i := 0; i < 10; i++ {
+			if x, y := a.Float64(), b.Float64(); x != y {
+				t.Fatalf("Stream and StreamBytes of %q diverged at draw %d: %v vs %v", name, i, x, y)
+			}
+		}
+	}
+}
+
+// TestRNGOneAllocation: an RNG holds its counter and its rand.Rand by
+// value, so deriving a stream from a reused name buffer is one object.
+func TestRNGOneAllocation(t *testing.T) {
+	s := NewStreams(1)
+	name := []byte("node-12345")
+	var sink *RNG
+	allocs := testing.AllocsPerRun(100, func() { sink = s.StreamBytes(name) })
+	if allocs != 1 {
+		t.Errorf("allocs per stream = %v, want 1", allocs)
+	}
+	_ = sink
 }
