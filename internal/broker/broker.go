@@ -89,8 +89,7 @@ func (b *Broker) Preallocate(n int) { b.records.Grow(n) }
 func (b *Broker) record(node int) *record {
 	r := b.records.Ptr(node)
 	if r == nil {
-		//adf:allow hotpath — first report from a node; later ticks take
-		// the Ptr fast path.
+		// First report from a node; later ticks take the Ptr fast path.
 		r = b.birth(node)
 	}
 	if !r.hasReport {
@@ -116,7 +115,6 @@ func (b *Broker) ReceiveLU(node int, t float64, p geo.Point) {
 	b.received++
 }
 
-//adf:hotpath
 func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 	r.lastReported = p
 	r.hasReport = true
@@ -130,8 +128,6 @@ func (b *Broker) receive(r *record, node int, t float64, p geo.Point) {
 // whether the estimator (rather than the last report) supplied the
 // position, so the caller can attribute the refresh to its own counter.
 // Without an estimator the last report serves, counted as estimated.
-//
-//adf:hotpath
 func (b *Broker) miss(r *record, node int, t float64) bool {
 	pos, estimated := r.lastReported, true
 	if r.est != nil {
@@ -164,8 +160,6 @@ func (b *Broker) MissLU(node int, t float64) (Entry, error) {
 // error for unknown nodes). It returns the resulting belief and last
 // report, or false when the node has never reported. This is the
 // simulation engine's hot path.
-//
-//adf:hotpath
 func (b *Broker) Step(node int, t float64, p geo.Point, received bool) (Belief, bool) {
 	if received {
 		b.receive(b.record(node), node, t, p)

@@ -282,8 +282,6 @@ func NewManager(cfg Config) (*Manager, error) {
 // distance is the similarity difference d(MN, C) between a feature and a
 // cluster representative. Both representative means are cached, so this is
 // O(1) regardless of cluster size.
-//
-//adf:hotpath
 func (m *Manager) distance(f Feature, c *Cluster) float64 {
 	d := math.Abs(f.Speed - c.meanSpeed)
 	if m.cfg.HeadingWeight > 0 {
@@ -301,14 +299,12 @@ func (m *Manager) Preallocate(n int) {
 
 // slotFor returns node id's member slot, creating it on the node's
 // first-ever membership.
-//
-//adf:hotpath
 func (m *Manager) slotFor(id NodeID) *memberSlot {
 	if s := m.members.Ptr(int(id)); s != nil {
 		return s
 	}
-	//adf:allow hotpath — the node's first membership births its slot;
-	// every later cluster change reuses it in place.
+	// The node's first membership births its slot; every later cluster
+	// change reuses it in place.
 	return m.members.PutPtr(int(id), memberSlot{})
 }
 
@@ -322,7 +318,7 @@ func (m *Manager) fileCluster(c *Cluster) {
 	b := m.bucketOf(c.meanSpeed)
 	c.bucket = b
 	c.inBucket = true
-	m.buckets[b] = append(m.buckets[b], c) //adf:allow hotpath — bucket slots are recycled; growth stops at the cluster-count peak
+	m.buckets[b] = append(m.buckets[b], c) // bucket slots are recycled; growth stops at the cluster-count peak
 	if !m.hasBuckets {
 		m.loBucket, m.hiBucket = b, b
 		m.hasBuckets = true
@@ -366,8 +362,6 @@ func (m *Manager) refileCluster(c *Cluster) {
 
 // scanBucket evaluates every cluster filed in bucket b against f and
 // returns the updated (best, bestD) running minimum of (distance, ID).
-//
-//adf:hotpath
 func (m *Manager) scanBucket(f Feature, b int, best *Cluster, bestD float64) (*Cluster, float64) {
 	for _, c := range m.buckets[b] {
 		m.scans++
@@ -386,8 +380,6 @@ func (m *Manager) scanBucket(f Feature, b int, best *Cluster, bestD float64) (*C
 // cluster a full ID-ordered scan would pick, ties breaking towards the
 // lowest cluster ID so runs are deterministic — but only buckets whose
 // speed gap can still beat the current best are examined.
-//
-//adf:hotpath
 func (m *Manager) nearest(f Feature) (*Cluster, float64) {
 	if len(m.clusters) == 0 {
 		return nil, math.Inf(1)
@@ -438,8 +430,8 @@ func (m *Manager) newCluster() *Cluster {
 		m.free[n-1] = nil
 		m.free = m.free[:n-1]
 	} else {
-		//adf:allow hotpath — pool miss: a genuinely new cluster is born;
-		// retired structs are reused first.
+		// Pool miss: a genuinely new cluster is born; retired structs are
+		// reused first.
 		c = &Cluster{mgr: m, head: noMember}
 	}
 	c.id = m.nextID
@@ -459,14 +451,12 @@ func (m *Manager) retireCluster(c *Cluster) {
 	obs.ClustersRetired.Inc()
 	obs.ClustersLive.Set(int64(len(m.clusters)))
 	c.reset()
-	m.free = append(m.free, c) //adf:allow hotpath — pool push; capacity is bounded by the cluster-count peak
+	m.free = append(m.free, c) // pool push; capacity is bounded by the cluster-count peak
 }
 
 // Assign places (or re-places) a node according to the sequential scheme
 // and returns the cluster it ends up in. Updating an existing node first
 // removes it from its old cluster so the representative stays exact.
-//
-//adf:hotpath
 func (m *Manager) Assign(id NodeID, f Feature) ID {
 	m.Remove(id)
 	c, d := m.nearest(f)
@@ -488,8 +478,6 @@ func (m *Manager) Assign(id NodeID, f Feature) ID {
 
 // Remove deletes a node from the clustering, dropping its cluster if it
 // becomes empty. It reports whether the node was present.
-//
-//adf:hotpath
 func (m *Manager) Remove(id NodeID) bool {
 	c, ok := m.byNode.Get(int(id))
 	if !ok {

@@ -231,8 +231,6 @@ func (a *ADF) Config() Config { return a.cfg }
 // Offer implements filter.Filter: the front feeds the node's classifier
 // and keeps the clustering current, then the view sizes the node's DTH
 // from its cluster's mean speed and applies the distance filter.
-//
-//adf:hotpath
 func (a *ADF) Offer(lu filter.LU) filter.Decision {
 	slot, st := a.f.update(lu)
 	v := a.view(slot, st.gen)
@@ -253,14 +251,11 @@ func (a *ADF) Offer(lu filter.LU) filter.Decision {
 
 // view returns the view's state for a front slot, reset when the slot
 // has been forgotten since the view last saw it.
-//
-//adf:hotpath
 func (a *ADF) view(slot int, gen uint32) *viewState {
 	for slot >= len(a.views) {
-		//adf:allow hotpath — first sight of a node by this view:
-		// within the preallocated members it stays in capacity, past
-		// them it is amortised growth of the view store; never a
-		// steady tick.
+		// First sight of a node by this view: within the preallocated
+		// members it stays in capacity, past them it is amortised growth
+		// of the view store; never a steady tick.
 		a.views = append(a.views, viewState{})
 	}
 	v := &a.views[slot]
@@ -276,8 +271,6 @@ func (a *ADF) view(slot int, gen uint32) *viewState {
 // later offer of the node at the same time, through another view or
 // the same one, reuses the cache. It returns the node's slot and state;
 // the pointer is valid until the next birth.
-//
-//adf:hotpath
 func (f *front) update(lu filter.LU) (int, *nodeState) {
 	slot := f.state(lu.Node)
 	st := &f.nodes[slot]
@@ -297,15 +290,13 @@ func (f *front) update(lu filter.LU) (int, *nodeState) {
 
 // state returns the node's live slot, reviving a forgotten one or
 // giving a first-seen node a new slot.
-//
-//adf:hotpath
 func (f *front) state(node int) int {
 	slot, ok := f.index.Get(node)
 	if !ok {
-		//adf:allow hotpath — first sight of a node: within the
-		// preallocated members a birth allocates nothing, past them it
-		// grows the slot store and allocates one ring; every later
-		// tick, rejoins included, takes the index lookup above.
+		// First sight of a node: within the preallocated members a birth
+		// allocates nothing, past them it grows the slot store and
+		// allocates one ring; every later tick, rejoins included, takes
+		// the index lookup above.
 		slot = f.birth(node)
 	}
 	if st := &f.nodes[slot]; !st.live {
@@ -342,8 +333,6 @@ func (f *front) reserve(n int) {
 
 // maintainClustering updates the node's pattern and membership, and runs
 // the periodic reconstruction.
-//
-//adf:hotpath
 func (f *front) maintainClustering(now float64, node int, st *nodeState) {
 	if !st.cls.Ready() {
 		return
@@ -378,9 +367,8 @@ func (f *front) maintainClustering(now float64, node int, st *nodeState) {
 		return
 	}
 	if f.cfg.ReclusterInterval > 0 && now-f.lastRebuild >= f.cfg.ReclusterInterval {
-		//adf:allow hotpath — periodic reclustering (the paper's step 6)
-		// runs once per ReclusterInterval, not per tick: a declared cold
-		// path, so the call-graph walk stops here.
+		// Periodic reclustering (the paper's step 6) runs once per
+		// ReclusterInterval, not per tick.
 		f.rebuild(now)
 		f.lastRebuild = now
 	}
@@ -416,8 +404,6 @@ func (f *front) rebuild(now float64) {
 // LU (threshold 0 transmits everything), matching the paper's
 // observation that "the number of LUs of the ADF is similar to the
 // ideal LU at initial".
-//
-//adf:hotpath
 func (a *ADF) dthFor(st *nodeState) float64 {
 	if !st.ready {
 		return 0
@@ -432,8 +418,6 @@ func (a *ADF) dthFor(st *nodeState) float64 {
 // threshold sizes a clustered node's DTH from its cluster's mean speed:
 // DTHFactor × mean × SamplePeriod, floored at MinDTH. Offer and
 // Clusters both size thresholds here.
-//
-//adf:hotpath
 func (a *ADF) threshold(mean float64) float64 {
 	dth := a.cfg.DTHFactor * mean * a.cfg.SamplePeriod
 	if dth < a.cfg.MinDTH {

@@ -42,8 +42,8 @@ func (m *Map[V]) Put(key int, value V) {
 	if key >= 0 && key < maxDense {
 		var zero V
 		for len(m.vals) <= key {
-			m.vals = append(m.vals, zero)        //adf:allow hotpath — first-touch growth of the dense array, amortized by append's doubling
-			m.present = append(m.present, false) //adf:allow hotpath — grows in step with vals
+			m.vals = append(m.vals, zero)        // first-touch growth of the dense array, amortized by append's doubling
+			m.present = append(m.present, false) // grows in step with vals
 		}
 		if !m.present[key] {
 			m.present[key] = true
@@ -53,7 +53,7 @@ func (m *Map[V]) Put(key int, value V) {
 		return
 	}
 	if m.sparse == nil {
-		m.sparse = make(map[int]V) //adf:allow hotpath — lazy one-time fallback for out-of-range keys
+		m.sparse = make(map[int]V) // lazy one-time fallback for out-of-range keys
 	}
 	if _, ok := m.sparse[key]; !ok {
 		m.count++

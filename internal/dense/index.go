@@ -33,8 +33,6 @@ func (x *Index) Grow(n int) {
 }
 
 // Get returns the slot stored under key.
-//
-//adf:hotpath
 func (x *Index) Get(key int) (int, bool) {
 	if key >= 0 && key < len(x.slots) {
 		s := x.slots[key]

@@ -44,8 +44,6 @@ func (s *Slab[V]) Grow(n int) {
 // key is absent. Dense-window pointers alias the slab's storage: they
 // are invalidated by a later Grow (or an out-of-window Put that grows
 // the window), so callers must not retain them across growth.
-//
-//adf:hotpath
 func (s *Slab[V]) Ptr(key int) *V {
 	if key >= 0 && key < len(s.vals) {
 		if s.present[key] {

@@ -93,23 +93,17 @@ func (a *Accountant) Preallocate(n int) { a.spent.Grow(n) }
 func (a *Accountant) Model() Model { return a.model }
 
 // charge adds joules to a node's tally.
-//
-//adf:hotpath
 func (a *Accountant) charge(node int, joules float64) {
 	j, _ := a.spent.Get(node)
 	a.spent.Put(node, j+joules)
 }
 
 // ChargeTx records one transmitted LU for a node.
-//
-//adf:hotpath
 func (a *Accountant) ChargeTx(node int) {
 	a.charge(node, a.model.TxJoulesPerLU)
 }
 
 // ChargeIdle records connected time for a node.
-//
-//adf:hotpath
 func (a *Accountant) ChargeIdle(node int, seconds float64) {
 	a.charge(node, a.model.IdleWatts*seconds)
 }

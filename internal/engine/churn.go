@@ -99,8 +99,6 @@ func (c *KeyedChurn) schedule(part, id int, at uint64) {
 // Absent reports whether the node is currently departed. Reading it is
 // shard-safe during the shard stage: partitions own disjoint node sets,
 // and a shard only queries nodes it owns.
-//
-//adf:hotpath
 func (c *KeyedChurn) Absent(id int) bool { return c.absent[id] }
 
 // AbsentCount returns the number of currently departed nodes.
@@ -119,7 +117,6 @@ func (c *KeyedChurn) AbsentCount() int {
 // Draining is idempotent: a second call for the same tick finds no
 // bucket and returns.
 //
-//adf:shardstage
 //adf:owns StreamChurnLeave StreamChurnRejoin — flip rescheduling draws, keyed by (node, flip tick); each partition is drained by exactly one shard worker per tick
 func (c *KeyedChurn) ProcessPart(part int, tick uint64, sink ChurnSink) {
 	pt := &c.parts[part]

@@ -516,11 +516,8 @@ func (p *Pipeline) runJob(j int) { p.runShard(p.shards[j]) }
 // keep walking after closing their laptop), runs churn and collects
 // every present member's sample through its gateway, then lets each
 // lane's filter sweep the members. Everything it writes is shard-local,
-// keyed by an owned node or the shard's part of the frame; the
-// shardstage lint rule holds it (and future edits) to that.
-//
-//adf:hotpath
-//adf:shardstage
+// keyed by an owned node or the shard's part of the frame;
+// TestShardDigestGate under -race holds it (and future edits) to that.
 func (p *Pipeline) runShard(sh *shardCtx) {
 	sh.startNS = obs.StageStart()
 	out := sh.out
@@ -530,7 +527,7 @@ func (p *Pipeline) runShard(sh *shardCtx) {
 	sh.advancedNS = obs.StageClock(sh.startNS)
 	out.departed = out.departed[:0]
 	if p.Churn != nil {
-		p.Churn.ProcessPart(sh.idx, p.tick, sh) //adf:allow hotpath — event timeline; buckets recycle through a free list
+		p.Churn.ProcessPart(sh.idx, p.tick, sh) // event timeline; buckets recycle through a free list
 	}
 	for k := range sh.members {
 		id := int(sh.ids[k])
@@ -554,9 +551,6 @@ func (p *Pipeline) runShard(sh *shardCtx) {
 // sweepLane offers every reached member's sample to lane l's filter in
 // the shard and records the verdicts: the lane's tallies and its
 // transmit bits in the frame.
-//
-//adf:hotpath
-//adf:shardstage
 func (p *Pipeline) sweepLane(sh *shardCtx, l int) {
 	ln := &sh.lanes[l]
 	out := sh.out
@@ -651,8 +645,6 @@ type shardPool struct {
 // only shard-local state and their own part of the frame, and every
 // cross-shard effect is applied in stable shard order, so results are
 // bit-for-bit identical to the inline run.
-//
-//adf:owns queue:work — the workers launched here are the work channel's only receivers
 func newShardPool(workers int, run func(job int)) *shardPool {
 	p := &shardPool{work: make(chan int), run: run}
 	for w := 0; w < workers; w++ {

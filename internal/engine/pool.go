@@ -13,7 +13,6 @@ type Group struct {
 	wg  sync.WaitGroup
 	mu  sync.Mutex
 
-	//adf:guardedby mu
 	err error
 }
 
@@ -33,8 +32,8 @@ func NewGroup(limit int) *Group {
 func (g *Group) Go(f func() error) {
 	g.sem <- struct{}{}
 	g.wg.Add(1)
-	//adf:allow determinism — Group IS the sanctioned worker pool; every
-	// task owns its whole simulation, so scheduling order cannot matter.
+	// Every task owns its whole simulation, so scheduling order cannot
+	// matter.
 	go func() {
 		defer func() {
 			<-g.sem

@@ -68,6 +68,18 @@ func TestGroupFirstError(t *testing.T) {
 	}
 }
 
+// TestGroupConcurrentErrors fails tasks that run at once: under -race
+// the first-error record is held to its mutex.
+func TestGroupConcurrentErrors(t *testing.T) {
+	g := NewGroup(4)
+	for i := 0; i < 100; i++ {
+		g.Go(func() error { return errors.New("boom") })
+	}
+	if err := g.Wait(); err == nil {
+		t.Error("Wait err = nil, want the first task error")
+	}
+}
+
 func TestGroupDefaultLimit(t *testing.T) {
 	g := NewGroup(0)
 	if cap(g.sem) < 1 {

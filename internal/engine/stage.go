@@ -171,8 +171,6 @@ func (p *Pipeline) publish(f *frame) {
 // pipeline whose lanes are not running yet. A goroutine reads its
 // lane's frames in tick order and the last lane to finish a frame
 // returns it to the ring; closing the queue ends it.
-//
-//adf:owns queue:in — each lane stage's goroutine is its queue's only receiver
 func (p *Pipeline) startLanes() {
 	if !p.Concurrent || p.lanesRunning {
 		return
@@ -256,10 +254,7 @@ func (p *Pipeline) laneTick(st *laneStage, f *frame) {
 // would emit. It reads only the frame and the shards' immutable layout
 // (member IDs, region slots, home regions), and writes only the lane's
 // own state, so it runs concurrently with the world stage and the other
-// lanes; the shardsafe rule holds it to that.
-//
-//adf:hotpath
-//adf:shardstage
+// lanes; TestShardDigestGate under -race holds it to that.
 func (p *Pipeline) laneEvents(st *laneStage, f *frame) (estimated uint64) {
 	ob := st.ob
 	st.jit.pause()

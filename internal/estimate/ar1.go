@@ -39,7 +39,6 @@ type ar1 struct {
 	last     float64
 }
 
-//adf:hotpath
 func (a *ar1) observe(d float64) {
 	if a.havePrev {
 		a.sumXY = a.lambda*a.sumXY + a.prev*d
@@ -50,7 +49,6 @@ func (a *ar1) observe(d float64) {
 	a.last = d
 }
 
-//adf:hotpath
 func (a *ar1) forecast() float64 {
 	if a.sumXX == 0 {
 		return a.last
@@ -63,8 +61,6 @@ func (a *ar1) forecast() float64 {
 }
 
 // Observe implements PositionEstimator.
-//
-//adf:hotpath
 func (e *AR1LE) Observe(t float64, p geo.Point) {
 	d, dt, ok := e.tracker.step(t, p)
 	if !ok {
@@ -87,8 +83,6 @@ func (e *AR1LE) Reset() {
 }
 
 // Predict implements PositionEstimator.
-//
-//adf:hotpath
 func (e *AR1LE) Predict(t float64) geo.Point {
 	if e.tracker.n == 0 {
 		return geo.Point{}

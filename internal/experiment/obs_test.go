@@ -120,38 +120,6 @@ func TestObsSmoke(t *testing.T) {
 	}
 }
 
-// TestZeroAllocTickObsEnabled extends the zero-alloc guarantee to the
-// enabled path: once the span ring and local histograms are warm, a
-// tick with full observability on still allocates nothing — the flush
-// is a fixed number of atomic adds, not per-node work.
-func TestZeroAllocTickObsEnabled(t *testing.T) {
-	was := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(was)
-
-	c := DefaultConfig()
-	c.Duration = 4000
-	pipeline, _, err := c.buildPipeline(c.adfFactory(1.0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pipeline.Close()
-
-	now := 0.0
-	tick := func() {
-		now += c.SamplePeriod
-		if err := pipeline.Tick(now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 600; i++ {
-		tick()
-	}
-	if allocs := testing.AllocsPerRun(200, tick); allocs != 0 {
-		t.Fatalf("obs-enabled steady-state tick allocates: %v allocs/tick, want 0", allocs)
-	}
-}
-
 // registryTotals snapshots the registry instruments a campaign moves:
 // the lane-level counters and histogram counts, keyed by name, and the
 // front-level reclusters counter and per-pattern gauges.

@@ -69,8 +69,6 @@ type Preallocator interface {
 // passes its per-tick cached enable flag). The verdict-to-tally mapping
 // lives here, next to the Decision type, so every Filter implementation
 // is accounted identically.
-//
-//adf:hotpath
 func Observe(d Decision, t *obs.TickLocal, hist bool) {
 	if d.Transmit {
 		t.Sent++
@@ -197,8 +195,6 @@ func (f *GeneralDF) DTH() float64 { return f.dth }
 func (f *GeneralDF) Semantics() Semantics { return f.semantics }
 
 // Offer implements Filter.
-//
-//adf:hotpath
 func (f *GeneralDF) Offer(lu LU) Decision {
 	prev, seen := f.anchor.Get(lu.Node)
 	if !seen {

@@ -107,7 +107,6 @@ func (g *BurstGateway) Dropped() uint64 { return g.dropped }
 
 // advance steps the outage chain once per elapsed sampling period.
 //
-//adf:shardstage
 //adf:owns StreamOutage — the outage-chain draw, keyed by (gateway, period)
 func (g *BurstGateway) advance(now float64) {
 	if !g.started {
@@ -132,7 +131,6 @@ func (g *BurstGateway) advance(now float64) {
 
 // Collect offers one sample; false means the sample was lost.
 //
-//adf:shardstage
 //adf:owns StreamGatewayDrop — the drop draw, keyed by (node, sample time)
 func (g *BurstGateway) Collect(lu filter.LU) (filter.LU, bool) {
 	g.advance(lu.Time)

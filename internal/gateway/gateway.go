@@ -48,8 +48,6 @@ func (g *Gateway) Region() campus.RegionID { return g.region }
 // Collect offers one node sample to the gateway. It returns false when
 // the node was disconnected this period and the LU was lost.
 //
-//adf:hotpath
-//adf:shardstage
 //adf:owns StreamGatewayDrop — the drop draw, keyed by (node, sample time)
 func (g *Gateway) Collect(lu filter.LU) (filter.LU, bool) {
 	g.received++

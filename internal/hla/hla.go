@@ -207,13 +207,9 @@ type mailbox struct {
 	// zeroed, so a delivered callback's values are not kept reachable.
 	// Pushes reuse the array: it is reset when it empties and compacted
 	// when a push finds it full.
-	//
-	//adf:guardedby mu
 	items []callback
-	//adf:guardedby mu
-	head int
+	head  int
 
-	//adf:guardedby mu
 	closed bool
 }
 
@@ -317,29 +313,20 @@ type federateState struct {
 
 	lookahead float64
 
-	//adf:guardedby Federation.mu
-	time float64
-	//adf:guardedby Federation.mu
+	// The fields below are guarded by the federation's mu.
+	time       float64
 	pendingTAR float64
-	//adf:guardedby Federation.mu
-	hasTAR bool
-	//adf:guardedby Federation.mu
-	resigned bool
+	hasTAR     bool
+	resigned   bool
 
 	// pub/sub interest sets, mutated by the publish/subscribe services.
-	//
-	//adf:guardedby Federation.mu
 	pubInteractions map[string]bool
-	//adf:guardedby Federation.mu
 	subInteractions map[string]bool
 
-	//adf:guardedby Federation.mu
 	tsoQueue []tsoMessage
 
 	// arena holds the parameter blocks of the interactions this
 	// federate sends.
-	//
-	//adf:guardedby Federation.mu
 	arena blockArena
 
 	mailbox *mailbox
@@ -351,19 +338,13 @@ type Federation struct {
 
 	mu sync.Mutex
 
-	//adf:guardedby mu
 	federates map[FederateHandle]*federateState
 	// interactionSubs lists each interaction class's live subscribers
 	// in handle order: the fan-out of a send.
-	//
-	//adf:guardedby mu
 	interactionSubs map[string][]*federateState
-	//adf:guardedby mu
-	syncPoints map[string]*syncPoint
-	//adf:guardedby mu
-	nextFederate FederateHandle
-	//adf:guardedby mu
-	seq uint64
+	syncPoints      map[string]*syncPoint
+	nextFederate    FederateHandle
+	seq             uint64
 }
 
 // RTI hosts federation executions. One RTI serves any number of
@@ -372,7 +353,6 @@ type Federation struct {
 type RTI struct {
 	mu sync.Mutex
 
-	//adf:guardedby mu
 	federations map[string]*Federation
 }
 

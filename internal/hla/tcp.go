@@ -169,10 +169,8 @@ type Server struct {
 
 	mu sync.Mutex
 
-	//adf:guardedby mu
 	conns map[net.Conn]bool
 
-	//adf:guardedby mu
 	closed bool
 
 	wg sync.WaitGroup
@@ -297,16 +295,12 @@ func (s *Server) Shutdown() error {
 type connWriter struct {
 	mu sync.Mutex
 
-	//adf:guardedby mu
 	bw *bufio.Writer
 
 	// enc encodes every frame but the constant ok ack: replies, errors
 	// and the callbacks of the remote ambassador.
-	//
-	//adf:guardedby mu
 	enc wire.Encoder
 
-	//adf:guardedby mu
 	err error
 }
 

@@ -14,9 +14,7 @@ import (
 //     no diagnostic anywhere on the comment's covered lines (the group's
 //     span plus the line after it). The code it vouched for has been
 //     refactored away, or the rule name was wrong from the start;
-//     either way the comment now only misleads readers. Suppressions a
-//     rule consumed without emitting — a vouched-for call site pruning
-//     the hotpath or shardsafe walk — count as used.
+//     either way the comment now only misleads readers.
 //  2. unknown-rule suppressions — an //adf:allow whose first token is
 //     not a rule name (a misspelled or retired rule). It suppresses
 //     nothing, so without the audit it would be a dead comment.
@@ -41,10 +39,10 @@ var AllowAudit = &Analyzer{
 Suppression grammar (own line above, or trailing on the line):
     //adf:allow <rule> [<rule>...] — reason
 
-Flagged: an //adf:allow whose named rule produced no diagnostic (and
-consumed no walk-pruning exemption) in its covered span — a stale
-suppression hiding nothing — an //adf:allow that names no known rule,
-and any //adf:allow without a free-text reason after the rule list.`,
+Flagged: an //adf:allow whose named rule produced no diagnostic in its
+covered span — a stale suppression hiding nothing — an //adf:allow that
+names no known rule, and any //adf:allow without a free-text reason
+after the rule list.`,
 }
 
 // auditAllows reports the stale, unknown-rule and reason-less entries of

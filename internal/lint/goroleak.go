@@ -19,10 +19,9 @@ import (
 //
 // searched through the goroutine body and every statically reachable
 // module-local callee. Work handed to a *nested* goroutine does not
-// count for the outer one. A function claiming //adf:owns queue:<field>
-// is exempt for the goroutines draining that queue: the streamowner
-// rule already proves the pool protocol, and the queue's close is the
-// termination signal.
+// count for the outer one. A worker pool's goroutines pass by ranging
+// over (or receiving from) the queue channel their pool's close method
+// closes.
 //
 // A goroutine meant to live until process exit — an HTTP server pumping
 // until the listener closes — carries //adf:allow goroleak with the
@@ -42,11 +41,6 @@ function it statically calls — contains one of:
     <-ctx.Done()         a context cancellation receive
 Witnesses inside a nested go statement do not count for the outer one.
 
-Exemption:
-    //adf:owns queue:<field>   on the launching function — the worker
-                               pool protocol is proved by streamowner,
-                               and closing the queue ends the workers
-
 A goroutine meant to live until process exit carries
 //adf:allow goroleak — reason; allowaudit flags it when stale or when
 the reason is missing.`,
@@ -65,16 +59,9 @@ func runGoroLeak(p *ModulePass) {
 				if !ok || fn.Body == nil {
 					continue
 				}
-				spec := parseOwns(fn)
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					g, ok := n.(*ast.GoStmt)
-					if !ok {
-						return true
-					}
-					if spec != nil && drainsOwnedQueue(spec, g) {
-						return true
-					}
-					if w.terminates(pkg, g) {
+					if !ok || w.terminates(pkg, g) {
 						return true
 					}
 					p.Reportf(g.Pos(), "goroutine launched in %s has no provable termination path (no reachable WaitGroup.Done, close-signalled channel receive, or ctx.Done select): tie its lifetime to a WaitGroup or shutdown channel, or //adf:allow goroleak with the reason it may outlive its launcher", funcDisplayName(fn))

@@ -1,11 +1,14 @@
 // Package lint is a small static-analysis framework, built only on the
 // standard library's go/ast, go/parser, go/types and go/token, that
-// enforces the repository's simulation invariants at compile time:
-// determinism, shard isolation, the zero-allocation hot path, lock and
-// goroutine discipline, and more. Each check has
-// exactly one owning rule. All() lists the rules; `adflint -list` prints
-// their one-line summaries and `adflint -explain <rule>` the semantics
-// and annotation grammar of one.
+// enforces the invariants no run of the code can catch: wall-clock and
+// global-rand reads, map-order dependence, keyed-stream ownership, lock
+// ordering, goroutine termination, enum exhaustiveness, float equality
+// and obs gating. What a run does catch is left to the runs — shard
+// isolation and lock discipline to the digest gates and the race
+// detector, the zero-allocation tick to TestZeroAllocTick. Each check
+// has exactly one owning rule. All() lists the rules; `adflint -list`
+// prints their one-line summaries and `adflint -explain <rule>` the
+// semantics and annotation grammar of one.
 //
 // False positives are silenced with an escape-hatch comment
 //
@@ -54,8 +57,9 @@ type Analyzer struct {
 	// Nil for analyzers that only work module-wide.
 	Run func(*Pass)
 	// RunModule inspects the whole package set at once. Rules that need
-	// cross-package context — the call-graph walks of hotpath and
-	// shardsafe — live here. Nil for purely intraprocedural analyzers.
+	// cross-package context — goroleak's and lockorder's call-graph
+	// walks, streamowner's one-package-per-stream check — live here.
+	// Nil for purely intraprocedural analyzers.
 	RunModule func(*ModulePass)
 }
 
@@ -66,7 +70,7 @@ type Pass struct {
 	// Pkg is the package under analysis.
 	Pkg *Package
 	// Sim reports whether the package is one of the simulation packages
-	// (the determinism goroutine rule and maporder only apply there).
+	// (maporder and floatcmp only apply there).
 	Sim bool
 
 	rule  string
@@ -108,20 +112,9 @@ type ModulePass struct {
 	Pkgs []*Package
 
 	rule            string
-	simSuffixes     []string
 	concSuffixes    []string
 	obsGateSuffixes []string
 	diags           *[]Diagnostic
-	allows          *allowSet
-}
-
-// Allowed reports whether an //adf:allow for rule covers pos, marking
-// the suppression used so the allowaudit pass does not call it stale.
-// Module-wide analyzers use it to honor suppressions that prune work
-// (a vouched-for call site) rather than silence an emitted diagnostic.
-func (p *ModulePass) Allowed(pos token.Pos, rule string) bool {
-	position := p.Fset.Position(pos)
-	return p.allows.allowedAt(position.Filename, position.Line, rule)
 }
 
 // Reportf records a finding at pos.
@@ -131,11 +124,6 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 		Rule:    p.rule,
 		Message: fmt.Sprintf(format, args...),
 	})
-}
-
-// Sim reports whether an import path belongs to the simulation packages.
-func (p *ModulePass) Sim(path string) bool {
-	return isSimPackage(path, p.simSuffixes)
 }
 
 // Concurrent reports whether an import path belongs to the concurrent
@@ -151,9 +139,8 @@ func (p *ModulePass) ObsGated(path string) bool {
 }
 
 // SimPackages lists the import-path suffixes of the packages whose code
-// mutates simulation state every tick. The determinism goroutine rule and
-// the maporder rule apply only here; the clock/rand and annotation-driven
-// rules apply module wide.
+// mutates simulation state every tick. The maporder and floatcmp rules
+// apply only here; the other rules apply module wide.
 var SimPackages = []string{
 	"internal/sim",
 	"internal/engine",
@@ -205,7 +192,7 @@ type Config struct {
 
 // All returns the full analyzer set in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{Determinism, MapOrder, HotPath, Exhaustive, FloatCmp, ShardSafe, StreamOwner, GuardedBy, LockOrder, GoroLeak, ObsGate, AllowAudit}
+	return []*Analyzer{Determinism, MapOrder, Exhaustive, FloatCmp, StreamOwner, LockOrder, GoroLeak, ObsGate, AllowAudit}
 }
 
 // isSimPackage reports whether an import path names (or is nested under)
@@ -289,11 +276,9 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 	mp := &ModulePass{
 		Fset:            pkgs[0].Fset,
 		Pkgs:            pkgs,
-		simSuffixes:     simSuffixes,
 		concSuffixes:    concSuffixes,
 		obsGateSuffixes: obsGateSuffixes,
 		diags:           &raw,
-		allows:          allows,
 	}
 	for _, a := range analyzers {
 		if a.RunModule == nil {
@@ -305,7 +290,7 @@ func Run(pkgs []*Package, cfg Config) []Diagnostic {
 	var diags []Diagnostic
 	seen := make(map[Diagnostic]bool, len(raw))
 	for _, d := range raw {
-		if allows.allowed(d) || seen[d] {
+		if allows.allowedAt(d.Pos.Filename, d.Pos.Line, d.Rule) || seen[d] {
 			continue
 		}
 		seen[d] = true
@@ -446,15 +431,8 @@ func hasReasonText(rest []string) bool {
 	return false
 }
 
-// allowed reports whether an //adf:allow covers the diagnostic, marking
-// the matching entries used.
-func (s *allowSet) allowed(d Diagnostic) bool {
-	return s.allowedAt(d.Pos.Filename, d.Pos.Line, d.Rule)
-}
-
-// allowedAt is the positional form of allowed, for analyzers that
-// consume a suppression without emitting a diagnostic (a vouched-for
-// call site pruning a call-graph walk). It too marks usage.
+// allowedAt reports whether an //adf:allow for rule covers the line,
+// marking the matching entries used.
 func (s *allowSet) allowedAt(file string, line int, rule string) bool {
 	ok := false
 	for _, e := range s.lines[file][line] {
@@ -472,27 +450,11 @@ func (s *allowSet) allowedAt(file string, line int, rule string) bool {
 // a loop over All() because the analyzers' Run functions reference the
 // allow machinery, which references this — going through All() would be
 // an initialization cycle. TestRuleNamesMatchAll keeps the two in sync.
-var ruleNames = []string{"determinism", "maporder", "hotpath", "exhaustive", "floatcmp", "shardsafe", "streamowner", "guardedby", "lockorder", "goroleak", "obsgate", "allowaudit"}
+var ruleNames = []string{"determinism", "maporder", "exhaustive", "floatcmp", "streamowner", "lockorder", "goroleak", "obsgate", "allowaudit"}
 
 func isRuleName(s string) bool {
 	for _, n := range ruleNames {
 		if s == n {
-			return true
-		}
-	}
-	return false
-}
-
-// hasDirective reports whether a comment group carries the given //adf:
-// directive, alone on its line or followed by free text. Directive
-// comments are excluded from CommentGroup.Text, so the raw list is
-// scanned.
-func hasDirective(g *ast.CommentGroup, directive string) bool {
-	if g == nil {
-		return false
-	}
-	for _, c := range g.List {
-		if c.Text == directive || strings.HasPrefix(c.Text, directive+" ") {
 			return true
 		}
 	}

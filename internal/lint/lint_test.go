@@ -12,7 +12,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files from the current analyzer output")
 
 // fixtureScope selects which package-gated rule families see the
-// fixture: sim (determinism goroutine rule, maporder, floatcmp), conc
+// fixture: sim (maporder, floatcmp), conc
 // (goroleak), obsgate (obs gating discipline).
 type fixtureScope struct {
 	sim     bool
@@ -64,14 +64,11 @@ func TestGoldenFixtures(t *testing.T) {
 		name  string
 		scope fixtureScope
 	}{
-		{"determinism", fixtureScope{sim: true}},
+		{"determinism", fixtureScope{}},
 		{"maporder", fixtureScope{sim: true}},
-		{"hotpath", fixtureScope{}},
 		{"exhaustive", fixtureScope{}},
 		{"floatcmp", fixtureScope{sim: true}},
-		{"shardsafe", fixtureScope{}},
 		{"streamowner", fixtureScope{}},
-		{"guardedby", fixtureScope{}},
 		{"lockorder", fixtureScope{}},
 		{"goroleak", fixtureScope{conc: true}},
 		{"obsgate", fixtureScope{obsgate: true}},
@@ -132,8 +129,7 @@ func TestStreamOwnerDoublyOwned(t *testing.T) {
 }
 
 // TestFixturesFlagNothingOutsideSimScope pins the package gating: loaded
-// as ordinary packages, the determinism goroutine rule and maporder stay
-// quiet, while the clock/rand rules still fire. The maporder fixture's
+// as an ordinary package, maporder stays quiet. The maporder fixture's
 // one //adf:allow vouches for a diagnostic that only fires in sim scope,
 // so the audit calls it stale here, once; nothing else may fire.
 func TestFixturesFlagNothingOutsideSimScope(t *testing.T) {
@@ -147,15 +143,6 @@ func TestFixturesFlagNothingOutsideSimScope(t *testing.T) {
 	}
 	if stale != 1 {
 		t.Errorf("%d stale-allow findings on the maporder fixture, want its one //adf:allow", stale)
-	}
-	var goStmts int
-	for _, d := range loadFixture(t, "determinism", fixtureScope{}) {
-		if strings.Contains(d.Message, "go statement") {
-			goStmts++
-		}
-	}
-	if goStmts != 0 {
-		t.Errorf("goroutine rule fired %d times outside sim scope", goStmts)
 	}
 }
 

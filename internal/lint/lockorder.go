@@ -322,3 +322,116 @@ func edgeName(cycle []*types.Var, first map[lockPair]lockEdge, i int) string {
 	}
 	return first[lockPair{cycle[i-1], cycle[i]}].toName
 }
+
+// isMutexType reports whether t is sync.Mutex or sync.RWMutex (or a
+// pointer to one).
+func isMutexType(t types.Type) bool {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
+		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
+}
+
+// lockEvent is one classified mutex method call.
+type lockEvent struct {
+	mu      *types.Var // the mutex field or package-level variable
+	name    string     // Type.field display identity
+	acquire bool       // Lock/RLock (true) vs Unlock/RUnlock (false)
+	pos     token.Pos
+}
+
+// mutexCallEvent classifies a call as a Lock/RLock/Unlock/RUnlock on a
+// sync.Mutex or sync.RWMutex and resolves the mutex to a trackable
+// variable: a struct field (promoted embedded mutexes included, via the
+// selection's field-index path) or a package-level variable. Mutexes
+// held in locals are not tracked.
+func mutexCallEvent(pkg *Package, call *ast.CallExpr) (lockEvent, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return lockEvent{}, false
+	}
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return lockEvent{}, false
+	}
+	var acquire bool
+	switch fn.Name() {
+	case "Lock", "RLock":
+		acquire = true
+	case "Unlock", "RUnlock":
+		acquire = false
+	default:
+		return lockEvent{}, false
+	}
+	recv := fn.Signature().Recv()
+	if recv == nil || !isMutexType(recv.Type()) {
+		return lockEvent{}, false
+	}
+	mu, name := mutexVarOf(pkg, sel)
+	if mu == nil {
+		return lockEvent{}, false
+	}
+	return lockEvent{mu: mu, name: name, acquire: acquire, pos: call.Pos()}, true
+}
+
+// mutexVarOf resolves the mutex behind a Lock/Unlock method selector:
+// the selected field for x.mu.Lock(), the embedded field reached by the
+// selection's index path for promoted calls (cache.Lock()), or
+// a package-level mutex variable.
+func mutexVarOf(pkg *Package, sel *ast.SelectorExpr) (*types.Var, string) {
+	if s, ok := pkg.Info.Selections[sel]; ok && len(s.Index()) > 1 {
+		// Promoted method: walk the embedded-field prefix of the index
+		// path; the last field reached is the mutex.
+		t := pkg.Info.TypeOf(sel.X)
+		idx := s.Index()
+		var f *types.Var
+		for _, i := range idx[:len(idx)-1] {
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem()
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			if !ok || i >= st.NumFields() {
+				return nil, ""
+			}
+			f = st.Field(i)
+			t = f.Type()
+		}
+		if f == nil {
+			return nil, ""
+		}
+		return f, lockBaseName(pkg, sel.X) + "." + f.Name()
+	}
+	if v := fieldVarOf(pkg, sel.X); v != nil {
+		return v, lockBaseName(pkg, sel.X) + "." + v.Name()
+	}
+	if v := rootVar(pkg.Info, sel.X); v != nil && isPkgLevelVar(v) {
+		return v, v.Pkg().Name() + "." + v.Name()
+	}
+	return nil, ""
+}
+
+// lockBaseName names the structure holding a mutex for diagnostics: the
+// named type of the expression the mutex is selected from, falling back
+// to a package-level variable's name (anonymous struct vars) or the
+// expression text.
+func lockBaseName(pkg *Package, x ast.Expr) string {
+	x = ast.Unparen(x)
+	if sel, ok := x.(*ast.SelectorExpr); ok {
+		if t := namedOf(pkg.Info.TypeOf(sel.X)); t != nil {
+			return t.Obj().Name()
+		}
+	}
+	if t := namedOf(pkg.Info.TypeOf(x)); t != nil {
+		return t.Obj().Name()
+	}
+	if v := rootVar(pkg.Info, x); v != nil {
+		return v.Name()
+	}
+	return types.ExprString(x)
+}

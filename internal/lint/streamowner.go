@@ -8,54 +8,35 @@ import (
 	"strings"
 )
 
-// StreamOwner tracks every keyed randomness stream and worker queue to
-// its consumers and proves each has exactly one owner — the property
-// that makes the sharded pipeline's draws reproducible regardless of
-// worker scheduling. Ownership is declared on the
-// consuming function with the //adf:owns directive:
+// StreamOwner tracks every keyed randomness stream to its consumers and
+// proves each has exactly one owning package — the property that makes
+// the sharded pipeline's draws reproducible regardless of worker
+// scheduling. Ownership is declared on the consuming function with the
+// //adf:owns directive:
 //
-//	//adf:owns <resource> [<resource>...] [— why]
+//	//adf:owns StreamXxx [StreamXxx...] [— why]
 //
-// where each resource is one of
-//
-//   - StreamXxx — a sim.StreamID constant: the function performs keyed
-//     draws on that stream. Every keyed draw outside internal/sim must
-//     sit in a function claiming its stream, a claimed stream must
-//     actually be drawn (stale claims are flagged), and all of a
-//     stream's claimants must live in a single package: keyed draws
-//     are pure functions of (stream, id, tick), so the one remaining
-//     hazard is two subsystems keying the same stream with colliding
-//     ids — a hazard exactly when ownership spans packages.
-//
-//   - queue:<field> — a channel field whose worker goroutines the
-//     function launches: the claim is that those goroutines are the
-//     channel's only receivers, i.e. the function is the single place
-//     work is drained, so stream consumption inside the workers is
-//     ordered by the dispatch protocol, not by scheduling. The
-//     function must contain a go statement whose closure ranges over
-//     (or receives from) a channel field of that name, no other
-//     function may receive from the same field, and no second function
-//     may claim it.
-//
-// The determinism and goroleak rules consult the queue claims for a
-// goroutine draining a claimed queue: the proof obligation moved here.
-// An unverifiable ownership pattern falls back to //adf:allow
-// streamowner with a reason.
+// where each StreamXxx is a sim.StreamID constant the function performs
+// keyed draws on. Every keyed draw outside internal/sim must sit in a
+// function claiming its stream, a claimed stream must actually be drawn
+// (stale claims are flagged), and all of a stream's claimants must live
+// in a single package: keyed draws are pure functions of (stream, id,
+// tick), so the one remaining hazard is two subsystems keying the same
+// stream with colliding ids — a hazard exactly when ownership spans
+// packages. A draw the rule cannot attribute falls back to
+// //adf:allow streamowner with a reason.
 var StreamOwner = &Analyzer{
 	Name: "streamowner",
-	Doc:  "prove every keyed RNG stream and worker queue has exactly one owning consumer, declared //adf:owns",
-	Explain: `streamowner proves single-ownership of randomness and work queues.
+	Doc:  "prove every keyed RNG stream has exactly one owning package, declared //adf:owns",
+	Explain: `streamowner proves single-ownership of keyed randomness streams.
 
-Annotation grammar (function doc comment, comma-separated claims):
-    //adf:owns StreamXxx          exclusive use of a keyed stream const
-    //adf:owns queue:<field>      this function's goroutines are the
-                                  sole drainers of a channel field
+Annotation grammar (function doc comment):
+    //adf:owns StreamXxx [StreamXxx...]   the function draws these keyed
+                                          stream constants
 
 Flagged: a keyed draw in a function that does not claim its stream, a
-stream claimed in more than one package, a queue received from outside
-its owner or claimed twice, and a claim naming nothing the function
-uses (stale). queue: claims also exempt the draining
-goroutines from goroleak.
+stream claimed in more than one package, and a claim naming a stream
+the function never draws (stale).
 
 Escape hatch: //adf:allow streamowner — reason.`,
 	RunModule: runStreamOwner,
@@ -68,7 +49,6 @@ const ownsDirective = "//adf:owns"
 type ownsSpec struct {
 	pos     token.Pos
 	streams []string // StreamXxx keyed-constant claims
-	queues  []string // queue:<field> worker-channel claims
 	// malformed collects tokens that fit no resource form.
 	malformed []string
 }
@@ -93,12 +73,9 @@ func parseOwns(fn *ast.FuncDecl) *ownsSpec {
 			if tok == "—" || tok == "-" || tok == "--" {
 				break
 			}
-			switch {
-			case strings.HasPrefix(tok, "queue:"):
-				spec.queues = append(spec.queues, strings.TrimPrefix(tok, "queue:"))
-			case strings.HasPrefix(tok, "Stream"):
+			if strings.HasPrefix(tok, "Stream") {
 				spec.streams = append(spec.streams, tok)
-			default:
+			} else {
 				spec.malformed = append(spec.malformed, tok)
 			}
 		}
@@ -120,19 +97,11 @@ type keyedDraw struct {
 	fn     *ast.FuncDecl
 }
 
-// recvSite is one channel receive (range or <-) on a struct field.
-type recvSite struct {
-	pos   token.Pos
-	field *types.Var
-	fn    *ast.FuncDecl
-}
-
 func runStreamOwner(p *ModulePass) {
 	var (
 		claims  []ownsClaim
 		specOf  = make(map[*ast.FuncDecl]*ownsSpec)
 		keyed   []keyedDraw
-		recvs   []recvSite
 		drawnIn = make(map[*ast.FuncDecl]map[string]bool)
 		fnName  = make(map[*ast.FuncDecl]string)
 	)
@@ -150,41 +119,28 @@ func runStreamOwner(p *ModulePass) {
 					specOf[fn] = spec
 				}
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.CallExpr:
-						sel, ok := n.Fun.(*ast.SelectorExpr)
-						if !ok {
-							return true
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					sel, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					m, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
+					if !ok || m.Signature().Recv() == nil || !isKeyedRNG(m.Signature().Recv().Type()) ||
+						simProvider || len(call.Args) == 0 {
+						return true
+					}
+					name := streamConstName(pkg, call.Args[0])
+					keyed = append(keyed, keyedDraw{pos: call.Pos(), stream: name, fn: fn})
+					if name != "" {
+						set := drawnIn[fn]
+						if set == nil {
+							set = make(map[string]bool)
+							drawnIn[fn] = set
 						}
-						m, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-						if !ok || m.Signature().Recv() == nil || !isKeyedRNG(m.Signature().Recv().Type()) ||
-							simProvider || len(n.Args) == 0 {
-							return true
-						}
-						name := streamConstName(pkg, n.Args[0])
-						keyed = append(keyed, keyedDraw{pos: n.Pos(), stream: name, fn: fn})
-						if name != "" {
-							set := drawnIn[fn]
-							if set == nil {
-								set = make(map[string]bool)
-								drawnIn[fn] = set
-							}
-							set[name] = true
-						}
-					case *ast.RangeStmt:
-						if t := pkg.Info.TypeOf(n.X); t != nil {
-							if _, ok := t.Underlying().(*types.Chan); ok {
-								if v := fieldVarOf(pkg, n.X); v != nil {
-									recvs = append(recvs, recvSite{pos: n.X.Pos(), field: v, fn: fn})
-								}
-							}
-						}
-					case *ast.UnaryExpr:
-						if n.Op == token.ARROW {
-							if v := fieldVarOf(pkg, n.X); v != nil {
-								recvs = append(recvs, recvSite{pos: n.Pos(), field: v, fn: fn})
-							}
-						}
+						set[name] = true
 					}
 					return true
 				})
@@ -195,7 +151,7 @@ func runStreamOwner(p *ModulePass) {
 	// Malformed specs.
 	for _, c := range claims {
 		for _, tok := range c.spec.malformed {
-			p.Reportf(c.spec.pos, "malformed //adf:owns resource %q on %s: want a StreamXxx constant or queue:<field>", tok, fnName[c.fn])
+			p.Reportf(c.spec.pos, "malformed //adf:owns resource %q on %s: want a StreamXxx constant", tok, fnName[c.fn])
 		}
 	}
 
@@ -231,33 +187,6 @@ func runStreamOwner(p *ModulePass) {
 				p.Reportf(c.spec.pos, "keyed stream %s is claimed in more than one package (%s): a stream has exactly one owning package — split the stream or move the draws behind the owner's API", s, joinSorted(pkgs))
 			}
 		}
-	}
-
-	// Queue claims: the claimant launches a goroutine draining the
-	// channel field, nobody else receives from it, and no second
-	// function claims it.
-	queueOwner := make(map[*types.Var]*ownsClaim)
-	for i := range claims {
-		c := &claims[i]
-		for _, name := range c.spec.queues {
-			v := goroutineQueueField(c.pkg, c.fn, name)
-			if v == nil {
-				p.Reportf(c.spec.pos, "//adf:owns queue:%s on %s: no goroutine launched by the function ranges over (or receives from) a channel field named %s", name, fnName[c.fn], name)
-				continue
-			}
-			if prev := queueOwner[v]; prev != nil {
-				p.Reportf(c.spec.pos, "channel field %s is already owned by %s: a worker queue has exactly one launching owner — merge the pools or split the channel", v.Name(), fnName[prev.fn])
-				continue
-			}
-			queueOwner[v] = c
-		}
-	}
-	for _, r := range recvs {
-		owner := queueOwner[r.field]
-		if owner == nil || r.fn == owner.fn {
-			continue
-		}
-		p.Reportf(r.pos, "receive from claimed worker queue %s outside its owner %s: the owning goroutines are the channel's only receivers — dispatch through the pool instead", r.field.Name(), fnName[owner.fn])
 	}
 }
 
@@ -324,64 +253,6 @@ func streamConstName(pkg *Package, e ast.Expr) string {
 		return ""
 	}
 	return c.Name()
-}
-
-// fieldVarOf resolves an expression to the struct field it selects, or
-// nil when it is not a field selection.
-func fieldVarOf(pkg *Package, e ast.Expr) *types.Var {
-	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	v, ok := pkg.Info.Uses[sel.Sel].(*types.Var)
-	if !ok || !v.IsField() {
-		return nil
-	}
-	return v
-}
-
-// goroutineQueueField finds the channel field named name that a
-// goroutine launched inside fn ranges over or receives from.
-func goroutineQueueField(pkg *Package, fn *ast.FuncDecl, name string) *types.Var {
-	var found *types.Var
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		lit, ok := g.Call.Fun.(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			var x ast.Expr
-			switch m := m.(type) {
-			case *ast.RangeStmt:
-				x = m.X
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW {
-					x = m.X
-				}
-			}
-			if x == nil {
-				return true
-			}
-			v := fieldVarOf(pkg, x)
-			if v == nil || v.Name() != name {
-				return true
-			}
-			if _, ok := v.Type().Underlying().(*types.Chan); ok {
-				found = v
-				return false
-			}
-			return true
-		})
-		return found == nil
-	})
-	return found
 }
 
 func containsString(list []string, s string) bool {

@@ -1,6 +1,5 @@
 // Package determinism exercises the determinism analyzer: wall-clock
-// reads, draws from the global math/rand source, and bare goroutines
-// (the fixture is loaded as a simulation package).
+// reads and draws from the global math/rand source.
 package determinism
 
 import (
@@ -28,17 +27,10 @@ func Draw() (int, float64) {
 	return n, r.Float64()
 }
 
-// Spawn starts a bare goroutine, forbidden in simulation packages.
-func Spawn(ch chan<- int) {
-	go send(ch)
-}
-
-func send(ch chan<- int) { ch <- 1 }
-
-// Sanctioned demonstrates the escape hatch on the same line and on the
-// line above.
-func Sanctioned(ch chan<- int) time.Time {
+// Sanctioned demonstrates the escape hatch on the line above and on the
+// same line.
+func Sanctioned() (time.Time, time.Time) {
 	//adf:allow determinism — fixture: documented measurement-only use
-	go send(ch)
-	return time.Now() //adf:allow determinism — fixture
+	start := time.Now()
+	return start, time.Now() //adf:allow determinism — fixture
 }

@@ -1,6 +1,7 @@
 // Package goroleak exercises the goroutine-lifecycle analyzer: the
 // three termination witnesses (WaitGroup.Done, close-signalled channel,
-// ctx.Done), the //adf:owns queue: exemption, the //adf:allow goroleak
+// ctx.Done), a worker pool ended by closing its queue, the
+// //adf:allow goroleak
 // opt-out for process-lifetime goroutines (audited by allowaudit), and
 // the leaks — a bare forever-loop and a witness hidden in a nested
 // goroutine. The fixture is loaded as a concurrent package.
@@ -19,10 +20,8 @@ type pool struct {
 
 func (p *pool) stop() { close(p.work) }
 
-// start launches the drainers it owns: the queue claim exempts them
-// (streamowner proves the protocol; closing work ends the workers).
-//
-//adf:owns queue:work
+// start launches the pool's drainers: stop closes work, so ranging over
+// it is the witness.
 func (p *pool) start(n int) {
 	for i := 0; i < n; i++ {
 		go func() {
@@ -34,7 +33,7 @@ func (p *pool) start(n int) {
 }
 
 // tracked ties the goroutine to the WaitGroup: clean. jobs is a caller
-// channel, not the claimed queue — the Done is the witness.
+// channel no one closes — the Done is the witness.
 func (p *pool) tracked(jobs chan int) {
 	p.wg.Add(1)
 	go func() {
@@ -60,7 +59,7 @@ func (p *pool) drainOnce(jobs chan int) {
 }
 
 // feed is closed by closeFeed: receiving from it is a termination
-// witness in its own right, no claim or WaitGroup needed.
+// witness in its own right, no WaitGroup needed.
 var feed = make(chan int)
 
 func closeFeed() { close(feed) }

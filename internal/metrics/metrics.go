@@ -36,9 +36,8 @@ func (s *CountSeries) grow(bucket int) {
 	if next < bucket+1 {
 		next = bucket + 1
 	}
-	//adf:allow hotpath — doubling growth on first touch of a bucket past
-	// capacity; absent once Reserve sized the series or the horizon is
-	// reached.
+	// Doubling growth on first touch of a bucket past capacity; absent
+	// once Reserve sized the series or the horizon is reached.
 	counts := make([]float64, bucket+1, next)
 	copy(counts, s.counts)
 	s.counts = counts
@@ -70,8 +69,6 @@ func bucketOf(t float64) (int, bool) {
 
 // Add records n events at virtual time t; a time bucketOf rejects is
 // dropped.
-//
-//adf:hotpath
 func (s *CountSeries) Add(t float64, n float64) {
 	b, ok := bucketOf(t)
 	if !ok {
@@ -82,8 +79,6 @@ func (s *CountSeries) Add(t float64, n float64) {
 }
 
 // Incr records one event at time t.
-//
-//adf:hotpath
 func (s *CountSeries) Incr(t float64) { s.Add(t, 1) }
 
 // Series returns a copy of the per-second counts.

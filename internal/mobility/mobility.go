@@ -109,8 +109,6 @@ func (w *RandomWalk) setHeading(h float64) {
 }
 
 // Advance implements Model.
-//
-//adf:hotpath
 func (w *RandomWalk) Advance(dt float64) geo.Point {
 	remaining := dt
 	for remaining > 0 {
@@ -167,7 +165,8 @@ var _ Model = (*Waypoints)(nil)
 
 // WaypointsConfig parameterises an LMS mover.
 type WaypointsConfig struct {
-	// Route is the ordered waypoint list; at least two points.
+	// Route is the ordered waypoint list; at least two points. The mover
+	// owns it from construction on and never modifies it.
 	Route []geo.Point
 	// Shuttle reverses direction at the ends instead of jumping back to
 	// the start.
@@ -186,7 +185,10 @@ type WaypointsConfig struct {
 	RedrawPerAdvance bool
 }
 
-// NewWaypoints returns an LMS mover starting at the first waypoint.
+// NewWaypoints returns an LMS mover starting at the first waypoint. The
+// mover takes ownership of cfg.Route and only reads it, so routes may be
+// shared between movers; the caller must not modify the route
+// afterwards.
 func NewWaypoints(cfg WaypointsConfig, rng *sim.RNG) (*Waypoints, error) {
 	if len(cfg.Route) < 2 {
 		return nil, fmt.Errorf("mobility: route needs at least 2 waypoints, got %d", len(cfg.Route))
@@ -219,7 +221,7 @@ func NewWaypoints(cfg WaypointsConfig, rng *sim.RNG) (*Waypoints, error) {
 		return nil, fmt.Errorf("mobility: nil RNG")
 	}
 	w := &Waypoints{
-		route:    append([]geo.Point(nil), cfg.Route...),
+		route:    cfg.Route,
 		shuttle:  cfg.Shuttle,
 		minSpeed: cfg.MinSpeed,
 		maxSpeed: cfg.MaxSpeed,
@@ -266,8 +268,6 @@ func (w *Waypoints) nextLeg() {
 }
 
 // Advance implements Model.
-//
-//adf:hotpath
 func (w *Waypoints) Advance(dt float64) geo.Point {
 	var speed float64
 	if w.redraw {

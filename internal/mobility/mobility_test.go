@@ -238,19 +238,19 @@ func TestWaypointsLongAdvanceCrossesMultipleLegs(t *testing.T) {
 	}
 }
 
-func TestWaypointsRouteCopied(t *testing.T) {
-	route := []geo.Point{{}, {X: 5}}
-	w, err := NewWaypoints(WaypointsConfig{
-		Route: route, MinSpeed: 1, MaxSpeed: 1, Shuttle: true,
-	}, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	route[1] = geo.Point{X: 1000} // caller mutates its slice
-	for i := 0; i < 5; i++ {
-		w.Advance(1)
-	}
-	if w.Pos().Dist(geo.Point{X: 5}) > 1e-9 {
-		t.Errorf("model affected by caller mutation: %v", w.Pos())
+// TestWaypointsTakesRoute: NewWaypoints takes ownership of its route
+// rather than copying it, so a mover costs one allocation, itself.
+func TestWaypointsTakesRoute(t *testing.T) {
+	route := []geo.Point{{}, {X: 5}, {X: 5, Y: 5}}
+	rng := sim.NewRNG(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := NewWaypoints(WaypointsConfig{
+			Route: route, MinSpeed: 1, MaxSpeed: 2, Shuttle: true,
+		}, rng); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("NewWaypoints makes %v allocations, want 1 (the mover; the route is not copied)", allocs)
 	}
 }

@@ -65,8 +65,8 @@ func buildModel(spec campus.NodeSpec, region *campus.Region, rng *sim.RNG) (mobi
 		return mobility.NewRandomWalk(region.Bounds, randomPointIn(region.Bounds, rng),
 			spec.MinSpeed, spec.MaxSpeed, rng)
 	case campus.Linear:
-		// NewWaypoints keeps a copy of the route, so a road's path is
-		// handed over as it is.
+		// NewWaypoints only reads its route, so every node on a road
+		// shares the road's path.
 		route := region.Path
 		if region.Kind != campus.Road {
 			// Corridor walk: a handful of well-separated interior points.
@@ -136,8 +136,6 @@ func (n *Node) Pos() geo.Point { return n.model.Pos() }
 
 // Advance moves the node dt seconds forward and returns its new true
 // position.
-//
-//adf:hotpath
 func (n *Node) Advance(dt float64) geo.Point { return n.model.Advance(dt) }
 
 // Population instantiates every node of a population spec with

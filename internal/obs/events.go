@@ -35,11 +35,8 @@ type EventLog struct {
 
 	mu sync.Mutex
 
-	//adf:guardedby mu
-	w io.Writer
-	//adf:guardedby mu
+	w   io.Writer
 	seq uint64
-	//adf:guardedby mu
 	buf []byte
 }
 

@@ -88,8 +88,8 @@ func (l *LocalHist) bind(h *Histogram) {
 	}
 }
 
-// Observe records one value. Plain adds only — the method is reachable
-// from the engine's //adf:hotpath roots and must stay alloc-free.
+// Observe records one value. Plain adds only — the method runs on every
+// tick and must stay alloc-free (TestZeroAllocTick).
 func (l *LocalHist) Observe(v float64) {
 	if l.h == nil {
 		return

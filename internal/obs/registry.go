@@ -200,10 +200,8 @@ type family struct {
 type Registry struct {
 	mu sync.Mutex
 
-	//adf:guardedby mu
 	families []*family
-	//adf:guardedby mu
-	byName map[string]*family
+	byName   map[string]*family
 }
 
 // NewRegistry returns an empty registry.

@@ -73,11 +73,8 @@ const traceRingCap = 1 << 15
 type traceRing[T any] struct {
 	mu sync.Mutex
 
-	//adf:guardedby mu
 	records []T
-	//adf:guardedby mu
-	next int
-	//adf:guardedby mu
+	next    int
 	wrapped bool
 }
 

@@ -21,9 +21,9 @@ type statusSection struct {
 	fn   func() string
 }
 
+// statusMu guards statusSections.
 var statusMu sync.Mutex
 
-//adf:guardedby statusMu
 var statusSections []statusSection
 
 // RegisterStatusSection adds a named section to /statusz. fn is called

@@ -50,8 +50,6 @@ const (
 )
 
 // mix64 is the SplitMix64 finalizer: a bijective avalanche over 64 bits.
-//
-//adf:hotpath
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
@@ -60,8 +58,6 @@ func mix64(z uint64) uint64 {
 
 // Uint64 returns the draw for (stream, id, tick): uniform over all 64-bit
 // values, identical for equal keys, decorrelated across keys.
-//
-//adf:hotpath
 func (k *Keyed) Uint64(stream StreamID, id int, tick uint64) uint64 {
 	z := k.seed + uint64(stream)*keyedGamma
 	z = mix64(z + uint64(id)*keyedIDSalt)
@@ -70,15 +66,11 @@ func (k *Keyed) Uint64(stream StreamID, id int, tick uint64) uint64 {
 }
 
 // Float64 returns the keyed draw as a uniform value in [0, 1).
-//
-//adf:hotpath
 func (k *Keyed) Float64(stream StreamID, id int, tick uint64) float64 {
 	return float64(k.Uint64(stream, id, tick)>>11) * 0x1p-53
 }
 
 // Bool returns true with probability p for the given key.
-//
-//adf:hotpath
 func (k *Keyed) Bool(stream StreamID, id int, tick uint64, p float64) bool {
 	return k.Float64(stream, id, tick) < p
 }

@@ -50,16 +50,12 @@ type splitmix struct {
 var _ rand.Source64 = (*splitmix)(nil)
 
 // Uint64 implements rand.Source64.
-//
-//adf:hotpath
 func (s *splitmix) Uint64() uint64 {
 	s.state += keyedGamma
 	return mix64(s.state)
 }
 
 // Int63 implements rand.Source.
-//
-//adf:hotpath
 func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Seed implements rand.Source.
